@@ -69,7 +69,6 @@ class SweepConfig:
     alpha_min: float
     alpha_max: float
     alpha_steps: int
-    fixed: dict
     out_path: str | None
     svg_path: str | None
 
@@ -162,23 +161,19 @@ def cmd_sweep(args, profile: PrecisionProfile) -> int:
                              alpha_min=args.alpha_min,
                              alpha_max=args.alpha_max,
                              alpha_steps=args.steps,
-                             fixed={}, out_path=args.out, svg_path=args.svg)
+                             out_path=args.out, svg_path=args.svg)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
+    values = _resolve_args(entry, args)
+    i_alpha = entry.arg_names.index("alpha")
     spec = _quad_spec(profile)
     tol = entry.tolerance if args.tolerance is None else args.tolerance
     rows = []
     failures = 0
     for alpha in config.grid():
+        values[i_alpha] = alpha
         try:
-            values = []
-            for name in entry.arg_names:
-                if name == "alpha":
-                    values.append(alpha)
-                else:
-                    given = getattr(args, name, None)
-                    values.append(_PARAMS[name][1] if given is None else given)
             report = entry.runner(*values, spec=spec, tolerance=tol)
             rows.append(SweepRow.from_report(report))
         except KoshliakovError as exc:

@@ -9,18 +9,16 @@ excluded from that resolution test.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import arith
-from .errors import ConvergenceError, DomainError, NearPoleError
-from .kernels import (ReciprocalPair, lambda_fn, lambda_sum, omega,
-                      omega_combination, pair_dixon_ferrar, pair_k_bessel,
-                      theta_eval, transform_kernel)
+from .errors import DecayError, DomainError, NearPoleError
+from .kernels import (ReciprocalPair, lambda_sum, omega_combination,
+                      pair_dixon_ferrar, pair_k_bessel, transform_kernel)
 from .quadrature import (ExpDecay, QuadratureSpec, integrate_finite,
                          integrate_semi_infinite, tanh_sinh)
 from .specfun import (EULER_GAMMA, bessel_j, bessel_k, big_xi, gamma,
@@ -421,14 +419,37 @@ def verify_hurwitz_modular(z, alpha: float, spec: Optional[QuadratureSpec] = Non
                    real_inputs=(z.imag == 0.0))
 
 
-def _theta_pair_inner(alpha: float, n: int, power: complex, order: complex,
-                      spec: QuadratureSpec, both: bool):
-    """Integral of x^{1+power} K-weight(x) (x^2 + pi^2 n^2)^{-(power... )}:
-    shared inner-integral driver for the two Hurwitz-type series; the
-    K-weight is Theta(x) when both=True, else K_{order}(2 alpha x)."""
+def _checked_exp_decay(f: Callable, rate: float, spec: QuadratureSpec) -> ExpDecay:
+    """ExpDecay envelope 40 |f(1)| e^{-rate (t-1)} for the tail of f on
+    [1, inf), checked after the fact: |f| is sampled at eight points in
+    (1, T], T the cutoff integrate_semi_infinite will pick for spec, and a
+    sample above the envelope raises DecayError."""
+    f1 = abs(complex(np.asarray(f(np.array([1.0])))[0]))
+    decay = ExpDecay(40.0 * max(f1, 1e-30) * math.exp(rate), rate)
+    T = decay.cutoff_for(0.1 * spec.abs_tol)
+    t = np.linspace(1.0, T, 9)[1:]
+    mags = np.abs(np.asarray(f(t)))
+    envelope = decay.coeff * np.exp(-rate * t)
+    over = ~(mags <= envelope)          # a nan sample counts as over
+    if over.any():
+        i = int(np.argmax(over))
+        raise DecayError(f"tail envelope fitted at t=1 is exceeded at "
+                         f"t={t[i]:.3g}: |f| = {mags[i]:.3e} > {envelope[i]:.3e}")
+    return decay
+
+
+def _theta_pair_inner(alpha: float, weights: np.ndarray, power: complex,
+                      order: complex, spec: QuadratureSpec, both: bool):
+    """Integral over x > 0 of
+    x^{1+power} Kw(x) sum_{n=1}^{N} w_n (x^2 + pi^2 n^2)^{-(power+3/2)},
+    N = len(weights): the inner integrals of both Hurwitz-type series,
+    summed under one integral so the n-independent K-weight Kw is
+    evaluated once per node.  Kw(x) is Theta(x) = K_order(2 alpha x)
+    + beta K_order(2 beta x) when both=True, else K_order(2 alpha x).
+    Returns (value, error estimate incl. the tail truncation bound)."""
     beta = 1.0 / alpha
-    a2 = (math.pi * n) ** 2
-    expo = -(0.5 * (2.0 * power + 3.0))
+    a2 = (math.pi * np.arange(1, weights.size + 1)) ** 2
+    expo = -(power + 1.5)
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -437,12 +458,12 @@ def _theta_pair_inner(alpha: float, n: int, power: complex, order: complex,
                   + beta * bessel_k(order, 2.0 * beta * x).real)
         else:
             kw = bessel_k(order, 2.0 * alpha * x)
-        return np.power(x, 1.0 + power) * kw * np.power(x * x + a2, expo)
+        mix = np.power(np.add.outer(x * x, a2), expo) @ weights
+        return np.power(x, 1.0 + power) * kw * mix
 
     head = tanh_sinh(f, 0.0, 1.0, spec)
     rate = 2.0 * (min(alpha, beta) if both else alpha) * 0.9
-    coeff = 40.0 * max(abs(complex(np.asarray(f(np.array([1.0])))[0])), 1e-30) * math.exp(rate)
-    tail = integrate_semi_infinite(f, 1.0, ExpDecay(coeff, rate), spec)
+    tail = integrate_semi_infinite(f, 1.0, _checked_exp_decay(f, rate, spec), spec)
     value = head.value + tail.value
     err = head.err_estimate + tail.err_estimate + tail.truncation_bound
     return value, err
@@ -459,7 +480,9 @@ def _binom_series_coeff(expo: complex, j: int) -> complex:
 def verify_hurwitz_corollary_z0(p: IdentityParams, tolerance: float = 1e-6) -> VerificationReport:
     """z=0 limit with |Gamma((-1+it)/4)|^2 weight versus
     (pi/2) sum n d(n) I_n - ((gamma - log 2 pi) Z(1) + Z'(1))/2, where
-    I_n integrates x Theta(x) (x^2 + pi^2 n^2)^{-3/2}."""
+    I_n integrates x Theta(x) (x^2 + pi^2 n^2)^{-3/2}.  The n <= N part
+    of the series is one integral of x Theta(x) sum n d(n) (x^2 + pi^2
+    n^2)^{-3/2}; the n > N remainder is an asymptotic zeta-moment sum."""
     alpha = p.alpha
     beta = 1.0 / alpha
     spec = p.quad_spec()
@@ -481,17 +504,13 @@ def verify_hurwitz_corollary_z0(p: IdentityParams, tolerance: float = 1e-6) -> V
 
     N = max(p.terms, 4)
     dn = arith.build_table(0.0, N).slice(N).real
-    series = 0.0
-    quad_err = 0.0
-    for n in range(1, N + 1):
-        val, err = _theta_pair_inner(alpha, n, 0.0, 0.0, spec, both=True)
-        series += n * dn[n - 1] * val.real
-        quad_err += n * dn[n - 1] * err
+    nn = np.arange(1, N + 1, dtype=float)
+    series, quad_err = _theta_pair_inner(alpha, nn * dn, 0.0, 0.0, spec, both=True)
+    series = series.real
 
     # n > N remainder: expand (x^2+pi^2 n^2)^{-3/2} in x/(pi n) and trade the
     # divisor sums for zeta moments; asymptotic, truncated at the smallest
     # term, with the x > pi n interchange mass bounded by the Theta decay.
-    nn = np.arange(1, N + 1, dtype=float)
     tail = 0.0
     tail_err = 0.0
     prev = math.inf
@@ -526,7 +545,10 @@ def verify_bessel_hurwitz_sum(alpha: float, z, N: int = 8,
                               tolerance: float = 1e-5) -> VerificationReport:
     """pi^{z+1/2} Gamma((z+3)/2) sum sigma_{-z}(n) n^{z+1} I_n(z) versus
     (alpha^{z/2}/2^{z+2}) Gamma(z+1) sum_m lambda(m alpha, z); the printed
-    bracket's (m alpha)^{-z}/2 reading diverges, the lambda reading is used."""
+    bracket's (m alpha)^{-z}/2 reading diverges, the lambda reading is used.
+    I_n(z) integrates x^{1+z/2} K_{z/2}(2 alpha x) (x^2 + pi^2 n^2)^{-(z+3)/2};
+    the n <= N part of the series is one integral with the weighted n-sum
+    inside, the n > N remainder an asymptotic zeta-moment sum."""
     z = complex(z)
     if not 0.0 < z.real < 1.0:
         raise DomainError("0 < Re z < 1 required")
@@ -536,13 +558,8 @@ def verify_bessel_hurwitz_sum(alpha: float, z, N: int = 8,
     N = max(int(N), 2)
     sig = arith.build_table(-z, N).slice(N)
     nn = np.arange(1, N + 1, dtype=float)
-    series = 0.0 + 0.0j
-    quad_err = 0.0
-    for n in range(1, N + 1):
-        val, err = _theta_pair_inner(alpha, n, 0.5 * z, 0.5 * z, spec, both=False)
-        w = sig[n - 1] * n ** (z + 1.0)
-        series += w * val
-        quad_err += abs(w) * err
+    series, quad_err = _theta_pair_inner(alpha, sig * nn ** (z + 1.0), 0.5 * z,
+                                         0.5 * z, spec, both=False)
 
     tail = 0.0 + 0.0j
     tail_err = 0.0
@@ -797,11 +814,14 @@ def verify_pair_reciprocity(pair: ReciprocalPair, z, x: float,
                             spec: Optional[QuadratureSpec] = None,
                             tolerance: Optional[float] = None) -> VerificationReport:
     """phi(x) versus 2 * transform of psi at x (factor-2, argument-4sqrt(tx)
-    convention), plus the mirrored psi-from-phi check."""
+    convention), plus the mirrored psi-from-phi check.  The transform needs
+    |Re z| < 1/2, an open bound even where the pair's own domain is closed."""
     z = complex(pair.check_z(z))
     if z.imag != 0.0:
         raise DomainError("real z only (real-order kernel)")
     zr = z.real
+    if abs(zr) >= 0.5:
+        raise DomainError("the transform needs |Re z| < 1/2")
     if x <= 0.0:
         raise DomainError("x > 0 required")
     if tolerance is None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import cmath
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,35 +30,26 @@ _STIELTJES = (
 )
 
 
-def _bernoulli_even(count: int):
-    """B_2, B_4, ..., B_{2*count} as floats, from the exact recurrence."""
-    n_max = 2 * count
-    b = [Fraction(0)] * (n_max + 1)
-    b[0] = Fraction(1)
-    for m in range(1, n_max + 1):
-        acc = Fraction(0)
-        binom = 1
-        for j in range(m):
-            acc += binom * b[j]
-            binom = binom * (m + 1 - j) // (j + 1)
-        b[m] = -acc / (m + 1)
-    return np.array([float(b[2 * k]) for k in range(1, count + 1)])
-
-
-_B2K = _bernoulli_even(32)          # B_2 .. B_64
-
-
-def bernoulli_number(n: int) -> float:
-    """B_n for even n >= 2 (the odd ones past B_1 vanish)."""
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return -0.5
-    if n % 2 == 1:
-        return 0.0
-    if n // 2 > len(_B2K):
-        raise DomainError(f"Bernoulli table covers up to B_{2 * len(_B2K)}")
-    return float(_B2K[n // 2 - 1])
+# B_2, B_4, ..., B_64 as correctly rounded floats (tests/test_specfun.py
+# rebuilds them from the exact rational recurrence).
+_B2K = np.array([
+    0.16666666666666666, -0.03333333333333333,
+    0.023809523809523808, -0.03333333333333333,
+    0.07575757575757576, -0.2531135531135531,
+    1.1666666666666667, -7.092156862745098,
+    54.971177944862156, -529.1242424242424,
+    6192.123188405797, -86580.25311355312,
+    1425517.1666666667, -27298231.067816094,
+    601580873.9006424, -15116315767.092157,
+    429614643061.1667, -13711655205088.332,
+    488332318973593.2, -1.9296579341940068e+16,
+    8.416930475736826e+17, -4.0338071854059454e+19,
+    2.1150748638081993e+21, -1.2086626522296526e+23,
+    7.500866746076964e+24, -5.038778101481069e+26,
+    3.6528776484818122e+28, -2.849876930245088e+30,
+    2.3865427499683627e+32, -2.1399949257225335e+34,
+    2.0500975723478097e+36, -2.093800591134638e+38,
+])
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,16 @@ def test_usage_inapplicable_flag(capsys):
     assert main(["verify", "rg-corollary", "--q", "3"]) == 64
 
 
+def test_verify_pair_reciprocity_defaults_exit_3(capsys):
+    # The default z = 0.5 is on the K-pair's closed edge, outside the
+    # transform's open |Re z| < 1/2.
+    code = main(["verify", "pair-reciprocity"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "|Re z| < 1/2" in captured.err
+
+
 def test_usage_bad_flag_value():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "rg-corollary", "--alpha", "wat"])
@@ -147,6 +157,14 @@ def test_sweep_invalid_config_usage():
     assert main(["sweep", "rg-formula", "--alpha-min", "0.5",
                  "--alpha-max", "2", "--steps", "1"]) == 64
     assert main(["sweep", "mellin-k"]) == 64  # no alpha to sweep
+
+
+def test_sweep_inapplicable_flag_usage(capsys):
+    # sweep resolves its flags like verify does.
+    assert main(["sweep", "rg-corollary", "--x", "3", "--s", "4"]) == 64
+    err = capsys.readouterr().err
+    assert "--s, --x do not apply" in err
+    assert main(["sweep", "rg-corollary-z0", "--z", "0.5", "--steps", "2"]) == 64
 
 
 def test_sweep_partial_failure_nan_rows(tmp_path, capsys, monkeypatch):

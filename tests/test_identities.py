@@ -2,11 +2,15 @@
 structural properties promised by the registry."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from koshliakov.errors import DomainError, NearPoleError
+from koshliakov import arith
+from koshliakov.errors import DecayError, DomainError, NearPoleError
 from koshliakov.identities import (IDENTITIES, IdentityParams,
+                                   _checked_exp_decay, _theta_pair_inner,
                                    verify_bessel_hurwitz_sum,
                                    verify_hurwitz_corollary,
                                    verify_hurwitz_corollary_z0,
@@ -19,6 +23,8 @@ from koshliakov.identities import (IDENTITIES, IdentityParams,
                                    verify_rg_formula)
 from koshliakov.kernels import pair_dixon_ferrar, pair_k_bessel
 from koshliakov.quadrature import QuadratureSpec
+
+from conftest import rel_err
 
 
 def test_params_domain():
@@ -88,6 +94,49 @@ def test_bessel_hurwitz_sum():
     assert r.passed and r.rel_diff < 1e-8
 
 
+_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+
+
+def test_theta_pair_inner_one_hot_goldens(golden):
+    # With weight vector (1,) the folded integral is the n=1 inner integral.
+    hz0, _ = _theta_pair_inner(1.0, np.array([1.0]), 0.0, 0.0, _SPEC, both=True)
+    bh, _ = _theta_pair_inner(1.0, np.array([1.0]), 0.25, 0.25, _SPEC, both=False)
+    assert rel_err(hz0, golden["hz0_inner_n1"]) < 1e-10
+    assert rel_err(bh, golden["bh_inner_n1"]) < 1e-10
+
+
+@pytest.mark.parametrize("alpha,z,both", [(1.7, 0.0, True),
+                                          (0.6, 0.3 + 0.2j, False)])
+def test_theta_pair_inner_is_sum_of_one_hot_calls(alpha, z, both):
+    N = 6
+    nn = np.arange(1, N + 1, dtype=float)
+    weights = arith.build_table(-z, N).slice(N) * nn ** (z + 1.0)
+    folded, err = _theta_pair_inner(alpha, weights, 0.5 * z, 0.5 * z, _SPEC, both)
+    parts = sum(_theta_pair_inner(alpha, np.where(nn == n, weights, 0.0),
+                                  0.5 * z, 0.5 * z, _SPEC, both)[0] for n in nn)
+    assert rel_err(folded, parts) < 1e-10
+    assert err < 1e-10 * abs(folded)
+
+
+def test_checked_exp_decay_rejects_a_broken_envelope():
+    # The envelope through t=1 claims rate 2; the integrand decays at 0.1.
+    def slow(t):
+        return np.exp(-0.1 * np.asarray(t))
+
+    with pytest.raises(DecayError, match="envelope"):
+        _checked_exp_decay(slow, 2.0, _SPEC)
+    decay = _checked_exp_decay(lambda t: np.exp(-3.0 * np.asarray(t)), 2.0, _SPEC)
+    assert decay.rate == 2.0
+    assert decay.coeff == pytest.approx(40.0 * math.exp(-1.0))
+
+
+def test_hurwitz_z0_many_terms_at_large_alpha():
+    # The summed per-n error estimates once exceeded the cap here although
+    # the residual was 40x below it; one folded integral resolves it.
+    r = verify_hurwitz_corollary_z0(IdentityParams(z=0.0, alpha=4.0, terms=200))
+    assert r.passed and r.rel_diff < 1e-9
+
+
 def test_mellin_k_trivial_point():
     r = verify_mellin_k(2.0, 0.0, 1.0)
     assert r.passed
@@ -122,6 +171,13 @@ def test_omega_laplace():
 def test_pair_reciprocity_k():
     r = verify_pair_reciprocity(pair_k_bessel(2.0), 0.0, 1.0)
     assert r.passed and r.rel_diff < 1e-9
+
+
+def test_pair_reciprocity_transform_edge():
+    # The K-pair admits Re z = +-1/2, the transform does not.
+    for z in (0.5, -0.5):
+        with pytest.raises(DomainError, match="1/2"):
+            verify_pair_reciprocity(pair_k_bessel(2.0), z, 1.0)
 
 
 def test_pair_reciprocity_dixon_ferrar():

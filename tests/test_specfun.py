@@ -2,17 +2,31 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
 from koshliakov.errors import DomainError, PoleError
-from koshliakov.specfun import (EULER_GAMMA, bessel_j, bessel_k,
+from koshliakov.specfun import (_B2K, EULER_GAMMA, bessel_j, bessel_k,
                                 bessel_k_scaled, bessel_y, big_xi, digamma,
                                 exp_integral_ei, exp_integral_li, gamma,
                                 hurwitz_zeta, hurwitz_zeta_hermite, log_gamma,
                                 riemann_zeta, xi)
 
 from conftest import rel_err
+
+
+def test_bernoulli_literals_match_exact_recurrence():
+    # B_m = -sum_{j<m} binom(m+1, j) B_j / (m+1), in exact rationals.
+    b = [Fraction(1)]
+    for m in range(1, 2 * len(_B2K) + 1):
+        acc = Fraction(0)
+        binom = 1
+        for j in range(m):
+            acc += binom * b[j]
+            binom = binom * (m + 1 - j) // (j + 1)
+        b.append(-acc / (m + 1))
+    assert [float(b[2 * k]) for k in range(1, len(_B2K) + 1)] == list(_B2K)
 
 
 def test_gamma_golden(golden):
