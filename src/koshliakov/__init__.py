@@ -24,10 +24,8 @@ from .kernels import (ReciprocalPair, first_koshliakov_transform, kernel_m,
                       koshliakov_kernel, lambda_fn, lambda_sum, omega,
                       omega_combination, pair_dixon_ferrar, pair_k_bessel,
                       theta_eval, transform_kernel)
-from .profiles import (DOUBLE, EXTENDED, PrecisionProfile, default_profile,
-                       get_profile)
-from .quadrature import (ExpDecay, ExplicitCutoff, PowerDecay,
-                         QuadratureResult, QuadratureSpec, integrate_finite,
+from .quadrature import (ExpDecay, PowerDecay, QuadratureResult,
+                         QuadratureSpec, integrate_finite, integrate_half_line,
                          integrate_semi_infinite, tanh_sinh)
 from .specfun import (EULER_GAMMA, bessel_j, bessel_k, bessel_y, big_xi,
                       digamma, exp_integral_ei, exp_integral_li, gamma,
@@ -37,16 +35,15 @@ from .specfun import (EULER_GAMMA, bessel_j, bessel_k, bessel_y, big_xi,
 __version__ = "0.1.0"
 
 __all__ = [
-    "EULER_GAMMA", "DOUBLE", "EXTENDED", "IDENTITIES", "IdentityEntry",
-    "IdentityParams", "ConvergenceError", "DecayError", "DivisorTable",
-    "DomainError", "ExpDecay", "ExplicitCutoff", "KoshliakovError",
-    "LimitError", "NearPoleError", "PoleError", "PowerDecay",
-    "PrecisionProfile", "QuadratureResult", "QuadratureSpec",
+    "EULER_GAMMA", "IDENTITIES", "IdentityEntry", "IdentityParams",
+    "ConvergenceError", "DecayError", "DivisorTable", "DomainError",
+    "ExpDecay", "KoshliakovError", "LimitError", "NearPoleError",
+    "PoleError", "PowerDecay", "QuadratureResult", "QuadratureSpec",
     "ReciprocalPair", "VerificationReport", "bessel_j", "bessel_k",
-    "bessel_y", "big_xi", "build_table", "default_profile", "digamma",
-    "divisor_count", "exp_integral_ei", "exp_integral_li",
-    "first_koshliakov_transform", "gamma", "get_profile", "hurwitz_zeta",
-    "hurwitz_zeta_hermite", "integrate_finite", "integrate_semi_infinite",
+    "bessel_y", "big_xi", "build_table", "digamma", "divisor_count",
+    "exp_integral_ei", "exp_integral_li", "first_koshliakov_transform",
+    "gamma", "hurwitz_zeta", "hurwitz_zeta_hermite", "integrate_finite",
+    "integrate_half_line", "integrate_semi_infinite",
     "kernel_m", "koshliakov_kernel", "lambda_fn", "lambda_sum", "log_gamma",
     "omega", "omega_combination", "pair_dixon_ferrar", "pair_k_bessel",
     "riemann_zeta", "sigma", "tanh_sinh", "theta_eval", "transform_kernel",

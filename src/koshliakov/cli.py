@@ -6,10 +6,8 @@ SVG chart), `eval` evaluates a single special function, and `list` shows
 the registered identities.
 
 Exit codes: 0 pass, 2 verification failure (or failed sweep rows),
-3 domain/convergence error, 64 usage error.  The environment variable
-KOSHLIAKOV_PROFILE ("double" or "extended") selects the precision
-profile; complex flags accept sign-delimited literals such as
-`0.5+0.25i`.
+3 domain/convergence error, 64 usage error.  Complex flags accept
+sign-delimited literals such as `0.5+0.25i`.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ from dataclasses import dataclass
 from . import arith, kernels, specfun
 from .errors import KoshliakovError
 from .identities import IDENTITIES
-from .profiles import PrecisionProfile, default_profile
-from .quadrature import QuadratureSpec
 from .reporting import SweepRow, csv_lines, report_json, write_csv, write_svg
 
 EXIT_PASS = 0
@@ -109,14 +105,6 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
                             type=_KIND_TYPES[kind], default=None)
 
 
-def _quad_spec(profile: PrecisionProfile) -> QuadratureSpec | None:
-    # The verifiers' built-in 1e-11 targets already undercut every pass
-    # tolerance; only the extended profile tightens them.
-    if profile.name == "extended":
-        return QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
-    return None
-
-
 def _resolve_args(entry, args) -> list:
     values = []
     for name in entry.arg_names:
@@ -136,19 +124,19 @@ class _UsageError(Exception):
     pass
 
 
-def cmd_verify(args, profile: PrecisionProfile) -> int:
+def cmd_verify(args) -> int:
     entry = IDENTITIES.get(args.identity)
     if entry is None:
         raise _UsageError(f"unknown identity '{args.identity}'; "
                           f"known: {', '.join(sorted(IDENTITIES))}")
     values = _resolve_args(entry, args)
     tol = entry.tolerance if args.tolerance is None else args.tolerance
-    report = entry.runner(*values, spec=_quad_spec(profile), tolerance=tol)
+    report = entry.runner(*values, spec=None, tolerance=tol)
     print(report_json(report))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def cmd_sweep(args, profile: PrecisionProfile) -> int:
+def cmd_sweep(args) -> int:
     entry = IDENTITIES.get(args.identity)
     if entry is None:
         raise _UsageError(f"unknown identity '{args.identity}'; "
@@ -167,14 +155,13 @@ def cmd_sweep(args, profile: PrecisionProfile) -> int:
 
     values = _resolve_args(entry, args)
     i_alpha = entry.arg_names.index("alpha")
-    spec = _quad_spec(profile)
     tol = entry.tolerance if args.tolerance is None else args.tolerance
     rows = []
     failures = 0
     for alpha in config.grid():
         values[i_alpha] = alpha
         try:
-            report = entry.runner(*values, spec=spec, tolerance=tol)
+            report = entry.runner(*values, spec=None, tolerance=tol)
             rows.append(SweepRow.from_report(report))
         except KoshliakovError as exc:
             print(f"alpha={alpha:.6g}: {exc}", file=sys.stderr)
@@ -211,7 +198,7 @@ def _eval_table() -> dict:
     }
 
 
-def cmd_eval(args, profile: PrecisionProfile) -> int:
+def cmd_eval(args) -> int:
     table = _eval_table()
     if args.function not in table:
         raise _UsageError(f"unknown function '{args.function}'; "
@@ -223,8 +210,7 @@ def cmd_eval(args, profile: PrecisionProfile) -> int:
     for n in missing:
         setattr(args, n, defaults[n])
     value = complex(fn(args))
-    wd = profile.working_digits
-    print(f"{value.real:.{wd}g} {value.imag:.{wd}g}")
+    print(f"{value.real:.15g} {value.imag:.15g}")
     return EXIT_PASS
 
 
@@ -280,11 +266,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        profile = default_profile()
         if args.command == "verify":
-            return cmd_verify(args, profile)
+            return cmd_verify(args)
         if args.command == "sweep":
-            return cmd_sweep(args, profile)
+            return cmd_sweep(args)
         if args.command == "eval":
             # eval accepts complex --x for bessel-k; real-only consumers
             # reject an imaginary part themselves.
@@ -305,7 +290,7 @@ def main(argv=None) -> int:
                 args.n = 1
             if args.terms is None:
                 args.terms = 500
-            return cmd_eval(args, profile)
+            return cmd_eval(args)
         if args.command == "list":
             return cmd_list(args)
         raise _UsageError(f"unknown command {args.command!r}")

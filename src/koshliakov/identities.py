@@ -16,11 +16,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import arith
-from .errors import DecayError, DomainError, NearPoleError
-from .kernels import (ReciprocalPair, lambda_sum, omega_combination,
-                      pair_dixon_ferrar, pair_k_bessel, transform_kernel)
-from .quadrature import (ExpDecay, QuadratureSpec, integrate_finite,
-                         integrate_semi_infinite, tanh_sinh)
+from .errors import DomainError, NearPoleError
+from .kernels import (ReciprocalPair, first_koshliakov_transform, lambda_sum,
+                      omega_combination, pair_dixon_ferrar, pair_k_bessel,
+                      transform_kernel)
+from .quadrature import (QuadratureSpec, integrate_finite, integrate_half_line,
+                         tanh_sinh)
 from .specfun import (EULER_GAMMA, bessel_j, bessel_k, big_xi, gamma,
                       riemann_zeta)
 
@@ -419,25 +420,6 @@ def verify_hurwitz_modular(z, alpha: float, spec: Optional[QuadratureSpec] = Non
                    real_inputs=(z.imag == 0.0))
 
 
-def _checked_exp_decay(f: Callable, rate: float, spec: QuadratureSpec) -> ExpDecay:
-    """ExpDecay envelope 40 |f(1)| e^{-rate (t-1)} for the tail of f on
-    [1, inf), checked after the fact: |f| is sampled at eight points in
-    (1, T], T the cutoff integrate_semi_infinite will pick for spec, and a
-    sample above the envelope raises DecayError."""
-    f1 = abs(complex(np.asarray(f(np.array([1.0])))[0]))
-    decay = ExpDecay(40.0 * max(f1, 1e-30) * math.exp(rate), rate)
-    T = decay.cutoff_for(0.1 * spec.abs_tol)
-    t = np.linspace(1.0, T, 9)[1:]
-    mags = np.abs(np.asarray(f(t)))
-    envelope = decay.coeff * np.exp(-rate * t)
-    over = ~(mags <= envelope)          # a nan sample counts as over
-    if over.any():
-        i = int(np.argmax(over))
-        raise DecayError(f"tail envelope fitted at t=1 is exceeded at "
-                         f"t={t[i]:.3g}: |f| = {mags[i]:.3e} > {envelope[i]:.3e}")
-    return decay
-
-
 def _theta_pair_inner(alpha: float, weights: np.ndarray, power: complex,
                       order: complex, spec: QuadratureSpec, both: bool):
     """Integral over x > 0 of
@@ -461,12 +443,8 @@ def _theta_pair_inner(alpha: float, weights: np.ndarray, power: complex,
         mix = np.power(np.add.outer(x * x, a2), expo) @ weights
         return np.power(x, 1.0 + power) * kw * mix
 
-    head = tanh_sinh(f, 0.0, 1.0, spec)
-    rate = 2.0 * (min(alpha, beta) if both else alpha) * 0.9
-    tail = integrate_semi_infinite(f, 1.0, _checked_exp_decay(f, rate, spec), spec)
-    value = head.value + tail.value
-    err = head.err_estimate + tail.err_estimate + tail.truncation_bound
-    return value, err
+    r = integrate_half_line(f, 2.0 * (min(alpha, beta) if both else alpha) * 0.9, spec)
+    return r.value, r.total_error
 
 
 def _binom_series_coeff(expo: complex, j: int) -> complex:
@@ -635,14 +613,10 @@ def verify_mellin_k(s, nu, q: float, spec: Optional[QuadratureSpec] = None,
                                             * np.exp((s - 1.0 + mu) * lx))
         return out
 
-    head = tanh_sinh(f, 0.0, 1.0, spec)
-    rate = 0.8 * q
-    coeff = 50.0 * max(abs(complex(np.asarray(f(np.array([1.0])))[0])), 1e-30) * math.exp(rate)
-    tail = integrate_semi_infinite(f, 1.0, ExpDecay(coeff, rate), spec)
-    lhs = head.value + tail.value
+    r = integrate_half_line(f, 0.8 * q, spec)
+    lhs = r.value
     rhs = 2.0 ** (s - 2.0) * q ** (-s) * gamma(0.5 * (s - nu)) * gamma(0.5 * (s + nu))
-    budgets = {"quad_err": head.err_estimate + tail.err_estimate,
-               "truncation": tail.truncation_bound}
+    budgets = {"quad_err": r.err_estimate, "truncation": r.truncation_bound}
     params = {"s": [s.real, s.imag], "nu": [nu.real, nu.imag], "q": q}
     return _report("mellin-k", params, lhs, rhs, budgets, tolerance,
                    real_inputs=(s.imag == 0.0 and nu.imag == 0.0))
@@ -668,14 +642,10 @@ def verify_laplace_bessel(alpha: float, y: float, z,
         x = np.asarray(x, dtype=float)
         return np.exp(-2.0 * math.pi * alpha * x) * np.power(x, 0.5 * zr) * bessel_j(zr, c * np.sqrt(x))
 
-    head = tanh_sinh(f, 0.0, 1.0, spec)
-    rate = 2.0 * math.pi * alpha
-    coeff = 40.0 * math.exp(rate)  # |x^{z/2} J| <= O(1) margin on the tail
-    tail = integrate_semi_infinite(f, 1.0, ExpDecay(coeff, rate), spec)
-    lhs = head.value + tail.value
+    r = integrate_half_line(f, 2.0 * math.pi * alpha, spec)
+    lhs = r.value
     rhs = math.exp(-2.0 * math.pi * y / alpha) * y ** (0.5 * zr) / (2.0 * math.pi * alpha ** (zr + 1.0))
-    budgets = {"quad_err": head.err_estimate + tail.err_estimate,
-               "truncation": tail.truncation_bound}
+    budgets = {"quad_err": r.err_estimate, "truncation": r.truncation_bound}
     params = {"alpha": alpha, "y": y, "z": [zr, 0.0]}
     return _report("laplace-bessel", params, lhs, rhs, budgets, tolerance,
                    real_inputs=True)
@@ -744,13 +714,8 @@ def _omega_laplace_integral(alpha: float, z: complex, spec: QuadratureSpec,
         return (np.exp(-2.0 * math.pi * alpha * x) * np.power(x, 0.5 * z)
                 * omega_combination(x, z, n_terms))
 
-    head = tanh_sinh(f, 0.0, 1.0, spec)
-    rate = 2.0 * math.pi * alpha * 0.95
-    coeff = 40.0 * max(abs(complex(np.asarray(f(np.array([1.0])))[0])), 1e-30) * math.exp(rate)
-    tail = integrate_semi_infinite(f, 1.0, ExpDecay(coeff, rate), spec)
-    value = head.value + tail.value
-    err = head.err_estimate + tail.err_estimate + tail.truncation_bound
-    return value, err
+    r = integrate_half_line(f, 2.0 * math.pi * alpha * 0.95, spec)
+    return r.value, r.total_error
 
 
 def verify_omega_modular(alpha: float, z, spec: Optional[QuadratureSpec] = None,
@@ -803,13 +768,6 @@ def verify_omega_laplace(alpha: float, z, spec: Optional[QuadratureSpec] = None,
                    real_inputs=(z.imag == 0.0))
 
 
-def _kernel_envelope(v: float) -> float:
-    """Bound for |cos(pi z) M_{2z}(v) - sin(pi z) J_{2z}(v)| at moderate v."""
-    if v >= 2.0:
-        return 3.0 * math.sqrt(2.0 / (math.pi * v))
-    return 3.0 * (1.0 + abs(math.log(0.5 * v)))
-
-
 def verify_pair_reciprocity(pair: ReciprocalPair, z, x: float,
                             spec: Optional[QuadratureSpec] = None,
                             tolerance: Optional[float] = None) -> VerificationReport:
@@ -830,32 +788,28 @@ def verify_pair_reciprocity(pair: ReciprocalPair, z, x: float,
     power_tailed = pair.label == "dixon-ferrar"
 
     def one_direction(source):
+        if not power_tailed:
+            r = first_koshliakov_transform(lambda t: source(t, zr), zr, 4.0 * x, spec)
+            return r.value, r.total_error
+
         def f(t):
             t = np.asarray(t, dtype=float)
             return np.asarray(source(t, zr)) * transform_kernel(zr, 4.0 * np.sqrt(t * x))
 
+        # psi ~ -1/(4 pi t^2): go to T0, then sum half-period segments of
+        # the oscillatory remainder in u = sqrt(t).
         head = tanh_sinh(f, 0.0, 1.0, spec)
-        if power_tailed:
-            # psi ~ -1/(4 pi t^2): go to T0, then sum half-period segments of
-            # the oscillatory remainder in u = sqrt(t).
-            T0 = 25.0
-            mid = integrate_finite(f, 1.0, T0, spec)
+        T0 = 25.0
+        mid = integrate_finite(f, 1.0, T0, spec)
 
-            def g(u):
-                u = np.asarray(u, dtype=float)
-                return 2.0 * u * np.asarray(source(u * u, zr)) * transform_kernel(
-                    zr, 4.0 * u * math.sqrt(x))
+        def g(u):
+            u = np.asarray(u, dtype=float)
+            return 2.0 * u * np.asarray(source(u * u, zr)) * transform_kernel(
+                zr, 4.0 * u * math.sqrt(x))
 
-            osc, oerr = _oscillatory_tail(g, math.sqrt(T0), math.pi / (4.0 * math.sqrt(x)))
-            return (head.value + mid.value + osc,
-                    head.err_estimate + mid.err_estimate + oerr)
-        samples = np.abs(np.asarray(source(np.array([2.0, 6.0]), zr)))
-        a, b = float(samples[0]), float(samples[1])
-        rate = min(max(math.log(max(a, 1e-300) / max(b, 1e-300)) / 4.0, 0.15), 12.0)
-        coeff = 30.0 * a * math.exp(2.0 * rate) * _kernel_envelope(4.0 * math.sqrt(x))
-        tail = integrate_semi_infinite(f, 1.0, ExpDecay(coeff, rate), spec)
-        return (head.value + tail.value,
-                head.err_estimate + tail.err_estimate + tail.truncation_bound)
+        osc, oerr = _oscillatory_tail(g, math.sqrt(T0), math.pi / (4.0 * math.sqrt(x)))
+        return (head.value + mid.value + osc,
+                head.err_estimate + mid.err_estimate + oerr)
 
     fwd, fwd_err = one_direction(pair.psi)
     lhs = complex(np.asarray(pair.phi(np.array([x]), zr))[0])

@@ -19,9 +19,8 @@ import numpy as np
 
 from . import arith
 from .errors import ConvergenceError, DecayError, DomainError, NearPoleError
-from .quadrature import (ExpDecay, ExplicitCutoff, PowerDecay, QuadratureResult,
-                         QuadratureSpec, integrate_finite, integrate_semi_infinite,
-                         tanh_sinh)
+from .quadrature import (PowerDecay, QuadratureResult, QuadratureSpec,
+                         integrate_half_line, integrate_semi_infinite, tanh_sinh)
 from .specfun import (EULER_GAMMA, bessel_j, bessel_k, bessel_y, digamma,
                       exp_integral_e1_scaled, exp_integral_ei_scaled, gamma,
                       hurwitz_zeta, riemann_zeta)
@@ -59,26 +58,14 @@ def transform_kernel(z, v):
             - math.sin(math.pi * zr) * bessel_j(2.0 * zr, v))
 
 
-def _estimate_exp_decay(g, margin: float = 30.0) -> ExpDecay:
-    """Fit an exponential envelope to g from samples at t=2 and t=6."""
-    s = np.abs(np.asarray(g(np.array([2.0, 6.0]))))
-    a, b = float(s[0]), float(s[1])
-    if a == 0.0 and b == 0.0:
-        return ExpDecay(1e-18, 1.0)
-    if b == 0.0 or a == 0.0:
-        return ExpDecay(max(a, b) * margin, 2.0)
-    rate = min(max(math.log(a / b) / 4.0, 0.15), 12.0)
-    return ExpDecay(margin * a * math.exp(2.0 * rate), rate)
-
-
-def first_koshliakov_transform(g, z, x: float, spec: QuadratureSpec | None = None,
-                               decay=None) -> QuadratureResult:
+def first_koshliakov_transform(g, z, x: float,
+                               spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Integral of g(t) against the transform kernel at argument 2 sqrt(xt).
 
-    g must accept an array of t > 0.  The range is split at t=1: the
-    kernel grows like |log t| toward 0, so that panel runs through the
-    singular-endpoint rule.  The tail needs a decay certificate; if none
-    is passed, an exponential envelope is fitted from two samples of g.
+    g must accept an array of t > 0 and decay exponentially.  The kernel
+    grows like |log t| toward 0, which the half-line rule's singular-
+    endpoint head absorbs; the tail rate is 0.9 times the log-slope of |g|
+    from t=2 to t=6, and the half-line rule checks its envelope.
     """
     zr = _require_real_order(z)
     if abs(zr) >= 0.5:
@@ -91,13 +78,9 @@ def first_koshliakov_transform(g, z, x: float, spec: QuadratureSpec | None = Non
         t = np.asarray(t, dtype=float)
         return np.asarray(g(t)) * transform_kernel(zr, 2.0 * np.sqrt(x * t))
 
-    head = tanh_sinh(integrand, 0.0, 1.0, spec)
-    tail_decay = decay or _estimate_exp_decay(integrand)
-    tail = integrate_semi_infinite(integrand, 1.0, tail_decay, spec)
-    return QuadratureResult(head.value + tail.value,
-                            head.err_estimate + tail.err_estimate,
-                            head.nodes_used + tail.nodes_used,
-                            truncation_bound=tail.truncation_bound)
+    a, b = np.abs(np.asarray(g(np.array([2.0, 6.0])))).tolist()
+    slope = math.log(max(a, 1e-300) / max(b, 1e-300)) / 4.0
+    return integrate_half_line(integrand, min(max(0.9 * slope, 0.15), 12.0), spec)
 
 
 @dataclass(frozen=True)
@@ -191,29 +174,26 @@ def theta_eval(pair: ReciprocalPair, x, z):
     return pair.phi(x, z) + pair.psi(x, z)
 
 
-def _mellin_numeric(f, s: complex, spec: QuadratureSpec):
-    """Integral of x^{s-1} f(x) over (0, inf) with a fitted tail model."""
+def _mellin_numeric(f, s: complex, spec: QuadratureSpec) -> complex:
+    """Integral of x^{s-1} f(x) over (0, inf); the tail model (exponential
+    or power) is chosen from samples at x=4 and x=8."""
 
     def integrand(x):
         x = np.asarray(x, dtype=float)
         return np.power(x, s - 1.0) * np.asarray(f(x))
 
+    a, b = np.abs(np.asarray(integrand(np.array([4.0, 8.0])))).tolist()
+    if b <= 0.125 * a:
+        rate = min(max(math.log(a / b) / 4.0, 0.15), 12.0) if b > 0.0 else 12.0
+        return integrate_half_line(integrand, rate, spec).value
+    power = math.log(max(a, 1e-300) / b) / math.log(2.0)
+    if power <= 1.0:
+        raise DecayError(
+            f"Mellin integrand decays like x^-{power:.2f}, tail not integrable")
     head = tanh_sinh(integrand, 0.0, 1.0, spec)
-    h = np.abs(np.asarray(integrand(np.array([4.0, 8.0]))))
-    a, b = float(h[0]), float(h[1])
-    if b == 0.0 or a == 0.0:
-        decay = ExplicitCutoff(8.0, 1.0)
-    elif b / a < 0.125:
-        rate = min(max(math.log(a / b) / 4.0, 0.15), 12.0)
-        decay = ExpDecay(30.0 * a * math.exp(4.0 * rate), rate)
-    else:
-        power = math.log(a / b) / math.log(2.0)
-        if power <= 1.0:
-            raise DecayError(
-                f"Mellin integrand decays like x^-{power:.2f}, tail not integrable")
-        decay = PowerDecay(30.0 * a * 4.0 ** power, power, start=4.0)
-    tail = integrate_semi_infinite(integrand, 1.0, decay, spec)
-    return head, tail
+    tail = integrate_semi_infinite(
+        integrand, 1.0, PowerDecay(30.0 * a * 4.0 ** power, power, start=4.0), spec)
+    return head.value + tail.value
 
 
 def pair_Z_numeric(pair: ReciprocalPair, s, z, spec: QuadratureSpec | None = None) -> complex:
@@ -224,9 +204,8 @@ def pair_Z_numeric(pair: ReciprocalPair, s, z, spec: QuadratureSpec | None = Non
         raise DomainError(
             f"Mellin strip needs Re s > |Re z|; got Re s = {s.real}, Re z = {z.real}")
     spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
-    h1, t1 = _mellin_numeric(lambda x: pair.phi(x, z), s, spec)
-    h2, t2 = _mellin_numeric(lambda x: pair.psi(x, z), s, spec)
-    total = h1.value + t1.value + h2.value + t2.value
+    total = (_mellin_numeric(lambda x: pair.phi(x, z), s, spec)
+             + _mellin_numeric(lambda x: pair.psi(x, z), s, spec))
     return total / (gamma(0.5 * (s - z)) * gamma(0.5 * (s + z)))
 
 
@@ -320,6 +299,22 @@ def _omega_pf_array(x: np.ndarray, z: complex, n_terms: int,
     return out
 
 
+def _omega_pf(x: np.ndarray, z: complex, n_terms: int,
+              include_pole_term: bool) -> np.ndarray:
+    """_omega_pf_array with the removable singularity at z=0 evaluated by
+    averaging z = +-1e-4; orders with 0 < |z| < 1e-4 are refused."""
+    if abs(z) < 1e-12:
+        hi = _omega_pf_array(x, 1e-4 + 0.0j, n_terms,
+                             include_pole_term=include_pole_term)
+        lo = _omega_pf_array(x, -1e-4 + 0.0j, n_terms,
+                             include_pole_term=include_pole_term)
+        return 0.5 * (hi + lo)
+    if abs(z) < 1e-4:
+        raise NearPoleError(
+            "partial-fraction omega is ill-conditioned for 0 < |z| < 1e-4")
+    return _omega_pf_array(x, z, n_terms, include_pole_term=include_pole_term)
+
+
 def omega(x, z, mode: str = "partial-fraction", n_terms: int = 500):
     """Omega(x, z) in either representation; |Re z| < 1.
 
@@ -341,15 +336,7 @@ def omega(x, z, mode: str = "partial-fraction", n_terms: int = 500):
     if mode == "definition":
         out = np.array([_omega_definition(float(t), z, n_terms) for t in arr])
     elif mode == "partial-fraction":
-        if abs(z) < 1e-12:
-            hi = _omega_pf_array(arr, 1e-4 + 0.0j, n_terms)
-            lo = _omega_pf_array(arr, -1e-4 + 0.0j, n_terms)
-            out = 0.5 * (hi + lo)
-        elif abs(z) < 1e-4:
-            raise NearPoleError(
-                "partial-fraction omega is ill-conditioned for 0 < |z| < 1e-4")
-        else:
-            out = _omega_pf_array(arr, z, n_terms)
+        out = _omega_pf(arr, z, n_terms, include_pole_term=True)
     else:
         raise DomainError(f"unknown omega mode '{mode}'")
     return complex(out[0]) if scalar else out
@@ -376,15 +363,7 @@ def omega_combination(x, z, n_terms: int = 500):
     arr = np.atleast_1d(arr).astype(float)
     if np.any(arr <= 0.0):
         raise DomainError("omega_combination requires x > 0")
-    if abs(z) < 1e-12:
-        hi = _omega_pf_array(arr, 1e-4 + 0.0j, n_terms, include_pole_term=False)
-        lo = _omega_pf_array(arr, -1e-4 + 0.0j, n_terms, include_pole_term=False)
-        out = 0.5 * (hi + lo)
-    elif abs(z) < 1e-4:
-        raise NearPoleError(
-            "partial-fraction omega is ill-conditioned for 0 < |z| < 1e-4")
-    else:
-        out = _omega_pf_array(arr, z, n_terms, include_pole_term=False)
+    out = _omega_pf(arr, z, n_terms, include_pole_term=False)
     return complex(out[0]) if scalar else out
 
 

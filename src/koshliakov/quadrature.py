@@ -270,31 +270,6 @@ class PowerDecay:
         return max(T, self.start * 2.0)
 
 
-class ExplicitCutoff:
-    """Caller-chosen cutoff; the tail is bounded empirically at the cutoff.
-
-    rate_hint is the believed exponential decay rate past the cutoff; the
-    recorded bound is 10x the largest sampled magnitude near the cutoff
-    divided by that rate, which overcovers any decay at least that fast.
-    """
-
-    def __init__(self, cutoff: float, rate_hint: float = 1.0):
-        if cutoff <= 0 or rate_hint <= 0:
-            raise DecayError("ExplicitCutoff requires positive cutoff and rate hint")
-        self.cutoff = cutoff
-        self.rate_hint = rate_hint
-
-    def tail_bound_from(self, f, T: float) -> float:
-        ts = np.linspace(max(T - 1.0 / self.rate_hint, 0.5 * T), T, 8)
-        vals = np.abs(np.asarray(f(ts)))
-        vals = vals[np.isfinite(vals)]
-        peak = float(vals.max()) if vals.size else 0.0
-        return 10.0 * peak / self.rate_hint
-
-    def cutoff_for(self, tol: float) -> float:
-        return self.cutoff
-
-
 def integrate_semi_infinite(f, a: float, decay, spec: QuadratureSpec | None = None,
                             singular_left: bool = False) -> QuadratureResult:
     """Integrate f over [a, inf) using a decay certificate for the tail.
@@ -306,12 +281,8 @@ def integrate_semi_infinite(f, a: float, decay, spec: QuadratureSpec | None = No
     """
     spec = spec or QuadratureSpec()
     tol = spec.abs_tol
-    if isinstance(decay, ExplicitCutoff):
-        T = decay.cutoff
-        trunc = decay.tail_bound_from(f, T)
-    else:
-        T = decay.cutoff_for(0.1 * tol)
-        trunc = decay.tail_bound(T)
+    T = decay.cutoff_for(0.1 * tol)
+    trunc = decay.tail_bound(T)
     if T <= a:
         raise DomainError(f"decay cutoff {T:g} does not exceed the lower endpoint {a:g}")
 
@@ -347,3 +318,40 @@ def integrate_semi_infinite(f, a: float, decay, spec: QuadratureSpec | None = No
             f"semi-infinite integral error {result.total_error:.3e} exceeds "
             f"10x the requested budget")
     return result
+
+
+def integrate_half_line(f, rate: float,
+                        spec: QuadratureSpec | None = None) -> QuadratureResult:
+    """Integrate f over (0, inf) for f that decays like exp(-rate t).
+
+    (0, 1] runs through the tanh-sinh rule, so f may carry an integrable
+    singularity at 0; [1, inf) runs under the certificate
+    |f(t)| <= coeff exp(-rate t), fitted and checked in one call of f.
+    coeff is 40 times the largest |f(t)| e^{rate t} over five points of
+    [1, 2], so one zero of an oscillating f cannot collapse it; |f| at
+    eight points of (2, 2 + 32/rate] must sit under the envelope, else
+    DecayError.
+    """
+    spec = spec or QuadratureSpec()
+    if not rate > 0.0:
+        raise DecayError("integrate_half_line needs a positive decay rate")
+    fit = np.linspace(1.0, 2.0, 5)
+    check = np.linspace(2.0, 2.0 + 32.0 / rate, 9)[1:]
+    mags = np.abs(np.asarray(f(np.concatenate([fit, check]))))
+    peak = float(np.max(mags[:5] * np.exp(rate * fit)))
+    if not peak < math.inf:
+        raise DecayError("integrand is not finite on [1, 2]; no tail envelope")
+    decay = ExpDecay(40.0 * max(peak, 1e-300), rate, start=1.0)
+    envelope = decay.coeff * np.exp(-rate * check)
+    over = ~(mags[5:] <= envelope)          # a nan sample counts as over
+    if over.any():
+        i = int(np.argmax(over))
+        raise DecayError(f"tail envelope fitted on [1, 2] is exceeded at "
+                         f"t={check[i]:.3g}: |f| = {mags[5 + i]:.3e} > "
+                         f"{envelope[i]:.3e}")
+    head = tanh_sinh(f, 0.0, 1.0, spec)
+    tail = integrate_semi_infinite(f, 1.0, decay, spec)
+    return QuadratureResult(head.value + tail.value,
+                            head.err_estimate + tail.err_estimate,
+                            head.nodes_used + tail.nodes_used,
+                            truncation_bound=tail.truncation_bound)

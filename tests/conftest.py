@@ -2,6 +2,13 @@ import json
 import os
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so a tier-1 result
+# over quadrature tolerances does not depend on the run; no deadline,
+# because a cold first call pays for numpy and the special functions.
+settings.register_profile("koshliakov", derandomize=True, deadline=None)
+settings.load_profile("koshliakov")
 
 _DATA = os.path.join(os.path.dirname(__file__), "data", "golden.json")
 

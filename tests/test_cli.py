@@ -231,16 +231,6 @@ def test_eval_complex_argument(capsys):
     assert abs(float(im_s)) > 0
 
 
-def test_profile_env(monkeypatch, capsys):
-    monkeypatch.setenv("KOSHLIAKOV_PROFILE", "extended")
-    assert main(["eval", "zeta", "--s", "2"]) == 0
-    out = capsys.readouterr().out.split()[0]
-    # 18 significant digits under the extended profile
-    assert len(out.replace(".", "").lstrip("-").lstrip("0")) >= 17
-    monkeypatch.setenv("KOSHLIAKOV_PROFILE", "bogus")
-    assert main(["eval", "zeta", "--s", "2"]) == 3
-
-
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from koshliakov import quadrature
 from koshliakov.errors import ConvergenceError, DecayError, DomainError
-from koshliakov.quadrature import (ExpDecay, ExplicitCutoff, PowerDecay,
+from koshliakov.quadrature import (ExpDecay, PowerDecay, QuadratureResult,
                                    QuadratureSpec, integrate_finite,
+                                   integrate_half_line,
                                    integrate_semi_infinite, tanh_sinh)
 from koshliakov.specfun import bessel_k
 
@@ -84,14 +88,64 @@ def test_semi_infinite_bessel_k_moment():
     assert rel_err(r.value, 1.0) < 1e-12
 
 
-def test_explicit_cutoff_truncation_recorded():
-    # Cutoff far enough out that the discarded tail fits the default
-    # budget; the empirical bound must still be recorded as nonzero.
-    r = integrate_semi_infinite(lambda x: np.exp(-x), 0.0,
-                                decay=ExplicitCutoff(cutoff=40.0,
-                                                     rate_hint=1.0))
-    assert rel_err(r.value, 1.0) < 1e-10
-    assert 0.0 < r.truncation_bound < 1e-12
+_S = st.floats(min_value=0.2, max_value=2.0)
+_B = st.floats(min_value=0.5, max_value=20.0)
+
+
+def _gamma_integrand(s, b):
+    return lambda t: np.power(t, s - 1.0) * np.exp(-b * np.asarray(t))
+
+
+@settings(max_examples=40)
+@given(_S, _B)
+def test_half_line_gamma_integral(s, b):
+    # int_0^inf t^{s-1} e^{-bt} dt = Gamma(s) b^{-s}: a singular head for
+    # s < 1, a tail whose envelope is fitted from the integrand.
+    r = integrate_half_line(_gamma_integrand(s, b), 0.9 * b, QuadratureSpec())
+    assert abs(r.value - math.gamma(s) * b ** -s) <= r.total_error
+
+
+@settings(max_examples=25)
+@given(_S, _B)
+def test_half_line_rejects_a_claimed_rate_too_fast(s, b):
+    with pytest.raises(DecayError, match="envelope"):
+        integrate_half_line(_gamma_integrand(s, b), 3.0 * b, QuadratureSpec())
+
+
+def test_half_line_oscillating_zero_at_fit_ends():
+    # sin(pi t) vanishes at t=1 and t=2; a fit at those points alone would
+    # claim a zero envelope.
+    r = integrate_half_line(lambda t: np.sin(math.pi * t) * np.exp(-t), 0.9)
+    truth = math.pi / (1.0 + math.pi ** 2)
+    assert abs(r.value - truth) <= r.total_error
+    assert rel_err(r.value, truth) < 1e-10
+
+
+def test_half_line_rejects_a_broken_envelope():
+    # The envelope claims rate 2; the integrand decays at 0.1.
+    with pytest.raises(DecayError, match="envelope"):
+        integrate_half_line(lambda t: np.exp(-0.1 * np.asarray(t)), 2.0)
+    r = integrate_half_line(lambda t: np.exp(-3.0 * np.asarray(t)), 2.0)
+    assert rel_err(r.value, 1.0 / 3.0) < 1e-10
+    assert 0.0 < r.truncation_bound <= 0.1 * QuadratureSpec().abs_tol * (1 + 1e-12)
+
+
+def test_half_line_fits_and_checks_in_one_call(monkeypatch):
+    # Head and tail are looked up as module names (so tracing sees them);
+    # stubbed out, only the fit-and-check call of f remains.
+    def stub(*args, **kwargs):
+        return QuadratureResult(0.0, 0.0, 0)
+
+    monkeypatch.setattr(quadrature, "tanh_sinh", stub)
+    monkeypatch.setattr(quadrature, "integrate_semi_infinite", stub)
+    calls = []
+
+    def f(t):
+        calls.append(np.array(t))
+        return np.exp(-np.asarray(t))
+
+    integrate_half_line(f, 0.9)
+    assert len(calls) == 1 and calls[0].size == 13
 
 
 def test_power_decay_needs_integrability():
