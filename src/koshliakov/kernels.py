@@ -11,8 +11,9 @@ the latter reproduces K_z(x) exactly, which the test-suite checks.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -222,7 +223,7 @@ def _omega_definition(x: float, z: complex, n_terms: int) -> complex:
     exp(-2 sqrt(2) pi sqrt(nx))."""
     n_eff = min(n_terms, max(6, math.ceil(22.0 / x) + 4))
     n = np.arange(1, n_eff + 1, dtype=float)
-    sig = np.array([arith.sigma(-z, int(m)) for m in range(1, n_eff + 1)])
+    sig = arith.build_table(-z, n_eff).slice(n_eff)
     root = 4.0 * math.pi * np.sqrt(n * x)
     kp = bessel_k(z, root * _OMEGA_ROT)
     km = bessel_k(z, root * np.conj(_OMEGA_ROT))
@@ -240,44 +241,68 @@ def omega_definition_term(x: float, z: complex, n: int) -> complex:
     return 2.0 * arith.sigma(-complex(z), n) * n ** (0.5 * complex(z)) * (rot * kp + km / rot)
 
 
-def _omega_pf_array(x: np.ndarray, z: complex, n_terms: int,
-                    table: arith.DivisorTable | None = None,
-                    include_pole_term: bool = True) -> np.ndarray:
-    """Partial-fraction form, vectorized over x; requires max(x) < N+1.
+@dataclass(frozen=True)
+class _OmegaPlan:
+    """The x-independent pieces of partial-fraction Omega at (z, N):
+    sigma_{-z}(1..N) (read-only), Gamma(z) zeta(z), zeta(z), zeta(z+1)."""
 
-    The n > N remainder is restored analytically through the moments
-    d_j = sum_{n>N} sigma_{-z}(n) n^{-2j-2}, whose alternating series in
-    x^{2j} converges geometrically in (x/(N+1))^2; a bare truncation at
-    the default N would strand the cross-mode agreement near 1e-7.
+    sigma: np.ndarray = field(repr=False)
+    gamma_zeta: complex
+    zeta_z: complex
+    zeta_z1: complex
 
-    Each d_j is assembled from Hurwitz-zeta tails through sigma's
-    Dirichlet convolution,
+
+# A process needs at most two plans at a time (z = 0 averages the plans at
+# z = +-1e-4, and a sweep holds z fixed), each with at most 61 moments.
+@functools.lru_cache(maxsize=4)
+def _omega_plan(z: complex, N: int) -> _OmegaPlan:
+    sig = arith.build_table(-z, N).slice(N)
+    sig.flags.writeable = False
+    zeta_z = riemann_zeta(z)
+    return _OmegaPlan(sigma=sig, gamma_zeta=gamma(z) * zeta_z, zeta_z=zeta_z,
+                      zeta_z1=riemann_zeta(z + 1.0))
+
+
+@functools.lru_cache(maxsize=256)
+def _omega_moment(z: complex, N: int, j: int) -> complex:
+    """d_j = sum_{n>N} sigma_{-z}(n) n^{-2j-2}, assembled from Hurwitz-zeta
+    tails through sigma's Dirichlet convolution,
         d_j = sum_{d<=N} d^{-s-z} zeta(s, floor(N/d)+1)
               + zeta(s) zeta(s+z, N+1),    s = 2j+2.
     Differencing zeta(s) zeta(s+z) against a partial sum instead leaves
     only roundoff for j >= 2, which x^{2j} then amplifies without bound.
     """
+    n = np.arange(1, N + 1, dtype=float)
+    uniq, inverse = np.unique(N // np.arange(1, N + 1), return_inverse=True)
+    s = 2 * j + 2
+    t_uniq = np.array([hurwitz_zeta(s, float(m) + 1.0) for m in uniq])
+    return (np.sum(n ** (-s - z) * t_uniq[inverse])
+            + riemann_zeta(float(s)) * hurwitz_zeta(s + z, N + 1.0))
+
+
+def _omega_pf_array(x: np.ndarray, z: complex, n_terms: int,
+                    include_pole_term: bool = True) -> np.ndarray:
+    """Partial-fraction form, vectorized over x; requires max(x) < N+1.
+
+    The n > N remainder is restored analytically through the moments
+    d_j of _omega_moment, whose alternating series in x^{2j} converges
+    geometrically in (x/(N+1))^2; a bare truncation at the default N
+    would strand the cross-mode agreement near 1e-7.  Everything that
+    does not depend on x comes from the (z, N) plan and moment caches.
+    """
     N = n_terms
     if float(np.max(x)) >= N + 1.0:
         raise DomainError("partial-fraction mode needs x < N + 1")
-    if table is None or table.n_max < N or table.exponent != -z:
-        table = arith.build_table(-z, N)
-    sig = table.slice(N)
+    plan = _omega_plan(z, N)
     n = np.arange(1, N + 1, dtype=float)
-    s_direct = np.sum(sig[None, :] / (n[None, :] ** 2 + x[:, None] ** 2), axis=1)
+    s_direct = np.sum(plan.sigma[None, :] / (n[None, :] ** 2 + x[:, None] ** 2), axis=1)
 
     # Moment tail.
-    floors = N // np.arange(1, N + 1)
-    uniq, inverse = np.unique(floors, return_inverse=True)
     s_tail = np.zeros_like(x, dtype=complex)
     x2 = x ** 2
     converged = False
     for j in range(0, 61):
-        s = 2 * j + 2
-        t_uniq = np.array([hurwitz_zeta(s, float(m) + 1.0) for m in uniq])
-        d_j = (np.sum(n ** (-s - z) * t_uniq[inverse])
-               + riemann_zeta(float(s)) * hurwitz_zeta(s + z, N + 1.0))
-        piece = (-1.0) ** j * x2 ** j * d_j
+        piece = (-1.0) ** j * x2 ** j * _omega_moment(z, N, j)
         s_tail += piece
         if np.all(np.abs(piece) <= 1e-19 * np.maximum(np.abs(s_direct), 1e-30)):
             converged = True
@@ -288,14 +313,14 @@ def _omega_pf_array(x: np.ndarray, z: complex, n_terms: int,
     s_all = s_direct + s_tail
 
     half = 0.5 * z
-    a = -gamma(z) * riemann_zeta(z) * np.power(2.0 * math.pi * np.sqrt(x), -z)
-    c = -riemann_zeta(z + 1.0) * np.power(x, half) / 2.0
+    a = -plan.gamma_zeta * np.power(2.0 * math.pi * np.sqrt(x), -z)
+    c = -plan.zeta_z1 * np.power(x, half) / 2.0
     out = a + c + np.power(x, half + 1.0) * s_all / math.pi
     if include_pole_term:
         # The zeta(z) x^{z/2-1} piece overflows at double-exponential nodes
         # near 0 for Re z < 0; callers that subtract it ask for it dropped
         # here instead of cancelling infinities.
-        out = out + riemann_zeta(z) * np.power(x, half - 1.0) / (2.0 * math.pi)
+        out = out + plan.zeta_z * np.power(x, half - 1.0) / (2.0 * math.pi)
     return out
 
 

@@ -228,7 +228,11 @@ def hurwitz_zeta(w, a) -> complex:
         raise DomainError("hurwitz_zeta requires Re a > 0")
     if abs(w - 1.0) < 1e-12:
         raise PoleError("hurwitz zeta pole at w=1")
-    target = max(15.0, 1.3 * (abs(w.imag) + abs(a.imag)))
+    # Term k of the Euler-Maclaurin tail is about 2 (w-1)_{2k} / (2 pi A)^{2k}
+    # of the sum at the shift A, so A grows with |w|: A >= 0.4|w| + 8
+    # brings it under 1e-17 within _EM_TERMS terms.  The stop rule is
+    # relative because zeta(w, a) is far below 1 for large w or a.
+    target = max(15.0, 1.3 * (abs(w.imag) + abs(a.imag)), 0.4 * abs(w) + 8.0)
     N = max(1, math.ceil(target - a.real))
     n = np.arange(0, N, dtype=float)
     out = complex(np.sum((n + a) ** (-w)))
@@ -244,7 +248,7 @@ def hurwitz_zeta(w, a) -> complex:
         poch = poch * (w + 2 * k - 1) * (w + 2 * k)
         fact *= (2 * k + 1) * (2 * k + 2)
         apow /= A * A
-        if abs(term) < 1e-20 * max(1.0, abs(out)):
+        if abs(term) < 1e-20 * abs(out):
             break
     return out
 

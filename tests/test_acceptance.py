@@ -153,6 +153,7 @@ def test_criterion_02_golden_suite(golden):
         "mellin_k_closed": lambda: verify_mellin_k(1.2 + 0.7j, 0.3, 1.0).rhs,
         "omega_1_0p4": lambda: omega(1.0, 0.4, mode="partial-fraction"),
         "omega_2_m0p4": lambda: omega(2.0, -0.4, mode="definition"),
+        "omega_5_0p3p0p2i": lambda: omega(5.0, 0.3 + 0.2j, mode="definition"),
         "omega_term10_1_0": lambda: abs(omega_definition_term(1.0, 0.0, 10)),
         "rg_rhs_half_1": lambda: f_frak(0.5, 1.0, 60)[0],
         "rgz0_rhs_alpha1": lambda: verify_rg_corollary_z0(

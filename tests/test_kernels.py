@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from koshliakov import kernels
 from koshliakov.errors import DecayError, DomainError, NearPoleError
 from koshliakov.kernels import (first_koshliakov_transform, kernel_m,
                                 koshliakov_kernel, lambda_fn, lambda_sum,
@@ -85,6 +86,14 @@ def test_omega_golden(golden):
     assert rel_err(omega(2.0, -0.4, mode="definition"), golden["omega_2_m0p4"]) < 1e-12
 
 
+def test_omega_complex_order_golden(golden):
+    # Omega(5, 0.3+0.2i) is ~9e-10 assembled from O(1) pieces, so the
+    # partial-fraction mode is compared absolutely (see the test below).
+    ref = golden["omega_5_0p3p0p2i"]
+    assert rel_err(omega(5.0, 0.3 + 0.2j, mode="definition"), ref) < 1e-12
+    assert abs(omega(5.0, 0.3 + 0.2j) - ref) < 1e-12
+
+
 def test_omega_cross_mode():
     # The series definition and the partial-fraction form must agree.
     d = omega(1.0, 0.4, mode="definition")
@@ -108,13 +117,59 @@ def test_omega_definition_term_golden(golden):
 
 def test_omega_combination_modes_agree():
     # The pole-subtracted combination stays accurate out to moderate y,
-    # where the identity integrands actually sample it.
-    for z in (0.3, -0.4, 0.5):
-        for y in (0.1, 1.0, 5.0, 13.9, 20.0):
+    # where the identity integrands actually sample it, and at small N,
+    # where the moment tail reaches the high-order Hurwitz tails.
+    cases = [(y, 500) for y in (0.1, 1.0, 5.0, 13.9, 20.0)]
+    cases += [(y, n) for y in (6.0, 10.0) for n in (15, 20)]
+    for z in (0.3, -0.4, 0.5, 0.3 + 0.2j):
+        for y, n in cases:
             ref = (omega(y, z, mode="definition")
                    - riemann_zeta(z) * y ** (z / 2.0 - 1.0) / (2.0 * math.pi))
-            got = omega_combination(y, z, 500)
+            got = omega_combination(y, z, n)
             assert rel_err(got, ref) < 1e-9
+
+
+def _clear_omega_caches():
+    kernels._omega_plan.cache_clear()
+    kernels._omega_moment.cache_clear()
+
+
+def _counting(calls, name, f):
+    def wrapped(*args):
+        calls.append(name)
+        return f(*args)
+    return wrapped
+
+
+def test_omega_plan_reused_across_x(monkeypatch):
+    # A second call at the same (z, N) and a new x rebuilds nothing.
+    _clear_omega_caches()
+    omega_combination(np.array([0.5, 5.0]), 0.4, 500)
+    calls = []
+    for module, name in ((kernels, "hurwitz_zeta"), (kernels, "gamma"),
+                         (kernels, "riemann_zeta"), (kernels.arith, "build_table")):
+        monkeypatch.setattr(module, name,
+                            _counting(calls, name, getattr(module, name)))
+    omega_combination(np.array([1.0, 2.0]), 0.4, 500)
+    assert calls == []
+
+
+def test_omega_plan_cache_is_exact():
+    x = np.array([0.3, 2.0, 11.0])
+    for z in (0.4, -0.6, 0.3 + 0.2j, 0.0):
+        _clear_omega_caches()
+        fresh = omega(x, z)
+        cached = omega(x, z)
+        _clear_omega_caches()
+        again = omega(x, z)
+        assert np.array_equal(fresh, cached) and np.array_equal(fresh, again)
+
+
+def test_omega_plan_sigma_read_only():
+    _clear_omega_caches()
+    plan = kernels._omega_plan(0.4 + 0.0j, 50)
+    with pytest.raises(ValueError):
+        plan.sigma[0] = 0.0
 
 
 def test_omega_z0_routes_through_average():

@@ -4,7 +4,10 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from koshliakov.errors import DomainError, PoleError
 from koshliakov.specfun import (_B2K, EULER_GAMMA, bessel_j, bessel_k,
@@ -123,6 +126,26 @@ def test_hurwitz_shift_recurrence():
         lhs = hurwitz_zeta(s, a)
         rhs = complex(a) ** (-complex(s)) + hurwitz_zeta(s, a + 1.0)
         assert rel_err(lhs, rhs) < 1e-12
+
+
+def _hurwitz_direct(w: float, a: float) -> float:
+    # (a+n)^{-w} summed by math.fsum over n < M, where the dropped tail,
+    # below (a+M)^{1-w}/(w-1), is under 1e-17 a^{-w}.
+    log_end = (math.log(1e17) + w * math.log(a) - math.log(w - 1.0)) / (w - 1.0)
+    m = math.ceil(math.exp(log_end) - a)
+    return math.fsum((a + np.arange(0, max(m, 1), dtype=float)) ** (-w))
+
+
+@settings(max_examples=60)
+@given(st.floats(min_value=10.0, max_value=120.0),
+       st.floats(min_value=0.5, max_value=500.0))
+def test_hurwitz_relative_accuracy_far_below_one(w, a):
+    # Values far below 1 (large w or a) keep full relative accuracy;
+    # w log(a+1) < 600 keeps them clear of underflow.
+    assume(w * math.log(a + 1.0) < 600.0)
+    got = hurwitz_zeta(w, a)
+    assert rel_err(got, _hurwitz_direct(w, a)) < 1e-13
+    assert rel_err(got, a ** (-w) + hurwitz_zeta(w, a + 1.0)) < 1e-13
 
 
 def test_hurwitz_cross_method():

@@ -233,6 +233,8 @@ def golden_values():
         "lambda(1, 0) = gamma - 1/2")
     put("omega_1_0p4", omega_def(1, mpf("0.4")), "Omega(1, 2/5)")
     put("omega_2_m0p4", omega_def(2, mpf("-0.4")), "Omega(2, -2/5)")
+    put("omega_5_0p3p0p2i", omega_def(5, mpc("0.3", "0.2")),
+        "Omega(5, 3/10 + i/5)")
     put("omega_term10_1_0", fabs(omega_term(10, 1, 0)),
         "|n=10 term| of the K-definition of Omega at x=1, z=0")
     put("sigma_c_12", sigma(-mpc("0.5", "0.5"), 12), "sigma_{-(1/2+i/2)}(12)")
