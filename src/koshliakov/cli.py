@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import arith, kernels, specfun
 from .errors import KoshliakovError
-from .identities import IDENTITIES
+from .identities import IDENTITIES, VerificationReport
 from .reporting import SweepRow, csv_lines, report_json, write_csv, write_svg
 
 EXIT_PASS = 0
@@ -153,20 +153,25 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
-    values = _resolve_args(entry, args)
-    i_alpha = entry.arg_names.index("alpha")
+    named = dict(zip(entry.arg_names, _resolve_args(entry, args)))
     tol = entry.tolerance if args.tolerance is None else args.tolerance
+    grid = config.grid()
+    try:
+        outcomes = entry.sweep(entry.runner, named, grid, tol)
+    except KoshliakovError as exc:
+        # Work shared by every row failed, so no row has a value.
+        print(f"alpha={grid[0]:.6g}..{grid[-1]:.6g}: {exc}", file=sys.stderr)
+        outcomes = [None] * len(grid)
     rows = []
     failures = 0
-    for alpha in config.grid():
-        values[i_alpha] = alpha
-        try:
-            report = entry.runner(*values, spec=None, tolerance=tol)
-            rows.append(SweepRow.from_report(report))
-        except KoshliakovError as exc:
-            print(f"alpha={alpha:.6g}: {exc}", file=sys.stderr)
-            rows.append(SweepRow.failed(alpha))
-            failures += 1
+    for alpha, out in zip(grid, outcomes):
+        if isinstance(out, VerificationReport):
+            rows.append(SweepRow.from_report(out))
+            continue
+        if out is not None:
+            print(f"alpha={alpha:.6g}: {out}", file=sys.stderr)
+        rows.append(SweepRow.failed(alpha))
+        failures += 1
     if config.out_path:
         write_csv(config.out_path, rows)
     else:

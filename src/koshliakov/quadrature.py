@@ -4,6 +4,11 @@ Every integrand passed to this module must accept a numpy array of
 abscissas and return an array of values (real or complex).  Results carry
 an error estimate and, for semi-infinite ranges, the truncation bound that
 was added to it, so callers can propagate an honest budget.
+
+`integrate_finite` also takes vector integrands: f may return shape
+(nodes,) or (nodes, m).  An (nodes, m) integrand gets one value and one
+error estimate per component from one set of panels, refined until every
+component meets its own budget.
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ _W7 = np.zeros(15)
 _W7[[1, 3, 5]] = _WG[:3]
 _W7[7] = _WG[3]
 _W7[[9, 11, 13]] = _WG[2::-1]
+# As columns, to weight integrand values of shape (15, m).
+_W15C = _W15[:, None]
+_W7C = _W7[:, None]
 
 
 @dataclass(frozen=True)
@@ -71,13 +79,16 @@ class QuadratureSpec:
         if self.max_panels < 1 or self.max_levels < 2:
             raise DomainError("panel and level budgets must allow refinement")
 
-    def budget(self, magnitude: float) -> float:
-        return max(self.abs_tol, self.rel_tol * magnitude)
+    def budget(self, magnitude):
+        # fmax is max() for scalars (a nan magnitude gives abs_tol) and
+        # works per component on arrays.
+        return np.fmax(self.abs_tol, self.rel_tol * magnitude)
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value plus the estimated quadrature error and tail truncation bound."""
+    """Value plus the estimated quadrature error and tail truncation bound;
+    value and err_estimate are (m,) arrays for an (nodes, m) integrand."""
 
     value: complex
     err_estimate: float
@@ -89,23 +100,36 @@ class QuadratureResult:
         return self.err_estimate + self.truncation_bound
 
 
+def _cabs(v):
+    # |v| through hypot, which is what abs() of a Python complex computes;
+    # np.abs on a complex array may differ from it in the last bit.
+    return np.hypot(v.real, v.imag)
+
+
 def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod 7-15 panel; returns (value, error, resabs)."""
+    """One Gauss-Kronrod 7-15 panel; returns per-component (value, error)
+    arrays of shape (m,) and the ndim of f's output (m = 1 when it is 1)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     x = c + h * _NODES15
     y = np.asarray(f(x))
-    resk = h * np.sum(_W15 * y)
-    resg = h * np.sum(_W7 * y)
-    resabs = abs(h) * float(np.sum(_W15 * np.abs(y)))
+    ndim = y.ndim
+    y = y.reshape(15, -1)
+    resk = h * (_W15C * y).sum(axis=0)
+    resg = h * (_W7C * y).sum(axis=0)
+    resabs = abs(h) * (_W15C * np.abs(y)).sum(axis=0)
     mean = resk / (b - a)
-    resasc = abs(h) * float(np.sum(_W15 * np.abs(y - mean)))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, math.pow(200.0 * err / resasc, 1.5))
-    # Roundoff floor: a panel cannot be trusted below 50 eps of its mass.
-    err = max(err, 50.0 * _EPS * resabs)
-    return complex(resk), err, resabs
+    resasc = abs(h) * (_W15C * np.abs(y - mean)).sum(axis=0)
+    # Per component in Python floats: math.pow is C pow, which numpy's
+    # vector power need not match in the last bit.
+    err = []
+    for e, asc, mass in zip(_cabs(resk - resg).tolist(), resasc.tolist(),
+                            resabs.tolist()):
+        if asc != 0.0 and e != 0.0:
+            e = asc * min(1.0, math.pow(200.0 * e / asc, 1.5))
+        # Roundoff floor: a panel cannot be trusted below 50 eps of its mass.
+        err.append(max(e, 50.0 * _EPS * mass))
+    return resk.astype(complex), np.array(err), ndim
 
 
 def integrate_finite(f, a: float, b: float, spec: QuadratureSpec | None = None,
@@ -117,6 +141,13 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec | None = None,
     handled by the tanh-sinh rule, which never evaluates f at the endpoint
     itself.  Raises ConvergenceError when the panel budget runs out before
     the requested tolerance is met.
+
+    f may return shape (nodes, m) (GK panels only, no singular flags):
+    value and err_estimate are then (m,) arrays, and refinement goes on
+    while any component is above spec.budget(|value_j|).  The worst panel
+    is the one with the largest err_j / scale_j, where scale_j is fixed
+    by the first panel and rounded to a power of two: the division is
+    exact, so one component orders panels exactly as its raw error does.
     """
     spec = spec or QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -126,31 +157,39 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec | None = None,
     if singular_left or singular_right:
         return tanh_sinh(f, a, b, spec)
 
-    value, err, _ = _gk15(f, a, b)
+    value, err, ndim = _gk15(f, a, b)
     nodes = 15
-    # Max-heap on panel error; refine the worst panel until the sum passes.
-    heap = [(-err, a, b, value, err)]
+    scale = np.ldexp(1.0, np.frexp(spec.budget(_cabs(value)))[1])
+
+    def key(e):
+        return -float((e / scale).max())
+
+    # Max-heap on scaled panel error; refine the worst panel until every
+    # component's sum passes.
+    heap = [(key(err), a, b, value, err)]
     total_val = value
     total_err = err
-    while total_err > spec.budget(abs(total_val)):
+    while (total_err > spec.budget(_cabs(total_val))).any():
         if len(heap) >= spec.max_panels:
             raise ConvergenceError(
-                f"quadrature error {total_err:.3e} above budget after "
+                f"quadrature error {np.max(total_err):.3e} above budget after "
                 f"{len(heap)} panels on [{a:g}, {b:g}]")
-        neg_err, pa, pb, pval, perr = heapq.heappop(heap)
+        _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if mid <= pa or mid >= pb:
             # Panel cannot be split further in double precision.
-            heapq.heappush(heap, (0.0, pa, pb, pval, 0.0))
-            total_err -= perr
+            heapq.heappush(heap, (0.0, pa, pb, pval, np.zeros_like(perr)))
+            total_err = total_err - perr
             continue
         lval, lerr, _ = _gk15(f, pa, mid)
         rval, rerr, _ = _gk15(f, mid, pb)
         nodes += 30
-        total_val += lval + rval - pval
-        total_err += lerr + rerr - perr
-        heapq.heappush(heap, (-lerr, pa, mid, lval, lerr))
-        heapq.heappush(heap, (-rerr, mid, pb, rval, rerr))
+        total_val = total_val + (lval + rval - pval)
+        total_err = total_err + (lerr + rerr - perr)
+        heapq.heappush(heap, (key(lerr), pa, mid, lval, lerr))
+        heapq.heappush(heap, (key(rerr), mid, pb, rval, rerr))
+    if ndim == 1:
+        return QuadratureResult(complex(total_val[0]), float(total_err[0]), nodes)
     return QuadratureResult(total_val, total_err, nodes)
 
 

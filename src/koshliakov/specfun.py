@@ -259,7 +259,7 @@ def hurwitz_zeta_hermite(w, a, spec=None) -> complex:
     Exists as a cross-check on the Euler-Maclaurin path; the integrand
     decays like exp(-2 pi t).
     """
-    from .quadrature import ExpDecay, QuadratureSpec, integrate_semi_infinite
+    from .quadrature import QuadratureSpec, integrate_half_line
 
     w = complex(w)
     a = float(a)
@@ -275,12 +275,10 @@ def hurwitz_zeta_hermite(w, a, spec=None) -> complex:
         den = np.power(a * a + t * t, 0.5 * w) * np.expm1(2.0 * math.pi * t)
         return num / den
 
-    # Empirical exponential certificate: the 1/(e^{2 pi t}-1) factor
-    # dominates; the algebraic prefactor is sampled at t=1.
-    probe = abs(complex(np.asarray(integrand(np.array([1.0])))[0]))
-    coeff = max(10.0 * probe * math.exp(2.0 * math.pi), 1e-6)
-    res = integrate_semi_infinite(integrand, 0.0, ExpDecay(coeff, 2.0 * math.pi),
-                                  spec or QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
+    # The 1/(e^{2 pi t}-1) factor dominates the tail; integrate_half_line
+    # fits and checks its envelope at 0.9 of that rate.
+    res = integrate_half_line(integrand, 0.9 * 2.0 * math.pi,
+                              spec or QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
     main = 0.5 * a ** (-w) + a ** (1.0 - w) / (w - 1.0)
     return main + 2.0 * res.value
 

@@ -6,8 +6,9 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import pytest
 
+from koshliakov import identities
 from koshliakov.cli import main, parse_complex_literal
-from koshliakov.errors import DomainError
+from koshliakov.errors import ConvergenceError, DomainError
 from koshliakov.identities import IDENTITIES, IdentityEntry
 from koshliakov.reporting import CSV_HEADER
 
@@ -188,6 +189,48 @@ def test_sweep_partial_failure_nan_rows(tmp_path, capsys, monkeypatch):
     assert len(lines) == 4
     assert "nan" in lines[-1] and "nan" in lines[-2]
     assert "nan" not in lines[1]
+
+
+_HZ_SWEEP = ["sweep", "hurwitz-corollary", "--z=-0.4+0.3i", "--alpha-min",
+             "0.5", "--alpha-max", "2", "--steps", "5"]
+
+
+def test_sweep_twice_in_one_process_is_byte_identical(tmp_path):
+    # No state survives a sweep: a rerun in the same process matches.
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        assert main(_HZ_SWEEP + ["--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_sweep_shared_integral_failure_fails_every_row(tmp_path, capsys,
+                                                      monkeypatch):
+    def broken(*args, **kwargs):
+        raise ConvergenceError("synthetic failure")
+
+    monkeypatch.setattr(identities, "integrate_finite", broken)
+    out = tmp_path / "s.csv"
+    assert main(_HZ_SWEEP + ["--out", str(out)]) == 2
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 5
+    assert all(row.split(",")[1:] == ["nan"] * 6 for row in rows)
+    assert capsys.readouterr().err.count("synthetic failure") == 1
+
+
+def test_sweep_rhs_failure_fails_its_row_only(tmp_path, capsys, monkeypatch):
+    orig = identities._hurwitz_F
+
+    def flaky(z, alpha, terms):
+        if alpha > 1.5:
+            raise ConvergenceError("synthetic failure")
+        return orig(z, alpha, terms)
+
+    monkeypatch.setattr(identities, "_hurwitz_F", flaky)
+    out = tmp_path / "s.csv"
+    assert main(_HZ_SWEEP + ["--out", str(out)]) == 2
+    rows = out.read_text().strip().split("\n")[1:]
+    assert ["nan" in row for row in rows] == [False, False, False, True, True]
+    assert capsys.readouterr().err.count("synthetic failure") == 2
 
 
 def test_eval_examples(capsys):

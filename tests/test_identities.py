@@ -2,14 +2,20 @@
 structural properties promised by the registry."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from koshliakov import arith
 from koshliakov.errors import DomainError, NearPoleError
-from koshliakov.identities import (IDENTITIES, IdentityParams,
+from koshliakov.identities import (IDENTITIES, IdentityParams, _report,
                                    _theta_pair_inner,
+                                   hurwitz_corollary_grid,
+                                   hurwitz_corollary_z0_grid,
+                                   rg_corollary_grid, rg_corollary_z0_grid,
                                    verify_bessel_hurwitz_sum,
                                    verify_hurwitz_corollary,
                                    verify_hurwitz_corollary_z0,
@@ -20,7 +26,7 @@ from koshliakov.identities import (IDENTITIES, IdentityParams,
                                    verify_pair_reciprocity,
                                    verify_rg_corollary, verify_rg_corollary_z0,
                                    verify_rg_formula)
-from koshliakov.kernels import pair_dixon_ferrar, pair_k_bessel
+from koshliakov.kernels import ReciprocalPair, pair_dixon_ferrar, pair_k_bessel
 from koshliakov.quadrature import QuadratureSpec
 
 from conftest import rel_err
@@ -182,6 +188,20 @@ def test_pair_reciprocity_transform_edge():
             verify_pair_reciprocity(pair_k_bessel(2.0), z, 1.0)
 
 
+@pytest.mark.parametrize("pair_alpha, x, z", [(0.25, 5.0, 0.3), (0.25, 2.0, -0.4),
+                                              (0.5, 5.0, 0.0), (2.0, 1.0, 0.0)])
+def test_pair_reciprocity_scaled_psi_fails(pair_alpha, x, z):
+    # The first three have psi(x) far below the transform's absolute
+    # accuracy, where the mirrored check is absolute; a psi off by 1%
+    # still fails everywhere.
+    good = pair_k_bessel(pair_alpha)
+    r = verify_pair_reciprocity(good, z, x)
+    assert r.passed and r.budgets["mirrored_rel_diff"] < 1e-10
+    bad = ReciprocalPair(good.phi, lambda t, zz: 1.01 * good.psi(t, zz),
+                         good.z_domain, good.label)
+    assert not verify_pair_reciprocity(bad, z, x).passed
+
+
 def test_pair_reciprocity_dixon_ferrar():
     r = verify_pair_reciprocity(pair_dixon_ferrar(), 0.0, 1.0)
     assert r.passed and r.rel_diff < 1e-10
@@ -263,3 +283,62 @@ def test_budgets_below_tolerance_on_pass():
         scale = max(abs(r.lhs), abs(r.rhs))
         cap = r.tolerance if abs(r.rhs) < 1e-3 else r.tolerance * scale
         assert budget < cap
+
+
+_GRID = list(np.geomspace(0.25, 4.0, 7))
+
+
+@pytest.mark.parametrize("grid, single", [
+    (lambda: rg_corollary_grid(0.3 + 0.2j, _GRID, 50),
+     lambda a: verify_rg_corollary(IdentityParams(0.3 + 0.2j, a, 50))),
+    (lambda: rg_corollary_z0_grid(_GRID, 50),
+     lambda a: verify_rg_corollary_z0(IdentityParams(0.0, a, 50))),
+    (lambda: hurwitz_corollary_grid(-0.4 + 0.3j, _GRID, 50),
+     lambda a: verify_hurwitz_corollary(IdentityParams(-0.4 + 0.3j, a, 50))),
+    (lambda: hurwitz_corollary_z0_grid(_GRID, 20),
+     lambda a: verify_hurwitz_corollary_z0(IdentityParams(0.0, a, 20))),
+], ids=["rg-corollary", "rg-corollary-z0", "hurwitz-corollary",
+        "hurwitz-corollary-z0"])
+def test_grid_rows_agree_with_single_alpha(grid, single):
+    # One vector integral over the grid gives every row's lhs within that
+    # row's budget sum of its own one-alpha integral.
+    rows = grid()
+    assert len(rows) == len(_GRID)
+    for alpha, row in zip(_GRID, rows):
+        ref = single(alpha)
+        assert row.params == ref.params and row.passed
+        budget = sum(v for k, v in ref.budgets.items() if not k.endswith("_diff"))
+        assert abs(row.lhs - ref.lhs) <= budget
+        assert row.rhs == ref.rhs
+
+
+def test_rg_grid_dispatches_z0():
+    rows = rg_corollary_grid(0.0, [0.5, 2.0], 20)
+    assert [r.identity_id for r in rows] == ["rg-corollary-z0"] * 2
+
+
+_PART = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_subnormal=False))
+_NUDGE = st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6, allow_subnormal=False))
+
+
+@given(rhs=st.tuples(_PART, _PART), nudge=st.tuples(_NUDGE, _NUDGE),
+       budgets=st.dictionaries(st.sampled_from(["quad_err", "series_tail",
+                                                "x_diff", "y_diff"]),
+                               st.floats(0.0, 1e-3), max_size=4),
+       tolerance=st.floats(1e-12, 1e-2), real_inputs=st.booleans())
+def test_report_never_passes_unresolved(rhs, nudge, budgets, tolerance, real_inputs):
+    # lhs is rhs moved by at most 1e-6 per part, so passing reports occur.
+    rhs = complex(*rhs)
+    lhs = rhs + complex(*nudge)
+    r = _report("t", {}, lhs, rhs, budgets, tolerance, real_inputs)
+    scale = max(abs(lhs), abs(rhs))
+    cap = tolerance if abs(rhs) < 1e-3 else tolerance * scale
+    if sum(v for k, v in budgets.items() if not k.endswith("_diff")) >= cap:
+        assert not r.passed
+    if any(k.endswith("_diff") and v > tolerance for k, v in budgets.items()):
+        assert not r.passed
+    if real_inputs and any(abs(v.imag) > 1e-10 * max(abs(v.real), 1e-300)
+                           for v in (lhs, rhs)):
+        assert not r.passed
+    if r.passed:
+        assert r.abs_diff <= cap * (1.0 + 1e-12)

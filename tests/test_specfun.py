@@ -154,6 +154,22 @@ def test_hurwitz_cross_method():
         assert rel_err(hurwitz_zeta(s, a), hurwitz_zeta_hermite(s, a)) < 1e-9
 
 
+def test_hurwitz_hermite_checked_tail(monkeypatch):
+    # Hermite's integral runs through the checked half-line integrator and
+    # agrees with Euler-Maclaurin to near rounding.
+    from koshliakov import quadrature
+
+    calls = []
+    orig = quadrature.integrate_half_line
+    monkeypatch.setattr(quadrature, "integrate_half_line",
+                        lambda *a, **k: calls.append(a[1]) or orig(*a, **k))
+    points = ((0.75, 3.25), (2.0, 0.5), (3.5, 1.25), (1.5 + 1.0j, 2.0),
+              (0.3, 0.1), (5.0 + 3.0j, 0.7))
+    for s, a in points:
+        assert rel_err(hurwitz_zeta_hermite(s, a), hurwitz_zeta(s, a)) < 1e-14
+    assert calls == [0.9 * 2.0 * math.pi] * len(points)
+
+
 def test_hurwitz_domain():
     with pytest.raises(DomainError):
         hurwitz_zeta(2.0, -1.0)
