@@ -1,7 +1,8 @@
 """Special functions built from scratch on float64/complex128.
 
 Everything here is implemented directly (Lanczos, Euler-Maclaurin,
-ascending/asymptotic Bessel series, an integral representation for K);
+ascending/asymptotic Bessel series, Temme's series and a trapezoid rule
+for real-order K, an integral representation for complex-order K);
 numpy supplies array arithmetic only.  Scalar entry points accept Python
 or numpy scalars; the Bessel functions also broadcast over arrays of
 arguments since the kernel layer feeds them quadrature nodes.
@@ -9,8 +10,9 @@ arguments since the kernel layer feeds them quadrature nodes.
 
 from __future__ import annotations
 
-import math
 import cmath
+import functools
+import math
 
 import numpy as np
 
@@ -558,6 +560,116 @@ def _k_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
     return total
 
 
+# Real order, real argument: closed forms for K_mu and K_{mu+1} with
+# mu = nu - round(nu) in [-1/2, 1/2], then the upward recurrence.
+_RGAMMA_TERMS = 26          # |a_k mu^k| < 4e-18 for k >= 20 and |mu| <= 1/2
+
+# Trapezoid rule for x >= 2 (Trefethen & Weideman 2014): after
+# s = sqrt(2x) sinh(t/2),
+#   exp(x) K_mu(x) = int_0^inf exp(-s^2) cosh(2 mu asinh(s/sqrt(2x))) 2/sqrt(2x+s^2) ds,
+# an even integrand analytic in |Im s| < sqrt(2x) >= 2, so step 0.3 is
+# exponentially accurate, and exp(-36) ends the rule at s = 6.
+_K_TRAP_S = 0.3 * np.arange(21)
+_K_TRAP_W = 0.3 * np.exp(-np.square(_K_TRAP_S))
+_K_TRAP_W[0] *= 0.5
+
+
+@functools.lru_cache(maxsize=1)
+def _rgamma_taylor() -> tuple:
+    """a_0..a_25 with 1/Gamma(1+mu) = sum_k a_k mu^k.
+
+    DLMF 5.7.1: 1/Gamma(z) = sum_{k>=1} c_k z^k with c_1 = 1, c_2 = gamma
+    and (k-1) c_k = gamma c_{k-1} - zeta(2) c_{k-2} + ... + (-1)^k zeta(k-1) c_1;
+    1/Gamma(1+mu) = 1/(mu Gamma(mu)) gives a_k = c_{k+1}.
+    """
+    zeta = [float(_zeta_em(complex(j)).real) if j >= 2 else 0.0
+            for j in range(_RGAMMA_TERMS)]
+    c = [0.0, 1.0, EULER_GAMMA]
+    for k in range(3, _RGAMMA_TERMS + 1):
+        acc = EULER_GAMMA * c[k - 1]
+        for j in range(2, k):
+            acc += (-1.0) ** (j + 1) * zeta[j] * c[k - j]
+        c.append(acc / (k - 1))
+    return tuple(c[1:])
+
+
+def _k_temme_scaled(mu: float, x: np.ndarray, need_next: bool) -> np.ndarray:
+    """exp(x) K_mu(x), and exp(x) K_{mu+1}(x) as a second row when
+    need_next, for |mu| <= 1/2 and 0 < x < 2 by Temme's series (J. Comput.
+    Phys. 19 (1975) 324-337; Numerical Recipes' bessik).  Gamma_1 and
+    Gamma_2 come from the Taylor series of 1/Gamma(1 +- mu), so mu -> 0
+    needs no special case."""
+    a = _rgamma_taylor()
+    gam2 = math.fsum(a[k] * mu ** k for k in range(0, _RGAMMA_TERMS, 2))
+    gam1 = -math.fsum(a[k] * mu ** (k - 1) for k in range(1, _RGAMMA_TERMS, 2))
+    gampl = gam2 - mu * gam1                     # 1/Gamma(1+mu)
+    gammi = gam2 + mu * gam1                     # 1/Gamma(1-mu)
+    pimu = math.pi * mu
+    fact = pimu / math.sin(pimu) if mu != 0.0 else 1.0
+    d = -np.log(0.5 * x)
+    e = mu * d
+    fact2 = np.sinh(e) / np.where(e == 0.0, 1.0, e)
+    fact2[e == 0.0] = 1.0
+    ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
+    total = ff
+    ex = np.exp(e)                               # (x/2)^-mu
+    p = 0.5 * ex / gampl
+    q = 0.5 / (ex * gammi)
+    total1 = p
+    c = np.ones_like(x)
+    x2 = np.square(0.5 * x)
+    for i in range(1, 60):
+        ff = (i * ff + p + q) / (i * i - mu * mu)
+        c = c * x2 / i
+        p = p / (i - mu)
+        q = q / (i + mu)
+        term = c * ff
+        total = total + term
+        if need_next:
+            total1 = total1 + c * (p - i * ff)
+        if np.all(np.abs(term) <= 1.1e-16 * np.abs(total)):
+            break
+    rows = (total, total1 * (2.0 / x)) if need_next else (total,)
+    return np.array(rows) * np.exp(x)
+
+
+def _k_trapezoid_scaled(mu: float, x: np.ndarray, need_next: bool) -> np.ndarray:
+    """exp(x) K_mu(x), and exp(x) K_{mu+1}(x) as a second row when
+    need_next, for x >= 2 by the fixed 21-node trapezoid rule above, as
+    one (points x 21) product per order."""
+    r = np.sqrt(2.0 * x)[:, None]
+    base = _K_TRAP_W * (2.0 / np.sqrt(np.square(r) + np.square(_K_TRAP_S)))
+    t = 2.0 * np.arcsinh(_K_TRAP_S / r)          # the original variable
+    orders = np.array([mu, mu + 1.0] if need_next else [mu])
+    return np.sum(base * np.cosh(np.multiply.outer(orders, t)), axis=-1)
+
+
+def _k_real_scaled(nu: float, x: np.ndarray) -> np.ndarray:
+    """exp(x) K_nu(x) for real order and an array of real x > 0.
+
+    K_{-nu} = K_nu; with n = round(|nu|) and mu = |nu| - n, K_mu and
+    K_{mu+1} come from Temme's series (x < 2) or the trapezoid rule
+    (x >= 2), and K_{mu+k+1} = K_{mu+k-1} + (2(mu+k)/x) K_{mu+k} climbs to
+    the order; the recurrence is stable upward because K grows with it.
+    K_{mu+1} is formed only when n >= 1: at tiny x it can overflow when
+    it is not needed.
+    """
+    nu = abs(nu)
+    n = round(nu)
+    mu = nu - n
+    k = np.empty((2 if n >= 1 else 1,) + x.shape)
+    lo = x < 2.0                                 # nan goes to the rule and stays nan
+    for sel, branch in ((lo, _k_temme_scaled), (~lo, _k_trapezoid_scaled)):
+        if np.any(sel):
+            k[:, sel] = branch(mu, x[sel], n >= 1)
+    if n == 0:
+        return k[0]
+    k0, k1 = k
+    for j in range(1, n):
+        k0, k1 = k1, k0 + (2.0 * (mu + j) / x) * k1
+    return k1
+
+
 def bessel_k(nu, x):
     """K_nu(x) for complex order and complex x with Re x > 0."""
     scaled = bessel_k_scaled(nu, x)
@@ -567,7 +679,11 @@ def bessel_k(nu, x):
 
 
 def bessel_k_scaled(nu, x):
-    """exp(x) K_nu(x); avoids underflow for large Re x."""
+    """exp(x) K_nu(x); avoids underflow for large Re x.
+
+    Real order at arguments with zero imaginary part (any dtype) takes the
+    closed forms of _k_real_scaled; everything else the tanh-sinh integral.
+    """
     nu = complex(nu)
     if abs(nu.real) > 30.0:
         raise DomainError("bessel_k supports |Re nu| <= 30")
@@ -576,7 +692,10 @@ def bessel_k_scaled(nu, x):
     arr = np.atleast_1d(arr)
     if np.any(arr.real <= 0.0):
         raise DomainError("bessel_k requires Re x > 0")
-    out = _k_batch(nu, arr)
+    if nu.imag == 0.0 and not np.any(arr.imag):
+        out = _k_real_scaled(nu.real, arr.real).astype(complex)
+    else:
+        out = _k_batch(nu, arr)
     return complex(out[0]) if scalar else out
 
 
@@ -584,82 +703,95 @@ def bessel_k_scaled(nu, x):
 # Exponential and logarithmic integrals
 # ---------------------------------------------------------------------------
 
-def _e1_series(w: float) -> float:
+# The private helpers take arrays; each point stops at its own
+# convergence, so an array gives every point its scalar value.
+
+def _e1_series(w: np.ndarray) -> np.ndarray:
     # E1(w) = -gamma - ln w + sum (-1)^{k+1} w^k / (k k!),  0 < w <= 1
-    out = -EULER_GAMMA - math.log(w)
-    term = 1.0
+    out = -EULER_GAMMA - np.log(w)
+    term = np.ones_like(w)
     for k in range(1, 40):
-        term *= -w / k
-        out -= term / k
-        if abs(term) < 1e-20:
+        term = term * (-w / k)
+        out = out - term / k
+        if np.all(np.abs(term) < 1e-20):
             break
     return out
 
 
-def _e1_cf(w: float) -> float:
+def _e1_cf(w: np.ndarray) -> np.ndarray:
     # Scaled continued fraction: e^w E1(w), modified Lentz.
     tiny = 1e-300
     b = w + 1.0
-    c = 1.0 / tiny
+    c = np.full_like(w, 1.0 / tiny)
     d = 1.0 / b
     h = d
+    done = np.zeros(w.shape, dtype=bool)
     for k in range(1, 200):
         a = -k * k
-        b += 2.0
+        b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
-        if c == 0.0:
-            c = tiny
+        c[c == 0.0] = tiny
         delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        h = np.where(done, h, h * delta)
+        done |= np.abs(delta - 1.0) < 1e-16
+        if np.all(done):
             break
     return h
 
 
-def exp_integral_e1_scaled(w: float) -> float:
-    """e^w E1(w) for w > 0."""
-    w = float(w)
-    if w <= 0.0:
+def exp_integral_e1_scaled(w):
+    """e^w E1(w) for w > 0; broadcasts over arrays of w."""
+    arr, scalar = _as_positive_array(w)
+    if np.any(arr <= 0.0):
         raise DomainError("E1 requires w > 0")
-    if w <= 1.0:
-        return math.exp(w) * _e1_series(w)
-    return _e1_cf(w)
+    out = np.piecewise(arr, [arr <= 1.0],
+                       [lambda v: np.exp(v) * _e1_series(v), _e1_cf])
+    return float(out[0]) if scalar else out
 
 
-def _ei_positive_series(y: float) -> float:
-    out = EULER_GAMMA + math.log(y)
-    term = 1.0
+def _ei_positive_series(y: np.ndarray) -> np.ndarray:
+    out = EULER_GAMMA + np.log(y)
+    term = np.ones_like(y)
+    done = np.zeros(y.shape, dtype=bool)
     for k in range(1, 400):
-        term *= y / k
-        out += term / k
-        if term / k < 1e-18 * abs(out) and k > y:
+        term = term * (y / k)
+        out = np.where(done, out, out + term / k)
+        done |= (term / k < 1e-18 * np.abs(out)) & (k > y)
+        if np.all(done):
             break
     return out
 
 
-def _ei_asymptotic_scaled(y: float) -> float:
-    # e^{-y} Ei(y) ~ (1/y) sum k! / y^k, truncated at the smallest term.
-    out = 0.0
-    term = 1.0 / y
-    prev = math.inf
-    for k in range(0, 400):
-        if abs(term) >= prev:
+def _factorial_series(y: np.ndarray, first: int, step: int) -> np.ndarray:
+    """Sum of k!/y^{k+1} over k = first, first + step, ... below y, where
+    the terms stop shrinking (and below 400).  With first 0 and step 1
+    this is the asymptotic series of e^{-y} Ei(y), truncated at its
+    smallest term.  Stops once no point has a term left above 1e-17 of
+    its sum."""
+    term = math.factorial(first) / y ** (first + 1)
+    out = term
+    k = first
+    while k + step < 400:
+        for j in range(k + 1, k + step + 1):
+            term = term * (j / y)
+        k += step
+        live = k < y
+        if not np.any(live & (term > 1e-17 * out)):
             break
-        out += term
-        prev = abs(term)
-        term *= (k + 1) / y
+        out = out + np.where(live, term, 0.0)
     return out
 
 
-def exp_integral_ei_scaled(y: float) -> float:
-    """e^{-y} Ei(y) for y > 0."""
-    y = float(y)
-    if y <= 0.0:
+def exp_integral_ei_scaled(y):
+    """e^{-y} Ei(y) for y > 0; broadcasts over arrays of y."""
+    arr, scalar = _as_positive_array(y)
+    if np.any(arr <= 0.0):
         raise DomainError("scaled Ei requires y > 0")
-    if y <= 50.0:
-        return math.exp(-y) * _ei_positive_series(y)
-    return _ei_asymptotic_scaled(y)
+    out = np.piecewise(arr, [arr <= 50.0],
+                       [lambda v: np.exp(-v) * _ei_positive_series(v),
+                        lambda v: _factorial_series(v, 0, 1)])
+    return float(out[0]) if scalar else out
 
 
 def exp_integral_ei(y: float) -> float:
@@ -667,16 +799,15 @@ def exp_integral_ei(y: float) -> float:
     y = float(y)
     if y == 0.0:
         raise PoleError("Ei has a logarithmic singularity at 0")
+    if y > 700.0:
+        raise DomainError("Ei overflows double precision for y > 700")
+    if y > 50.0:
+        return math.exp(y) * exp_integral_ei_scaled(y)
     if y > 0.0:
-        if y <= 50.0:
-            return _ei_positive_series(y)
-        if y > 700.0:
-            raise DomainError("Ei overflows double precision for y > 700")
-        return math.exp(y) * _ei_asymptotic_scaled(y)
-    w = -y
-    if w <= 1.0:
-        return -_e1_series(w)
-    return -math.exp(-w) * _e1_cf(w)
+        return float(_ei_positive_series(np.array([y]))[0])
+    if y >= -1.0:
+        return -float(_e1_series(np.array([-y]))[0])
+    return -math.exp(y) * exp_integral_e1_scaled(-y)
 
 
 def exp_integral_li(x: float) -> float:

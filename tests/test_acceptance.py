@@ -122,6 +122,19 @@ def test_criterion_02_golden_suite(golden):
         "bessel_k_0p25_2": lambda: bessel_k(0.25, 2.0),
         "bessel_k_0p3_cplx": lambda: bessel_k(0.3, 2.0 * cmath.exp(0.25j * cmath.pi)),
         "bessel_k_1p6_0p3": lambda: bessel_k(1.6, 0.3),
+        "bessel_k_0_1p999": lambda: bessel_k(0.0, 1.999),
+        "bessel_k_0_2": lambda: bessel_k(0.0, 2.0),
+        "bessel_k_0_2p001": lambda: bessel_k(0.0, 2.001),
+        "bessel_k_0p49_1p999": lambda: bessel_k(0.49, 1.999),
+        "bessel_k_0p49_2": lambda: bessel_k(0.49, 2.0),
+        "bessel_k_0p49_2p001": lambda: bessel_k(0.49, 2.001),
+        "bessel_k_1p6_1p999": lambda: bessel_k(1.6, 1.999),
+        "bessel_k_1p6_2": lambda: bessel_k(1.6, 2.0),
+        "bessel_k_1p6_2p001": lambda: bessel_k(1.6, 2.001),
+        "bessel_k_12p7_0p5": lambda: bessel_k(12.7, 0.5),
+        "bessel_k_29p9_50": lambda: bessel_k(29.9, 50.0),
+        "bessel_k_0p25_1em6": lambda: bessel_k(0.25, 1e-6),
+        "bessel_k_0p3_1e5": lambda: bessel_k_scaled(0.3, 1e5),
         "bessel_y_0_1": lambda: bessel_y(0.0, 1.0),
         "bessel_y_0p25_2": lambda: bessel_y(0.25, 2.0),
         "bessel_y_0p3_30": lambda: bessel_y(0.3, 30.0),
@@ -132,6 +145,13 @@ def test_criterion_02_golden_suite(golden):
         "big_xi_2p5": lambda: big_xi(2.5),
         "df_psi_1": lambda: pair_dixon_ferrar().psi(1.0, 0.0),
         "df_psi_6": lambda: pair_dixon_ferrar().psi(6.0, 0.0),
+        "df_psi_0p01": lambda: pair_dixon_ferrar().psi(0.01, 0.0),
+        "df_psi_0p3": lambda: pair_dixon_ferrar().psi(0.3, 0.0),
+        "df_psi_2": lambda: pair_dixon_ferrar().psi(2.0, 0.0),
+        "df_psi_12p5": lambda: pair_dixon_ferrar().psi(12.5, 0.0),
+        "df_psi_13": lambda: pair_dixon_ferrar().psi(13.0, 0.0),
+        "df_psi_100": lambda: pair_dixon_ferrar().psi(100.0, 0.0),
+        "df_psi_8000": lambda: pair_dixon_ferrar().psi(8000.0, 0.0),
         "digamma_0p5": lambda: digamma(0.5),
         "digamma_3p7": lambda: digamma(3.7),
         "ei_1": lambda: exp_integral_ei(1.0),

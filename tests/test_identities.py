@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from koshliakov import arith
 from koshliakov.errors import DomainError, NearPoleError
-from koshliakov.identities import (IDENTITIES, IdentityParams, _report,
+from koshliakov.identities import (IDENTITIES, IdentityParams, _report, f_frak,
                                    _theta_pair_inner,
                                    hurwitz_corollary_grid,
                                    hurwitz_corollary_z0_grid,
@@ -77,6 +77,22 @@ def test_rg_formula():
     for z, alpha in ((0.3 + 0.2j, 2.0), (-0.6, 1.5)):
         r = verify_rg_formula(z, alpha)
         assert r.passed and r.rel_diff < 1e-12
+
+
+def test_f_frak_bounds_cover_the_oracle(golden):
+    # value within tail + evaluation bound of the 40-digit goldens (the
+    # two complex-z ones are stored with a 1/8 normalization), and both
+    # bounds reach the reports that use f_frak.
+    for z, alpha, key, scale in ((0.3 + 0.2j, 2.0, "f_frak_2_c", 8.0),
+                                 (0.3 + 0.2j, 0.5, "f_frak_half_c", 8.0),
+                                 (0.5, 1.0, "rg_rhs_half_1", 1.0)):
+        value, tail, eval_err = f_frak(z, alpha, 60)
+        assert 0.0 < eval_err < 1e-12
+        assert abs(value - scale * golden[key]) <= tail + eval_err, key
+    r = verify_rg_formula(0.5, 1.4375)
+    assert r.budgets["eval_err"] > 0.0 and r.abs_diff <= sum(r.budgets.values())
+    r = verify_rg_corollary(IdentityParams(z=0.5, alpha=1.4375, terms=10))
+    assert r.budgets["eval_err"] > 0.0
 
 
 def test_hurwitz_corollary():

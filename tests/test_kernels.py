@@ -14,6 +14,7 @@ from koshliakov.kernels import (first_koshliakov_transform, kernel_m,
                                 omega_definition_term, omega_pf_tail_envelope,
                                 pair_dixon_ferrar, pair_k_bessel,
                                 pair_Z_numeric, theta_eval, transform_kernel)
+from koshliakov.quadrature import QuadratureSpec
 from koshliakov.specfun import EULER_GAMMA, bessel_k, hurwitz_zeta, riemann_zeta
 
 from conftest import rel_err
@@ -66,6 +67,28 @@ def test_dixon_ferrar_psi_golden(golden):
     pair = pair_dixon_ferrar()
     assert rel_err(pair.psi(1.0, 0.0), golden["df_psi_1"]) < 1e-12
     assert rel_err(pair.psi(6.0, 0.0), golden["df_psi_6"]) < 1e-12
+
+
+_PSI_POINTS = ((0.01, "df_psi_0p01"), (0.3, "df_psi_0p3"), (2.0, "df_psi_2"),
+               (12.5, "df_psi_12p5"), (13.0, "df_psi_13"),
+               (100.0, "df_psi_100"), (8000.0, "df_psi_8000"))
+
+
+def test_dixon_ferrar_psi_vector_goldens(golden):
+    # Both sides of the switch at 4t = 50, and far out, where psi is the
+    # O(1/t^2) difference of two O(1/t) values; one array call and one
+    # scalar call per point give the same numbers.
+    ts = np.array([t for t, _ in _PSI_POINTS])
+    got = kernels._df_psi(ts)
+    for (t, key), value in zip(_PSI_POINTS, got):
+        assert rel_err(value, golden[key]) < 1e-13, key
+        assert kernels._df_psi(t) == value
+
+
+def test_mellin_numeric_refuses_power_decay():
+    with pytest.raises(DecayError):
+        kernels._mellin_numeric(lambda x: 1.0 / (1.0 + x) ** 3, 1.5,
+                                QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
 
 
 def test_dixon_ferrar_z_domain():

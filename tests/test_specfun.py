@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from koshliakov import specfun
 from koshliakov.errors import DomainError, PoleError
 from koshliakov.specfun import (_B2K, EULER_GAMMA, bessel_j, bessel_k,
                                 bessel_k_scaled, bessel_y, big_xi, digamma,
@@ -222,6 +223,61 @@ def test_bessel_k_golden(golden):
     assert rel_err(bessel_k_scaled(0.0, 377.0), golden["bessel_k_0_377"]) < 1e-12
     arg = 2.0 * cmath.exp(0.25j * cmath.pi)
     assert rel_err(bessel_k(0.3, arg), golden["bessel_k_0p3_cplx"]) < 1e-12
+
+
+_K_REAL_GOLDENS = (
+    (0.0, 1.999, "bessel_k_0_1p999"), (0.0, 2.0, "bessel_k_0_2"),
+    (0.0, 2.001, "bessel_k_0_2p001"), (0.49, 1.999, "bessel_k_0p49_1p999"),
+    (0.49, 2.0, "bessel_k_0p49_2"), (0.49, 2.001, "bessel_k_0p49_2p001"),
+    (1.6, 1.999, "bessel_k_1p6_1p999"), (1.6, 2.0, "bessel_k_1p6_2"),
+    (1.6, 2.001, "bessel_k_1p6_2p001"), (12.7, 0.5, "bessel_k_12p7_0p5"),
+    (29.9, 50.0, "bessel_k_29p9_50"), (0.25, 1e-6, "bessel_k_0p25_1em6"),
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bessel_k_real_order_goldens(golden):
+    # Across the series / trapezoid switch at x = 2, high orders reached by
+    # the upward recurrence from either side, a tiny and a huge argument.
+    for nu, x, key in _K_REAL_GOLDENS:
+        assert rel_err(bessel_k(nu, x), golden[key]) < 1e-13, key
+        assert rel_err(bessel_k(-nu, x), golden[key]) < 1e-13, key
+    assert rel_err(bessel_k_scaled(0.3, 1e5), golden["bessel_k_0p3_1e5"]) < 1e-13
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80)
+@given(nu=st.floats(min_value=-30.0, max_value=30.0),
+       log_x=st.floats(min_value=math.log(1e-6), max_value=math.log(1e3)))
+def test_bessel_k_real_matches_integral(nu, log_x):
+    # The closed forms against the tanh-sinh integral that complex orders
+    # still use, wherever K is finite.
+    x = np.array([math.exp(log_x)])
+    with np.errstate(over="ignore"):
+        reference = specfun._k_batch(complex(nu), x.astype(complex))
+    assume(np.all(np.isfinite(reference)))
+    got = bessel_k_scaled(nu, x)
+    assert got.dtype == complex
+    assert rel_err(got[0], reference[0]) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bessel_k_real_path_warning_free_at_the_edges():
+    # Orders whose K_{mu+1} overflows at tiny x must not form it.
+    xs = np.array([1e-300, 1e-150, 1e-8, 1.0, 2.0, 1e5])
+    for nu in (0.0, 0.25, 0.5, -0.5, 0.49):
+        assert np.all(np.isfinite(bessel_k_scaled(nu, xs)))
+
+
+def test_bessel_k_zero_imaginary_part_takes_the_real_path(monkeypatch):
+    def refuse(nu, xs):
+        raise AssertionError("complex path used")
+
+    xs = np.array([0.3 + 0.0j, 2.5 + 0.0j])
+    expected = bessel_k(0.7, xs.real)
+    monkeypatch.setattr(specfun, "_k_batch", refuse)
+    assert np.array_equal(bessel_k(0.7, xs), expected)
+    assert np.array_equal(bessel_k(0.7 + 0.0j, xs), expected)
 
 
 def test_bessel_wronskian():

@@ -217,11 +217,29 @@ def golden_values():
     put("bessel_k_1p6_0p3", besselk(mpf("1.6"), mpf("0.3")), "K_1.6(0.3)")
     put("bessel_k_0_377", besselk(0, 377) * exp(mpf(377)),
         "e^377 K_0(377) (scaled)")
+    # Real-order K: both sides of the switch at x = 2, a high order reached
+    # by recurrence from each side, a tiny argument, a huge one (scaled).
+    for nu, nu_tag in ((0, "0"), ("0.49", "0p49"), ("1.6", "1p6")):
+        for x, x_tag in (("1.999", "1p999"), ("2", "2"), ("2.001", "2p001")):
+            put(f"bessel_k_{nu_tag}_{x_tag}", besselk(mpf(nu), mpf(x)),
+                f"K_{nu}({x})")
+    put("bessel_k_12p7_0p5", besselk(mpf("12.7"), mpf("0.5")), "K_12.7(0.5)")
+    put("bessel_k_29p9_50", besselk(mpf("29.9"), 50), "K_29.9(50)")
+    put("bessel_k_0p25_1em6", besselk(mpf("0.25"), mpf("1e-6")),
+        "K_0.25(1e-6)")
+    put("bessel_k_0p3_1e5", besselk(mpf("0.3"), mpf("1e5")) * exp(mpf("1e5")),
+        "e^100000 K_0.3(100000) (scaled)")
     put("li_2", li(2), "li(2)")
     put("li_soldner", li(soldner), "li at the Soldner point (approx 0)")
     put("ei_1", ei(1), "Ei(1)")
     put("df_psi_1", df_psi(1), "Dixon-Ferrar psi(1)")
     put("df_psi_6", df_psi(6), "Dixon-Ferrar psi(6)")
+    # psi across its series / asymptotic switch at 4x = 50 and far out,
+    # where psi ~ -1/(4 pi x^2) is the difference of two O(1/x) values.
+    for t, tag in (("0.01", "0p01"), ("0.3", "0p3"), ("2", "2"),
+                   ("12.5", "12p5"), ("13", "13"), ("100", "100"),
+                   ("8000", "8000")):
+        put(f"df_psi_{tag}", df_psi(t), f"Dixon-Ferrar psi({t})")
     put("kernel_m_0_1", kernel_m(0, 1), "M_0(1)")
     put("kosh_kernel_0p5_1", kosh_kernel(mpf("0.5"), 1),
         "kernel at z=1/2, x=1")

@@ -14,10 +14,12 @@ below the transform's absolute accuracy.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
-move of lhs or rhs in units of the OLD report's budget sum (the sum of
-its non-`_diff` budgets, the resolution a report claims).  A sweep CSV
-carries no budgets, so for a sweep whose CSV differs the OLD tree runs
-`verify` at every row's alpha, all rows in one process, to supply them;
+move of lhs or rhs in units of the budget sum (the sum of a report's
+non-`_diff` budgets, the resolution it claims), the larger of the OLD
+and the NEW report's: a change that adds a bound the old report lacked
+is judged with it.  A sweep CSV carries no budgets, so for a sweep whose
+CSV differs both trees run `verify` at every row's alpha, all rows in
+one process per tree, to supply them;
 the line also counts rows whose status changed, a row failing when it
 is `nan` or its diff misses the identity's tolerance (as `verify` judges
 it).  The exit status is 0 when every command is identical, else 1.
@@ -118,7 +120,7 @@ def compare_verify(old, new) -> str:
     if not (old_out.strip() and new_out.strip()):
         return text
     a, b = json.loads(old_out), json.loads(new_out)
-    move = _move(_sides(a), _sides(b), _budget_sum(a))
+    move = _move(_sides(a), _sides(b), max(_budget_sum(a), _budget_sum(b)))
     return f"{text}, pass {a['pass']} -> {b['pass']}, moved {move:.3g} budget sums"
 
 
@@ -138,7 +140,7 @@ def _row_ok(row, tol: float) -> bool:
     return abs_diff <= tol if abs(rhs) < 1e-3 else rel_diff <= tol
 
 
-def compare_sweep(argv, old, new, old_src: str, tols: tuple) -> str:
+def compare_sweep(argv, old, new, srcs: tuple, tols: tuple) -> str:
     (old_rc, old_out), (new_rc, new_out) = old, new
     a, b = _csv_rows(old_out), _csv_rows(new_out)
     text = f"exit {old_rc} -> {new_rc}"
@@ -146,17 +148,18 @@ def compare_sweep(argv, old, new, old_src: str, tols: tuple) -> str:
         return f"{text}, alpha grids differ"
     identity = argv[1]
     fixed = [f for f in argv[2:] if not f.startswith(("--alpha-", "--steps"))]
-    reports = _run(old_src, ["-c", _ROWS_CHILD], json.dumps(
-        [["verify", identity, f"--alpha={r[0]}", *fixed] for r in a]))[1]
+    rows = json.dumps([["verify", identity, f"--alpha={r[0]}", *fixed] for r in a])
+    old_reports, new_reports = (_run(src, ["-c", _ROWS_CHILD], rows)[1].splitlines()
+                                for src in srcs)
     status = 0
     worst, worst_alpha = 0.0, None
-    for ra, rb, line in zip(a, b, reports.splitlines()):
+    for ra, rb, line_a, line_b in zip(a, b, old_reports, new_reports):
         if _row_ok(ra, tols[0][identity]) != _row_ok(rb, tols[1][identity]):
             status += 1
-        report = json.loads(line)
-        if report is None or math.isnan(ra[3]) or math.isnan(rb[3]):
+        ref_a, ref_b = json.loads(line_a), json.loads(line_b)
+        if ref_a is None or ref_b is None or math.isnan(ra[3]) or math.isnan(rb[3]):
             continue
-        move = _move(ra[1:3], rb[1:3], _budget_sum(report))
+        move = _move(ra[1:3], rb[1:3], max(_budget_sum(ref_a), _budget_sum(ref_b)))
         if move >= worst:
             worst, worst_alpha = move, ra[0]
     return (f"{text}, {len(a)} rows, {status} changed status, largest move "
@@ -176,7 +179,7 @@ def main(argv=None) -> int:
             verdict = "identical"
         else:
             differ += 1
-            verdict = (compare_sweep(cmd, old, new, args.old_src, tols)
+            verdict = (compare_sweep(cmd, old, new, (args.old_src, args.new_src), tols)
                        if cmd[0] == "sweep" else compare_verify(old, new))
         print(f"{' '.join(cmd)}: {verdict}", flush=True)
     print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands identical")
