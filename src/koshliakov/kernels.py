@@ -21,9 +21,8 @@ import numpy as np
 from . import arith
 from .errors import ConvergenceError, DecayError, DomainError, NearPoleError
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_half_line
-from .specfun import (EULER_GAMMA, _factorial_series, bessel_j, bessel_k,
-                      bessel_y, digamma, exp_integral_e1_scaled,
-                      exp_integral_ei_scaled, gamma, hurwitz_zeta, riemann_zeta)
+from .specfun import (EULER_GAMMA, _e1_minus_ei_scaled, bessel_j, bessel_k,
+                      bessel_y, digamma, gamma, hurwitz_zeta, riemann_zeta)
 
 
 def _require_real_order(z) -> float:
@@ -132,19 +131,11 @@ def _df_psi(x):
     """-(2/pi)(e^{4x} li(e^{-4x}) + e^{-4x} li(e^{4x})), fully scaled so no
     exponential is ever formed; decays like -1/(4 pi x^2).
 
-    With w = 4x it is (2/pi)(e^w E1(w) - e^{-w} Ei(w)).  For w > 50 the
-    two O(1/w) values would cancel to O(1/w^2), so there the even terms
-    of their asymptotic series are cancelled exactly instead, leaving
-    -(4/pi) sum_{k odd} k!/w^{k+1}.
+    With w = 4x it is (2/pi)(e^w E1(w) - e^{-w} Ei(w)).
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    w = 4.0 * np.atleast_1d(arr)
-    out = np.piecewise(
-        w, [w <= 50.0],
-        [lambda v: (2.0 / math.pi) * (exp_integral_e1_scaled(v)
-                                      - exp_integral_ei_scaled(v)),
-         lambda v: -(4.0 / math.pi) * _factorial_series(v, 1, 2)])
+    out = (2.0 / math.pi) * _e1_minus_ei_scaled(4.0 * np.atleast_1d(arr))
     return float(out[0]) if scalar else out
 
 

@@ -703,8 +703,16 @@ def bessel_k_scaled(nu, x):
 # Exponential and logarithmic integrals
 # ---------------------------------------------------------------------------
 
-# The private helpers take arrays; each point stops at its own
-# convergence, so an array gives every point its scalar value.
+# The private helpers take arrays, and an array call gives every point
+# its scalar value: `_e1_cf` and `_ei_positive_series` freeze a point
+# once it has converged, and the terms that `_e1_series` and
+# `_factorial_series` go on adding to a converged point (until the
+# whole array has converged) are below half an ulp of its sum, so they
+# leave it unchanged.
+
+# Above this argument e^{-y} Ei(y) is summed from its asymptotic series.
+_EI_ASYMPTOTIC = 50.0
+
 
 def _e1_series(w: np.ndarray) -> np.ndarray:
     # E1(w) = -gamma - ln w + sum (-1)^{k+1} w^k / (k k!),  0 < w <= 1
@@ -788,10 +796,23 @@ def exp_integral_ei_scaled(y):
     arr, scalar = _as_positive_array(y)
     if np.any(arr <= 0.0):
         raise DomainError("scaled Ei requires y > 0")
-    out = np.piecewise(arr, [arr <= 50.0],
+    out = np.piecewise(arr, [arr <= _EI_ASYMPTOTIC],
                        [lambda v: np.exp(-v) * _ei_positive_series(v),
                         lambda v: _factorial_series(v, 0, 1)])
     return float(out[0]) if scalar else out
+
+
+def _e1_minus_ei_scaled(w: np.ndarray) -> np.ndarray:
+    """e^w E1(w) - e^{-w} Ei(w) for an array of w > 0, an O(1/w^2) value.
+
+    Where Ei takes its asymptotic series the two O(1/w) values would
+    cancel, so there the even terms of the two series are cancelled
+    exactly instead, leaving -2 sum_{k odd} k!/w^{k+1}.
+    """
+    return np.piecewise(
+        w, [w <= _EI_ASYMPTOTIC],
+        [lambda v: exp_integral_e1_scaled(v) - exp_integral_ei_scaled(v),
+         lambda v: -2.0 * _factorial_series(v, 1, 2)])
 
 
 def exp_integral_ei(y: float) -> float:
@@ -801,7 +822,7 @@ def exp_integral_ei(y: float) -> float:
         raise PoleError("Ei has a logarithmic singularity at 0")
     if y > 700.0:
         raise DomainError("Ei overflows double precision for y > 700")
-    if y > 50.0:
+    if y > _EI_ASYMPTOTIC:
         return math.exp(y) * exp_integral_ei_scaled(y)
     if y > 0.0:
         return float(_ei_positive_series(np.array([y]))[0])

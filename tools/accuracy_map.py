@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Worst relative error of the special functions, region by region.
 
-    python tools/accuracy_map.py                      # writes tools/accuracy_map.json
-    python tools/accuracy_map.py --points 200 --out /tmp/map.json
+    python tools/accuracy_map.py                  # writes tools/accuracy_map.json
+    python tools/accuracy_map.py --out map.json
 
 Samples each function over its regions at seeded points, evaluates it
 with the library (one array call per region where the function takes
@@ -39,6 +39,8 @@ from koshliakov.specfun import (bessel_k_scaled,  # noqa: E402
 
 mp.dps = 30
 _OVERFLOW = mpf("1e300")
+POINTS = 400  # sample points per region
+SEED = 0
 
 
 def _log_uniform(rng, lo: float, hi: float, n: int) -> np.ndarray:
@@ -136,13 +138,10 @@ def main(argv=None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", default=os.path.join(here, "accuracy_map.json"))
-    ap.add_argument("--points", type=int, default=400,
-                    help="sample points per region (default 400)")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
-    regions = build(args.points, args.seed)
+    regions = build(POINTS, SEED)
     payload = {"generator": "tools/accuracy_map.py", "dps": mp.dps,
-               "points_per_region": args.points, "seed": args.seed,
+               "points_per_region": POINTS, "seed": SEED,
                "regions": regions}
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=1)
