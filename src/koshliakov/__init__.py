@@ -11,9 +11,8 @@ registry for shell use; `reporting` renders reports to JSON/CSV/SVG.
 from .arith import DivisorTable, build_table, divisor_count, sigma
 from .errors import (ConvergenceError, DecayError, DomainError,
                      KoshliakovError, LimitError, NearPoleError, PoleError)
-from .identities import (IDENTITIES, IdentityEntry, IdentityParams,
-                         VerificationReport, verify_bessel_hurwitz_sum,
-                         verify_hurwitz_corollary,
+from .identities import (IDENTITIES, IdentityEntry, VerificationReport,
+                         verify_bessel_hurwitz_sum, verify_hurwitz_corollary,
                          verify_hurwitz_corollary_z0, verify_hurwitz_modular,
                          verify_laplace_bessel, verify_mellin_k,
                          verify_omega_laplace, verify_omega_modular,
@@ -24,8 +23,8 @@ from .kernels import (ReciprocalPair, first_koshliakov_transform, kernel_m,
                       koshliakov_kernel, lambda_fn, lambda_sum, omega,
                       omega_combination, pair_dixon_ferrar, pair_k_bessel,
                       theta_eval, transform_kernel)
-from .quadrature import (ExpDecay, PowerDecay, QuadratureResult,
-                         QuadratureSpec, integrate_finite, integrate_half_line,
+from .quadrature import (ExpDecay, QuadratureResult, QuadratureSpec,
+                         integrate_finite, integrate_half_line,
                          integrate_semi_infinite, tanh_sinh)
 from .specfun import (EULER_GAMMA, bessel_j, bessel_k, bessel_y, big_xi,
                       digamma, exp_integral_ei, exp_integral_li, gamma,
@@ -35,11 +34,11 @@ from .specfun import (EULER_GAMMA, bessel_j, bessel_k, bessel_y, big_xi,
 __version__ = "0.1.0"
 
 __all__ = [
-    "EULER_GAMMA", "IDENTITIES", "IdentityEntry", "IdentityParams",
-    "ConvergenceError", "DecayError", "DivisorTable", "DomainError",
-    "ExpDecay", "KoshliakovError", "LimitError", "NearPoleError",
-    "PoleError", "PowerDecay", "QuadratureResult", "QuadratureSpec",
-    "ReciprocalPair", "VerificationReport", "bessel_j", "bessel_k",
+    "EULER_GAMMA", "IDENTITIES", "IdentityEntry", "ConvergenceError",
+    "DecayError", "DivisorTable", "DomainError", "ExpDecay",
+    "KoshliakovError", "LimitError", "NearPoleError", "PoleError",
+    "QuadratureResult", "QuadratureSpec", "ReciprocalPair",
+    "VerificationReport", "bessel_j", "bessel_k",
     "bessel_y", "big_xi", "build_table", "digamma", "divisor_count",
     "exp_integral_ei", "exp_integral_li", "first_koshliakov_transform",
     "gamma", "hurwitz_zeta", "hurwitz_zeta_hermite", "integrate_finite",

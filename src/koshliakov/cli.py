@@ -95,28 +95,45 @@ _PARAMS: dict = {
     "pair_alpha": ("float", 2.0),
 }
 
+# The same for eval; --mode gets its own flag, for its choices.
+_EVAL_PARAMS: dict = {
+    "s": ("complex", 2.0 + 0.0j),
+    "a": ("complex", 1.0 + 0.0j),
+    "t": ("complex", 0.0 + 0.0j),
+    "nu": ("complex", 0.0),
+    "z": ("complex", 0.5 + 0.0j),
+    "x": ("complex", 1.0),
+    "n": ("int", 1),
+    "terms": ("int", 500),
+    "mode": ("str", "partial-fraction"),
+}
+
 _KIND_TYPES = {"complex": parse_complex_literal, "float": float, "int": int,
                "str": str}
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    for name, (kind, _) in _PARAMS.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                            type=_KIND_TYPES[kind], default=None)
+def _add_param_flags(parser: argparse.ArgumentParser, params: dict,
+                     skip: tuple = ()) -> None:
+    for name, (kind, _) in params.items():
+        if name not in skip:
+            parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                                type=_KIND_TYPES[kind], default=None)
 
 
-def _resolve_args(entry, args) -> list:
-    values = []
-    for name in entry.arg_names:
-        given = getattr(args, name, None)
-        values.append(_PARAMS[name][1] if given is None else given)
-    extraneous = [name for name in _PARAMS
+def _resolve_args(arg_names: tuple, params: dict, args, what: str) -> dict:
+    """The value of each of arg_names, its default where the flag is not
+    given; a flag given that arg_names lacks is a usage error."""
+    extraneous = [name for name in params
                   if getattr(args, name, None) is not None
-                  and name not in entry.arg_names]
+                  and name not in arg_names]
     if extraneous:
         raise _UsageError(
             f"parameter(s) {', '.join('--' + e for e in extraneous)} do not "
-            f"apply; this identity takes ({', '.join(entry.arg_names)})")
+            f"apply; this {what} takes ({', '.join(arg_names)})")
+    values = {}
+    for name in arg_names:
+        given = getattr(args, name, None)
+        values[name] = params[name][1] if given is None else given
     return values
 
 
@@ -129,9 +146,9 @@ def cmd_verify(args) -> int:
     if entry is None:
         raise _UsageError(f"unknown identity '{args.identity}'; "
                           f"known: {', '.join(sorted(IDENTITIES))}")
-    values = _resolve_args(entry, args)
+    named = _resolve_args(entry.arg_names, _PARAMS, args, "identity")
     tol = entry.tolerance if args.tolerance is None else args.tolerance
-    report = entry.runner(*values, spec=None, tolerance=tol)
+    report = entry.verify(named, tol)
     print(report_json(report))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -153,11 +170,11 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
-    named = dict(zip(entry.arg_names, _resolve_args(entry, args)))
+    named = _resolve_args(entry.arg_names, _PARAMS, args, "identity")
     tol = entry.tolerance if args.tolerance is None else args.tolerance
     grid = config.grid()
     try:
-        outcomes = entry.sweep(entry.runner, named, grid, tol)
+        outcomes = entry.sweep(named, grid, tol)
     except KoshliakovError as exc:
         # Work shared by every row failed, so no row has a value.
         print(f"alpha={grid[0]:.6g}..{grid[-1]:.6g}: {exc}", file=sys.stderr)
@@ -181,25 +198,27 @@ def cmd_sweep(args) -> int:
     return EXIT_FAIL if failures else EXIT_PASS
 
 
-# eval function table: name -> (argument names, callable).
+# eval function table: name -> (argument names, callable taking them in
+# that order).  Built at each call, so it holds the current module
+# attributes (a wrapped function is the one called).
 def _eval_table() -> dict:
     return {
-        "gamma": (("s",), lambda a: specfun.gamma(a.s)),
-        "zeta": (("s",), lambda a: specfun.riemann_zeta(a.s)),
-        "hurwitz": (("s", "a"), lambda a: specfun.hurwitz_zeta(a.s, a.a)),
-        "digamma": (("s",), lambda a: specfun.digamma(a.s)),
-        "xi": (("s",), lambda a: specfun.xi(a.s)),
-        "big-xi": (("t",), lambda a: specfun.big_xi(a.t)),
-        "bessel-j": (("nu", "x"), lambda a: specfun.bessel_j(a.nu, a.x)),
-        "bessel-y": (("nu", "x"), lambda a: specfun.bessel_y(a.nu, a.x)),
-        "bessel-k": (("nu", "x"), lambda a: specfun.bessel_k(a.nu, a.x)),
-        "li": (("x",), lambda a: specfun.exp_integral_li(a.x)),
-        "kernel": (("z", "x"), lambda a: kernels.koshliakov_kernel(a.z, a.x)),
-        "omega": (("x", "z"),
-                  lambda a: kernels.omega(a.x, a.z, mode=a.mode,
-                                          n_terms=a.terms)),
-        "lambda": (("x", "z"), lambda a: kernels.lambda_fn(a.x, a.z)),
-        "sigma": (("a", "n"), lambda a: arith.sigma(a.a, a.n)),
+        "gamma": (("s",), specfun.gamma),
+        "zeta": (("s",), specfun.riemann_zeta),
+        "hurwitz": (("s", "a"), specfun.hurwitz_zeta),
+        "digamma": (("s",), specfun.digamma),
+        "xi": (("s",), specfun.xi),
+        "big-xi": (("t",), specfun.big_xi),
+        "bessel-j": (("nu", "x"), specfun.bessel_j),
+        "bessel-y": (("nu", "x"), specfun.bessel_y),
+        "bessel-k": (("nu", "x"), specfun.bessel_k),
+        "li": (("x",), specfun.exp_integral_li),
+        "kernel": (("z", "x"), kernels.koshliakov_kernel),
+        "omega": (("x", "z", "terms", "mode"),
+                  lambda x, z, terms, mode: kernels.omega(x, z, mode=mode,
+                                                          n_terms=terms)),
+        "lambda": (("x", "z"), kernels.lambda_fn),
+        "sigma": (("a", "n"), arith.sigma),
     }
 
 
@@ -209,12 +228,8 @@ def cmd_eval(args) -> int:
         raise _UsageError(f"unknown function '{args.function}'; "
                           f"known: {', '.join(sorted(table))}")
     arg_names, fn = table[args.function]
-    missing = [n for n in arg_names if getattr(args, n, None) is None]
-    defaults = {"s": 2.0 + 0.0j, "a": 1.0 + 0.0j, "t": 0.0 + 0.0j,
-                "nu": 0.0, "x": 1.0, "z": 0.5 + 0.0j, "n": 1}
-    for n in missing:
-        setattr(args, n, defaults[n])
-    value = complex(fn(args))
+    named = _resolve_args(arg_names, _EVAL_PARAMS, args, "function")
+    value = complex(fn(*named.values()))
     print(f"{value.real:.15g} {value.imag:.15g}")
     return EXIT_PASS
 
@@ -237,7 +252,7 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run one identity check")
     p_verify.add_argument("identity")
-    _add_param_flags(p_verify)
+    _add_param_flags(p_verify, _PARAMS)
     p_verify.add_argument("--tolerance", type=float, default=None)
 
     p_sweep = sub.add_parser("sweep", help="tabulate an identity over alpha")
@@ -245,10 +260,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--alpha-min", type=float, default=0.5)
     p_sweep.add_argument("--alpha-max", type=float, default=2.0)
     p_sweep.add_argument("--steps", type=int, default=31)
-    for name, (kind, _) in _PARAMS.items():
-        if name != "alpha":
-            p_sweep.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                                 type=_KIND_TYPES[kind], default=None)
+    _add_param_flags(p_sweep, _PARAMS, skip=("alpha",))
     p_sweep.add_argument("--tolerance", type=float, default=None)
     p_sweep.add_argument("--out", default=None, help="CSV path (default: "
                                                      "stdout)")
@@ -256,12 +268,9 @@ def build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="evaluate one special function")
     p_eval.add_argument("function")
-    for flag, kind in [("s", "complex"), ("a", "complex"), ("t", "complex"),
-                       ("nu", "complex"), ("z", "complex"), ("x", "complex"),
-                       ("q", "float"), ("n", "int"), ("terms", "int")]:
-        p_eval.add_argument(f"--{flag}", type=_KIND_TYPES[kind], default=None)
+    _add_param_flags(p_eval, _EVAL_PARAMS, skip=("mode",))
     p_eval.add_argument("--mode", choices=["partial-fraction", "definition"],
-                        default="partial-fraction")
+                        default=None)
 
     sub.add_parser("list", help="list registered identities")
     return parser
@@ -291,10 +300,6 @@ def main(argv=None) -> int:
                     raise _UsageError(f"--nu must be real for "
                                       f"{args.function}")
                 args.nu = args.nu.real
-            if getattr(args, "n", None) is None and args.function == "sigma":
-                args.n = 1
-            if args.terms is None:
-                args.terms = 500
             return cmd_eval(args)
         if args.command == "list":
             return cmd_list(args)

@@ -9,8 +9,9 @@ excluded from that resolution test.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,24 +29,15 @@ from .specfun import (EULER_GAMMA, bessel_j, bessel_k, big_xi, gamma,
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class IdentityParams:
-    """Shared parameter bundle: order z, scale alpha (beta = 1/alpha),
-    series truncation, and the quadrature budget."""
-
-    z: complex = 0.5
-    alpha: float = 1.0
-    terms: int = 50
-    spec: Optional[QuadratureSpec] = None
-
-    def __post_init__(self):
-        if not 0.25 <= self.alpha <= 4.0:
-            raise DomainError("alpha must lie in [1/4, 4] (quad oscillation limit)")
-        if self.terms < 1:
-            raise DomainError("terms must be >= 1")
-
-    def quad_spec(self) -> QuadratureSpec:
-        return self.spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
+def _check_domain(alphas=(), terms: int = 1) -> None:
+    """The rule every identity with a scale alpha (beta = 1/alpha) or a
+    series truncation shares: alpha in [1/4, 4], the quadrature's
+    oscillation limit, and at least one term."""
+    for alpha in alphas:
+        if not 0.25 <= alpha <= 4.0:
+            raise DomainError("alpha must lie in [1/4, 4]")
+    if terms < 1:
+        raise DomainError("terms must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,12 +139,8 @@ def _xi_weighted(z: complex, weight: Callable, weight_mag: Callable,
     return res, np.broadcast_to(trunc, res.value.shape)
 
 
-def _grid_spec(z, alphas, terms: int, spec) -> QuadratureSpec:
-    """IdentityParams' checks on every alpha of a grid; returns the grid's
-    quadrature spec."""
-    for alpha in alphas:
-        p = IdentityParams(z, alpha, terms, spec)
-    return p.quad_spec()
+# The default accuracy of the four Xi-pair integrals.
+_XI_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
 
 
 def _log_alphas(alphas) -> np.ndarray:
@@ -301,20 +289,23 @@ def _hurwitz_F(z: complex, alpha: float, terms: int):
 # Verifiers
 # ---------------------------------------------------------------------------
 
-def verify_rg_corollary(p: IdentityParams, tolerance: float = 1e-8) -> VerificationReport:
+def verify_rg_corollary(z=0.5, alpha: float = 1.0, terms: int = 50,
+                        spec: Optional[QuadratureSpec] = None,
+                        tolerance: float = 1e-8) -> VerificationReport:
     """Xi-pair integral against cos(t log(alpha)/2)/((t^2+(z+1)^2)(t^2+(z-1)^2))
     versus the modular K-Bessel combination f_frak."""
-    return _single(rg_corollary_grid(p.z, [p.alpha], p.terms, p.spec, tolerance))
+    return _single(rg_corollary_grid([alpha], z, terms, spec, tolerance))
 
 
-def rg_corollary_grid(z, alphas, terms: int = 50,
+def rg_corollary_grid(alphas, z, terms: int = 50,
                       spec: Optional[QuadratureSpec] = None,
                       tolerance: float = 1e-8) -> list:
     """verify_rg_corollary at every alpha of a grid, from one vector
     integral: the Xi pair and the rational factor are evaluated once per
     node, the cosine once per node and alpha.  Returns one report per
     alpha, or in its place the KoshliakovError that alpha's rhs raised."""
-    spec = _grid_spec(z, alphas, terms, spec)
+    _check_domain(alphas, terms)
+    spec = spec or _XI_SPEC
     z = complex(z)
     if abs(z.real) >= 1.0:
         raise DomainError("|Re z| < 1 required")
@@ -361,10 +352,12 @@ def _theta_series_tail(alpha: float, n_from: int) -> float:
     return term(n_from) / max(1.0 - ratio, 0.5)
 
 
-def verify_rg_corollary_z0(p: IdentityParams, tolerance: float = 1e-8) -> VerificationReport:
+def verify_rg_corollary_z0(alpha: float = 1.0, terms: int = 50,
+                           spec: Optional[QuadratureSpec] = None,
+                           tolerance: float = 1e-8) -> VerificationReport:
     """z=0 limit: (32/pi) Xi^2-integral with the K-pair Z weight versus
     sum d(n) Theta(pi n) minus the (Z'(1) + (gamma - log 4 pi) Z(1)) constant."""
-    return _single(rg_corollary_z0_grid([p.alpha], p.terms, p.spec, tolerance))
+    return _single(rg_corollary_z0_grid([alpha], terms, spec, tolerance))
 
 
 def rg_corollary_z0_grid(alphas, terms: int = 50,
@@ -372,7 +365,8 @@ def rg_corollary_z0_grid(alphas, terms: int = 50,
                          tolerance: float = 1e-8) -> list:
     """verify_rg_corollary_z0 at every alpha of a grid, from one vector
     integral; returns one report (or rhs error) per alpha."""
-    spec = _grid_spec(0.0, alphas, terms, spec)
+    _check_domain(alphas, terms)
+    spec = spec or _XI_SPEC
     la = _log_alphas(alphas)
     pref = np.array([1.0 / (2.0 * math.sqrt(alpha)) for alpha in alphas])
 
@@ -406,7 +400,7 @@ def rg_corollary_z0_grid(alphas, terms: int = 50,
     return _rows(alphas, row)
 
 
-def verify_rg_formula(z, alpha: float, N: int = 10,
+def verify_rg_formula(z, alpha: float, terms: int = 10,
                       spec: Optional[QuadratureSpec] = None,
                       tolerance: float = 1e-8) -> VerificationReport:
     """f_frak(alpha, z) = f_frak(1/alpha, z)."""
@@ -415,30 +409,32 @@ def verify_rg_formula(z, alpha: float, N: int = 10,
         raise DomainError("|Re z| < 1 required")
     if abs(z) < 1e-4:
         raise NearPoleError("need |z| >= 1e-4")
-    if not 0.25 <= alpha <= 4.0:
-        raise DomainError("alpha must lie in [1/4, 4]")
-    lhs, t1, e1 = f_frak(z, alpha, N)
-    rhs, t2, e2 = f_frak(z, 1.0 / alpha, N)
-    params = {"z": [z.real, z.imag], "alpha": alpha, "terms": N}
+    _check_domain([alpha], terms)
+    lhs, t1, e1 = f_frak(z, alpha, terms)
+    rhs, t2, e2 = f_frak(z, 1.0 / alpha, terms)
+    params = {"z": [z.real, z.imag], "alpha": alpha, "terms": terms}
     return _report("rg-formula", params, lhs, rhs,
                    {"series_tail": t1 + t2, "eval_err": e1 + e2}, tolerance,
                    real_inputs=(z.imag == 0.0))
 
 
-def verify_hurwitz_corollary(p: IdentityParams, tolerance: float = 1e-6) -> VerificationReport:
+def verify_hurwitz_corollary(z=0.5, alpha: float = 1.0, terms: int = 50,
+                             spec: Optional[QuadratureSpec] = None,
+                             tolerance: float = 1e-6) -> VerificationReport:
     """Gamma-weighted Xi-pair integral versus the tail-corrected
     Hurwitz-lambda combination alpha^{(z+1)/2}(sum lambda - boundary terms)."""
-    return _single(hurwitz_corollary_grid(p.z, [p.alpha], p.terms, p.spec, tolerance))
+    return _single(hurwitz_corollary_grid([alpha], z, terms, spec, tolerance))
 
 
-def hurwitz_corollary_grid(z, alphas, terms: int = 50,
+def hurwitz_corollary_grid(alphas, z, terms: int = 50,
                            spec: Optional[QuadratureSpec] = None,
                            tolerance: float = 1e-6) -> list:
     """verify_hurwitz_corollary at every alpha of a grid, from one vector
     integral: the Xi pair and the alpha-free weight Gamma((z-1+it)/4)
     Gamma((z-1-it)/4)/(t^2+(z+1)^2) are evaluated once per node.  Returns
     one report (or rhs error) per alpha."""
-    spec = _grid_spec(z, alphas, terms, spec)
+    _check_domain(alphas, terms)
+    spec = spec or _XI_SPEC
     z = complex(z)
     if not 0.0 < abs(z.real) < 1.0:
         raise DomainError("0 < |Re z| < 1 required")
@@ -473,16 +469,16 @@ def hurwitz_corollary_grid(z, alphas, terms: int = 50,
     return _rows(alphas, row)
 
 
-def verify_hurwitz_modular(z, alpha: float, spec: Optional[QuadratureSpec] = None,
-                           terms: int = 50, tolerance: float = 1e-8) -> VerificationReport:
+def verify_hurwitz_modular(z, alpha: float, terms: int = 50,
+                           spec: Optional[QuadratureSpec] = None,
+                           tolerance: float = 1e-8) -> VerificationReport:
     """F(alpha) = F(1/alpha) for the Hurwitz-lambda combination."""
     z = complex(z)
     if not 0.0 < abs(z.real) < 1.0:
         raise DomainError("0 < |Re z| < 1 required")
     if abs(z) < 1e-4:
         raise NearPoleError("need |z| >= 1e-4")
-    if not 0.25 <= alpha <= 4.0:
-        raise DomainError("alpha must lie in [1/4, 4]")
+    _check_domain([alpha], terms)
     lhs, r1 = _hurwitz_F(z, alpha, terms)
     rhs, r2 = _hurwitz_F(z, 1.0 / alpha, terms)
     params = {"z": [z.real, z.imag], "alpha": alpha, "terms": terms}
@@ -564,13 +560,15 @@ def _hurwitz_z0_series(alpha: float, terms: int, spec: QuadratureSpec):
     return rhs, 0.5 * math.pi * quad_err, 0.5 * math.pi * tail_err
 
 
-def verify_hurwitz_corollary_z0(p: IdentityParams, tolerance: float = 1e-6) -> VerificationReport:
+def verify_hurwitz_corollary_z0(alpha: float = 1.0, terms: int = 50,
+                                spec: Optional[QuadratureSpec] = None,
+                                tolerance: float = 1e-6) -> VerificationReport:
     """z=0 limit with |Gamma((-1+it)/4)|^2 weight versus
     (pi/2) sum n d(n) I_n - ((gamma - log 2 pi) Z(1) + Z'(1))/2, where
     I_n integrates x Theta(x) (x^2 + pi^2 n^2)^{-3/2}.  The n <= N part
     of the series is one integral of x Theta(x) sum n d(n) (x^2 + pi^2
     n^2)^{-3/2}; the n > N remainder is an asymptotic zeta-moment sum."""
-    return _single(hurwitz_corollary_z0_grid([p.alpha], p.terms, p.spec, tolerance))
+    return _single(hurwitz_corollary_z0_grid([alpha], terms, spec, tolerance))
 
 
 def hurwitz_corollary_z0_grid(alphas, terms: int = 50,
@@ -579,7 +577,8 @@ def hurwitz_corollary_z0_grid(alphas, terms: int = 50,
     """verify_hurwitz_corollary_z0 at every alpha of a grid, from one
     vector Xi-pair integral (the series side stays per alpha); returns one
     report (or rhs error) per alpha."""
-    spec = _grid_spec(0.0, alphas, terms, spec)
+    _check_domain(alphas, terms)
+    spec = spec or _XI_SPEC
     la = _log_alphas(alphas)
     pref = np.array([1.0 / (2.0 * math.sqrt(alpha)) for alpha in alphas])
 
@@ -608,7 +607,7 @@ def hurwitz_corollary_z0_grid(alphas, terms: int = 50,
     return _rows(alphas, row)
 
 
-def verify_bessel_hurwitz_sum(alpha: float, z, N: int = 8,
+def verify_bessel_hurwitz_sum(alpha: float, z, terms: int = 8,
                               spec: Optional[QuadratureSpec] = None,
                               tolerance: float = 1e-5) -> VerificationReport:
     """pi^{z+1/2} Gamma((z+3)/2) sum sigma_{-z}(n) n^{z+1} I_n(z) versus
@@ -620,10 +619,9 @@ def verify_bessel_hurwitz_sum(alpha: float, z, N: int = 8,
     z = complex(z)
     if not 0.0 < z.real < 1.0:
         raise DomainError("0 < Re z < 1 required")
-    if not 0.25 <= alpha <= 4.0:
-        raise DomainError("alpha must lie in [1/4, 4]")
+    _check_domain([alpha], terms)
     spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
-    N = max(int(N), 2)
+    N = max(int(terms), 2)
     sig = arith.build_table(-z, N).slice(N)
     nn = np.arange(1, N + 1, dtype=float)
     series, quad_err = _theta_pair_inner(alpha, sig * nn ** (z + 1.0), 0.5 * z,
@@ -741,9 +739,9 @@ def verify_laplace_bessel(alpha: float, y: float, z,
                    real_inputs=True)
 
 
-def verify_omega_self_reciprocal(x: float, z, spec: Optional[QuadratureSpec] = None,
-                                 tolerance: float = 1e-6,
-                                 n_terms: int = 500) -> VerificationReport:
+def verify_omega_self_reciprocal(x: float, z, terms: int = 500,
+                                 spec: Optional[QuadratureSpec] = None,
+                                 tolerance: float = 1e-6) -> VerificationReport:
     """J_z transform of Omega(y,z) - zeta(z) y^{z/2-1}/(2 pi) reproduces the
     same combination at x, divided by 2 pi.
 
@@ -762,13 +760,14 @@ def verify_omega_self_reciprocal(x: float, z, spec: Optional[QuadratureSpec] = N
         raise NearPoleError("need z = 0 exactly or |z| >= 1e-4")
     if x <= 0.0:
         raise DomainError("x > 0 required")
+    _check_domain(terms=terms)
     spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
     c = 4.0 * math.pi * math.sqrt(x)
     Y = 14.0
 
     def f(y):
         y = np.asarray(y, dtype=float)
-        return bessel_j(zr, c * np.sqrt(y)) * omega_combination(y, zr, n_terms)
+        return bessel_j(zr, c * np.sqrt(y)) * omega_combination(y, zr, terms)
 
     head1 = tanh_sinh(f, 0.0, 1.0, spec)
     head2 = integrate_finite(f, 1.0, Y, spec)
@@ -784,13 +783,13 @@ def verify_omega_self_reciprocal(x: float, z, spec: Optional[QuadratureSpec] = N
     om_rem = 40.0 * math.exp(-2.0 * math.sqrt(2.0) * math.pi * math.sqrt(Y))
 
     lhs = head1.value + head2.value + tail
-    rhs = omega_combination(x, zr, n_terms) / (2.0 * math.pi)
+    rhs = omega_combination(x, zr, terms) / (2.0 * math.pi)
     budgets = {"quad_err": head1.err_estimate + head2.err_estimate,
                "oscillation_err": abs(zeta_z / math.pi) * c ** (-zr) * eerr,
                "omega_remainder": om_rem}
     if abs(zr) < 1e-12:
         budgets["pole_averaging"] = 1e-7
-    params = {"x": x, "z": [zr, 0.0], "terms": n_terms}
+    params = {"x": x, "z": [zr, 0.0], "terms": terms}
     return _report("omega-self-reciprocal", params, lhs, rhs, budgets, tolerance,
                    real_inputs=True)
 
@@ -817,8 +816,7 @@ def verify_omega_modular(alpha: float, z, spec: Optional[QuadratureSpec] = None,
         raise DomainError("|Re z| < 1 required")
     if 1e-12 <= abs(z) < 1e-4:
         raise NearPoleError("need z = 0 exactly or |z| >= 1e-4")
-    if not 0.25 <= alpha <= 4.0:
-        raise DomainError("alpha must lie in [1/4, 4]")
+    _check_domain([alpha])
     spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
     beta = 1.0 / alpha
     v1, e1 = _omega_laplace_integral(alpha, z, spec)
@@ -834,8 +832,9 @@ def verify_omega_modular(alpha: float, z, spec: Optional[QuadratureSpec] = None,
                    real_inputs=(z.imag == 0.0))
 
 
-def verify_omega_laplace(alpha: float, z, spec: Optional[QuadratureSpec] = None,
-                         terms: int = 50, tolerance: float = 1e-6) -> VerificationReport:
+def verify_omega_laplace(alpha: float, z, terms: int = 50,
+                         spec: Optional[QuadratureSpec] = None,
+                         tolerance: float = 1e-6) -> VerificationReport:
     """The Omega Laplace integral versus Gamma(z+1)/(2 pi)^{z+1} times the
     tail-corrected lambda combination; the boundary terms appear once (the
     printed form repeats them inside the sum, which diverges)."""
@@ -844,8 +843,7 @@ def verify_omega_laplace(alpha: float, z, spec: Optional[QuadratureSpec] = None,
         raise DomainError("0 < Re z < 1 required")
     if abs(z) < 1e-4:
         raise NearPoleError("need |z| >= 1e-4")
-    if not 0.25 <= alpha <= 4.0:
-        raise DomainError("alpha must lie in [1/4, 4]")
+    _check_domain([alpha], terms)
     spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
     lhs, err = _omega_laplace_integral(alpha, z, spec)
     lam, resid = lambda_sum(alpha, z, terms)
@@ -860,7 +858,7 @@ def verify_omega_laplace(alpha: float, z, spec: Optional[QuadratureSpec] = None,
 
 def verify_pair_reciprocity(pair: ReciprocalPair, z, x: float,
                             spec: Optional[QuadratureSpec] = None,
-                            tolerance: Optional[float] = None) -> VerificationReport:
+                            tolerance: float = 1e-6) -> VerificationReport:
     """phi(x) versus 2 * transform of psi at x (factor-2, argument-4sqrt(tx)
     convention), plus the mirrored psi-from-phi check.  The transform needs
     |Re z| < 1/2, an open bound even where the pair's own domain is closed."""
@@ -872,8 +870,6 @@ def verify_pair_reciprocity(pair: ReciprocalPair, z, x: float,
         raise DomainError("the transform needs |Re z| < 1/2")
     if x <= 0.0:
         raise DomainError("x > 0 required")
-    if tolerance is None:
-        tolerance = 1e-4 if pair.label == "dixon-ferrar" else 1e-6
     spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
     power_tailed = pair.label == "dixon-ferrar"
 
@@ -922,114 +918,106 @@ def verify_pair_reciprocity(pair: ReciprocalPair, z, x: float,
 # Registry (CLI surface)
 # ---------------------------------------------------------------------------
 
-def _each_alpha(runner: Callable, args: dict, alphas, tolerance: float) -> list:
-    """The sweep of an identity with nothing to share across alpha: one
-    runner call per alpha, each row failing on its own."""
-    return _rows(alphas, lambda col, alpha: runner(**{**args, "alpha": alpha},
-                                                   spec=None, tolerance=tolerance))
+def _current(fn: Callable) -> Callable:
+    """A function of this module as its name is bound now.  The registry
+    looks its verifiers up at call time rather than holding them, so a
+    wrapper installed on the module attribute (a tracer's, a test's) sees
+    the calls made through the CLI."""
+    if fn.__module__ != __name__:
+        return fn
+    return globals()[fn.__name__]
 
 
 @dataclass(frozen=True)
 class IdentityEntry:
-    """runner(*args, spec, tolerance) gives one report.  sweep(runner, args,
-    alphas, tolerance) gives one report per alpha, or in its place the
-    KoshliakovError that row raised; an error it raises fails every row."""
+    """runner(**args, spec=None, tolerance=...) gives one report.  Its
+    parameters before spec are the CLI's flags (arg_names), and its
+    tolerance default is the identity's tolerance.  grid(alphas, **args
+    without alpha, tolerance=...), when set, gives the whole sweep at
+    once."""
 
     runner: Callable
-    arg_names: tuple
-    tolerance: float
     summary: str
-    sweep: Callable = _each_alpha
+    grid: Optional[Callable] = None
+    arg_names: tuple = field(init=False)
+    tolerance: float = field(init=False)
+
+    def __post_init__(self):
+        params = inspect.signature(self.runner).parameters
+        names = list(params)
+        object.__setattr__(self, "arg_names", tuple(names[:names.index("spec")]))
+        object.__setattr__(self, "tolerance", params["tolerance"].default)
+
+    def verify(self, args: dict, tolerance: float) -> VerificationReport:
+        return _current(self.runner)(**args, tolerance=tolerance)
+
+    def sweep(self, args: dict, alphas, tolerance: float) -> list:
+        """One report per alpha, or in its place the KoshliakovError that
+        row raised; an error it raises fails every row.  Without a grid,
+        each row is its own runner call."""
+        fixed = {k: v for k, v in args.items() if k != "alpha"}
+        if self.grid is not None:
+            return _current(self.grid)(alphas, **fixed, tolerance=tolerance)
+        runner = _current(self.runner)
+        return _rows(alphas, lambda col, alpha: runner(**fixed, alpha=alpha,
+                                                       tolerance=tolerance))
 
 
-def _run_rg(z, alpha, terms, spec, tolerance):
-    return verify_rg_corollary(IdentityParams(z, alpha, terms, spec), tolerance)
-
-
-def _run_rg_z0(alpha, terms, spec, tolerance):
-    return verify_rg_corollary_z0(IdentityParams(0.0, alpha, terms, spec), tolerance)
-
-
-def _run_hurwitz(z, alpha, terms, spec, tolerance):
-    return verify_hurwitz_corollary(IdentityParams(z, alpha, terms, spec), tolerance)
-
-
-def _run_hurwitz_z0(alpha, terms, spec, tolerance):
-    return verify_hurwitz_corollary_z0(IdentityParams(0.0, alpha, terms, spec), tolerance)
-
-
-def _run_pair(pair_name, pair_alpha, z, x, spec, tolerance):
-    if pair_name == "k-bessel":
-        pair = pair_k_bessel(pair_alpha)
-    elif pair_name == "dixon-ferrar":
-        pair = pair_dixon_ferrar()
+def _run_pair(pair: str, pair_alpha: float, z, x: float,
+              spec: Optional[QuadratureSpec] = None,
+              tolerance: float = 1e-6) -> VerificationReport:
+    """verify_pair_reciprocity with the pair named as the CLI names it."""
+    if pair == "k-bessel":
+        made = pair_k_bessel(pair_alpha)
+    elif pair == "dixon-ferrar":
+        made = pair_dixon_ferrar()
     else:
-        raise DomainError(f"unknown pair '{pair_name}' (k-bessel, dixon-ferrar)")
-    return verify_pair_reciprocity(pair, z, x, spec, tolerance)
+        raise DomainError(f"unknown pair '{pair}' (k-bessel, dixon-ferrar)")
+    return verify_pair_reciprocity(made, z, x, spec, tolerance)
 
 
 IDENTITIES: dict = {
     "rg-corollary": IdentityEntry(
-        _run_rg, ("z", "alpha", "terms"), 1e-8,
+        verify_rg_corollary,
         "Xi-pair integral vs the modular K-Bessel combination",
-        lambda runner, a, alphas, tolerance:
-            rg_corollary_grid(a["z"], alphas, a["terms"], None, tolerance)),
+        rg_corollary_grid),
     "rg-corollary-z0": IdentityEntry(
-        _run_rg_z0, ("alpha", "terms"), 1e-8,
+        verify_rg_corollary_z0,
         "z=0 corollary: Xi^2 integral vs divisor Theta series",
-        lambda runner, a, alphas, tolerance:
-            rg_corollary_z0_grid(alphas, a["terms"], None, tolerance)),
+        rg_corollary_z0_grid),
     "rg-formula": IdentityEntry(
-        lambda z, alpha, terms, spec, tolerance:
-            verify_rg_formula(z, alpha, terms, spec, tolerance),
-        ("z", "alpha", "terms"), 1e-8,
+        verify_rg_formula,
         "modular invariance of the K-Bessel combination"),
     "hurwitz-corollary": IdentityEntry(
-        _run_hurwitz, ("z", "alpha", "terms"), 1e-6,
+        verify_hurwitz_corollary,
         "Gamma-weighted Xi-pair integral vs the Hurwitz lambda combination",
-        lambda runner, a, alphas, tolerance:
-            hurwitz_corollary_grid(a["z"], alphas, a["terms"], None, tolerance)),
+        hurwitz_corollary_grid),
     "hurwitz-corollary-z0": IdentityEntry(
-        _run_hurwitz_z0, ("alpha", "terms"), 1e-6,
+        verify_hurwitz_corollary_z0,
         "z=0 corollary: |Gamma|^2 Xi^2 integral vs n d(n) Theta moments",
-        lambda runner, a, alphas, tolerance:
-            hurwitz_corollary_z0_grid(alphas, a["terms"], None, tolerance)),
+        hurwitz_corollary_z0_grid),
     "hurwitz-modular": IdentityEntry(
-        lambda z, alpha, terms, spec, tolerance:
-            verify_hurwitz_modular(z, alpha, spec, terms, tolerance),
-        ("z", "alpha", "terms"), 1e-8,
+        verify_hurwitz_modular,
         "modular invariance of the Hurwitz lambda combination"),
     "mellin-k": IdentityEntry(
-        lambda s, nu, q, spec, tolerance:
-            verify_mellin_k(s, nu, q, spec, tolerance),
-        ("s", "nu", "q"), 1e-9,
+        verify_mellin_k,
         "Mellin transform of K_nu vs Gamma product closed form"),
     "laplace-bessel": IdentityEntry(
-        lambda alpha, y, z, spec, tolerance:
-            verify_laplace_bessel(alpha, y, z, spec, tolerance),
-        ("alpha", "y", "z"), 1e-9,
+        verify_laplace_bessel,
         "Laplace-type J_z integral vs exponential closed form"),
     "omega-self-reciprocal": IdentityEntry(
-        lambda x, z, terms, spec, tolerance:
-            verify_omega_self_reciprocal(x, z, spec, tolerance, terms),
-        ("x", "z", "terms"), 1e-6,
+        verify_omega_self_reciprocal,
         "Omega combination is self-reciprocal under the J_z transform"),
     "omega-modular": IdentityEntry(
-        lambda alpha, z, spec, tolerance:
-            verify_omega_modular(alpha, z, spec, tolerance),
-        ("alpha", "z"), 1e-6,
+        verify_omega_modular,
         "alpha^{(z+1)/2} Omega Laplace integral invariant under alpha -> 1/alpha"),
     "omega-laplace": IdentityEntry(
-        lambda alpha, z, terms, spec, tolerance:
-            verify_omega_laplace(alpha, z, spec, terms, tolerance),
-        ("alpha", "z", "terms"), 1e-6,
+        verify_omega_laplace,
         "Omega Laplace integral vs the lambda combination closed form"),
     "bessel-hurwitz-sum": IdentityEntry(
-        lambda alpha, z, terms, spec, tolerance:
-            verify_bessel_hurwitz_sum(alpha, z, terms, spec, tolerance),
-        ("alpha", "z", "terms"), 1e-5,
+        verify_bessel_hurwitz_sum,
         "K-weighted divisor series vs the lambda series closed form"),
     "pair-reciprocity": IdentityEntry(
-        _run_pair, ("pair", "pair_alpha", "z", "x"), 1e-6,
+        _run_pair,
         "phi/psi pair reciprocity under the factor-2 kernel transform"),
 }

@@ -132,30 +132,26 @@ def _gk15(f, a: float, b: float):
     return resk.astype(complex), np.array(err), ndim
 
 
-def integrate_finite(f, a: float, b: float, spec: QuadratureSpec | None = None,
-                     singular_left: bool = False,
-                     singular_right: bool = False) -> QuadratureResult:
-    """Integrate f over [a, b] adaptively.
+def integrate_finite(f, a: float, b: float,
+                     spec: QuadratureSpec | None = None) -> QuadratureResult:
+    """Integrate f over [a, b] adaptively with Gauss-Kronrod panels.
 
-    Integrable endpoint singularities must be flagged; those panels are
-    handled by the tanh-sinh rule, which never evaluates f at the endpoint
-    itself.  Raises ConvergenceError when the panel budget runs out before
-    the requested tolerance is met.
+    For an integrable endpoint singularity use `tanh_sinh`, which never
+    evaluates f at an endpoint.  Raises ConvergenceError when the panel
+    budget runs out before the requested tolerance is met.
 
-    f may return shape (nodes, m) (GK panels only, no singular flags):
-    value and err_estimate are then (m,) arrays, and refinement goes on
-    while any component is above spec.budget(|value_j|).  The worst panel
-    is the one with the largest err_j / scale_j, where scale_j is fixed
-    by the first panel and rounded to a power of two: the division is
-    exact, so one component orders panels exactly as its raw error does.
+    f may return shape (nodes, m): value and err_estimate are then (m,)
+    arrays, and refinement goes on while any component is above
+    spec.budget(|value_j|).  The worst panel is the one with the largest
+    err_j / scale_j, where scale_j is fixed by the first panel and rounded
+    to a power of two: the division is exact, so one component orders
+    panels exactly as its raw error does.
     """
     spec = spec or QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integrate_finite requires finite endpoints")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
-    if singular_left or singular_right:
-        return tanh_sinh(f, a, b, spec)
 
     value, err, ndim = _gk15(f, a, b)
     nodes = 15
@@ -284,33 +280,8 @@ class ExpDecay:
         return max(T, self.start + 1.0)
 
 
-class PowerDecay:
-    """Certificate |f(t)| <= coeff * t**(-power) for t >= start, power > 1."""
-
-    def __init__(self, coeff: float, power: float, start: float = 1.0):
-        if coeff <= 0:
-            raise DecayError("PowerDecay requires positive coeff")
-        if power <= 1.0:
-            raise DecayError(
-                f"power {power} does not give an integrable tail (need > 1)")
-        if start <= 0:
-            raise DecayError("PowerDecay start must be positive")
-        self.coeff = coeff
-        self.power = power
-        self.start = start
-
-    def tail_bound(self, T: float) -> float:
-        return self.coeff * T ** (1.0 - self.power) / (self.power - 1.0)
-
-    def cutoff_for(self, tol: float) -> float:
-        if tol <= 0:
-            raise DecayError("tolerance must be positive")
-        T = (tol * (self.power - 1.0) / self.coeff) ** (1.0 / (1.0 - self.power))
-        return max(T, self.start * 2.0)
-
-
-def integrate_semi_infinite(f, a: float, decay, spec: QuadratureSpec | None = None,
-                            singular_left: bool = False) -> QuadratureResult:
+def integrate_semi_infinite(f, a: float, decay,
+                            spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Integrate f over [a, inf) using a decay certificate for the tail.
 
     The cutoff is chosen so the certified tail consumes at most a tenth of
@@ -345,9 +316,7 @@ def integrate_semi_infinite(f, a: float, decay, spec: QuadratureSpec | None = No
     err = 0.0
     nodes = 0
     for i in range(n_seg):
-        left_singular = singular_left and i == 0
-        r = integrate_finite(f, breaks[i], breaks[i + 1], seg_spec,
-                             singular_left=left_singular)
+        r = integrate_finite(f, breaks[i], breaks[i + 1], seg_spec)
         total += r.value
         err += r.err_estimate
         nodes += r.nodes_used

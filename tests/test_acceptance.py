@@ -16,8 +16,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 from koshliakov.cli import main as cli_main
-from koshliakov.identities import (IdentityParams, f_frak,
-                                   verify_bessel_hurwitz_sum,
+from koshliakov.identities import (f_frak, verify_bessel_hurwitz_sum,
                                    verify_hurwitz_corollary,
                                    verify_hurwitz_modular,
                                    verify_laplace_bessel, verify_mellin_k,
@@ -30,7 +29,7 @@ from koshliakov.kernels import (first_koshliakov_transform, kernel_m,
                                 koshliakov_kernel, lambda_fn, omega,
                                 omega_definition_term, pair_dixon_ferrar,
                                 pair_k_bessel, theta_eval)
-from koshliakov.quadrature import ExpDecay, integrate_finite, integrate_semi_infinite
+from koshliakov.quadrature import ExpDecay, integrate_semi_infinite, tanh_sinh
 from koshliakov.specfun import (bessel_j, bessel_k, bessel_k_scaled, bessel_y,
                                 big_xi, digamma, exp_integral_ei,
                                 exp_integral_li, gamma, hurwitz_zeta,
@@ -90,7 +89,7 @@ def _bh_inner_n1() -> complex:
         return (x ** 1.25 * np.real(bessel_k(0.25, 2.0 * x))
                 * (x * x + math.pi ** 2) ** -1.75)
 
-    head = integrate_finite(f, 0.0, 1.0, singular_left=True)
+    head = tanh_sinh(f, 0.0, 1.0)
     tail = integrate_semi_infinite(f, 1.0, decay=ExpDecay(coeff=50.0, rate=1.8))
     return complex(head.value) + complex(tail.value)
 
@@ -101,7 +100,7 @@ def _hz0_inner_n1() -> complex:
         return (2.0 * x * np.real(bessel_k(0.0, 2.0 * x))
                 * (x * x + math.pi ** 2) ** -1.5)
 
-    head = integrate_finite(f, 0.0, 1.0, singular_left=True)
+    head = tanh_sinh(f, 0.0, 1.0)
     tail = integrate_semi_infinite(f, 1.0, decay=ExpDecay(coeff=50.0, rate=1.8))
     return complex(head.value) + complex(tail.value)
 
@@ -176,8 +175,7 @@ def test_criterion_02_golden_suite(golden):
         "omega_5_0p3p0p2i": lambda: omega(5.0, 0.3 + 0.2j, mode="definition"),
         "omega_term10_1_0": lambda: abs(omega_definition_term(1.0, 0.0, 10)),
         "rg_rhs_half_1": lambda: f_frak(0.5, 1.0, 60)[0],
-        "rgz0_rhs_alpha1": lambda: verify_rg_corollary_z0(
-            IdentityParams(0.0, 1.0, 12)).rhs,
+        "rgz0_rhs_alpha1": lambda: verify_rg_corollary_z0(1.0, 12).rhs,
         "sigma_c_12": lambda: sigma(-(0.5 + 0.5j), 12),
         "theta_k_alpha2_pi": lambda: theta_eval(pair_k_bessel(2.0), math.pi, 0.0),
         "xi_at_2": lambda: xi(2.0),
@@ -234,7 +232,7 @@ def test_criterion_04_rg_corollary_grid_and_sweep(tmp_path):
     worst = 0.0
     for z in (0.5, -0.5, 0.75):
         for alpha in (0.6, 0.8, 1.0, 1.25, 5.0 / 3.0):
-            r = verify_rg_corollary(IdentityParams(z=z, alpha=alpha, terms=30))
+            r = verify_rg_corollary(z=z, alpha=alpha, terms=30)
             assert r.passed, f"z={z} alpha={alpha}: rel {r.rel_diff:.3e}"
             worst = max(worst, r.rel_diff)
     assert worst <= 1e-8
@@ -279,8 +277,7 @@ def test_criterion_06_hurwitz_corollary_and_sweep(tmp_path):
     worst = 0.0
     for z in (0.75, 0.5):
         for alpha in (1.0, 2.0):
-            r = verify_hurwitz_corollary(IdentityParams(z=z, alpha=alpha,
-                                                        terms=40))
+            r = verify_hurwitz_corollary(z=z, alpha=alpha, terms=40)
             assert r.passed, f"z={z} alpha={alpha}: rel {r.rel_diff:.3e}"
             worst = max(worst, r.rel_diff)
     assert worst <= 1e-6

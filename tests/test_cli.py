@@ -9,7 +9,7 @@ import pytest
 from koshliakov import identities
 from koshliakov.cli import main, parse_complex_literal
 from koshliakov.errors import ConvergenceError, DomainError
-from koshliakov.identities import IDENTITIES, IdentityEntry
+from koshliakov.identities import IDENTITIES
 from koshliakov.reporting import CSV_HEADER
 
 REPORT_SCHEMA = {
@@ -170,16 +170,14 @@ def test_sweep_inapplicable_flag_usage(capsys):
 
 def test_sweep_partial_failure_nan_rows(tmp_path, capsys, monkeypatch):
     # A row that raises records nan fields and forces a nonzero exit.
-    orig = IDENTITIES["rg-formula"].runner
+    orig = identities.verify_rg_formula
 
-    def flaky(z, alpha, terms, spec, tolerance):
+    def flaky(z, alpha, terms, spec=None, tolerance=1e-8):
         if alpha > 1.0:
             raise DomainError("synthetic failure")
         return orig(z, alpha, terms, spec=spec, tolerance=tolerance)
 
-    monkeypatch.setitem(
-        IDENTITIES, "rg-formula",
-        IdentityEntry(flaky, ("z", "alpha", "terms"), 1e-8, "patched"))
+    monkeypatch.setattr(identities, "verify_rg_formula", flaky)
     out = tmp_path / "d.csv"
     code = main(["sweep", "rg-formula", "--z", "0.5", "--alpha-min", "0.5",
                  "--alpha-max", "2", "--steps", "3", "--terms", "12",
@@ -268,14 +266,66 @@ def test_eval_unknown_function():
     assert main(["eval", "nope"]) == 64
 
 
+def test_eval_inapplicable_flag(capsys):
+    # eval resolves its flags like verify does.
+    assert main(["eval", "gamma", "--x=7"]) == 64
+    assert "--x do not apply" in capsys.readouterr().err
+
+
 def test_eval_complex_argument(capsys):
     assert main(["eval", "zeta", "--s", "0.5+3i"]) == 0
     re_s, im_s = capsys.readouterr().out.split()
     assert abs(float(im_s)) > 0
 
 
+# What `list` prints for each identity: its flags and its tolerance.
+# Tools read the tol column, so a registry change must keep both.
+_LISTED = {
+    "bessel-hurwitz-sum": ("alpha, z, terms", "1e-05"),
+    "hurwitz-corollary": ("z, alpha, terms", "1e-06"),
+    "hurwitz-corollary-z0": ("alpha, terms", "1e-06"),
+    "hurwitz-modular": ("z, alpha, terms", "1e-08"),
+    "laplace-bessel": ("alpha, y, z", "1e-09"),
+    "mellin-k": ("s, nu, q", "1e-09"),
+    "omega-laplace": ("alpha, z, terms", "1e-06"),
+    "omega-modular": ("alpha, z", "1e-06"),
+    "omega-self-reciprocal": ("x, z, terms", "1e-06"),
+    "pair-reciprocity": ("pair, pair_alpha, z, x", "1e-06"),
+    "rg-corollary": ("z, alpha, terms", "1e-08"),
+    "rg-corollary-z0": ("alpha, terms", "1e-08"),
+    "rg-formula": ("z, alpha, terms", "1e-08"),
+}
+
+
 def test_list_command(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in IDENTITIES:
-        assert name in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == sorted(IDENTITIES)
+    for line in lines:
+        name = line.split()[0]
+        entry = IDENTITIES[name]
+        args, tol = _LISTED[name]
+        assert f"{name:24s} ({args})  tol {tol}  {entry.summary}" == line
+        assert entry.arg_names == tuple(args.split(", "))
+        assert entry.tolerance == float(tol)
+
+
+_TAKE_TERMS = sorted(name for name, (args, _) in _LISTED.items()
+                     if "terms" in args)
+
+
+@pytest.mark.parametrize("name", _TAKE_TERMS)
+def test_terms_below_one_is_a_domain_error(name, capsys):
+    # Every identity with a series truncation applies the same rule, in
+    # verify and in sweep.
+    assert main(["verify", name, "--terms=0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "terms must be >= 1" in captured.err
+    if "alpha" not in IDENTITIES[name].arg_names:
+        return
+    assert main(["sweep", name, "--terms=0", "--alpha-min=0.5",
+                 "--alpha-max=2", "--steps=3"]) == 2
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 3
+    assert all(row.split(",")[1:] == ["nan"] * 6 for row in rows)

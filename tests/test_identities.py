@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from koshliakov import arith
 from koshliakov.errors import DomainError, NearPoleError
-from koshliakov.identities import (IDENTITIES, IdentityParams, _report, f_frak,
+from koshliakov.identities import (IDENTITIES, _report, f_frak,
                                    _theta_pair_inner,
                                    hurwitz_corollary_grid,
                                    hurwitz_corollary_z0_grid,
@@ -34,42 +34,42 @@ from conftest import rel_err
 
 def test_params_domain():
     with pytest.raises(DomainError):
-        IdentityParams(z=0.5, alpha=0.2)
+        verify_rg_corollary(z=0.5, alpha=0.2)
     with pytest.raises(DomainError):
-        IdentityParams(z=0.5, alpha=5.0)
+        verify_rg_corollary(z=0.5, alpha=5.0)
     with pytest.raises(DomainError):
-        IdentityParams(z=0.5, alpha=1.0, terms=0)
+        verify_rg_corollary(z=0.5, alpha=1.0, terms=0)
 
 
 def test_rg_corollary_passes():
-    r = verify_rg_corollary(IdentityParams(z=0.5, alpha=1.0, terms=10))
+    r = verify_rg_corollary(z=0.5, alpha=1.0, terms=10)
     assert r.passed and r.rel_diff < 1e-12
 
 
 def test_rg_corollary_complex_z():
-    r = verify_rg_corollary(IdentityParams(z=0.3 + 0.2j, alpha=1.25, terms=30))
+    r = verify_rg_corollary(z=0.3 + 0.2j, alpha=1.25, terms=30)
     assert r.passed and r.rel_diff < 1e-9
 
 
 def test_rg_corollary_domain_message():
     with pytest.raises(DomainError, match=r"\|Re z\| < 1 required"):
-        verify_rg_corollary(IdentityParams(z=1.5, alpha=1.0))
+        verify_rg_corollary(z=1.5, alpha=1.0)
 
 
 def test_rg_corollary_near_pole():
     with pytest.raises(NearPoleError):
-        verify_rg_corollary(IdentityParams(z=1e-6, alpha=1.0))
+        verify_rg_corollary(z=1e-6, alpha=1.0)
 
 
 def test_rg_z0_routing():
     # z=0 is served by the z->0 corollary, not the generic strip formula.
-    r = verify_rg_corollary(IdentityParams(z=0.0, alpha=1.0, terms=10))
+    r = verify_rg_corollary(z=0.0, alpha=1.0, terms=10)
     assert r.identity_id == "rg-corollary-z0"
     assert r.passed
 
 
 def test_rg_z0_direct():
-    r = verify_rg_corollary_z0(IdentityParams(z=0.0, alpha=2.0, terms=12))
+    r = verify_rg_corollary_z0(alpha=2.0, terms=12)
     assert r.passed and r.rel_diff < 1e-10
 
 
@@ -91,12 +91,12 @@ def test_f_frak_bounds_cover_the_oracle(golden):
         assert abs(value - scale * golden[key]) <= tail + eval_err, key
     r = verify_rg_formula(0.5, 1.4375)
     assert r.budgets["eval_err"] > 0.0 and r.abs_diff <= sum(r.budgets.values())
-    r = verify_rg_corollary(IdentityParams(z=0.5, alpha=1.4375, terms=10))
+    r = verify_rg_corollary(z=0.5, alpha=1.4375, terms=10)
     assert r.budgets["eval_err"] > 0.0
 
 
 def test_hurwitz_corollary():
-    r = verify_hurwitz_corollary(IdentityParams(z=0.75, alpha=1.0, terms=40))
+    r = verify_hurwitz_corollary(z=0.75, alpha=1.0, terms=40)
     assert r.passed and r.rel_diff < 1e-9
 
 
@@ -106,7 +106,7 @@ def test_hurwitz_modular():
 
 
 def test_hurwitz_z0():
-    r = verify_hurwitz_corollary_z0(IdentityParams(z=0.0, alpha=2.0, terms=8))
+    r = verify_hurwitz_corollary_z0(alpha=2.0, terms=8)
     assert r.passed and r.rel_diff < 1e-9
 
 
@@ -142,7 +142,7 @@ def test_theta_pair_inner_is_sum_of_one_hot_calls(alpha, z, both):
 def test_hurwitz_z0_many_terms_at_large_alpha():
     # The summed per-n error estimates once exceeded the cap here although
     # the residual was 40x below it; one folded integral resolves it.
-    r = verify_hurwitz_corollary_z0(IdentityParams(z=0.0, alpha=4.0, terms=200))
+    r = verify_hurwitz_corollary_z0(alpha=4.0, terms=200)
     assert r.passed and r.rel_diff < 1e-9
 
 
@@ -174,7 +174,7 @@ def test_omega_self_reciprocal_budget_bounds_diff():
     # At small N the rhs leans on high-order Omega moments, so an
     # inaccurate Hurwitz tail shows up as a diff above the budgets.
     for terms in (20, 28, 50):
-        r = verify_omega_self_reciprocal(1.0, 0.5, n_terms=terms)
+        r = verify_omega_self_reciprocal(1.0, 0.5, terms=terms)
         assert r.abs_diff <= sum(r.budgets.values())
 
 
@@ -227,15 +227,15 @@ def test_cos_evenness_alpha_inversion():
     # The Xi-integral side is even in log alpha: LHS(alpha) = LHS(1/alpha),
     # independent of the series side.
     for make in (verify_rg_corollary, verify_hurwitz_corollary):
-        a = make(IdentityParams(z=0.5, alpha=2.0, terms=30))
-        b = make(IdentityParams(z=0.5, alpha=0.5, terms=30))
+        a = make(z=0.5, alpha=2.0, terms=30)
+        b = make(z=0.5, alpha=0.5, terms=30)
         q_budget = (a.budgets["quad_err"] + b.budgets["quad_err"]
                     + a.budgets["xi_cutoff"] + b.budgets["xi_cutoff"])
         assert abs(a.lhs - b.lhs) <= q_budget + 1e-12 * abs(a.lhs)
 
 
 def test_conjugation_real_inputs_real_sides():
-    for r in (verify_rg_corollary(IdentityParams(z=0.5, alpha=1.25, terms=20)),
+    for r in (verify_rg_corollary(z=0.5, alpha=1.25, terms=20),
               verify_omega_laplace(1.5, 0.5),
               verify_hurwitz_modular(0.75, 2.0)):
         assert abs(r.lhs.imag) <= 1e-10 * max(abs(r.lhs.real), 1e-300)
@@ -248,7 +248,7 @@ def test_monotone_refinement():
     tight = QuadratureSpec(abs_tol=5e-12, rel_tol=5e-12)
     cases = [
         (lambda spec, n: verify_rg_corollary(
-            IdentityParams(z=0.5, alpha=1.25, terms=n, spec=spec))),
+            z=0.5, alpha=1.25, terms=n, spec=spec)),
         (lambda spec, n: verify_omega_laplace(1.5, 0.5, spec=spec, terms=n)),
         (lambda spec, n: verify_hurwitz_modular(0.5, 2.0, spec=spec, terms=n)),
     ]
@@ -290,7 +290,7 @@ def test_registry_complete():
 
 def test_budgets_below_tolerance_on_pass():
     # A pass is never claimed on an under-resolved computation.
-    for r in (verify_rg_corollary(IdentityParams(z=0.5, alpha=1.0, terms=10)),
+    for r in (verify_rg_corollary(z=0.5, alpha=1.0, terms=10),
               verify_omega_modular(2.0, 0.5),
               verify_mellin_k(2.0, 0.0, 1.0)):
         assert r.passed
@@ -305,14 +305,14 @@ _GRID = list(np.geomspace(0.25, 4.0, 7))
 
 
 @pytest.mark.parametrize("grid, single", [
-    (lambda: rg_corollary_grid(0.3 + 0.2j, _GRID, 50),
-     lambda a: verify_rg_corollary(IdentityParams(0.3 + 0.2j, a, 50))),
+    (lambda: rg_corollary_grid(_GRID, 0.3 + 0.2j, 50),
+     lambda a: verify_rg_corollary(0.3 + 0.2j, a, 50)),
     (lambda: rg_corollary_z0_grid(_GRID, 50),
-     lambda a: verify_rg_corollary_z0(IdentityParams(0.0, a, 50))),
-    (lambda: hurwitz_corollary_grid(-0.4 + 0.3j, _GRID, 50),
-     lambda a: verify_hurwitz_corollary(IdentityParams(-0.4 + 0.3j, a, 50))),
+     lambda a: verify_rg_corollary_z0(a, 50)),
+    (lambda: hurwitz_corollary_grid(_GRID, -0.4 + 0.3j, 50),
+     lambda a: verify_hurwitz_corollary(-0.4 + 0.3j, a, 50)),
     (lambda: hurwitz_corollary_z0_grid(_GRID, 20),
-     lambda a: verify_hurwitz_corollary_z0(IdentityParams(0.0, a, 20))),
+     lambda a: verify_hurwitz_corollary_z0(a, 20)),
 ], ids=["rg-corollary", "rg-corollary-z0", "hurwitz-corollary",
         "hurwitz-corollary-z0"])
 def test_grid_rows_agree_with_single_alpha(grid, single):
@@ -329,7 +329,7 @@ def test_grid_rows_agree_with_single_alpha(grid, single):
 
 
 def test_rg_grid_dispatches_z0():
-    rows = rg_corollary_grid(0.0, [0.5, 2.0], 20)
+    rows = rg_corollary_grid([0.5, 2.0], 0.0, 20)
     assert [r.identity_id for r in rows] == ["rg-corollary-z0"] * 2
 
 

@@ -10,7 +10,8 @@ once with PYTHONPATH=NEW_SRC.  The commands are the benchmark's seed-0
 jobs, written out here: the 16 `verify-cold` commands, the 7 `sweep-xi`
 sweeps (61 alpha rows each) and the 5 `sweep-omega` sweeps (11 rows
 each), plus three k-bessel `pair-reciprocity` cases whose psi(x) is far
-below the transform's absolute accuracy.
+below the transform's absolute accuracy, and `list`, whose `tol` column
+both this tool and the benchmark read.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
@@ -22,7 +23,8 @@ CSV differs both trees run `verify` at every row's alpha, all rows in
 one process per tree, to supply them;
 the line also counts rows whose status changed, a row failing when it
 is `nan` or its diff misses the identity's tolerance (as `verify` judges
-it).  The exit status is 0 when every command is identical, else 1.
+it).  Any other command that differs is reported as `differs`.  The exit
+status is 0 when every command is identical, else 1.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ COMMANDS = (
     ("verify", "pair-reciprocity", "--pair-alpha=0.25", "--x=5", "--z=0.3"),
     ("verify", "pair-reciprocity", "--pair-alpha=0.25", "--x=2", "--z=-0.4"),
     ("verify", "pair-reciprocity", "--pair-alpha=0.5", "--x=5", "--z=0"),
+    ("list",),
 )
 
 # Reads a JSON list of argv lists on stdin and prints, per argv, the
@@ -179,8 +182,13 @@ def main(argv=None) -> int:
             verdict = "identical"
         else:
             differ += 1
-            verdict = (compare_sweep(cmd, old, new, (args.old_src, args.new_src), tols)
-                       if cmd[0] == "sweep" else compare_verify(old, new))
+            if cmd[0] == "sweep":
+                verdict = compare_sweep(cmd, old, new,
+                                        (args.old_src, args.new_src), tols)
+            elif cmd[0] == "verify":
+                verdict = compare_verify(old, new)
+            else:
+                verdict = "differs"
         print(f"{' '.join(cmd)}: {verdict}", flush=True)
     print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands identical")
     return 1 if differ else 0
