@@ -18,7 +18,8 @@ import numpy as np
 
 from . import arith
 from .errors import DomainError, KoshliakovError, NearPoleError
-from .kernels import (ReciprocalPair, first_koshliakov_transform, lambda_sum,
+from .kernels import (ReciprocalPair, _divisor_tail_moment,
+                      first_koshliakov_transform, lambda_sum,
                       omega_combination, pair_dixon_ferrar, pair_k_bessel,
                       transform_kernel)
 from .quadrature import (QuadratureSpec, integrate_finite, integrate_half_line,
@@ -27,6 +28,7 @@ from .specfun import (EULER_GAMMA, bessel_j, bessel_k, big_xi, gamma,
                       riemann_zeta)
 
 _TINY = 1e-300
+_EPS = 2.0 ** -52
 
 
 def _check_domain(alphas=(), terms: int = 1) -> None:
@@ -118,33 +120,31 @@ def _xi_pair(t: np.ndarray, z: complex) -> np.ndarray:
     return out
 
 
-def _xi_weighted(z: complex, weight: Callable, weight_mag: Callable,
-                 spec: QuadratureSpec, T: float = 60.0):
-    """Integral over [0, T] of the Xi pair against weight(t), one column per
-    alpha of a grid, plus a recorded bound per column for the discarded
-    [T, inf) piece.
+def _xi_weighted(z: complex, g: Callable, alphas, spec: QuadratureSpec):
+    """Integral over [0, T] of the Xi pair against g(t) cos(t log(alpha)/2),
+    one column per alpha of a grid, plus a recorded bound per column for
+    the discarded [T, inf) piece.
 
-    weight(t) returns shape (nodes, m), so the Xi pair is evaluated once
-    per node for the whole grid.  The paired Xi factors decay at least like
-    exp(-pi t/4); weight_mag(T) must bound |weight| on [T, inf) per column
-    (oscillatory factors replaced by 1).
+    g(t) is the alpha-free part of the weight, so it and the Xi pair are
+    evaluated once per node for the whole grid.  The paired Xi factors
+    decay at least like exp(-pi t/4); |g(T)| must bound |g| on [T, inf),
+    which with the cosine replaced by 1 bounds every column.
     """
+    T = 60.0
+    la = np.array([math.log(alpha) for alpha in alphas])
 
     def f(t):
-        return _xi_pair(t, z)[:, None] * weight(t)
+        return ((_xi_pair(t, z) * g(t))[:, None]
+                * np.cos(0.5 * np.multiply.outer(t, la)))
 
     res = integrate_finite(f, 0.0, T, spec)
     pair_T = abs(complex(_xi_pair(np.array([T]), z)[0]))
-    trunc = pair_T * np.asarray(weight_mag(T), dtype=float) * (4.0 / math.pi) * 5.0
-    return res, np.broadcast_to(trunc, res.value.shape)
+    trunc = pair_T * abs(complex(g(np.array([T]))[0])) * (4.0 / math.pi) * 5.0
+    return res, np.full(res.value.shape, trunc)
 
 
 # The default accuracy of the four Xi-pair integrals.
 _XI_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
-
-
-def _log_alphas(alphas) -> np.ndarray:
-    return np.array([math.log(alpha) for alpha in alphas])
 
 
 def _rows(alphas, row: Callable) -> list:
@@ -173,10 +173,14 @@ def _single(rows: list) -> "VerificationReport":
 
 def _euler_limit(partials: np.ndarray):
     """Limit of an alternating-tail sequence of partial sums by repeated
-    adjacent averaging; returns (limit, error estimate)."""
+    adjacent averaging; returns (limit, error estimate).  The estimate is
+    the last change of the averaging, floored at one rounding of the
+    largest partial sum per averaging level: the last two averaged values
+    can coincide in floating point, which would otherwise claim 0."""
     arr = np.asarray(partials, dtype=complex)
     if arr.size == 1:
         return complex(arr[0]), abs(complex(arr[0]))
+    floor = arr.size * _EPS * float(np.max(np.abs(arr)))
     est_prev = complex(arr[-1])
     err = abs(est_prev)
     while arr.size > 1:
@@ -184,39 +188,32 @@ def _euler_limit(partials: np.ndarray):
         est = complex(arr[-1])
         err = abs(est - est_prev)
         est_prev = est
-    return est_prev, err
+    return est_prev, max(err, floor)
 
 
-def _oscillatory_tail(g: Callable, u0: float, half_period: float,
-                      max_segments: int = 96):
+# Half-period segments summed before the averaging takes the limit.
+_SEGMENTS = 96
+
+
+def _oscillatory_tail(g: Callable, u0: float, half_period: float):
     """Integral of g over [u0, inf) for g that alternates in sign on
-    consecutive half-period windows with decaying envelope."""
+    consecutive half-period windows with decaying envelope.  The segments
+    are the columns of one vector integral over [0, 1]; g takes a 1-D
+    array of points."""
     seg_spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12, max_panels=64)
-    sums = []
-    partial = 0.0 + 0.0j
-    partials = []
-    for k in range(max_segments):
-        a = u0 + k * half_period
-        b = a + half_period
-        s = integrate_finite(g, a, b, seg_spec)
-        sums.append(s.value)
-        partial += s.value
-        partials.append(partial)
-        if abs(s.value) < 1e-17:
-            return partial, abs(s.value) + 1e-17
-    value, err = _euler_limit(np.array(partials[len(partials) // 3:]))
-    return value, err
+    starts = u0 + half_period * np.arange(_SEGMENTS)
 
+    def f(s):
+        u = np.add.outer(half_period * s, starts)
+        return half_period * g(u.ravel()).reshape(u.shape)
 
-def _bessel_power_tail(z: float, U: float):
-    """Integral of J_z(u) u^{z-1} over [U, inf) via half-period segmentation;
-    the envelope u^{z-3/2} decays too slowly to truncate but alternates."""
-
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        return bessel_j(z, u) * np.power(u, z - 1.0)
-
-    return _oscillatory_tail(g, U, math.pi)
+    segs = integrate_finite(f, 0.0, 1.0, seg_spec).value
+    partials = np.cumsum(segs)
+    small = np.flatnonzero(np.abs(segs) < 1e-17)
+    if small.size:
+        k = small[0]
+        return complex(partials[k]), abs(complex(segs[k])) + 1e-17
+    return _euler_limit(partials[_SEGMENTS // 3:])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +244,7 @@ def _k_series_terms_for(z: complex, alpha: float, target: float, floor: int) -> 
 # powers, each K term), applied to the sum of the pieces' magnitudes, so
 # cancellation among them is charged to the bound.  Against 30-digit
 # mpmath over 84 (z, alpha) points the largest error was 0.38 of it.
-_FRAK_ULPS = 16.0 * 2.0 ** -52
+_FRAK_ULPS = 16.0 * _EPS
 
 
 def f_frak(z: complex, alpha: float, terms: int):
@@ -313,17 +310,12 @@ def rg_corollary_grid(alphas, z, terms: int = 50,
         return rg_corollary_z0_grid(alphas, terms, spec, tolerance)
     if abs(z) < 1e-4:
         raise NearPoleError("z too close to 0; use the z=0 form")
-    la = _log_alphas(alphas)
     zp, zm = (z + 1.0) ** 2, (z - 1.0) ** 2
 
-    def w(t):
-        return (np.cos(0.5 * np.multiply.outer(t, la))
-                / ((t * t + zp) * (t * t + zm))[:, None])
+    def g(t):
+        return 1.0 / ((t * t + zp) * (t * t + zm))
 
-    def w_mag(T):
-        return 1.0 / abs((T * T + zp) * (T * T + zm))
-
-    res, trunc = _xi_weighted(z, w, w_mag, spec)
+    res, trunc = _xi_weighted(z, g, alphas, spec)
 
     def row(col, alpha):
         rhs, ktail, eval_err = f_frak(z, alpha, terms)
@@ -367,33 +359,28 @@ def rg_corollary_z0_grid(alphas, terms: int = 50,
     integral; returns one report (or rhs error) per alpha."""
     _check_domain(alphas, terms)
     spec = spec or _XI_SPEC
-    la = _log_alphas(alphas)
-    pref = np.array([1.0 / (2.0 * math.sqrt(alpha)) for alpha in alphas])
 
-    def w(t):
-        return (pref * np.cos(0.5 * np.multiply.outer(t, la))
-                / np.square(1.0 + t * t)[:, None])
+    def g(t):
+        return 1.0 / np.square(1.0 + t * t)
 
-    def w_mag(T):
-        return pref / (1.0 + T * T) ** 2
-
-    res, trunc = _xi_weighted(0.0 + 0.0j, w, w_mag, spec)
+    res, trunc = _xi_weighted(0.0 + 0.0j, g, alphas, spec)
     n_eff = max(terms, 8)
     n = np.arange(1, n_eff + 1, dtype=float)
     dn = arith.build_table(0.0, n_eff).slice(n_eff).real
 
     def row(col, alpha):
         beta = 1.0 / alpha
-        lhs = (32.0 / math.pi) * complex(res.value[col])
+        pref = (32.0 / math.pi) / (2.0 * math.sqrt(alpha))
+        lhs = pref * complex(res.value[col])
         theta = (bessel_k(0.0, 2.0 * alpha * math.pi * n).real
                  + beta * bessel_k(0.0, 2.0 * beta * math.pi * n).real)
         z1 = (1.0 / alpha + 1.0) / 4.0
-        z1p = la[col] * (1.0 - 1.0 / alpha) / 4.0
+        z1p = math.log(alpha) * (1.0 - 1.0 / alpha) / 4.0
         rhs = float(np.sum(dn * theta)) - (z1p + (EULER_GAMMA - math.log(4.0 * math.pi)) * z1)
-        budgets = {"quad_err": (32.0 / math.pi) * float(res.err_estimate[col]),
-                   "xi_cutoff": (32.0 / math.pi) * float(trunc[col]),
+        budgets = {"quad_err": pref * float(res.err_estimate[col]),
+                   "xi_cutoff": pref * float(trunc[col]),
                    "series_tail": _theta_series_tail(alpha, n_eff + 1)}
-        params = {"z": [0.0, 0.0], "alpha": alpha, "terms": terms}
+        params = {"z": [0.0, 0.0], "alpha": alpha, "terms": n_eff}
         return _report("rg-corollary-z0", params, lhs, rhs, budgets, tolerance,
                        real_inputs=True)
 
@@ -440,20 +427,16 @@ def hurwitz_corollary_grid(alphas, z, terms: int = 50,
         raise DomainError("0 < |Re z| < 1 required")
     if abs(z) < 1e-4:
         raise NearPoleError("need |z| >= 1e-4")
-    la = _log_alphas(alphas)
     zp = (z + 1.0) ** 2
     base = 0.25 * (z - 1.0)
 
-    def w(t):
-        g = np.empty(t.shape, dtype=complex)
+    def g(t):
+        out = np.empty(t.shape, dtype=complex)
         for i, tv in enumerate(t):
-            g[i] = gamma(base + 0.25j * tv) * gamma(base - 0.25j * tv) / (tv * tv + zp)
-        return g[:, None] * np.cos(0.5 * np.multiply.outer(t, la))
+            out[i] = gamma(base + 0.25j * tv) * gamma(base - 0.25j * tv) / (tv * tv + zp)
+        return out
 
-    def w_mag(T):
-        return abs(gamma(base + 0.25j * T) * gamma(base - 0.25j * T)) / abs(T * T + zp)
-
-    res, trunc = _xi_weighted(z, w, w_mag, spec)
+    res, trunc = _xi_weighted(z, g, alphas, spec)
     pref = 8.0 * (4.0 * math.pi) ** (0.5 * (z - 3.0)) / gamma(z + 1.0)
 
     def row(col, alpha):
@@ -487,18 +470,18 @@ def verify_hurwitz_modular(z, alpha: float, terms: int = 50,
                    real_inputs=(z.imag == 0.0))
 
 
-def _theta_pair_inner(alpha: float, weights: np.ndarray, power: complex,
-                      order: complex, spec: QuadratureSpec, both: bool):
+def _theta_pair_inner(alpha: float, weights: np.ndarray, order: complex,
+                      spec: QuadratureSpec, both: bool):
     """Integral over x > 0 of
-    x^{1+power} Kw(x) sum_{n=1}^{N} w_n (x^2 + pi^2 n^2)^{-(power+3/2)},
-    N = len(weights): the inner integrals of both Hurwitz-type series,
-    summed under one integral so the n-independent K-weight Kw is
-    evaluated once per node.  Kw(x) is Theta(x) = K_order(2 alpha x)
+    x^{1+order} Kw(x) sum_{n=1}^{N} w_n (x^2 + pi^2 n^2)^{-(order+3/2)},
+    N = len(weights): the n <= N part of the divisor-K series, summed
+    under one integral so the n-independent K-weight Kw is evaluated once
+    per node.  Kw(x) is Theta(x) = K_order(2 alpha x)
     + beta K_order(2 beta x) when both=True, else K_order(2 alpha x).
     Returns (value, error estimate incl. the tail truncation bound)."""
     beta = 1.0 / alpha
     a2 = (math.pi * np.arange(1, weights.size + 1)) ** 2
-    expo = -(power + 1.5)
+    expo = -(order + 1.5)
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -508,7 +491,7 @@ def _theta_pair_inner(alpha: float, weights: np.ndarray, power: complex,
         else:
             kw = bessel_k(order, 2.0 * alpha * x)
         mix = np.power(np.add.outer(x * x, a2), expo) @ weights
-        return np.power(x, 1.0 + power) * kw * mix
+        return np.power(x, 1.0 + order) * kw * mix
 
     r = integrate_half_line(f, 2.0 * (min(alpha, beta) if both else alpha) * 0.9, spec)
     return r.value, r.total_error
@@ -522,28 +505,31 @@ def _binom_series_coeff(expo: complex, j: int) -> complex:
     return out
 
 
-def _hurwitz_z0_series(alpha: float, terms: int, spec: QuadratureSpec):
-    """(pi/2) sum n d(n) I_n - ((gamma - log 2 pi) Z(1) + Z'(1))/2, the
-    series side of the z=0 Hurwitz corollary.  Returns (value, quadrature
-    error, series tail bound), both errors already scaled by pi/2."""
-    beta = 1.0 / alpha
-    N = max(terms, 4)
-    dn = arith.build_table(0.0, N).slice(N).real
+def _divisor_k_series(alpha: float, z: complex, N: int, spec: QuadratureSpec,
+                      both: bool):
+    """sum_n sigma_{-z}(n) n^{z+1} I_n, where I_n integrates
+    x^{1+z/2} Kw(x) (x^2 + pi^2 n^2)^{-(z+3)/2} over x > 0 with the K-weight
+    Kw of _theta_pair_inner: the series side of both Hurwitz-type
+    identities.  The n <= N part is one integral; the n > N remainder is
+    asymptotic.  Returns (value, quadrature error, series tail bound)."""
     nn = np.arange(1, N + 1, dtype=float)
-    series, quad_err = _theta_pair_inner(alpha, nn * dn, 0.0, 0.0, spec, both=True)
-    series = series.real
+    weights = arith.build_table(-z, N).slice(N) * nn ** (z + 1.0)
+    series, quad_err = _theta_pair_inner(alpha, weights, 0.5 * z, spec, both)
 
-    # n > N remainder: expand (x^2+pi^2 n^2)^{-3/2} in x/(pi n) and trade the
-    # divisor sums for zeta moments; asymptotic, truncated at the smallest
-    # term, with the x > pi n interchange mass bounded by the Theta decay.
+    # n > N remainder: expand (x^2+pi^2 n^2)^{-(z+3)/2} in x/(pi n), so each
+    # term is a Mellin moment of Kw times a divisor tail; asymptotic,
+    # truncated at the smallest term, with the x > pi n interchange mass
+    # bounded by the K decay.  Kw(x) = sum of scale * K_{z/2}(2 c x).
+    scales = [(alpha, 1.0)] + ([(1.0 / alpha, 1.0 / alpha)] if both else [])
+    expo = -0.5 * (z + 3.0)
     tail = 0.0
     tail_err = 0.0
     prev = math.inf
     for j in range(0, 60):
-        mj = (gamma(1.0 + j).real ** 2 / 4.0) * (alpha ** (-2.0 - 2 * j) + beta ** (-1.0 - 2 * j))
-        zeta_rem = (riemann_zeta(2.0 * j + 2.0).real ** 2
-                    - float(np.sum(dn * nn ** (-2.0 - 2.0 * j))))
-        term = _binom_series_coeff(-1.5, j).real * math.pi ** (-3.0 - 2 * j) * mj * zeta_rem
+        mj = sum(scale * 2.0 ** (0.5 * z + 2 * j) * (2.0 * c) ** (-(2.0 + 0.5 * z + 2 * j))
+                 for c, scale in scales) * gamma(1.0 + j) * gamma(1.0 + j + 0.5 * z)
+        term = (_binom_series_coeff(expo, j) * math.pi ** (-(z + 3.0) - 2 * j)
+                * mj * _divisor_tail_moment(z, N, j))
         if abs(term) >= prev:
             tail_err = abs(term)
             break
@@ -552,12 +538,9 @@ def _hurwitz_z0_series(alpha: float, terms: int, spec: QuadratureSpec):
         if abs(term) < 1e-18:
             tail_err = abs(term)
             break
-    tail_err += 10.0 * math.exp(-2.0 * math.pi * (N + 1) * min(alpha, beta))
-
-    z1 = (1.0 / alpha + 1.0) / 4.0
-    z1p = math.log(alpha) * (1.0 - 1.0 / alpha) / 4.0
-    rhs = (0.5 * math.pi) * (series + tail) - 0.5 * ((EULER_GAMMA - math.log(2.0 * math.pi)) * z1 + z1p)
-    return rhs, 0.5 * math.pi * quad_err, 0.5 * math.pi * tail_err
+    c_min = min(c for c, _ in scales)
+    tail_err += 10.0 * math.exp(-2.0 * math.pi * (N + 1) * c_min)
+    return series + tail, quad_err, tail_err
 
 
 def verify_hurwitz_corollary_z0(alpha: float = 1.0, terms: int = 50,
@@ -565,9 +548,8 @@ def verify_hurwitz_corollary_z0(alpha: float = 1.0, terms: int = 50,
                                 tolerance: float = 1e-6) -> VerificationReport:
     """z=0 limit with |Gamma((-1+it)/4)|^2 weight versus
     (pi/2) sum n d(n) I_n - ((gamma - log 2 pi) Z(1) + Z'(1))/2, where
-    I_n integrates x Theta(x) (x^2 + pi^2 n^2)^{-3/2}.  The n <= N part
-    of the series is one integral of x Theta(x) sum n d(n) (x^2 + pi^2
-    n^2)^{-3/2}; the n > N remainder is an asymptotic zeta-moment sum."""
+    I_n integrates x Theta(x) (x^2 + pi^2 n^2)^{-3/2}: the divisor-K
+    series at z = 0 with the Theta weight (_divisor_k_series)."""
     return _single(hurwitz_corollary_z0_grid([alpha], terms, spec, tolerance))
 
 
@@ -579,28 +561,28 @@ def hurwitz_corollary_z0_grid(alphas, terms: int = 50,
     report (or rhs error) per alpha."""
     _check_domain(alphas, terms)
     spec = spec or _XI_SPEC
-    la = _log_alphas(alphas)
-    pref = np.array([1.0 / (2.0 * math.sqrt(alpha)) for alpha in alphas])
 
-    def w(t):
-        g = np.empty(t.shape, dtype=complex)
+    def g(t):
+        out = np.empty(t.shape, dtype=complex)
         for i, tv in enumerate(t):
             gp = gamma(-0.25 + 0.25j * tv)
-            g[i] = (gp * gp.conjugate()) / (1.0 + tv * tv)
-        return pref * (g[:, None] * np.cos(0.5 * np.multiply.outer(t, la)))
+            out[i] = (gp * gp.conjugate()) / (1.0 + tv * tv)
+        return out
 
-    def w_mag(T):
-        return pref * abs(gamma(-0.25 + 0.25j * T)) ** 2 / (1.0 + T * T)
-
-    res, trunc = _xi_weighted(0.0 + 0.0j, w, w_mag, spec)
+    res, trunc = _xi_weighted(0.0 + 0.0j, g, alphas, spec)
+    N = max(terms, 4)
 
     def row(col, alpha):
-        rhs, series_err, tail_err = _hurwitz_z0_series(alpha, terms, spec)
-        lhs = math.pi ** (-1.5) * complex(res.value[col])
-        budgets = {"quad_err": math.pi ** (-1.5) * float(res.err_estimate[col]) + series_err,
-                   "xi_cutoff": math.pi ** (-1.5) * float(trunc[col]),
-                   "series_tail": tail_err}
-        params = {"z": [0.0, 0.0], "alpha": alpha, "terms": terms}
+        series, series_err, tail_err = _divisor_k_series(alpha, 0.0, N, spec, both=True)
+        z1 = (1.0 / alpha + 1.0) / 4.0
+        z1p = math.log(alpha) * (1.0 - 1.0 / alpha) / 4.0
+        rhs = (0.5 * math.pi) * series.real - 0.5 * ((EULER_GAMMA - math.log(2.0 * math.pi)) * z1 + z1p)
+        pref = math.pi ** (-1.5) / (2.0 * math.sqrt(alpha))
+        lhs = pref * complex(res.value[col])
+        budgets = {"quad_err": pref * float(res.err_estimate[col]) + 0.5 * math.pi * series_err,
+                   "xi_cutoff": pref * float(trunc[col]),
+                   "series_tail": 0.5 * math.pi * tail_err}
+        params = {"z": [0.0, 0.0], "alpha": alpha, "terms": N}
         return _report("hurwitz-corollary-z0", params, lhs, rhs, budgets, tolerance,
                        real_inputs=True)
 
@@ -613,43 +595,17 @@ def verify_bessel_hurwitz_sum(alpha: float, z, terms: int = 8,
     """pi^{z+1/2} Gamma((z+3)/2) sum sigma_{-z}(n) n^{z+1} I_n(z) versus
     (alpha^{z/2}/2^{z+2}) Gamma(z+1) sum_m lambda(m alpha, z); the printed
     bracket's (m alpha)^{-z}/2 reading diverges, the lambda reading is used.
-    I_n(z) integrates x^{1+z/2} K_{z/2}(2 alpha x) (x^2 + pi^2 n^2)^{-(z+3)/2};
-    the n <= N part of the series is one integral with the weighted n-sum
-    inside, the n > N remainder an asymptotic zeta-moment sum."""
+    I_n(z) integrates x^{1+z/2} K_{z/2}(2 alpha x) (x^2 + pi^2 n^2)^{-(z+3)/2}:
+    the divisor-K series with the single K weight (_divisor_k_series)."""
     z = complex(z)
     if not 0.0 < z.real < 1.0:
         raise DomainError("0 < Re z < 1 required")
     _check_domain([alpha], terms)
     spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     N = max(int(terms), 2)
-    sig = arith.build_table(-z, N).slice(N)
-    nn = np.arange(1, N + 1, dtype=float)
-    series, quad_err = _theta_pair_inner(alpha, sig * nn ** (z + 1.0), 0.5 * z,
-                                         0.5 * z, spec, both=False)
-
-    tail = 0.0 + 0.0j
-    tail_err = 0.0
-    prev = math.inf
-    base_expo = -0.5 * (z + 3.0)
-    for j in range(0, 60):
-        mj = (2.0 ** (0.5 * z + 2 * j) * (2.0 * alpha) ** (-(2.0 + 0.5 * z + 2 * j))
-              * gamma(1.0 + j) * gamma(1.0 + j + 0.5 * z))
-        zeta_rem = (riemann_zeta(2.0 * j + 2.0) * riemann_zeta(2.0 * j + 2.0 + z)
-                    - complex(np.sum(sig * nn ** (-2.0 - 2.0 * j))))
-        term = (_binom_series_coeff(base_expo, j) * math.pi ** (-(z + 3.0) - 2 * j)
-                * mj * zeta_rem)
-        if abs(term) >= prev:
-            tail_err = abs(term)
-            break
-        tail += term
-        prev = abs(term)
-        if abs(term) < 1e-18:
-            tail_err = abs(term)
-            break
-    tail_err += 10.0 * math.exp(-2.0 * math.pi * (N + 1) * alpha)
-
+    series, quad_err, tail_err = _divisor_k_series(alpha, z, N, spec, both=False)
     pref_l = math.pi ** (z + 0.5) * gamma(0.5 * (z + 3.0))
-    lhs = pref_l * (series + tail)
+    lhs = pref_l * series
     lam, resid = lambda_sum(alpha, z, max(N, 10))
     pref_r = alpha ** (0.5 * z) / 2.0 ** (z + 2.0) * gamma(z + 1.0)
     rhs = pref_r * lam
@@ -772,8 +728,12 @@ def verify_omega_self_reciprocal(x: float, z, terms: int = 500,
     head1 = tanh_sinh(f, 0.0, 1.0, spec)
     head2 = integrate_finite(f, 1.0, Y, spec)
 
-    U = c * math.sqrt(Y)
-    ev, eerr = _bessel_power_tail(zr, U)
+    def g(u):
+        return bessel_j(zr, u) * np.power(u, zr - 1.0)
+
+    # The power part's envelope u^{z-3/2} decays too slowly to truncate,
+    # but J_z alternates with half-period pi.
+    ev, eerr = _oscillatory_tail(g, c * math.sqrt(Y), math.pi)
     if abs(zr) < 1e-12:
         zeta_z = -0.5 + 0.0j  # zeta(0)
     else:

@@ -249,13 +249,15 @@ def _omega_plan(z: complex, N: int) -> _OmegaPlan:
 
 
 @functools.lru_cache(maxsize=256)
-def _omega_moment(z: complex, N: int, j: int) -> complex:
+def _divisor_tail_moment(z: complex, N: int, j: int) -> complex:
     """d_j = sum_{n>N} sigma_{-z}(n) n^{-2j-2}, assembled from Hurwitz-zeta
     tails through sigma's Dirichlet convolution,
         d_j = sum_{d<=N} d^{-s-z} zeta(s, floor(N/d)+1)
               + zeta(s) zeta(s+z, N+1),    s = 2j+2.
     Differencing zeta(s) zeta(s+z) against a partial sum instead leaves
     only roundoff for j >= 2, which x^{2j} then amplifies without bound.
+    Partial-fraction Omega and the n > N remainder of the divisor-K
+    series in identities both take their divisor tails from here.
     """
     n = np.arange(1, N + 1, dtype=float)
     uniq, inverse = np.unique(N // np.arange(1, N + 1), return_inverse=True)
@@ -270,8 +272,8 @@ def _omega_pf_array(x: np.ndarray, z: complex, n_terms: int,
     """Partial-fraction form, vectorized over x; requires max(x) < N+1.
 
     The n > N remainder is restored analytically through the moments
-    d_j of _omega_moment, whose alternating series in x^{2j} converges
-    geometrically in (x/(N+1))^2; a bare truncation at the default N
+    d_j of _divisor_tail_moment, whose alternating series in x^{2j}
+    converges geometrically in (x/(N+1))^2; a bare truncation at the default N
     would strand the cross-mode agreement near 1e-7.  Everything that
     does not depend on x comes from the (z, N) plan and moment caches.
     """
@@ -287,7 +289,7 @@ def _omega_pf_array(x: np.ndarray, z: complex, n_terms: int,
     x2 = x ** 2
     converged = False
     for j in range(0, 61):
-        piece = (-1.0) ** j * x2 ** j * _omega_moment(z, N, j)
+        piece = (-1.0) ** j * x2 ** j * _divisor_tail_moment(z, N, j)
         s_tail += piece
         if np.all(np.abs(piece) <= 1e-19 * np.maximum(np.abs(s_direct), 1e-30)):
             converged = True

@@ -82,6 +82,21 @@ def test_verify_rg_example(capsys):
     assert doc["rel_diff"] <= 1e-8
 
 
+@pytest.mark.parametrize("name,summed", [("rg-corollary-z0", 8),
+                                         ("hurwitz-corollary-z0", 4)])
+def test_report_states_the_terms_it_summed(name, summed, capsys):
+    # Both floor the divisor sum to guard its remainder at tiny N.
+    assert main(["verify", name, "--terms=1"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["terms"] == summed
+
+
+def test_oscillation_budget_is_never_zero(capsys):
+    # At the defaults the last two averaged partial sums coincide in
+    # floating point; the budget is floored at their roundoff.
+    assert main(["verify", "omega-self-reciprocal"]) == 0
+    assert json.loads(capsys.readouterr().out)["budgets"]["oscillation_err"] > 0.0
+
+
 def test_usage_unknown_identity(capsys):
     assert main(["verify", "no-such-identity"]) == 64
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from koshliakov import arith
 from koshliakov.errors import DomainError, NearPoleError
-from koshliakov.identities import (IDENTITIES, _report, f_frak,
-                                   _theta_pair_inner,
+from koshliakov.identities import (IDENTITIES, _oscillatory_tail, _report,
+                                   f_frak, _theta_pair_inner,
                                    hurwitz_corollary_grid,
                                    hurwitz_corollary_z0_grid,
                                    rg_corollary_grid, rg_corollary_z0_grid,
@@ -27,7 +27,8 @@ from koshliakov.identities import (IDENTITIES, _report, f_frak,
                                    verify_rg_corollary, verify_rg_corollary_z0,
                                    verify_rg_formula)
 from koshliakov.kernels import ReciprocalPair, pair_dixon_ferrar, pair_k_bessel
-from koshliakov.quadrature import QuadratureSpec
+from koshliakov.quadrature import QuadratureSpec, tanh_sinh
+from koshliakov.specfun import bessel_j
 
 from conftest import rel_err
 
@@ -120,8 +121,8 @@ _SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
 
 def test_theta_pair_inner_one_hot_goldens(golden):
     # With weight vector (1,) the folded integral is the n=1 inner integral.
-    hz0, _ = _theta_pair_inner(1.0, np.array([1.0]), 0.0, 0.0, _SPEC, both=True)
-    bh, _ = _theta_pair_inner(1.0, np.array([1.0]), 0.25, 0.25, _SPEC, both=False)
+    hz0, _ = _theta_pair_inner(1.0, np.array([1.0]), 0.0, _SPEC, both=True)
+    bh, _ = _theta_pair_inner(1.0, np.array([1.0]), 0.25, _SPEC, both=False)
     assert rel_err(hz0, golden["hz0_inner_n1"]) < 1e-10
     assert rel_err(bh, golden["bh_inner_n1"]) < 1e-10
 
@@ -132,9 +133,9 @@ def test_theta_pair_inner_is_sum_of_one_hot_calls(alpha, z, both):
     N = 6
     nn = np.arange(1, N + 1, dtype=float)
     weights = arith.build_table(-z, N).slice(N) * nn ** (z + 1.0)
-    folded, err = _theta_pair_inner(alpha, weights, 0.5 * z, 0.5 * z, _SPEC, both)
+    folded, err = _theta_pair_inner(alpha, weights, 0.5 * z, _SPEC, both)
     parts = sum(_theta_pair_inner(alpha, np.where(nn == n, weights, 0.0),
-                                  0.5 * z, 0.5 * z, _SPEC, both)[0] for n in nn)
+                                  0.5 * z, _SPEC, both)[0] for n in nn)
     assert rel_err(folded, parts) < 1e-10
     assert err < 1e-10 * abs(folded)
 
@@ -144,6 +145,30 @@ def test_hurwitz_z0_many_terms_at_large_alpha():
     # the residual was 40x below it; one folded integral resolves it.
     r = verify_hurwitz_corollary_z0(alpha=4.0, terms=200)
     assert r.passed and r.rel_diff < 1e-9
+
+
+def test_divisor_k_series_at_the_alpha_ends():
+    # Divisor tails taken as zeta(s) zeta(s+z) minus the partial sum left
+    # rel_diff 7e-13 to 2e-12 at these points; the exact tail moments do not.
+    for r in (verify_hurwitz_corollary_z0(alpha=0.25, terms=50),
+              verify_hurwitz_corollary_z0(alpha=4.0, terms=50),
+              verify_bessel_hurwitz_sum(0.25, 0.5, 50)):
+        assert r.passed and r.rel_diff < 1e-13
+
+
+@pytest.mark.parametrize("z", [0.5, 0.75])
+def test_oscillatory_tail_closed_form(z):
+    # The integral of J_z(u) u^{z-1} over (0, inf) is 2^{z-1} Gamma(z); its
+    # envelope u^{z-3/2} is the slow alternating tail of the Omega verifier.
+    def g(u):
+        return bessel_j(z, u) * np.power(u, z - 1.0)
+
+    U = 20.0
+    head = tanh_sinh(g, 0.0, U, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
+    tail, err = _oscillatory_tail(g, U, math.pi)
+    exact = 2.0 ** (z - 1.0) * math.gamma(z)
+    assert rel_err(head.value + tail, exact) < 1e-10
+    assert 0.0 < err < 1e-10
 
 
 def test_mellin_k_trivial_point():

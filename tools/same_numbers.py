@@ -9,9 +9,12 @@ OLD_SRC and NEW_SRC are directories that hold the `koshliakov` package
 once with PYTHONPATH=NEW_SRC.  The commands are the benchmark's seed-0
 jobs, written out here: the 16 `verify-cold` commands, the 7 `sweep-xi`
 sweeps (61 alpha rows each) and the 5 `sweep-omega` sweeps (11 rows
-each), plus three k-bessel `pair-reciprocity` cases whose psi(x) is far
-below the transform's absolute accuracy, and `list`, whose `tol` column
-both this tool and the benchmark read.
+each).  Then come a `hurwitz-corollary-z0` sweep over the `sweep-xi`
+grid, six verifies off the defaults that reach the divisor-K series at
+the ends of the alpha range and the oscillatory tails at other x and z,
+three k-bessel `pair-reciprocity` cases whose psi(x) is far below the
+transform's absolute accuracy, and `list`, whose `tol` column both this
+tool and the benchmark read: 39 commands in all.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
@@ -63,6 +66,16 @@ COMMANDS = (
     ("sweep", "omega-modular", *_OMEGA_GRID, "--z=-0.6"),
     ("sweep", "omega-laplace", *_OMEGA_GRID, "--z=0.5"),
     ("sweep", "omega-laplace", *_OMEGA_GRID, "--z=0.3+0.2i"),
+    # The one grid identity without a benchmark sweep, and verifies off the
+    # defaults: the divisor-K series at both ends of the alpha range, the
+    # oscillatory tails at other x and z.
+    ("sweep", "hurwitz-corollary-z0", *_XI_GRID),
+    ("verify", "hurwitz-corollary-z0", "--alpha=0.25"),
+    ("verify", "hurwitz-corollary-z0", "--alpha=4", "--terms=200"),
+    ("verify", "bessel-hurwitz-sum", "--alpha=0.25"),
+    ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=0.25"),
+    ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=4"),
+    ("verify", "omega-self-reciprocal", "--z=-0.6", "--x=2"),
     # k-bessel pairs with psi(x) far below 1e-11.
     ("verify", "pair-reciprocity", "--pair-alpha=0.25", "--x=5", "--z=0.3"),
     ("verify", "pair-reciprocity", "--pair-alpha=0.25", "--x=2", "--z=-0.4"),
