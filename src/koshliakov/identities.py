@@ -42,6 +42,24 @@ def _check_domain(alphas=(), terms: int = 1) -> None:
         raise DomainError("terms must be >= 1")
 
 
+_Z_STRIPS = {"|Re z| < 1": lambda x: abs(x) < 1.0,
+             "0 < |Re z| < 1": lambda x: 0.0 < abs(x) < 1.0,
+             "0 < Re z < 1": lambda x: 0.0 < x < 1.0}
+
+
+def _check_z(z, strip: str, zero_ok: bool = False) -> complex:
+    """z as a complex number with Re z in the named strip (a key of
+    _Z_STRIPS, whose text is also the error message) and |z| >= 1e-4,
+    below which the poles at z = 0 leave too few digits.  With zero_ok,
+    z = 0 itself (|z| < 1e-12) passes, for an identity's z = 0 form."""
+    z = complex(z)
+    if not _Z_STRIPS[strip](z.real):
+        raise DomainError(f"{strip} required")
+    if (1e-12 if zero_ok else 0.0) <= abs(z) < 1e-4:
+        raise NearPoleError(("need z = 0 exactly or " if zero_ok else "need ") + "|z| >= 1e-4")
+    return z
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     identity_id: str
@@ -233,13 +251,6 @@ def _k_series_tail(z: complex, alpha: float, n_from: int) -> float:
     return term(n_from) / max(1.0 - ratio, 0.5)
 
 
-def _k_series_terms_for(z: complex, alpha: float, target: float, floor: int) -> int:
-    n = max(floor, 1)
-    while n < 500 and _k_series_tail(z, alpha, n + 1) > target:
-        n += 1
-    return n
-
-
 # Relative accuracy claimed for each piece of f_frak (Gamma, zeta, the
 # powers, each K term), applied to the sum of the pieces' magnitudes, so
 # cancellation among them is charged to the bound.  Against 30-digit
@@ -256,7 +267,9 @@ def f_frak(z: complex, alpha: float, terms: int):
     z = complex(z)
     if abs(z) < 1e-4:
         raise NearPoleError("Gamma(z/2) pole: need |z| >= 1e-4")
-    n_eff = _k_series_terms_for(z, alpha, 1e-13, terms)
+    n_eff = max(terms, 1)       # raised until the K tail is below 1e-13
+    while n_eff < 500 and _k_series_tail(z, alpha, n_eff + 1) > 1e-13:
+        n_eff += 1
     n = np.arange(1, n_eff + 1, dtype=float)
     sig = arith.build_table(-z, n_eff).slice(n_eff)
     kv = bessel_k(0.5 * z, 2.0 * math.pi * alpha * n)
@@ -274,7 +287,6 @@ def f_frak(z: complex, alpha: float, terms: int):
 def _hurwitz_F(z: complex, alpha: float, terms: int):
     """alpha^{(z+1)/2} (sum_n lambda(n alpha, z) - zeta(z+1)/(2 alpha^{z+1})
     - zeta(z)/(alpha z)), lambda-sum tail-corrected; returns (value, residual)."""
-    z = complex(z)
     s, resid = lambda_sum(alpha, z, terms)
     pref = alpha ** (0.5 * (z + 1.0))
     value = pref * (s - riemann_zeta(z + 1.0) / (2.0 * alpha ** (z + 1.0))
@@ -303,13 +315,9 @@ def rg_corollary_grid(alphas, z, terms: int = 50,
     alpha, or in its place the KoshliakovError that alpha's rhs raised."""
     _check_domain(alphas, terms)
     spec = spec or _XI_SPEC
-    z = complex(z)
-    if abs(z.real) >= 1.0:
-        raise DomainError("|Re z| < 1 required")
+    z = _check_z(z, "|Re z| < 1", zero_ok=True)
     if abs(z) < 1e-12:
         return rg_corollary_z0_grid(alphas, terms, spec, tolerance)
-    if abs(z) < 1e-4:
-        raise NearPoleError("z too close to 0; use the z=0 form")
     zp, zm = (z + 1.0) ** 2, (z - 1.0) ** 2
 
     def g(t):
@@ -391,11 +399,7 @@ def verify_rg_formula(z, alpha: float, terms: int = 10,
                       spec: Optional[QuadratureSpec] = None,
                       tolerance: float = 1e-8) -> VerificationReport:
     """f_frak(alpha, z) = f_frak(1/alpha, z)."""
-    z = complex(z)
-    if abs(z.real) >= 1.0:
-        raise DomainError("|Re z| < 1 required")
-    if abs(z) < 1e-4:
-        raise NearPoleError("need |z| >= 1e-4")
+    z = _check_z(z, "|Re z| < 1")
     _check_domain([alpha], terms)
     lhs, t1, e1 = f_frak(z, alpha, terms)
     rhs, t2, e2 = f_frak(z, 1.0 / alpha, terms)
@@ -422,11 +426,7 @@ def hurwitz_corollary_grid(alphas, z, terms: int = 50,
     one report (or rhs error) per alpha."""
     _check_domain(alphas, terms)
     spec = spec or _XI_SPEC
-    z = complex(z)
-    if not 0.0 < abs(z.real) < 1.0:
-        raise DomainError("0 < |Re z| < 1 required")
-    if abs(z) < 1e-4:
-        raise NearPoleError("need |z| >= 1e-4")
+    z = _check_z(z, "0 < |Re z| < 1")
     zp = (z + 1.0) ** 2
     base = 0.25 * (z - 1.0)
 
@@ -456,11 +456,7 @@ def verify_hurwitz_modular(z, alpha: float, terms: int = 50,
                            spec: Optional[QuadratureSpec] = None,
                            tolerance: float = 1e-8) -> VerificationReport:
     """F(alpha) = F(1/alpha) for the Hurwitz-lambda combination."""
-    z = complex(z)
-    if not 0.0 < abs(z.real) < 1.0:
-        raise DomainError("0 < |Re z| < 1 required")
-    if abs(z) < 1e-4:
-        raise NearPoleError("need |z| >= 1e-4")
+    z = _check_z(z, "0 < |Re z| < 1")
     _check_domain([alpha], terms)
     lhs, r1 = _hurwitz_F(z, alpha, terms)
     rhs, r2 = _hurwitz_F(z, 1.0 / alpha, terms)
@@ -497,14 +493,6 @@ def _theta_pair_inner(alpha: float, weights: np.ndarray, order: complex,
     return r.value, r.total_error
 
 
-def _binom_series_coeff(expo: complex, j: int) -> complex:
-    """binom(expo, j) by product recursion."""
-    out = 1.0 + 0.0j
-    for i in range(j):
-        out *= (expo - i) / (i + 1.0)
-    return out
-
-
 def _divisor_k_series(alpha: float, z: complex, N: int, spec: QuadratureSpec,
                       both: bool):
     """sum_n sigma_{-z}(n) n^{z+1} I_n, where I_n integrates
@@ -525,11 +513,13 @@ def _divisor_k_series(alpha: float, z: complex, N: int, spec: QuadratureSpec,
     tail = 0.0
     tail_err = 0.0
     prev = math.inf
+    binom = 1.0 + 0.0j          # binom(expo, j), by product recursion
     for j in range(0, 60):
         mj = sum(scale * 2.0 ** (0.5 * z + 2 * j) * (2.0 * c) ** (-(2.0 + 0.5 * z + 2 * j))
                  for c, scale in scales) * gamma(1.0 + j) * gamma(1.0 + j + 0.5 * z)
-        term = (_binom_series_coeff(expo, j) * math.pi ** (-(z + 3.0) - 2 * j)
+        term = (binom * math.pi ** (-(z + 3.0) - 2 * j)
                 * mj * _divisor_tail_moment(z, N, j))
+        binom *= (expo - j) / (j + 1.0)
         if abs(term) >= prev:
             tail_err = abs(term)
             break
@@ -597,16 +587,14 @@ def verify_bessel_hurwitz_sum(alpha: float, z, terms: int = 8,
     bracket's (m alpha)^{-z}/2 reading diverges, the lambda reading is used.
     I_n(z) integrates x^{1+z/2} K_{z/2}(2 alpha x) (x^2 + pi^2 n^2)^{-(z+3)/2}:
     the divisor-K series with the single K weight (_divisor_k_series)."""
-    z = complex(z)
-    if not 0.0 < z.real < 1.0:
-        raise DomainError("0 < Re z < 1 required")
+    z = _check_z(z, "0 < Re z < 1")
     _check_domain([alpha], terms)
     spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     N = max(int(terms), 2)
     series, quad_err, tail_err = _divisor_k_series(alpha, z, N, spec, both=False)
     pref_l = math.pi ** (z + 0.5) * gamma(0.5 * (z + 3.0))
     lhs = pref_l * series
-    lam, resid = lambda_sum(alpha, z, max(N, 10))
+    lam, resid = lambda_sum(alpha, z, N)
     pref_r = alpha ** (0.5 * z) / 2.0 ** (z + 2.0) * gamma(z + 1.0)
     rhs = pref_r * lam
     budgets = {"quad_err": abs(pref_l) * quad_err,
@@ -709,11 +697,7 @@ def verify_omega_self_reciprocal(x: float, z, terms: int = 500,
     z = complex(z)
     if z.imag != 0.0:
         raise DomainError("real z only (real-order J)")
-    zr = z.real
-    if abs(zr) >= 1.0:
-        raise DomainError("|Re z| < 1 required")
-    if 1e-12 <= abs(zr) < 1e-4:
-        raise NearPoleError("need z = 0 exactly or |z| >= 1e-4")
+    zr = _check_z(z, "|Re z| < 1", zero_ok=True).real
     if x <= 0.0:
         raise DomainError("x > 0 required")
     _check_domain(terms=terms)
@@ -734,10 +718,7 @@ def verify_omega_self_reciprocal(x: float, z, terms: int = 500,
     # The power part's envelope u^{z-3/2} decays too slowly to truncate,
     # but J_z alternates with half-period pi.
     ev, eerr = _oscillatory_tail(g, c * math.sqrt(Y), math.pi)
-    if abs(zr) < 1e-12:
-        zeta_z = -0.5 + 0.0j  # zeta(0)
-    else:
-        zeta_z = riemann_zeta(zr)
+    zeta_z = -0.5 + 0.0j if abs(zr) < 1e-12 else riemann_zeta(zr)   # zeta(0) exactly
     tail = -(zeta_z / (2.0 * math.pi)) * 2.0 * c ** (-zr) * ev
     # Discarded exponentially small Omega remainder past Y.
     om_rem = 40.0 * math.exp(-2.0 * math.sqrt(2.0) * math.pi * math.sqrt(Y))
@@ -754,16 +735,20 @@ def verify_omega_self_reciprocal(x: float, z, terms: int = 500,
                    real_inputs=True)
 
 
-def _omega_laplace_integral(alpha: float, z: complex, spec: QuadratureSpec,
-                            n_terms: int = 500):
-    """Integral of e^{-2 pi alpha x} x^{z/2} (Omega - zeta(z) x^{z/2-1}/(2 pi))."""
+def _omega_laplace_columns(cols, z: complex, spec: QuadratureSpec):
+    """Integral of e^{-2 pi c x} x^{z/2} (Omega - zeta(z) x^{z/2-1}/(2 pi))
+    for every c of cols, from one vector integral: the Omega factor is
+    evaluated once per node, the exponential once per node and column.
+    The tail rate is that of the smallest c; spec defaults to 1e-11
+    absolute and relative.  Returns (values, errors), one per column."""
+    cols = np.asarray(cols, dtype=float)
 
     def f(x):
-        x = np.asarray(x, dtype=float)
-        return (np.exp(-2.0 * math.pi * alpha * x) * np.power(x, 0.5 * z)
-                * omega_combination(x, z, n_terms))
+        w = omega_combination(x, z, 500) * np.power(x, 0.5 * z)
+        return w[:, None] * np.exp(-2.0 * math.pi * np.multiply.outer(x, cols))
 
-    r = integrate_half_line(f, 2.0 * math.pi * alpha * 0.95, spec)
+    r = integrate_half_line(f, 2.0 * math.pi * cols.min() * 0.95,
+                            spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
     return r.value, r.total_error
 
 
@@ -771,25 +756,29 @@ def verify_omega_modular(alpha: float, z, spec: Optional[QuadratureSpec] = None,
                          tolerance: float = 1e-6) -> VerificationReport:
     """alpha^{(z+1)/2} times the Omega Laplace integral is invariant under
     alpha -> 1/alpha."""
-    z = complex(z)
-    if abs(z.real) >= 1.0:
-        raise DomainError("|Re z| < 1 required")
-    if 1e-12 <= abs(z) < 1e-4:
-        raise NearPoleError("need z = 0 exactly or |z| >= 1e-4")
-    _check_domain([alpha])
-    spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
-    beta = 1.0 / alpha
-    v1, e1 = _omega_laplace_integral(alpha, z, spec)
-    v2, e2 = _omega_laplace_integral(beta, z, spec)
-    lhs = alpha ** (0.5 * (z + 1.0)) * v1
-    rhs = beta ** (0.5 * (z + 1.0)) * v2
-    budgets = {"quad_err": abs(alpha ** (0.5 * (z + 1.0))) * e1
-               + abs(beta ** (0.5 * (z + 1.0))) * e2}
-    if abs(z) < 1e-12:
-        budgets["pole_averaging"] = 1e-7
-    params = {"alpha": alpha, "z": [z.real, z.imag]}
-    return _report("omega-modular", params, lhs, rhs, budgets, tolerance,
-                   real_inputs=(z.imag == 0.0))
+    return _single(omega_modular_grid([alpha], z, spec, tolerance))
+
+
+def omega_modular_grid(alphas, z, spec: Optional[QuadratureSpec] = None,
+                       tolerance: float = 1e-6) -> list:
+    """verify_omega_modular at every alpha of a grid, from one vector
+    Laplace integral whose columns are the alphas, then their reciprocals;
+    returns one report per alpha."""
+    z = _check_z(z, "|Re z| < 1", zero_ok=True)
+    _check_domain(alphas)
+    m = len(alphas)
+    values, errs = _omega_laplace_columns([*alphas, *(1.0 / a for a in alphas)], z, spec)
+
+    def row(col, alpha):
+        pa, pb = alpha ** (0.5 * (z + 1.0)), (1.0 / alpha) ** (0.5 * (z + 1.0))
+        budgets = {"quad_err": abs(pa) * float(errs[col]) + abs(pb) * float(errs[m + col])}
+        if abs(z) < 1e-12:
+            budgets["pole_averaging"] = 1e-7
+        return _report("omega-modular", {"alpha": alpha, "z": [z.real, z.imag]},
+                       pa * complex(values[col]), pb * complex(values[m + col]),
+                       budgets, tolerance, real_inputs=(z.imag == 0.0))
+
+    return _rows(alphas, row)
 
 
 def verify_omega_laplace(alpha: float, z, terms: int = 50,
@@ -798,22 +787,30 @@ def verify_omega_laplace(alpha: float, z, terms: int = 50,
     """The Omega Laplace integral versus Gamma(z+1)/(2 pi)^{z+1} times the
     tail-corrected lambda combination; the boundary terms appear once (the
     printed form repeats them inside the sum, which diverges)."""
-    z = complex(z)
-    if not 0.0 < z.real < 1.0:
-        raise DomainError("0 < Re z < 1 required")
-    if abs(z) < 1e-4:
-        raise NearPoleError("need |z| >= 1e-4")
-    _check_domain([alpha], terms)
-    spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
-    lhs, err = _omega_laplace_integral(alpha, z, spec)
-    lam, resid = lambda_sum(alpha, z, terms)
-    pref = gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0)
-    rhs = pref * (lam - riemann_zeta(z + 1.0) / (2.0 * alpha ** (z + 1.0))
-                  - riemann_zeta(z) / (alpha * z))
-    budgets = {"quad_err": err, "em_residual": abs(pref) * resid}
-    params = {"alpha": alpha, "z": [z.real, z.imag], "terms": terms}
-    return _report("omega-laplace", params, lhs, rhs, budgets, tolerance,
-                   real_inputs=(z.imag == 0.0))
+    return _single(omega_laplace_grid([alpha], z, terms, spec, tolerance))
+
+
+def omega_laplace_grid(alphas, z, terms: int = 50,
+                       spec: Optional[QuadratureSpec] = None,
+                       tolerance: float = 1e-6) -> list:
+    """verify_omega_laplace at every alpha of a grid, from one vector
+    Laplace integral with a column per alpha (the lambda side stays per
+    alpha); returns one report (or rhs error) per alpha."""
+    z = _check_z(z, "0 < Re z < 1")
+    _check_domain(alphas, terms)
+    values, errs = _omega_laplace_columns(alphas, z, spec)
+
+    def row(col, alpha):
+        lam, resid = lambda_sum(alpha, z, terms)
+        pref = gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0)
+        rhs = pref * (lam - riemann_zeta(z + 1.0) / (2.0 * alpha ** (z + 1.0))
+                      - riemann_zeta(z) / (alpha * z))
+        budgets = {"quad_err": float(errs[col]), "em_residual": abs(pref) * resid}
+        params = {"alpha": alpha, "z": [z.real, z.imag], "terms": terms}
+        return _report("omega-laplace", params, complex(values[col]), rhs, budgets,
+                       tolerance, real_inputs=(z.imag == 0.0))
+
+    return _rows(alphas, row)
 
 
 def verify_pair_reciprocity(pair: ReciprocalPair, z, x: float,
@@ -970,10 +967,12 @@ IDENTITIES: dict = {
         "Omega combination is self-reciprocal under the J_z transform"),
     "omega-modular": IdentityEntry(
         verify_omega_modular,
-        "alpha^{(z+1)/2} Omega Laplace integral invariant under alpha -> 1/alpha"),
+        "alpha^{(z+1)/2} Omega Laplace integral invariant under alpha -> 1/alpha",
+        omega_modular_grid),
     "omega-laplace": IdentityEntry(
         verify_omega_laplace,
-        "Omega Laplace integral vs the lambda combination closed form"),
+        "Omega Laplace integral vs the lambda combination closed form",
+        omega_laplace_grid),
     "bessel-hurwitz-sum": IdentityEntry(
         verify_bessel_hurwitz_sum,
         "K-weighted divisor series vs the lambda series closed form"),

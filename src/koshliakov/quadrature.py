@@ -5,10 +5,11 @@ abscissas and return an array of values (real or complex).  Results carry
 an error estimate and, for semi-infinite ranges, the truncation bound that
 was added to it, so callers can propagate an honest budget.
 
-`integrate_finite` also takes vector integrands: f may return shape
+Every integrator also takes vector integrands: f may return shape
 (nodes,) or (nodes, m).  An (nodes, m) integrand gets one value and one
-error estimate per component from one set of panels, refined until every
-component meets its own budget.
+error estimate per component from one set of nodes, refined until every
+component meets its own budget; a (nodes,) integrand gets a complex value
+and a float error, with the arithmetic of a one-component integral.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ class QuadratureSpec:
 @dataclass(frozen=True)
 class QuadratureResult:
     """Value plus the estimated quadrature error and tail truncation bound;
-    value and err_estimate are (m,) arrays for an (nodes, m) integrand."""
+    value, err_estimate and (on a semi-infinite range) truncation_bound
+    are (m,) arrays for an (nodes, m) integrand."""
 
     value: complex
     err_estimate: float
@@ -212,7 +214,8 @@ def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Quad
 
     Abscissas are formed from their exact distance to the endpoint, so for
     an interval starting at 0 the integrand sees correctly rounded tiny
-    arguments rather than 0 itself.
+    arguments rather than 0 itself.  For an (nodes, m) integrand the
+    levels go on until every component meets spec.budget(|value_j|).
     """
     spec = spec or QuadratureSpec()
     if a == b:
@@ -222,6 +225,7 @@ def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Quad
     prev = None
     err = math.inf
     nodes = 0
+    ndim = 1
     for level in range(spec.max_levels + 1):
         u, h = _ts_nodes(level)
         v = 0.5 * math.pi * np.sinh(u)
@@ -242,8 +246,11 @@ def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Quad
             if not np.any(sel):
                 continue
             y = np.asarray(f(x[sel]))
-            y = np.where(np.isfinite(y), y, 0.0)
-            contrib += np.sum(w[sel] * y)
+            ndim = y.ndim
+            y = np.where(np.isfinite(y), y, 0.0).reshape(y.shape[0], -1)
+            # An (n, 1) sum along axis 0 adds in np.sum's order, so a 1-D
+            # integrand keeps its scalar arithmetic.
+            contrib += (w[sel][:, None] * y).sum(axis=0)
             n_here += int(np.count_nonzero(sel))
         if level == 0:
             total = h * contrib
@@ -251,13 +258,15 @@ def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Quad
             total = 0.5 * total + h * contrib
         nodes += n_here
         if prev is not None:
-            err = abs(total - prev)
-            if err <= spec.budget(abs(total)) and level >= 3:
-                return QuadratureResult(complex(total), err, nodes)
+            err = _cabs(total - prev)
+            if (err <= spec.budget(_cabs(total))).all() and level >= 3:
+                if ndim == 1:
+                    return QuadratureResult(complex(total[0]), float(err[0]), nodes)
+                return QuadratureResult(total, err, nodes)
         prev = total
     raise ConvergenceError(
         f"tanh-sinh failed to reach tolerance on [{a:g}, {b:g}]: "
-        f"last refinement changed the value by {err:.3e}")
+        f"last refinement changed the value by {np.max(err):.3e}")
 
 
 class ExpDecay:
@@ -288,11 +297,18 @@ def integrate_semi_infinite(f, a: float, decay,
     the tolerance budget; the rest goes to the finite-range panels, which
     are laid out geometrically so oscillation near the origin and slow
     variation far out are both resolved.
+
+    decay may also be a list of certificates, one per component of an
+    (nodes, m) integrand (or one for a (nodes,) integrand): the cutoff is
+    the largest of theirs, each component gets its own certificate's
+    bound at that cutoff, and each must pass the final check against its
+    own budget.
     """
     spec = spec or QuadratureSpec()
     tol = spec.abs_tol
-    T = decay.cutoff_for(0.1 * tol)
-    trunc = decay.tail_bound(T)
+    decays = decay if isinstance(decay, list) else [decay]
+    T = max(d.cutoff_for(0.1 * tol) for d in decays)
+    trunc = [d.tail_bound(T) for d in decays]
     if T <= a:
         raise DomainError(f"decay cutoff {T:g} does not exceed the lower endpoint {a:g}")
 
@@ -320,11 +336,15 @@ def integrate_semi_infinite(f, a: float, decay,
         total += r.value
         err += r.err_estimate
         nodes += r.nodes_used
-    result = QuadratureResult(complex(total), err, nodes, truncation_bound=trunc)
-    if result.total_error > spec.budget(abs(total)) * 10.0:
+    if np.ndim(total) == 0:
+        result = QuadratureResult(complex(total), err, nodes, truncation_bound=trunc[0])
+    else:
+        result = QuadratureResult(total, err, nodes, truncation_bound=np.array(trunc))
+    over = result.total_error > spec.budget(_cabs(np.asarray(total))) * 10.0
+    if np.any(over):
         raise ConvergenceError(
-            f"semi-infinite integral error {result.total_error:.3e} exceeds "
-            f"10x the requested budget")
+            f"semi-infinite integral error {np.max(result.total_error):.3e} "
+            f"exceeds 10x the requested budget")
     return result
 
 
@@ -339,26 +359,32 @@ def integrate_half_line(f, rate: float,
     [1, 2], so one zero of an oscillating f cannot collapse it; |f| at
     eight points of (2, 2 + 32/rate] must sit under the envelope, else
     DecayError.
+
+    For an (nodes, m) integrand, rate must hold for every component (pass
+    the smallest): coeff is fitted per component, and a component above
+    its own envelope at any check point raises DecayError.
     """
     spec = spec or QuadratureSpec()
     if not rate > 0.0:
         raise DecayError("integrate_half_line needs a positive decay rate")
     fit = np.linspace(1.0, 2.0, 5)
     check = np.linspace(2.0, 2.0 + 32.0 / rate, 9)[1:]
-    mags = np.abs(np.asarray(f(np.concatenate([fit, check]))))
-    peak = float(np.max(mags[:5] * np.exp(rate * fit)))
-    if not peak < math.inf:
+    y = np.asarray(f(np.concatenate([fit, check])))
+    mags = np.abs(y).reshape(13, -1)
+    peaks = np.max(mags[:5] * np.exp(rate * fit)[:, None], axis=0)
+    if not (peaks < math.inf).all():
         raise DecayError("integrand is not finite on [1, 2]; no tail envelope")
-    decay = ExpDecay(40.0 * max(peak, 1e-300), rate, start=1.0)
-    envelope = decay.coeff * np.exp(-rate * check)
+    decays = [ExpDecay(40.0 * max(float(p), 1e-300), rate, start=1.0) for p in peaks]
+    envelope = np.exp(-rate * check)[:, None] * [d.coeff for d in decays]
     over = ~(mags[5:] <= envelope)          # a nan sample counts as over
     if over.any():
-        i = int(np.argmax(over))
-        raise DecayError(f"tail envelope fitted on [1, 2] is exceeded at "
-                         f"t={check[i]:.3g}: |f| = {mags[5 + i]:.3e} > "
-                         f"{envelope[i]:.3e}")
+        i, j = np.argwhere(over)[0]
+        where = f" in component {j}" if y.ndim > 1 else ""
+        raise DecayError(f"tail envelope fitted on [1, 2] is exceeded{where} at "
+                         f"t={check[i]:.3g}: |f| = {mags[5 + i, j]:.3e} > "
+                         f"{envelope[i, j]:.3e}")
     head = tanh_sinh(f, 0.0, 1.0, spec)
-    tail = integrate_semi_infinite(f, 1.0, decay, spec)
+    tail = integrate_semi_infinite(f, 1.0, decays, spec)
     return QuadratureResult(head.value + tail.value,
                             head.err_estimate + tail.err_estimate,
                             head.nodes_used + tail.nodes_used,

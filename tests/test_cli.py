@@ -82,12 +82,27 @@ def test_verify_rg_example(capsys):
     assert doc["rel_diff"] <= 1e-8
 
 
-@pytest.mark.parametrize("name,summed", [("rg-corollary-z0", 8),
-                                         ("hurwitz-corollary-z0", 4)])
-def test_report_states_the_terms_it_summed(name, summed, capsys):
-    # Both floor the divisor sum to guard its remainder at tiny N.
-    assert main(["verify", name, "--terms=1"]) == 0
+@pytest.mark.parametrize("name,flag,summed,code", [
+    pytest.param("rg-corollary-z0", "--terms=1", 8, 0, id="rg-corollary-z0-8"),
+    pytest.param("hurwitz-corollary-z0", "--terms=1", 4, 0,
+                 id="hurwitz-corollary-z0-4"),
+    pytest.param("bessel-hurwitz-sum", "--terms=2", 2, 2, id="bessel-hurwitz-sum-2")])
+def test_report_states_the_terms_it_summed(name, flag, summed, code, capsys,
+                                           monkeypatch):
+    # The two z=0 forms floor the divisor sum to guard its remainder at
+    # tiny N.  bessel-hurwitz-sum sums as many lambda terms as it states,
+    # and at N = 2 its Euler-Maclaurin residual fails the identity honestly.
+    lambda_terms = []
+    orig = identities.lambda_sum
+
+    def counted(alpha, z, n_terms):
+        lambda_terms.append(n_terms)
+        return orig(alpha, z, n_terms)
+
+    monkeypatch.setattr(identities, "lambda_sum", counted)
+    assert main(["verify", name, flag]) == code
     assert json.loads(capsys.readouterr().out)["params"]["terms"] == summed
+    assert all(n == summed for n in lambda_terms)
 
 
 def test_oscillation_budget_is_never_zero(capsys):
@@ -244,6 +259,60 @@ def test_sweep_rhs_failure_fails_its_row_only(tmp_path, capsys, monkeypatch):
     rows = out.read_text().strip().split("\n")[1:]
     assert ["nan" in row for row in rows] == [False, False, False, True, True]
     assert capsys.readouterr().err.count("synthetic failure") == 2
+
+
+_OMEGA_SWEEPS = {
+    "omega-modular": ["sweep", "omega-modular", "--z=-0.6", "--alpha-min", "0.5",
+                      "--alpha-max", "2", "--steps", "5"],
+    "omega-laplace": ["sweep", "omega-laplace", "--z=0.3+0.2i", "--alpha-min", "0.5",
+                      "--alpha-max", "2", "--steps", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OMEGA_SWEEPS))
+def test_omega_sweep_twice_in_one_process_is_byte_identical(name, tmp_path):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        assert main(_OMEGA_SWEEPS[name] + ["--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(_OMEGA_SWEEPS))
+def test_omega_sweep_shared_integral_failure_fails_every_row(name, tmp_path, capsys,
+                                                            monkeypatch):
+    # The alphas (and reciprocals) share one Laplace integral.
+    def broken(*args, **kwargs):
+        raise ConvergenceError("synthetic failure")
+
+    monkeypatch.setattr(identities, "integrate_half_line", broken)
+    out = tmp_path / "s.csv"
+    assert main(_OMEGA_SWEEPS[name] + ["--out", str(out)]) == 2
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 5
+    assert all(row.split(",")[1:] == ["nan"] * 6 for row in rows)
+    assert capsys.readouterr().err.count("synthetic failure") == 1
+
+
+def test_omega_laplace_rhs_failure_fails_its_row_only(tmp_path, capsys, monkeypatch):
+    orig = identities.lambda_sum
+
+    def flaky(alpha, z, n_terms):
+        if alpha > 1.5:
+            raise ConvergenceError("synthetic failure")
+        return orig(alpha, z, n_terms)
+
+    monkeypatch.setattr(identities, "lambda_sum", flaky)
+    out = tmp_path / "s.csv"
+    assert main(_OMEGA_SWEEPS["omega-laplace"] + ["--out", str(out)]) == 2
+    rows = out.read_text().strip().split("\n")[1:]
+    assert ["nan" in row for row in rows] == [False, False, False, True, True]
+    assert capsys.readouterr().err.count("synthetic failure") == 2
+
+
+@pytest.mark.parametrize("alpha,z", [(0.25, -0.6), (1.0, 0.0), (2.0, 0.3 + 0.2j)])
+def test_omega_modular_grid_of_one_alpha_is_the_verify(alpha, z):
+    assert identities.omega_modular_grid([alpha], z)[0] == \
+        identities.verify_omega_modular(alpha, z)
 
 
 def test_eval_examples(capsys):

@@ -218,3 +218,146 @@ def test_one_component_keeps_the_scalar_arithmetic():
         assert (one.value, one.err_estimate, one.nodes_used) == (value, err, nodes)
         assert (complex(col.value[0]), float(col.err_estimate[0]),
                 col.nodes_used) == (value, err, nodes)
+
+
+# ---------------------------------------------------------------------------
+# Vector integrands on the half-line stack
+# ---------------------------------------------------------------------------
+
+_COLS = st.lists(st.floats(0.5, 6.0), min_size=1, max_size=5)
+
+
+def _agree(vec, col, one):
+    # Column col of a vector result and the scalar result of that column
+    # differ by no more than their two budgets, spec.budget(|value|) each.
+    a, b, spec = complex(vec.value[col]), one.value, QuadratureSpec()
+    return abs(a - b) <= spec.budget(abs(a)) + spec.budget(abs(b))
+
+
+@settings(max_examples=25)
+@given(_COLS)
+def test_tanh_sinh_columns_match_scalar_calls(bs):
+    # cos(b x)/sqrt(x) on (0, 1]: a singular endpoint in every column.
+    b = np.array(bs)
+    r = tanh_sinh(lambda x: np.cos(np.multiply.outer(x, b)) / np.sqrt(x)[:, None],
+                  0.0, 1.0)
+    assert r.value.shape == r.err_estimate.shape == b.shape
+    assert isinstance(r.nodes_used, int)
+    for j, bj in enumerate(bs):
+        one = tanh_sinh(lambda x: np.cos(bj * x) / np.sqrt(x), 0.0, 1.0)
+        assert _agree(r, j, one)
+
+
+@settings(max_examples=25)
+@given(_COLS)
+def test_semi_infinite_columns_match_scalar_calls(bs):
+    # e^{-b t} over [0, inf) with one certificate per column: the cutoff is
+    # the largest certificate's, and every column keeps its own bound.
+    b = np.array(bs)
+    decays = [ExpDecay(coeff=1.0, rate=bj) for bj in bs]
+    r = integrate_semi_infinite(lambda t: np.exp(-np.multiply.outer(t, b)), 0.0, decays)
+    T = max(d.cutoff_for(0.1 * QuadratureSpec().abs_tol) for d in decays)
+    assert list(r.truncation_bound) == [d.tail_bound(T) for d in decays]
+    for j, bj in enumerate(bs):
+        one = integrate_semi_infinite(lambda t: np.exp(-bj * t), 0.0, decays[j])
+        assert _agree(r, j, one)
+        assert abs(r.value[j] - 1.0 / bj) <= r.total_error[j] + 1e-14
+
+
+@settings(max_examples=25)
+@given(_S, _COLS)
+def test_half_line_columns_match_scalar_calls(s, bs):
+    # t^{s-1} e^{-b t} with the smallest rate of the columns.
+    b = np.array(bs)
+    r = integrate_half_line(
+        lambda t: np.power(t, s - 1.0)[:, None] * np.exp(-np.multiply.outer(t, b)),
+        0.9 * b.min())
+    assert r.value.shape == r.truncation_bound.shape == b.shape
+    assert isinstance(r.nodes_used, int)
+    for j, bj in enumerate(bs):
+        one = integrate_half_line(_gamma_integrand(s, bj), 0.9 * bj)
+        assert _agree(r, j, one)
+        assert abs(r.value[j] - math.gamma(s) * bj ** -s) <= r.total_error[j]
+
+
+def test_half_line_rejects_one_broken_column():
+    # Column 0 honours the claimed rate 2; column 1 decays at 0.1.
+    def f(t):
+        return np.exp(-np.multiply.outer(t, [3.0, 0.1]))
+
+    with pytest.raises(DecayError, match="envelope .* in component 1"):
+        integrate_half_line(f, 2.0)
+
+
+def _scalar_ts(f, a, b, spec):
+    """The scalar tanh-sinh loop that tanh_sinh ran before it took vector
+    integrands: the reference for 1-D arithmetic."""
+    half, total, prev, nodes = 0.5 * (b - a), 0.0 + 0.0j, None, 0
+    for level in range(spec.max_levels + 1):
+        u, h = quadrature._ts_nodes(level)
+        v = 0.5 * math.pi * np.sinh(u)
+        w = half * 0.5 * math.pi * np.cosh(u) / np.square(np.cosh(v))
+        dist = (b - a) / (1.0 + np.exp(2.0 * v))
+        contrib = 0.0 + 0.0j
+        for x, centre in ((b - dist, True), (a + dist, level > 0)):
+            sel = (w > 0.0) & (x > a) & (x < b) & (centre | (u > 0.0))
+            y = np.asarray(f(x[sel]))
+            contrib += np.sum(w[sel] * np.where(np.isfinite(y), y, 0.0))
+            nodes += int(np.count_nonzero(sel))
+        total = h * contrib if level == 0 else 0.5 * total + h * contrib
+        if prev is not None:
+            err = abs(total - prev)
+            if err <= max(spec.abs_tol, spec.rel_tol * abs(total)) and level >= 3:
+                return complex(total), err, nodes
+        prev = total
+    raise AssertionError("reference loop did not converge")
+
+
+def _scalar_half_line(f, rate, spec):
+    """integrate_half_line before it took vector integrands, with the
+    reference head and integrate_finite's (pinned) scalar tail panels."""
+    fit = np.linspace(1.0, 2.0, 5)
+    mags = np.abs(np.asarray(f(fit)))
+    decay = ExpDecay(40.0 * max(float(np.max(mags * np.exp(rate * fit))), 1e-300),
+                     rate, start=1.0)
+    head = _scalar_ts(f, 0.0, 1.0, spec)
+    T = decay.cutoff_for(0.1 * spec.abs_tol)
+    breaks, step = [1.0], 1.0
+    while breaks[-1] + step < T:
+        breaks.append(breaks[-1] + step)
+        step *= 2.0
+    breaks.append(T)
+    seg = QuadratureSpec(abs_tol=spec.abs_tol / (len(breaks) - 1), rel_tol=spec.rel_tol)
+    total, err, nodes = 0.0 + 0.0j, 0.0, head[2]
+    for lo, hi in zip(breaks, breaks[1:]):
+        r = integrate_finite(f, lo, hi, seg)
+        total, err, nodes = total + r.value, err + r.err_estimate, nodes + r.nodes_used
+    return head[0] + total, head[1] + err, nodes, decay.tail_bound(T)
+
+
+def test_one_component_half_line_keeps_the_scalar_arithmetic():
+    # f returning (nodes,) or (nodes, 1) gives, through tanh_sinh and
+    # integrate_half_line, the numbers of the scalar loops bit for bit.
+    cases = [
+        (lambda x: 1.0 / np.sqrt(x) * np.exp(-x), 0.9),
+        (lambda x: np.log(x) * np.exp(-2.0 * x), 1.5),
+        (lambda x: np.exp((1j - 1.0) * x) * np.power(x, -0.3), 0.9),
+        (lambda x: np.sin(math.pi * x) * np.exp(-x), 0.9),
+    ]
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+    for f, rate in cases:
+        head = _scalar_ts(f, 0.0, 1.0, spec)
+        one = tanh_sinh(f, 0.0, 1.0, spec)
+        col = tanh_sinh(lambda x: f(x)[:, None], 0.0, 1.0, spec)
+        assert type(one.value) is complex and type(one.err_estimate) is float
+        assert (one.value, one.err_estimate, one.nodes_used) == head
+        assert (complex(col.value[0]), float(col.err_estimate[0]), col.nodes_used) == head
+
+        ref = _scalar_half_line(f, rate, spec)
+        one = integrate_half_line(f, rate, spec)
+        col = integrate_half_line(lambda x: f(x)[:, None], rate, spec)
+        assert type(one.value) is complex
+        assert (one.value, one.err_estimate, one.nodes_used,
+                one.truncation_bound) == ref
+        assert (complex(col.value[0]), float(col.err_estimate[0]), col.nodes_used,
+                float(col.truncation_bound[0])) == ref

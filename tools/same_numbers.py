@@ -12,9 +12,10 @@ sweeps (61 alpha rows each) and the 5 `sweep-omega` sweeps (11 rows
 each).  Then come a `hurwitz-corollary-z0` sweep over the `sweep-xi`
 grid, six verifies off the defaults that reach the divisor-K series at
 the ends of the alpha range and the oscillatory tails at other x and z,
-three k-bessel `pair-reciprocity` cases whose psi(x) is far below the
-transform's absolute accuracy, and `list`, whose `tol` column both this
-tool and the benchmark read: 39 commands in all.
+two Omega sweeps over the whole alpha range [1/4, 4], three k-bessel
+`pair-reciprocity` cases whose psi(x) is far below the transform's
+absolute accuracy, and `list`, whose `tol` column both this tool and the
+benchmark read: 41 commands in all.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
@@ -41,6 +42,7 @@ import sys
 
 _XI_GRID = ("--alpha-min=0.2500", "--alpha-max=4.0000", "--steps=61")
 _OMEGA_GRID = ("--alpha-min=0.5000", "--alpha-max=2.0000", "--steps=11")
+_FULL_GRID = ("--alpha-min=0.25", "--alpha-max=4", "--steps=11")
 
 COMMANDS = (
     # verify-cold: every identity at CLI defaults, then three extra paths.
@@ -76,6 +78,10 @@ COMMANDS = (
     ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=0.25"),
     ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=4"),
     ("verify", "omega-self-reciprocal", "--z=-0.6", "--x=2"),
+    # Omega sweeps over the full alpha range: the columns' tail rates differ
+    # by 16x, so the smallest-rate tail is compared where it is widest.
+    ("sweep", "omega-modular", *_FULL_GRID, "--z=-0.6"),
+    ("sweep", "omega-laplace", *_FULL_GRID, "--z=0.3+0.2i"),
     # k-bessel pairs with psi(x) far below 1e-11.
     ("verify", "pair-reciprocity", "--pair-alpha=0.25", "--x=5", "--z=0.3"),
     ("verify", "pair-reciprocity", "--pair-alpha=0.25", "--x=2", "--z=-0.4"),
