@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from . import arith, kernels, specfun
 from .errors import KoshliakovError
@@ -57,28 +56,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    identity_id: str
-    alpha_min: float
-    alpha_max: float
-    alpha_steps: int
-    out_path: str | None
-    svg_path: str | None
-
-    def __post_init__(self):
-        if self.alpha_min <= 0.0:
-            raise ValueError("alpha-min must be positive")
-        if self.alpha_steps < 2:
-            raise ValueError("steps must be >= 2")
-        if not (0.25 <= self.alpha_min <= self.alpha_max <= 4.0):
-            raise ValueError("alpha range must sit inside [1/4, 4]")
-
-    def grid(self) -> list[float]:
-        h = (self.alpha_max - self.alpha_min) / (self.alpha_steps - 1)
-        return [self.alpha_min + i * h for i in range(self.alpha_steps)]
 
 
 # Per-parameter parse kind and default for the verify/sweep dispatch.
@@ -141,38 +118,44 @@ class _UsageError(Exception):
     pass
 
 
-def cmd_verify(args) -> int:
+def _identity(args):
+    """The registry entry that verify and sweep name, its arguments and
+    its tolerance (the identity's own unless --tolerance is given, which
+    must be finite and positive)."""
     entry = IDENTITIES.get(args.identity)
     if entry is None:
         raise _UsageError(f"unknown identity '{args.identity}'; "
                           f"known: {', '.join(sorted(IDENTITIES))}")
     named = _resolve_args(entry.arg_names, _PARAMS, args, "identity")
     tol = entry.tolerance if args.tolerance is None else args.tolerance
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise _UsageError(f"tolerance must be finite and positive, got {tol}")
+    return entry, named, tol
+
+
+def _alpha_grid(alpha_min: float, alpha_max: float, steps: int) -> list[float]:
+    """steps equally spaced alphas from alpha_min to alpha_max."""
+    if steps < 2:
+        raise _UsageError("steps must be >= 2")
+    if not (0.25 <= alpha_min <= alpha_max <= 4.0):
+        raise _UsageError("alpha range must sit inside [1/4, 4]")
+    h = (alpha_max - alpha_min) / (steps - 1)
+    return [alpha_min + i * h for i in range(steps)]
+
+
+def cmd_verify(args) -> int:
+    entry, named, tol = _identity(args)
     report = entry.verify(named, tol)
     print(report_json(report))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def cmd_sweep(args) -> int:
-    entry = IDENTITIES.get(args.identity)
-    if entry is None:
-        raise _UsageError(f"unknown identity '{args.identity}'; "
-                          f"known: {', '.join(sorted(IDENTITIES))}")
+    entry, named, tol = _identity(args)
     if "alpha" not in entry.arg_names:
         raise _UsageError(f"identity '{args.identity}' has no alpha "
                           "parameter to sweep")
-    try:
-        config = SweepConfig(identity_id=args.identity,
-                             alpha_min=args.alpha_min,
-                             alpha_max=args.alpha_max,
-                             alpha_steps=args.steps,
-                             out_path=args.out, svg_path=args.svg)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-    named = _resolve_args(entry.arg_names, _PARAMS, args, "identity")
-    tol = entry.tolerance if args.tolerance is None else args.tolerance
-    grid = config.grid()
+    grid = _alpha_grid(args.alpha_min, args.alpha_max, args.steps)
     try:
         outcomes = entry.sweep(named, grid, tol)
     except KoshliakovError as exc:
@@ -189,12 +172,12 @@ def cmd_sweep(args) -> int:
             print(f"alpha={alpha:.6g}: {out}", file=sys.stderr)
         rows.append(SweepRow.failed(alpha))
         failures += 1
-    if config.out_path:
-        write_csv(config.out_path, rows)
+    if args.out:
+        write_csv(args.out, rows)
     else:
         print("\n".join(csv_lines(rows)))
-    if config.svg_path:
-        write_svg(config.svg_path, rows, config.identity_id)
+    if args.svg:
+        write_svg(args.svg, rows, args.identity)
     return EXIT_FAIL if failures else EXIT_PASS
 
 

@@ -209,54 +209,58 @@ def _ts_nodes(level: int, u_max: float = 6.0):
     return u, h
 
 
+def _ts_levels(a: float, b: float, max_level: int, u_max: float = 6.0):
+    """The tanh-sinh rule on [a, b], one refinement level at a time.
+
+    Yields (level, h, sides): the level's step and, for the nodes
+    accumulating at b and then those accumulating at a, the (abscissas,
+    weights) that the level adds, a side with no node left out.  Abscissas
+    are formed from their exact distance to the endpoint, so for an
+    interval starting at 0 they are correctly rounded tiny numbers rather
+    than 0 itself.  The level's estimate is h times the weighted sum, plus
+    half the previous estimate after level 0.
+    """
+    for level in range(max_level + 1):
+        u, h = _ts_nodes(level, u_max)
+        v = 0.5 * math.pi * np.sinh(u)
+        w = 0.5 * (b - a) * 0.5 * math.pi * np.cosh(u) / np.square(np.cosh(v))
+        # Distances to either endpoint, stable for large v: 1 - tanh v = 2/(1+e^{2v}).
+        dist = (b - a) / (1.0 + np.exp(2.0 * v))
+        sides = []
+        # The centre node is counted once, on the first side.
+        for x, centre in ((b - dist, True), (a + dist, level > 0)):
+            sel = (w > 0.0) & (x > a) & (x < b) & (centre | (u > 0.0))
+            if np.any(sel):
+                sides.append((x[sel], w[sel]))
+        yield level, h, sides
+
+
 def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Double-exponential rule on [a, b]; robust to endpoint singularities.
 
-    Abscissas are formed from their exact distance to the endpoint, so for
-    an interval starting at 0 the integrand sees correctly rounded tiny
-    arguments rather than 0 itself.  For an (nodes, m) integrand the
-    levels go on until every component meets spec.budget(|value_j|).
+    f never sees an endpoint (see _ts_levels).  For an (nodes, m)
+    integrand the levels go on until every component meets
+    spec.budget(|value_j|).
     """
     spec = spec or QuadratureSpec()
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
-    half = 0.5 * (b - a)
     total = 0.0 + 0.0j
     prev = None
     err = math.inf
     nodes = 0
     ndim = 1
-    for level in range(spec.max_levels + 1):
-        u, h = _ts_nodes(level)
-        v = 0.5 * math.pi * np.sinh(u)
-        w = half * 0.5 * math.pi * np.cosh(u) / np.square(np.cosh(v))
-        # Distances to either endpoint, stable for large v: 1 - tanh v = 2/(1+e^{2v}).
-        dist = (b - a) / (1.0 + np.exp(2.0 * v))
-        keep = w > 0.0
+    for level, h, sides in _ts_levels(a, b, spec.max_levels):
         contrib = 0.0 + 0.0j
-        n_here = 0
-        for sign in (+1, -1):
-            if sign > 0:
-                x = b - dist                 # nodes accumulating at b
-            else:
-                x = a + dist                 # nodes accumulating at a
-            sel = keep & (x > a) & (x < b)
-            if level == 0 and sign < 0:
-                sel = sel & (u > 0.0)        # center node counted once
-            if not np.any(sel):
-                continue
-            y = np.asarray(f(x[sel]))
+        for x, w in sides:
+            y = np.asarray(f(x))
             ndim = y.ndim
             y = np.where(np.isfinite(y), y, 0.0).reshape(y.shape[0], -1)
             # An (n, 1) sum along axis 0 adds in np.sum's order, so a 1-D
             # integrand keeps its scalar arithmetic.
-            contrib += (w[sel][:, None] * y).sum(axis=0)
-            n_here += int(np.count_nonzero(sel))
-        if level == 0:
-            total = h * contrib
-        else:
-            total = 0.5 * total + h * contrib
-        nodes += n_here
+            contrib += (w[:, None] * y).sum(axis=0)
+            nodes += x.size
+        total = h * contrib if level == 0 else 0.5 * total + h * contrib
         if prev is not None:
             err = _cabs(total - prev)
             if (err <= spec.budget(_cabs(total))).all() and level >= 3:

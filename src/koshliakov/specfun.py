@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, PoleError
+from .quadrature import _ts_levels
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -506,42 +507,16 @@ def _k_cutoff(re_nu: float, re_x: float) -> float:
 
 
 def _k_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
-    """exp(x) K_nu(x) for an array of arguments, by tanh-sinh on [0, T]."""
-    re_x = xs.real
-    T = max(_k_cutoff(nu.real, float(np.min(re_x))), 1.0)
-
-    def cosh_m1(u):
-        # cosh u - 1 == 2 sinh^2(u/2), stable for small u
-        s = np.sinh(0.5 * u)
-        return 2.0 * s * s
-
-    half = 0.5 * T
-    total = np.zeros(xs.shape, dtype=complex)
-    prev = None
-    for level in range(0, 11):
-        h = math.ldexp(1.0, -level)
-        if level == 0:
-            k = np.arange(0, int(4.5 / h) + 1)
-        else:
-            k = np.arange(1, int(4.5 / h) + 1, 2)
-        u = k * h
-        v = 0.5 * math.pi * np.sinh(u)
-        w = half * 0.5 * math.pi * np.cosh(u) / np.square(np.cosh(v))
-        dist = T / (1.0 + np.exp(2.0 * v))
+    """exp(x) K_nu(x) for an array of arguments, by tanh-sinh on [0, T]:
+    the integral of exp(-x (cosh u - 1)) cosh(nu u), levels 0..10 with
+    |u| <= 4.5 in the rule's own variable."""
+    T = max(_k_cutoff(nu.real, float(np.min(xs.real))), 1.0)
+    total = prev = None
+    for level, h, sides in _ts_levels(0.0, T, 10, u_max=4.5):
         contrib = np.zeros(xs.shape, dtype=complex)
-        for sign in (+1, -1):
-            if sign > 0:
-                uu = T - dist
-            else:
-                uu = dist
-            sel = (w > 0.0) & (uu > 0.0) & (uu < T)
-            if level == 0 and sign < 0:
-                sel = sel & (u > 0.0)
-            if not np.any(sel):
-                continue
-            un = uu[sel]
-            wn = w[sel]
-            expo = -np.outer(xs.ravel(), cosh_m1(un))
+        for un, wn in sides:
+            s = np.sinh(0.5 * un)        # cosh u - 1 == 2 sinh^2(u/2), stable for small u
+            expo = -np.outer(xs.ravel(), 2.0 * s * s)
             # cosh(nu u) folded into the exponent: exp(expo) underflows
             # while cosh overflows near u = T for tiny Re x, and 0 * inf
             # would poison the quadrature with nan.
@@ -549,10 +524,7 @@ def _k_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
             with np.errstate(over="ignore", under="ignore"):
                 vals = 0.5 * (np.exp(expo + nun) + np.exp(expo - nun))
                 contrib += (vals @ wn).reshape(xs.shape)
-        if level == 0:
-            total = h * contrib
-        else:
-            total = 0.5 * total + h * contrib
+        total = h * contrib if level == 0 else 0.5 * total + h * contrib
         if prev is not None and level >= 4:
             if np.all(np.abs(total - prev) <= 5e-16 * np.abs(total) + 1e-300):
                 break

@@ -116,6 +116,8 @@ def test_criterion_02_golden_suite(golden):
         "bessel_j_0p6_25": lambda: bessel_j(0.6, 25.0),
         "bessel_j_1p25_2": lambda: bessel_j(1.25, 2.0),
         "bessel_j_m0p8_14": lambda: bessel_j(-0.8, 14.0),
+        "bessel_j_m3_2p5": lambda: bessel_j(-3.0, 2.5),
+        "bessel_j_m4_10": lambda: bessel_j(-4.0, 10.0),
         "bessel_k_0_1": lambda: bessel_k(0.0, 1.0),
         "bessel_k_0_377": lambda: bessel_k_scaled(0.0, 377.0),
         "bessel_k_0p25_2": lambda: bessel_k(0.25, 2.0),
@@ -135,10 +137,15 @@ def test_criterion_02_golden_suite(golden):
         "bessel_k_0p25_1em6": lambda: bessel_k(0.25, 1e-6),
         "bessel_k_0p3_1e5": lambda: bessel_k_scaled(0.3, 1e5),
         "bessel_y_0_1": lambda: bessel_y(0.0, 1.0),
+        "bessel_y_0p0015_0p7": lambda: bessel_y(0.0015, 0.7),
         "bessel_y_0p25_2": lambda: bessel_y(0.25, 2.0),
         "bessel_y_0p3_30": lambda: bessel_y(0.3, 30.0),
+        "bessel_y_1p001_3": lambda: bessel_y(1.001, 3.0),
         "bessel_y_1p25_2": lambda: bessel_y(1.25, 2.0),
         "bessel_y_2_3p5": lambda: bessel_y(2.0, 3.5),
+        "bessel_y_m1_5": lambda: bessel_y(-1.0, 5.0),
+        "bessel_y_m1p999_5p5": lambda: bessel_y(-1.999, 5.5),
+        "bessel_y_m2_1p5": lambda: bessel_y(-2.0, 1.5),
         "bh_inner_n1": _bh_inner_n1,
         "big_xi_2_p5i": lambda: big_xi(2 + 0.5j),
         "big_xi_2p5": lambda: big_xi(2.5),
@@ -154,6 +161,7 @@ def test_criterion_02_golden_suite(golden):
         "digamma_0p5": lambda: digamma(0.5),
         "digamma_3p7": lambda: digamma(3.7),
         "ei_1": lambda: exp_integral_ei(1.0),
+        "ei_m2p5": lambda: exp_integral_ei(-2.5),
         "f_frak_2_c": lambda: f_frak(0.3 + 0.2j, 2.0, 60)[0] / 8.0,
         "f_frak_half_c": lambda: f_frak(0.3 + 0.2j, 0.5, 60)[0] / 8.0,
         "gamma_1_plus_i": lambda: gamma(1 + 1j),
@@ -168,6 +176,7 @@ def test_criterion_02_golden_suite(golden):
         "lambda_1_0": lambda: lambda_fn(1.0, 0.0),
         "lambda_2_half": lambda: lambda_fn(2.0, 0.5),
         "laplace_bessel_rhs_1_1_0": lambda: verify_laplace_bessel(1.0, 1.0, 0.0).rhs,
+        "li_0p1": lambda: exp_integral_li(0.1),
         "li_2": lambda: exp_integral_li(2.0),
         "mellin_k_closed": lambda: verify_mellin_k(1.2 + 0.7j, 0.3, 1.0).rhs,
         "omega_1_0p4": lambda: omega(1.0, 0.4, mode="partial-fraction"),

@@ -182,12 +182,28 @@ def test_sweep_svg_valid(tmp_path):
     assert len(polylines) == 2
 
 
-def test_sweep_invalid_config_usage():
+def test_sweep_invalid_config_usage(capsys):
     assert main(["sweep", "rg-formula", "--alpha-min", "0.1",
                  "--alpha-max", "2", "--steps", "3"]) == 64
+    assert main(["sweep", "rg-formula", "--alpha-min", "-1",
+                 "--alpha-max", "2", "--steps", "3"]) == 64
+    assert "alpha range must sit inside [1/4, 4]" in capsys.readouterr().err
     assert main(["sweep", "rg-formula", "--alpha-min", "0.5",
                  "--alpha-max", "2", "--steps", "1"]) == 64
     assert main(["sweep", "mellin-k"]) == 64  # no alpha to sweep
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "0", "-1", "nan"])
+@pytest.mark.parametrize("command", [
+    ["verify", "bessel-hurwitz-sum", "--terms=2"],
+    ["sweep", "rg-formula", "--steps=2"]])
+def test_tolerance_must_be_finite_and_positive(command, tolerance, capsys):
+    # An infinite tolerance would pass anything, and a zero, negative or
+    # nan one would fail everything.
+    assert main(command + [f"--tolerance={tolerance}"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance must be finite and positive" in captured.err
 
 
 def test_sweep_inapplicable_flag_usage(capsys):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from koshliakov import arith
+from koshliakov import arith, identities
 from koshliakov.errors import DomainError, NearPoleError
-from koshliakov.identities import (IDENTITIES, _oscillatory_tail, _report,
+from koshliakov.identities import (IDENTITIES, _k_series_tail, _oscillatory_tail,
+                                   _report,
                                    f_frak, _theta_pair_inner,
                                    hurwitz_corollary_grid,
                                    hurwitz_corollary_z0_grid,
@@ -28,7 +29,7 @@ from koshliakov.identities import (IDENTITIES, _oscillatory_tail, _report,
                                    verify_rg_formula)
 from koshliakov.kernels import ReciprocalPair, pair_dixon_ferrar, pair_k_bessel
 from koshliakov.quadrature import QuadratureSpec, tanh_sinh
-from koshliakov.specfun import bessel_j
+from koshliakov.specfun import bessel_j, bessel_k
 
 from conftest import rel_err
 
@@ -87,7 +88,8 @@ def test_f_frak_bounds_cover_the_oracle(golden):
     for z, alpha, key, scale in ((0.3 + 0.2j, 2.0, "f_frak_2_c", 8.0),
                                  (0.3 + 0.2j, 0.5, "f_frak_half_c", 8.0),
                                  (0.5, 1.0, "rg_rhs_half_1", 1.0)):
-        value, tail, eval_err = f_frak(z, alpha, 60)
+        value, budgets = f_frak(z, alpha, 60)
+        tail, eval_err = budgets["series_tail"], budgets["eval_err"]
         assert 0.0 < eval_err < 1e-12
         assert abs(value - scale * golden[key]) <= tail + eval_err, key
     r = verify_rg_formula(0.5, 1.4375)
@@ -246,6 +248,53 @@ def test_pair_reciprocity_scaled_psi_fails(pair_alpha, x, z):
 def test_pair_reciprocity_dixon_ferrar():
     r = verify_pair_reciprocity(pair_dixon_ferrar(), 0.0, 1.0)
     assert r.passed and r.rel_diff < 1e-10
+
+
+@pytest.mark.parametrize("x", [0.01, 1.0])
+def test_dixon_ferrar_runs_one_oscillatory_tail(x, monkeypatch):
+    # Only the forward psi decays like a power; the mirrored phi = e^{-t}
+    # decays exponentially and goes through the first transform.
+    calls = []
+    orig = identities._oscillatory_tail
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(identities, "_oscillatory_tail", counted)
+    assert verify_pair_reciprocity(pair_dixon_ferrar(), 0.0, x).passed
+    assert len(calls) == 1
+
+
+_N_DIRECT = 80          # the terms past it are below 1e-30 of the first
+
+
+@pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("z", [0.5, 0.3 + 0.2j, -0.9])
+def test_k_series_tail_bounds_the_summed_frak_tail(alpha, z):
+    # 4 sum_{n >= n_from} |sigma_{-z}(n) n^{z/2} K_{z/2}(2 pi alpha n)|, as f_frak bounds it.
+    z = complex(z)
+    n = np.arange(1, _N_DIRECT + 1, dtype=float)
+    c = 2.0 * math.pi * alpha
+    terms = 4.0 * np.abs(arith.build_table(-z, _N_DIRECT).slice(_N_DIRECT)
+                         * np.power(n, 0.5 * z) * bessel_k(0.5 * z, c * n))
+    p = 1.0 + abs(z.real) + 0.5 * z.real
+    for n_from in range(2, 13):
+        assert _k_series_tail(4.0, p, c, n_from) >= np.sum(terms[n_from - 1:]), n_from
+
+
+@pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0])
+def test_k_series_tail_bounds_the_summed_theta_tail(alpha):
+    # sum_{n >= n_from} d(n) Theta(pi n) with the K-pair Theta, as the
+    # rg-corollary-z0 rhs bounds it.
+    beta = 1.0 / alpha
+    n = np.arange(1, _N_DIRECT + 1, dtype=float)
+    dn = arith.build_table(0.0, _N_DIRECT).slice(_N_DIRECT).real
+    terms = dn * (bessel_k(0.0, 2.0 * alpha * math.pi * n).real
+                  + beta * bessel_k(0.0, 2.0 * beta * math.pi * n).real)
+    c = 2.0 * math.pi * min(alpha, beta)
+    for n_from in range(2, 13):
+        assert _k_series_tail(2.0 * (1.0 + beta), 0.5, c, n_from) >= np.sum(terms[n_from - 1:])
 
 
 def test_cos_evenness_alpha_inversion():

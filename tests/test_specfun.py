@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from koshliakov import specfun
+from koshliakov import quadrature, specfun
 from koshliakov.errors import DomainError, PoleError
 from koshliakov.specfun import (_B2K, EULER_GAMMA, bessel_j, bessel_k,
                                 bessel_k_scaled, bessel_y, big_xi, digamma,
@@ -278,6 +278,55 @@ def test_bessel_k_zero_imaginary_part_takes_the_real_path(monkeypatch):
     monkeypatch.setattr(specfun, "_k_batch", refuse)
     assert np.array_equal(bessel_k(0.7, xs), expected)
     assert np.array_equal(bessel_k(0.7 + 0.0j, xs), expected)
+
+
+def _k_batch_reference(nu, xs):
+    """The tanh-sinh loop of _k_batch with its own copy of the levels (the
+    rule's variable cut at |u| <= 4.5, levels 0..10): the reference for
+    complex-order K."""
+    T = max(specfun._k_cutoff(nu.real, float(np.min(xs.real))), 1.0)
+    total = prev = None
+    for level in range(11):
+        u, h = quadrature._ts_nodes(level, 4.5)
+        v = 0.5 * math.pi * np.sinh(u)
+        w = 0.5 * T * 0.5 * math.pi * np.cosh(u) / np.square(np.cosh(v))
+        dist = T / (1.0 + np.exp(2.0 * v))
+        contrib = np.zeros(xs.shape, dtype=complex)
+        for uu, centre in ((T - dist, True), (dist, level > 0)):
+            sel = (w > 0.0) & (uu > 0.0) & (uu < T) & (centre | (u > 0.0))
+            s = np.sinh(0.5 * uu[sel])
+            expo = -np.outer(xs.ravel(), 2.0 * s * s)
+            nun = (nu * uu[sel])[None, :]
+            with np.errstate(over="ignore", under="ignore"):
+                vals = 0.5 * (np.exp(expo + nun) + np.exp(expo - nun))
+                contrib += (vals @ w[sel]).reshape(xs.shape)
+        total = h * contrib if level == 0 else 0.5 * total + h * contrib
+        if prev is not None and level >= 4:
+            if np.all(np.abs(total - prev) <= 5e-16 * np.abs(total) + 1e-300):
+                break
+        prev = total
+    return total
+
+
+_K_COMPLEX_CASES = [
+    (0.3 + 0.5j, [0.01, 0.5, 1.0, 2.0, 10.0, 50.0]),
+    (0.25, [1 + 1j, 2 - 0.5j, 0.1 + 3j]),
+    (1.5 - 2j, [0.001, 0.3, 7.0]),
+    (0j, [1e-6 + 1e-6j, 100.0 + 1j]),
+    (12.7 + 0.1j, [0.5, 3.0, 40.0]),
+    (-0.4 + 0.2j, list(np.linspace(0.05, 20.0, 37))),
+    (2j, [5.0]),
+    (29.0 + 1j, [50.0, 200.0]),
+    (0.1, [0.2 + 0.2j]),
+    (0.45 + 0.3j, list(np.geomspace(1e-4, 1e3, 25))),
+]
+
+
+@pytest.mark.parametrize("nu,xs", _K_COMPLEX_CASES)
+def test_complex_k_keeps_the_tanh_sinh_arithmetic(nu, xs):
+    # Complex order or argument: bit for bit the reference loop.
+    xs = np.array(xs, dtype=complex)
+    assert np.array_equal(bessel_k_scaled(nu, xs), _k_batch_reference(complex(nu), xs))
 
 
 def test_bessel_wronskian():

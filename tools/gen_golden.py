@@ -210,6 +210,15 @@ def golden_values():
     put("bessel_y_1p25_2", bessely(mpf("1.25"), 2), "Y_1.25(2)")
     put("bessel_y_2_3p5", bessely(2, mpf("3.5")), "Y_2(3.5)")
     put("bessel_y_0p3_30", bessely(mpf("0.3"), 30), "Y_0.3(30)")
+    # bessel_y's band 0 < |nu - n| < 2e-3 (interpolated in the order), the
+    # negative integer orders of J and Y, and Ei below -1 (li below 1/e).
+    put("bessel_y_1p001_3", bessely(mpf("1.001"), 3), "Y_1.001(3)")
+    put("bessel_y_m1p999_5p5", bessely(mpf("-1.999"), mpf("5.5")), "Y_-1.999(5.5)")
+    put("bessel_y_0p0015_0p7", bessely(mpf("0.0015"), mpf("0.7")), "Y_0.0015(0.7)")
+    put("bessel_j_m3_2p5", besselj(-3, mpf("2.5")), "J_-3(2.5)")
+    put("bessel_j_m4_10", besselj(-4, 10), "J_-4(10)")
+    put("bessel_y_m1_5", bessely(-1, 5), "Y_-1(5)")
+    put("bessel_y_m2_1p5", bessely(-2, mpf("1.5")), "Y_-2(1.5)")
     put("bessel_k_0_1", besselk(0, 1), "K_0(1)")
     put("bessel_k_0p25_2", besselk(mpf("0.25"), 2), "K_0.25(2)")
     put("bessel_k_0p3_cplx", besselk(mpf("0.3"), 2 * exp(i * pi / 4)),
@@ -232,6 +241,8 @@ def golden_values():
     put("li_2", li(2), "li(2)")
     put("li_soldner", li(soldner), "li at the Soldner point (approx 0)")
     put("ei_1", ei(1), "Ei(1)")
+    put("ei_m2p5", ei(mpf("-2.5")), "Ei(-2.5)")
+    put("li_0p1", li(mpf("0.1")), "li(1/10)")
     put("df_psi_1", df_psi(1), "Dixon-Ferrar psi(1)")
     put("df_psi_6", df_psi(6), "Dixon-Ferrar psi(6)")
     # psi across its series / asymptotic switch at 4x = 50 and far out,

@@ -14,8 +14,10 @@ grid, six verifies off the defaults that reach the divisor-K series at
 the ends of the alpha range and the oscillatory tails at other x and z,
 two Omega sweeps over the whole alpha range [1/4, 4], three k-bessel
 `pair-reciprocity` cases whose psi(x) is far below the transform's
-absolute accuracy, and `list`, whose `tol` column both this tool and the
-benchmark read: 41 commands in all.
+absolute accuracy, five verifies of the modular checks, the Dixon-Ferrar
+pair, the z = 0 Theta series and complex-order K off their defaults, and
+`list`, whose `tol` column both this tool and the benchmark read: 46
+commands in all.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
@@ -86,6 +88,14 @@ COMMANDS = (
     ("verify", "pair-reciprocity", "--pair-alpha=0.25", "--x=5", "--z=0.3"),
     ("verify", "pair-reciprocity", "--pair-alpha=0.25", "--x=2", "--z=-0.4"),
     ("verify", "pair-reciprocity", "--pair-alpha=0.5", "--x=5", "--z=0"),
+    # The modular checks at an alpha end and complex z, the Dixon-Ferrar
+    # pair at small x, the z = 0 Theta series at its smallest term count
+    # (an honest failure), and complex-order K under the Mellin integral.
+    ("verify", "rg-formula", "--z=0.3+0.2i", "--alpha=0.25"),
+    ("verify", "hurwitz-modular", "--z=-0.4+0.3i", "--alpha=4"),
+    ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=0.01"),
+    ("verify", "rg-corollary-z0", "--alpha=0.25", "--terms=1"),
+    ("verify", "mellin-k", "--s=6", "--nu=5+2i"),
     ("list",),
 )
 
