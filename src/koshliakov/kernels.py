@@ -21,7 +21,7 @@ import numpy as np
 from . import arith
 from .errors import ConvergenceError, DecayError, DomainError, NearPoleError
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_half_line
-from .specfun import (EULER_GAMMA, _e1_minus_ei_scaled, bessel_j, bessel_k,
+from .specfun import (EULER_GAMMA, _bessel_jy, _e1_minus_ei_scaled, bessel_k,
                       bessel_y, digamma, gamma, hurwitz_zeta, riemann_zeta)
 
 
@@ -38,21 +38,25 @@ def kernel_m(z, x):
     return (2.0 / math.pi) * bessel_k(zr, x).real - bessel_y(zr, x)
 
 
+def _kernel(nu: float, v):
+    """cos(pi nu/2) M_nu(v) - sin(pi nu/2) J_nu(v), with J and Y from one
+    call; bessel_k's domain check (|nu| <= 30, v > 0) covers J's and Y's."""
+    k = bessel_k(nu, v).real
+    j, y = _bessel_jy(nu, np.atleast_1d(np.asarray(v, dtype=float)))
+    out = (math.cos(0.5 * math.pi * nu) * ((2.0 / math.pi) * k - y)
+           - math.sin(0.5 * math.pi * nu) * j)
+    return float(out[0]) if np.ndim(v) == 0 else out
+
+
 def koshliakov_kernel(z, x):
     """cos(pi z/2) M_z(4 sqrt(x)) - sin(pi z/2) J_z(4 sqrt(x))."""
-    zr = _require_real_order(z)
-    v = 4.0 * np.sqrt(np.asarray(x, dtype=float))
-    out = (math.cos(0.5 * math.pi * zr) * kernel_m(zr, v)
-           - math.sin(0.5 * math.pi * zr) * bessel_j(zr, v))
-    return float(out) if np.ndim(x) == 0 else out
+    return _kernel(_require_real_order(z), 4.0 * np.sqrt(np.asarray(x, dtype=float)))
 
 
 def transform_kernel(z, v):
     """cos(pi z) M_{2z}(v) - sin(pi z) J_{2z}(v): the first-transform kernel
     evaluated at a precomputed argument v."""
-    zr = _require_real_order(z)
-    return (math.cos(math.pi * zr) * kernel_m(2.0 * zr, v)
-            - math.sin(math.pi * zr) * bessel_j(2.0 * zr, v))
+    return _kernel(2.0 * _require_real_order(z), v)
 
 
 def first_koshliakov_transform(g, z, x: float,

@@ -131,7 +131,11 @@ def _gk15(f, a: float, b: float):
             e = asc * min(1.0, math.pow(200.0 * e / asc, 1.5))
         # Roundoff floor: a panel cannot be trusted below 50 eps of its mass.
         err.append(max(e, 50.0 * _EPS * mass))
-    return resk.astype(complex), np.array(err), ndim
+    err = np.array(err)
+    # nan compares false, so a non-finite panel would pass for converged.
+    if not (np.isfinite(resk).all() and np.isfinite(err).all()):
+        raise ConvergenceError(f"non-finite panel value or error on [{a:g}, {b:g}]")
+    return resk.astype(complex), err, ndim
 
 
 def integrate_finite(f, a: float, b: float,
@@ -140,7 +144,9 @@ def integrate_finite(f, a: float, b: float,
 
     For an integrable endpoint singularity use `tanh_sinh`, which never
     evaluates f at an endpoint.  Raises ConvergenceError when the panel
-    budget runs out before the requested tolerance is met.
+    budget runs out, or a panel cannot be split further, before the
+    requested tolerance is met, and when a panel's value or error is not
+    finite.
 
     f may return shape (nodes, m): value and err_estimate are then (m,)
     arrays, and refinement goes on while any component is above
@@ -175,10 +181,9 @@ def integrate_finite(f, a: float, b: float,
         _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if mid <= pa or mid >= pb:
-            # Panel cannot be split further in double precision.
-            heapq.heappush(heap, (0.0, pa, pb, pval, np.zeros_like(perr)))
-            total_err = total_err - perr
-            continue
+            raise ConvergenceError(
+                f"quadrature error {np.max(total_err):.3e} above budget: panel "
+                f"[{pa!r}, {pb!r}] cannot be split in double precision")
         lval, lerr, _ = _gk15(f, pa, mid)
         rval, rerr, _ = _gk15(f, mid, pb)
         nodes += 30

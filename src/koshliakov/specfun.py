@@ -1,11 +1,12 @@
 """Special functions built from scratch on float64/complex128.
 
-Everything here is implemented directly (Lanczos, Euler-Maclaurin,
-ascending/asymptotic Bessel series, Temme's series and a trapezoid rule
-for real-order K, an integral representation for complex-order K);
-numpy supplies array arithmetic only.  Scalar entry points accept Python
-or numpy scalars; the Bessel functions also broadcast over arrays of
-arguments since the kernel layer feeds them quadrature nodes.
+Everything here is implemented directly (Lanczos, Euler-Maclaurin, the
+J series, Temme's series for Y and for real-order K below x = 2, Steed's
+method for J and Y up to the Hankel knee and Hankel's expansion above it,
+a trapezoid rule for real-order K above x = 2, an integral representation
+for complex-order K); numpy supplies array arithmetic only.  Scalar entry
+points accept Python or numpy scalars; the Bessel functions also broadcast
+over arrays of arguments since the kernel layer feeds them quadrature nodes.
 """
 
 from __future__ import annotations
@@ -312,30 +313,23 @@ def big_xi(t) -> complex:
 _J_SERIES_MAX = 80
 
 
-def _bessel_j_series(nu: float, x: np.ndarray, dtype) -> np.ndarray:
-    """Ascending series; dtype float64 below the cancellation knee,
-    longdouble above it."""
-    x = x.astype(dtype)
-    half = x / dtype(2.0)
-    n_int = round(nu)
-    if abs(nu - n_int) < 1e-12 and n_int < 0:
-        # J_{-n} = (-1)^n J_n; the series recursion cannot pass the zero
-        # of 1/Gamma at the nonpositive integers.
-        return dtype(-1.0) ** (-n_int) * _bessel_j_series(float(-n_int), x, dtype)
-    r0 = rgamma(nu + 1.0).real
-    term = np.power(half, dtype(nu)) * dtype(r0)
+def _bessel_j_series(nu: float, x: np.ndarray) -> np.ndarray:
+    """Ascending series for nu >= 0; float64 holds for x < 2."""
+    half = 0.5 * x
+    term = np.power(half, nu) * rgamma(nu + 1.0).real
     out = term.copy()
     mx2 = -np.square(half)
     for k in range(1, _J_SERIES_MAX + 1):
-        term = term * mx2 / dtype(k * (nu + k))
+        term = term * mx2 / (k * (nu + k))
         out += term
         if np.all(np.abs(term) <= 1e-20 * np.maximum(np.abs(out), 1e-30)):
             break
     return out
 
 
-def _hankel_pq(nu: float, x: np.ndarray):
-    """P and Q asymptotic sums, truncated at the smallest term."""
+def _bessel_jy_hankel(nu: float, x: np.ndarray):
+    """J and Y from Hankel's expansion, its P and Q sums truncated at the
+    smallest term."""
     mu = 4.0 * nu * nu
     P = np.ones_like(x)
     Q = np.zeros_like(x)
@@ -354,15 +348,89 @@ def _hankel_pq(nu: float, x: np.ndarray):
         prev = mag
         if np.all(mag < 1e-19):
             break
-    return P, Q
-
-
-def _bessel_jy_asymptotic(nu: float, x: np.ndarray):
-    P, Q = _hankel_pq(nu, x)
     chi = x - (0.5 * nu + 0.25) * math.pi
     amp = np.sqrt(2.0 / (math.pi * x))
     j = amp * (P * np.cos(chi) - Q * np.sin(chi))
     y = amp * (P * np.sin(chi) + Q * np.cos(chi))
+    return j, y
+
+
+def _bessel_jy_steed(mu: float, n: int, x: np.ndarray) -> np.ndarray:
+    """Rows J_{mu+n}(x), Y_mu(x), Y_{mu+1}(x) for |mu| <= 1/2 and x >= 2 by
+    Steed's method (Barnett, Feng, Steed & Goldfarb, Comput. Phys. Commun.
+    8 (1974) 377-395; Numerical Recipes' bessjy), both continued fractions
+    summed from a fixed depth.  CF1, as the backward recurrence of
+    r_v = J_v/J_{v-1} = 1/(2v/x - r_{v+1}), gives J'_mu/J_mu = mu/x - r_{mu+1}
+    and J_{mu+n}/J_mu; CF2 gives p + iq = (J'_mu + i Y'_mu)/(J_mu + i Y_mu);
+    the Wronskian J_mu Y'_mu - Y_mu J'_mu = 2/(pi x) fixes |J_mu|, and
+    J_v > 0 for v > x its sign."""
+    inv = 1.0 / x
+    # Past v = x, r_v falls off like Airy's function on the scale x^(1/3):
+    # started 8 such steps beyond the order and every x, r = 0 is forgotten
+    # to the last bit before v = mu + 1.
+    top = max(mu + n, float(np.max(x)))
+    r = np.zeros_like(x)
+    ratio = np.ones_like(x)                      # J_{mu+n}/J_mu
+    sign = np.ones_like(x)                       # of J_mu: r_v > 0 for v > x + 1
+    for k in range(math.ceil(top + 8.0 * top ** (1.0 / 3.0)) + 5, 0, -1):
+        r = 1.0 / ((2.0 * (mu + k)) * inv - r)
+        if k <= n:
+            ratio = ratio * r
+        if mu + k < top + 1.0:
+            sign = sign * np.sign(r)
+    # CF2 to 1e-17 for x >= 2 from depth 110/x + 5:
+    # p + iq = -1/(2x) + i + (i/x) a_1/(b_1 + a_2/(b_2 + ...)),
+    # a_k = (k - 1/2)^2 - mu^2, b_k = 2(x + ki).
+    two_x = 2.0 * x
+    f = np.zeros(x.shape, dtype=complex)
+    for k in range(math.ceil(110.0 / float(np.min(x))) + 5, 0, -1):
+        f = ((k - 0.5) ** 2 - mu * mu) / (two_x + 2.0j * k + f)
+    pq = (1.0j * inv) * f + (1.0j - 0.5 * inv)
+    p, q = pq.real, pq.imag
+    g = p - mu * inv + r                         # p - J'_mu/J_mu
+    j_mu = sign * np.sqrt((2.0 / math.pi) * inv * q / (g * g + q * q))
+    y_mu = (g / q) * j_mu
+    return np.array([ratio * j_mu, y_mu, (mu * inv) * y_mu - p * y_mu - q * j_mu])
+
+
+def _bessel_jy(nu: float, x: np.ndarray):
+    """J_nu(x) and Y_nu(x) for real order and an array of x > 0.
+
+    With n = round(|nu|) and mu = |nu| - n: below x = 2, J is the
+    ascending series and Y_mu, Y_{mu+1} are Temme's series (the loop K
+    uses); from 2 up to the knee max(14, 3|nu|), Steed's method gives J
+    and Y_mu, Y_{mu+1}; Y climbs to the order by the upward recurrence,
+    stable because Y grows with it.  Negative orders reflect there:
+    J_{-a} = cos(a pi) J_a - sin(a pi) Y_a, Y_{-a} = sin(a pi) J_a + cos(a pi) Y_a.
+    At and above the knee both come from the Hankel expansion at nu.
+    """
+    a = abs(nu)
+    n = round(a)
+    mu = a - n
+    lo = x < 2.0
+    hi = x >= max(14.0, 3.0 * a)
+    mid = (x >= 2.0) & ~hi
+    j = np.full_like(x, np.nan)                  # nan stays in no region and stays nan
+    y = np.full((2 if n >= 1 else 1,) + x.shape, np.nan)   # Y_mu, Y_{mu+1} if n >= 1
+    # At tiny x, Y passes the double range on its way up in order: it is
+    # -inf there, also where the recurrence next meets inf - inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.any(lo):
+            j[lo] = _bessel_j_series(a, x[lo])
+            y[:, lo] = _temme(mu, x[lo], n >= 1, bessel_y=True)
+        if np.any(mid):
+            j[mid], *rows = _bessel_jy_steed(mu, n, x[mid])
+            y[:, mid] = rows[:len(y)]
+        y0, y = y[0], y[-1]
+        for k in range(1, n):
+            y0, y = y, (2.0 * (mu + k) / x) * y - y0
+    y[lo & np.isnan(y)] = -np.inf
+    if nu < 0.0:
+        c = (-1.0) ** n * math.cos(math.pi * mu)
+        s = (-1.0) ** n * math.sin(math.pi * mu)
+        j, y = (c * j - s * y, s * j + c * y) if s else (c * j, c * y)
+    if np.any(hi):
+        j[hi], y[hi] = _bessel_jy_hankel(nu, x[hi])
     return j, y
 
 
@@ -381,111 +449,24 @@ def bessel_j(nu: float, x):
     arr, scalar = _as_positive_array(x)
     if np.any(arr < 0.0):
         raise DomainError("bessel_j requires x >= 0")
-    out = np.empty(arr.shape, dtype=float)
-    asym_knee = max(14.0, 3.0 * abs(nu))
-    lo = arr <= 8.0
-    mid = (arr > 8.0) & (arr < asym_knee)
-    hi = arr >= asym_knee
-    if np.any(lo):
-        out[lo] = _bessel_j_series(nu, arr[lo], np.float64).astype(float)
-    if np.any(mid):
-        # Cancellation in the alternating series reaches ~e^x; longdouble
-        # keeps the relative error below ~1e-12 out to the asymptotic knee.
-        out[mid] = _bessel_j_series(nu, arr[mid], np.longdouble).astype(float)
-    if np.any(hi):
-        out[hi], _ = _bessel_jy_asymptotic(nu, arr[hi])
+    # J_nu(0): 1 at nu = 0, 0 at other nu >= 0 and at the negative
+    # integers, infinite with the sign of 1/Gamma(1 + nu) elsewhere.
+    out = np.full(arr.shape, 1.0 if nu == 0.0 else 0.0 if nu > 0.0 or nu == round(nu)
+                  else math.copysign(math.inf, rgamma(1.0 + nu).real))
+    live = arr != 0.0
+    out[live], _ = _bessel_jy(nu, arr[live])
     return float(out[0]) if scalar else out
 
 
-def _bessel_y_integer(n: int, x: np.ndarray, dtype) -> np.ndarray:
-    """Y_n for integer n >= 0 by the logarithmic series."""
-    x = x.astype(dtype)
-    half = x / dtype(2.0)
-    jn = _bessel_j_series(float(n), x, dtype)
-    out = (dtype(2.0) / dtype(math.pi)) * np.log(half) * jn
-    # Finite part: -(1/pi) sum_{k<n} (n-1-k)!/k! (x/2)^{2k-n}
-    if n > 0:
-        acc = np.zeros_like(x)
-        coeff = dtype(math.factorial(n - 1))
-        pw = np.power(half, dtype(-n))
-        for k in range(n):
-            acc += coeff * pw
-            if k + 1 < n:
-                coeff = coeff / dtype((k + 1) * (n - 1 - k))
-                pw = pw * half * half
-        out -= acc / dtype(math.pi)
-    # psi-weighted ascending series.
-    hk = 0.0          # harmonic number H_k
-    hkn = float(sum(1.0 / m for m in range(1, n + 1)))
-    term = np.power(half, dtype(n)) / dtype(math.factorial(n))
-    acc = (hk + hkn - 2.0 * EULER_GAMMA) * term
-    sgn = 1.0
-    for k in range(1, _J_SERIES_MAX + 1):
-        term = term * half * half / dtype(k * (k + n))
-        sgn = -sgn
-        hk += 1.0 / k
-        hkn += 1.0 / (k + n)
-        piece = sgn * (hk + hkn - 2.0 * EULER_GAMMA) * term
-        acc += piece
-        if np.all(np.abs(piece) <= 1e-20 * np.maximum(np.abs(acc), 1e-30)):
-            break
-    out -= acc / dtype(math.pi)
-    return out
-
-
-def _bessel_y_three_term(nu: float, x: np.ndarray, dtype) -> np.ndarray:
-    jp = _bessel_j_series(nu, x, dtype)
-    jm = _bessel_j_series(-nu, x, dtype)
-    return (jp * dtype(math.cos(math.pi * nu)) - jm) / dtype(math.sin(math.pi * nu))
-
-
 def bessel_y(nu: float, x):
-    """Y_nu(x) for real order and x > 0; broadcasts over x.
-
-    Near integer orders the three-term formula loses all digits, so the
-    integer case uses the exact logarithmic series and a narrow band
-    around each integer is filled by polynomial interpolation in nu
-    across safely-computable offsets.
-    """
+    """Y_nu(x) for real order and x > 0; broadcasts over x."""
     nu = float(nu)
     if abs(nu) > 60.0:
         raise DomainError("bessel_y supports |nu| <= 60")
     arr, scalar = _as_positive_array(x)
     if np.any(arr <= 0.0):
         raise DomainError("bessel_y requires x > 0")
-    out = np.empty(arr.shape, dtype=float)
-    asym_knee = max(14.0, 3.0 * abs(nu))
-    hi = arr >= asym_knee
-    lo = ~hi
-    if np.any(hi):
-        _, out[hi] = _bessel_jy_asymptotic(nu, arr[hi])
-    if np.any(lo):
-        xs = arr[lo]
-        dtype = np.longdouble if np.any(xs > 8.0) else np.float64
-        n_int = round(nu)
-        dist = abs(nu - n_int)
-        if dist < 1e-12:
-            vals = _bessel_y_integer(abs(n_int), xs, dtype)
-            if n_int < 0 and n_int % 2 != 0:
-                vals = -vals
-            out[lo] = vals.astype(float)
-        elif dist < 2e-3:
-            # Lagrange interpolation in the order across +-{1.5,3,4.5}e-3,
-            # where the three-term formula still has ~10 safe digits.
-            offsets = np.array([-4.5e-3, -3e-3, -1.5e-3, 1.5e-3, 3e-3, 4.5e-3])
-            nodes = n_int + offsets
-            samples = [_bessel_y_three_term(float(nd), xs, np.longdouble)
-                       for nd in nodes]
-            vals = np.zeros_like(xs, dtype=np.longdouble)
-            for i, nd in enumerate(nodes):
-                w = 1.0
-                for jn, other in enumerate(nodes):
-                    if jn != i:
-                        w *= (nu - other) / (nd - other)
-                vals = vals + np.longdouble(w) * samples[i]
-            out[lo] = vals.astype(float)
-        else:
-            out[lo] = _bessel_y_three_term(nu, xs, dtype).astype(float)
+    _, out = _bessel_jy(nu, arr)
     return float(out[0]) if scalar else out
 
 
@@ -565,12 +546,15 @@ def _rgamma_taylor() -> tuple:
     return tuple(c[1:])
 
 
-def _k_temme_scaled(mu: float, x: np.ndarray, need_next: bool) -> np.ndarray:
-    """exp(x) K_mu(x), and exp(x) K_{mu+1}(x) as a second row when
-    need_next, for |mu| <= 1/2 and 0 < x < 2 by Temme's series (J. Comput.
-    Phys. 19 (1975) 324-337; Numerical Recipes' bessik).  Gamma_1 and
-    Gamma_2 come from the Taylor series of 1/Gamma(1 +- mu), so mu -> 0
-    needs no special case."""
+def _temme(mu: float, x: np.ndarray, need_next: bool,
+           bessel_y: bool = False) -> np.ndarray:
+    """Temme's series for |mu| <= 1/2 and 0 < x < 2 (J. Comput. Phys. 19
+    (1975) 324-337 and 21 (1976) 343-350; Numerical Recipes' bessik and
+    bessjy): exp(x) K_mu(x), or Y_mu(x) when bessel_y, and the order
+    mu + 1 as a second row when need_next.  Y's sums are K's with x^2/4
+    negated and r q added to ff, r = 2 sin^2(pi mu/2)/mu; r = 0 leaves
+    K's.  Gamma_1 and Gamma_2 come from the Taylor series of
+    1/Gamma(1 +- mu), so mu -> 0 needs no special case."""
     a = _rgamma_taylor()
     gam2 = math.fsum(a[k] * mu ** k for k in range(0, _RGAMMA_TERMS, 2))
     gam1 = -math.fsum(a[k] * mu ** (k - 1) for k in range(1, _RGAMMA_TERMS, 2))
@@ -583,26 +567,28 @@ def _k_temme_scaled(mu: float, x: np.ndarray, need_next: bool) -> np.ndarray:
     fact2 = np.sinh(e) / np.where(e == 0.0, 1.0, e)
     fact2[e == 0.0] = 1.0
     ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
-    total = ff
     ex = np.exp(e)                               # (x/2)^-mu
     p = 0.5 * ex / gampl
     q = 0.5 / (ex * gammi)
+    x2 = np.square(0.5 * x) * (-1.0 if bessel_y else 1.0)
+    r = 2.0 * math.sin(0.5 * pimu) ** 2 / mu if bessel_y and mu != 0.0 else 0.0
+    total = ff + r * q
     total1 = p
     c = np.ones_like(x)
-    x2 = np.square(0.5 * x)
     for i in range(1, 60):
         ff = (i * ff + p + q) / (i * i - mu * mu)
         c = c * x2 / i
         p = p / (i - mu)
         q = q / (i + mu)
-        term = c * ff
+        g = ff + r * q
+        term = c * g
         total = total + term
         if need_next:
-            total1 = total1 + c * (p - i * ff)
+            total1 = total1 + c * (p - i * g)
         if np.all(np.abs(term) <= 1.1e-16 * np.abs(total)):
             break
-    rows = (total, total1 * (2.0 / x)) if need_next else (total,)
-    return np.array(rows) * np.exp(x)
+    rows = np.array((total, total1 * (2.0 / x)) if need_next else (total,))
+    return rows * (-2.0 / math.pi) if bessel_y else rows * np.exp(x)
 
 
 def _k_trapezoid_scaled(mu: float, x: np.ndarray, need_next: bool) -> np.ndarray:
@@ -631,7 +617,7 @@ def _k_real_scaled(nu: float, x: np.ndarray) -> np.ndarray:
     mu = nu - n
     k = np.empty((2 if n >= 1 else 1,) + x.shape)
     lo = x < 2.0                                 # nan goes to the rule and stays nan
-    for sel, branch in ((lo, _k_temme_scaled), (~lo, _k_trapezoid_scaled)):
+    for sel, branch in ((lo, _temme), (~lo, _k_trapezoid_scaled)):
         if np.any(sel):
             k[:, sel] = branch(mu, x[sel], n >= 1)
     if n == 0:

@@ -111,11 +111,13 @@ def test_criterion_02_golden_suite(golden):
     # RHS golden is unscaled.  Both conventions were pinned against the
     # oracle before the build.
     evaluators = {
+        "bessel_j_0p001_13p9": lambda: bessel_j(0.001, 13.9),
         "bessel_j_0p25_2": lambda: bessel_j(0.25, 2.0),
         "bessel_j_0p3_7p5": lambda: bessel_j(0.3, 7.5),
         "bessel_j_0p6_25": lambda: bessel_j(0.6, 25.0),
         "bessel_j_1p25_2": lambda: bessel_j(1.25, 2.0),
         "bessel_j_m0p8_14": lambda: bessel_j(-0.8, 14.0),
+        "bessel_j_m1p4_13p2": lambda: bessel_j(-1.4, 13.2),
         "bessel_j_m3_2p5": lambda: bessel_j(-3.0, 2.5),
         "bessel_j_m4_10": lambda: bessel_j(-4.0, 10.0),
         "bessel_k_0_1": lambda: bessel_k(0.0, 1.0),
@@ -137,12 +139,18 @@ def test_criterion_02_golden_suite(golden):
         "bessel_k_0p25_1em6": lambda: bessel_k(0.25, 1e-6),
         "bessel_k_0p3_1e5": lambda: bessel_k_scaled(0.3, 1e5),
         "bessel_y_0_1": lambda: bessel_y(0.0, 1.0),
+        "bessel_y_0p001_12": lambda: bessel_y(0.001, 12.0),
+        "bessel_y_0p001_13p9": lambda: bessel_y(0.001, 13.9),
         "bessel_y_0p0015_0p7": lambda: bessel_y(0.0015, 0.7),
+        "bessel_y_0p0021_13p9": lambda: bessel_y(0.0021, 13.9),
         "bessel_y_0p25_2": lambda: bessel_y(0.25, 2.0),
+        "bessel_y_0p3_13p9": lambda: bessel_y(0.3, 13.9),
         "bessel_y_0p3_30": lambda: bessel_y(0.3, 30.0),
         "bessel_y_1p001_3": lambda: bessel_y(1.001, 3.0),
         "bessel_y_1p25_2": lambda: bessel_y(1.25, 2.0),
         "bessel_y_2_3p5": lambda: bessel_y(2.0, 3.5),
+        "bessel_y_3p0018_4": lambda: bessel_y(3.0018, 4.0),
+        "bessel_y_m0p6_12p5": lambda: bessel_y(-0.6, 12.5),
         "bessel_y_m1_5": lambda: bessel_y(-1.0, 5.0),
         "bessel_y_m1p999_5p5": lambda: bessel_y(-1.999, 5.5),
         "bessel_y_m2_1p5": lambda: bessel_y(-2.0, 1.5),

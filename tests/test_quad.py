@@ -31,6 +31,15 @@ def test_finite_oscillatory():
     assert rel_err(r.value, math.sin(70.0) / 7.0) < 1e-12
 
 
+@pytest.mark.parametrize("c", [0.2, 0.123456789, 1.0 / math.sqrt(2.0)])
+def test_finite_rejects_a_non_finite_panel(c):
+    # Refinement toward the interior singularity puts a node on c, where
+    # the integrand is inf and the panel error nan; nan > budget is false,
+    # so without the check the loop would stop as if converged.
+    with pytest.warns(RuntimeWarning), pytest.raises(ConvergenceError):
+        integrate_finite(lambda x: 1.0 / np.sqrt(np.abs(x - c)), 0.0, 1.0)
+
+
 def test_tanh_sinh_sqrt_singularity():
     r = tanh_sinh(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     assert rel_err(r.value, 2.0) < 1e-13

@@ -206,6 +206,9 @@ def test_bessel_j_golden(golden):
     assert rel_err(bessel_j(0.6, 25.0), golden["bessel_j_0p6_25"]) < 1e-12
     assert rel_err(bessel_j(1.25, 2.0), golden["bessel_j_1p25_2"]) < 1e-12
     assert rel_err(bessel_j(-0.8, 14.0), golden["bessel_j_m0p8_14"]) < 1e-12
+    # Below the Hankel knee at 8 < x < 14: a near-zero and a negative order.
+    assert rel_err(bessel_j(0.001, 13.9), golden["bessel_j_0p001_13p9"]) < 1e-12
+    assert rel_err(bessel_j(-1.4, 13.2), golden["bessel_j_m1p4_13p2"]) < 1e-12
 
 
 def test_bessel_y_golden(golden):
@@ -214,6 +217,14 @@ def test_bessel_y_golden(golden):
     assert rel_err(bessel_y(0.3, 30.0), golden["bessel_y_0p3_30"]) < 1e-12
     assert rel_err(bessel_y(1.25, 2.0), golden["bessel_y_1p25_2"]) < 1e-12
     assert rel_err(bessel_y(2.0, 3.5), golden["bessel_y_2_3p5"]) < 1e-12
+    # Below the Hankel knee: small, near-integer and negative orders.
+    for nu, x, name in ((0.3, 13.9, "bessel_y_0p3_13p9"),
+                        (0.001, 13.9, "bessel_y_0p001_13p9"),
+                        (0.0021, 13.9, "bessel_y_0p0021_13p9"),
+                        (0.001, 12.0, "bessel_y_0p001_12"),
+                        (3.0018, 4.0, "bessel_y_3p0018_4"),
+                        (-0.6, 12.5, "bessel_y_m0p6_12p5")):
+        assert rel_err(bessel_y(nu, x), golden[name]) < 1e-12, name
 
 
 def test_bessel_k_golden(golden):
@@ -330,12 +341,13 @@ def test_complex_k_keeps_the_tanh_sinh_arithmetic(nu, xs):
 
 
 def test_bessel_wronskian():
-    # J_{nu+1}(x) Y_nu(x) - J_nu(x) Y_{nu+1}(x) = 2/(pi x)
-    for nu in (0.0, 0.25, 1.25, -0.4):
-        for x in (0.5, 1.0, 3.5, 12.0, 28.0):
+    # J_{nu+1}(x) Y_nu(x) - J_nu(x) Y_{nu+1}(x) = 2/(pi x); 1e-12 below
+    # the Hankel knee, also at near-integer orders.
+    for nu in (0.0, 0.25, 1.25, -0.4, 1.001, -1.999, 0.0021, 3.0018):
+        for x in (0.5, 1.0, 3.5, 9.5, 12.0, 13.9, 28.0):
             w = (bessel_j(nu + 1.0, x) * bessel_y(nu, x)
                  - bessel_j(nu, x) * bessel_y(nu + 1.0, x))
-            assert rel_err(w, 2.0 / (math.pi * x)) < 1e-9
+            assert rel_err(w, 2.0 / (math.pi * x)) < (1e-12 if x < 14.0 else 1e-9)
 
 
 def test_bessel_k_recurrence():
@@ -362,6 +374,15 @@ def test_bessel_domain():
         bessel_y(0.0, 0.0)
     with pytest.raises(DomainError):
         bessel_k(0.0, -2.0)
+
+
+def test_bessel_past_the_double_range():
+    # At tiny x, Y_nu leaves the double range as it climbs in order: it is
+    # -inf, and J, computed alongside it, is unaffected and quiet.
+    assert bessel_j(5.0, 1e-70) == 0.0
+    assert bessel_j(10.0, 1e-40) == 0.0
+    assert bessel_y(10.0, 1e-40) == -math.inf
+    assert bessel_j(-2.5, 1e-150) == math.inf
 
 
 def test_exp_integrals_golden(golden):

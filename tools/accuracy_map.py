@@ -15,7 +15,14 @@ and its tests never import it.
 
 Covered: exp(x) K_nu(x) on the real path (order bands by |nu|, x below
 and above the switch at 2) and on the tanh-sinh path (complex order,
-complex argument); e^w E1(w); e^{-y} Ei(y); the Dixon-Ferrar psi.
+complex argument); e^w E1(w); e^{-y} Ei(y); the Dixon-Ferrar psi; J_nu(x)
+and Y_nu(x) by order band (|nu| in [0, 0.5], within 2e-3 of an integer,
+[0.5, 2] and [2, 10], each sign) and by x range (the series and Temme's
+series below 2, Steed's method in [2, 8) and [8, knee), the Hankel
+expansion from the knee max(14, 3|nu|) to 1e3).  J and Y errors are
+relative, except near a zero (where the oracle changes sign within
+min(1/2, x/4) of x): there they are absolute over sqrt(2/(pi x)), the
+functions' envelope.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
 from koshliakov.kernels import _df_psi  # noqa: E402
-from koshliakov.specfun import (bessel_k_scaled,  # noqa: E402
-                                exp_integral_e1_scaled,
+from koshliakov.specfun import (bessel_j, bessel_k_scaled,  # noqa: E402
+                                bessel_y, exp_integral_e1_scaled,
                                 exp_integral_ei_scaled)
 
 mp.dps = 30
@@ -79,6 +86,62 @@ def _k_real_region(rng, nu_lo, nu_hi, x_lo, x_hi, n) -> dict:
     worst = max(out, key=lambda r: r["worst_rel_err"])
     return {"points": sum(r["points"] for r in out),
             "worst_rel_err": worst["worst_rel_err"], "at": worst["at"]}
+
+
+_JY = ((bessel_j, mp.besselj), (bessel_y, mp.bessely))
+
+
+def _jy_regions(rng, draw, sign, x_range, n) -> list:
+    """Worst errors of bessel_j and bessel_y over n points, 8 per order
+    sign * draw(rng) (one array call each); x_range(nu) gives the order's
+    x interval."""
+    worst = [{"points": 0, "worst_rel_err": 0.0, "at": None} for _ in _JY]
+    for _ in range(max(n // 8, 1)):
+        nu = sign * draw(rng)
+        xs = _log_uniform(rng, *x_range(nu), 8)
+        for (fn, oracle), w in zip(_JY, worst):
+            for value, x in zip(fn(nu, xs), xs):
+                ref = oracle(nu, x)
+                if abs(ref) > _OVERFLOW:
+                    continue
+                w["points"] += 1
+                step = min(0.5, x / 4.0)
+                scale = abs(ref)
+                if oracle(nu, x - step) * oracle(nu, x + step) <= 0:
+                    scale = max(scale, math.sqrt(2.0 / (math.pi * x)))
+                err = float(abs(mpf(value) - ref) / scale)
+                if err >= w["worst_rel_err"]:
+                    w["worst_rel_err"], w["at"] = err, [str(nu), str(x)]
+    for w in worst:
+        w["worst_rel_err"] = float(f"{w['worst_rel_err']:.3g}")
+    return worst
+
+
+def _jy_build(rng, n: int) -> dict:
+    def knee(nu):
+        return max(14.0, 3.0 * abs(nu))
+
+    def near_integer(r):
+        # One order in four is the integer itself.
+        return round(r.uniform(0.0, 10.0)) + (
+            float(r.uniform(-2e-3, 2e-3)) if r.random() < 0.75 else 0.0)
+
+    bands = (("[0, 0.5]", lambda r: float(r.uniform(0.0, 0.5))),
+             ("within 2e-3 of an integer", near_integer),
+             ("[0.5, 2]", lambda r: float(r.uniform(0.5, 2.0))),
+             ("[2, 10]", lambda r: float(r.uniform(2.0, 10.0))))
+    x_ranges = (("[1e-8, 2)", lambda nu: (1e-8, 2.0 - 1e-12)),
+                ("[2, 8)", lambda nu: (2.0, 8.0 - 1e-12)),
+                ("[8, knee)", lambda nu: (8.0, knee(nu) * (1.0 - 1e-12))),
+                ("[knee, 1e3]", lambda nu: (knee(nu), 1e3)))
+    regions = {}
+    for band, draw in bands:
+        for sign in (1.0, -1.0):
+            for xname, x_range in x_ranges:
+                where = f"{'+' if sign > 0 else '-'}nu, |nu| {band}, x in {xname}"
+                regions[f"bessel_j {where}"], regions[f"bessel_y {where}"] = _jy_regions(
+                    rng, draw, sign, x_range, n)
+    return regions
 
 
 def build(n: int, seed: int) -> dict:
@@ -131,6 +194,7 @@ def build(n: int, seed: int) -> dict:
         for a, b in ((lo, mid), (mid * (1.0 + 1e-12), hi)):
             xs = _log_uniform(rng, a, b, n)
             regions[f"{name} in [{a:.3g}, {b:.3g}]"] = _worst(fn(xs), xs, oracle)
+    regions.update(_jy_build(rng, n))
     return regions
 
 

@@ -210,8 +210,8 @@ def golden_values():
     put("bessel_y_1p25_2", bessely(mpf("1.25"), 2), "Y_1.25(2)")
     put("bessel_y_2_3p5", bessely(2, mpf("3.5")), "Y_2(3.5)")
     put("bessel_y_0p3_30", bessely(mpf("0.3"), 30), "Y_0.3(30)")
-    # bessel_y's band 0 < |nu - n| < 2e-3 (interpolated in the order), the
-    # negative integer orders of J and Y, and Ei below -1 (li below 1/e).
+    # Near-integer orders of Y, the negative integer orders of J and Y,
+    # and Ei below -1 (li below 1/e).
     put("bessel_y_1p001_3", bessely(mpf("1.001"), 3), "Y_1.001(3)")
     put("bessel_y_m1p999_5p5", bessely(mpf("-1.999"), mpf("5.5")), "Y_-1.999(5.5)")
     put("bessel_y_0p0015_0p7", bessely(mpf("0.0015"), mpf("0.7")), "Y_0.0015(0.7)")
@@ -219,6 +219,16 @@ def golden_values():
     put("bessel_j_m4_10", besselj(-4, 10), "J_-4(10)")
     put("bessel_y_m1_5", bessely(-1, 5), "Y_-1(5)")
     put("bessel_y_m2_1p5", bessely(-2, mpf("1.5")), "Y_-2(1.5)")
+    # Steed's region below the Hankel knee: 8 < x < 14 at small,
+    # near-integer and negative orders, and a near-integer order at x = 4.
+    put("bessel_y_0p3_13p9", bessely(mpf("0.3"), mpf("13.9")), "Y_0.3(13.9)")
+    put("bessel_j_0p001_13p9", besselj(mpf("0.001"), mpf("13.9")), "J_0.001(13.9)")
+    put("bessel_y_0p001_13p9", bessely(mpf("0.001"), mpf("13.9")), "Y_0.001(13.9)")
+    put("bessel_y_0p0021_13p9", bessely(mpf("0.0021"), mpf("13.9")), "Y_0.0021(13.9)")
+    put("bessel_y_0p001_12", bessely(mpf("0.001"), 12), "Y_0.001(12)")
+    put("bessel_y_3p0018_4", bessely(mpf("3.0018"), 4), "Y_3.0018(4)")
+    put("bessel_j_m1p4_13p2", besselj(mpf("-1.4"), mpf("13.2")), "J_-1.4(13.2)")
+    put("bessel_y_m0p6_12p5", bessely(mpf("-0.6"), mpf("12.5")), "Y_-0.6(12.5)")
     put("bessel_k_0_1", besselk(0, 1), "K_0(1)")
     put("bessel_k_0p25_2", besselk(mpf("0.25"), 2), "K_0.25(2)")
     put("bessel_k_0p3_cplx", besselk(mpf("0.3"), 2 * exp(i * pi / 4)),

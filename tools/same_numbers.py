@@ -15,9 +15,10 @@ the ends of the alpha range and the oscillatory tails at other x and z,
 two Omega sweeps over the whole alpha range [1/4, 4], three k-bessel
 `pair-reciprocity` cases whose psi(x) is far below the transform's
 absolute accuracy, five verifies of the modular checks, the Dixon-Ferrar
-pair, the z = 0 Theta series and complex-order K off their defaults, and
-`list`, whose `tol` column both this tool and the benchmark read: 46
-commands in all.
+pair, the z = 0 Theta series and complex-order K off their defaults,
+three verifies that reach Bessel J and Y below the Hankel knee off the
+defaults, and `list`, whose `tol` column both this tool and the
+benchmark read: 49 commands in all.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
@@ -96,6 +97,11 @@ COMMANDS = (
     ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=0.01"),
     ("verify", "rg-corollary-z0", "--alpha=0.25", "--terms=1"),
     ("verify", "mellin-k", "--s=6", "--nu=5+2i"),
+    # Bessel J and Y below the Hankel knee at other orders and arguments:
+    # a negative order, the transform kernel at z = 0.3, J_0 under Omega.
+    ("verify", "laplace-bessel", "--alpha=0.5", "--y=0.5", "--z=-0.5"),
+    ("verify", "pair-reciprocity", "--z=0.3"),
+    ("verify", "omega-self-reciprocal", "--z=0", "--x=0.5"),
     ("list",),
 )
 
