@@ -35,9 +35,8 @@ def _check_domain(alphas=(), terms: int = 1) -> None:
     """The rule every identity with a scale alpha (beta = 1/alpha) or a
     series truncation shares: alpha in [1/4, 4], the quadrature's
     oscillation limit, and at least one term."""
-    for alpha in alphas:
-        if not 0.25 <= alpha <= 4.0:
-            raise DomainError("alpha must lie in [1/4, 4]")
+    if any(not 0.25 <= alpha <= 4.0 for alpha in alphas):
+        raise DomainError("alpha must lie in [1/4, 4]")
     if terms < 1:
         raise DomainError("terms must be >= 1")
 
@@ -128,37 +127,10 @@ def _report(identity_id: str, params: dict, lhs: complex, rhs: complex,
 # ---------------------------------------------------------------------------
 
 def _xi_pair(t: np.ndarray, z: complex) -> np.ndarray:
-    """Xi((t+iz)/2) Xi((t-iz)/2) elementwise."""
-    out = np.empty(t.shape, dtype=complex)
-    real_z = z.imag == 0.0
-    for i, tv in enumerate(t):
-        a = big_xi(0.5 * (tv + 1j * z))
-        # For real z the two factors are conjugates.
-        out[i] = a * a.conjugate() if real_z else a * big_xi(0.5 * (tv - 1j * z))
-    return out
-
-
-def _xi_weighted(z: complex, g: Callable, alphas, spec: QuadratureSpec):
-    """Integral over [0, T] of the Xi pair against g(t) cos(t log(alpha)/2),
-    one column per alpha of a grid, plus a recorded bound per column for
-    the discarded [T, inf) piece.
-
-    g(t) is the alpha-free part of the weight, so it and the Xi pair are
-    evaluated once per node for the whole grid.  The paired Xi factors
-    decay at least like exp(-pi t/4); |g(T)| must bound |g| on [T, inf),
-    which with the cosine replaced by 1 bounds every column.
-    """
-    T = 60.0
-    la = np.array([math.log(alpha) for alpha in alphas])
-
-    def f(t):
-        return ((_xi_pair(t, z) * g(t))[:, None]
-                * np.cos(0.5 * np.multiply.outer(t, la)))
-
-    res = integrate_finite(f, 0.0, T, spec)
-    pair_T = abs(complex(_xi_pair(np.array([T]), z)[0]))
-    trunc = pair_T * abs(complex(g(np.array([T]))[0])) * (4.0 / math.pi) * 5.0
-    return res, np.full(res.value.shape, trunc)
+    """Xi((t+iz)/2) Xi((t-iz)/2) over an array of t."""
+    a = big_xi(0.5 * (t + 1j * z))
+    # For real z the two factors are conjugates.
+    return a * (a.conjugate() if z.imag == 0.0 else big_xi(0.5 * (t - 1j * z)))
 
 
 # The default accuracy of the four Xi-pair integrals.
@@ -187,18 +159,29 @@ def _single(rows: list) -> "VerificationReport":
 
 def _xi_grid(identity_id: str, z: complex, g: Callable, alphas, terms: int,
              spec: Optional[QuadratureSpec], tolerance: float, row: Callable) -> list:
-    """The reports of a Xi-pair identity over an alpha grid, from one
-    vector integral of the Xi pair against g (_xi_weighted; spec defaults
-    to _XI_SPEC).  row(alpha) gives the lhs prefactor, the rhs and the
-    rhs's own budgets; a budget named like one of the integral's own
-    (quad_err) is added to it.  Returns one report per alpha, or in its
-    place the KoshliakovError that alpha's row raised."""
-    res, trunc = _xi_weighted(z, g, alphas, spec or _XI_SPEC)
+    """The reports of a Xi-pair identity over an alpha grid, from one vector
+    integral over [0, T] of the Xi pair against g(t) cos(t log(alpha)/2), a
+    column per alpha (spec defaults to _XI_SPEC): g(t), the alpha-free part
+    of the weight, and the Xi pair are evaluated once per node.  The Xi pair
+    decays at least like exp(-pi t/4) and |g(T)| must bound |g| on
+    [T, inf): with the cosine replaced by 1 that bounds every column's
+    discarded piece (xi_cutoff).  row(col, alpha) gives the lhs prefactor,
+    the rhs and its own budgets (one named quad_err adds to the integral's).
+    Returns one report per alpha, or in its place that row's error."""
+    T = 60.0
+    la = np.array([math.log(alpha) for alpha in alphas])
+
+    def f(t):
+        return (_xi_pair(t, z) * g(t))[:, None] * np.cos(0.5 * np.multiply.outer(t, la))
+
+    res = integrate_finite(f, 0.0, T, spec or _XI_SPEC)
+    end = np.array([T])
+    trunc = abs(complex(_xi_pair(end, z)[0])) * abs(complex(g(end)[0])) * (4.0 / math.pi) * 5.0
 
     def report(col, alpha):
-        pref, rhs, rhs_budgets = row(alpha)
+        pref, rhs, rhs_budgets = row(col, alpha)
         budgets = {"quad_err": abs(pref) * float(res.err_estimate[col]),
-                   "xi_cutoff": abs(pref) * float(trunc[col])}
+                   "xi_cutoff": abs(pref) * trunc}
         for key, value in rhs_budgets.items():
             budgets[key] = budgets.get(key, 0.0) + value
         params = {"z": [z.real, z.imag], "alpha": alpha, "terms": terms}
@@ -208,16 +191,24 @@ def _xi_grid(identity_id: str, z: complex, g: Callable, alphas, terms: int,
     return _rows(alphas, report)
 
 
-def _modular(identity_id: str, F: Callable, z: complex, alpha: float, terms: int,
-             tolerance: float) -> "VerificationReport":
-    """The report of F(alpha) = F(1/alpha) for F(z, alpha, terms) giving
-    (value, budgets); each budget is the sum of the two sides'."""
-    _check_domain([alpha], terms)
-    lhs, b1 = F(z, alpha, terms)
-    rhs, b2 = F(z, 1.0 / alpha, terms)
-    params = {"z": [z.real, z.imag], "alpha": alpha, "terms": terms}
-    return _report(identity_id, params, lhs, rhs, {k: v + b2[k] for k, v in b1.items()},
-                   tolerance, real_inputs=(z.imag == 0.0))
+def _modular_grid(identity_id: str, F: Callable, z: complex, alphas, tolerance: float,
+                  terms: Optional[int] = None) -> list:
+    """The reports of F(alpha) = F(1/alpha) over an alpha grid, F(points)
+    giving (values, budgets) as arrays.  F is called once, over the alphas
+    and then their reciprocals, so an error there fails every row; each
+    budget is the sum of the two sides'.  The params name terms if given."""
+    _check_domain(alphas, 1 if terms is None else terms)
+    m = len(alphas)
+    values, budgets = F([*alphas, *(1.0 / a for a in alphas)])
+
+    def row(col, alpha):
+        params = ({"alpha": alpha, "z": [z.real, z.imag]} if terms is None
+                  else {"z": [z.real, z.imag], "alpha": alpha, "terms": terms})
+        return _report(identity_id, params, values[col], values[m + col],
+                       {k: v[col] + v[m + col] for k, v in budgets.items()},
+                       tolerance, real_inputs=(z.imag == 0.0))
+
+    return _rows(alphas, row)
 
 
 # ---------------------------------------------------------------------------
@@ -287,49 +278,58 @@ def _k_series_tail(coeff: float, p: float, c: float, n_from: int) -> float:
 
 
 # Relative accuracy claimed for each piece of f_frak (Gamma, zeta, the
-# powers, each K term), applied to the sum of the pieces' magnitudes, so
+# powers, each K term) and of the lambda sides (each Hurwitz value, power
+# and boundary term), applied to the sum of the pieces' magnitudes, so
 # cancellation among them is charged to the bound.  Against 30-digit
-# mpmath over 84 (z, alpha) points the largest error was 0.38 of it.
-_FRAK_ULPS = 16.0 * _EPS
+# mpmath the largest error was 0.38 of it over 84 (z, alpha) points of
+# f_frak and RATIO_LAMBDA of it over LAMBDA_POINTS points of _hurwitz_F.
+_EVAL_ULPS = 16.0 * _EPS
 
 
-def f_frak(z: complex, alpha: float, terms: int):
+def f_frak(z: complex, alpha, terms: int):
     """The modular combination sqrt(alpha) (alpha^{z/2-1} pi^{-z/2} Gamma(z/2) zeta(z)
     + alpha^{-z/2-1} pi^{z/2} Gamma(-z/2) zeta(-z)
     - 4 sum sigma_{-z}(n) n^{z/2} K_{z/2}(2 n pi alpha));
     invariant under alpha -> 1/alpha.  Returns (value, budgets): the
     series_tail bound (the K envelope with sigma_{-Re z}(n) <= n^{1+|Re z|})
-    and the eval_err bound."""
+    and the eval_err bound, scalars at a scalar alpha, arrays at an array
+    of them (the Gamma and zeta factors are evaluated once)."""
     z = complex(z)
     if abs(z) < 1e-4:
         raise NearPoleError("Gamma(z/2) pole: need |z| >= 1e-4")
-    p, c = 1.0 + abs(z.real) + 0.5 * z.real, 2.0 * math.pi * alpha
-    n_eff = max(terms, 1)       # raised until the K tail is below 1e-13
-    while n_eff < 500 and _k_series_tail(4.0, p, c, n_eff + 1) > 1e-13:
-        n_eff += 1
-    n = np.arange(1, n_eff + 1, dtype=float)
-    sig = arith.build_table(-z, n_eff).slice(n_eff)
-    kv = bessel_k(0.5 * z, c * n)
-    series_terms = sig * np.power(n, 0.5 * z) * kv
-    series = np.sum(series_terms)
-    a_term = alpha ** (0.5 * z - 1.0) * math.pi ** (-0.5 * z) * gamma(0.5 * z) * riemann_zeta(z)
-    b_term = alpha ** (-0.5 * z - 1.0) * math.pi ** (0.5 * z) * gamma(-0.5 * z) * riemann_zeta(-z)
-    value = math.sqrt(alpha) * (a_term + b_term - 4.0 * series)
-    tail = math.sqrt(alpha) * _k_series_tail(4.0, p, c, n_eff + 1)
-    eval_err = _FRAK_ULPS * math.sqrt(alpha) * (
-        abs(a_term) + abs(b_term) + 4.0 * float(np.sum(np.abs(series_terms))))
+    (ga, gb), (za, zb) = gamma(np.array([0.5 * z, -0.5 * z])), riemann_zeta(np.array([z, -z]))
+    p, rows = 1.0 + abs(z.real) + 0.5 * z.real, []
+    for a in np.atleast_1d(alpha).tolist():
+        c = 2.0 * math.pi * a
+        n_eff = max(terms, 1)       # raised until the K tail is below 1e-13
+        while n_eff < 500 and _k_series_tail(4.0, p, c, n_eff + 1) > 1e-13:
+            n_eff += 1
+        n = np.arange(1, n_eff + 1, dtype=float)
+        sig = arith.build_table(-z, n_eff).slice(n_eff)
+        series_terms = sig * np.power(n, 0.5 * z) * bessel_k(0.5 * z, c * n)
+        a_term = a ** (0.5 * z - 1.0) * math.pi ** (-0.5 * z) * ga * za
+        b_term = a ** (-0.5 * z - 1.0) * math.pi ** (0.5 * z) * gb * zb
+        rows.append((math.sqrt(a) * (a_term + b_term - 4.0 * np.sum(series_terms)),
+                     math.sqrt(a) * _k_series_tail(4.0, p, c, n_eff + 1),
+                     _EVAL_ULPS * math.sqrt(a) * (abs(a_term) + abs(b_term)
+                                                  + 4.0 * float(np.sum(np.abs(series_terms))))))
+    value, tail, eval_err = (np.array(v) if np.ndim(alpha) else v[0] for v in zip(*rows))
     return value, {"series_tail": tail, "eval_err": eval_err}
 
 
-def _hurwitz_F(z: complex, alpha: float, terms: int):
-    """alpha^{(z+1)/2} (sum_n lambda(n alpha, z) - zeta(z+1)/(2 alpha^{z+1})
-    - zeta(z)/(alpha z)), lambda-sum tail-corrected; returns (value,
-    budgets: the em_residual bound)."""
-    s, resid = lambda_sum(alpha, z, terms)
-    pref = alpha ** (0.5 * (z + 1.0))
-    value = pref * (s - riemann_zeta(z + 1.0) / (2.0 * alpha ** (z + 1.0))
-                    - riemann_zeta(z) / (alpha * z))
-    return value, {"em_residual": abs(pref) * resid}
+def _hurwitz_F(z: complex, alphas, terms: int, pref=None):
+    """F(alpha) = pref (sum_n lambda(n alpha, z) - zeta(z+1)/(2 alpha^{z+1})
+    - zeta(z)/(alpha z)) at every alpha of a grid, pref alpha^{(z+1)/2} by
+    default, from one lambda_sum call; returns (values, budgets: the
+    em_residual bound and the eval_err ulp charge), arrays."""
+    alphas = np.asarray(alphas, dtype=float)
+    pref = alphas ** (0.5 * (z + 1.0)) if pref is None else pref
+    s, resid, mag = lambda_sum(alphas, z, terms)
+    zeta_z1, zeta_z = riemann_zeta(np.array([z + 1.0, z]))
+    b1, b2 = zeta_z1 / (2.0 * alphas ** (z + 1.0)), zeta_z / (alphas * z)
+    scale = np.abs(pref)
+    return pref * (s - b1 - b2), {"em_residual": scale * resid, "eval_err": _EVAL_ULPS * scale
+                                  * (mag + np.abs(b1) + np.abs(b2))}
 
 
 def _k_pair_z1(alpha: float):
@@ -366,8 +366,10 @@ def rg_corollary_grid(alphas, z, terms: int = 50,
     def g(t):
         return 1.0 / ((t * t + zp) * (t * t + zm))
 
+    frak, budgets = f_frak(z, alphas, terms)
     return _xi_grid("rg-corollary", z, g, alphas, terms, spec, tolerance,
-                    lambda alpha: (-(32.0 / math.pi), *f_frak(z, alpha, terms)))
+                    lambda col, alpha: (-(32.0 / math.pi), frak[col],
+                                        {k: v[col] for k, v in budgets.items()}))
 
 
 def verify_rg_corollary_z0(alpha: float = 1.0, terms: int = 50,
@@ -392,7 +394,7 @@ def rg_corollary_z0_grid(alphas, terms: int = 50,
     n = np.arange(1, n_eff + 1, dtype=float)
     dn = arith.build_table(0.0, n_eff).slice(n_eff).real
 
-    def row(alpha):
+    def row(col, alpha):
         beta = 1.0 / alpha
         theta = (bessel_k(0.0, 2.0 * alpha * math.pi * n).real
                  + beta * bessel_k(0.0, 2.0 * beta * math.pi * n).real)
@@ -410,8 +412,9 @@ def verify_rg_formula(z, alpha: float, terms: int = 10,
                       spec: Optional[QuadratureSpec] = None,
                       tolerance: float = 1e-8) -> VerificationReport:
     """f_frak(alpha, z) = f_frak(1/alpha, z)."""
-    return _modular("rg-formula", f_frak, _check_z(z, "|Re z| < 1"), alpha, terms,
-                    tolerance)
+    z = _check_z(z, "|Re z| < 1")
+    return _single(_modular_grid("rg-formula", lambda points: f_frak(z, points, terms), z,
+                                 [alpha], tolerance, terms))
 
 
 def verify_hurwitz_corollary(z=0.5, alpha: float = 1.0, terms: int = 50,
@@ -426,31 +429,37 @@ def hurwitz_corollary_grid(alphas, z, terms: int = 50,
                            spec: Optional[QuadratureSpec] = None,
                            tolerance: float = 1e-6) -> list:
     """verify_hurwitz_corollary at every alpha of a grid, from one vector
-    integral: the Xi pair and the alpha-free weight Gamma((z-1+it)/4)
-    Gamma((z-1-it)/4)/(t^2+(z+1)^2) are evaluated once per node.  Returns
-    one report (or rhs error) per alpha."""
+    integral (the weight Gamma((z-1+it)/4) Gamma((z-1-it)/4)/(t^2+(z+1)^2)
+    once per node) and one _hurwitz_F call, so an error there fails every
+    row.  Returns one report per alpha."""
     _check_domain(alphas, terms)
     z = _check_z(z, "0 < |Re z| < 1")
-    zp = (z + 1.0) ** 2
-    base = 0.25 * (z - 1.0)
+    zp, base = (z + 1.0) ** 2, 0.25 * (z - 1.0)
 
     def g(t):
-        out = np.empty(t.shape, dtype=complex)
-        for i, tv in enumerate(t):
-            out[i] = gamma(base + 0.25j * tv) * gamma(base - 0.25j * tv) / (tv * tv + zp)
-        return out
+        return gamma(base + 0.25j * t) * gamma(base - 0.25j * t) / (t * t + zp)
 
     pref = 8.0 * (4.0 * math.pi) ** (0.5 * (z - 3.0)) / gamma(z + 1.0)
+    F, budgets = _hurwitz_F(z, alphas, terms)
     return _xi_grid("hurwitz-corollary", z, g, alphas, terms, spec, tolerance,
-                    lambda alpha: (pref, *_hurwitz_F(z, alpha, terms)))
+                    lambda col, alpha: (pref, F[col], {k: v[col] for k, v in budgets.items()}))
 
 
 def verify_hurwitz_modular(z, alpha: float, terms: int = 50,
                            spec: Optional[QuadratureSpec] = None,
                            tolerance: float = 1e-8) -> VerificationReport:
     """F(alpha) = F(1/alpha) for the Hurwitz-lambda combination."""
-    return _modular("hurwitz-modular", _hurwitz_F, _check_z(z, "0 < |Re z| < 1"),
-                    alpha, terms, tolerance)
+    return _single(hurwitz_modular_grid([alpha], z, terms, spec, tolerance))
+
+
+def hurwitz_modular_grid(alphas, z, terms: int = 50,
+                         spec: Optional[QuadratureSpec] = None,
+                         tolerance: float = 1e-8) -> list:
+    """verify_hurwitz_modular at every alpha of a grid: F is evaluated once
+    over the alphas and their reciprocals (_modular_grid)."""
+    z = _check_z(z, "0 < |Re z| < 1")
+    return _modular_grid("hurwitz-modular", lambda points: _hurwitz_F(z, points, terms), z,
+                         alphas, tolerance, terms)
 
 
 def _theta_pair_inner(alpha: float, weights: np.ndarray, order: complex,
@@ -497,13 +506,12 @@ def _divisor_k_series(alpha: float, z: complex, N: int, spec: QuadratureSpec,
     # bounded by the K decay.  Kw(x) = sum of scale * K_{z/2}(2 c x).
     scales = [(alpha, 1.0)] + ([(1.0 / alpha, 1.0 / alpha)] if both else [])
     expo = -0.5 * (z + 3.0)
-    tail = 0.0
-    tail_err = 0.0
-    prev = math.inf
+    tail, tail_err, prev = 0.0, 0.0, math.inf
     binom = 1.0 + 0.0j          # binom(expo, j), by product recursion
+    gam = gamma(np.arange(1.0, 61.0)) * gamma(np.arange(1.0, 61.0) + 0.5 * z)
     for j in range(0, 60):
         mj = sum(scale * 2.0 ** (0.5 * z + 2 * j) * (2.0 * c) ** (-(2.0 + 0.5 * z + 2 * j))
-                 for c, scale in scales) * gamma(1.0 + j) * gamma(1.0 + j + 0.5 * z)
+                 for c, scale in scales) * gam[j]
         term = (binom * math.pi ** (-(z + 3.0) - 2 * j)
                 * mj * _divisor_tail_moment(z, N, j))
         binom *= (expo - j) / (j + 1.0)
@@ -540,15 +548,12 @@ def hurwitz_corollary_z0_grid(alphas, terms: int = 50,
     spec = spec or _XI_SPEC
 
     def g(t):
-        out = np.empty(t.shape, dtype=complex)
-        for i, tv in enumerate(t):
-            gp = gamma(-0.25 + 0.25j * tv)
-            out[i] = (gp * gp.conjugate()) / (1.0 + tv * tv)
-        return out
+        gp = gamma(-0.25 + 0.25j * t)
+        return (gp * gp.conjugate()) / (1.0 + t * t)
 
     N = max(terms, 4)
 
-    def row(alpha):
+    def row(col, alpha):
         series, series_err, tail_err = _divisor_k_series(alpha, 0.0, N, spec, both=True)
         z1, z1p = _k_pair_z1(alpha)
         rhs = (0.5 * math.pi) * series.real - 0.5 * ((EULER_GAMMA - math.log(2.0 * math.pi)) * z1 + z1p)
@@ -573,12 +578,13 @@ def verify_bessel_hurwitz_sum(alpha: float, z, terms: int = 8,
     series, quad_err, tail_err = _divisor_k_series(alpha, z, N, spec, both=False)
     pref_l = math.pi ** (z + 0.5) * gamma(0.5 * (z + 3.0))
     lhs = pref_l * series
-    lam, resid = lambda_sum(alpha, z, N)
+    lam, resid, mag = lambda_sum(alpha, z, N)
     pref_r = alpha ** (0.5 * z) / 2.0 ** (z + 2.0) * gamma(z + 1.0)
     rhs = pref_r * lam
     budgets = {"quad_err": abs(pref_l) * quad_err,
                "series_tail": abs(pref_l) * tail_err,
-               "em_residual": abs(pref_r) * resid}
+               "em_residual": abs(pref_r) * resid,
+               "eval_err": _EVAL_ULPS * abs(pref_r) * mag}
     params = {"z": [z.real, z.imag], "alpha": alpha, "terms": N}
     return _report("bessel-hurwitz-sum", params, lhs, rhs, budgets, tolerance,
                    real_inputs=(z.imag == 0.0))
@@ -741,23 +747,19 @@ def verify_omega_modular(alpha: float, z, spec: Optional[QuadratureSpec] = None,
 def omega_modular_grid(alphas, z, spec: Optional[QuadratureSpec] = None,
                        tolerance: float = 1e-6) -> list:
     """verify_omega_modular at every alpha of a grid, from one vector
-    Laplace integral whose columns are the alphas, then their reciprocals;
-    returns one report per alpha."""
+    Laplace integral whose columns are the alphas, then their reciprocals
+    (_modular_grid)."""
     z = _check_z(z, "|Re z| < 1", zero_ok=True)
-    _check_domain(alphas)
-    m = len(alphas)
-    values, errs = _omega_laplace_columns([*alphas, *(1.0 / a for a in alphas)], z, spec)
 
-    def row(col, alpha):
-        pa, pb = alpha ** (0.5 * (z + 1.0)), (1.0 / alpha) ** (0.5 * (z + 1.0))
-        budgets = {"quad_err": abs(pa) * float(errs[col]) + abs(pb) * float(errs[m + col])}
-        if abs(z) < 1e-12:
-            budgets["pole_averaging"] = 1e-7
-        return _report("omega-modular", {"alpha": alpha, "z": [z.real, z.imag]},
-                       pa * complex(values[col]), pb * complex(values[m + col]),
-                       budgets, tolerance, real_inputs=(z.imag == 0.0))
+    def F(points):
+        values, errs = _omega_laplace_columns(points, z, spec)
+        pref = np.array([p ** (0.5 * (z + 1.0)) for p in points])
+        # At z = 0 each side carries half of the averaging budget.
+        return pref * values, {"quad_err": np.abs(pref) * errs,
+                               **({"pole_averaging": np.full(len(points), 0.5e-7)}
+                                  if abs(z) < 1e-12 else {})}
 
-    return _rows(alphas, row)
+    return _modular_grid("omega-modular", F, z, alphas, tolerance)
 
 
 def verify_omega_laplace(alpha: float, z, terms: int = 50,
@@ -773,20 +775,17 @@ def omega_laplace_grid(alphas, z, terms: int = 50,
                        spec: Optional[QuadratureSpec] = None,
                        tolerance: float = 1e-6) -> list:
     """verify_omega_laplace at every alpha of a grid, from one vector
-    Laplace integral with a column per alpha (the lambda side stays per
-    alpha); returns one report (or rhs error) per alpha."""
+    Laplace integral with a column per alpha and one _hurwitz_F call, so
+    an error in either fails every row; returns one report per alpha."""
     z = _check_z(z, "0 < Re z < 1")
     _check_domain(alphas, terms)
     values, errs = _omega_laplace_columns(alphas, z, spec)
+    rhs, rhs_budgets = _hurwitz_F(z, alphas, terms, gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0))
 
     def row(col, alpha):
-        lam, resid = lambda_sum(alpha, z, terms)
-        pref = gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0)
-        rhs = pref * (lam - riemann_zeta(z + 1.0) / (2.0 * alpha ** (z + 1.0))
-                      - riemann_zeta(z) / (alpha * z))
-        budgets = {"quad_err": float(errs[col]), "em_residual": abs(pref) * resid}
+        budgets = {"quad_err": float(errs[col]), **{k: v[col] for k, v in rhs_budgets.items()}}
         params = {"alpha": alpha, "z": [z.real, z.imag], "terms": terms}
-        return _report("omega-laplace", params, complex(values[col]), rhs, budgets,
+        return _report("omega-laplace", params, complex(values[col]), rhs[col], budgets,
                        tolerance, real_inputs=(z.imag == 0.0))
 
     return _rows(alphas, row)
@@ -926,7 +925,8 @@ IDENTITIES: dict = {
         hurwitz_corollary_z0_grid),
     "hurwitz-modular": IdentityEntry(
         verify_hurwitz_modular,
-        "modular invariance of the Hurwitz lambda combination"),
+        "modular invariance of the Hurwitz lambda combination",
+        hurwitz_modular_grid),
     "mellin-k": IdentityEntry(
         verify_mellin_k,
         "Mellin transform of K_nu vs Gamma product closed form"),

@@ -21,8 +21,13 @@ import numpy as np
 from . import arith
 from .errors import ConvergenceError, DecayError, DomainError, NearPoleError
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_half_line
-from .specfun import (EULER_GAMMA, _bessel_jy, _e1_minus_ei_scaled, bessel_k,
-                      bessel_y, digamma, gamma, hurwitz_zeta, riemann_zeta)
+from .specfun import (EULER_GAMMA, _bessel_jy, _e1_minus_ei_scaled, _hurwitz_em,
+                      bessel_k, bessel_y, digamma, gamma, riemann_zeta)
+
+# The kernels hand their Hurwitz points to specfun._hurwitz_em, the array
+# core of hurwitz_zeta, one array per call.  perfbench/trace_child.py keys
+# each hurwitz_zeta call on one scalar a, so this work is charged to the
+# calling kernel's span.
 
 
 def _require_real_order(z) -> float:
@@ -266,9 +271,9 @@ def _divisor_tail_moment(z: complex, N: int, j: int) -> complex:
     n = np.arange(1, N + 1, dtype=float)
     uniq, inverse = np.unique(N // np.arange(1, N + 1), return_inverse=True)
     s = 2 * j + 2
-    t_uniq = np.array([hurwitz_zeta(s, float(m) + 1.0) for m in uniq])
-    return (np.sum(n ** (-s - z) * t_uniq[inverse])
-            + riemann_zeta(float(s)) * hurwitz_zeta(s + z, N + 1.0))
+    # One Hurwitz call: zeta(s, m+1) at the distinct m, zeta(s), zeta(s+z, N+1).
+    hz = _hurwitz_em(np.r_[np.full(uniq.size + 1, s), s + z], np.r_[uniq + 1.0, 1.0, N + 1.0])
+    return np.sum(n ** (-s - z) * hz[inverse]) + hz[-2] * hz[-1]
 
 
 def _omega_pf_array(x: np.ndarray, z: complex, n_terms: int,
@@ -387,6 +392,14 @@ def omega_combination(x, z, n_terms: int = 500):
 # lambda and its tail-corrected sums
 # ---------------------------------------------------------------------------
 
+def _lambda(x: np.ndarray, z: complex):
+    """lambda(x, z) at an array of x > 0 for |z| >= 1e-4, from one Hurwitz
+    call, and the sum of its three pieces' magnitudes: its roundoff scale,
+    since the pieces cancel to O(x^{-Re z - 2})."""
+    pieces = (_hurwitz_em(z + 1.0, x), np.power(x, -z) / z, 0.5 * np.power(x, -z - 1.0))
+    return pieces[0] - (pieces[1] + pieces[2]), sum(np.abs(p) for p in pieces)
+
+
 def lambda_fn(x, z):
     """lambda(x, z) = zeta(z+1, x) - x^{-z}/z - x^{-z-1}/2, with the z=0
     limit log x - psi(x) - 1/(2x); decays like x^{-Re z - 2}."""
@@ -402,38 +415,51 @@ def lambda_fn(x, z):
     elif abs(z) < 1e-4:
         raise NearPoleError("lambda_fn is ill-conditioned for 0 < |z| < 1e-4")
     else:
-        out = np.array([hurwitz_zeta(z + 1.0, t) for t in arr])
-        out -= np.power(arr, -z) / z + 0.5 * np.power(arr, -z - 1.0)
+        out = _lambda(arr, z)[0]
     return complex(out[0]) if scalar else out
 
 
-def _lambda_antiderivative_tail(U: float, z: complex) -> complex:
-    """Integral of lambda(v, z) over [U, inf)."""
-    return (hurwitz_zeta(z, U) / z + U ** (1.0 - z) / (z * (1.0 - z))
-            - U ** (-z) / (2.0 * z))
+def _lambda_antiderivative_tail(U: np.ndarray, z: complex):
+    """Integral of lambda(v, z) over [U, inf) at an array of U, and the sum
+    of its three pieces' magnitudes."""
+    pieces = (_hurwitz_em(z, U) / z, np.power(U, 1.0 - z) / (z * (1.0 - z)),
+              np.power(U, -z) / (2.0 * z))
+    return pieces[0] + pieces[1] - pieces[2], sum(np.abs(p) for p in pieces)
 
 
-def lambda_sum(alpha: float, z, n_terms: int):
-    """sum_{n>=1} lambda(n alpha, z) as (value, residual_bound).
+def lambda_sum(alpha, z, n_terms: int):
+    """sum_{n>=1} lambda(n alpha, z) at a scalar alpha or an array of them,
+    as (value, residual_bound, magnitude), each a scalar or an array like
+    alpha.  The magnitude sums the magnitudes of every piece added, the
+    scale of the roundoff: lambda's pieces cancel.
 
-    The first n_terms terms are summed directly; the rest by Euler-
-    Maclaurin through the closed antiderivative and the derivative
-    recursion lambda'(v, z) = -(z+1) lambda(v, z+1).  Plain truncation
-    decays only like N^{-Re z - 1} and cannot reach the verification
-    tolerances at small term counts such as N=10.
+    The first n_terms terms are summed directly, from lambda evaluated
+    once at the distinct points n alpha of the whole grid; the rest by
+    Euler-Maclaurin through the closed antiderivative and the derivative
+    recursion lambda'(v, z) = -(z+1) lambda(v, z+1), one lambda call per
+    order at U = (n_terms + 1) alpha.  Plain truncation decays only like
+    N^{-Re z - 1} and cannot reach the verification tolerances at small
+    term counts such as N=10.
     """
     z = complex(z)
     if abs(z) < 1e-4:
         raise NearPoleError("lambda_sum needs |z| >= 1e-4")
+    scalar = np.ndim(alpha) == 0
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     N = max(int(n_terms), 1)
-    head = complex(np.sum(lambda_fn(alpha * np.arange(1, N + 1, dtype=float), z)))
-    a = N + 1.0
-    U = a * alpha
-    integral = _lambda_antiderivative_tail(U, z) / alpha
-    f_a = complex(lambda_fn(U, z))
-    fp_a = -alpha * (z + 1.0) * complex(lambda_fn(U, z + 1.0))
-    fppp_a = -(alpha ** 3) * (z + 1.0) * (z + 2.0) * (z + 3.0) * complex(lambda_fn(U, z + 3.0))
-    tail = integral + 0.5 * f_a - fp_a / 12.0 + fppp_a / 720.0
-    resid = abs(alpha ** 5 * (z + 1.0) * (z + 2.0) * (z + 3.0) * (z + 4.0)
-                * (z + 5.0) * complex(lambda_fn(U, z + 5.0))) / 30240.0
-    return head + tail, resid
+    points = np.multiply.outer(alpha, np.arange(1, N + 1, dtype=float))
+    uniq, inverse = np.unique(points, return_inverse=True)
+    head, head_mag = (np.sum(v[inverse].reshape(points.shape), axis=1) for v in _lambda(uniq, z))
+    U = (N + 1.0) * alpha
+    integral, int_mag = _lambda_antiderivative_tail(U, z)
+    (f_a, mag0), (l1, mag1), (l3, mag3), (l5, _) = (_lambda(U, z + k) for k in (0.0, 1.0, 3.0, 5.0))
+    d1 = alpha * (z + 1.0)                       # f'(a) = -d1 lambda(U, z+1)
+    d3 = alpha ** 3 * (z + 1.0) * (z + 2.0) * (z + 3.0)
+    tail = integral / alpha + 0.5 * f_a + d1 * l1 / 12.0 - d3 * l3 / 720.0
+    resid = np.abs(alpha ** 5 * (z + 1.0) * (z + 2.0) * (z + 3.0) * (z + 4.0)
+                   * (z + 5.0) * l5) / 30240.0
+    mag = (head_mag + int_mag / alpha + 0.5 * mag0 + np.abs(d1) * mag1 / 12.0
+           + np.abs(d3) * mag3 / 720.0)
+    if scalar:
+        return complex(head[0] + tail[0]), float(resid[0]), float(mag[0])
+    return head + tail, resid, mag

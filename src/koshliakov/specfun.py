@@ -4,9 +4,11 @@ Everything here is implemented directly (Lanczos, Euler-Maclaurin, the
 J series, Temme's series for Y and for real-order K below x = 2, Steed's
 method for J and Y up to the Hankel knee and Hankel's expansion above it,
 a trapezoid rule for real-order K above x = 2, an integral representation
-for complex-order K); numpy supplies array arithmetic only.  Scalar entry
-points accept Python or numpy scalars; the Bessel functions also broadcast
-over arrays of arguments since the kernel layer feeds them quadrature nodes.
+for complex-order K); numpy supplies array arithmetic only.  Gamma, zeta,
+xi, Xi, the Hurwitz zeta (over a) and the Bessel and exponential
+integrals take a scalar or an array, since the kernel and identity layers
+feed them quadrature nodes and alpha grids; a scalar goes through the
+array path as a one-element array and comes back a scalar.
 """
 
 from __future__ import annotations
@@ -73,44 +75,60 @@ _LANCZOS_C = np.array([
     1.5056327351493116e-7,
 ])
 
+_LANCZOS_K = np.arange(1.0, len(_LANCZOS_C))
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
-def _near_nonpositive_integer(z: complex, tol: float = 1e-12):
-    n = round(z.real)
-    if n <= 0 and abs(z - n) < tol:
-        return n
-    return None
+def _as_array(x, dtype=float):
+    """x as an array of dtype with at least one dimension, and whether it
+    was a scalar."""
+    arr = np.asarray(x, dtype=dtype)
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
-def _lanczos_core(z: complex) -> complex:
+def _at_pole(z):
+    """True where z lies within 1e-12 of a nonpositive integer."""
+    n = np.round(np.real(z))
+    return (n <= 0.0) & (np.abs(z - n) < 1e-12)
+
+
+def _cpow(x, b):
+    """x^b on the principal branch, elementwise, in the polar form CPython
+    uses: |x|^Re b by the real power (to an ulp on the positive real line,
+    where exp(b log x) would lose |b log x| ulps) times exp(-arg(x) Im b)
+    and the phase."""
+    r, th = np.abs(x), np.arctan2(x.imag, x.real)
+    mag = np.power(r, b.real) * np.exp(-th * b.imag)
+    ph = th * b.real + b.imag * np.log(r)
+    return mag * (np.cos(ph) + 1j * np.sin(ph))
+
+
+def _lanczos_core(z: np.ndarray) -> np.ndarray:
     # Requires Re z >= 0.5.
-    a = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        a = a + _LANCZOS_C[i] / (z - 1.0 + i)
+    a = _LANCZOS_C[0] + np.sum(_LANCZOS_C[1:] / np.add.outer(z - 1.0, _LANCZOS_K), axis=-1)
     t = z + _LANCZOS_G - 0.5
-    return _SQRT_TWO_PI * t ** (z - 0.5) * cmath.exp(-t) * a
+    return _SQRT_TWO_PI * _cpow(t, z - 0.5) * np.exp(-t) * a
 
 
-def gamma(z) -> complex:
-    """Gamma function for complex z; PoleError at the nonpositive integers."""
-    z = complex(z)
-    if _near_nonpositive_integer(z) is not None:
-        raise PoleError(f"gamma pole at z={z}")
-    if z.real >= 0.5:
-        out = _lanczos_core(z)
-    else:
-        # Reflection keeps the Lanczos sum on its accurate half-plane.
-        out = math.pi / (cmath.sin(math.pi * z) * _lanczos_core(1.0 - z))
-    if z.imag == 0.0 and z.real > 0.0:
-        out = complex(out.real, 0.0)
-    return out
+def gamma(z):
+    """Gamma function for complex z, a scalar or an array; PoleError at the
+    nonpositive integers."""
+    arr, scalar = _as_array(z, complex)
+    pole = _at_pole(arr)
+    if pole.any():
+        raise PoleError(f"gamma pole at z={complex(arr[pole][0])}")
+    refl = arr.real < 0.5
+    out = _lanczos_core(np.where(refl, 1.0 - arr, arr))
+    # Reflection keeps the Lanczos sum on its accurate half-plane.
+    out[refl] = math.pi / (np.sin(math.pi * arr[refl]) * out[refl])
+    out.imag[(arr.imag == 0.0) & (arr.real > 0.0)] = 0.0
+    return complex(out[0]) if scalar else out
 
 
 def rgamma(z) -> complex:
     """1/Gamma(z); entire, returns exactly 0 at the nonpositive integers."""
     z = complex(z)
-    if _near_nonpositive_integer(z) is not None:
+    if _at_pole(z):
         return 0.0 + 0.0j
     return 1.0 / gamma(z)
 
@@ -136,7 +154,7 @@ def log_gamma(z) -> complex:
 def digamma(z) -> complex:
     """psi(z) = Gamma'(z)/Gamma(z); PoleError at the nonpositive integers."""
     z = complex(z)
-    if _near_nonpositive_integer(z) is not None:
+    if _at_pole(z):
         raise PoleError(f"digamma pole at z={z}")
     if z.real < 0.5:
         return digamma(1.0 - z) - math.pi / cmath.tan(math.pi * z)
@@ -161,100 +179,114 @@ def digamma(z) -> complex:
 # ---------------------------------------------------------------------------
 
 _EM_TERMS = 25
+_EM_COEF = _B2K[:_EM_TERMS] / np.array([math.factorial(2 * k) for k in range(1, _EM_TERMS + 1)],
+                                       dtype=float)
+_EM_RISE = np.arange(2.0 * _EM_TERMS - 1.0)     # w + 0, ..., w + 2K - 2
+_EM_STEP = np.arange(float(_EM_TERMS))
+_EM_BLOCK = 256
 
 
-def _sinc(w: complex) -> complex:
-    if abs(w) < 1e-4:
-        w2 = w * w
-        return 1.0 - w2 / 6.0 + w2 * w2 / 120.0
-    return cmath.sin(w) / w
+def _sinc(w: np.ndarray) -> np.ndarray:
+    small = np.abs(w) < 1e-4
+    w2 = w * w
+    return np.where(small, 1.0 - w2 / 6.0 + w2 * w2 / 120.0,
+                    np.sin(w) / np.where(small, 1.0, w))
 
 
-def _zeta_em(s: complex) -> complex:
-    """Euler-Maclaurin evaluation, reliable for Re s >= 0.5."""
-    N = max(20, math.ceil(1.3 * abs(s.imag)))
-    n = np.arange(1, N, dtype=float)
-    out = complex(np.sum(n ** (-s)))
-    Ns = N ** (-s)
-    out += 0.5 * Ns + N * Ns / (s - 1.0)
-    # Tail: sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^{-s-2k+1}
-    poch = s
-    fact = 2.0
-    npow = Ns / N                     # N^{-s-1}, then divided by N^2 each k
-    corr = 0.0 + 0.0j
-    for k in range(1, _EM_TERMS + 1):
-        term = _B2K[k - 1] / fact * poch * npow
-        corr += term
-        if abs(term) < 1e-20 * max(1.0, abs(out)):
-            break
-        poch = poch * (s + 2 * k - 1) * (s + 2 * k)
-        fact *= (2 * k + 1) * (2 * k + 2)
-        npow /= N * N
-    return out + corr
+def _hurwitz_em(w, a) -> np.ndarray:
+    """zeta(w, a) by Euler-Maclaurin, elementwise over the broadcast of w
+    and a (scalars or arrays, Re a > 0); PoleError at w = 1.
 
-
-def zeta_star(s) -> complex:
-    """(s-1) * zeta(s): entire, equals 1 at s=1."""
-    s = complex(s)
-    ds = s - 1.0
-    if abs(ds) <= 0.01:
-        out = 1.0 + 0.0j
-        fact = 1.0
-        dpow = ds
-        for k, g in enumerate(_STIELTJES):
-            out += (-1.0) ** k * g * dpow / fact
-            fact *= k + 1
-            dpow *= ds
-        return out
-    return ds * riemann_zeta(s)
-
-
-def riemann_zeta(s) -> complex:
-    """zeta(s) on the whole plane; PoleError within 1e-12 of s=1."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        raise PoleError("zeta pole at s=1")
-    if s.real >= 0.5:
-        return _zeta_em(s)
-    # Reflection written through (s-1)zeta(s) and sin(pi s/2)/s, so the
-    # trivial zeros come out exact and s=0 is unexceptional.
-    w = 1.0 - s
-    return (-cmath.exp((s - 1.0) * math.log(2.0))
-            * cmath.exp(s * math.log(math.pi)) * _sinc(0.5 * math.pi * s)
-            * gamma(w) * zeta_star(w))
-
-
-def hurwitz_zeta(w, a) -> complex:
-    """zeta(w, a) for Re a > 0 by Euler-Maclaurin; PoleError at w=1."""
-    w = complex(w)
-    a = complex(a)
-    if a.real <= 0.0:
+    Every point takes its own shift N and its own stop in the tail.  The
+    points go through in blocks of _EM_BLOCK, so the (points x shift) and
+    (points x tail term) temporaries stay a few hundred kB at any size.
+    """
+    w, a = np.broadcast_arrays(np.asarray(w, dtype=complex), np.asarray(a, dtype=complex))
+    if (a.real <= 0.0).any():
         raise DomainError("hurwitz_zeta requires Re a > 0")
-    if abs(w - 1.0) < 1e-12:
+    if (np.abs(w - 1.0) < 1e-12).any():
         raise PoleError("hurwitz zeta pole at w=1")
+    out = np.empty(w.shape, dtype=complex)
+    flat, wf, af = out.reshape(-1), w.ravel(), a.ravel()
+    for i in range(0, flat.size, _EM_BLOCK):
+        flat[i:i + _EM_BLOCK] = _hurwitz_block(wf[i:i + _EM_BLOCK], af[i:i + _EM_BLOCK])
+    return out
+
+
+def _hurwitz_block(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     # Term k of the Euler-Maclaurin tail is about 2 (w-1)_{2k} / (2 pi A)^{2k}
     # of the sum at the shift A, so A grows with |w|: A >= 0.4|w| + 8
-    # brings it under 1e-17 within _EM_TERMS terms.  The stop rule is
-    # relative because zeta(w, a) is far below 1 for large w or a.
-    target = max(15.0, 1.3 * (abs(w.imag) + abs(a.imag)), 0.4 * abs(w) + 8.0)
-    N = max(1, math.ceil(target - a.real))
-    n = np.arange(0, N, dtype=float)
-    out = complex(np.sum((n + a) ** (-w)))
-    A = N + a
-    As = A ** (-w)
-    out += 0.5 * As + A * As / (w - 1.0)
-    poch = w
-    fact = 2.0
-    apow = As / A
-    for k in range(1, _EM_TERMS + 1):
-        term = _B2K[k - 1] / fact * poch * apow
-        out += term
-        poch = poch * (w + 2 * k - 1) * (w + 2 * k)
-        fact *= (2 * k + 1) * (2 * k + 2)
-        apow /= A * A
-        if abs(term) < 1e-20 * abs(out):
-            break
+    # brings it under 1e-17 within _EM_TERMS terms.
+    target = np.maximum(np.maximum(1.3 * (np.abs(w.imag) + np.abs(a.imag)), 15.0),
+                        0.4 * np.abs(w) + 8.0)
+    N = np.maximum(np.ceil(target - a.real), 1.0).astype(int)
+    rows = np.arange(w.size)
+    # (n + a)^-w for n <= N: the running sum read at n = N - 1 is the direct
+    # sum, the power at n = N is A^-w at the shift A = N + a.
+    powers = _cpow(np.add.outer(a, np.arange(N.max() + 1.0)), -w[:, None])
+    A, As = N + a, powers[rows, N]
+    head = np.cumsum(powers, axis=1)[rows, N - 1] + (0.5 * As + A * As / (w - 1.0))
+    # Tail term k = B_2k/(2k)! (w)_{2k-1} A^{-w-2k+1}; the sum stops at the
+    # first term below 1e-20 of the partial sum, a relative rule because
+    # zeta(w, a) is far below 1 for large w or a.
+    poch = np.cumprod(np.add.outer(w, _EM_RISE), axis=1)[:, ::2]
+    terms = _EM_COEF * poch * ((As / A)[:, None] * np.power((1.0 / (A * A))[:, None], _EM_STEP))
+    partial = head[:, None] + np.cumsum(terms, axis=1)
+    done = np.abs(terms) < 1e-20 * np.abs(partial)
+    return partial[rows, np.where(done.any(axis=1), done.argmax(axis=1), _EM_TERMS - 1)]
+
+
+def _zeta_star_series(ds: np.ndarray) -> np.ndarray:
+    """(s-1) zeta(s) from the Stieltjes constants at an array of ds = s - 1
+    with |ds| <= 0.01."""
+    out = np.ones_like(ds)
+    fact = 1.0
+    dpow = ds
+    for k, g in enumerate(_STIELTJES):
+        out = out + (-1.0) ** k * g * dpow / fact
+        fact *= k + 1
+        dpow = dpow * ds
     return out
+
+
+def zeta_star(s):
+    """(s-1) * zeta(s) for a scalar or an array: entire, equals 1 at s=1."""
+    arr, scalar = _as_array(s, complex)
+    ds = arr - 1.0
+    near = np.abs(ds) <= 0.01                    # by the series; 2 holds their place
+    out = ds * riemann_zeta(np.where(near, 2.0, arr))
+    out[near] = _zeta_star_series(ds[near])
+    return complex(out[0]) if scalar else out
+
+
+def riemann_zeta(s):
+    """zeta(s) on the whole plane, for a scalar or an array; PoleError
+    within 1e-12 of s=1.  One Euler-Maclaurin call serves every point:
+    at s itself for Re s >= 1/2, at 1 - s for the reflection."""
+    arr, scalar = _as_array(s, complex)
+    if (np.abs(arr - 1.0) < 1e-12).any():
+        raise PoleError("zeta pole at s=1")
+    left = arr.real < 0.5
+    w = np.where(left, 1.0 - arr, arr)
+    near = left & (np.abs(w - 1.0) <= 0.01)      # (w-1) zeta(w) by its series below
+    out = _hurwitz_em(np.where(near, 2.0, w), 1.0)
+    if left.any():
+        sl, wl = arr[left], w[left]
+        zstar = (wl - 1.0) * out[left]
+        zstar[near[left]] = _zeta_star_series(wl[near[left]] - 1.0)
+        # Reflection written through (s-1)zeta(s) and sin(pi s/2)/s, so the
+        # trivial zeros come out exact and s=0 is unexceptional.
+        out[left] = (-np.exp((sl - 1.0) * math.log(2.0)) * np.exp(sl * math.log(math.pi))
+                     * _sinc(0.5 * math.pi * sl) * gamma(wl) * zstar)
+    return complex(out[0]) if scalar else out
+
+
+def hurwitz_zeta(w, a):
+    """zeta(w, a) for Re a > 0 by Euler-Maclaurin, at one w and a scalar or
+    an array of a; PoleError at w=1."""
+    arr, scalar = _as_array(a, complex)
+    out = _hurwitz_em(complex(w), arr)
+    return complex(out[0]) if scalar else out
 
 
 def hurwitz_zeta_hermite(w, a, spec=None) -> complex:
@@ -287,23 +319,24 @@ def hurwitz_zeta_hermite(w, a, spec=None) -> complex:
     return main + 2.0 * res.value
 
 
-def xi(s) -> complex:
-    """Riemann xi, the entire completion of zeta; xi(s) = xi(1-s)."""
-    s = complex(s)
-    if s.real < 0.5:
-        s = 1.0 - s
+def xi(s):
+    """Riemann xi, the entire completion of zeta, for a scalar or an array;
+    xi(s) = xi(1-s)."""
+    arr, scalar = _as_array(s, complex)
+    arr = np.where(arr.real < 0.5, 1.0 - arr, arr)
     # (1/2)s(s-1)pi^{-s/2}Gamma(s/2)zeta(s) with the pole of zeta absorbed
     # into (s-1)zeta(s) and the s/2 factor into Gamma(s/2+1).
-    return cmath.exp(-0.5 * s * math.log(math.pi)) * gamma(0.5 * s + 1.0) * zeta_star(s)
+    out = np.exp(-0.5 * arr * math.log(math.pi)) * gamma(0.5 * arr + 1.0) * zeta_star(arr)
+    return complex(out[0]) if scalar else out
 
 
-def big_xi(t) -> complex:
-    """Xi(t) = xi(1/2 + it); real and even for real t."""
-    t = complex(t)
-    out = xi(0.5 + 1j * t)
-    if t.imag == 0.0:
-        out = complex(out.real, 0.0)
-    return out
+def big_xi(t):
+    """Xi(t) = xi(1/2 + it) for a scalar or an array; real and even for
+    real t."""
+    arr, scalar = _as_array(t, complex)
+    out = xi(0.5 + 1j * arr)
+    out.imag[arr.imag == 0.0] = 0.0
+    return complex(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +426,10 @@ def _bessel_jy_steed(mu: float, n: int, x: np.ndarray) -> np.ndarray:
     return np.array([ratio * j_mu, y_mu, (mu * inv) * y_mu - p * y_mu - q * j_mu])
 
 
-def _bessel_jy(nu: float, x: np.ndarray):
-    """J_nu(x) and Y_nu(x) for real order and an array of x > 0.
+def _bessel_jy(nu: float, x: np.ndarray, need_y: bool = True):
+    """J_nu(x) and Y_nu(x) for real order and an array of x > 0; with
+    need_y False, Y below x = 2 is left nan unless a negative non-integer
+    order needs it for the reflection.
 
     With n = round(|nu|) and mu = |nu| - n: below x = 2, J is the
     ascending series and Y_mu, Y_{mu+1} are Temme's series (the loop K
@@ -417,7 +452,8 @@ def _bessel_jy(nu: float, x: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         if np.any(lo):
             j[lo] = _bessel_j_series(a, x[lo])
-            y[:, lo] = _temme(mu, x[lo], n >= 1, bessel_y=True)
+            if need_y or (nu < 0.0 and mu != 0.0):
+                y[:, lo] = _temme(mu, x[lo], n >= 1, bessel_y=True)
         if np.any(mid):
             j[mid], *rows = _bessel_jy_steed(mu, n, x[mid])
             y[:, mid] = rows[:len(y)]
@@ -434,19 +470,12 @@ def _bessel_jy(nu: float, x: np.ndarray):
     return j, y
 
 
-def _as_positive_array(x):
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    return arr, scalar
-
-
 def bessel_j(nu: float, x):
     """J_nu(x) for real order and x >= 0; broadcasts over x."""
     nu = float(nu)
     if abs(nu) > 60.0:
         raise DomainError("bessel_j supports |nu| <= 60")
-    arr, scalar = _as_positive_array(x)
+    arr, scalar = _as_array(x)
     if np.any(arr < 0.0):
         raise DomainError("bessel_j requires x >= 0")
     # J_nu(0): 1 at nu = 0, 0 at other nu >= 0 and at the negative
@@ -454,7 +483,7 @@ def bessel_j(nu: float, x):
     out = np.full(arr.shape, 1.0 if nu == 0.0 else 0.0 if nu > 0.0 or nu == round(nu)
                   else math.copysign(math.inf, rgamma(1.0 + nu).real))
     live = arr != 0.0
-    out[live], _ = _bessel_jy(nu, arr[live])
+    out[live], _ = _bessel_jy(nu, arr[live], need_y=False)
     return float(out[0]) if scalar else out
 
 
@@ -463,7 +492,7 @@ def bessel_y(nu: float, x):
     nu = float(nu)
     if abs(nu) > 60.0:
         raise DomainError("bessel_y supports |nu| <= 60")
-    arr, scalar = _as_positive_array(x)
+    arr, scalar = _as_array(x)
     if np.any(arr <= 0.0):
         raise DomainError("bessel_y requires x > 0")
     _, out = _bessel_jy(nu, arr)
@@ -535,8 +564,7 @@ def _rgamma_taylor() -> tuple:
     and (k-1) c_k = gamma c_{k-1} - zeta(2) c_{k-2} + ... + (-1)^k zeta(k-1) c_1;
     1/Gamma(1+mu) = 1/(mu Gamma(mu)) gives a_k = c_{k+1}.
     """
-    zeta = [float(_zeta_em(complex(j)).real) if j >= 2 else 0.0
-            for j in range(_RGAMMA_TERMS)]
+    zeta = [0.0, 0.0, *riemann_zeta(np.arange(2.0, _RGAMMA_TERMS)).real.tolist()]
     c = [0.0, 1.0, EULER_GAMMA]
     for k in range(3, _RGAMMA_TERMS + 1):
         acc = EULER_GAMMA * c[k - 1]
@@ -708,7 +736,7 @@ def _e1_cf(w: np.ndarray) -> np.ndarray:
 
 def exp_integral_e1_scaled(w):
     """e^w E1(w) for w > 0; broadcasts over arrays of w."""
-    arr, scalar = _as_positive_array(w)
+    arr, scalar = _as_array(w)
     if np.any(arr <= 0.0):
         raise DomainError("E1 requires w > 0")
     out = np.piecewise(arr, [arr <= 1.0],
@@ -751,7 +779,7 @@ def _factorial_series(y: np.ndarray, first: int, step: int) -> np.ndarray:
 
 def exp_integral_ei_scaled(y):
     """e^{-y} Ei(y) for y > 0; broadcasts over arrays of y."""
-    arr, scalar = _as_positive_array(y)
+    arr, scalar = _as_array(y)
     if np.any(arr <= 0.0):
         raise DomainError("scaled Ei requires y > 0")
     out = np.piecewise(arr, [arr <= _EI_ASYMPTOTIC],

@@ -16,7 +16,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 from koshliakov.cli import main as cli_main
-from koshliakov.identities import (f_frak, verify_bessel_hurwitz_sum,
+from koshliakov.identities import (_hurwitz_F, f_frak, verify_bessel_hurwitz_sum,
                                    verify_hurwitz_corollary,
                                    verify_hurwitz_modular,
                                    verify_laplace_bessel, verify_mellin_k,
@@ -177,6 +177,8 @@ def test_criterion_02_golden_suite(golden):
         "hurwitz_0p75_3p25": lambda: hurwitz_zeta(0.75, 3.25),
         "hurwitz_1p5_2p5": lambda: hurwitz_zeta(1.5, 2.5),
         "hurwitz_2p2i_1p5": lambda: hurwitz_zeta(2 + 2j, 1.5),
+        "hurwitz_F_1_half": lambda: _hurwitz_F(0.5, [1.0], 50)[0][0],
+        "hurwitz_F_2_c": lambda: _hurwitz_F(-0.4 + 0.3j, [2.0], 50)[0][0],
         "hz0_inner_n1": _hz0_inner_n1,
         "kernel_m_0_1": lambda: kernel_m(0.0, 1.0),
         "kosh_kernel_0_2": lambda: koshliakov_kernel(0.0, 2.0),

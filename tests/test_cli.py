@@ -4,6 +4,7 @@ import json
 import xml.etree.ElementTree as ET
 
 import jsonschema
+import numpy as np
 import pytest
 
 from koshliakov import identities
@@ -261,22 +262,6 @@ def test_sweep_shared_integral_failure_fails_every_row(tmp_path, capsys,
     assert capsys.readouterr().err.count("synthetic failure") == 1
 
 
-def test_sweep_rhs_failure_fails_its_row_only(tmp_path, capsys, monkeypatch):
-    orig = identities._hurwitz_F
-
-    def flaky(z, alpha, terms):
-        if alpha > 1.5:
-            raise ConvergenceError("synthetic failure")
-        return orig(z, alpha, terms)
-
-    monkeypatch.setattr(identities, "_hurwitz_F", flaky)
-    out = tmp_path / "s.csv"
-    assert main(_HZ_SWEEP + ["--out", str(out)]) == 2
-    rows = out.read_text().strip().split("\n")[1:]
-    assert ["nan" in row for row in rows] == [False, False, False, True, True]
-    assert capsys.readouterr().err.count("synthetic failure") == 2
-
-
 _OMEGA_SWEEPS = {
     "omega-modular": ["sweep", "omega-modular", "--z=-0.6", "--alpha-min", "0.5",
                       "--alpha-max", "2", "--steps", "5"],
@@ -309,20 +294,51 @@ def test_omega_sweep_shared_integral_failure_fails_every_row(name, tmp_path, cap
     assert capsys.readouterr().err.count("synthetic failure") == 1
 
 
-def test_omega_laplace_rhs_failure_fails_its_row_only(tmp_path, capsys, monkeypatch):
-    orig = identities.lambda_sum
+# The three sweeps whose lambda sides come from one lambda_sum call over
+# the grid (hurwitz-modular's over the alphas and their reciprocals).
+_LAMBDA_SWEEPS = {
+    "hurwitz-corollary": _HZ_SWEEP,
+    "omega-laplace": _OMEGA_SWEEPS["omega-laplace"],
+    "hurwitz-modular": ["sweep", "hurwitz-modular", "--z=-0.4+0.3i", "--alpha-min",
+                        "0.5", "--alpha-max", "2", "--steps", "5"],
+}
 
-    def flaky(alpha, z, n_terms):
-        if alpha > 1.5:
+
+@pytest.mark.parametrize("name", sorted(_LAMBDA_SWEEPS))
+def test_sweep_row_failure_fails_its_row_only(name, tmp_path, capsys, monkeypatch):
+    # An error in one row's own work (its report) fails that row only.
+    orig = identities._report
+
+    def flaky(identity_id, params, *args, **kwargs):
+        if params["alpha"] > 1.5:
             raise ConvergenceError("synthetic failure")
-        return orig(alpha, z, n_terms)
+        return orig(identity_id, params, *args, **kwargs)
 
-    monkeypatch.setattr(identities, "lambda_sum", flaky)
+    monkeypatch.setattr(identities, "_report", flaky)
     out = tmp_path / "s.csv"
-    assert main(_OMEGA_SWEEPS["omega-laplace"] + ["--out", str(out)]) == 2
+    assert main(_LAMBDA_SWEEPS[name] + ["--out", str(out)]) == 2
     rows = out.read_text().strip().split("\n")[1:]
     assert ["nan" in row for row in rows] == [False, False, False, True, True]
     assert capsys.readouterr().err.count("synthetic failure") == 2
+
+
+@pytest.mark.parametrize("name", sorted(_LAMBDA_SWEEPS))
+def test_sweep_hurwitz_F_failure_fails_every_row(name, tmp_path, capsys, monkeypatch):
+    # The lambda sides of the whole grid are one lambda_sum call: shared work.
+    calls = []
+
+    def broken(alpha, z, n_terms):
+        calls.append(np.size(alpha))
+        raise ConvergenceError("synthetic failure")
+
+    monkeypatch.setattr(identities, "lambda_sum", broken)
+    out = tmp_path / "s.csv"
+    assert main(_LAMBDA_SWEEPS[name] + ["--out", str(out)]) == 2
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 5
+    assert all(row.split(",")[1:] == ["nan"] * 6 for row in rows)
+    assert capsys.readouterr().err.count("synthetic failure") == 1
+    assert calls == [10 if name == "hurwitz-modular" else 5]
 
 
 @pytest.mark.parametrize("alpha,z", [(0.25, -0.6), (1.0, 0.0), (2.0, 0.3 + 0.2j)])

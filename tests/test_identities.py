@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from koshliakov import arith, identities
 from koshliakov.errors import DomainError, NearPoleError
-from koshliakov.identities import (IDENTITIES, _k_series_tail, _oscillatory_tail,
-                                   _report,
+from koshliakov.identities import (IDENTITIES, _hurwitz_F, _k_series_tail,
+                                   _oscillatory_tail, _report,
                                    f_frak, _theta_pair_inner,
                                    hurwitz_corollary_grid,
                                    hurwitz_corollary_z0_grid,
+                                   hurwitz_modular_grid,
                                    rg_corollary_grid, rg_corollary_z0_grid,
                                    verify_bessel_hurwitz_sum,
                                    verify_hurwitz_corollary,
@@ -79,6 +80,28 @@ def test_rg_formula():
     for z, alpha in ((0.3 + 0.2j, 2.0), (-0.6, 1.5)):
         r = verify_rg_formula(z, alpha)
         assert r.passed and r.rel_diff < 1e-12
+
+
+@pytest.mark.parametrize("z, alpha, key", [(0.5, 1.0, "hurwitz_F_1_half"),
+                                           (-0.4 + 0.3j, 2.0, "hurwitz_F_2_c")])
+@pytest.mark.parametrize("terms", [10, 50])
+def test_hurwitz_F_bounds_cover_the_oracle(golden, z, alpha, key, terms):
+    # The lambda side's value within its Euler-Maclaurin residual plus its
+    # evaluation bound of the 40-digit golden; the ulp charge is what
+    # covers the roundoff of the cancelling pieces.
+    values, budgets = _hurwitz_F(z, [alpha], terms)
+    assert 0.0 < budgets["eval_err"][0] < 1e-11
+    assert abs(values[0] - golden[key]) <= budgets["em_residual"][0] + budgets["eval_err"][0]
+
+
+def test_hurwitz_modular_grid_rows_are_the_verifies():
+    # F over the alphas and their reciprocals in one call gives each row
+    # the report its own verify gives, bit for bit.
+    alphas = list(np.arange(0.25, 4.0 + 1e-12, 0.1875))
+    for z in (0.5, -0.4 + 0.3j):
+        rows = hurwitz_modular_grid(alphas, z, 50)
+        assert rows == [verify_hurwitz_modular(z, alpha, 50) for alpha in alphas]
+        assert all(r.passed for r in rows)
 
 
 def test_f_frak_bounds_cover_the_oracle(golden):

@@ -183,7 +183,7 @@ def test_omega_plan_reused_across_x(monkeypatch):
     _clear_omega_caches()
     omega_combination(np.array([0.5, 5.0]), 0.4, 500)
     calls = []
-    for module, name in ((kernels, "hurwitz_zeta"), (kernels, "gamma"),
+    for module, name in ((kernels, "_hurwitz_em"), (kernels, "gamma"),
                          (kernels, "riemann_zeta"), (kernels.arith, "build_table")):
         monkeypatch.setattr(module, name,
                             _counting(calls, name, getattr(module, name)))
@@ -260,13 +260,36 @@ def test_lambda_definition():
 
 def test_lambda_sum_tail_correction():
     # The Euler-Maclaurin tail makes a 10-term sum match a 400-term sum.
-    v10, r10 = lambda_sum(2.0, 0.5, 10)
-    v400, r400 = lambda_sum(2.0, 0.5, 400)
+    v10, r10, _ = lambda_sum(2.0, 0.5, 10)
+    v400, r400, _ = lambda_sum(2.0, 0.5, 400)
     assert abs(v10 - v400) <= r10 + r400 + 1e-13
     assert rel_err(v10, v400) < 1e-8
 
 
+@pytest.mark.parametrize("z", [0.5, -0.4 + 0.3j])
+def test_lambda_sum_grid_is_the_per_alpha_sums(z):
+    # One grid call, lambda evaluated once per distinct n alpha of the grid
+    # and its reciprocals, gives each alpha its one-alpha value, residual
+    # and magnitude bit for bit.
+    alphas = np.arange(0.25, 4.0 + 1e-12, 0.0625)
+    alphas = np.concatenate([alphas, 1.0 / alphas])
+    values, resids, mags = lambda_sum(alphas, z, 50)
+    for alpha, v, r, m in zip(alphas, values, resids, mags):
+        assert (v, r, m) == lambda_sum(float(alpha), z, 50)
+
+
+def test_lambda_fn_array_is_one_hurwitz_call(monkeypatch):
+    x = np.linspace(0.25, 30.0, 50)
+    calls = []
+    monkeypatch.setattr(kernels, "_hurwitz_em",
+                        _counting(calls, "hz", kernels._hurwitz_em))
+    got = lambda_fn(x, 0.3 + 0.2j)
+    assert calls == ["hz"]
+    monkeypatch.undo()
+    assert list(got) == [lambda_fn(t, 0.3 + 0.2j) for t in x]
+
+
 def test_lambda_sum_residual_shrinks():
-    _, r10 = lambda_sum(2.0, 0.5, 10)
-    _, r100 = lambda_sum(2.0, 0.5, 100)
+    _, r10, _ = lambda_sum(2.0, 0.5, 10)
+    _, r100, _ = lambda_sum(2.0, 0.5, 100)
     assert r100 < r10

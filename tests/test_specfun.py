@@ -149,6 +149,57 @@ def test_hurwitz_relative_accuracy_far_below_one(w, a):
     assert rel_err(got, a ** (-w) + hurwitz_zeta(w, a + 1.0)) < 1e-13
 
 
+# The (w, a) the verifiers reach: w = z + k for the lambda sides (z in
+# the strip 0 < |Re z| < 1, k = 0, 1, 3, 5) and w = s or s + z with
+# s = 2j + 2 for the divisor-tail moments; a from n alpha >= 1/4 up to
+# the tail points (N + 1) alpha.
+_HZ_W = st.one_of(
+    st.builds(lambda re, im, k: complex(re, im) + k,
+              st.floats(-0.99, 0.99).filter(lambda x: abs(x) > 1e-3),
+              st.floats(-1.5, 1.5), st.sampled_from([0.0, 1.0, 3.0, 5.0])),
+    st.builds(lambda j, re: complex(2 * j + 2 + re), st.integers(0, 40),
+              st.sampled_from([0.0, 0.3, -0.6])))
+_HZ_A = st.lists(st.floats(0.25, 2000.0), min_size=1, max_size=40)
+
+
+@settings(max_examples=60)
+@given(_HZ_W, _HZ_A)
+def test_hurwitz_array_matches_scalar_calls(w, a):
+    # One array call gives every point its scalar value, bit for bit: each
+    # point keeps its own shift and its own stop in the tail.
+    assume(abs(w - 1.0) > 1e-3)
+    got = hurwitz_zeta(w, np.array(a))
+    assert got.shape == (len(a),)
+    assert list(got) == [hurwitz_zeta(w, x) for x in a]
+
+
+def test_hurwitz_array_golden(golden):
+    # The goldens hold inside arrays whose other points need other shifts.
+    for w, a, key in ((0.75, 3.25, "hurwitz_0p75_3p25"), (1.5, 2.5, "hurwitz_1p5_2p5"),
+                      (2 + 2j, 1.5, "hurwitz_2p2i_1p5")):
+        got = hurwitz_zeta(w, np.array([0.25, a, 40.0, 1e3]))
+        assert rel_err(got[1], golden[key]) < 1e-12
+        assert got[1] == hurwitz_zeta(w, a)
+
+
+@pytest.mark.parametrize("f, points", [
+    (gamma, [0.25, 1 + 1j, -0.4 + 0.3j, 5.5, -2.5, 0.1 - 15j, 60.5]),
+    (riemann_zeta, [3.0, 0.5, -0.5, 0.5 + 3j, 0.0, 1e-5, 1.004, -7.5 + 3j, 0.5 + 30j]),
+    (big_xi, [0.0, 2.5, 2 + 0.5j, 14.13, 30.0 - 0.4j, 60.0]),
+], ids=["gamma", "riemann_zeta", "big_xi"])
+def test_array_calls_match_scalar_calls(f, points):
+    got = f(np.array(points))
+    assert got.dtype == complex and list(got) == [f(p) for p in points]
+    assert f(np.array(points).reshape(-1, 1)).shape == (len(points), 1)
+
+
+def test_bessel_j_skips_y_bit_identically():
+    # bessel_j's J-only path gives the J of the joint J/Y routine.
+    x = np.concatenate([np.geomspace(1e-6, 1.99, 40), np.linspace(2.0, 60.0, 40)])
+    for nu in (0.0, 0.3, 1.0, 2.7, 12.4, -1.0, -0.3, -2.7):
+        assert np.array_equal(bessel_j(nu, x), specfun._bessel_jy(nu, x)[0])
+
+
 def test_hurwitz_cross_method():
     # Euler-Maclaurin vs Hermite integral, two independent routes.
     for s, a in ((0.75, 3.25), (2.0, 0.5), (3.5, 1.25), (1.5 + 1.0j, 2.0)):

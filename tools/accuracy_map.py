@@ -23,6 +23,18 @@ expansion from the knee max(14, 3|nu|) to 1e3).  J and Y errors are
 relative, except near a zero (where the oracle changes sign within
 min(1/2, x/4) of x): there they are absolute over sqrt(2/(pi x)), the
 functions' envelope.
+
+Then Gamma (relative; the Lanczos half-plane and the reflection), zeta
+(the Euler-Maclaurin half-plane, the critical strip and the reflection;
+relative where |zeta| >= 1, absolute below, since zeta has zeros there),
+Hurwitz zeta (the lambda sides' w = z + k and the divisor moments' real
+w, over the a the verifiers reach, and complex a; relative to the larger
+of |zeta(w, a)| and |a^(1-w)/(w-1)|, the size of its leading term, since
+zeta(w, a) changes sign in a for Re w < 1) and Xi (along the Xi-pair
+integrals' arguments (t +- iz)/2; absolute over |pi^(-s/2) Gamma(s/2+1)
+(s-1)| at s = 1/2 + it, Xi's size with zeta taken as 1, since Xi has
+zeros there), each region through one array call, or one per 8 points
+sharing a Hurwitz w.
 """
 
 from __future__ import annotations
@@ -41,8 +53,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from koshliakov.kernels import _df_psi  # noqa: E402
 from koshliakov.specfun import (bessel_j, bessel_k_scaled,  # noqa: E402
-                                bessel_y, exp_integral_e1_scaled,
-                                exp_integral_ei_scaled)
+                                bessel_y, big_xi, exp_integral_e1_scaled,
+                                exp_integral_ei_scaled, gamma, hurwitz_zeta,
+                                riemann_zeta)
 
 mp.dps = 30
 _OVERFLOW = mpf("1e300")
@@ -54,8 +67,9 @@ def _log_uniform(rng, lo: float, hi: float, n: int) -> np.ndarray:
     return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
 
 
-def _worst(got, points, oracle) -> dict:
-    """Worst relative error of got[i] against oracle(points[i]); points
+def _worst(got, points, oracle, scale=None) -> dict:
+    """Worst relative error of got[i] against oracle(points[i]), or its
+    error over scale(points[i], reference) when scale is given; points
     where the oracle exceeds double range are skipped."""
     worst, at, used = 0.0, None, 0
     for value, point in zip(got, points):
@@ -63,7 +77,8 @@ def _worst(got, points, oracle) -> dict:
         if abs(ref) > _OVERFLOW:
             continue
         used += 1
-        err = float(abs(mpc(complex(value)) - ref) / abs(ref))
+        err = float(abs(mpc(complex(value)) - ref) / (abs(ref) if scale is None
+                                                      else scale(point, ref)))
         if err >= worst:
             worst, at = err, point
     return {"points": used, "worst_rel_err": float(f"{worst:.3g}"),
@@ -144,6 +159,83 @@ def _jy_build(rng, n: int) -> dict:
     return regions
 
 
+def _uniform_complex(rng, re, im, n: int) -> np.ndarray:
+    return rng.uniform(*re, n) + 1j * rng.uniform(*im, n)
+
+
+def _gamma_zeta_xi_build(rng, n: int) -> dict:
+    regions = {}
+    for name, re in (("Re z in [0.5, 60]", (0.5, 60.0)), ("Re z in [-10, 0.5)", (-10.0, 0.5))):
+        zs = _uniform_complex(rng, re, (-20.0, 20.0), n)
+        zs = zs[np.abs(zs - np.round(zs.real)) > 1e-3]        # clear of the poles
+        regions[f"gamma {name}, |Im z| <= 20"] = _worst(
+            gamma(zs), zs, lambda z: mp.gamma(mpc(z)))
+
+    def zeta_scale(s, ref):
+        return max(abs(ref), 1)
+
+    for name, re in (("Re s in [1.5, 10]", (1.5, 10.0)), ("Re s in [0, 1]", (0.0, 1.0)),
+                     ("Re s in [-10, 0)", (-10.0, 0.0))):
+        ss = _uniform_complex(rng, re, (-30.0, 30.0), n)
+        regions[f"riemann_zeta {name}, |Im s| <= 30"] = _worst(
+            riemann_zeta(ss), ss, lambda s: mp.zeta(mpc(s)), zeta_scale)
+
+    def hz_oracle(p):
+        # mpmath's own zeta(w, a) loses about w log10(a) digits at large w
+        # and a, so the oracle is Euler-Maclaurin at 40 digits: 60 terms
+        # direct, then 30 Bernoulli terms at A = a + 60.
+        with mp.workdps(40):
+            w, a = mpc(p[0]), mpc(p[1])
+            big = a + 60
+            out = mp.fsum((n + a) ** -w for n in range(60)) + big ** (1 - w) / (w - 1) + big ** -w / 2
+            return out + mp.fsum(mp.bernoulli(2 * k) / mp.factorial(2 * k) * mp.rf(w, 2 * k - 1)
+                                 * big ** (-w - 2 * k + 1) for k in range(1, 31))
+
+    def hz_scale(p, ref):
+        w, a = mpc(p[0]), mpc(p[1])
+        return max(abs(ref), abs(a ** (1 - w) / (w - 1)))
+
+    def hz_region(draw_w, draw_a):
+        got, pts = [], []
+        for _ in range(max(n // 8, 1)):
+            w, a = draw_w(), draw_a(8)
+            got.extend(hurwitz_zeta(w, a))
+            pts.extend((w, x) for x in a)
+        return _worst(got, pts, hz_oracle, hz_scale)
+
+    def strip_z():
+        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.5, 1.5))
+        return z if abs(z.real) > 1e-3 else z + 0.5
+
+    regions["hurwitz_zeta w = z + k (0 < |Re z| < 1, |Im z| <= 1.5, k in {0, 1, 3, 5}), "
+            "a in [0.25, 2000]"] = hz_region(
+        lambda: strip_z() + float(rng.choice([0.0, 1.0, 3.0, 5.0])),
+        lambda m: _log_uniform(rng, 0.25, 2000.0, m))
+    regions["hurwitz_zeta w = 2j + 2 (+ z with |Re z| < 1), j in [0, 40], a in [1, 1000]"] = \
+        hz_region(lambda: 2.0 * rng.integers(0, 41) + 2.0 + (
+            strip_z() if rng.random() < 0.5 else 0.0),
+            lambda m: _log_uniform(rng, 1.0, 1000.0, m))
+    regions["hurwitz_zeta w in [-1, 4] + i[-5, 5], a = r e^{i theta}, r in [0.25, 50], "
+            "|theta| <= pi/4"] = hz_region(
+        lambda: complex(rng.uniform(-1.0, 4.0), rng.uniform(-5.0, 5.0)),
+        lambda m: _log_uniform(rng, 0.25, 50.0, m) * np.exp(
+            1j * rng.uniform(-math.pi / 4, math.pi / 4, m)))
+
+    def xi_oracle(t):
+        s = mpf("0.5") + 1j * mpc(t)
+        return s * (s - 1) / 2 * mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s)
+
+    def xi_scale(t, ref):
+        s = mpf("0.5") + 1j * mpc(t)
+        return abs(mp.pi ** (-s / 2) * mp.gamma(s / 2 + 1) * (s - 1))
+
+    ts = 0.5 * (rng.uniform(0.0, 60.0, n) + 1j * rng.choice([-1.0, 1.0], n)
+                * _uniform_complex(rng, (-1.0, 1.0), (-0.5, 0.5), n))
+    regions["big_xi t = (u +- i z)/2, u in [0, 60], |Re z| < 1, |Im z| <= 0.5"] = _worst(
+        big_xi(ts), ts, xi_oracle, xi_scale)
+    return regions
+
+
 def build(n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     regions = {}
@@ -195,6 +287,7 @@ def build(n: int, seed: int) -> dict:
             xs = _log_uniform(rng, a, b, n)
             regions[f"{name} in [{a:.3g}, {b:.3g}]"] = _worst(fn(xs), xs, oracle)
     regions.update(_jy_build(rng, n))
+    regions.update(_gamma_zeta_xi_build(rng, n))
     return regions
 
 
