@@ -298,15 +298,20 @@ def f_frak(z: complex, alpha, terms: int):
     if abs(z) < 1e-4:
         raise NearPoleError("Gamma(z/2) pole: need |z| >= 1e-4")
     (ga, gb), (za, zb) = gamma(np.array([0.5 * z, -0.5 * z])), riemann_zeta(np.array([z, -z]))
-    p, rows = 1.0 + abs(z.real) + 0.5 * z.real, []
-    for a in np.atleast_1d(alpha).tolist():
-        c = 2.0 * math.pi * a
+    p, rows, n_effs = 1.0 + abs(z.real) + 0.5 * z.real, [], []
+    alphas = np.atleast_1d(alpha).tolist()
+    for a in alphas:
         n_eff = max(terms, 1)       # raised until the K tail is below 1e-13
-        while n_eff < 500 and _k_series_tail(4.0, p, c, n_eff + 1) > 1e-13:
+        while n_eff < 500 and _k_series_tail(4.0, p, 2.0 * math.pi * a, n_eff + 1) > 1e-13:
             n_eff += 1
+        n_effs.append(n_eff)
+    # One sieve for the grid: it adds each n's divisors in the same order
+    # at any size, so every slice is the table of its own n_eff.
+    table = arith.build_table(-z, max(n_effs))
+    for a, n_eff in zip(alphas, n_effs):
+        c = 2.0 * math.pi * a
         n = np.arange(1, n_eff + 1, dtype=float)
-        sig = arith.build_table(-z, n_eff).slice(n_eff)
-        series_terms = sig * np.power(n, 0.5 * z) * bessel_k(0.5 * z, c * n)
+        series_terms = table.slice(n_eff) * np.power(n, 0.5 * z) * bessel_k(0.5 * z, c * n)
         a_term = a ** (0.5 * z - 1.0) * math.pi ** (-0.5 * z) * ga * za
         b_term = a ** (-0.5 * z - 1.0) * math.pi ** (0.5 * z) * gb * zb
         rows.append((math.sqrt(a) * (a_term + b_term - 4.0 * np.sum(series_terms)),
@@ -412,9 +417,17 @@ def verify_rg_formula(z, alpha: float, terms: int = 10,
                       spec: Optional[QuadratureSpec] = None,
                       tolerance: float = 1e-8) -> VerificationReport:
     """f_frak(alpha, z) = f_frak(1/alpha, z)."""
+    return _single(rg_formula_grid([alpha], z, terms, spec, tolerance))
+
+
+def rg_formula_grid(alphas, z, terms: int = 10,
+                    spec: Optional[QuadratureSpec] = None,
+                    tolerance: float = 1e-8) -> list:
+    """verify_rg_formula at every alpha of a grid: f_frak is evaluated once
+    over the alphas and their reciprocals (_modular_grid)."""
     z = _check_z(z, "|Re z| < 1")
-    return _single(_modular_grid("rg-formula", lambda points: f_frak(z, points, terms), z,
-                                 [alpha], tolerance, terms))
+    return _modular_grid("rg-formula", lambda points: f_frak(z, points, terms), z,
+                         alphas, tolerance, terms)
 
 
 def verify_hurwitz_corollary(z=0.5, alpha: float = 1.0, terms: int = 50,
@@ -599,6 +612,17 @@ def verify_mellin_k(s, nu, q: float, spec: Optional[QuadratureSpec] = None,
     if s.real <= abs(nu.real):
         raise DomainError("Re s > |Re nu| required")
     spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+    # Deep tanh-sinh nodes reach x ~ 1e-275 where x^{s-1} underflows while
+    # K_nu(qx) overflows; below x = 1e-40 the small-argument form is
+    # assembled in log space instead (two-term error there is O(x^2)
+    # relative): c_lead x^{s-1-mu} + c_refl x^{s-1+mu}, or at mu = 0
+    # -x^{s-1} (log(q/2) + log x + gamma).  At integer order the reflected
+    # term (a Gamma(-mu) pole) is part of the O(x^2) remainder.
+    mu = nu if nu.real >= 0.0 else -nu
+    if abs(mu) >= 1e-12:
+        c_lead = 0.5 * gamma(mu) * (2.0 / q) ** mu
+        integer = mu.imag == 0.0 and abs(mu.real - round(mu.real)) < 1e-9
+        c_refl = None if integer else 0.5 * gamma(-mu) * (0.5 * q) ** mu
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -608,26 +632,15 @@ def verify_mellin_k(s, nu, q: float, spec: Optional[QuadratureSpec] = None,
             xs = x[~tiny]
             out[~tiny] = np.power(xs, s - 1.0) * bessel_k(nu, q * xs)
         if np.any(tiny):
-            # Deep tanh-sinh nodes reach x ~ 1e-275 where x^{s-1} underflows
-            # while K_nu(qx) overflows; assemble the small-argument form in
-            # log space instead (two-term error here is O(x^2) relative).
-            xs = x[tiny]
             with np.errstate(under="ignore"):
-                lx = np.log(xs)
-                mu = nu if nu.real >= 0.0 else -nu
+                lx = np.log(x[tiny])
                 if abs(mu) < 1e-12:
                     out[tiny] = -np.exp((s - 1.0) * lx) * (
                         np.log(0.5 * q) + lx + EULER_GAMMA)
                 else:
-                    lead = (0.5 * gamma(mu) * (2.0 / q) ** mu
-                            * np.exp((s - 1.0 - mu) * lx))
-                    if mu.imag == 0.0 and abs(mu.real - round(mu.real)) < 1e-9:
-                        # gamma(-mu) pole; the reflected term is part of the
-                        # O(x^2) remainder at integer order.
-                        out[tiny] = lead
-                    else:
-                        out[tiny] = lead + (0.5 * gamma(-mu) * (0.5 * q) ** mu
-                                            * np.exp((s - 1.0 + mu) * lx))
+                    out[tiny] = c_lead * np.exp((s - 1.0 - mu) * lx)
+                    if c_refl is not None:
+                        out[tiny] += c_refl * np.exp((s - 1.0 + mu) * lx)
         return out
 
     r = integrate_half_line(f, 0.8 * q, spec)
@@ -914,7 +927,8 @@ IDENTITIES: dict = {
         rg_corollary_z0_grid),
     "rg-formula": IdentityEntry(
         verify_rg_formula,
-        "modular invariance of the K-Bessel combination"),
+        "modular invariance of the K-Bessel combination",
+        rg_formula_grid),
     "hurwitz-corollary": IdentityEntry(
         verify_hurwitz_corollary,
         "Gamma-weighted Xi-pair integral vs the Hurwitz lambda combination",

@@ -1,14 +1,15 @@
 """Special functions built from scratch on float64/complex128.
 
 Everything here is implemented directly (Lanczos, Euler-Maclaurin, the
-J series, Temme's series for Y and for real-order K below x = 2, Steed's
-method for J and Y up to the Hankel knee and Hankel's expansion above it,
-a trapezoid rule for real-order K above x = 2, an integral representation
-for complex-order K); numpy supplies array arithmetic only.  Gamma, zeta,
-xi, Xi, the Hurwitz zeta (over a) and the Bessel and exponential
-integrals take a scalar or an array, since the kernel and identity layers
-feed them quadrature nodes and alpha grids; a scalar goes through the
-array path as a one-element array and comes back a scalar.
+J series, Temme's series for Y and for K below x = 2, Steed's method for
+J and Y up to the Hankel knee and Hankel's expansion above it, a
+trapezoid rule for K above x = 2 (K at real arguments and orders with
+|Im nu| <= 1), an integral representation for K elsewhere); numpy
+supplies array arithmetic only.  Gamma, zeta, xi, Xi, the Hurwitz zeta
+(over a) and the Bessel and exponential integrals take a scalar or an
+array, since the kernel and identity layers feed them quadrature nodes
+and alpha grids; a scalar goes through the array path as a one-element
+array and comes back a scalar.
 """
 
 from __future__ import annotations
@@ -542,9 +543,14 @@ def _k_batch(nu: complex, xs: np.ndarray) -> np.ndarray:
     return total
 
 
-# Real order, real argument: closed forms for K_mu and K_{mu+1} with
-# mu = nu - round(nu) in [-1/2, 1/2], then the upward recurrence.
-_RGAMMA_TERMS = 26          # |a_k mu^k| < 4e-18 for k >= 20 and |mu| <= 1/2
+# Real argument, order real or with |Im nu| <= 1: closed forms for K_mu
+# and K_{mu+1} with mu = nu - round(Re nu), |Re mu| <= 1/2, then the upward
+# recurrence.  A real mu keeps the arithmetic in float64.
+# |a_k mu^k| < 3.1e-17 for k >= 26 and |mu| <= sqrt(1/4 + 1) ~ 1.12, and the
+# rest sums to < 6e-17 (< 4e-18 per term from k = 20 at |mu| <= 1/2).  The
+# float64 recurrence leaves each a_k about 1e-17 off, so terms past k = 25
+# would add noise, not digits.
+_RGAMMA_TERMS = 26
 
 # Trapezoid rule for x >= 2 (Trefethen & Weideman 2014): after
 # s = sqrt(2x) sinh(t/2),
@@ -574,22 +580,25 @@ def _rgamma_taylor() -> tuple:
     return tuple(c[1:])
 
 
-def _temme(mu: float, x: np.ndarray, need_next: bool,
+def _temme(mu, x: np.ndarray, need_next: bool,
            bessel_y: bool = False) -> np.ndarray:
-    """Temme's series for |mu| <= 1/2 and 0 < x < 2 (J. Comput. Phys. 19
+    """Temme's series for |Re mu| <= 1/2 and 0 < x < 2 (J. Comput. Phys. 19
     (1975) 324-337 and 21 (1976) 343-350; Numerical Recipes' bessik and
     bessjy): exp(x) K_mu(x), or Y_mu(x) when bessel_y, and the order
     mu + 1 as a second row when need_next.  Y's sums are K's with x^2/4
     negated and r q added to ff, r = 2 sin^2(pi mu/2)/mu; r = 0 leaves
     K's.  Gamma_1 and Gamma_2 come from the Taylor series of
-    1/Gamma(1 +- mu), so mu -> 0 needs no special case."""
+    1/Gamma(1 +- mu), so mu -> 0 needs no special case.  K also takes a
+    complex mu with |Im mu| <= 1 (then |mu| <= 1.12, see _RGAMMA_TERMS)."""
     a = _rgamma_taylor()
-    gam2 = math.fsum(a[k] * mu ** k for k in range(0, _RGAMMA_TERMS, 2))
-    gam1 = -math.fsum(a[k] * mu ** (k - 1) for k in range(1, _RGAMMA_TERMS, 2))
+    real = isinstance(mu, float)
+    add = math.fsum if real else sum             # fsum takes no complex terms
+    gam2 = add(a[k] * mu ** k for k in range(0, _RGAMMA_TERMS, 2))
+    gam1 = -add(a[k] * mu ** (k - 1) for k in range(1, _RGAMMA_TERMS, 2))
     gampl = gam2 - mu * gam1                     # 1/Gamma(1+mu)
     gammi = gam2 + mu * gam1                     # 1/Gamma(1-mu)
     pimu = math.pi * mu
-    fact = pimu / math.sin(pimu) if mu != 0.0 else 1.0
+    fact = pimu / (math.sin if real else cmath.sin)(pimu) if mu != 0.0 else 1.0
     d = -np.log(0.5 * x)
     e = mu * d
     fact2 = np.sinh(e) / np.where(e == 0.0, 1.0, e)
@@ -619,7 +628,7 @@ def _temme(mu: float, x: np.ndarray, need_next: bool,
     return rows * (-2.0 / math.pi) if bessel_y else rows * np.exp(x)
 
 
-def _k_trapezoid_scaled(mu: float, x: np.ndarray, need_next: bool) -> np.ndarray:
+def _k_trapezoid_scaled(mu, x: np.ndarray, need_next: bool) -> np.ndarray:
     """exp(x) K_mu(x), and exp(x) K_{mu+1}(x) as a second row when
     need_next, for x >= 2 by the fixed 21-node trapezoid rule above, as
     one (points x 21) product per order."""
@@ -630,20 +639,21 @@ def _k_trapezoid_scaled(mu: float, x: np.ndarray, need_next: bool) -> np.ndarray
     return np.sum(base * np.cosh(np.multiply.outer(orders, t)), axis=-1)
 
 
-def _k_real_scaled(nu: float, x: np.ndarray) -> np.ndarray:
-    """exp(x) K_nu(x) for real order and an array of real x > 0.
+def _k_closed_scaled(nu, x: np.ndarray) -> np.ndarray:
+    """exp(x) K_nu(x) for an array of real x > 0, at a real order (float
+    arithmetic) or a complex one with |Im nu| <= 1.
 
-    K_{-nu} = K_nu; with n = round(|nu|) and mu = |nu| - n, K_mu and
-    K_{mu+1} come from Temme's series (x < 2) or the trapezoid rule
+    K_{-nu} = K_nu; with Re nu >= 0, n = round(Re nu) and mu = nu - n, K_mu
+    and K_{mu+1} come from Temme's series (x < 2) or the trapezoid rule
     (x >= 2), and K_{mu+k+1} = K_{mu+k-1} + (2(mu+k)/x) K_{mu+k} climbs to
     the order; the recurrence is stable upward because K grows with it.
     K_{mu+1} is formed only when n >= 1: at tiny x it can overflow when
     it is not needed.
     """
-    nu = abs(nu)
-    n = round(nu)
+    nu = -nu if nu.real < 0.0 else nu
+    n = round(nu.real)
     mu = nu - n
-    k = np.empty((2 if n >= 1 else 1,) + x.shape)
+    k = np.empty((2 if n >= 1 else 1,) + x.shape, dtype=type(mu))   # float or complex
     lo = x < 2.0                                 # nan goes to the rule and stays nan
     for sel, branch in ((lo, _temme), (~lo, _k_trapezoid_scaled)):
         if np.any(sel):
@@ -667,8 +677,11 @@ def bessel_k(nu, x):
 def bessel_k_scaled(nu, x):
     """exp(x) K_nu(x); avoids underflow for large Re x.
 
-    Real order at arguments with zero imaginary part (any dtype) takes the
-    closed forms of _k_real_scaled; everything else the tanh-sinh integral.
+    At arguments with zero imaginary part (any dtype), a real order or one
+    with |Im nu| <= 1 takes the closed forms of _k_closed_scaled (Temme's
+    series below x = 2, the 21-node trapezoid rule above, the upward
+    recurrence); a complex argument or |Im nu| > 1, where Temme's series
+    loses digits, takes the tanh-sinh integral _k_batch.
     """
     nu = complex(nu)
     if abs(nu.real) > 30.0:
@@ -678,8 +691,8 @@ def bessel_k_scaled(nu, x):
     arr = np.atleast_1d(arr)
     if np.any(arr.real <= 0.0):
         raise DomainError("bessel_k requires Re x > 0")
-    if nu.imag == 0.0 and not np.any(arr.imag):
-        out = _k_real_scaled(nu.real, arr.real).astype(complex)
+    if abs(nu.imag) <= 1.0 and not np.any(arr.imag):
+        out = _k_closed_scaled(nu if nu.imag else nu.real, arr.real).astype(complex)
     else:
         out = _k_batch(nu, arr)
     return complex(out[0]) if scalar else out

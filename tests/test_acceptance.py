@@ -138,6 +138,16 @@ def test_criterion_02_golden_suite(golden):
         "bessel_k_29p9_50": lambda: bessel_k(29.9, 50.0),
         "bessel_k_0p25_1em6": lambda: bessel_k(0.25, 1e-6),
         "bessel_k_0p3_1e5": lambda: bessel_k_scaled(0.3, 1e5),
+        "bessel_k_0p49p0p3i_1p5": lambda: bessel_k(0.49 + 0.3j, 1.5),
+        "bessel_k_0p49p0p3i_2p5": lambda: bessel_k(0.49 + 0.3j, 2.5),
+        "bessel_k_1p51p0p3i_0p01": lambda: bessel_k(1.51 + 0.3j, 0.01),
+        "bessel_k_1p51m0p3i_40": lambda: bessel_k(1.51 - 0.3j, 40.0),
+        "bessel_k_0p5p1i_1p999": lambda: bessel_k(0.5 + 1j, 1.999),
+        "bessel_k_0p5p1i_2": lambda: bessel_k(0.5 + 1j, 2.0),
+        "bessel_k_m0p3m1i_0p2": lambda: bessel_k(-0.3 - 1j, 0.2),
+        "bessel_k_m0p3m1i_9": lambda: bessel_k(-0.3 - 1j, 9.0),
+        "bessel_k_7p6p1i_0p7": lambda: bessel_k(7.6 + 1j, 0.7),
+        "bessel_k_7p6p1i_25": lambda: bessel_k(7.6 + 1j, 25.0),
         "bessel_y_0_1": lambda: bessel_y(0.0, 1.0),
         "bessel_y_0p001_12": lambda: bessel_y(0.001, 12.0),
         "bessel_y_0p001_13p9": lambda: bessel_y(0.001, 13.9),
@@ -172,6 +182,8 @@ def test_criterion_02_golden_suite(golden):
         "ei_m2p5": lambda: exp_integral_ei(-2.5),
         "f_frak_2_c": lambda: f_frak(0.3 + 0.2j, 2.0, 60)[0] / 8.0,
         "f_frak_half_c": lambda: f_frak(0.3 + 0.2j, 0.5, 60)[0] / 8.0,
+        "f_frak_quarter_c": lambda: f_frak(0.3 + 0.2j, 0.25, 60)[0] / 8.0,
+        "f_frak_0p3_0p9c": lambda: f_frak(0.9 - 0.4j, 0.3, 60)[0] / 8.0,
         "gamma_1_plus_i": lambda: gamma(1 + 1j),
         "gamma_quarter": lambda: gamma(0.25),
         "hurwitz_0p75_3p25": lambda: hurwitz_zeta(0.75, 3.25),

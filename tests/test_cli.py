@@ -216,19 +216,19 @@ def test_sweep_inapplicable_flag_usage(capsys):
 
 
 def test_sweep_partial_failure_nan_rows(tmp_path, capsys, monkeypatch):
-    # A row that raises records nan fields and forces a nonzero exit.
-    orig = identities.verify_rg_formula
+    # A row that raises records nan fields and forces a nonzero exit
+    # (laplace-bessel sweeps one verify per row).
+    orig = identities.verify_laplace_bessel
 
-    def flaky(z, alpha, terms, spec=None, tolerance=1e-8):
+    def flaky(alpha, y, z, spec=None, tolerance=1e-9):
         if alpha > 1.0:
             raise DomainError("synthetic failure")
-        return orig(z, alpha, terms, spec=spec, tolerance=tolerance)
+        return orig(alpha, y, z, spec=spec, tolerance=tolerance)
 
-    monkeypatch.setattr(identities, "verify_rg_formula", flaky)
+    monkeypatch.setattr(identities, "verify_laplace_bessel", flaky)
     out = tmp_path / "d.csv"
-    code = main(["sweep", "rg-formula", "--z", "0.5", "--alpha-min", "0.5",
-                 "--alpha-max", "2", "--steps", "3", "--terms", "12",
-                 "--out", str(out)])
+    code = main(["sweep", "laplace-bessel", "--z", "0.5", "--alpha-min", "0.5",
+                 "--alpha-max", "2", "--steps", "3", "--out", str(out)])
     assert code == 2
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 4
@@ -339,6 +339,26 @@ def test_sweep_hurwitz_F_failure_fails_every_row(name, tmp_path, capsys, monkeyp
     assert all(row.split(",")[1:] == ["nan"] * 6 for row in rows)
     assert capsys.readouterr().err.count("synthetic failure") == 1
     assert calls == [10 if name == "hurwitz-modular" else 5]
+
+
+def test_rg_formula_sweep_is_one_f_frak_call(tmp_path, capsys, monkeypatch):
+    # f_frak runs once, over the alphas and their reciprocals: an error
+    # there fails every row.
+    calls = []
+
+    def broken(z, alpha, terms):
+        calls.append(np.size(alpha))
+        raise ConvergenceError("synthetic failure")
+
+    monkeypatch.setattr(identities, "f_frak", broken)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "rg-formula", "--z=0.3+0.2i", "--alpha-min", "0.5",
+                 "--alpha-max", "2", "--steps", "5", "--out", str(out)]) == 2
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 5
+    assert all(row.split(",")[1:] == ["nan"] * 6 for row in rows)
+    assert capsys.readouterr().err.count("synthetic failure") == 1
+    assert calls == [10]
 
 
 @pytest.mark.parametrize("alpha,z", [(0.25, -0.6), (1.0, 0.0), (2.0, 0.3 + 0.2j)])

@@ -18,6 +18,7 @@ from koshliakov.identities import (IDENTITIES, _hurwitz_F, _k_series_tail,
                                    hurwitz_corollary_z0_grid,
                                    hurwitz_modular_grid,
                                    rg_corollary_grid, rg_corollary_z0_grid,
+                                   rg_formula_grid,
                                    verify_bessel_hurwitz_sum,
                                    verify_hurwitz_corollary,
                                    verify_hurwitz_corollary_z0,
@@ -104,12 +105,25 @@ def test_hurwitz_modular_grid_rows_are_the_verifies():
         assert all(r.passed for r in rows)
 
 
+def test_rg_formula_grid_rows_are_the_verifies():
+    # f_frak over the alphas and their reciprocals in one call (one divisor
+    # table, sliced per alpha) gives each row its own verify's report.
+    alphas = list(np.arange(0.25, 4.0 + 1e-12, 0.1875))
+    for z in (0.5, 0.3 + 0.2j):
+        rows = rg_formula_grid(alphas, z, 10)
+        assert rows == [verify_rg_formula(z, alpha, 10) for alpha in alphas]
+        assert all(r.passed for r in rows)
+
+
 def test_f_frak_bounds_cover_the_oracle(golden):
     # value within tail + evaluation bound of the 40-digit goldens (the
-    # two complex-z ones are stored with a 1/8 normalization), and both
+    # complex-z ones are stored with a 1/8 normalization; at alpha <= 0.3
+    # the n = 1 K term is below x = 2, in Temme's series), and both
     # bounds reach the reports that use f_frak.
     for z, alpha, key, scale in ((0.3 + 0.2j, 2.0, "f_frak_2_c", 8.0),
                                  (0.3 + 0.2j, 0.5, "f_frak_half_c", 8.0),
+                                 (0.3 + 0.2j, 0.25, "f_frak_quarter_c", 8.0),
+                                 (0.9 - 0.4j, 0.3, "f_frak_0p3_0p9c", 8.0),
                                  (0.5, 1.0, "rg_rhs_half_1", 1.0)):
         value, budgets = f_frak(z, alpha, 60)
         tail, eval_err = budgets["series_tail"], budgets["eval_err"]

@@ -386,9 +386,62 @@ _K_COMPLEX_CASES = [
 
 @pytest.mark.parametrize("nu,xs", _K_COMPLEX_CASES)
 def test_complex_k_keeps_the_tanh_sinh_arithmetic(nu, xs):
-    # Complex order or argument: bit for bit the reference loop.
+    # A complex argument or |Im nu| > 1: bit for bit the reference loop.
+    # A real argument with |Im nu| <= 1 takes the closed forms, which agree
+    # with the loop to 1e-12.
     xs = np.array(xs, dtype=complex)
-    assert np.array_equal(bessel_k_scaled(nu, xs), _k_batch_reference(complex(nu), xs))
+    got, reference = bessel_k_scaled(nu, xs), _k_batch_reference(complex(nu), xs)
+    if np.any(xs.imag) or abs(complex(nu).imag) > 1.0:
+        assert np.array_equal(got, reference)
+    else:
+        assert np.max(np.abs(got - reference) / np.abs(reference)) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80)
+@given(re_nu=st.floats(min_value=-30.0, max_value=30.0),
+       im_nu=st.floats(min_value=-1.0, max_value=1.0),
+       log_x=st.floats(min_value=math.log(1e-6), max_value=math.log(1e3)))
+def test_bessel_k_complex_order_matches_integral(re_nu, im_nu, log_x):
+    # The closed forms at a complex order with |Im nu| <= 1 against the
+    # tanh-sinh integral, wherever K is finite.
+    nu = complex(re_nu, im_nu)
+    x = np.array([math.exp(log_x)])
+    with np.errstate(over="ignore"):
+        reference = specfun._k_batch(nu, x.astype(complex))
+    assume(np.all(np.isfinite(reference)))
+    got = bessel_k_scaled(nu, x)
+    assert rel_err(got[0], reference[0]) < 1e-12
+
+
+def test_complex_order_real_argument_never_calls_the_integral(monkeypatch):
+    def refuse(nu, xs):
+        raise AssertionError("tanh-sinh path used")
+
+    xs = np.array([1e-3, 0.5, 1.999, 2.0, 7.0, 300.0])
+    monkeypatch.setattr(specfun, "_k_batch", refuse)
+    for nu in (0.3 + 0.5j, -0.49 + 1j, 0.5 - 1j, 1j, 12.7 + 0.1j, -29.0 - 1j):
+        assert bessel_k_scaled(nu, xs).shape == xs.shape
+        assert bessel_k_scaled(nu, xs.astype(complex)).shape == xs.shape
+
+
+_K_COMPLEX_GOLDENS = (
+    (0.49 + 0.3j, 1.5, "bessel_k_0p49p0p3i_1p5"), (1.51 + 0.3j, 0.01, "bessel_k_1p51p0p3i_0p01"),
+    (0.49 + 0.3j, 2.5, "bessel_k_0p49p0p3i_2p5"), (1.51 - 0.3j, 40.0, "bessel_k_1p51m0p3i_40"),
+    (0.5 + 1j, 1.999, "bessel_k_0p5p1i_1p999"), (0.5 + 1j, 2.0, "bessel_k_0p5p1i_2"),
+    (-0.3 - 1j, 0.2, "bessel_k_m0p3m1i_0p2"), (-0.3 - 1j, 9.0, "bessel_k_m0p3m1i_9"),
+    (7.6 + 1j, 0.7, "bessel_k_7p6p1i_0p7"), (7.6 + 1j, 25.0, "bessel_k_7p6p1i_25"),
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bessel_k_complex_order_goldens(golden):
+    # mu = nu - round(Re nu) with Re mu near +1/2 and -1/2 on both sides of
+    # the switch at x = 2, |Im nu| = 1 on both sides of it, and an order
+    # reached by the recurrence.
+    for nu, x, key in _K_COMPLEX_GOLDENS:
+        assert rel_err(bessel_k(nu, x), golden[key]) < 1e-13, key
+        assert rel_err(bessel_k(-nu, x), golden[key]) < 1e-13, key
 
 
 def test_bessel_wronskian():

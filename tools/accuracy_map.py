@@ -13,13 +13,15 @@ BENCHMARK.json: re-run it in every change that touches these functions.
 mpmath is the oracle here and in tools/gen_golden.py only; the library
 and its tests never import it.
 
-Covered: exp(x) K_nu(x) on the real path (order bands by |nu|, x below
-and above the switch at 2) and on the tanh-sinh path (complex order,
-complex argument); e^w E1(w); e^{-y} Ei(y); the Dixon-Ferrar psi; J_nu(x)
-and Y_nu(x) by order band (|nu| in [0, 0.5], within 2e-3 of an integer,
-[0.5, 2] and [2, 10], each sign) and by x range (the series and Temme's
-series below 2, Steed's method in [2, 8) and [8, knee), the Hankel
-expansion from the knee max(14, 3|nu|) to 1e3).  J and Y errors are
+Covered: exp(x) K_nu(x) at real order (order bands by |nu|, x below
+and above the switch at 2), at complex order and real x (|Im nu| <= 1 on
+the closed forms, 1 < |Im nu| <= 2 on the tanh-sinh path, each split at
+x = 2) and at complex argument (tanh-sinh); e^w E1(w); e^{-y} Ei(y); the
+Dixon-Ferrar psi; J_nu(x) and Y_nu(x) by order band (|nu| in [0, 0.5],
+within 2e-3 of an integer, [0.5, 2] and [2, 10], each sign) and by x
+range (the series and Temme's series below 2, Steed's method in [2, 8)
+and [8, knee), the Hankel expansion from the knee max(14, 3|nu|) to
+1e3).  J and Y errors are
 relative, except near a zero (where the oracle changes sign within
 min(1/2, x/4) of x): there they are absolute over sqrt(2/(pi x)), the
 functions' envelope.
@@ -101,6 +103,24 @@ def _k_real_region(rng, nu_lo, nu_hi, x_lo, x_hi, n) -> dict:
     worst = max(out, key=lambda r: r["worst_rel_err"])
     return {"points": sum(r["points"] for r in out),
             "worst_rel_err": worst["worst_rel_err"], "at": worst["at"]}
+
+
+def _k_complex_order_regions(rng, lo: float, hi: float, n: int) -> dict:
+    """n points of complex order (|Re nu| <= 2, lo <= |Im nu| <= hi, either
+    sign) at real x in [0.1, 50], split at the switch x = 2: closed forms
+    for |Im nu| <= 1, the tanh-sinh integral beyond."""
+    band = f"|Im| <= {hi:g}" if lo == 0.0 else f"{lo:g} < |Im| <= {hi:g}"
+    pts = []
+    for _ in range(n):
+        re, im = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
+        nu = complex(re, math.copysign(lo + (hi - lo) * abs(im), im))
+        pts.append((nu, float(_log_uniform(rng, 0.1, 50.0, 1)[0])))
+    regions = {}
+    for name, side in (("[0.1, 2)", lambda x: x < 2.0), ("[2, 50]", lambda x: x >= 2.0)):
+        sel = [p for p in pts if side(p[1])]
+        regions[f"bessel_k complex nu (|Re| <= 2, {band}), x in {name}"] = _worst(
+            [bessel_k_scaled(nu, x) for nu, x in sel], sel, lambda p: _k_scaled_oracle(*p))
+    return regions
 
 
 _JY = ((bessel_j, mp.besselj), (bessel_y, mp.bessely))
@@ -247,14 +267,8 @@ def build(n: int, seed: int) -> dict:
         regions[f"bessel_k real |nu| {band}, x in [2, 1e5]"] = _k_real_region(
             rng, nu_lo, nu_hi, 2.0, 1e5, n)
 
-    got, pts = [], []
-    for _ in range(n):
-        nu = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
-        x = float(_log_uniform(rng, 0.1, 50.0, 1)[0])
-        got.append(bessel_k_scaled(nu, x))
-        pts.append((nu, x))
-    regions["bessel_k complex nu (|Re| <= 2, |Im| <= 1), x in [0.1, 50]"] = _worst(
-        got, pts, lambda p: _k_scaled_oracle(*p))
+    regions.update(_k_complex_order_regions(rng, 0.0, 1.0, n))
+    regions.update(_k_complex_order_regions(np.random.default_rng([seed, 1]), 1.0, 2.0, n))
 
     got, pts = [], []
     for _ in range(n):

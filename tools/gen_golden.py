@@ -274,6 +274,16 @@ def golden_values():
         "K_0.25(1e-6)")
     put("bessel_k_0p3_1e5", besselk(mpf("0.3"), mpf("1e5")) * exp(mpf("1e5")),
         "e^100000 K_0.3(100000) (scaled)")
+    # Complex order at real x: mu = nu - round(Re nu) with Re mu near +1/2
+    # and -1/2 on both sides of the switch at x = 2, |Im nu| = 1 on both
+    # sides of it, and an order reached by the recurrence.
+    for nu, x in (("0.49+0.3j", "1.5"), ("1.51+0.3j", "0.01"), ("0.49+0.3j", "2.5"),
+                  ("1.51-0.3j", "40"), ("0.5+1j", "1.999"), ("0.5+1j", "2"),
+                  ("-0.3-1j", "0.2"), ("-0.3-1j", "9"), ("7.6+1j", "0.7"),
+                  ("7.6+1j", "25")):
+        tag = nu.replace("-", "m").replace("+", "p").replace(".", "p").replace("j", "i")
+        put(f"bessel_k_{tag}_{x.replace('.', 'p')}", besselk(mpc(complex(nu)), mpf(x)),
+            f"K_{{{nu}}}({x})")
     put("li_2", li(2), "li(2)")
     put("li_soldner", li(soldner), "li at the Soldner point (approx 0)")
     put("ei_1", ei(1), "Ei(1)")
@@ -343,6 +353,11 @@ def golden_values():
         "F(alpha, z) at alpha=2, z=0.3+0.2i")
     put("f_frak_half_c", frak_f(mpf("0.5"), mpc("0.3", "0.2")),
         "F(alpha, z) at alpha=1/2, z=0.3+0.2i")
+    # Complex order K below x = 2 (Temme's series) at the n = 1 term.
+    put("f_frak_quarter_c", frak_f(mpf("0.25"), mpc("0.3", "0.2")),
+        "F(alpha, z) at alpha=1/4, z=0.3+0.2i")
+    put("f_frak_0p3_0p9c", frak_f(mpf("0.3"), mpc("0.9", "-0.4")),
+        "F(alpha, z) at alpha=0.3, z=0.9-0.4i")
     return vals
 
 

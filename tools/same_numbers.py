@@ -9,8 +9,8 @@ OLD_SRC and NEW_SRC are directories that hold the `koshliakov` package
 once with PYTHONPATH=NEW_SRC.  The commands are the benchmark's seed-0
 jobs, written out here: the 16 `verify-cold` commands, the 7 `sweep-xi`
 sweeps (61 alpha rows each) and the 5 `sweep-omega` sweeps (11 rows
-each).  Then come a `hurwitz-modular` sweep at complex z and a
-`hurwitz-corollary-z0` sweep over the `sweep-xi` grid, six verifies off the defaults that reach the divisor-K series at
+each).  Then come `hurwitz-modular` and `rg-formula` sweeps at complex z
+and a `hurwitz-corollary-z0` sweep over the `sweep-xi` grid, six verifies off the defaults that reach the divisor-K series at
 the ends of the alpha range and the oscillatory tails at other x and z,
 two Omega sweeps over the whole alpha range [1/4, 4], three k-bessel
 `pair-reciprocity` cases whose psi(x) is far below the transform's
@@ -18,7 +18,7 @@ absolute accuracy, five verifies of the modular checks, the Dixon-Ferrar
 pair, the z = 0 Theta series and complex-order K off their defaults,
 three verifies that reach Bessel J and Y below the Hankel knee off the
 defaults, and `list`, whose `tol` column both this tool and the
-benchmark read: 50 commands in all.
+benchmark read: 51 commands in all.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
@@ -74,6 +74,9 @@ COMMANDS = (
     # hurwitz-modular at complex z: its lambda sides are one call over the
     # alphas and their reciprocals.
     ("sweep", "hurwitz-modular", *_XI_GRID, "--z=-0.4+0.3i"),
+    # rg-formula at complex z: f_frak is one call over the alphas and their
+    # reciprocals, with K at the complex order z/2.
+    ("sweep", "rg-formula", *_XI_GRID, "--z=0.3+0.2i"),
     # The one grid identity without a benchmark sweep, and verifies off the
     # defaults: the divisor-K series at both ends of the alpha range, the
     # oscillatory tails at other x and z.
