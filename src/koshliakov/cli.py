@@ -5,8 +5,10 @@ Subcommands: `verify` runs one identity check and prints a JSON report,
 SVG chart), `eval` evaluates a single special function, and `list` shows
 the registered identities.
 
-Exit codes: 0 pass, 2 verification failure (or failed sweep rows),
-3 domain/convergence error, 64 usage error.  Complex flags accept
+Exit codes: 0 pass, 2 verification failure (or failed sweep rows; a
+convergence failure in the work a sweep's rows share fails every row),
+3 domain/convergence error (in `sweep` too for an input error, with the
+message `verify` prints), 64 usage error.  Complex flags accept
 sign-delimited literals such as `0.5+0.25i`.
 """
 
@@ -17,7 +19,7 @@ import math
 import sys
 
 from . import arith, kernels, specfun
-from .errors import KoshliakovError
+from .errors import ConvergenceError, DecayError, KoshliakovError
 from .identities import IDENTITIES, VerificationReport
 from .reporting import SweepRow, csv_lines, report_json, write_csv, write_svg
 
@@ -58,59 +60,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# Per-parameter parse kind and default for the verify/sweep dispatch.
-_PARAMS: dict = {
-    "z": ("complex", 0.5 + 0.0j),
-    "alpha": ("float", 1.0),
-    "terms": ("int", 50),
-    "s": ("complex", 2.0 + 0.0j),
-    "nu": ("complex", 0.0 + 0.0j),
-    "q": ("float", 1.0),
-    "x": ("float", 1.0),
-    "y": ("float", 1.0),
-    "pair": ("str", "k-bessel"),
-    "pair_alpha": ("float", 2.0),
-}
+# Per-parameter parse kind for the verify/sweep dispatch; the defaults are
+# the verifiers' own (IdentityEntry.defaults).
+_PARAMS: dict = {"z": "complex", "alpha": "float", "terms": "int", "s": "complex",
+                 "nu": "complex", "q": "float", "x": "float", "y": "float",
+                 "pair": "str", "pair_alpha": "float"}
 
-# The same for eval; --mode gets its own flag, for its choices.
-_EVAL_PARAMS: dict = {
-    "s": ("complex", 2.0 + 0.0j),
-    "a": ("complex", 1.0 + 0.0j),
-    "t": ("complex", 0.0 + 0.0j),
-    "nu": ("complex", 0.0),
-    "z": ("complex", 0.5 + 0.0j),
-    "x": ("complex", 1.0),
-    "n": ("int", 1),
-    "terms": ("int", 500),
-    "mode": ("str", "partial-fraction"),
-}
+# The same for eval, and its defaults; --mode gets its own flag, for its
+# choices.
+_EVAL_PARAMS: dict = {"s": "complex", "a": "complex", "t": "complex", "nu": "complex",
+                      "z": "complex", "x": "complex", "n": "int", "terms": "int",
+                      "mode": "str"}
+_EVAL_DEFAULTS: dict = {"s": 2.0 + 0.0j, "a": 1.0 + 0.0j, "t": 0.0 + 0.0j, "nu": 0.0,
+                        "z": 0.5 + 0.0j, "x": 1.0, "n": 1, "terms": 500,
+                        "mode": "partial-fraction"}
 
 _KIND_TYPES = {"complex": parse_complex_literal, "float": float, "int": int,
                "str": str}
 
 
-def _add_param_flags(parser: argparse.ArgumentParser, params: dict,
+def _add_param_flags(parser: argparse.ArgumentParser, kinds: dict,
                      skip: tuple = ()) -> None:
-    for name, (kind, _) in params.items():
+    for name, kind in kinds.items():
         if name not in skip:
             parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
                                 type=_KIND_TYPES[kind], default=None)
 
 
-def _resolve_args(arg_names: tuple, params: dict, args, what: str) -> dict:
-    """The value of each of arg_names, its default where the flag is not
-    given; a flag given that arg_names lacks is a usage error."""
-    extraneous = [name for name in params
+def _resolve_args(defaults: dict, flags, args, what: str) -> dict:
+    """The value of each parameter named in defaults, its default where the
+    flag is not given; a flag of flags given that defaults lacks is a usage
+    error."""
+    extraneous = [name for name in flags
                   if getattr(args, name, None) is not None
-                  and name not in arg_names]
+                  and name not in defaults]
     if extraneous:
         raise _UsageError(
             f"parameter(s) {', '.join('--' + e for e in extraneous)} do not "
-            f"apply; this {what} takes ({', '.join(arg_names)})")
+            f"apply; this {what} takes ({', '.join(defaults)})")
     values = {}
-    for name in arg_names:
+    for name, default in defaults.items():
         given = getattr(args, name, None)
-        values[name] = params[name][1] if given is None else given
+        values[name] = default if given is None else given
     return values
 
 
@@ -126,7 +117,7 @@ def _identity(args):
     if entry is None:
         raise _UsageError(f"unknown identity '{args.identity}'; "
                           f"known: {', '.join(sorted(IDENTITIES))}")
-    named = _resolve_args(entry.arg_names, _PARAMS, args, "identity")
+    named = _resolve_args(entry.defaults, _PARAMS, args, "identity")
     tol = entry.tolerance if args.tolerance is None else args.tolerance
     if not (math.isfinite(tol) and tol > 0.0):
         raise _UsageError(f"tolerance must be finite and positive, got {tol}")
@@ -157,9 +148,10 @@ def cmd_sweep(args) -> int:
                           "parameter to sweep")
     grid = _alpha_grid(args.alpha_min, args.alpha_max, args.steps)
     try:
-        outcomes = entry.sweep(named, grid, tol)
-    except KoshliakovError as exc:
-        # Work shared by every row failed, so no row has a value.
+        outcomes = entry.verify({**named, "alpha": grid}, tol)
+    except (ConvergenceError, DecayError) as exc:
+        # Work shared by every row failed, so no row has a value.  Any
+        # other error is an input error, and exits 3 as in verify.
         print(f"alpha={grid[0]:.6g}..{grid[-1]:.6g}: {exc}", file=sys.stderr)
         outcomes = [None] * len(grid)
     rows = []
@@ -211,7 +203,8 @@ def cmd_eval(args) -> int:
         raise _UsageError(f"unknown function '{args.function}'; "
                           f"known: {', '.join(sorted(table))}")
     arg_names, fn = table[args.function]
-    named = _resolve_args(arg_names, _EVAL_PARAMS, args, "function")
+    named = _resolve_args({name: _EVAL_DEFAULTS[name] for name in arg_names},
+                          _EVAL_PARAMS, args, "function")
     value = complex(fn(*named.values()))
     print(f"{value.real:.15g} {value.imag:.15g}")
     return EXIT_PASS

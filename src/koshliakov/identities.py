@@ -5,6 +5,13 @@ estimates plus analytic truncation bounds) must themselves sit below the
 pass tolerance: a pass is never claimed on an under-resolved computation.
 Budget keys ending in "_diff" are cross-checks, not error bounds, and are
 excluded from that resolution test.
+
+Every verifier that takes a scale alpha takes one alpha or a sequence of
+them.  One number gives one report and raises that alpha's error.  A
+sequence gives one report per alpha from work shared across the alphas
+(one vector integral, one lambda or f_frak call): an error in one row's
+own work takes that row's place in the list, and an error in the shared
+work is raised.
 """
 
 from __future__ import annotations
@@ -137,39 +144,39 @@ def _xi_pair(t: np.ndarray, z: complex) -> np.ndarray:
 _XI_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
 
 
-def _rows(alphas, row: Callable) -> list:
-    """row(col, alpha) for every alpha of a grid.  A KoshliakovError raised by
-    one row takes that row's place in the list, so it fails that row only."""
+def _alphas(alpha) -> list:
+    """The alphas of a verifier's alpha argument: one number or a sequence."""
+    return [alpha] if np.ndim(alpha) == 0 else list(alpha)
+
+
+def _rows(alpha, row: Callable):
+    """row(col, a) at every alpha a of a verifier's alpha argument.  One
+    number gives its row's report and raises its error; a sequence gives
+    a list in which a KoshliakovError raised by one row takes that row's
+    place, so it fails that row only."""
+    if np.ndim(alpha) == 0:
+        return row(0, alpha)
     out = []
-    for col, alpha in enumerate(alphas):
+    for col, a in enumerate(alpha):
         try:
-            out.append(row(col, alpha))
+            out.append(row(col, a))
         except KoshliakovError as exc:
             out.append(exc)
     return out
 
 
-def _single(rows: list) -> "VerificationReport":
-    """The report of a one-alpha grid; re-raises that alpha's error."""
-    (out,) = rows
-    if isinstance(out, KoshliakovError):
-        raise out
-    return out
-
-
-def _xi_grid(identity_id: str, z: complex, g: Callable, alphas, terms: int,
-             spec: Optional[QuadratureSpec], tolerance: float, row: Callable) -> list:
-    """The reports of a Xi-pair identity over an alpha grid, from one vector
+def _xi_grid(identity_id: str, z: complex, g: Callable, alpha, terms: int,
+             spec: Optional[QuadratureSpec], tolerance: float, row: Callable):
+    """The report(s) of a Xi-pair identity at alpha (_rows), from one vector
     integral over [0, T] of the Xi pair against g(t) cos(t log(alpha)/2), a
     column per alpha (spec defaults to _XI_SPEC): g(t), the alpha-free part
     of the weight, and the Xi pair are evaluated once per node.  The Xi pair
     decays at least like exp(-pi t/4) and |g(T)| must bound |g| on
     [T, inf): with the cosine replaced by 1 that bounds every column's
     discarded piece (xi_cutoff).  row(col, alpha) gives the lhs prefactor,
-    the rhs and its own budgets (one named quad_err adds to the integral's).
-    Returns one report per alpha, or in its place that row's error."""
+    the rhs and its own budgets (one named quad_err adds to the integral's)."""
     T = 60.0
-    la = np.array([math.log(alpha) for alpha in alphas])
+    la = np.array([math.log(a) for a in _alphas(alpha)])
 
     def f(t):
         return (_xi_pair(t, z) * g(t))[:, None] * np.cos(0.5 * np.multiply.outer(t, la))
@@ -178,37 +185,38 @@ def _xi_grid(identity_id: str, z: complex, g: Callable, alphas, terms: int,
     end = np.array([T])
     trunc = abs(complex(_xi_pair(end, z)[0])) * abs(complex(g(end)[0])) * (4.0 / math.pi) * 5.0
 
-    def report(col, alpha):
-        pref, rhs, rhs_budgets = row(col, alpha)
+    def report(col, a):
+        pref, rhs, rhs_budgets = row(col, a)
         budgets = {"quad_err": abs(pref) * float(res.err_estimate[col]),
                    "xi_cutoff": abs(pref) * trunc}
         for key, value in rhs_budgets.items():
             budgets[key] = budgets.get(key, 0.0) + value
-        params = {"z": [z.real, z.imag], "alpha": alpha, "terms": terms}
+        params = {"z": [z.real, z.imag], "alpha": a, "terms": terms}
         return _report(identity_id, params, pref * complex(res.value[col]), rhs,
                        budgets, tolerance, real_inputs=(z.imag == 0.0))
 
-    return _rows(alphas, report)
+    return _rows(alpha, report)
 
 
-def _modular_grid(identity_id: str, F: Callable, z: complex, alphas, tolerance: float,
-                  terms: Optional[int] = None) -> list:
-    """The reports of F(alpha) = F(1/alpha) over an alpha grid, F(points)
+def _modular_grid(identity_id: str, F: Callable, z: complex, alpha, tolerance: float,
+                  terms: Optional[int] = None):
+    """The report(s) of F(alpha) = F(1/alpha) at alpha (_rows), F(points)
     giving (values, budgets) as arrays.  F is called once, over the alphas
     and then their reciprocals, so an error there fails every row; each
     budget is the sum of the two sides'.  The params name terms if given."""
+    alphas = _alphas(alpha)
     _check_domain(alphas, 1 if terms is None else terms)
     m = len(alphas)
     values, budgets = F([*alphas, *(1.0 / a for a in alphas)])
 
-    def row(col, alpha):
-        params = ({"alpha": alpha, "z": [z.real, z.imag]} if terms is None
-                  else {"z": [z.real, z.imag], "alpha": alpha, "terms": terms})
+    def row(col, a):
+        params = ({"alpha": a, "z": [z.real, z.imag]} if terms is None
+                  else {"z": [z.real, z.imag], "alpha": a, "terms": terms})
         return _report(identity_id, params, values[col], values[m + col],
                        {k: v[col] + v[m + col] for k, v in budgets.items()},
                        tolerance, real_inputs=(z.imag == 0.0))
 
-    return _rows(alphas, row)
+    return _rows(alpha, row)
 
 
 # ---------------------------------------------------------------------------
@@ -347,50 +355,35 @@ def _k_pair_z1(alpha: float):
 # Verifiers
 # ---------------------------------------------------------------------------
 
-def verify_rg_corollary(z=0.5, alpha: float = 1.0, terms: int = 50,
+def verify_rg_corollary(z=0.5, alpha=1.0, terms: int = 50,
                         spec: Optional[QuadratureSpec] = None,
-                        tolerance: float = 1e-8) -> VerificationReport:
+                        tolerance: float = 1e-8) -> VerificationReport | list:
     """Xi-pair integral against cos(t log(alpha)/2)/((t^2+(z+1)^2)(t^2+(z-1)^2))
-    versus the modular K-Bessel combination f_frak."""
-    return _single(rg_corollary_grid([alpha], z, terms, spec, tolerance))
-
-
-def rg_corollary_grid(alphas, z, terms: int = 50,
-                      spec: Optional[QuadratureSpec] = None,
-                      tolerance: float = 1e-8) -> list:
-    """verify_rg_corollary at every alpha of a grid, from one vector
-    integral: the Xi pair and the rational factor are evaluated once per
-    node, the cosine once per node and alpha.  Returns one report per
-    alpha, or in its place the KoshliakovError that alpha's rhs raised."""
+    versus the modular K-Bessel combination f_frak, from one vector integral
+    and one f_frak call over the alphas; z = 0 is verify_rg_corollary_z0."""
+    alphas = _alphas(alpha)
     _check_domain(alphas, terms)
     z = _check_z(z, "|Re z| < 1", zero_ok=True)
     if abs(z) < 1e-12:
-        return rg_corollary_z0_grid(alphas, terms, spec, tolerance)
+        return verify_rg_corollary_z0(alpha, terms, spec, tolerance)
     zp, zm = (z + 1.0) ** 2, (z - 1.0) ** 2
 
     def g(t):
         return 1.0 / ((t * t + zp) * (t * t + zm))
 
     frak, budgets = f_frak(z, alphas, terms)
-    return _xi_grid("rg-corollary", z, g, alphas, terms, spec, tolerance,
-                    lambda col, alpha: (-(32.0 / math.pi), frak[col],
-                                        {k: v[col] for k, v in budgets.items()}))
+    return _xi_grid("rg-corollary", z, g, alpha, terms, spec, tolerance,
+                    lambda col, a: (-(32.0 / math.pi), frak[col],
+                                    {k: v[col] for k, v in budgets.items()}))
 
 
-def verify_rg_corollary_z0(alpha: float = 1.0, terms: int = 50,
+def verify_rg_corollary_z0(alpha=1.0, terms: int = 50,
                            spec: Optional[QuadratureSpec] = None,
-                           tolerance: float = 1e-8) -> VerificationReport:
+                           tolerance: float = 1e-8) -> VerificationReport | list:
     """z=0 limit: (32/pi) Xi^2-integral with the K-pair Z weight versus
-    sum d(n) Theta(pi n) minus the (Z'(1) + (gamma - log 4 pi) Z(1)) constant."""
-    return _single(rg_corollary_z0_grid([alpha], terms, spec, tolerance))
-
-
-def rg_corollary_z0_grid(alphas, terms: int = 50,
-                         spec: Optional[QuadratureSpec] = None,
-                         tolerance: float = 1e-8) -> list:
-    """verify_rg_corollary_z0 at every alpha of a grid, from one vector
-    integral; returns one report (or rhs error) per alpha."""
-    _check_domain(alphas, terms)
+    sum d(n) Theta(pi n) minus the (Z'(1) + (gamma - log 4 pi) Z(1)) constant,
+    from one vector integral over the alphas (the series side per alpha)."""
+    _check_domain(_alphas(alpha), terms)
 
     def g(t):
         return 1.0 / np.square(1.0 + t * t)
@@ -399,52 +392,38 @@ def rg_corollary_z0_grid(alphas, terms: int = 50,
     n = np.arange(1, n_eff + 1, dtype=float)
     dn = arith.build_table(0.0, n_eff).slice(n_eff).real
 
-    def row(col, alpha):
-        beta = 1.0 / alpha
-        theta = (bessel_k(0.0, 2.0 * alpha * math.pi * n).real
+    def row(col, a):
+        beta = 1.0 / a
+        theta = (bessel_k(0.0, 2.0 * a * math.pi * n).real
                  + beta * bessel_k(0.0, 2.0 * beta * math.pi * n).real)
-        z1, z1p = _k_pair_z1(alpha)
+        z1, z1p = _k_pair_z1(a)
         rhs = float(np.sum(dn * theta)) - (z1p + (EULER_GAMMA - math.log(4.0 * math.pi)) * z1)
         # d(n) Theta(pi n) <= 2 sqrt(n) (1 + beta) times the K envelope.
-        tail = _k_series_tail(2.0 * (1.0 + beta), 0.5, 2.0 * math.pi * min(alpha, beta),
+        tail = _k_series_tail(2.0 * (1.0 + beta), 0.5, 2.0 * math.pi * min(a, beta),
                               n_eff + 1)
-        return (32.0 / math.pi) / (2.0 * math.sqrt(alpha)), rhs, {"series_tail": tail}
+        return (32.0 / math.pi) / (2.0 * math.sqrt(a)), rhs, {"series_tail": tail}
 
-    return _xi_grid("rg-corollary-z0", 0.0 + 0.0j, g, alphas, n_eff, spec, tolerance, row)
+    return _xi_grid("rg-corollary-z0", 0.0 + 0.0j, g, alpha, n_eff, spec, tolerance, row)
 
 
-def verify_rg_formula(z, alpha: float, terms: int = 10,
+def verify_rg_formula(z=0.5, alpha=1.0, terms: int = 50,
                       spec: Optional[QuadratureSpec] = None,
-                      tolerance: float = 1e-8) -> VerificationReport:
-    """f_frak(alpha, z) = f_frak(1/alpha, z)."""
-    return _single(rg_formula_grid([alpha], z, terms, spec, tolerance))
-
-
-def rg_formula_grid(alphas, z, terms: int = 10,
-                    spec: Optional[QuadratureSpec] = None,
-                    tolerance: float = 1e-8) -> list:
-    """verify_rg_formula at every alpha of a grid: f_frak is evaluated once
-    over the alphas and their reciprocals (_modular_grid)."""
+                      tolerance: float = 1e-8) -> VerificationReport | list:
+    """f_frak(alpha, z) = f_frak(1/alpha, z), f_frak evaluated once over the
+    alphas and their reciprocals (_modular_grid)."""
     z = _check_z(z, "|Re z| < 1")
     return _modular_grid("rg-formula", lambda points: f_frak(z, points, terms), z,
-                         alphas, tolerance, terms)
+                         alpha, tolerance, terms)
 
 
-def verify_hurwitz_corollary(z=0.5, alpha: float = 1.0, terms: int = 50,
+def verify_hurwitz_corollary(z=0.5, alpha=1.0, terms: int = 50,
                              spec: Optional[QuadratureSpec] = None,
-                             tolerance: float = 1e-6) -> VerificationReport:
+                             tolerance: float = 1e-6) -> VerificationReport | list:
     """Gamma-weighted Xi-pair integral versus the tail-corrected
-    Hurwitz-lambda combination alpha^{(z+1)/2}(sum lambda - boundary terms)."""
-    return _single(hurwitz_corollary_grid([alpha], z, terms, spec, tolerance))
-
-
-def hurwitz_corollary_grid(alphas, z, terms: int = 50,
-                           spec: Optional[QuadratureSpec] = None,
-                           tolerance: float = 1e-6) -> list:
-    """verify_hurwitz_corollary at every alpha of a grid, from one vector
-    integral (the weight Gamma((z-1+it)/4) Gamma((z-1-it)/4)/(t^2+(z+1)^2)
-    once per node) and one _hurwitz_F call, so an error there fails every
-    row.  Returns one report per alpha."""
+    Hurwitz-lambda combination alpha^{(z+1)/2}(sum lambda - boundary terms),
+    from one vector integral (the weight Gamma((z-1+it)/4) Gamma((z-1-it)/4)
+    /(t^2+(z+1)^2) once per node) and one _hurwitz_F call over the alphas."""
+    alphas = _alphas(alpha)
     _check_domain(alphas, terms)
     z = _check_z(z, "0 < |Re z| < 1")
     zp, base = (z + 1.0) ** 2, 0.25 * (z - 1.0)
@@ -454,25 +433,18 @@ def hurwitz_corollary_grid(alphas, z, terms: int = 50,
 
     pref = 8.0 * (4.0 * math.pi) ** (0.5 * (z - 3.0)) / gamma(z + 1.0)
     F, budgets = _hurwitz_F(z, alphas, terms)
-    return _xi_grid("hurwitz-corollary", z, g, alphas, terms, spec, tolerance,
-                    lambda col, alpha: (pref, F[col], {k: v[col] for k, v in budgets.items()}))
+    return _xi_grid("hurwitz-corollary", z, g, alpha, terms, spec, tolerance,
+                    lambda col, a: (pref, F[col], {k: v[col] for k, v in budgets.items()}))
 
 
-def verify_hurwitz_modular(z, alpha: float, terms: int = 50,
+def verify_hurwitz_modular(z=0.5, alpha=1.0, terms: int = 50,
                            spec: Optional[QuadratureSpec] = None,
-                           tolerance: float = 1e-8) -> VerificationReport:
-    """F(alpha) = F(1/alpha) for the Hurwitz-lambda combination."""
-    return _single(hurwitz_modular_grid([alpha], z, terms, spec, tolerance))
-
-
-def hurwitz_modular_grid(alphas, z, terms: int = 50,
-                         spec: Optional[QuadratureSpec] = None,
-                         tolerance: float = 1e-8) -> list:
-    """verify_hurwitz_modular at every alpha of a grid: F is evaluated once
-    over the alphas and their reciprocals (_modular_grid)."""
+                           tolerance: float = 1e-8) -> VerificationReport | list:
+    """F(alpha) = F(1/alpha) for the Hurwitz-lambda combination, F evaluated
+    once over the alphas and their reciprocals (_modular_grid)."""
     z = _check_z(z, "0 < |Re z| < 1")
     return _modular_grid("hurwitz-modular", lambda points: _hurwitz_F(z, points, terms), z,
-                         alphas, tolerance, terms)
+                         alpha, tolerance, terms)
 
 
 def _theta_pair_inner(alpha: float, weights: np.ndarray, order: complex,
@@ -541,23 +513,15 @@ def _divisor_k_series(alpha: float, z: complex, N: int, spec: QuadratureSpec,
     return series + tail, quad_err, tail_err
 
 
-def verify_hurwitz_corollary_z0(alpha: float = 1.0, terms: int = 50,
+def verify_hurwitz_corollary_z0(alpha=1.0, terms: int = 50,
                                 spec: Optional[QuadratureSpec] = None,
-                                tolerance: float = 1e-6) -> VerificationReport:
+                                tolerance: float = 1e-6) -> VerificationReport | list:
     """z=0 limit with |Gamma((-1+it)/4)|^2 weight versus
     (pi/2) sum n d(n) I_n - ((gamma - log 2 pi) Z(1) + Z'(1))/2, where
     I_n integrates x Theta(x) (x^2 + pi^2 n^2)^{-3/2}: the divisor-K
-    series at z = 0 with the Theta weight (_divisor_k_series)."""
-    return _single(hurwitz_corollary_z0_grid([alpha], terms, spec, tolerance))
-
-
-def hurwitz_corollary_z0_grid(alphas, terms: int = 50,
-                              spec: Optional[QuadratureSpec] = None,
-                              tolerance: float = 1e-6) -> list:
-    """verify_hurwitz_corollary_z0 at every alpha of a grid, from one
-    vector Xi-pair integral (the series side stays per alpha); returns one
-    report (or rhs error) per alpha."""
-    _check_domain(alphas, terms)
+    series at z = 0 with the Theta weight (_divisor_k_series), per alpha,
+    against one vector Xi-pair integral over the alphas."""
+    _check_domain(_alphas(alpha), terms)
     spec = spec or _XI_SPEC
 
     def g(t):
@@ -566,44 +530,47 @@ def hurwitz_corollary_z0_grid(alphas, terms: int = 50,
 
     N = max(terms, 4)
 
-    def row(col, alpha):
-        series, series_err, tail_err = _divisor_k_series(alpha, 0.0, N, spec, both=True)
-        z1, z1p = _k_pair_z1(alpha)
+    def row(col, a):
+        series, series_err, tail_err = _divisor_k_series(a, 0.0, N, spec, both=True)
+        z1, z1p = _k_pair_z1(a)
         rhs = (0.5 * math.pi) * series.real - 0.5 * ((EULER_GAMMA - math.log(2.0 * math.pi)) * z1 + z1p)
-        return (math.pi ** (-1.5) / (2.0 * math.sqrt(alpha)), rhs,
+        return (math.pi ** (-1.5) / (2.0 * math.sqrt(a)), rhs,
                 {"quad_err": 0.5 * math.pi * series_err, "series_tail": 0.5 * math.pi * tail_err})
 
-    return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alphas, N, spec, tolerance, row)
+    return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alpha, N, spec, tolerance, row)
 
 
-def verify_bessel_hurwitz_sum(alpha: float, z, terms: int = 8,
+def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5, terms: int = 50,
                               spec: Optional[QuadratureSpec] = None,
-                              tolerance: float = 1e-5) -> VerificationReport:
+                              tolerance: float = 1e-5) -> VerificationReport | list:
     """pi^{z+1/2} Gamma((z+3)/2) sum sigma_{-z}(n) n^{z+1} I_n(z) versus
     (alpha^{z/2}/2^{z+2}) Gamma(z+1) sum_m lambda(m alpha, z); the printed
     bracket's (m alpha)^{-z}/2 reading diverges, the lambda reading is used.
     I_n(z) integrates x^{1+z/2} K_{z/2}(2 alpha x) (x^2 + pi^2 n^2)^{-(z+3)/2}:
-    the divisor-K series with the single K weight (_divisor_k_series)."""
+    the divisor-K series with the single K weight (_divisor_k_series).  Both
+    sides are per alpha."""
     z = _check_z(z, "0 < Re z < 1")
-    _check_domain([alpha], terms)
+    _check_domain(_alphas(alpha), terms)
     spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     N = max(int(terms), 2)
-    series, quad_err, tail_err = _divisor_k_series(alpha, z, N, spec, both=False)
-    pref_l = math.pi ** (z + 0.5) * gamma(0.5 * (z + 3.0))
-    lhs = pref_l * series
-    lam, resid, mag = lambda_sum(alpha, z, N)
-    pref_r = alpha ** (0.5 * z) / 2.0 ** (z + 2.0) * gamma(z + 1.0)
-    rhs = pref_r * lam
-    budgets = {"quad_err": abs(pref_l) * quad_err,
-               "series_tail": abs(pref_l) * tail_err,
-               "em_residual": abs(pref_r) * resid,
-               "eval_err": _EVAL_ULPS * abs(pref_r) * mag}
-    params = {"z": [z.real, z.imag], "alpha": alpha, "terms": N}
-    return _report("bessel-hurwitz-sum", params, lhs, rhs, budgets, tolerance,
-                   real_inputs=(z.imag == 0.0))
+    pref_l, gamma_z1 = math.pi ** (z + 0.5) * gamma(0.5 * (z + 3.0)), gamma(z + 1.0)
+
+    def row(col, a):
+        series, quad_err, tail_err = _divisor_k_series(a, z, N, spec, both=False)
+        lam, resid, mag = lambda_sum(a, z, N)
+        pref_r = a ** (0.5 * z) / 2.0 ** (z + 2.0) * gamma_z1
+        budgets = {"quad_err": abs(pref_l) * quad_err,
+                   "series_tail": abs(pref_l) * tail_err,
+                   "em_residual": abs(pref_r) * resid,
+                   "eval_err": _EVAL_ULPS * abs(pref_r) * mag}
+        params = {"z": [z.real, z.imag], "alpha": a, "terms": N}
+        return _report("bessel-hurwitz-sum", params, pref_l * series, pref_r * lam, budgets,
+                       tolerance, real_inputs=(z.imag == 0.0))
+
+    return _rows(alpha, row)
 
 
-def verify_mellin_k(s, nu, q: float, spec: Optional[QuadratureSpec] = None,
+def verify_mellin_k(s=2.0, nu=0.0, q: float = 1.0, spec: Optional[QuadratureSpec] = None,
                     tolerance: float = 1e-9) -> VerificationReport:
     """Integral of x^{s-1} K_nu(q x) versus 2^{s-2} q^{-s} Gamma((s-nu)/2) Gamma((s+nu)/2)."""
     s, nu = complex(s), complex(nu)
@@ -652,36 +619,38 @@ def verify_mellin_k(s, nu, q: float, spec: Optional[QuadratureSpec] = None,
                    real_inputs=(s.imag == 0.0 and nu.imag == 0.0))
 
 
-def verify_laplace_bessel(alpha: float, y: float, z,
+def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5,
                           spec: Optional[QuadratureSpec] = None,
-                          tolerance: float = 1e-9) -> VerificationReport:
+                          tolerance: float = 1e-9) -> VerificationReport | list:
     """Integral of e^{-2 pi alpha x} x^{z/2} J_z(4 pi sqrt(xy)) versus
-    e^{-2 pi y/alpha} y^{z/2} / (2 pi alpha^{z+1})."""
+    e^{-2 pi y/alpha} y^{z/2} / (2 pi alpha^{z+1}), one integral per alpha."""
     z = complex(z)
     if z.imag != 0.0:
         raise DomainError("real z only (real-order J)")
     zr = z.real
     if zr <= -1.0:
         raise DomainError("Re z > -1 required")
-    if alpha <= 0.0 or y <= 0.0:
+    if any(a <= 0.0 for a in _alphas(alpha)) or y <= 0.0:
         raise DomainError("alpha > 0 and y > 0 required")
     spec = spec or QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
     c = 4.0 * math.pi * math.sqrt(y)
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-2.0 * math.pi * alpha * x) * np.power(x, 0.5 * zr) * bessel_j(zr, c * np.sqrt(x))
+    def row(col, a):
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            return np.exp(-2.0 * math.pi * a * x) * np.power(x, 0.5 * zr) * bessel_j(zr, c * np.sqrt(x))
 
-    r = integrate_half_line(f, 2.0 * math.pi * alpha, spec)
-    lhs = r.value
-    rhs = math.exp(-2.0 * math.pi * y / alpha) * y ** (0.5 * zr) / (2.0 * math.pi * alpha ** (zr + 1.0))
-    budgets = {"quad_err": r.err_estimate, "truncation": r.truncation_bound}
-    params = {"alpha": alpha, "y": y, "z": [zr, 0.0]}
-    return _report("laplace-bessel", params, lhs, rhs, budgets, tolerance,
-                   real_inputs=True)
+        r = integrate_half_line(f, 2.0 * math.pi * a, spec)
+        rhs = math.exp(-2.0 * math.pi * y / a) * y ** (0.5 * zr) / (2.0 * math.pi * a ** (zr + 1.0))
+        budgets = {"quad_err": r.err_estimate, "truncation": r.truncation_bound}
+        params = {"alpha": a, "y": y, "z": [zr, 0.0]}
+        return _report("laplace-bessel", params, r.value, rhs, budgets, tolerance,
+                       real_inputs=True)
+
+    return _rows(alpha, row)
 
 
-def verify_omega_self_reciprocal(x: float, z, terms: int = 500,
+def verify_omega_self_reciprocal(x: float = 1.0, z=0.5, terms: int = 50,
                                  spec: Optional[QuadratureSpec] = None,
                                  tolerance: float = 1e-6) -> VerificationReport:
     """J_z transform of Omega(y,z) - zeta(z) y^{z/2-1}/(2 pi) reproduces the
@@ -750,18 +719,11 @@ def _omega_laplace_columns(cols, z: complex, spec: QuadratureSpec):
     return r.value, r.total_error
 
 
-def verify_omega_modular(alpha: float, z, spec: Optional[QuadratureSpec] = None,
-                         tolerance: float = 1e-6) -> VerificationReport:
+def verify_omega_modular(alpha=1.0, z=0.5, spec: Optional[QuadratureSpec] = None,
+                         tolerance: float = 1e-6) -> VerificationReport | list:
     """alpha^{(z+1)/2} times the Omega Laplace integral is invariant under
-    alpha -> 1/alpha."""
-    return _single(omega_modular_grid([alpha], z, spec, tolerance))
-
-
-def omega_modular_grid(alphas, z, spec: Optional[QuadratureSpec] = None,
-                       tolerance: float = 1e-6) -> list:
-    """verify_omega_modular at every alpha of a grid, from one vector
-    Laplace integral whose columns are the alphas, then their reciprocals
-    (_modular_grid)."""
+    alpha -> 1/alpha, from one vector Laplace integral whose columns are the
+    alphas, then their reciprocals (_modular_grid)."""
     z = _check_z(z, "|Re z| < 1", zero_ok=True)
 
     def F(points):
@@ -772,39 +734,32 @@ def omega_modular_grid(alphas, z, spec: Optional[QuadratureSpec] = None,
                                **({"pole_averaging": np.full(len(points), 0.5e-7)}
                                   if abs(z) < 1e-12 else {})}
 
-    return _modular_grid("omega-modular", F, z, alphas, tolerance)
+    return _modular_grid("omega-modular", F, z, alpha, tolerance)
 
 
-def verify_omega_laplace(alpha: float, z, terms: int = 50,
+def verify_omega_laplace(alpha=1.0, z=0.5, terms: int = 50,
                          spec: Optional[QuadratureSpec] = None,
-                         tolerance: float = 1e-6) -> VerificationReport:
+                         tolerance: float = 1e-6) -> VerificationReport | list:
     """The Omega Laplace integral versus Gamma(z+1)/(2 pi)^{z+1} times the
     tail-corrected lambda combination; the boundary terms appear once (the
-    printed form repeats them inside the sum, which diverges)."""
-    return _single(omega_laplace_grid([alpha], z, terms, spec, tolerance))
-
-
-def omega_laplace_grid(alphas, z, terms: int = 50,
-                       spec: Optional[QuadratureSpec] = None,
-                       tolerance: float = 1e-6) -> list:
-    """verify_omega_laplace at every alpha of a grid, from one vector
-    Laplace integral with a column per alpha and one _hurwitz_F call, so
-    an error in either fails every row; returns one report per alpha."""
+    printed form repeats them inside the sum, which diverges).  One vector
+    Laplace integral with a column per alpha and one _hurwitz_F call."""
+    alphas = _alphas(alpha)
     z = _check_z(z, "0 < Re z < 1")
     _check_domain(alphas, terms)
     values, errs = _omega_laplace_columns(alphas, z, spec)
     rhs, rhs_budgets = _hurwitz_F(z, alphas, terms, gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0))
 
-    def row(col, alpha):
+    def row(col, a):
         budgets = {"quad_err": float(errs[col]), **{k: v[col] for k, v in rhs_budgets.items()}}
-        params = {"alpha": alpha, "z": [z.real, z.imag], "terms": terms}
+        params = {"alpha": a, "z": [z.real, z.imag], "terms": terms}
         return _report("omega-laplace", params, complex(values[col]), rhs[col], budgets,
                        tolerance, real_inputs=(z.imag == 0.0))
 
-    return _rows(alphas, row)
+    return _rows(alpha, row)
 
 
-def verify_pair_reciprocity(pair: ReciprocalPair, z, x: float,
+def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5, x: float = 1.0,
                             spec: Optional[QuadratureSpec] = None,
                             tolerance: float = 1e-6) -> VerificationReport:
     """phi(x) versus 2 * transform of psi at x (factor-2, argument-4sqrt(tx)
@@ -870,40 +825,32 @@ def _current(fn: Callable) -> Callable:
 
 @dataclass(frozen=True)
 class IdentityEntry:
-    """runner(**args, spec=None, tolerance=...) gives one report.  Its
-    parameters before spec are the CLI's flags (arg_names), and its
-    tolerance default is the identity's tolerance.  grid(alphas, **args
-    without alpha, tolerance=...), when set, gives the whole sweep at
-    once."""
+    """runner(**args, spec=None, tolerance=...) gives one report, or with a
+    sequence for alpha one per alpha (the module's rule).  Its parameters
+    before spec are the CLI's flags, with their defaults (defaults), and
+    its tolerance default is the identity's tolerance."""
 
     runner: Callable
     summary: str
-    grid: Optional[Callable] = None
-    arg_names: tuple = field(init=False)
+    defaults: dict = field(init=False)
     tolerance: float = field(init=False)
 
     def __post_init__(self):
         params = inspect.signature(self.runner).parameters
         names = list(params)
-        object.__setattr__(self, "arg_names", tuple(names[:names.index("spec")]))
+        object.__setattr__(self, "defaults", {name: params[name].default
+                                              for name in names[:names.index("spec")]})
         object.__setattr__(self, "tolerance", params["tolerance"].default)
 
-    def verify(self, args: dict, tolerance: float) -> VerificationReport:
+    @property
+    def arg_names(self) -> tuple:
+        return tuple(self.defaults)
+
+    def verify(self, args: dict, tolerance: float):
         return _current(self.runner)(**args, tolerance=tolerance)
 
-    def sweep(self, args: dict, alphas, tolerance: float) -> list:
-        """One report per alpha, or in its place the KoshliakovError that
-        row raised; an error it raises fails every row.  Without a grid,
-        each row is its own runner call."""
-        fixed = {k: v for k, v in args.items() if k != "alpha"}
-        if self.grid is not None:
-            return _current(self.grid)(alphas, **fixed, tolerance=tolerance)
-        runner = _current(self.runner)
-        return _rows(alphas, lambda col, alpha: runner(**fixed, alpha=alpha,
-                                                       tolerance=tolerance))
 
-
-def _run_pair(pair: str, pair_alpha: float, z, x: float,
+def _run_pair(pair: str = "k-bessel", pair_alpha: float = 2.0, z=0.5, x: float = 1.0,
               spec: Optional[QuadratureSpec] = None,
               tolerance: float = 1e-6) -> VerificationReport:
     """verify_pair_reciprocity with the pair named as the CLI names it."""
@@ -919,28 +866,22 @@ def _run_pair(pair: str, pair_alpha: float, z, x: float,
 IDENTITIES: dict = {
     "rg-corollary": IdentityEntry(
         verify_rg_corollary,
-        "Xi-pair integral vs the modular K-Bessel combination",
-        rg_corollary_grid),
+        "Xi-pair integral vs the modular K-Bessel combination"),
     "rg-corollary-z0": IdentityEntry(
         verify_rg_corollary_z0,
-        "z=0 corollary: Xi^2 integral vs divisor Theta series",
-        rg_corollary_z0_grid),
+        "z=0 corollary: Xi^2 integral vs divisor Theta series"),
     "rg-formula": IdentityEntry(
         verify_rg_formula,
-        "modular invariance of the K-Bessel combination",
-        rg_formula_grid),
+        "modular invariance of the K-Bessel combination"),
     "hurwitz-corollary": IdentityEntry(
         verify_hurwitz_corollary,
-        "Gamma-weighted Xi-pair integral vs the Hurwitz lambda combination",
-        hurwitz_corollary_grid),
+        "Gamma-weighted Xi-pair integral vs the Hurwitz lambda combination"),
     "hurwitz-corollary-z0": IdentityEntry(
         verify_hurwitz_corollary_z0,
-        "z=0 corollary: |Gamma|^2 Xi^2 integral vs n d(n) Theta moments",
-        hurwitz_corollary_z0_grid),
+        "z=0 corollary: |Gamma|^2 Xi^2 integral vs n d(n) Theta moments"),
     "hurwitz-modular": IdentityEntry(
         verify_hurwitz_modular,
-        "modular invariance of the Hurwitz lambda combination",
-        hurwitz_modular_grid),
+        "modular invariance of the Hurwitz lambda combination"),
     "mellin-k": IdentityEntry(
         verify_mellin_k,
         "Mellin transform of K_nu vs Gamma product closed form"),
@@ -952,12 +893,10 @@ IDENTITIES: dict = {
         "Omega combination is self-reciprocal under the J_z transform"),
     "omega-modular": IdentityEntry(
         verify_omega_modular,
-        "alpha^{(z+1)/2} Omega Laplace integral invariant under alpha -> 1/alpha",
-        omega_modular_grid),
+        "alpha^{(z+1)/2} Omega Laplace integral invariant under alpha -> 1/alpha"),
     "omega-laplace": IdentityEntry(
         verify_omega_laplace,
-        "Omega Laplace integral vs the lambda combination closed form",
-        omega_laplace_grid),
+        "Omega Laplace integral vs the lambda combination closed form"),
     "bessel-hurwitz-sum": IdentityEntry(
         verify_bessel_hurwitz_sum,
         "K-weighted divisor series vs the lambda series closed form"),

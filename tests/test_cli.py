@@ -1,7 +1,11 @@
 """CLI end-to-end: exit codes, JSON schema, CSV byte-stability, SVG."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -9,7 +13,7 @@ import pytest
 
 from koshliakov import identities
 from koshliakov.cli import main, parse_complex_literal
-from koshliakov.errors import ConvergenceError, DomainError
+from koshliakov.errors import ConvergenceError
 from koshliakov.identities import IDENTITIES
 from koshliakov.reporting import CSV_HEADER
 
@@ -217,15 +221,15 @@ def test_sweep_inapplicable_flag_usage(capsys):
 
 def test_sweep_partial_failure_nan_rows(tmp_path, capsys, monkeypatch):
     # A row that raises records nan fields and forces a nonzero exit
-    # (laplace-bessel sweeps one verify per row).
-    orig = identities.verify_laplace_bessel
+    # (laplace-bessel integrates each row on its own, at rate 2 pi alpha).
+    orig = identities.integrate_half_line
 
-    def flaky(alpha, y, z, spec=None, tolerance=1e-9):
-        if alpha > 1.0:
-            raise DomainError("synthetic failure")
-        return orig(alpha, y, z, spec=spec, tolerance=tolerance)
+    def flaky(f, rate, spec=None):
+        if rate > 2.0 * np.pi:
+            raise ConvergenceError("synthetic failure")
+        return orig(f, rate, spec)
 
-    monkeypatch.setattr(identities, "verify_laplace_bessel", flaky)
+    monkeypatch.setattr(identities, "integrate_half_line", flaky)
     out = tmp_path / "d.csv"
     code = main(["sweep", "laplace-bessel", "--z", "0.5", "--alpha-min", "0.5",
                  "--alpha-max", "2", "--steps", "3", "--out", str(out)])
@@ -234,6 +238,59 @@ def test_sweep_partial_failure_nan_rows(tmp_path, capsys, monkeypatch):
     assert len(lines) == 4
     assert "nan" in lines[-1] and "nan" in lines[-2]
     assert "nan" not in lines[1]
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("rg-corollary", ["--z", "1.5"]),
+    ("rg-corollary", ["--terms", "0"]),
+    ("laplace-bessel", ["--z=-2"])])
+def test_sweep_input_error_exits_3_like_verify(name, flags, tmp_path, capsys):
+    # An input error raised by the sweep's one verifier call is verify's
+    # error: the same message, exit 3 and no CSV.
+    assert main(["verify", name, *flags]) == 3
+    message = capsys.readouterr().err
+    out = tmp_path / "s.csv"
+    assert main(["sweep", name, *flags, "--alpha-min=0.5", "--alpha-max=2",
+                 "--steps=3", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == message and message.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(name for name, entry in IDENTITIES.items()
+                                        if "alpha" in entry.arg_names))
+def test_sweep_is_one_verifier_call(name, capsys, monkeypatch):
+    # The whole grid goes to the identity's verifier in one call.
+    runner = IDENTITIES[name].runner.__name__
+    orig = getattr(identities, runner)
+    calls = []
+
+    def counted(**kwargs):
+        calls.append(kwargs["alpha"])
+        return orig(**kwargs)
+
+    monkeypatch.setattr(identities, runner, counted)
+    assert main(["sweep", name, "--alpha-min=0.5", "--alpha-max=2",
+                 "--steps=3"]) in (0, 2)
+    assert calls == [[0.5, 1.25, 2.0]]
+    assert len(capsys.readouterr().out.strip().split("\n")) == 4
+
+
+@pytest.mark.parametrize("name,verifier", [("hurwitz-modular", "verify_hurwitz_modular"),
+                                           ("omega-laplace", "verify_omega_laplace")])
+def test_traced_sweep_sees_its_verifier(name, verifier, tmp_path):
+    # The benchmark's tracer wraps the verify_* functions, so a sweep shows
+    # up under its verifier's span.
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_child.py"), str(spans), "j", "--",
+         "sweep", name, "--alpha-min=0.5", "--alpha-max=2", "--steps=2"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(spans.read_text())
+    assert f"identities.{verifier}" in {doc["names"][span[0]] for span in doc["spans"]}
 
 
 _HZ_SWEEP = ["sweep", "hurwitz-corollary", "--z=-0.4+0.3i", "--alpha-min",
@@ -363,7 +420,7 @@ def test_rg_formula_sweep_is_one_f_frak_call(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("alpha,z", [(0.25, -0.6), (1.0, 0.0), (2.0, 0.3 + 0.2j)])
 def test_omega_modular_grid_of_one_alpha_is_the_verify(alpha, z):
-    assert identities.omega_modular_grid([alpha], z)[0] == \
+    assert identities.verify_omega_modular([alpha], z)[0] == \
         identities.verify_omega_modular(alpha, z)
 
 
@@ -461,7 +518,7 @@ def test_terms_below_one_is_a_domain_error(name, capsys):
     if "alpha" not in IDENTITIES[name].arg_names:
         return
     assert main(["sweep", name, "--terms=0", "--alpha-min=0.5",
-                 "--alpha-max=2", "--steps=3"]) == 2
-    rows = capsys.readouterr().out.strip().split("\n")[1:]
-    assert len(rows) == 3
-    assert all(row.split(",")[1:] == ["nan"] * 6 for row in rows)
+                 "--alpha-max=2", "--steps=3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "koshliakov: error: terms must be >= 1\n"

@@ -14,11 +14,6 @@ from koshliakov.errors import DomainError, NearPoleError
 from koshliakov.identities import (IDENTITIES, _hurwitz_F, _k_series_tail,
                                    _oscillatory_tail, _report,
                                    f_frak, _theta_pair_inner,
-                                   hurwitz_corollary_grid,
-                                   hurwitz_corollary_z0_grid,
-                                   hurwitz_modular_grid,
-                                   rg_corollary_grid, rg_corollary_z0_grid,
-                                   rg_formula_grid,
                                    verify_bessel_hurwitz_sum,
                                    verify_hurwitz_corollary,
                                    verify_hurwitz_corollary_z0,
@@ -79,7 +74,7 @@ def test_rg_z0_direct():
 
 def test_rg_formula():
     for z, alpha in ((0.3 + 0.2j, 2.0), (-0.6, 1.5)):
-        r = verify_rg_formula(z, alpha)
+        r = verify_rg_formula(z, alpha, 10)
         assert r.passed and r.rel_diff < 1e-12
 
 
@@ -100,7 +95,7 @@ def test_hurwitz_modular_grid_rows_are_the_verifies():
     # the report its own verify gives, bit for bit.
     alphas = list(np.arange(0.25, 4.0 + 1e-12, 0.1875))
     for z in (0.5, -0.4 + 0.3j):
-        rows = hurwitz_modular_grid(alphas, z, 50)
+        rows = verify_hurwitz_modular(z, alphas, 50)
         assert rows == [verify_hurwitz_modular(z, alpha, 50) for alpha in alphas]
         assert all(r.passed for r in rows)
 
@@ -110,7 +105,7 @@ def test_rg_formula_grid_rows_are_the_verifies():
     # table, sliced per alpha) gives each row its own verify's report.
     alphas = list(np.arange(0.25, 4.0 + 1e-12, 0.1875))
     for z in (0.5, 0.3 + 0.2j):
-        rows = rg_formula_grid(alphas, z, 10)
+        rows = verify_rg_formula(z, alphas, 10)
         assert rows == [verify_rg_formula(z, alpha, 10) for alpha in alphas]
         assert all(r.passed for r in rows)
 
@@ -129,7 +124,7 @@ def test_f_frak_bounds_cover_the_oracle(golden):
         tail, eval_err = budgets["series_tail"], budgets["eval_err"]
         assert 0.0 < eval_err < 1e-12
         assert abs(value - scale * golden[key]) <= tail + eval_err, key
-    r = verify_rg_formula(0.5, 1.4375)
+    r = verify_rg_formula(0.5, 1.4375, 10)
     assert r.budgets["eval_err"] > 0.0 and r.abs_diff <= sum(r.budgets.values())
     r = verify_rg_corollary(z=0.5, alpha=1.4375, terms=10)
     assert r.budgets["eval_err"] > 0.0
@@ -230,7 +225,7 @@ def test_laplace_bessel():
 
 
 def test_omega_self_reciprocal():
-    r = verify_omega_self_reciprocal(1.0, 0.3)
+    r = verify_omega_self_reciprocal(1.0, 0.3, 500)
     assert r.passed and r.rel_diff < 1e-9
 
 
@@ -416,13 +411,13 @@ _GRID = list(np.geomspace(0.25, 4.0, 7))
 
 
 @pytest.mark.parametrize("grid, single", [
-    (lambda: rg_corollary_grid(_GRID, 0.3 + 0.2j, 50),
+    (lambda: verify_rg_corollary(0.3 + 0.2j, _GRID, 50),
      lambda a: verify_rg_corollary(0.3 + 0.2j, a, 50)),
-    (lambda: rg_corollary_z0_grid(_GRID, 50),
+    (lambda: verify_rg_corollary_z0(_GRID, 50),
      lambda a: verify_rg_corollary_z0(a, 50)),
-    (lambda: hurwitz_corollary_grid(_GRID, -0.4 + 0.3j, 50),
+    (lambda: verify_hurwitz_corollary(-0.4 + 0.3j, _GRID, 50),
      lambda a: verify_hurwitz_corollary(-0.4 + 0.3j, a, 50)),
-    (lambda: hurwitz_corollary_z0_grid(_GRID, 20),
+    (lambda: verify_hurwitz_corollary_z0(_GRID, 20),
      lambda a: verify_hurwitz_corollary_z0(a, 20)),
 ], ids=["rg-corollary", "rg-corollary-z0", "hurwitz-corollary",
         "hurwitz-corollary-z0"])
@@ -440,7 +435,7 @@ def test_grid_rows_agree_with_single_alpha(grid, single):
 
 
 def test_rg_grid_dispatches_z0():
-    rows = rg_corollary_grid([0.5, 2.0], 0.0, 20)
+    rows = verify_rg_corollary(0.0, [0.5, 2.0], 20)
     assert [r.identity_id for r in rows] == ["rg-corollary-z0"] * 2
 
 
