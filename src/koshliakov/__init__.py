@@ -8,7 +8,7 @@ return immutable reports with explicit error budgets.  `cli` wraps the
 registry for shell use; `reporting` renders reports to JSON/CSV/SVG.
 """
 
-from .arith import DivisorTable, build_table, divisor_count, sigma
+from .arith import build_table, divisor_count, sigma
 from .errors import (ConvergenceError, DecayError, DomainError,
                      KoshliakovError, LimitError, NearPoleError, PoleError)
 from .identities import (IDENTITIES, IdentityEntry, VerificationReport,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EULER_GAMMA", "IDENTITIES", "IdentityEntry", "ConvergenceError",
-    "DecayError", "DivisorTable", "DomainError", "ExpDecay",
+    "DecayError", "DomainError", "ExpDecay",
     "KoshliakovError", "LimitError", "NearPoleError", "PoleError",
     "QuadratureResult", "QuadratureSpec", "ReciprocalPair",
     "VerificationReport", "bessel_j", "bessel_k",

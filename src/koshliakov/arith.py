@@ -1,8 +1,6 @@
-"""Divisor sums sigma_a(n) for complex exponents, plus sieve-built tables."""
+"""Divisor sums sigma_a(n) for complex exponents, plus sieve-built arrays."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,41 +36,19 @@ def divisor_count(n: int) -> int:
     return int(round(sigma(0.0, n).real))
 
 
-@dataclass(frozen=True)
-class DivisorTable:
-    """Immutable 1-indexed table of sigma_a values; values[0] is unused."""
-
-    exponent: complex
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> complex:
-        if not 1 <= n <= self.n_max:
-            raise DomainError(f"table covers 1..{self.n_max}, got {n}")
-        return complex(self.values[n])
-
-    def slice(self, n_max: int) -> np.ndarray:
-        """values[1..n_max] as an array, for vectorized series."""
-        if n_max > self.n_max:
-            raise DomainError(f"table covers 1..{self.n_max}, got {n_max}")
-        return self.values[1:n_max + 1]
-
-
-def build_table(a, n_max: int) -> DivisorTable:
-    """Sieve sigma_a(n) for all n <= n_max: each divisor d adds d**a to
-    its multiples, O(N log N) additions with one power per d."""
+def build_table(a, n_max: int) -> np.ndarray:
+    """sigma_a(1..n_max) as a complex array (entry n - 1 is sigma_a(n)),
+    by a sieve: each divisor d adds d**a to its multiples, O(N log N)
+    additions with one power per d."""
     n_max = int(n_max)
     if n_max < 1:
         raise DomainError("build_table requires n_max >= 1")
     if n_max > _TABLE_LIMIT:
         raise LimitError(f"table size {n_max} exceeds the {_TABLE_LIMIT} bound")
     a = complex(a)
-    vals = np.zeros(n_max + 1, dtype=complex)
+    vals = np.zeros(n_max, dtype=complex)
     for d in range(1, n_max + 1):
-        vals[d::d] += complex(d) ** a
+        vals[d - 1::d] += complex(d) ** a
     if a.imag == 0.0:
         vals = vals.real + 0.0j
-    return DivisorTable(exponent=a, values=vals)
+    return vals

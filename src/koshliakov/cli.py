@@ -8,13 +8,15 @@ the registered identities.
 Exit codes: 0 pass, 2 verification failure (or failed sweep rows; a
 convergence failure in the work a sweep's rows share fails every row),
 3 domain/convergence error (in `sweep` too for an input error, with the
-message `verify` prints), 64 usage error.  Complex flags accept
-sign-delimited literals such as `0.5+0.25i`.
+message `verify` prints), 64 usage error (a nan or inf float or complex
+flag among them).  Complex flags accept sign-delimited literals such as
+`0.5+0.25i`.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
@@ -74,9 +76,24 @@ _EVAL_PARAMS: dict = {"s": "complex", "a": "complex", "t": "complex", "nu": "com
 _EVAL_DEFAULTS: dict = {"s": 2.0 + 0.0j, "a": 1.0 + 0.0j, "t": 0.0 + 0.0j, "nu": 0.0,
                         "z": 0.5 + 0.0j, "x": 1.0, "n": 1, "terms": 500,
                         "mode": "partial-fraction"}
+# The eval flags parsed as complex that these functions take real.
+_EVAL_REAL: dict = {"x": ("li", "kernel", "omega", "lambda", "bessel-j", "bessel-y"),
+                    "nu": ("bessel-j", "bessel-y")}
 
-_KIND_TYPES = {"complex": parse_complex_literal, "float": float, "int": int,
-               "str": str}
+
+def _finite(parse):
+    """parse, rejecting nan and inf, which no identity or function takes."""
+    def parsed(text):
+        value = parse(text)
+        if not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        return value
+    parsed.__name__ = parse.__name__     # argparse's "invalid <name> value"
+    return parsed
+
+
+_KIND_TYPES = {"complex": _finite(parse_complex_literal), "float": _finite(float),
+               "int": int, "str": str}
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, kinds: dict,
@@ -261,21 +278,14 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         if args.command == "eval":
-            # eval accepts complex --x for bessel-k; real-only consumers
-            # reject an imaginary part themselves.
-            if getattr(args, "x", None) is not None and args.function in (
-                    "li", "kernel", "omega", "lambda", "bessel-j",
-                    "bessel-y"):
-                if args.x.imag != 0.0:
-                    raise _UsageError(f"--x must be real for "
-                                      f"{args.function}")
-                args.x = args.x.real
-            if getattr(args, "nu", None) is not None and args.function in (
-                    "bessel-j", "bessel-y"):
-                if args.nu.imag != 0.0:
-                    raise _UsageError(f"--nu must be real for "
-                                      f"{args.function}")
-                args.nu = args.nu.real
+            # eval accepts complex --x and --nu for bessel-k; a function
+            # that takes them real refuses an imaginary part.
+            for name, functions in _EVAL_REAL.items():
+                value = getattr(args, name, None)
+                if value is not None and args.function in functions:
+                    if value.imag != 0.0:
+                        raise _UsageError(f"--{name} must be real for {args.function}")
+                    setattr(args, name, value.real)
             return cmd_eval(args)
         if args.command == "list":
             return cmd_list(args)

@@ -1,8 +1,8 @@
 """Error taxonomy for the numerical layer.
 
 Poles, domain violations and convergence failures are reported as typed
-exceptions, never as NaN/Inf return values.  Each class carries a stable
-short code used by the CLI when mapping failures to exit status 3.
+exceptions, never as NaN/Inf return values.  The CLI prints their
+message and exits 3, except where a sweep records a failed row instead.
 """
 
 from __future__ import annotations
@@ -11,42 +11,28 @@ from __future__ import annotations
 class KoshliakovError(Exception):
     """Base class for all library errors."""
 
-    code = "E_INTERNAL"
-
 
 class PoleError(KoshliakovError):
     """Evaluation requested at (or within tolerance of) a pole."""
-
-    code = "E_POLE"
 
 
 class NearPoleError(KoshliakovError):
     """Parameter in the numerically unstable annulus around a removable
     singularity; the caller must use the dedicated limit branch."""
 
-    code = "E_NEAR_POLE"
-
 
 class DomainError(KoshliakovError):
     """Argument outside the documented domain of the operation."""
 
-    code = "E_DOMAIN"
-
 
 class LimitError(KoshliakovError):
     """Requested size exceeds a configured resource bound."""
-
-    code = "E_LIMIT"
 
 
 class ConvergenceError(KoshliakovError):
     """Quadrature or series failed to meet the error budget within the
     allowed work."""
 
-    code = "E_NOCONV"
-
 
 class DecayError(KoshliakovError):
     """Supplied tail-decay model cannot certify a finite truncation."""
-
-    code = "E_DECAY"

@@ -140,8 +140,16 @@ def _xi_pair(t: np.ndarray, z: complex) -> np.ndarray:
     return a * (a.conjugate() if z.imag == 0.0 else big_xi(0.5 * (t - 1j * z)))
 
 
-# The default accuracy of the four Xi-pair integrals.
+# Each identity's quadrature accuracy, read when its verifier runs: the
+# four Xi-pair integrals (with the divisor-K series of
+# hurwitz-corollary-z0), then the other identities' integrals.
 _XI_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
+_BESSEL_HURWITZ_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+_MELLIN_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+_LAPLACE_BESSEL_SPEC = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+_OMEGA_SELF_RECIPROCAL_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+_OMEGA_LAPLACE_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
+_PAIR_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
 
 
 def _alphas(alpha) -> list:
@@ -166,11 +174,11 @@ def _rows(alpha, row: Callable):
 
 
 def _xi_grid(identity_id: str, z: complex, g: Callable, alpha, terms: int,
-             spec: Optional[QuadratureSpec], tolerance: float, row: Callable):
+             tolerance: float, row: Callable):
     """The report(s) of a Xi-pair identity at alpha (_rows), from one vector
     integral over [0, T] of the Xi pair against g(t) cos(t log(alpha)/2), a
-    column per alpha (spec defaults to _XI_SPEC): g(t), the alpha-free part
-    of the weight, and the Xi pair are evaluated once per node.  The Xi pair
+    column per alpha, to _XI_SPEC: g(t), the alpha-free part of the
+    weight, and the Xi pair are evaluated once per node.  The Xi pair
     decays at least like exp(-pi t/4) and |g(T)| must bound |g| on
     [T, inf): with the cosine replaced by 1 that bounds every column's
     discarded piece (xi_cutoff).  row(col, alpha) gives the lhs prefactor,
@@ -181,7 +189,7 @@ def _xi_grid(identity_id: str, z: complex, g: Callable, alpha, terms: int,
     def f(t):
         return (_xi_pair(t, z) * g(t))[:, None] * np.cos(0.5 * np.multiply.outer(t, la))
 
-    res = integrate_finite(f, 0.0, T, spec or _XI_SPEC)
+    res = integrate_finite(f, 0.0, T, _XI_SPEC)
     end = np.array([T])
     trunc = abs(complex(_xi_pair(end, z)[0])) * abs(complex(g(end)[0])) * (4.0 / math.pi) * 5.0
 
@@ -319,7 +327,7 @@ def f_frak(z: complex, alpha, terms: int):
     for a, n_eff in zip(alphas, n_effs):
         c = 2.0 * math.pi * a
         n = np.arange(1, n_eff + 1, dtype=float)
-        series_terms = table.slice(n_eff) * np.power(n, 0.5 * z) * bessel_k(0.5 * z, c * n)
+        series_terms = table[:n_eff] * np.power(n, 0.5 * z) * bessel_k(0.5 * z, c * n)
         a_term = a ** (0.5 * z - 1.0) * math.pi ** (-0.5 * z) * ga * za
         b_term = a ** (-0.5 * z - 1.0) * math.pi ** (0.5 * z) * gb * zb
         rows.append((math.sqrt(a) * (a_term + b_term - 4.0 * np.sum(series_terms)),
@@ -356,7 +364,6 @@ def _k_pair_z1(alpha: float):
 # ---------------------------------------------------------------------------
 
 def verify_rg_corollary(z=0.5, alpha=1.0, terms: int = 50,
-                        spec: Optional[QuadratureSpec] = None,
                         tolerance: float = 1e-8) -> VerificationReport | list:
     """Xi-pair integral against cos(t log(alpha)/2)/((t^2+(z+1)^2)(t^2+(z-1)^2))
     versus the modular K-Bessel combination f_frak, from one vector integral
@@ -365,20 +372,19 @@ def verify_rg_corollary(z=0.5, alpha=1.0, terms: int = 50,
     _check_domain(alphas, terms)
     z = _check_z(z, "|Re z| < 1", zero_ok=True)
     if abs(z) < 1e-12:
-        return verify_rg_corollary_z0(alpha, terms, spec, tolerance)
+        return verify_rg_corollary_z0(alpha, terms, tolerance)
     zp, zm = (z + 1.0) ** 2, (z - 1.0) ** 2
 
     def g(t):
         return 1.0 / ((t * t + zp) * (t * t + zm))
 
     frak, budgets = f_frak(z, alphas, terms)
-    return _xi_grid("rg-corollary", z, g, alpha, terms, spec, tolerance,
+    return _xi_grid("rg-corollary", z, g, alpha, terms, tolerance,
                     lambda col, a: (-(32.0 / math.pi), frak[col],
                                     {k: v[col] for k, v in budgets.items()}))
 
 
 def verify_rg_corollary_z0(alpha=1.0, terms: int = 50,
-                           spec: Optional[QuadratureSpec] = None,
                            tolerance: float = 1e-8) -> VerificationReport | list:
     """z=0 limit: (32/pi) Xi^2-integral with the K-pair Z weight versus
     sum d(n) Theta(pi n) minus the (Z'(1) + (gamma - log 4 pi) Z(1)) constant,
@@ -390,7 +396,7 @@ def verify_rg_corollary_z0(alpha=1.0, terms: int = 50,
 
     n_eff = max(terms, 8)
     n = np.arange(1, n_eff + 1, dtype=float)
-    dn = arith.build_table(0.0, n_eff).slice(n_eff).real
+    dn = arith.build_table(0.0, n_eff).real
 
     def row(col, a):
         beta = 1.0 / a
@@ -403,11 +409,10 @@ def verify_rg_corollary_z0(alpha=1.0, terms: int = 50,
                               n_eff + 1)
         return (32.0 / math.pi) / (2.0 * math.sqrt(a)), rhs, {"series_tail": tail}
 
-    return _xi_grid("rg-corollary-z0", 0.0 + 0.0j, g, alpha, n_eff, spec, tolerance, row)
+    return _xi_grid("rg-corollary-z0", 0.0 + 0.0j, g, alpha, n_eff, tolerance, row)
 
 
 def verify_rg_formula(z=0.5, alpha=1.0, terms: int = 50,
-                      spec: Optional[QuadratureSpec] = None,
                       tolerance: float = 1e-8) -> VerificationReport | list:
     """f_frak(alpha, z) = f_frak(1/alpha, z), f_frak evaluated once over the
     alphas and their reciprocals (_modular_grid)."""
@@ -417,7 +422,6 @@ def verify_rg_formula(z=0.5, alpha=1.0, terms: int = 50,
 
 
 def verify_hurwitz_corollary(z=0.5, alpha=1.0, terms: int = 50,
-                             spec: Optional[QuadratureSpec] = None,
                              tolerance: float = 1e-6) -> VerificationReport | list:
     """Gamma-weighted Xi-pair integral versus the tail-corrected
     Hurwitz-lambda combination alpha^{(z+1)/2}(sum lambda - boundary terms),
@@ -433,12 +437,11 @@ def verify_hurwitz_corollary(z=0.5, alpha=1.0, terms: int = 50,
 
     pref = 8.0 * (4.0 * math.pi) ** (0.5 * (z - 3.0)) / gamma(z + 1.0)
     F, budgets = _hurwitz_F(z, alphas, terms)
-    return _xi_grid("hurwitz-corollary", z, g, alpha, terms, spec, tolerance,
+    return _xi_grid("hurwitz-corollary", z, g, alpha, terms, tolerance,
                     lambda col, a: (pref, F[col], {k: v[col] for k, v in budgets.items()}))
 
 
 def verify_hurwitz_modular(z=0.5, alpha=1.0, terms: int = 50,
-                           spec: Optional[QuadratureSpec] = None,
                            tolerance: float = 1e-8) -> VerificationReport | list:
     """F(alpha) = F(1/alpha) for the Hurwitz-lambda combination, F evaluated
     once over the alphas and their reciprocals (_modular_grid)."""
@@ -482,7 +485,7 @@ def _divisor_k_series(alpha: float, z: complex, N: int, spec: QuadratureSpec,
     identities.  The n <= N part is one integral; the n > N remainder is
     asymptotic.  Returns (value, quadrature error, series tail bound)."""
     nn = np.arange(1, N + 1, dtype=float)
-    weights = arith.build_table(-z, N).slice(N) * nn ** (z + 1.0)
+    weights = arith.build_table(-z, N) * nn ** (z + 1.0)
     series, quad_err = _theta_pair_inner(alpha, weights, 0.5 * z, spec, both)
 
     # n > N remainder: expand (x^2+pi^2 n^2)^{-(z+3)/2} in x/(pi n), so each
@@ -514,7 +517,6 @@ def _divisor_k_series(alpha: float, z: complex, N: int, spec: QuadratureSpec,
 
 
 def verify_hurwitz_corollary_z0(alpha=1.0, terms: int = 50,
-                                spec: Optional[QuadratureSpec] = None,
                                 tolerance: float = 1e-6) -> VerificationReport | list:
     """z=0 limit with |Gamma((-1+it)/4)|^2 weight versus
     (pi/2) sum n d(n) I_n - ((gamma - log 2 pi) Z(1) + Z'(1))/2, where
@@ -522,7 +524,6 @@ def verify_hurwitz_corollary_z0(alpha=1.0, terms: int = 50,
     series at z = 0 with the Theta weight (_divisor_k_series), per alpha,
     against one vector Xi-pair integral over the alphas."""
     _check_domain(_alphas(alpha), terms)
-    spec = spec or _XI_SPEC
 
     def g(t):
         gp = gamma(-0.25 + 0.25j * t)
@@ -531,17 +532,16 @@ def verify_hurwitz_corollary_z0(alpha=1.0, terms: int = 50,
     N = max(terms, 4)
 
     def row(col, a):
-        series, series_err, tail_err = _divisor_k_series(a, 0.0, N, spec, both=True)
+        series, series_err, tail_err = _divisor_k_series(a, 0.0, N, _XI_SPEC, both=True)
         z1, z1p = _k_pair_z1(a)
         rhs = (0.5 * math.pi) * series.real - 0.5 * ((EULER_GAMMA - math.log(2.0 * math.pi)) * z1 + z1p)
         return (math.pi ** (-1.5) / (2.0 * math.sqrt(a)), rhs,
                 {"quad_err": 0.5 * math.pi * series_err, "series_tail": 0.5 * math.pi * tail_err})
 
-    return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alpha, N, spec, tolerance, row)
+    return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alpha, N, tolerance, row)
 
 
 def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5, terms: int = 50,
-                              spec: Optional[QuadratureSpec] = None,
                               tolerance: float = 1e-5) -> VerificationReport | list:
     """pi^{z+1/2} Gamma((z+3)/2) sum sigma_{-z}(n) n^{z+1} I_n(z) versus
     (alpha^{z/2}/2^{z+2}) Gamma(z+1) sum_m lambda(m alpha, z); the printed
@@ -551,12 +551,11 @@ def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5, terms: int = 50,
     sides are per alpha."""
     z = _check_z(z, "0 < Re z < 1")
     _check_domain(_alphas(alpha), terms)
-    spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     N = max(int(terms), 2)
     pref_l, gamma_z1 = math.pi ** (z + 0.5) * gamma(0.5 * (z + 3.0)), gamma(z + 1.0)
 
     def row(col, a):
-        series, quad_err, tail_err = _divisor_k_series(a, z, N, spec, both=False)
+        series, quad_err, tail_err = _divisor_k_series(a, z, N, _BESSEL_HURWITZ_SPEC, both=False)
         lam, resid, mag = lambda_sum(a, z, N)
         pref_r = a ** (0.5 * z) / 2.0 ** (z + 2.0) * gamma_z1
         budgets = {"quad_err": abs(pref_l) * quad_err,
@@ -570,7 +569,7 @@ def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5, terms: int = 50,
     return _rows(alpha, row)
 
 
-def verify_mellin_k(s=2.0, nu=0.0, q: float = 1.0, spec: Optional[QuadratureSpec] = None,
+def verify_mellin_k(s=2.0, nu=0.0, q: float = 1.0,
                     tolerance: float = 1e-9) -> VerificationReport:
     """Integral of x^{s-1} K_nu(q x) versus 2^{s-2} q^{-s} Gamma((s-nu)/2) Gamma((s+nu)/2)."""
     s, nu = complex(s), complex(nu)
@@ -578,7 +577,6 @@ def verify_mellin_k(s=2.0, nu=0.0, q: float = 1.0, spec: Optional[QuadratureSpec
         raise DomainError("q > 0 required")
     if s.real <= abs(nu.real):
         raise DomainError("Re s > |Re nu| required")
-    spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     # Deep tanh-sinh nodes reach x ~ 1e-275 where x^{s-1} underflows while
     # K_nu(qx) overflows; below x = 1e-40 the small-argument form is
     # assembled in log space instead (two-term error there is O(x^2)
@@ -610,7 +608,7 @@ def verify_mellin_k(s=2.0, nu=0.0, q: float = 1.0, spec: Optional[QuadratureSpec
                         out[tiny] += c_refl * np.exp((s - 1.0 + mu) * lx)
         return out
 
-    r = integrate_half_line(f, 0.8 * q, spec)
+    r = integrate_half_line(f, 0.8 * q, _MELLIN_SPEC)
     lhs = r.value
     rhs = 2.0 ** (s - 2.0) * q ** (-s) * gamma(0.5 * (s - nu)) * gamma(0.5 * (s + nu))
     budgets = {"quad_err": r.err_estimate, "truncation": r.truncation_bound}
@@ -620,7 +618,6 @@ def verify_mellin_k(s=2.0, nu=0.0, q: float = 1.0, spec: Optional[QuadratureSpec
 
 
 def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5,
-                          spec: Optional[QuadratureSpec] = None,
                           tolerance: float = 1e-9) -> VerificationReport | list:
     """Integral of e^{-2 pi alpha x} x^{z/2} J_z(4 pi sqrt(xy)) versus
     e^{-2 pi y/alpha} y^{z/2} / (2 pi alpha^{z+1}), one integral per alpha."""
@@ -632,7 +629,6 @@ def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5,
         raise DomainError("Re z > -1 required")
     if any(a <= 0.0 for a in _alphas(alpha)) or y <= 0.0:
         raise DomainError("alpha > 0 and y > 0 required")
-    spec = spec or QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
     c = 4.0 * math.pi * math.sqrt(y)
 
     def row(col, a):
@@ -640,7 +636,7 @@ def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5,
             x = np.asarray(x, dtype=float)
             return np.exp(-2.0 * math.pi * a * x) * np.power(x, 0.5 * zr) * bessel_j(zr, c * np.sqrt(x))
 
-        r = integrate_half_line(f, 2.0 * math.pi * a, spec)
+        r = integrate_half_line(f, 2.0 * math.pi * a, _LAPLACE_BESSEL_SPEC)
         rhs = math.exp(-2.0 * math.pi * y / a) * y ** (0.5 * zr) / (2.0 * math.pi * a ** (zr + 1.0))
         budgets = {"quad_err": r.err_estimate, "truncation": r.truncation_bound}
         params = {"alpha": a, "y": y, "z": [zr, 0.0]}
@@ -651,7 +647,6 @@ def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5,
 
 
 def verify_omega_self_reciprocal(x: float = 1.0, z=0.5, terms: int = 50,
-                                 spec: Optional[QuadratureSpec] = None,
                                  tolerance: float = 1e-6) -> VerificationReport:
     """J_z transform of Omega(y,z) - zeta(z) y^{z/2-1}/(2 pi) reproduces the
     same combination at x, divided by 2 pi.
@@ -668,7 +663,6 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5, terms: int = 50,
     if x <= 0.0:
         raise DomainError("x > 0 required")
     _check_domain(terms=terms)
-    spec = spec or QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
     c = 4.0 * math.pi * math.sqrt(x)
     Y = 14.0
 
@@ -676,8 +670,8 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5, terms: int = 50,
         y = np.asarray(y, dtype=float)
         return bessel_j(zr, c * np.sqrt(y)) * omega_combination(y, zr, terms)
 
-    head1 = tanh_sinh(f, 0.0, 1.0, spec)
-    head2 = integrate_finite(f, 1.0, Y, spec)
+    head1 = tanh_sinh(f, 0.0, 1.0, _OMEGA_SELF_RECIPROCAL_SPEC)
+    head2 = integrate_finite(f, 1.0, Y, _OMEGA_SELF_RECIPROCAL_SPEC)
 
     def g(u):
         return bessel_j(zr, u) * np.power(u, zr - 1.0)
@@ -702,24 +696,23 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5, terms: int = 50,
                    real_inputs=True)
 
 
-def _omega_laplace_columns(cols, z: complex, spec: QuadratureSpec):
+def _omega_laplace_columns(cols, z: complex):
     """Integral of e^{-2 pi c x} x^{z/2} (Omega - zeta(z) x^{z/2-1}/(2 pi))
     for every c of cols, from one vector integral: the Omega factor is
     evaluated once per node, the exponential once per node and column.
-    The tail rate is that of the smallest c; spec defaults to 1e-11
-    absolute and relative.  Returns (values, errors), one per column."""
+    The tail rate is that of the smallest c, the accuracy
+    _OMEGA_LAPLACE_SPEC.  Returns (values, errors), one per column."""
     cols = np.asarray(cols, dtype=float)
 
     def f(x):
         w = omega_combination(x, z, 500) * np.power(x, 0.5 * z)
         return w[:, None] * np.exp(-2.0 * math.pi * np.multiply.outer(x, cols))
 
-    r = integrate_half_line(f, 2.0 * math.pi * cols.min() * 0.95,
-                            spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
+    r = integrate_half_line(f, 2.0 * math.pi * cols.min() * 0.95, _OMEGA_LAPLACE_SPEC)
     return r.value, r.total_error
 
 
-def verify_omega_modular(alpha=1.0, z=0.5, spec: Optional[QuadratureSpec] = None,
+def verify_omega_modular(alpha=1.0, z=0.5,
                          tolerance: float = 1e-6) -> VerificationReport | list:
     """alpha^{(z+1)/2} times the Omega Laplace integral is invariant under
     alpha -> 1/alpha, from one vector Laplace integral whose columns are the
@@ -727,7 +720,7 @@ def verify_omega_modular(alpha=1.0, z=0.5, spec: Optional[QuadratureSpec] = None
     z = _check_z(z, "|Re z| < 1", zero_ok=True)
 
     def F(points):
-        values, errs = _omega_laplace_columns(points, z, spec)
+        values, errs = _omega_laplace_columns(points, z)
         pref = np.array([p ** (0.5 * (z + 1.0)) for p in points])
         # At z = 0 each side carries half of the averaging budget.
         return pref * values, {"quad_err": np.abs(pref) * errs,
@@ -738,7 +731,6 @@ def verify_omega_modular(alpha=1.0, z=0.5, spec: Optional[QuadratureSpec] = None
 
 
 def verify_omega_laplace(alpha=1.0, z=0.5, terms: int = 50,
-                         spec: Optional[QuadratureSpec] = None,
                          tolerance: float = 1e-6) -> VerificationReport | list:
     """The Omega Laplace integral versus Gamma(z+1)/(2 pi)^{z+1} times the
     tail-corrected lambda combination; the boundary terms appear once (the
@@ -747,7 +739,7 @@ def verify_omega_laplace(alpha=1.0, z=0.5, terms: int = 50,
     alphas = _alphas(alpha)
     z = _check_z(z, "0 < Re z < 1")
     _check_domain(alphas, terms)
-    values, errs = _omega_laplace_columns(alphas, z, spec)
+    values, errs = _omega_laplace_columns(alphas, z)
     rhs, rhs_budgets = _hurwitz_F(z, alphas, terms, gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0))
 
     def row(col, a):
@@ -760,7 +752,6 @@ def verify_omega_laplace(alpha=1.0, z=0.5, terms: int = 50,
 
 
 def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5, x: float = 1.0,
-                            spec: Optional[QuadratureSpec] = None,
                             tolerance: float = 1e-6) -> VerificationReport:
     """phi(x) versus 2 * transform of psi at x (factor-2, argument-4sqrt(tx)
     convention), plus the mirrored psi-from-phi check.  The transform needs
@@ -773,7 +764,6 @@ def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5, x: float = 1.0,
         raise DomainError("the transform needs |Re z| < 1/2")
     if x <= 0.0:
         raise DomainError("x > 0 required")
-    spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
     if pair.label == "dixon-ferrar":
         # psi ~ -1/(4 pi t^2) decays like a power: go to T0, then sum
         # half-period segments of the oscillatory remainder in u = sqrt(t).
@@ -784,18 +774,18 @@ def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5, x: float = 1.0,
             return 2.0 * u * pair.psi(u * u, zr) * transform_kernel(zr, 4.0 * u * math.sqrt(x))
 
         T0 = 25.0
-        head = tanh_sinh(f, 0.0, 1.0, spec)
-        mid = integrate_finite(f, 1.0, T0, spec)
+        head = tanh_sinh(f, 0.0, 1.0, _PAIR_SPEC)
+        mid = integrate_finite(f, 1.0, T0, _PAIR_SPEC)
         osc, oerr = _oscillatory_tail(g, math.sqrt(T0), math.pi / (4.0 * math.sqrt(x)))
         fwd = head.value + mid.value + osc
         fwd_err = head.err_estimate + mid.err_estimate + oerr
     else:
         # psi, like phi below, decays exponentially: the first transform.
-        r = first_koshliakov_transform(lambda t: pair.psi(t, zr), zr, 4.0 * x, spec)
+        r = first_koshliakov_transform(lambda t: pair.psi(t, zr), zr, 4.0 * x, _PAIR_SPEC)
         fwd, fwd_err = r.value, r.total_error
     lhs = complex(np.asarray(pair.phi(np.array([x]), zr))[0])
     rhs = 2.0 * fwd
-    mir = first_koshliakov_transform(lambda t: pair.phi(t, zr), zr, 4.0 * x, spec)
+    mir = first_koshliakov_transform(lambda t: pair.phi(t, zr), zr, 4.0 * x, _PAIR_SPEC)
     psi_x = complex(np.asarray(pair.psi(np.array([x]), zr))[0])
     # Judged like the report's own diff: absolute where |psi(x)| < 1e-3,
     # since the transform is only accurate to an absolute 1e-11 there.
@@ -825,10 +815,10 @@ def _current(fn: Callable) -> Callable:
 
 @dataclass(frozen=True)
 class IdentityEntry:
-    """runner(**args, spec=None, tolerance=...) gives one report, or with a
-    sequence for alpha one per alpha (the module's rule).  Its parameters
-    before spec are the CLI's flags, with their defaults (defaults), and
-    its tolerance default is the identity's tolerance."""
+    """runner(**args, tolerance=...) gives one report, or with a sequence
+    for alpha one per alpha (the module's rule).  Its parameters before
+    tolerance are the CLI's flags, with their defaults (defaults), and its
+    tolerance default is the identity's tolerance."""
 
     runner: Callable
     summary: str
@@ -839,7 +829,7 @@ class IdentityEntry:
         params = inspect.signature(self.runner).parameters
         names = list(params)
         object.__setattr__(self, "defaults", {name: params[name].default
-                                              for name in names[:names.index("spec")]})
+                                              for name in names[:names.index("tolerance")]})
         object.__setattr__(self, "tolerance", params["tolerance"].default)
 
     @property
@@ -851,7 +841,6 @@ class IdentityEntry:
 
 
 def _run_pair(pair: str = "k-bessel", pair_alpha: float = 2.0, z=0.5, x: float = 1.0,
-              spec: Optional[QuadratureSpec] = None,
               tolerance: float = 1e-6) -> VerificationReport:
     """verify_pair_reciprocity with the pair named as the CLI names it."""
     if pair == "k-bessel":
@@ -860,7 +849,7 @@ def _run_pair(pair: str = "k-bessel", pair_alpha: float = 2.0, z=0.5, x: float =
         made = pair_dixon_ferrar()
     else:
         raise DomainError(f"unknown pair '{pair}' (k-bessel, dixon-ferrar)")
-    return verify_pair_reciprocity(made, z, x, spec, tolerance)
+    return verify_pair_reciprocity(made, z, x, tolerance)
 
 
 IDENTITIES: dict = {

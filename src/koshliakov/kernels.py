@@ -191,14 +191,14 @@ def _mellin_numeric(f, s: complex, spec: QuadratureSpec) -> complex:
     return integrate_half_line(integrand, rate, spec).value
 
 
-def pair_Z_numeric(pair: ReciprocalPair, s, z, spec: QuadratureSpec | None = None) -> complex:
+def pair_Z_numeric(pair: ReciprocalPair, s, z) -> complex:
     """(Mellin(phi) + Mellin(psi))(s) / (Gamma((s-z)/2) Gamma((s+z)/2))."""
     z = pair.check_z(z)
     s = complex(s)
     if s.real <= abs(z.real) + 1e-9:
         raise DomainError(
             f"Mellin strip needs Re s > |Re z|; got Re s = {s.real}, Re z = {z.real}")
-    spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     total = (_mellin_numeric(lambda x: pair.phi(x, z), s, spec)
              + _mellin_numeric(lambda x: pair.psi(x, z), s, spec))
     return total / (gamma(0.5 * (s - z)) * gamma(0.5 * (s + z)))
@@ -217,7 +217,7 @@ def _omega_definition(x: float, z: complex, n_terms: int) -> complex:
     exp(-2 sqrt(2) pi sqrt(nx))."""
     n_eff = min(n_terms, max(6, math.ceil(22.0 / x) + 4))
     n = np.arange(1, n_eff + 1, dtype=float)
-    sig = arith.build_table(-z, n_eff).slice(n_eff)
+    sig = arith.build_table(-z, n_eff)
     root = 4.0 * math.pi * np.sqrt(n * x)
     kp = bessel_k(z, root * _OMEGA_ROT)
     km = bessel_k(z, root * np.conj(_OMEGA_ROT))
@@ -250,7 +250,7 @@ class _OmegaPlan:
 # z = +-1e-4, and a sweep holds z fixed), each with at most 61 moments.
 @functools.lru_cache(maxsize=4)
 def _omega_plan(z: complex, N: int) -> _OmegaPlan:
-    sig = arith.build_table(-z, N).slice(N)
+    sig = arith.build_table(-z, N)
     sig.flags.writeable = False
     zeta_z = riemann_zeta(z)
     return _OmegaPlan(sigma=sig, gamma_zeta=gamma(z) * zeta_z, zeta_z=zeta_z,

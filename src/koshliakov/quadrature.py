@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,13 +72,12 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_panels: int = 2000
-    max_levels: int = 12
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol < 0:
             raise DomainError("tolerances must be positive")
-        if self.max_panels < 1 or self.max_levels < 2:
-            raise DomainError("panel and level budgets must allow refinement")
+        if self.max_panels < 1:
+            raise DomainError("the panel budget must allow refinement")
 
     def budget(self, magnitude):
         # fmax is max() for scalars (a nan magnitude gives abs_tol) and
@@ -240,12 +239,16 @@ def _ts_levels(a: float, b: float, max_level: int, u_max: float = 6.0):
         yield level, h, sides
 
 
+# Refinement levels of tanh_sinh after level 0.
+_TS_LEVELS = 12
+
+
 def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Double-exponential rule on [a, b]; robust to endpoint singularities.
 
     f never sees an endpoint (see _ts_levels).  For an (nodes, m)
-    integrand the levels go on until every component meets
-    spec.budget(|value_j|).
+    integrand the levels go on, up to _TS_LEVELS, until every component
+    meets spec.budget(|value_j|).
     """
     spec = spec or QuadratureSpec()
     if a == b:
@@ -255,7 +258,7 @@ def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Quad
     err = math.inf
     nodes = 0
     ndim = 1
-    for level, h, sides in _ts_levels(a, b, spec.max_levels):
+    for level, h, sides in _ts_levels(a, b, _TS_LEVELS):
         contrib = 0.0 + 0.0j
         for x, w in sides:
             y = np.asarray(f(x))
@@ -333,10 +336,7 @@ def integrate_semi_infinite(f, a: float, decay,
 
     # Child panels share the tolerance; each gets an equal slice.
     n_seg = len(breaks) - 1
-    seg_spec = QuadratureSpec(abs_tol=max(tol / max(n_seg, 1), 1e-300),
-                              rel_tol=spec.rel_tol,
-                              max_panels=spec.max_panels,
-                              max_levels=spec.max_levels)
+    seg_spec = replace(spec, abs_tol=max(tol / max(n_seg, 1), 1e-300))
     total = 0.0 + 0.0j
     err = 0.0
     nodes = 0

@@ -290,7 +290,7 @@ def hurwitz_zeta(w, a):
     return complex(out[0]) if scalar else out
 
 
-def hurwitz_zeta_hermite(w, a, spec=None) -> complex:
+def hurwitz_zeta_hermite(w, a) -> complex:
     """zeta(w, a) by Hermite's integral; real a > 0, independent method.
 
     Exists as a cross-check on the Euler-Maclaurin path; the integrand
@@ -315,7 +315,7 @@ def hurwitz_zeta_hermite(w, a, spec=None) -> complex:
     # The 1/(e^{2 pi t}-1) factor dominates the tail; integrate_half_line
     # fits and checks its envelope at 0.9 of that rate.
     res = integrate_half_line(integrand, 0.9 * 2.0 * math.pi,
-                              spec or QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
+                              QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
     main = 0.5 * a ** (-w) + a ** (1.0 - w) / (w - 1.0)
     return main + 2.0 * res.value
 

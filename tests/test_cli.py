@@ -1,5 +1,6 @@
 """CLI end-to-end: exit codes, JSON schema, CSV byte-stability, SVG."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from koshliakov import identities
-from koshliakov.cli import main, parse_complex_literal
+from koshliakov.cli import _PARAMS, main, parse_complex_literal
 from koshliakov.errors import ConvergenceError
 from koshliakov.identities import IDENTITIES
 from koshliakov.reporting import CSV_HEADER
@@ -209,6 +210,38 @@ def test_tolerance_must_be_finite_and_positive(command, tolerance, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "tolerance must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "laplace-bessel", "--z", "nan"],
+    ["verify", "mellin-k", "--nu", "nan"],
+    ["eval", "zeta", "--s", "nan"],
+    ["eval", "lambda", "--x", "nan"],
+    ["eval", "gamma", "--s", "nan"],
+    ["eval", "bessel-k", "--x", "nan"],
+    ["verify", "laplace-bessel", "--y", "inf"],
+    ["sweep", "rg-formula", "--steps=2", "--z=-inf"]])
+def test_non_finite_flag_is_a_usage_error(command, capsys):
+    # A nan or inf float or complex flag is refused at parse time, with
+    # one error line, not a traceback or a nan result.
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "must be finite" in errors[0]
+    assert "Traceback" not in captured.err
+
+
+def test_registry_runners_take_flags_then_tolerance():
+    # A runner's parameters are its CLI flags, each one the CLI parses,
+    # then tolerance: there is no other knob.
+    for name, entry in IDENTITIES.items():
+        params = tuple(inspect.signature(entry.runner).parameters)
+        assert params == entry.arg_names + ("tolerance",), name
+        assert all(flag in _PARAMS for flag in entry.arg_names), name
+        assert "spec" not in params, name
 
 
 def test_sweep_inapplicable_flag_usage(capsys):
@@ -453,6 +486,17 @@ def test_eval_more_functions(capsys):
 def test_eval_domain_exit_3(capsys):
     assert main(["eval", "zeta", "--s", "1"]) == 3
     assert main(["eval", "omega", "--x", "1", "--z", "1.5"]) == 3
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "li", "--x", "1+1i"], "--x must be real for li"),
+    (["eval", "bessel-j", "--nu", "0.5+1i", "--x", "2"], "--nu must be real for bessel-j")])
+def test_eval_real_only_flag_refuses_imaginary_part(argv, message, capsys):
+    assert main(argv) == 64
+    assert message in capsys.readouterr().err
+    # A zero imaginary part is the real value, and bessel-k takes both complex.
+    assert main(["eval", "bessel-y", "--nu", "0.5", "--x", "2+0i"]) == 0
+    assert main(["eval", "bessel-k", "--nu", "0.5+1i", "--x", "2+1i"]) == 0
 
 
 def test_eval_unknown_function():

@@ -173,7 +173,7 @@ def test_divisor_tail_moment_matches_direct_sum(z, j):
     # the partial sum leaves only roundoff at these j.
     N, M = 10, 5000
     n = np.arange(N + 1, M + 1, dtype=float)
-    sig = kernels.arith.build_table(-complex(z), M).slice(M)[N:]
+    sig = kernels.arith.build_table(-complex(z), M)[N:]
     direct = complex(np.sum(sig * n ** (-2.0 * j - 2.0)))
     assert rel_err(kernels._divisor_tail_moment(z, N, j), direct) < 1e-12
 

@@ -302,7 +302,7 @@ def _scalar_ts(f, a, b, spec):
     """The scalar tanh-sinh loop that tanh_sinh ran before it took vector
     integrands: the reference for 1-D arithmetic."""
     half, total, prev, nodes = 0.5 * (b - a), 0.0 + 0.0j, None, 0
-    for level in range(spec.max_levels + 1):
+    for level in range(quadrature._TS_LEVELS + 1):
         u, h = quadrature._ts_nodes(level)
         v = 0.5 * math.pi * np.sinh(u)
         w = half * 0.5 * math.pi * np.cosh(u) / np.square(np.cosh(v))
