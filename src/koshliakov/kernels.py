@@ -290,8 +290,10 @@ def _omega_pf_array(x: np.ndarray, z: complex, n_terms: int,
     if float(np.max(x)) >= N + 1.0:
         raise DomainError("partial-fraction mode needs x < N + 1")
     plan = _omega_plan(z, N)
-    n = np.arange(1, N + 1, dtype=float)
-    s_direct = np.sum(plan.sigma[None, :] / (n[None, :] ** 2 + x[:, None] ** 2), axis=1)
+    n2 = np.arange(1, N + 1, dtype=float) ** 2
+    # The (points x N) direct sum in blocks of 32 points bounds the memory.
+    s_direct = np.concatenate([np.sum(plan.sigma / (n2 + xb[:, None] ** 2), axis=1)
+                               for xb in np.split(x, range(32, x.size, 32))])
 
     # Moment tail.
     s_tail = np.zeros_like(x, dtype=complex)

@@ -10,11 +10,16 @@ Every integrator also takes vector integrands: f may return shape
 error estimate per component from one set of nodes, refined until every
 component meets its own budget; a (nodes,) integrand gets a complex value
 and a float error, with the arithmetic of a one-component integral.
+
+f gets every node of a refinement round in one call (tanh_sinh: levels
+0-3, then one level; Gauss-Kronrod: every panel the round splits), so it
+must compute each point independently of the others in its array.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -107,15 +112,10 @@ def _cabs(v):
     return np.hypot(v.real, v.imag)
 
 
-def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod 7-15 panel; returns per-component (value, error)
-    arrays of shape (m,) and the ndim of f's output (m = 1 when it is 1)."""
-    c = 0.5 * (a + b)
+def _gk15(y, a: float, b: float):
+    """One Gauss-Kronrod 7-15 panel from f's (15, m) values at its nodes;
+    returns per-component (value, error) arrays of shape (m,)."""
     h = 0.5 * (b - a)
-    x = c + h * _NODES15
-    y = np.asarray(f(x))
-    ndim = y.ndim
-    y = y.reshape(15, -1)
     resk = h * (_W15C * y).sum(axis=0)
     resg = h * (_W7C * y).sum(axis=0)
     resabs = abs(h) * (_W15C * np.abs(y)).sum(axis=0)
@@ -134,7 +134,60 @@ def _gk15(f, a: float, b: float):
     # nan compares false, so a non-finite panel would pass for converged.
     if not (np.isfinite(resk).all() and np.isfinite(err).all()):
         raise ConvergenceError(f"non-finite panel value or error on [{a:g}, {b:g}]")
-    return resk.astype(complex), err, ndim
+    return resk.astype(complex), err
+
+
+def _panels(f, bounds):
+    """The (value, error) of every panel (a, b) in bounds from one call of
+    f, and the ndim of f's output (m = 1 when it is 1)."""
+    x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _NODES15 for a, b in bounds])
+    y = np.asarray(f(x))
+    panels = y.reshape(len(bounds), 15, -1)
+    return [_gk15(v, a, b) for v, (a, b) in zip(panels, bounds)], y.ndim
+
+
+def _gauss_kronrod(f, breaks, spec: QuadratureSpec) -> list:
+    """Adaptive Gauss-Kronrod on each segment [breaks[i], breaks[i + 1]],
+    one QuadratureResult per segment.  The segments refine in lockstep:
+    each round splits the worst panel of every segment still above its
+    budget, all in one call of f, so a segment takes the panels it would
+    take alone (see integrate_finite)."""
+    segs = list(zip(breaks[:-1], breaks[1:]))
+    first, ndim = _panels(f, segs)
+    scales = [np.ldexp(1.0, np.frexp(spec.budget(_cabs(v)))[1]) for v, _ in first]
+
+    def entry(i, a, b, v, e):
+        return (-float((e / scales[i]).max()), a, b, v, e)
+
+    # Per segment a max-heap on scaled panel error and the sums (value,
+    # error, nodes); refine until every component's sum passes.
+    heaps = [[entry(i, a, b, v, e)] for i, ((a, b), (v, e)) in enumerate(zip(segs, first))]
+    sums = [(v, e, 15) for v, e in first]
+    while live := [i for i, (v, e, _) in enumerate(sums) if (e > spec.budget(_cabs(v))).any()]:
+        popped = []
+        for i in live:
+            if len(heaps[i]) >= spec.max_panels:
+                raise ConvergenceError(
+                    f"quadrature error {np.max(sums[i][1]):.3e} above budget after "
+                    f"{len(heaps[i])} panels on [{segs[i][0]:g}, {segs[i][1]:g}]")
+            _, pa, pb, pval, perr = heapq.heappop(heaps[i])
+            mid = 0.5 * (pa + pb)
+            if mid <= pa or mid >= pb:
+                raise ConvergenceError(
+                    f"quadrature error {np.max(sums[i][1]):.3e} above budget: panel "
+                    f"[{pa!r}, {pb!r}] cannot be split in double precision")
+            popped.append((i, pa, mid, pb, pval, perr))
+        halves, _ = _panels(f, [h for _, pa, mid, pb, _, _ in popped
+                                for h in ((pa, mid), (mid, pb))])
+        for (i, pa, mid, pb, pval, perr), (lv, le), (rv, re) in zip(
+                popped, halves[::2], halves[1::2]):
+            v, e, n = sums[i]
+            sums[i] = (v + (lv + rv - pval), e + (le + re - perr), n + 30)
+            heapq.heappush(heaps[i], entry(i, pa, mid, lv, le))
+            heapq.heappush(heaps[i], entry(i, mid, pb, rv, re))
+    if ndim == 1:
+        return [QuadratureResult(complex(v[0]), float(e[0]), n) for v, e, n in sums]
+    return [QuadratureResult(v, e, n) for v, e, n in sums]
 
 
 def integrate_finite(f, a: float, b: float,
@@ -145,7 +198,7 @@ def integrate_finite(f, a: float, b: float,
     evaluates f at an endpoint.  Raises ConvergenceError when the panel
     budget runs out, or a panel cannot be split further, before the
     requested tolerance is met, and when a panel's value or error is not
-    finite.
+    finite.  f is called for the first panel, then once per split.
 
     f may return shape (nodes, m): value and err_estimate are then (m,)
     arrays, and refinement goes on while any component is above
@@ -159,40 +212,7 @@ def integrate_finite(f, a: float, b: float,
         raise DomainError("integrate_finite requires finite endpoints")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
-
-    value, err, ndim = _gk15(f, a, b)
-    nodes = 15
-    scale = np.ldexp(1.0, np.frexp(spec.budget(_cabs(value)))[1])
-
-    def key(e):
-        return -float((e / scale).max())
-
-    # Max-heap on scaled panel error; refine the worst panel until every
-    # component's sum passes.
-    heap = [(key(err), a, b, value, err)]
-    total_val = value
-    total_err = err
-    while (total_err > spec.budget(_cabs(total_val))).any():
-        if len(heap) >= spec.max_panels:
-            raise ConvergenceError(
-                f"quadrature error {np.max(total_err):.3e} above budget after "
-                f"{len(heap)} panels on [{a:g}, {b:g}]")
-        _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
-            raise ConvergenceError(
-                f"quadrature error {np.max(total_err):.3e} above budget: panel "
-                f"[{pa!r}, {pb!r}] cannot be split in double precision")
-        lval, lerr, _ = _gk15(f, pa, mid)
-        rval, rerr, _ = _gk15(f, mid, pb)
-        nodes += 30
-        total_val = total_val + (lval + rval - pval)
-        total_err = total_err + (lerr + rerr - perr)
-        heapq.heappush(heap, (key(lerr), pa, mid, lval, lerr))
-        heapq.heappush(heap, (key(rerr), mid, pb, rval, rerr))
-    if ndim == 1:
-        return QuadratureResult(complex(total_val[0]), float(total_err[0]), nodes)
-    return QuadratureResult(total_val, total_err, nodes)
+    return _gauss_kronrod(f, [a, b], spec)[0]
 
 
 def _ts_nodes(level: int, u_max: float = 6.0):
@@ -246,36 +266,42 @@ _TS_LEVELS = 12
 def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Double-exponential rule on [a, b]; robust to endpoint singularities.
 
-    f never sees an endpoint (see _ts_levels).  For an (nodes, m)
-    integrand the levels go on, up to _TS_LEVELS, until every component
-    meets spec.budget(|value_j|).
+    f never sees an endpoint (see _ts_levels).  It is called once for
+    levels 0-3 and then once per level, with both sides' nodes.  For an
+    (nodes, m) integrand the levels go on, up to _TS_LEVELS, until every
+    component meets spec.budget(|value_j|).
     """
     spec = spec or QuadratureSpec()
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
-    total = 0.0 + 0.0j
     prev = None
     err = math.inf
     nodes = 0
-    ndim = 1
-    for level, h, sides in _ts_levels(a, b, _TS_LEVELS):
-        contrib = 0.0 + 0.0j
-        for x, w in sides:
-            y = np.asarray(f(x))
-            ndim = y.ndim
-            y = np.where(np.isfinite(y), y, 0.0).reshape(y.shape[0], -1)
-            # An (n, 1) sum along axis 0 adds in np.sum's order, so a 1-D
-            # integrand keeps its scalar arithmetic.
-            contrib += (w[:, None] * y).sum(axis=0)
-            nodes += x.size
-        total = h * contrib if level == 0 else 0.5 * total + h * contrib
-        if prev is not None:
-            err = _cabs(total - prev)
-            if (err <= spec.budget(_cabs(total))).all() and level >= 3:
-                if ndim == 1:
-                    return QuadratureResult(complex(total[0]), float(err[0]), nodes)
-                return QuadratureResult(total, err, nodes)
-        prev = total
+    levels = _ts_levels(a, b, _TS_LEVELS)
+    # Levels 0-3 always run (the test below needs level >= 3): one call.
+    batch = list(itertools.islice(levels, 4))
+    while batch:
+        y = np.asarray(f(np.concatenate([x for _, _, sides in batch for x, _ in sides])))
+        ndim = y.ndim
+        y = np.where(np.isfinite(y), y, 0.0).reshape(y.shape[0], -1)
+        nodes += y.shape[0]
+        start = 0
+        for level, h, sides in batch:
+            contrib = 0.0 + 0.0j
+            for x, w in sides:
+                # An (n, 1) sum along axis 0 adds in np.sum's order, so a
+                # 1-D integrand keeps its scalar arithmetic.
+                contrib += (w[:, None] * y[start:start + x.size]).sum(axis=0)
+                start += x.size
+            total = h * contrib if level == 0 else 0.5 * total + h * contrib
+            if prev is not None:
+                err = _cabs(total - prev)
+                if (err <= spec.budget(_cabs(total))).all() and level >= 3:
+                    if ndim == 1:
+                        return QuadratureResult(complex(total[0]), float(err[0]), nodes)
+                    return QuadratureResult(total, err, nodes)
+            prev = total
+        batch = list(itertools.islice(levels, 1))
     raise ConvergenceError(
         f"tanh-sinh failed to reach tolerance on [{a:g}, {b:g}]: "
         f"last refinement changed the value by {np.max(err):.3e}")
@@ -308,7 +334,8 @@ def integrate_semi_infinite(f, a: float, decay,
     The cutoff is chosen so the certified tail consumes at most a tenth of
     the tolerance budget; the rest goes to the finite-range panels, which
     are laid out geometrically so oscillation near the origin and slow
-    variation far out are both resolved.
+    variation far out are both resolved.  The segments refine in lockstep,
+    one call of f per round, each as integrate_finite would refine it.
 
     decay may also be a list of certificates, one per component of an
     (nodes, m) integrand (or one for a (nodes,) integrand): the cutoff is
@@ -340,8 +367,7 @@ def integrate_semi_infinite(f, a: float, decay,
     total = 0.0 + 0.0j
     err = 0.0
     nodes = 0
-    for i in range(n_seg):
-        r = integrate_finite(f, breaks[i], breaks[i + 1], seg_spec)
+    for r in _gauss_kronrod(f, breaks, seg_spec):
         total += r.value
         err += r.err_estimate
         nodes += r.nodes_used

@@ -348,7 +348,8 @@ _J_SERIES_MAX = 80
 
 
 def _bessel_j_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """Ascending series for nu >= 0; float64 holds for x < 2."""
+    """Ascending series for nu >= 0; float64 holds for x < 2.  The terms
+    shrink, so those past a point's own stop leave its sum unchanged."""
     half = 0.5 * x
     term = np.power(half, nu) * rgamma(nu + 1.0).real
     out = term.copy()
@@ -356,32 +357,33 @@ def _bessel_j_series(nu: float, x: np.ndarray) -> np.ndarray:
     for k in range(1, _J_SERIES_MAX + 1):
         term = term * mx2 / (k * (nu + k))
         out += term
-        if np.all(np.abs(term) <= 1e-20 * np.maximum(np.abs(out), 1e-30)):
+        if np.all(np.abs(term) <= 1e-20 * np.abs(out)):
             break
     return out
 
 
 def _bessel_jy_hankel(nu: float, x: np.ndarray):
-    """J and Y from Hankel's expansion, its P and Q sums truncated at the
-    smallest term."""
+    """J and Y from Hankel's expansion, each point's P and Q sums truncated
+    at its own smallest term (or after one below 1e-19)."""
     mu = 4.0 * nu * nu
     P = np.ones_like(x)
     Q = np.zeros_like(x)
     term = np.ones_like(x)
     prev = np.full_like(x, np.inf)
+    live = np.ones(x.shape, dtype=bool)
     for k in range(1, 40):
         term = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
         mag = np.abs(term)
-        if np.all(mag >= prev):
+        live &= mag < prev
+        if not live.any():
             break
-        sign = (-1.0) ** (k // 2)
+        add = np.where(live, (-1.0) ** (k // 2) * term, 0.0)
         if k % 2 == 1:
-            Q += sign * term
+            Q += add
         else:
-            P += sign * term
+            P += add
         prev = mag
-        if np.all(mag < 1e-19):
-            break
+        live &= mag >= 1e-19
     chi = x - (0.5 * nu + 0.25) * math.pi
     amp = np.sqrt(2.0 / (math.pi * x))
     j = amp * (P * np.cos(chi) - Q * np.sin(chi))
@@ -601,8 +603,10 @@ def _temme(mu, x: np.ndarray, need_next: bool,
     fact = pimu / (math.sin if real else cmath.sin)(pimu) if mu != 0.0 else 1.0
     d = -np.log(0.5 * x)
     e = mu * d
-    fact2 = np.sinh(e) / np.where(e == 0.0, 1.0, e)
-    fact2[e == 0.0] = 1.0
+    # sinh(e)/e rounds to 1 below |e| = 1e-8 (1/e of a subnormal overflows).
+    tiny = np.abs(e) < 1e-8
+    fact2 = np.sinh(e) / np.where(tiny, 1.0, e)
+    fact2[tiny] = 1.0
     ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
     ex = np.exp(e)                               # (x/2)^-mu
     p = 0.5 * ex / gampl

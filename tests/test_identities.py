@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from koshliakov import arith, identities
+from koshliakov import arith, identities, kernels
 from koshliakov.errors import DomainError, NearPoleError
 from koshliakov.identities import (IDENTITIES, _hurwitz_F, _k_series_tail,
                                    _oscillatory_tail, _report,
@@ -280,6 +280,24 @@ def test_pair_reciprocity_scaled_psi_fails(pair_alpha, x, z):
 def test_pair_reciprocity_dixon_ferrar():
     r = verify_pair_reciprocity(pair_dixon_ferrar(), 0.0, 1.0)
     assert r.passed and r.rel_diff < 1e-10
+
+
+def test_dixon_ferrar_integrand_call_count(monkeypatch):
+    # Every integrand of the check (forward and mirrored) multiplies by the
+    # transform kernel, so its calls count the quadrature layer's rounds:
+    # one call per round is 14 calls over 2092 nodes (one call per GK
+    # panel and per tanh-sinh side would be 45).
+    sizes = []
+    orig = kernels.transform_kernel
+
+    def counted(z, v):
+        sizes.append(np.size(v))
+        return orig(z, v)
+
+    monkeypatch.setattr(kernels, "transform_kernel", counted)
+    monkeypatch.setattr(identities, "transform_kernel", counted)
+    assert verify_pair_reciprocity(pair_dixon_ferrar(), 0, 1).passed
+    assert (len(sizes), sum(sizes)) == (14, 2092)
 
 
 @pytest.mark.parametrize("x", [0.01, 1.0])

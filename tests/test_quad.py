@@ -370,3 +370,77 @@ def test_one_component_half_line_keeps_the_scalar_arithmetic():
                 one.truncation_bound) == ref
         assert (complex(col.value[0]), float(col.err_estimate[0]), col.nodes_used,
                 float(col.truncation_bound[0])) == ref
+
+
+# ---------------------------------------------------------------------------
+# One call of f per refinement round
+# ---------------------------------------------------------------------------
+
+def _recording(f):
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x))
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("f, n_calls", [(lambda x: x ** (-0.85), 1),
+                                        (lambda x: np.cos(40.0 * x) / np.sqrt(x), 3),
+                                        (lambda x: 1.0 / (1e-2 + x * x), 3)])
+def test_tanh_sinh_calls_f_once_per_level_after_level_3(f, n_calls):
+    g, calls = _recording(f)
+    r = tanh_sinh(g, 0.0, 1.0)
+    sizes = [sum(x.size for x, _ in sides)
+             for _, _, sides in quadrature._ts_levels(0.0, 1.0, quadrature._TS_LEVELS)]
+    # Levels 0-3 in the first call, then one level per call.
+    assert len(calls) == n_calls
+    assert [x.size for x in calls] == [sum(sizes[:4])] + sizes[4:len(calls) + 3]
+    assert sum(x.size for x in calls) == r.nodes_used
+
+
+@pytest.mark.parametrize("f, a, b", [(lambda x: np.cos(7.0 * x), 0.0, 10.0),
+                                     (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0)])
+def test_integrate_finite_calls_f_once_per_split(f, a, b):
+    g, calls = _recording(f)
+    r = integrate_finite(g, a, b)
+    # The first panel, then both halves of each split panel in one call.
+    assert len(calls) > 2
+    assert [x.size for x in calls] == [15] + [30] * (len(calls) - 1)
+    for x in calls[1:]:
+        assert x[14] < x[15] and np.all(np.diff(x) > 0.0)
+    assert 15 * (2 * len(calls) - 1) == r.nodes_used
+
+
+def test_integrate_semi_infinite_calls_f_once_per_round():
+    # Every segment's first panel in one call; then each round splits one
+    # panel of every segment still above its budget, so rounds only shrink.
+    g, calls = _recording(lambda t: np.cos(3.0 * t) * np.exp(-0.5 * t))
+    r = integrate_semi_infinite(g, 0.0, ExpDecay(coeff=1.0, rate=0.5))
+    sizes = [x.size for x in calls]
+    assert sizes[0] % 15 == 0 and sizes[0] > 15
+    assert all(s % 30 == 0 for s in sizes[1:])
+    assert sizes[1:] == sorted(sizes[1:], reverse=True) and sizes[-1] < sizes[1]
+    assert sum(sizes) == r.nodes_used
+
+
+_LOCKSTEP = [
+    (lambda x: np.cos(7.0 * x) / (1.0 + x), [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 31.5]),
+    (lambda x: np.exp((1j - 0.3) * x), [1.0, 2.0, 3.0, 5.0, 9.0, 17.0, 33.0, 60.0]),
+    (lambda x: np.sqrt(np.abs(x - 0.3)) * np.exp(-x), [0.0, 1.0, 2.0, 4.0, 8.0]),
+    (lambda x: np.cos(np.multiply.outer(x, [0.5, 3.0, 11.0])), [0.0, 1.0, 2.0, 4.0, 7.0]),
+]
+
+
+@pytest.mark.parametrize("f, breaks", _LOCKSTEP)
+def test_lockstep_segments_match_solo_integrals(f, breaks):
+    # Refined in lockstep, each segment takes the panels integrate_finite
+    # takes on it alone: the same value, error and node count, bit for bit.
+    spec = QuadratureSpec(abs_tol=1e-12 / (len(breaks) - 1), rel_tol=1e-12)
+    for r, lo, hi in zip(quadrature._gauss_kronrod(f, breaks, spec), breaks, breaks[1:]):
+        one = integrate_finite(f, lo, hi, spec)
+        assert type(r.value) is type(one.value)
+        assert r.nodes_used == one.nodes_used
+        assert np.array_equal(r.value, one.value)
+        assert np.array_equal(r.err_estimate, one.err_estimate)

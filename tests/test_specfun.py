@@ -331,6 +331,14 @@ def test_bessel_k_real_path_warning_free_at_the_edges():
         assert np.all(np.isfinite(bessel_k_scaled(nu, xs)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bessel_k_subnormal_complex_order():
+    # Temme's sinh(e)/e at e = mu log(2/x) is 1 for a subnormal complex mu;
+    # dividing by e overflowed and gave nan.
+    for x in (0.3, 1.0, 1.9):
+        assert rel_err(bessel_k(2.2250738585e-313j, x), bessel_k(0.0, x)) < 1e-15
+
+
 def test_bessel_k_zero_imaginary_part_takes_the_real_path(monkeypatch):
     def refuse(nu, xs):
         raise AssertionError("complex path used")
