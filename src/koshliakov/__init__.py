@@ -28,8 +28,7 @@ from .quadrature import (ExpDecay, QuadratureResult, QuadratureSpec,
                          integrate_semi_infinite, tanh_sinh)
 from .specfun import (EULER_GAMMA, bessel_j, bessel_k, bessel_y, big_xi,
                       digamma, exp_integral_ei, exp_integral_li, gamma,
-                      hurwitz_zeta, hurwitz_zeta_hermite, log_gamma,
-                      riemann_zeta, xi)
+                      hurwitz_zeta, log_gamma, riemann_zeta, xi)
 
 __version__ = "0.1.0"
 
@@ -41,7 +40,7 @@ __all__ = [
     "VerificationReport", "bessel_j", "bessel_k",
     "bessel_y", "big_xi", "build_table", "digamma", "divisor_count",
     "exp_integral_ei", "exp_integral_li", "first_koshliakov_transform",
-    "gamma", "hurwitz_zeta", "hurwitz_zeta_hermite", "integrate_finite",
+    "gamma", "hurwitz_zeta", "integrate_finite",
     "integrate_half_line", "integrate_semi_infinite",
     "kernel_m", "koshliakov_kernel", "lambda_fn", "lambda_sum", "log_gamma",
     "omega", "omega_combination", "pair_dixon_ferrar", "pair_k_bessel",

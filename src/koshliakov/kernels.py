@@ -219,8 +219,8 @@ def _omega_definition(x: float, z: complex, n_terms: int) -> complex:
     n = np.arange(1, n_eff + 1, dtype=float)
     sig = arith.build_table(-z, n_eff)
     root = 4.0 * math.pi * np.sqrt(n * x)
-    kp = bessel_k(z, root * _OMEGA_ROT)
-    km = bessel_k(z, root * np.conj(_OMEGA_ROT))
+    kp, km = np.split(bessel_k(z, np.concatenate([root * _OMEGA_ROT,
+                                                  root * np.conj(_OMEGA_ROT)])), 2)
     rot = cmath.exp(0.25j * math.pi * z)
     terms = 2.0 * sig * np.power(n, 0.5 * z) * (rot * kp + km / rot)
     return complex(np.sum(terms))

@@ -215,26 +215,25 @@ def integrate_finite(f, a: float, b: float,
     return _gauss_kronrod(f, [a, b], spec)[0]
 
 
-def _ts_nodes(level: int, u_max: float = 6.0):
-    # u_max=6 keeps exp(2v) finite (2v ~ 633 < 709) while pushing the DE
-    # truncation error below 1e-15 for endpoint singularities up to x^-0.9.
+# Refinement levels of tanh_sinh after level 0.
+_TS_LEVELS = 12
+
+
+def _ts_nodes(level: int):
     """tanh-sinh abscissa parameters for one refinement level.
 
     Level 0 uses step h=1 over all multiples; deeper levels supply only the
     odd multiples of the halved step, so previous evaluations are reused.
+    |u| <= 6 keeps exp(2v) finite (2v ~ 633 < 709) while pushing the DE
+    truncation error below 1e-15 for endpoint singularities up to x^-0.9.
     """
     h = math.ldexp(1.0, -level)
-    if level == 0:
-        k = np.arange(0, math.floor(u_max / h) + 1)
-        u = k * h
-    else:
-        k = np.arange(1, math.floor(u_max / h) + 1, 2)
-        u = k * h
-    return u, h
+    start, step = (0, 1) if level == 0 else (1, 2)
+    return np.arange(start, math.floor(6.0 / h) + 1, step) * h, h
 
 
-def _ts_levels(a: float, b: float, max_level: int, u_max: float = 6.0):
-    """The tanh-sinh rule on [a, b], one refinement level at a time.
+def _ts_levels(a: float, b: float):
+    """The tanh-sinh rule on [a, b], levels 0.._TS_LEVELS one at a time.
 
     Yields (level, h, sides): the level's step and, for the nodes
     accumulating at b and then those accumulating at a, the (abscissas,
@@ -244,8 +243,8 @@ def _ts_levels(a: float, b: float, max_level: int, u_max: float = 6.0):
     than 0 itself.  The level's estimate is h times the weighted sum, plus
     half the previous estimate after level 0.
     """
-    for level in range(max_level + 1):
-        u, h = _ts_nodes(level, u_max)
+    for level in range(_TS_LEVELS + 1):
+        u, h = _ts_nodes(level)
         v = 0.5 * math.pi * np.sinh(u)
         w = 0.5 * (b - a) * 0.5 * math.pi * np.cosh(u) / np.square(np.cosh(v))
         # Distances to either endpoint, stable for large v: 1 - tanh v = 2/(1+e^{2v}).
@@ -259,25 +258,24 @@ def _ts_levels(a: float, b: float, max_level: int, u_max: float = 6.0):
         yield level, h, sides
 
 
-# Refinement levels of tanh_sinh after level 0.
-_TS_LEVELS = 12
-
-
 def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Double-exponential rule on [a, b]; robust to endpoint singularities.
 
     f never sees an endpoint (see _ts_levels).  It is called once for
     levels 0-3 and then once per level, with both sides' nodes.  For an
     (nodes, m) integrand the levels go on, up to _TS_LEVELS, until every
-    component meets spec.budget(|value_j|).
+    component meets spec.budget(|value_j|).  a == b gives 0; DomainError
+    when no double lies strictly between a and b (also when a > b).
     """
     spec = spec or QuadratureSpec()
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
+    if not math.nextafter(a, math.inf) < b:
+        raise DomainError(f"tanh_sinh needs a double strictly between a < b; got [{a!r}, {b!r}]")
     prev = None
     err = math.inf
     nodes = 0
-    levels = _ts_levels(a, b, _TS_LEVELS)
+    levels = _ts_levels(a, b)
     # Levels 0-3 always run (the test below needs level >= 3): one call.
     batch = list(itertools.islice(levels, 4))
     while batch:

@@ -1,8 +1,13 @@
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
+
+from koshliakov import quadrature
+from koshliakov.errors import DomainError, PoleError
 
 # Property tests draw the same examples on every run, so a tier-1 result
 # over quadrature tolerances does not depend on the run; no deadline,
@@ -29,3 +34,30 @@ def golden() -> dict:
 def rel_err(value, reference) -> float:
     value, reference = complex(value), complex(reference)
     return abs(value - reference) / max(abs(reference), 1e-300)
+
+
+def hurwitz_zeta_hermite(w, a) -> complex:
+    """zeta(w, a) by Hermite's integral for real a > 0: the independent
+    cross-check of the library's Euler-Maclaurin path.  The integrand
+    decays like exp(-2 pi t)."""
+    w = complex(w)
+    a = float(a)
+    if a <= 0.0:
+        raise DomainError("hurwitz_zeta_hermite requires real a > 0")
+    if abs(w - 1.0) < 1e-12:
+        raise PoleError("hurwitz zeta pole at w=1")
+
+    def integrand(t):
+        t = np.asarray(t, dtype=float)
+        phase = np.arctan2(t, a)
+        num = np.sin(w * phase)
+        den = np.power(a * a + t * t, 0.5 * w) * np.expm1(2.0 * math.pi * t)
+        return num / den
+
+    # The 1/(e^{2 pi t}-1) factor dominates the tail; integrate_half_line
+    # fits and checks its envelope at 0.9 of that rate.
+    res = quadrature.integrate_half_line(
+        integrand, 0.9 * 2.0 * math.pi,
+        quadrature.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
+    main = 0.5 * a ** (-w) + a ** (1.0 - w) / (w - 1.0)
+    return main + 2.0 * res.value

@@ -33,10 +33,10 @@ from koshliakov.quadrature import ExpDecay, integrate_semi_infinite, tanh_sinh
 from koshliakov.specfun import (bessel_j, bessel_k, bessel_k_scaled, bessel_y,
                                 big_xi, digamma, exp_integral_ei,
                                 exp_integral_li, gamma, hurwitz_zeta,
-                                hurwitz_zeta_hermite, riemann_zeta, xi)
+                                riemann_zeta, xi)
 from koshliakov.arith import sigma
 
-from conftest import rel_err
+from conftest import hurwitz_zeta_hermite, rel_err
 
 
 def _line(tag: str, ok: bool, detail: str) -> None:
@@ -216,6 +216,31 @@ def test_criterion_02_golden_suite(golden):
         "zeta_half_plus_3i": lambda: riemann_zeta(0.5 + 3.0j),
         "zeta_minus_half": lambda: riemann_zeta(-0.5),
     }
+    # K at complex arguments (scaled by e^x where the key says omega or arg)
+    # and at |Im nu| > 1.
+    rot, turn = cmath.exp(0.25j * math.pi), cmath.exp(0.45j * math.pi)
+    for key, nu, x in (
+            ("0p5_omega_0p5", 0.5, 4.0 * math.pi * math.sqrt(0.5) * rot),
+            ("0p5_omega_2", 0.5, 4.0 * math.pi * math.sqrt(2.0) * rot),
+            ("0p5_omega_2_conj", 0.5, 4.0 * math.pi * math.sqrt(2.0) / rot),
+            ("0p5_omega_50", 0.5, 4.0 * math.pi * math.sqrt(50.0) * rot),
+            ("0p3p0p2i_omega_0p5", 0.3 + 0.2j, 4.0 * math.pi * math.sqrt(0.5) * rot),
+            ("0p3p0p2i_omega_2", 0.3 + 0.2j, 4.0 * math.pi * math.sqrt(2.0) * rot),
+            ("0p3p0p2i_omega_2_conj", 0.3 + 0.2j, 4.0 * math.pi * math.sqrt(2.0) / rot),
+            ("0p3p0p2i_omega_50", 0.3 + 0.2j, 4.0 * math.pi * math.sqrt(50.0) * rot),
+            ("0p3_1p5_arg0p45pi", 0.3, 1.5 * turn), ("0p3_3_argm0p45pi", 0.3, 3.0 / turn),
+            ("0p4p1p5i_1p5_arg0p45pi", 0.4 + 1.5j, 1.5 * turn),
+            ("0p4p1p5i_3_argm0p45pi", 0.4 + 1.5j, 3.0 / turn)):
+        evaluators[f"bessel_k_{key}"] = lambda nu=nu, x=x: bessel_k_scaled(nu, x)
+    for key, nu, x in (
+            ("0p3p2i_1p9", 0.3 + 2j, 1.9), ("0p3p2i_2p1", 0.3 + 2j, 2.1), ("5p2i_6", 5 + 2j, 6.0),
+            ("0p5p5i_3", 0.5 + 5j, 3.0), ("m0p2m5i_0p7", -0.2 - 5j, 0.7),
+            ("case_0p25_1p1i", 0.25, 1 + 1j), ("case_0p25_2m0p5i", 0.25, 2 - 0.5j),
+            ("case_0p25_0p1p3i", 0.25, 0.1 + 3j), ("case_1p5m2i_0p001", 1.5 - 2j, 0.001),
+            ("case_1p5m2i_0p3", 1.5 - 2j, 0.3), ("case_1p5m2i_7", 1.5 - 2j, 7.0),
+            ("case_0_1em6p1em6i", 0.0, 1e-6 + 1e-6j), ("case_0_100p1i", 0.0, 100 + 1j),
+            ("case_2i_5", 2j, 5.0), ("case_0p1_0p2p0p2i", 0.1, 0.2 + 0.2j)):
+        evaluators[f"bessel_k_{key}"] = lambda nu=nu, x=x: bessel_k(nu, x)
     required = ("zeta_half", "bessel_k_0_1", "bessel_y_0_1", "xi_half",
                 "li_2", "bessel_k_0p3_cplx")
 

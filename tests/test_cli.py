@@ -486,6 +486,11 @@ def test_eval_more_functions(capsys):
 def test_eval_domain_exit_3(capsys):
     assert main(["eval", "zeta", "--s", "1"]) == 3
     assert main(["eval", "omega", "--x", "1", "--z", "1.5"]) == 3
+    # K holds up to |Im nu| = 5, in eval and inside a verifier's integrand.
+    assert main(["eval", "bessel-k", "--nu", "0.5+5i", "--x", "2"]) == 0
+    assert main(["eval", "bessel-k", "--nu", "0.5+5.5i", "--x", "2"]) == 3
+    assert main(["verify", "mellin-k", "--s=6", "--nu=5+6i"]) == 3
+    assert "|Im nu| <= 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -61,6 +61,14 @@ def test_tanh_sinh_divergent_raises():
         tanh_sinh(lambda x: 1.0 / x, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (1.0, 1.0 + 2.0 ** -52)])
+def test_tanh_sinh_without_an_interior_node_raises(a, b):
+    # A reversed interval, and one with no double strictly inside: no node
+    # to evaluate f at, a typed error rather than numpy's empty concatenate.
+    with pytest.raises(DomainError, match="strictly between"):
+        tanh_sinh(lambda x: x, a, b)
+
+
 def test_semi_infinite_exponential():
     r = integrate_semi_infinite(lambda x: np.exp(-x), 0.0,
                                 decay=ExpDecay(coeff=1.0, rate=1.0))
@@ -393,7 +401,7 @@ def test_tanh_sinh_calls_f_once_per_level_after_level_3(f, n_calls):
     g, calls = _recording(f)
     r = tanh_sinh(g, 0.0, 1.0)
     sizes = [sum(x.size for x, _ in sides)
-             for _, _, sides in quadrature._ts_levels(0.0, 1.0, quadrature._TS_LEVELS)]
+             for _, _, sides in quadrature._ts_levels(0.0, 1.0)]
     # Levels 0-3 in the first call, then one level per call.
     assert len(calls) == n_calls
     assert [x.size for x in calls] == [sum(sizes[:4])] + sizes[4:len(calls) + 3]

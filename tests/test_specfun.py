@@ -9,15 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from koshliakov import quadrature, specfun
+from koshliakov import specfun
 from koshliakov.errors import DomainError, PoleError
 from koshliakov.specfun import (_B2K, EULER_GAMMA, bessel_j, bessel_k,
                                 bessel_k_scaled, bessel_y, big_xi, digamma,
                                 exp_integral_ei, exp_integral_li, gamma,
-                                hurwitz_zeta, hurwitz_zeta_hermite, log_gamma,
-                                riemann_zeta, xi)
+                                hurwitz_zeta, log_gamma, riemann_zeta, xi)
 
-from conftest import rel_err
+from conftest import hurwitz_zeta_hermite, rel_err
 
 
 def test_bernoulli_literals_match_exact_recurrence():
@@ -31,6 +30,18 @@ def test_bernoulli_literals_match_exact_recurrence():
             binom = binom * (m + 1 - j) // (j + 1)
         b.append(-acc / (m + 1))
     assert [float(b[2 * k]) for k in range(1, len(_B2K) + 1)] == list(_B2K)
+
+
+def test_rgamma_taylor_literals():
+    # sum_k a_k mu^k = 1/Gamma(1 + mu): 1 and 1/2 at mu = 1, 2, zero at the
+    # poles mu = -1, -2, the recurrence's a_k where it is accurate, and
+    # Gamma(1 + mu) at |mu| = 2.1.
+    wide = specfun._RGAMMA_WIDE
+    for mu, value in ((1.0, 1.0), (2.0, 0.5), (-1.0, 0.0), (-2.0, 0.0)):
+        assert abs(math.fsum(wide * mu ** np.arange(wide.size)) - value) < 4e-16
+    assert np.allclose(wide[:8], specfun._rgamma_taylor()[:8], rtol=2e-14, atol=0.0)
+    for mu in (2.1j, 0.5 + 2j, -0.5 - 2j, 1.3 - 1.6j):
+        assert rel_err(np.polyval(wide[::-1], mu) * gamma(1.0 + mu), 1.0) < 4e-15
 
 
 def test_gamma_golden(golden):
@@ -312,11 +323,10 @@ def test_bessel_k_real_order_goldens(golden):
 @given(nu=st.floats(min_value=-30.0, max_value=30.0),
        log_x=st.floats(min_value=math.log(1e-6), max_value=math.log(1e3)))
 def test_bessel_k_real_matches_integral(nu, log_x):
-    # The closed forms against the tanh-sinh integral that complex orders
-    # still use, wherever K is finite.
+    # The closed forms against the tanh-sinh integral, wherever K is finite.
     x = np.array([math.exp(log_x)])
     with np.errstate(over="ignore"):
-        reference = specfun._k_batch(complex(nu), x.astype(complex))
+        reference = _k_batch_reference(complex(nu), x.astype(complex))
     assume(np.all(np.isfinite(reference)))
     got = bessel_k_scaled(nu, x)
     assert got.dtype == complex
@@ -339,25 +349,34 @@ def test_bessel_k_subnormal_complex_order():
         assert rel_err(bessel_k(2.2250738585e-313j, x), bessel_k(0.0, x)) < 1e-15
 
 
-def test_bessel_k_zero_imaginary_part_takes_the_real_path(monkeypatch):
-    def refuse(nu, xs):
-        raise AssertionError("complex path used")
-
+def test_bessel_k_zero_imaginary_part_takes_the_real_path():
+    # Float and zero-imaginary complex arguments and orders: the same bits.
     xs = np.array([0.3 + 0.0j, 2.5 + 0.0j])
     expected = bessel_k(0.7, xs.real)
-    monkeypatch.setattr(specfun, "_k_batch", refuse)
     assert np.array_equal(bessel_k(0.7, xs), expected)
     assert np.array_equal(bessel_k(0.7 + 0.0j, xs), expected)
 
 
+def _k_cutoff(re_nu: float, re_x: float) -> float:
+    """The T at which exp(-x (cosh u - 1)) cosh(nu u) has fallen 41 digits."""
+    T = 1.0
+    for _ in range(60):
+        T_new = math.acosh(1.0 + (41.0 + abs(re_nu) * T) / re_x)
+        if abs(T_new - T) < 1e-9:
+            return T_new
+        T = T_new
+    return T
+
+
 def _k_batch_reference(nu, xs):
-    """The tanh-sinh loop of _k_batch with its own copy of the levels (the
-    rule's variable cut at |u| <= 4.5, levels 0..10): the reference for
-    complex-order K."""
-    T = max(specfun._k_cutoff(nu.real, float(np.min(xs.real))), 1.0)
+    """exp(x) K_nu(x) as the tanh-sinh integral of exp(-x (cosh u - 1))
+    cosh(nu u) over [0, T], the rule's variable cut at |u| <= 4.5, levels
+    0..10: the independent reference for the library's closed forms."""
+    T = max(_k_cutoff(nu.real, float(np.min(xs.real))), 1.0)
     total = prev = None
     for level in range(11):
-        u, h = quadrature._ts_nodes(level, 4.5)
+        h = math.ldexp(1.0, -level)
+        u = np.arange(0 if level == 0 else 1, math.floor(4.5 / h) + 1, 1 if level == 0 else 2) * h
         v = 0.5 * math.pi * np.sinh(u)
         w = 0.5 * T * 0.5 * math.pi * np.cosh(u) / np.square(np.cosh(v))
         dist = T / (1.0 + np.exp(2.0 * v))
@@ -378,6 +397,8 @@ def _k_batch_reference(nu, xs):
     return total
 
 
+# Each case's arguments in one call.  The complex arguments and |Im nu| = 2
+# compare with 40-digit goldens, the rest with the tanh-sinh reference.
 _K_COMPLEX_CASES = [
     (0.3 + 0.5j, [0.01, 0.5, 1.0, 2.0, 10.0, 50.0]),
     (0.25, [1 + 1j, 2 - 0.5j, 0.1 + 3j]),
@@ -392,15 +413,25 @@ _K_COMPLEX_CASES = [
 ]
 
 
+_K_CASE_GOLDENS = {
+    (0.25, 1 + 1j): "bessel_k_case_0p25_1p1i", (0.25, 2 - 0.5j): "bessel_k_case_0p25_2m0p5i",
+    (0.25, 0.1 + 3j): "bessel_k_case_0p25_0p1p3i", (1.5 - 2j, 0.001): "bessel_k_case_1p5m2i_0p001",
+    (1.5 - 2j, 0.3): "bessel_k_case_1p5m2i_0p3", (1.5 - 2j, 7.0): "bessel_k_case_1p5m2i_7",
+    (0j, 1e-6 + 1e-6j): "bessel_k_case_0_1em6p1em6i", (0j, 100 + 1j): "bessel_k_case_0_100p1i",
+    (2j, 5.0): "bessel_k_case_2i_5", (0.1, 0.2 + 0.2j): "bessel_k_case_0p1_0p2p0p2i",
+}
+
+
 @pytest.mark.parametrize("nu,xs", _K_COMPLEX_CASES)
-def test_complex_k_keeps_the_tanh_sinh_arithmetic(nu, xs):
-    # A complex argument or |Im nu| > 1: bit for bit the reference loop.
-    # A real argument with |Im nu| <= 1 takes the closed forms, which agree
-    # with the loop to 1e-12.
+def test_complex_k_keeps_the_tanh_sinh_arithmetic(nu, xs, golden):
+    # The closed forms keep the tanh-sinh integral's values to its
+    # accuracy: a complex argument or |Im nu| > 1 against the 40-digit
+    # oracle, the rest against the reference loop.
     xs = np.array(xs, dtype=complex)
     got, reference = bessel_k_scaled(nu, xs), _k_batch_reference(complex(nu), xs)
     if np.any(xs.imag) or abs(complex(nu).imag) > 1.0:
-        assert np.array_equal(got, reference)
+        for x, value in zip(xs, got * np.exp(-xs)):
+            assert rel_err(value, golden[_K_CASE_GOLDENS[nu, x]]) < 1e-13
     else:
         assert np.max(np.abs(got - reference) / np.abs(reference)) < 1e-12
 
@@ -416,18 +447,14 @@ def test_bessel_k_complex_order_matches_integral(re_nu, im_nu, log_x):
     nu = complex(re_nu, im_nu)
     x = np.array([math.exp(log_x)])
     with np.errstate(over="ignore"):
-        reference = specfun._k_batch(nu, x.astype(complex))
+        reference = _k_batch_reference(nu, x.astype(complex))
     assume(np.all(np.isfinite(reference)))
     got = bessel_k_scaled(nu, x)
     assert rel_err(got[0], reference[0]) < 1e-12
 
 
-def test_complex_order_real_argument_never_calls_the_integral(monkeypatch):
-    def refuse(nu, xs):
-        raise AssertionError("tanh-sinh path used")
-
+def test_complex_order_real_argument_never_calls_the_integral():
     xs = np.array([1e-3, 0.5, 1.999, 2.0, 7.0, 300.0])
-    monkeypatch.setattr(specfun, "_k_batch", refuse)
     for nu in (0.3 + 0.5j, -0.49 + 1j, 0.5 - 1j, 1j, 12.7 + 0.1j, -29.0 - 1j):
         assert bessel_k_scaled(nu, xs).shape == xs.shape
         assert bessel_k_scaled(nu, xs.astype(complex)).shape == xs.shape
@@ -450,6 +477,43 @@ def test_bessel_k_complex_order_goldens(golden):
     for nu, x, key in _K_COMPLEX_GOLDENS:
         assert rel_err(bessel_k(nu, x), golden[key]) < 1e-13, key
         assert rel_err(bessel_k(-nu, x), golden[key]) < 1e-13, key
+
+
+# e^x K_nu(x) at complex x: Omega's arguments 4 pi sqrt(nx) e^{+-i pi/4} at
+# nx = 1/2, 2 and 50, and |arg x| = 0.45 pi on both sides of |x| = 2.
+_K_SCALED_GOLDENS = tuple(
+    (nu, 4.0 * math.pi * math.sqrt(nx) * cmath.exp(sign * 0.25j * math.pi), f"bessel_k_{tag}_omega_{key}")
+    for nu, tag in ((0.5, "0p5"), (0.3 + 0.2j, "0p3p0p2i"))
+    for nx, sign, key in ((0.5, 1, "0p5"), (2.0, 1, "2"), (2.0, -1, "2_conj"), (50.0, 1, "50"))) + tuple(
+    (nu, r * cmath.exp(sign * 0.45j * math.pi), f"bessel_k_{tag}_{rtag}_arg{'' if sign > 0 else 'm'}0p45pi")
+    for nu, tag in ((0.3, "0p3"), (0.4 + 1.5j, "0p4p1p5i"))
+    for r, rtag, sign in ((1.5, "1p5", 1), (3.0, "3", -1)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bessel_k_complex_argument_goldens(golden):
+    for nu, x, key in _K_SCALED_GOLDENS:
+        assert rel_err(bessel_k_scaled(nu, x), golden[key]) < 1e-13, key
+        assert rel_err(bessel_k_scaled(-nu, x), golden[key]) < 1e-13, key
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bessel_k_goldens_above_im_one(golden):
+    # |Im nu| = 2 on both sides of x = 2, mellin-k's order 5+2i, and
+    # |Im nu| = 5, the bound, on both sides of it.
+    for nu, x, key in ((0.3 + 2j, 1.9, "bessel_k_0p3p2i_1p9"), (0.3 + 2j, 2.1, "bessel_k_0p3p2i_2p1"),
+                       (5 + 2j, 6.0, "bessel_k_5p2i_6"), (0.5 + 5j, 3.0, "bessel_k_0p5p5i_3"),
+                       (-0.2 - 5j, 0.7, "bessel_k_m0p2m5i_0p7")):
+        assert rel_err(bessel_k(nu, x), golden[key]) < 1e-13, key
+        assert rel_err(bessel_k(-nu, x), golden[key]) < 1e-13, key
+
+
+def test_bessel_k_order_bounds():
+    # |Re nu| <= 30 and |Im nu| <= 5 hold; past either, a DomainError.
+    assert np.isfinite(bessel_k(30.0 + 5j, 3.0)) and np.isfinite(bessel_k(-0.5 - 5j, 0.5 + 1j))
+    for nu in (30.5, 0.3 + 5.01j, -2.0 - 6j, 20j):
+        with pytest.raises(DomainError, match="bessel_k supports"):
+            bessel_k(nu, 1.0)
 
 
 def test_bessel_wronskian():

@@ -14,9 +14,10 @@ mpmath is the oracle here and in tools/gen_golden.py only; the library
 and its tests never import it.
 
 Covered: exp(x) K_nu(x) at real order (order bands by |nu|, x below
-and above the switch at 2), at complex order and real x (|Im nu| <= 1 on
-the closed forms, 1 < |Im nu| <= 2 on the tanh-sinh path, each split at
-x = 2) and at complex argument (tanh-sinh); e^w E1(w); e^{-y} Ei(y); the
+and above the switch at 2), at complex order and real x (|Im nu| <= 1,
+1 < |Im nu| <= 2 and 2 < |Im nu| <= 5, each split at x = 2), at complex
+argument (real order at |arg x| <= pi/4 and in (pi/4, pi/2), complex
+order with |Im nu| <= 5 split at |x| = 2); e^w E1(w); e^{-y} Ei(y); the
 Dixon-Ferrar psi; J_nu(x) and Y_nu(x) by order band (|nu| in [0, 0.5],
 within 2e-3 of an integer, [0.5, 2] and [2, 10], each sign) and by x
 range (the series and Temme's series below 2, Steed's method in [2, 8)
@@ -107,8 +108,7 @@ def _k_real_region(rng, nu_lo, nu_hi, x_lo, x_hi, n) -> dict:
 
 def _k_complex_order_regions(rng, lo: float, hi: float, n: int) -> dict:
     """n points of complex order (|Re nu| <= 2, lo <= |Im nu| <= hi, either
-    sign) at real x in [0.1, 50], split at the switch x = 2: closed forms
-    for |Im nu| <= 1, the tanh-sinh integral beyond."""
+    sign) at real x in [0.1, 50], split at the switch x = 2."""
     band = f"|Im| <= {hi:g}" if lo == 0.0 else f"{lo:g} < |Im| <= {hi:g}"
     pts = []
     for _ in range(n):
@@ -120,6 +120,32 @@ def _k_complex_order_regions(rng, lo: float, hi: float, n: int) -> dict:
         sel = [p for p in pts if side(p[1])]
         regions[f"bessel_k complex nu (|Re| <= 2, {band}), x in {name}"] = _worst(
             [bessel_k_scaled(nu, x) for nu, x in sel], sel, lambda p: _k_scaled_oracle(*p))
+    return regions
+
+
+def _k_complex_argument_regions(near_axis_seed, complex_order_seed, n: int) -> dict:
+    """n points each at x = r e^{i theta} of two more regions, each with its
+    own generator: a real order in [-1, 1] near the imaginary axis
+    (pi/4 < |theta| < pi/2, r in [1, 200]), and a complex order (|Re nu| <= 2,
+    |Im nu| <= 5) at |theta| < pi/2, r in [0.1, 50], split at |x| = 2."""
+    rng = np.random.default_rng(near_axis_seed)
+    pts = [(float(rng.uniform(-1.0, 1.0)),
+            complex(float(_log_uniform(rng, 1.0, 200.0, 1)[0])
+                    * np.exp(1j * rng.choice([-1.0, 1.0]) * rng.uniform(math.pi / 4, math.pi / 2))))
+           for _ in range(n)]
+    regions = {"bessel_k real nu in [-1, 1], x = r e^{i theta}, r in [1, 200], "
+               "pi/4 < |theta| < pi/2": _worst([bessel_k_scaled(nu, x) for nu, x in pts], pts,
+                                               lambda p: _k_scaled_oracle(*p))}
+    rng = np.random.default_rng(complex_order_seed)
+    pts = [(complex(rng.uniform(-2.0, 2.0), rng.uniform(-5.0, 5.0)),
+            complex(float(_log_uniform(rng, 0.1, 50.0, 1)[0])
+                    * np.exp(1j * rng.uniform(-math.pi / 2, math.pi / 2))))
+           for _ in range(n)]
+    for name, side in (("[0.1, 2)", lambda x: abs(x) < 2.0), ("[2, 50]", lambda x: abs(x) >= 2.0)):
+        sel = [p for p in pts if side(p[1])]
+        regions[f"bessel_k complex nu (|Re| <= 2, |Im| <= 5), x = r e^{{i theta}}, r in {name}, "
+                "|theta| < pi/2"] = _worst([bessel_k_scaled(nu, x) for nu, x in sel], sel,
+                                           lambda p: _k_scaled_oracle(*p))
     return regions
 
 
@@ -279,6 +305,8 @@ def build(n: int, seed: int) -> dict:
         pts.append((nu, x))
     regions["bessel_k real nu in [-1, 1], x = r e^{i theta}, r in [1, 200], "
             "|theta| <= pi/4"] = _worst(got, pts, lambda p: _k_scaled_oracle(*p))
+    regions.update(_k_complex_argument_regions([seed, 2], [seed, 3], n))
+    regions.update(_k_complex_order_regions(np.random.default_rng([seed, 4]), 2.0, 5.0, n))
 
     def e1_oracle(w):
         return mp.exp(mpf(w)) * mp.e1(mpf(w))

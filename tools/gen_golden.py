@@ -284,6 +284,37 @@ def golden_values():
         tag = nu.replace("-", "m").replace("+", "p").replace(".", "p").replace("j", "i")
         put(f"bessel_k_{tag}_{x.replace('.', 'p')}", besselk(mpc(complex(nu)), mpf(x)),
             f"K_{{{nu}}}({x})")
+    # Complex argument and |Im nu| > 1: Omega's arguments 4 pi sqrt(nx)
+    # e^{+-i pi/4} and |arg x| = 0.45 pi on both sides of |x| = 2 (both
+    # scaled by e^x), |Im nu| = 2 on both sides of x = 2, mellin-k's order
+    # 5+2i, and |Im nu| = 5, the bound of bessel_k's domain.
+    for nu in ("0.5", "0.3+0.2j"):
+        for nx, sign in (("0.5", 1), ("2", 1), ("2", -1), ("50", 1)):
+            w = 4 * pi * sqrt(mpf(nx)) * exp(sign * i * pi / 4)
+            tag = nu.replace("+", "p").replace(".", "p").replace("j", "i")
+            put(f"bessel_k_{tag}_omega_{nx.replace('.', 'p')}{'' if sign > 0 else '_conj'}",
+                besselk(mpc(complex(nu)), w) * exp(w),
+                f"e^w K_{{{nu}}}(w), w = 4 pi sqrt({nx}) e^{{{'' if sign > 0 else '-'}i pi/4}}")
+    for nu in ("0.3", "0.4+1.5j"):
+        for r, sign in (("1.5", 1), ("3", -1)):
+            w = mpf(r) * exp(sign * i * mpf("0.45") * pi)
+            tag = nu.replace("+", "p").replace(".", "p").replace("j", "i")
+            put(f"bessel_k_{tag}_{r.replace('.', 'p')}_arg{'' if sign > 0 else 'm'}0p45pi",
+                besselk(mpc(complex(nu)), w) * exp(w),
+                f"e^w K_{{{nu}}}(w), w = {r} e^{{{'' if sign > 0 else '-'}0.45 i pi}}")
+    for nu, x in (("0.3+2j", "1.9"), ("0.3+2j", "2.1"), ("5+2j", "6"), ("0.5+5j", "3"),
+                  ("-0.2-5j", "0.7")):
+        tag = nu.replace("-", "m").replace("+", "p").replace(".", "p").replace("j", "i")
+        put(f"bessel_k_{tag}_{x.replace('.', 'p')}", besselk(mpc(complex(nu)), mpf(x)),
+            f"K_{{{nu}}}({x})")
+    # The complex arguments and |Im nu| = 2 of _K_COMPLEX_CASES in
+    # tests/test_specfun.py.
+    for nu, xs in (("0.25", ("1+1j", "2-0.5j", "0.1+3j")), ("1.5-2j", ("0.001", "0.3", "7")),
+                   ("0", ("1e-6+1e-6j", "100+1j")), ("2j", ("5",)), ("0.1", ("0.2+0.2j",))):
+        for x in xs:
+            tag = f"{nu}_{x}".replace("-", "m").replace("+", "p").replace(".", "p").replace("j", "i")
+            put(f"bessel_k_case_{tag}", besselk(mpc(complex(nu)), mpc(complex(x))),
+                f"K_{{{nu}}}({x})")
     put("li_2", li(2), "li(2)")
     put("li_soldner", li(soldner), "li at the Soldner point (approx 0)")
     put("ei_1", ei(1), "Ei(1)")
