@@ -10,7 +10,7 @@ registry for shell use; `reporting` renders reports to JSON/CSV/SVG.
 
 from .arith import build_table, divisor_count, sigma
 from .errors import (ConvergenceError, DecayError, DomainError,
-                     KoshliakovError, LimitError, NearPoleError, PoleError)
+                     KoshliakovError, LimitError, PoleError)
 from .identities import (IDENTITIES, IdentityEntry, VerificationReport,
                          verify_bessel_hurwitz_sum, verify_hurwitz_corollary,
                          verify_hurwitz_corollary_z0, verify_hurwitz_modular,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EULER_GAMMA", "IDENTITIES", "IdentityEntry", "ConvergenceError",
     "DecayError", "DomainError", "ExpDecay",
-    "KoshliakovError", "LimitError", "NearPoleError", "PoleError",
+    "KoshliakovError", "LimitError", "PoleError",
     "QuadratureResult", "QuadratureSpec", "ReciprocalPair",
     "VerificationReport", "bessel_j", "bessel_k",
     "bessel_y", "big_xi", "build_table", "digamma", "divisor_count",

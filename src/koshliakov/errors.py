@@ -16,11 +16,6 @@ class PoleError(KoshliakovError):
     """Evaluation requested at (or within tolerance of) a pole."""
 
 
-class NearPoleError(KoshliakovError):
-    """Parameter in the numerically unstable annulus around a removable
-    singularity; the caller must use the dedicated limit branch."""
-
-
 class DomainError(KoshliakovError):
     """Argument outside the documented domain of the operation."""
 

@@ -24,15 +24,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import arith
-from .errors import DomainError, KoshliakovError, NearPoleError
+from .errors import DomainError, KoshliakovError
 from .kernels import (ReciprocalPair, _divisor_tail_moment,
                       first_koshliakov_transform, lambda_sum,
                       omega_combination, pair_dixon_ferrar, pair_k_bessel,
                       transform_kernel)
 from .quadrature import (QuadratureSpec, integrate_finite, integrate_half_line,
                          tanh_sinh)
-from .specfun import (EULER_GAMMA, bessel_j, bessel_k, big_xi, gamma,
-                      riemann_zeta)
+from .specfun import (EULER_GAMMA, _lgamma_slope, _pole_quotient, bessel_j, bessel_k,
+                      big_xi, gamma, riemann_zeta)
 
 _TINY = 1e-300
 _EPS = 2.0 ** -52
@@ -53,16 +53,12 @@ _Z_STRIPS = {"|Re z| < 1": lambda x: abs(x) < 1.0,
              "0 < Re z < 1": lambda x: 0.0 < x < 1.0}
 
 
-def _check_z(z, strip: str, zero_ok: bool = False) -> complex:
+def _check_z(z, strip: str) -> complex:
     """z as a complex number with Re z in the named strip (a key of
-    _Z_STRIPS, whose text is also the error message) and |z| >= 1e-4,
-    below which the poles at z = 0 leave too few digits.  With zero_ok,
-    z = 0 itself (|z| < 1e-12) passes, for an identity's z = 0 form."""
+    _Z_STRIPS, whose text is also the error message); no z is too small."""
     z = complex(z)
     if not _Z_STRIPS[strip](z.real):
         raise DomainError(f"{strip} required")
-    if (1e-12 if zero_ok else 0.0) <= abs(z) < 1e-4:
-        raise NearPoleError(("need z = 0 exactly or " if zero_ok else "need ") + "|z| >= 1e-4")
     return z
 
 
@@ -293,12 +289,13 @@ def _k_series_tail(coeff: float, p: float, c: float, n_from: int) -> float:
     return term(n_from) / max(1.0 - ratio, 0.5)
 
 
-# Relative accuracy claimed for each piece of f_frak (Gamma, zeta, the
-# powers, each K term) and of the lambda sides (each Hurwitz value, power
-# and boundary term), applied to the sum of the pieces' magnitudes, so
-# cancellation among them is charged to the bound.  Against 30-digit
-# mpmath the largest error was 0.38 of it over 84 (z, alpha) points of
-# f_frak and RATIO_LAMBDA of it over LAMBDA_POINTS points of _hurwitz_F.
+# Relative accuracy claimed for each piece of f_frak (a pole pair at its
+# specfun._pole_quotient scale, the powers, each K term) and of the lambda
+# sides (each Hurwitz value, power and pole pair), applied to the sum of
+# the pieces' magnitudes, so cancellation among them is charged to the
+# bound.  Against 30-digit mpmath the largest error was 0.38 of it over 84
+# (z, alpha) points of f_frak and RATIO_LAMBDA of it over LAMBDA_POINTS
+# points of _hurwitz_F.
 _EVAL_ULPS = 16.0 * _EPS
 
 
@@ -309,11 +306,12 @@ def f_frak(z: complex, alpha, terms: int):
     invariant under alpha -> 1/alpha.  Returns (value, budgets): the
     series_tail bound (the K envelope with sigma_{-Re z}(n) <= n^{1+|Re z|})
     and the eval_err bound, scalars at a scalar alpha, arrays at an array
-    of them (the Gamma and zeta factors are evaluated once)."""
+    of them.  By Lambda(s) = Lambda(1-s), Legendre's duplication and DLMF
+    5.5.3 the Gamma-zeta pair is (P - R)/(alpha z) with G = Gamma(1+z) /
+    Gamma(1+z/2), P = zeta*(1+z) (4 pi alpha)^{-z/2} G and R = zeta*(1-z)
+    sec(pi z/2) (4 pi alpha)^{z/2} / G (specfun._pole_quotient)."""
     z = complex(z)
-    if abs(z) < 1e-4:
-        raise NearPoleError("Gamma(z/2) pole: need |z| >= 1e-4")
-    (ga, gb), (za, zb) = gamma(np.array([0.5 * z, -0.5 * z])), riemann_zeta(np.array([z, -z]))
+    g = _lgamma_slope(z) - 0.5 * _lgamma_slope(0.5 * z)        # log G / z
     p, rows, n_effs = 1.0 + abs(z.real) + 0.5 * z.real, [], []
     alphas = np.atleast_1d(alpha).tolist()
     for a in alphas:
@@ -328,11 +326,11 @@ def f_frak(z: complex, alpha, terms: int):
         c = 2.0 * math.pi * a
         n = np.arange(1, n_eff + 1, dtype=float)
         series_terms = table[:n_eff] * np.power(n, 0.5 * z) * bessel_k(0.5 * z, c * n)
-        a_term = a ** (0.5 * z - 1.0) * math.pi ** (-0.5 * z) * ga * za
-        b_term = a ** (-0.5 * z - 1.0) * math.pi ** (0.5 * z) * gb * zb
-        rows.append((math.sqrt(a) * (a_term + b_term - 4.0 * np.sum(series_terms)),
+        h = 0.5 * math.log(4.0 * math.pi * a)
+        pair, mag = _pole_quotient(z, g - h, h - g)
+        rows.append((math.sqrt(a) * (complex(pair) / a - 4.0 * np.sum(series_terms)),
                      math.sqrt(a) * _k_series_tail(4.0, p, c, n_eff + 1),
-                     _EVAL_ULPS * math.sqrt(a) * (abs(a_term) + abs(b_term)
+                     _EVAL_ULPS * math.sqrt(a) * (float(mag) / a
                                                   + 4.0 * float(np.sum(np.abs(series_terms))))))
     value, tail, eval_err = (np.array(v) if np.ndim(alpha) else v[0] for v in zip(*rows))
     return value, {"series_tail": tail, "eval_err": eval_err}
@@ -346,11 +344,12 @@ def _hurwitz_F(z: complex, alphas, terms: int, pref=None):
     alphas = np.asarray(alphas, dtype=float)
     pref = alphas ** (0.5 * (z + 1.0)) if pref is None else pref
     s, resid, mag = lambda_sum(alphas, z, terms)
-    zeta_z1, zeta_z = riemann_zeta(np.array([z + 1.0, z]))
-    b1, b2 = zeta_z1 / (2.0 * alphas ** (z + 1.0)), zeta_z / (alphas * z)
+    # The boundary terms are (P - R)/(2 alpha z), P = zeta*(1+z) alpha^{-z}
+    # and R = zeta*(1-z) sec(pi z/2) (2 pi)^z / Gamma(1+z) = -2 zeta(z).
+    b, b_mag = _pole_quotient(z, -np.log(alphas), math.log(2.0 * math.pi) - _lgamma_slope(z))
     scale = np.abs(pref)
-    return pref * (s - b1 - b2), {"em_residual": scale * resid, "eval_err": _EVAL_ULPS * scale
-                                  * (mag + np.abs(b1) + np.abs(b2))}
+    return pref * (s - b / (2.0 * alphas)), {"em_residual": scale * resid, "eval_err": _EVAL_ULPS
+                                             * scale * (mag + b_mag / (2.0 * alphas))}
 
 
 def _k_pair_z1(alpha: float):
@@ -370,8 +369,8 @@ def verify_rg_corollary(z=0.5, alpha=1.0, terms: int = 50,
     and one f_frak call over the alphas; z = 0 is verify_rg_corollary_z0."""
     alphas = _alphas(alpha)
     _check_domain(alphas, terms)
-    z = _check_z(z, "|Re z| < 1", zero_ok=True)
-    if abs(z) < 1e-12:
+    z = _check_z(z, "|Re z| < 1")
+    if z == 0.0:
         return verify_rg_corollary_z0(alpha, terms, tolerance)
     zp, zm = (z + 1.0) ** 2, (z - 1.0) ** 2
 
@@ -659,7 +658,7 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5, terms: int = 50,
     z = complex(z)
     if z.imag != 0.0:
         raise DomainError("real z only (real-order J)")
-    zr = _check_z(z, "|Re z| < 1", zero_ok=True).real
+    zr = _check_z(z, "|Re z| < 1").real
     if x <= 0.0:
         raise DomainError("x > 0 required")
     _check_domain(terms=terms)
@@ -679,18 +678,23 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5, terms: int = 50,
     # The power part's envelope u^{z-3/2} decays too slowly to truncate,
     # but J_z alternates with half-period pi.
     ev, eerr = _oscillatory_tail(g, c * math.sqrt(Y), math.pi)
-    zeta_z = -0.5 + 0.0j if abs(zr) < 1e-12 else riemann_zeta(zr)   # zeta(0) exactly
+    zeta_z = riemann_zeta(zr)
     tail = -(zeta_z / (2.0 * math.pi)) * 2.0 * c ** (-zr) * ev
     # Discarded exponentially small Omega remainder past Y.
     om_rem = 40.0 * math.exp(-2.0 * math.sqrt(2.0) * math.pi * math.sqrt(Y))
+    # Omega's roundoff bound (omega_combination) at x and over [0, Y] against
+    # |J_z(u)| <= 1 + (u/2)^z / Gamma(1+z) (mpmath at z < 0; |J_z| <= 1 at z >= 0).
+    k = 0.5 * float(_pole_quotient(z, 0.0, 0.0)[1])
+    jz = (0.5 * c) ** zr / gamma(1.0 + zr).real
 
     lhs = head1.value + head2.value + tail
     rhs = omega_combination(x, zr, terms) / (2.0 * math.pi)
     budgets = {"quad_err": head1.err_estimate + head2.err_estimate,
                "oscillation_err": abs(zeta_z / math.pi) * c ** (-zr) * eerr,
-               "omega_remainder": om_rem}
-    if abs(zr) < 1e-12:
-        budgets["pole_averaging"] = 1e-7
+               "omega_remainder": om_rem,
+               "eval_err": _EVAL_ULPS * k * sum(x ** e / (2.0 * math.pi) + Y ** (1.0 + e) / (1.0 + e)
+                                                + jz * Y ** (1.0 + e + 0.5 * zr) / (1.0 + e + 0.5 * zr)
+                                                for e in (0.5 * zr, -0.5 * zr))}
     params = {"x": x, "z": [zr, 0.0], "terms": terms}
     return _report("omega-self-reciprocal", params, lhs, rhs, budgets, tolerance,
                    real_inputs=True)
@@ -717,15 +721,17 @@ def verify_omega_modular(alpha=1.0, z=0.5,
     """alpha^{(z+1)/2} times the Omega Laplace integral is invariant under
     alpha -> 1/alpha, from one vector Laplace integral whose columns are the
     alphas, then their reciprocals (_modular_grid)."""
-    z = _check_z(z, "|Re z| < 1", zero_ok=True)
+    z = _check_z(z, "|Re z| < 1")
+    k = 0.5 * float(_pole_quotient(z, 0.0, 0.0)[1])          # omega_combination's roundoff
 
     def F(points):
         values, errs = _omega_laplace_columns(points, z)
         pref = np.array([p ** (0.5 * (z + 1.0)) for p in points])
-        # At z = 0 each side carries half of the averaging budget.
+        # Omega's roundoff integrated against e^{-w x} |x^{z/2}|.
+        w = 2.0 * math.pi * np.asarray(points)
+        ulps = k * (gamma(1.0 + z.real).real * w ** (-1.0 - z.real) + 1.0 / w)
         return pref * values, {"quad_err": np.abs(pref) * errs,
-                               **({"pole_averaging": np.full(len(points), 0.5e-7)}
-                                  if abs(z) < 1e-12 else {})}
+                               "eval_err": _EVAL_ULPS * np.abs(pref) * ulps}
 
     return _modular_grid("omega-modular", F, z, alpha, tolerance)
 

@@ -13,16 +13,16 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import arith
-from .errors import ConvergenceError, DecayError, DomainError, NearPoleError
+from .errors import ConvergenceError, DecayError, DomainError
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_half_line
-from .specfun import (EULER_GAMMA, _bessel_jy, _e1_minus_ei_scaled, _hurwitz_em,
-                      bessel_k, bessel_y, digamma, gamma, riemann_zeta)
+from .specfun import (_EM_COEF, _bessel_jy, _e1_minus_ei_scaled, _exp_slope, _hurwitz_em,
+                      _pole_quotient, bessel_k, bessel_y, gamma, riemann_zeta)
 
 # The kernels hand their Hurwitz points to specfun._hurwitz_em, the array
 # core of hurwitz_zeta, one array per call.  perfbench/trace_child.py keys
@@ -235,26 +235,14 @@ def omega_definition_term(x: float, z: complex, n: int) -> complex:
     return 2.0 * arith.sigma(-complex(z), n) * n ** (0.5 * complex(z)) * (rot * kp + km / rot)
 
 
-@dataclass(frozen=True)
-class _OmegaPlan:
-    """The x-independent pieces of partial-fraction Omega at (z, N):
-    sigma_{-z}(1..N) (read-only), Gamma(z) zeta(z), zeta(z), zeta(z+1)."""
-
-    sigma: np.ndarray = field(repr=False)
-    gamma_zeta: complex
-    zeta_z: complex
-    zeta_z1: complex
-
-
-# A process needs at most two plans at a time (z = 0 averages the plans at
-# z = +-1e-4, and a sweep holds z fixed), each with at most 61 moments.
+# A sweep holds z fixed, and each plan has at most 61 moments.
 @functools.lru_cache(maxsize=4)
-def _omega_plan(z: complex, N: int) -> _OmegaPlan:
+def _omega_plan(z: complex, N: int) -> np.ndarray:
+    """sigma_{-z}(1..N), read-only: the x-independent part of
+    partial-fraction Omega at (z, N) besides the moments."""
     sig = arith.build_table(-z, N)
     sig.flags.writeable = False
-    zeta_z = riemann_zeta(z)
-    return _OmegaPlan(sigma=sig, gamma_zeta=gamma(z) * zeta_z, zeta_z=zeta_z,
-                      zeta_z1=riemann_zeta(z + 1.0))
+    return sig
 
 
 @functools.lru_cache(maxsize=256)
@@ -276,23 +264,26 @@ def _divisor_tail_moment(z: complex, N: int, j: int) -> complex:
     return np.sum(n ** (-s - z) * hz[inverse]) + hz[-2] * hz[-1]
 
 
-def _omega_pf_array(x: np.ndarray, z: complex, n_terms: int,
-                    include_pole_term: bool = True) -> np.ndarray:
-    """Partial-fraction form, vectorized over x; requires max(x) < N+1.
+def _omega_pf(x: np.ndarray, z: complex, n_terms: int) -> np.ndarray:
+    """Partial-fraction omega_combination, vectorized over x; requires
+    max(x) < N+1.
 
     The n > N remainder is restored analytically through the moments
     d_j of _divisor_tail_moment, whose alternating series in x^{2j}
     converges geometrically in (x/(N+1))^2; a bare truncation at the default N
     would strand the cross-mode agreement near 1e-7.  Everything that
     does not depend on x comes from the (z, N) plan and moment caches.
+    The pole pieces -Gamma(z) zeta(z) (2 pi sqrt x)^{-z} - zeta(1+z) x^{z/2}/2
+    are (R - P)/(2z) with P = zeta*(1+z) x^{z/2} and R = zeta*(1-z)
+    sec(pi z/2) x^{-z/2} (specfun._pole_quotient): z = 0 is no exception.
     """
     N = n_terms
     if float(np.max(x)) >= N + 1.0:
         raise DomainError("partial-fraction mode needs x < N + 1")
-    plan = _omega_plan(z, N)
+    sigma = _omega_plan(z, N)
     n2 = np.arange(1, N + 1, dtype=float) ** 2
     # The (points x N) direct sum in blocks of 32 points bounds the memory.
-    s_direct = np.concatenate([np.sum(plan.sigma / (n2 + xb[:, None] ** 2), axis=1)
+    s_direct = np.concatenate([np.sum(sigma / (n2 + xb[:, None] ** 2), axis=1)
                                for xb in np.split(x, range(32, x.size, 32))])
 
     # Moment tail.
@@ -310,56 +301,32 @@ def _omega_pf_array(x: np.ndarray, z: complex, n_terms: int,
             "partial-fraction moment tail stalled; raise n_terms above 2x")
     s_all = s_direct + s_tail
 
-    half = 0.5 * z
-    a = -plan.gamma_zeta * np.power(2.0 * math.pi * np.sqrt(x), -z)
-    c = -plan.zeta_z1 * np.power(x, half) / 2.0
-    out = a + c + np.power(x, half + 1.0) * s_all / math.pi
-    if include_pole_term:
-        # The zeta(z) x^{z/2-1} piece overflows at double-exponential nodes
-        # near 0 for Re z < 0; callers that subtract it ask for it dropped
-        # here instead of cancelling infinities.
-        out = out + plan.zeta_z * np.power(x, half - 1.0) / (2.0 * math.pi)
-    return out
+    lx = 0.5 * np.log(x)
+    return -0.5 * _pole_quotient(z, lx, -lx)[0] + np.power(x, 0.5 * z + 1.0) * s_all / math.pi
 
 
-def _omega_pf(x: np.ndarray, z: complex, n_terms: int,
-              include_pole_term: bool) -> np.ndarray:
-    """_omega_pf_array with the removable singularity at z=0 evaluated by
-    averaging z = +-1e-4; orders with 0 < |z| < 1e-4 are refused."""
-    if abs(z) < 1e-12:
-        hi = _omega_pf_array(x, 1e-4 + 0.0j, n_terms,
-                             include_pole_term=include_pole_term)
-        lo = _omega_pf_array(x, -1e-4 + 0.0j, n_terms,
-                             include_pole_term=include_pole_term)
-        return 0.5 * (hi + lo)
-    if abs(z) < 1e-4:
-        raise NearPoleError(
-            "partial-fraction omega is ill-conditioned for 0 < |z| < 1e-4")
-    return _omega_pf_array(x, z, n_terms, include_pole_term=include_pole_term)
+def _positive_x(x, name: str):
+    """x as a float array (at least 1-D) and whether it was a scalar."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr <= 0.0):
+        raise DomainError(f"{name} requires x > 0")
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def omega(x, z, mode: str = "partial-fraction", n_terms: int = 500):
-    """Omega(x, z) in either representation; |Re z| < 1.
-
-    In partial-fraction mode z=0 is a removable singularity evaluated by
-    averaging z = +-1e-4 (error near 1e-8 by symmetry of the pole terms),
-    and orders closer to 0 than that are refused.
-    """
+    """Omega(x, z) in either representation; |Re z| < 1.  Partial fractions
+    take every z, 0 included, through one formula (_omega_pf)."""
     z = complex(z)
     if abs(z.real) >= 1.0:
         raise DomainError("omega requires |Re z| < 1")
     if n_terms < 1:
         raise DomainError("omega needs n_terms >= 1")
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    if np.any(arr <= 0.0):
-        raise DomainError("omega requires x > 0")
+    arr, scalar = _positive_x(x, "omega")
 
     if mode == "definition":
         out = np.array([_omega_definition(float(t), z, n_terms) for t in arr])
     elif mode == "partial-fraction":
-        out = _omega_pf(arr, z, n_terms, include_pole_term=True)
+        out = _omega_pf(arr, z, n_terms) + riemann_zeta(z) * arr ** (0.5 * z - 1.0) / (2 * math.pi)
     else:
         raise DomainError(f"unknown omega mode '{mode}'")
     return complex(out[0]) if scalar else out
@@ -377,16 +344,14 @@ def omega_pf_tail_envelope(n_terms: int, z) -> float:
 def omega_combination(x, z, n_terms: int = 500):
     """Omega(x,z) - zeta(z) x^{z/2-1} / (2 pi): the self-reciprocal
     combination; partial-fraction based with the pole term dropped
-    analytically, vectorized over x."""
+    analytically, vectorized over x.  Its pole pieces round to within a
+    few ulps of k (x^{Re z/2} + x^{-Re z/2}), k half the roundoff scale of
+    _omega_pf's pole quotient at x = 1."""
     z = complex(z)
     if abs(z.real) >= 1.0:
         raise DomainError("omega_combination requires |Re z| < 1")
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    if np.any(arr <= 0.0):
-        raise DomainError("omega_combination requires x > 0")
-    out = _omega_pf(arr, z, n_terms, include_pole_term=False)
+    arr, scalar = _positive_x(x, "omega_combination")
+    out = _omega_pf(arr, z, n_terms)
     return complex(out[0]) if scalar else out
 
 
@@ -394,39 +359,36 @@ def omega_combination(x, z, n_terms: int = 500):
 # lambda and its tail-corrected sums
 # ---------------------------------------------------------------------------
 
-def _lambda(x: np.ndarray, z: complex):
-    """lambda(x, z) at an array of x > 0 for |z| >= 1e-4, from one Hurwitz
-    call, and the sum of its three pieces' magnitudes: its roundoff scale,
-    since the pieces cancel to O(x^{-Re z - 2})."""
-    pieces = (_hurwitz_em(z + 1.0, x), np.power(x, -z) / z, 0.5 * np.power(x, -z - 1.0))
-    return pieces[0] - (pieces[1] + pieces[2]), sum(np.abs(p) for p in pieces)
-
-
 def lambda_fn(x, z):
-    """lambda(x, z) = zeta(z+1, x) - x^{-z}/z - x^{-z-1}/2, with the z=0
-    limit log x - psi(x) - 1/(2x); decays like x^{-Re z - 2}."""
+    """lambda(x, z) = zeta(z+1, x) - x^{-z}/z - x^{-z-1}/2, log x - psi(x) -
+    1/(2x) at z = 0, from one specfun._hurwitz_em call; decays like x^{-Re z - 2}."""
     z = complex(z)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    if np.any(arr <= 0.0):
-        raise DomainError("lambda_fn requires x > 0")
-    if abs(z) < 1e-12:
-        out = np.array([math.log(t) - digamma(t).real - 0.5 / t for t in arr],
-                       dtype=complex)
-    elif abs(z) < 1e-4:
-        raise NearPoleError("lambda_fn is ill-conditioned for 0 < |z| < 1e-4")
-    else:
-        out = _lambda(arr, z)[0]
+    arr, scalar = _positive_x(x, "lambda_fn")
+    out = _hurwitz_em(z + 1.0, arr, True)[0]
     return complex(out[0]) if scalar else out
 
 
 def _lambda_antiderivative_tail(U: np.ndarray, z: complex):
-    """Integral of lambda(v, z) over [U, inf) at an array of U, and the sum
-    of its three pieces' magnitudes."""
-    pieces = (_hurwitz_em(z, U) / z, np.power(U, 1.0 - z) / (z * (1.0 - z)),
-              np.power(U, -z) / (2.0 * z))
-    return pieces[0] + pieces[1] - pieces[2], sum(np.abs(p) for p in pieces)
+    """Integral of lambda(v, z) over [U, inf), lambda(U, z - 1)/z, at an
+    array of U, and the sum of its pieces' magnitudes: Euler-Maclaurin for
+    zeta(z, U) cut at A = U + M >= 20 per point, with each v^{-z} written
+    as 1 + z e(v), e(v) = (v^{-z} - 1)/z, so the pieces constant in z
+    cancel exactly and leave, finite at z = 0,
+        (M + A e(A) - U e(U))/(z - 1) + the trapezoid sum of e over U..A
+        + sum_{k<=8} B_2k/(2k)! (z+1)_{2k-2} A^{1-z-2k}   (k = 9: < 1e-20)."""
+    M = np.ceil(np.maximum(20.0 - U, 0.0))
+    rows, n = np.arange(U.size), M.astype(int)
+    e = _exp_slope(-np.log(np.add.outer(U, np.arange(n.max() + 1.0))), z)
+    A, eA, eU = U + M, e[rows, n], e[:, 0]
+    poch = np.cumprod(np.r_[1.0, z + np.arange(1.0, 15.0)])[::2]
+    tail = np.power(A, 1.0 - z) * np.sum(_EM_COEF[:8] * poch
+                                         * np.power.outer(A, -2.0 * np.arange(1.0, 9.0)), axis=1)
+    ends = (M + A * eA - U * eU) / (z - 1.0)
+    value = ends + np.cumsum(e, axis=1)[rows, n] - 0.5 * (eU + eA) + tail
+    # At M = 0 the ends and the trapezoid sum cancel exactly (A is U).
+    mag = ((M + np.abs(A * eA) + np.abs(U * eU)) / abs(z - 1.0)
+           + np.cumsum(np.abs(e), axis=1)[rows, n]) * (M > 0) + np.abs(tail)
+    return value, mag
 
 
 def lambda_sum(alpha, z, n_terms: int):
@@ -444,17 +406,17 @@ def lambda_sum(alpha, z, n_terms: int):
     term counts such as N=10.
     """
     z = complex(z)
-    if abs(z) < 1e-4:
-        raise NearPoleError("lambda_sum needs |z| >= 1e-4")
     scalar = np.ndim(alpha) == 0
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     N = max(int(n_terms), 1)
     points = np.multiply.outer(alpha, np.arange(1, N + 1, dtype=float))
     uniq, inverse = np.unique(points, return_inverse=True)
-    head, head_mag = (np.sum(v[inverse].reshape(points.shape), axis=1) for v in _lambda(uniq, z))
+    head, head_mag = (np.sum(v[inverse].reshape(points.shape), axis=1)
+                      for v in _hurwitz_em(z + 1.0, uniq, True))
     U = (N + 1.0) * alpha
     integral, int_mag = _lambda_antiderivative_tail(U, z)
-    (f_a, mag0), (l1, mag1), (l3, mag3), (l5, _) = (_lambda(U, z + k) for k in (0.0, 1.0, 3.0, 5.0))
+    (f_a, mag0), (l1, mag1), (l3, mag3), (l5, _) = (_hurwitz_em(z + k, U, True)
+                                                    for k in (1.0, 2.0, 4.0, 6.0))
     d1 = alpha * (z + 1.0)                       # f'(a) = -d1 lambda(U, z+1)
     d3 = alpha ** 3 * (z + 1.0) * (z + 2.0) * (z + 3.0)
     tail = integral / alpha + 0.5 * f_a + d1 * l1 / 12.0 - d3 * l3 / 720.0

@@ -27,13 +27,13 @@ from koshliakov.identities import (_hurwitz_F, f_frak, verify_bessel_hurwitz_sum
                                    verify_rg_formula)
 from koshliakov.kernels import (first_koshliakov_transform, kernel_m,
                                 koshliakov_kernel, lambda_fn, omega,
-                                omega_definition_term, pair_dixon_ferrar,
-                                pair_k_bessel, theta_eval)
+                                omega_combination, omega_definition_term,
+                                pair_dixon_ferrar, pair_k_bessel, theta_eval)
 from koshliakov.quadrature import ExpDecay, integrate_semi_infinite, tanh_sinh
 from koshliakov.specfun import (bessel_j, bessel_k, bessel_k_scaled, bessel_y,
-                                big_xi, digamma, exp_integral_ei,
-                                exp_integral_li, gamma, hurwitz_zeta,
-                                riemann_zeta, xi)
+                                big_xi, digamma, exp_integral_e1_scaled,
+                                exp_integral_ei, exp_integral_li, gamma,
+                                hurwitz_zeta, riemann_zeta, xi)
 from koshliakov.arith import sigma
 
 from conftest import hurwitz_zeta_hermite, rel_err
@@ -241,6 +241,14 @@ def test_criterion_02_golden_suite(golden):
             ("case_0_1em6p1em6i", 0.0, 1e-6 + 1e-6j), ("case_0_100p1i", 0.0, 100 + 1j),
             ("case_2i_5", 2j, 5.0), ("case_0p1_0p2p0p2i", 0.1, 0.2 + 0.2j)):
         evaluators[f"bessel_k_{key}"] = lambda nu=nu, x=x: bessel_k(nu, x)
+    # The z = 0 limits and |z| = 1e-6, real and complex.
+    for tag, z in (("0", 0.0), ("1em6", 1e-6), ("1em6c", 6e-7 + 8e-7j)):
+        evaluators[f"omega_comb_1p5_{tag}"] = lambda z=z: omega_combination(1.5, z)
+        evaluators[f"lambda_2_{tag}"] = lambda z=z: lambda_fn(2.0, z)
+        evaluators[f"f_frak_1p3_{tag}"] = lambda z=z: f_frak(z, 1.3, 60)[0] / 8.0
+    for tag, w in (("1", 1.0), ("1p0001", 1.0001), ("2", 2.0), ("4", 4.0),
+                   ("20", 20.0), ("49p9", 49.9)):
+        evaluators[f"e1_scaled_{tag}"] = lambda w=w: exp_integral_e1_scaled(w)
     required = ("zeta_half", "bessel_k_0_1", "bessel_y_0_1", "xi_half",
                 "li_2", "bessel_k_0p3_cplx")
 

@@ -1,16 +1,17 @@
 """Identity verifiers: representative points, report invariants, and the
 structural properties promised by the registry."""
 
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koshliakov import arith, identities, kernels
-from koshliakov.errors import DomainError, NearPoleError
+from koshliakov.errors import DomainError
 from koshliakov.identities import (IDENTITIES, _hurwitz_F, _k_series_tail,
                                    _oscillatory_tail, _report,
                                    f_frak, _theta_pair_inner,
@@ -56,8 +57,10 @@ def test_rg_corollary_domain_message():
 
 
 def test_rg_corollary_near_pole():
-    with pytest.raises(NearPoleError):
-        verify_rg_corollary(z=1e-6, alpha=1.0)
+    # |z| = 1e-6 is an ordinary point of the strip: f_frak's Gamma-zeta
+    # pair is a difference of slopes, finite at z = 0.
+    r = verify_rg_corollary(z=1e-6, alpha=1.0)
+    assert r.passed and r.rel_diff < 1e-10
 
 
 def test_rg_z0_routing():
@@ -108,6 +111,15 @@ def test_rg_formula_grid_rows_are_the_verifies():
         rows = verify_rg_formula(z, alphas, 10)
         assert rows == [verify_rg_formula(z, alpha, 10) for alpha in alphas]
         assert all(r.passed for r in rows)
+
+
+@pytest.mark.parametrize("tag, z", [("0", 0.0), ("1em6", 1e-6), ("1em6c", 6e-7 + 8e-7j)])
+def test_f_frak_z0_limit_goldens(golden, tag, z):
+    # The Gamma-zeta pair at z = 0 and |z| = 1e-6 is a difference of slopes
+    # (the golden F is f_frak / 8; at z = 0 the oracle's mean of +-1e-30).
+    value, budgets = f_frak(z, 1.3, 60)
+    assert rel_err(value / 8.0, golden[f"f_frak_1p3_{tag}"]) < 1e-13
+    assert abs(value - 8.0 * golden[f"f_frak_1p3_{tag}"]) <= budgets["eval_err"]
 
 
 def test_f_frak_bounds_cover_the_oracle(golden):
@@ -486,3 +498,32 @@ def test_report_never_passes_unresolved(rhs, nudge, budgets, tolerance, real_inp
         assert not r.passed
     if r.passed:
         assert r.abs_diff <= cap * (1.0 + 1e-12)
+
+
+# The identities that take z, with whether their strips admit a complex z.
+_Z_IDENTITIES = [("rg-corollary", True), ("rg-formula", True), ("hurwitz-corollary", True),
+                 ("hurwitz-modular", True), ("omega-self-reciprocal", False),
+                 ("omega-modular", True), ("omega-laplace", True),
+                 ("bessel-hurwitz-sum", True), ("laplace-bessel", False),
+                 ("pair-reciprocity", False)]
+
+
+@pytest.mark.parametrize("name, complex_z", _Z_IDENTITIES)
+@settings(max_examples=8)
+@given(size=st.floats(1e-9, 1e-3), turn=st.floats(0.0, 1.0))
+@example(size=0.0, turn=0.0)
+def test_small_z_passes_or_names_its_edge(name, complex_z, size, turn):
+    # z = 0 and 1e-9 <= |z| <= 1e-3 are points of every strip like any
+    # other: each report passes, or the DomainError names the strip's edge
+    # (z = 0 or Re z <= 0 where the strip is open there).  Where the
+    # identity takes alpha, a one-row sweep gives the verify's row.
+    z = size * (cmath.exp(2j * math.pi * turn) if complex_z else (1.0 if turn < 0.5 else -1.0))
+    entry = IDENTITIES[name]
+    try:
+        report = entry.verify({"z": z}, entry.tolerance)
+    except DomainError as exc:
+        assert "Re z" in str(exc), str(exc)
+        return
+    assert report.passed, report
+    if "alpha" in entry.arg_names:
+        assert entry.verify({"z": z, "alpha": [1.0]}, entry.tolerance) == [report]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from koshliakov import kernels
-from koshliakov.errors import DecayError, DomainError, NearPoleError
+from koshliakov.errors import DecayError, DomainError
 from koshliakov.kernels import (first_koshliakov_transform, kernel_m,
                                 koshliakov_kernel, lambda_fn, lambda_sum,
                                 omega, omega_combination,
@@ -206,18 +206,22 @@ def test_omega_plan_sigma_read_only():
     _clear_omega_caches()
     plan = kernels._omega_plan(0.4 + 0.0j, 50)
     with pytest.raises(ValueError):
-        plan.sigma[0] = 0.0
+        plan[0] = 0.0
 
 
-def test_omega_z0_routes_through_average():
-    v = omega(1.0, 0.0, mode="partial-fraction")
-    d = omega(1.0, 0.0, mode="definition")
-    assert abs(v - d) < 1e-7
+def test_omega_z0_matches_definition():
+    # z = 0 is a limit: partial fractions match the definition to rounding.
+    for x in (0.5, 1.0, 3.0):
+        v = omega(x, 0.0, mode="partial-fraction")
+        d = omega(x, 0.0, mode="definition")
+        assert abs(v - d) < 1e-14
 
 
-def test_omega_near_pole_refused():
-    with pytest.raises(NearPoleError):
-        omega(1.0, 1e-6, mode="partial-fraction")
+def test_omega_near_pole_is_continuous():
+    # 0 < |z| < 1e-4 takes the same formula as every other z.
+    at0 = omega(np.array([0.5, 1.0, 3.0]), 0.0)
+    for z in (1e-9, -1e-6, 1e-6j, 5e-5):
+        assert np.all(np.abs(omega(np.array([0.5, 1.0, 3.0]), z) - at0) < 2.0 * abs(z))
 
 
 def test_omega_domain():
@@ -242,6 +246,26 @@ def test_omega_pf_truncation_within_envelope():
 def test_omega_pf_envelope_domain():
     with pytest.raises(DecayError):
         omega_pf_tail_envelope(100, -0.6)
+
+
+@pytest.mark.parametrize("tag, z", [("0", 0.0), ("1em6", 1e-6), ("1em6c", 6e-7 + 8e-7j)])
+def test_z0_limit_goldens(golden, tag, z):
+    # Omega's pole pieces and lambda at z = 0 and |z| = 1e-6 take the one
+    # formula every z takes; 40-digit oracle values (z = 0 from Omega's
+    # definition and lambda's digamma form).
+    assert rel_err(omega_combination(1.5, z), golden[f"omega_comb_1p5_{tag}"]) < 1e-13
+    assert rel_err(lambda_fn(2.0, z), golden[f"lambda_2_{tag}"]) < 1e-13
+
+
+def test_lambda_antiderivative_tail_at_z0():
+    # The integral of lambda(v, 0) over [U, inf) is Binet's function
+    # log Gamma(U) - (U - 1/2) log U + U - log(2 pi)/2 (a Stirling remainder;
+    # in float64 its own four terms round to about 1e-16 of U log U).
+    U = np.array([0.5, 2.75, 11.0, 19.99, 20.0, 51.0])
+    value, mag = kernels._lambda_antiderivative_tail(U, 0.0 + 0.0j)
+    binet = [math.lgamma(u) - (u - 0.5) * math.log(u) + u - 0.5 * math.log(2 * math.pi)
+             for u in U]
+    assert np.all(np.abs(value - binet) <= 16 * 2.0 ** -52 * (mag + 2.0 * U * np.log(U + 1.0)))
 
 
 def test_lambda_golden(golden):

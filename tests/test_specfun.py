@@ -572,3 +572,34 @@ def test_exp_integrals_golden(golden):
 def test_li_via_ei():
     for x in (2.0, 5.0, 0.5):
         assert rel_err(exp_integral_li(x), exp_integral_ei(math.log(x))) < 1e-12
+
+
+@pytest.mark.parametrize("tag, w", [("1", 1.0), ("1p0001", 1.0001), ("2", 2.0), ("4", 4.0),
+                                    ("20", 20.0), ("49p9", 49.9)])
+def test_e1_scaled_goldens(golden, tag, w):
+    # The continued fraction summed backward from depth 100, where it
+    # starts (w = 1, its slowest point) and across its range.
+    assert rel_err(specfun.exp_integral_e1_scaled(w), golden[f"e1_scaled_{tag}"]) < 5e-16
+
+
+def _ei_series_loop(y):
+    """The term-by-term loop `_ei_positive_series` replaced, kept as the
+    reference for its bits."""
+    out = EULER_GAMMA + np.log(y)
+    term = np.ones_like(y)
+    done = np.zeros(y.shape, dtype=bool)
+    for k in range(1, 400):
+        term = term * (y / k)
+        out = np.where(done, out, out + term / k)
+        done |= (term / k < 1e-18 * np.abs(out)) & (k > y)
+        if np.all(done):
+            break
+    return out
+
+
+def test_ei_series_block_keeps_the_loop_arithmetic():
+    # One cumprod/cumsum block with a stop per point adds the same terms in
+    # the same order as the loop did.
+    rng = np.random.default_rng(0)
+    y = np.r_[np.exp(rng.uniform(math.log(1e-3), math.log(50.0), 5000)), 1e-3, 1.0, 50.0]
+    assert np.array_equal(specfun._ei_positive_series(y), _ei_series_loop(y))

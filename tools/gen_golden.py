@@ -25,7 +25,7 @@ import time
 
 from mpmath import (
     mp, mpf, mpc, pi, exp, log, sqrt, sin, cos, atan, gamma, digamma,
-    zeta, besselj, bessely, besselk, li, ei, quad, nsum, inf, expm1,
+    zeta, besselj, bessely, besselk, li, ei, e1, quad, nsum, inf, expm1,
     euler, binomial, fabs, arg, re, im, bernoulli, factorial, rf, fsum,
 )
 
@@ -389,6 +389,26 @@ def golden_values():
         "F(alpha, z) at alpha=1/4, z=0.3+0.2i")
     put("f_frak_0p3_0p9c", frak_f(mpf("0.3"), mpc("0.9", "-0.4")),
         "F(alpha, z) at alpha=0.3, z=0.9-0.4i")
+    # The removable singularities at z = 0 taken as limits: z = 0 and
+    # |z| = 1e-6, real and complex.  Omega's definition and lambda's digamma
+    # form hold at z = 0 itself; F there is the mean of z = +-1e-30 at 90
+    # digits (an O(z^2) error; the poles cancel 30 of the digits).
+    for tag, z in (("0", mpf(0)), ("1em6", mpf("1e-6")), ("1em6c", mpc("6e-7", "8e-7"))):
+        x = mpf("1.5")
+        put(f"omega_comb_1p5_{tag}", omega_def(x, z) - zeta(z) * x ** (z / 2 - 1) / (2 * pi),
+            f"Omega(3/2, z) - zeta(z) (3/2)^(z/2-1)/(2 pi) at z = {tag}")
+        put(f"lambda_2_{tag}", lam(2, z) if z else log(2) - digamma(2) - mpf("0.25"),
+            f"lambda(2, z) at z = {tag}")
+        if not z:
+            with mp.workdps(90):
+                frak = (frak_f(mpf("1.3"), mpf("1e-30")) + frak_f(mpf("1.3"), mpf("-1e-30"))) / 2
+        else:
+            frak = frak_f(mpf("1.3"), z)
+        put(f"f_frak_1p3_{tag}", frak, f"F(alpha, z) at alpha=1.3, z = {tag}")
+    # e^w E1(w) where the continued fraction starts (w = 1) and across it.
+    for tag, w in (("1", "1"), ("1p0001", "1.0001"), ("2", "2"), ("4", "4"),
+                   ("20", "20"), ("49p9", "49.9")):
+        put(f"e1_scaled_{tag}", exp(mpf(w)) * e1(mpf(w)), f"e^w E1(w) at w = {w}")
     return vals
 
 

@@ -17,8 +17,11 @@ two Omega sweeps over the whole alpha range [1/4, 4], three k-bessel
 absolute accuracy, five verifies of the modular checks, the Dixon-Ferrar
 pair, the z = 0 Theta series and complex-order K off their defaults,
 three verifies that reach Bessel J and Y below the Hankel knee off the
-defaults, and `list`, whose `tol` column both this tool and the
-benchmark read: 51 commands in all.
+defaults, the removable singularities at z = 0 and near it (a verify
+each of `rg-formula`, `hurwitz-modular` and `omega-modular`, and `eval
+lambda` at z = 0), `eval li` at four points that reach the E1
+continued fraction, the E1 series and the Ei series, and `list`, whose
+`tol` column both this tool and the benchmark read: 59 commands in all.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
@@ -30,8 +33,9 @@ CSV differs both trees run `verify` at every row's alpha, all rows in
 one process per tree, to supply them;
 the line also counts rows whose status changed, a row failing when it
 is `nan` or its diff misses the identity's tolerance (as `verify` judges
-it).  Any other command that differs is reported as `differs`.  The exit
-status is 0 when every command is identical, else 1.
+it).  An `eval` that differs gives both exit codes and the relative move
+of its value.  Any other command that differs is reported as `differs`.
+The exit status is 0 when every command is identical, else 1.
 """
 
 from __future__ import annotations
@@ -108,6 +112,14 @@ COMMANDS = (
     ("verify", "laplace-bessel", "--alpha=0.5", "--y=0.5", "--z=-0.5"),
     ("verify", "pair-reciprocity", "--z=0.3"),
     ("verify", "omega-self-reciprocal", "--z=0", "--x=0.5"),
+    # z = 0 and near it, where the pole pairs are limits.
+    ("verify", "rg-formula", "--z=1e-6"),
+    ("verify", "hurwitz-modular", "--z=5e-5"),
+    ("verify", "omega-modular", "--z=0"),
+    ("eval", "lambda", "--x=2", "--z=0"),
+    # li(x) = Ei(log x): at x = 0.1 the E1 continued fraction (Ei(-2.3)),
+    # at 0.5 the E1 series (Ei(-0.69)), at 2 and 1e10 the Ei series.
+    *(("eval", "li", f"--x={x}") for x in ("0.1", "0.5", "2", "1e10")),
     ("list",),
 )
 
@@ -166,6 +178,15 @@ def compare_verify(old, new) -> str:
     a, b = json.loads(old_out), json.loads(new_out)
     move = _move(_sides(a), _sides(b), max(_budget_sum(a), _budget_sum(b)))
     return f"{text}, pass {a['pass']} -> {b['pass']}, moved {move:.3g} budget sums"
+
+
+def compare_eval(old, new) -> str:
+    (old_rc, old_out), (new_rc, new_out) = old, new
+    text = f"exit {old_rc} -> {new_rc}"
+    if not (old_out.strip() and new_out.strip()):
+        return text
+    a, b = (complex(*map(float, out.split())) for out in (old_out, new_out))
+    return f"{text}, moved {abs(b - a) / max(abs(a), 1e-300):.3g} relative"
 
 
 def _csv_rows(text: str) -> list:
@@ -228,6 +249,8 @@ def main(argv=None) -> int:
                                         (args.old_src, args.new_src), tols)
             elif cmd[0] == "verify":
                 verdict = compare_verify(old, new)
+            elif cmd[0] == "eval":
+                verdict = compare_eval(old, new)
             else:
                 verdict = "differs"
         print(f"{' '.join(cmd)}: {verdict}", flush=True)
