@@ -8,7 +8,7 @@ return immutable reports with explicit error budgets.  `cli` wraps the
 registry for shell use; `reporting` renders reports to JSON/CSV/SVG.
 """
 
-from .arith import build_table, divisor_count, sigma
+from .arith import build_table, sigma
 from .errors import (ConvergenceError, DecayError, DomainError,
                      KoshliakovError, LimitError, PoleError)
 from .identities import (IDENTITIES, IdentityEntry, VerificationReport,
@@ -19,7 +19,7 @@ from .identities import (IDENTITIES, IdentityEntry, VerificationReport,
                          verify_omega_self_reciprocal,
                          verify_pair_reciprocity, verify_rg_corollary,
                          verify_rg_corollary_z0, verify_rg_formula)
-from .kernels import (ReciprocalPair, first_koshliakov_transform, kernel_m,
+from .kernels import (ReciprocalPair, first_koshliakov_transform,
                       koshliakov_kernel, lambda_fn, lambda_sum, omega,
                       omega_combination, pair_dixon_ferrar, pair_k_bessel,
                       theta_eval, transform_kernel)
@@ -38,11 +38,11 @@ __all__ = [
     "KoshliakovError", "LimitError", "PoleError",
     "QuadratureResult", "QuadratureSpec", "ReciprocalPair",
     "VerificationReport", "bessel_j", "bessel_k",
-    "bessel_y", "big_xi", "build_table", "digamma", "divisor_count",
+    "bessel_y", "big_xi", "build_table", "digamma",
     "exp_integral_ei", "exp_integral_li", "first_koshliakov_transform",
     "gamma", "hurwitz_zeta", "integrate_finite",
     "integrate_half_line", "integrate_semi_infinite",
-    "kernel_m", "koshliakov_kernel", "lambda_fn", "lambda_sum", "log_gamma",
+    "koshliakov_kernel", "lambda_fn", "lambda_sum", "log_gamma",
     "omega", "omega_combination", "pair_dixon_ferrar", "pair_k_bessel",
     "riemann_zeta", "sigma", "tanh_sinh", "theta_eval", "transform_kernel",
     "verify_bessel_hurwitz_sum", "verify_hurwitz_corollary",

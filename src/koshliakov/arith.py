@@ -31,11 +31,6 @@ def sigma(a, n: int) -> complex:
     return total
 
 
-def divisor_count(n: int) -> int:
-    """d(n), the number of divisors."""
-    return int(round(sigma(0.0, n).real))
-
-
 def build_table(a, n_max: int) -> np.ndarray:
     """sigma_a(1..n_max) as a complex array (entry n - 1 is sigma_a(n)),
     by a sieve: each divisor d adds d**a to its multiples, O(N log N)

@@ -68,14 +68,11 @@ _PARAMS: dict = {"z": "complex", "alpha": "float", "terms": "int", "s": "complex
                  "nu": "complex", "q": "float", "x": "float", "y": "float",
                  "pair": "str", "pair_alpha": "float"}
 
-# The same for eval, and its defaults; --mode gets its own flag, for its
-# choices.
+# The same for eval, and its defaults.
 _EVAL_PARAMS: dict = {"s": "complex", "a": "complex", "t": "complex", "nu": "complex",
-                      "z": "complex", "x": "complex", "n": "int", "terms": "int",
-                      "mode": "str"}
+                      "z": "complex", "x": "complex", "n": "int"}
 _EVAL_DEFAULTS: dict = {"s": 2.0 + 0.0j, "a": 1.0 + 0.0j, "t": 0.0 + 0.0j, "nu": 0.0,
-                        "z": 0.5 + 0.0j, "x": 1.0, "n": 1, "terms": 500,
-                        "mode": "partial-fraction"}
+                        "z": 0.5 + 0.0j, "x": 1.0, "n": 1}
 # The eval flags parsed as complex that these functions take real.
 _EVAL_REAL: dict = {"x": ("li", "kernel", "omega", "lambda", "bessel-j", "bessel-y"),
                     "nu": ("bessel-j", "bessel-y")}
@@ -206,9 +203,7 @@ def _eval_table() -> dict:
         "bessel-k": (("nu", "x"), specfun.bessel_k),
         "li": (("x",), specfun.exp_integral_li),
         "kernel": (("z", "x"), kernels.koshliakov_kernel),
-        "omega": (("x", "z", "terms", "mode"),
-                  lambda x, z, terms, mode: kernels.omega(x, z, mode=mode,
-                                                          n_terms=terms)),
+        "omega": (("x", "z"), kernels.omega),
         "lambda": (("x", "z"), kernels.lambda_fn),
         "sigma": (("a", "n"), arith.sigma),
     }
@@ -261,9 +256,7 @@ def build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="evaluate one special function")
     p_eval.add_argument("function")
-    _add_param_flags(p_eval, _EVAL_PARAMS, skip=("mode",))
-    p_eval.add_argument("--mode", choices=["partial-fraction", "definition"],
-                        default=None)
+    _add_param_flags(p_eval, _EVAL_PARAMS)
 
     sub.add_parser("list", help="list registered identities")
     return parser

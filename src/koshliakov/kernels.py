@@ -22,7 +22,7 @@ from . import arith
 from .errors import ConvergenceError, DecayError, DomainError
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_half_line
 from .specfun import (_EM_COEF, _bessel_jy, _e1_minus_ei_scaled, _exp_slope, _hurwitz_em,
-                      _pole_quotient, bessel_k, bessel_y, gamma, riemann_zeta)
+                      _pole_quotient, bessel_k, gamma, riemann_zeta)
 
 # The kernels hand their Hurwitz points to specfun._hurwitz_em, the array
 # core of hurwitz_zeta, one array per call.  perfbench/trace_child.py keys
@@ -35,12 +35,6 @@ def _require_real_order(z) -> float:
     if z.imag != 0.0:
         raise DomainError("kernel orders must be real (Y is real-order only)")
     return z.real
-
-
-def kernel_m(z, x):
-    """M_z(x) = (2/pi) K_z(x) - Y_z(x) for real order z and x > 0."""
-    zr = _require_real_order(z)
-    return (2.0 / math.pi) * bessel_k(zr, x).real - bessel_y(zr, x)
 
 
 def _kernel(nu: float, v):
@@ -211,28 +205,32 @@ def pair_Z_numeric(pair: ReciprocalPair, s, z) -> complex:
 _OMEGA_ROT = cmath.exp(0.25j * math.pi)          # e^{i pi/4}
 
 
-def _omega_definition(x: float, z: complex, n_terms: int) -> complex:
+# Partial fractions carry an absolute error near 5e-16 from four cancelling
+# O(1) pieces, while Omega decays like exp(-2 sqrt(2) pi sqrt(x)): against
+# the 40-digit oracle they read 6e-4 relative at x = 10, the definition
+# 1.6e-15.  Below x = 1/4 the definition would need more than 92 terms;
+# partial fractions read about 1e-13 there for |Re z| <= 0.9, and lose more
+# toward |Re z| = 1, where a pole pair cancels between their pieces
+# (tools/accuracy_map.py).
+_OMEGA_SWITCH = 0.25
+
+
+def _omega_definition(x: float, z: complex) -> complex:
     """2 sum sigma_{-z}(n) n^{z/2} (e^{i pi z/4} K_z(4 pi e^{i pi/4} sqrt(nx))
     + e^{-i pi z/4} K_z(4 pi e^{-i pi/4} sqrt(nx))); terms die like
-    exp(-2 sqrt(2) pi sqrt(nx))."""
-    n_eff = min(n_terms, max(6, math.ceil(22.0 / x) + 4))
+    exp(-2 sqrt(2) pi sqrt(nx)).  At real z the two K terms are complex
+    conjugates, so the pair is 2 Re of the first and the sum is real."""
+    n_eff = max(6, math.ceil(22.0 / x) + 4)
     n = np.arange(1, n_eff + 1, dtype=float)
     sig = arith.build_table(-z, n_eff)
-    root = 4.0 * math.pi * np.sqrt(n * x)
-    kp, km = np.split(bessel_k(z, np.concatenate([root * _OMEGA_ROT,
-                                                  root * np.conj(_OMEGA_ROT)])), 2)
+    w = 4.0 * math.pi * np.sqrt(n * x) * _OMEGA_ROT
     rot = cmath.exp(0.25j * math.pi * z)
-    terms = 2.0 * sig * np.power(n, 0.5 * z) * (rot * kp + km / rot)
-    return complex(np.sum(terms))
-
-
-def omega_definition_term(x: float, z: complex, n: int) -> complex:
-    """A single term of the defining K-series (diagnostics and tests)."""
-    root = 4.0 * math.pi * math.sqrt(n * x)
-    rot = cmath.exp(0.25j * math.pi * complex(z))
-    kp = bessel_k(z, root * _OMEGA_ROT)
-    km = bessel_k(z, root * np.conj(_OMEGA_ROT))
-    return 2.0 * arith.sigma(-complex(z), n) * n ** (0.5 * complex(z)) * (rot * kp + km / rot)
+    if z.imag == 0.0:
+        pair = 2.0 * (rot * bessel_k(z, w)).real
+    else:
+        kp, km = np.split(bessel_k(z, np.concatenate([w, np.conj(w)])), 2)
+        pair = rot * kp + km / rot
+    return complex(np.sum(2.0 * sig * np.power(n, 0.5 * z) * pair))
 
 
 # A sweep holds z fixed, and each plan has at most 61 moments.
@@ -279,7 +277,7 @@ def _omega_pf(x: np.ndarray, z: complex, n_terms: int) -> np.ndarray:
     """
     N = n_terms
     if float(np.max(x)) >= N + 1.0:
-        raise DomainError("partial-fraction mode needs x < N + 1")
+        raise DomainError("partial fractions need x < n_terms + 1")
     sigma = _omega_plan(z, N)
     n2 = np.arange(1, N + 1, dtype=float) ** 2
     # The (points x N) direct sum in blocks of 32 points bounds the memory.
@@ -313,32 +311,22 @@ def _positive_x(x, name: str):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def omega(x, z, mode: str = "partial-fraction", n_terms: int = 500):
-    """Omega(x, z) in either representation; |Re z| < 1.  Partial fractions
-    take every z, 0 included, through one formula (_omega_pf)."""
+def omega(x, z):
+    """Omega(x, z) for x > 0 and |Re z| < 1, each point from the form that
+    is accurate there (_OMEGA_SWITCH): partial fractions below x = 1/4,
+    through one formula at every z, 0 included (_omega_pf); the defining
+    K-series from 1/4 up."""
     z = complex(z)
     if abs(z.real) >= 1.0:
         raise DomainError("omega requires |Re z| < 1")
-    if n_terms < 1:
-        raise DomainError("omega needs n_terms >= 1")
     arr, scalar = _positive_x(x, "omega")
-
-    if mode == "definition":
-        out = np.array([_omega_definition(float(t), z, n_terms) for t in arr])
-    elif mode == "partial-fraction":
-        out = _omega_pf(arr, z, n_terms) + riemann_zeta(z) * arr ** (0.5 * z - 1.0) / (2 * math.pi)
-    else:
-        raise DomainError(f"unknown omega mode '{mode}'")
+    out = np.empty(arr.shape, dtype=complex)
+    low = arr < _OMEGA_SWITCH
+    if low.any():
+        xl = arr[low]
+        out[low] = _omega_pf(xl, z, 500) + riemann_zeta(z) * xl ** (0.5 * z - 1.0) / (2 * math.pi)
+    out[~low] = [_omega_definition(float(t), z) for t in arr[~low]]
     return complex(out[0]) if scalar else out
-
-
-def omega_pf_tail_envelope(n_terms: int, z) -> float:
-    """Provable envelope for sum_{n>N} sigma_{-z}(n)/(n^2 + x^2) using
-    sigma_{-z}(n) <= 2 n^{1/2 + max(0, -Re z)}; valid for Re z > -1/2."""
-    p = 0.5 + max(0.0, -complex(z).real)
-    if p >= 1.0:
-        raise DecayError("envelope inapplicable for Re z <= -1/2")
-    return 2.0 * n_terms ** (p - 1.0) / (1.0 - p)
 
 
 def omega_combination(x, z, n_terms: int = 500):

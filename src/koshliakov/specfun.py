@@ -321,10 +321,16 @@ def riemann_zeta(s):
 
 
 def hurwitz_zeta(w, a):
-    """zeta(w, a) for Re a > 0 by Euler-Maclaurin, at one w and a scalar or
-    an array of a; PoleError at w=1."""
+    """zeta(w, a) for Re w >= -1 and Re a > 0 by Euler-Maclaurin, at one w
+    and a scalar or an array of a; PoleError at w=1.  Below Re w = -1 the
+    direct terms (n + a)^-w grow like n^-Re w up to the shift while zeta(w, a)
+    may be far smaller (2.9e-10 relative at w = -2.948-3.193i,
+    a = 0.587+0.340i), so DomainError there."""
+    w = complex(w)
+    if w.real < -1.0:
+        raise DomainError("hurwitz_zeta requires Re w >= -1")
     arr, scalar = _as_array(a, complex)
-    out = _hurwitz_em(complex(w), arr)
+    out = _hurwitz_em(w, arr)
     return complex(out[0]) if scalar else out
 
 
@@ -520,15 +526,14 @@ _K_IM_MAX = 5.0
 
 # K_mu and K_{mu+1} with mu = nu - round(Re nu), |Re mu| <= 1/2, then the
 # upward recurrence.  A real mu at real x keeps the arithmetic in float64.
+# For |Im mu| <= 1 the series of 1/Gamma(1 +- mu) stops after a_25:
 # |a_k mu^k| < 3.1e-17 for k >= 26 and |mu| <= sqrt(1/4 + 1) ~ 1.12, and the
-# rest sums to < 6e-17 (< 4e-18 per term from k = 20 at |mu| <= 1/2).  The
-# float64 recurrence leaves each a_k about 1e-17 off, so terms past k = 25
-# would add noise, not digits.
+# rest sums to < 6e-17 (< 4e-18 per term from k = 20 at |mu| <= 1/2).
 _RGAMMA_TERMS = 26
 
-# The same a_k to k = 40, correctly rounded (mpmath at 50 digits), for
-# 1 < |Im mu| and |mu| <= 2.1: |a_k mu^k| < 1.1e-16 from k = 37, and the
-# float64 recurrence's error (2% at k = 25) would be multiplied by |mu|^k.
+# a_k with 1/Gamma(1 + mu) = sum_k a_k mu^k (DLMF 5.7.1), to k = 40 and
+# correctly rounded (mpmath at 50 digits): all of them for 1 < |Im mu| and
+# |mu| <= 2.1, where |a_k mu^k| < 1.1e-16 from k = 37.
 _RGAMMA_WIDE = np.array([
     1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524, 0.16653861138229148,
     -0.04219773455554433, -0.009621971527876973, 0.0072189432466631, -0.0011651675918590652,
@@ -554,24 +559,6 @@ def _lgamma_slope(w: complex) -> complex:
     return -s * (2.0 * cmath.atanh(y / (2.0 + y)) / y if y else 1.0)
 
 
-@functools.lru_cache(maxsize=1)
-def _rgamma_taylor() -> tuple:
-    """a_0..a_25 with 1/Gamma(1+mu) = sum_k a_k mu^k.
-
-    DLMF 5.7.1: 1/Gamma(z) = sum_{k>=1} c_k z^k with c_1 = 1, c_2 = gamma
-    and (k-1) c_k = gamma c_{k-1} - zeta(2) c_{k-2} + ... + (-1)^k zeta(k-1) c_1;
-    1/Gamma(1+mu) = 1/(mu Gamma(mu)) gives a_k = c_{k+1}.
-    """
-    zeta = [0.0, 0.0, *riemann_zeta(np.arange(2.0, _RGAMMA_TERMS)).real.tolist()]
-    c = [0.0, 1.0, EULER_GAMMA]
-    for k in range(3, _RGAMMA_TERMS + 1):
-        acc = EULER_GAMMA * c[k - 1]
-        for j in range(2, k):
-            acc += (-1.0) ** (j + 1) * zeta[j] * c[k - j]
-        c.append(acc / (k - 1))
-    return tuple(c[1:])
-
-
 def _temme(mu, x: np.ndarray, need_next: bool,
            bessel_y: bool = False) -> np.ndarray:
     """Temme's series for |Re mu| <= 1/2 and 0 < |x| < 2 (J. Comput. Phys.
@@ -589,7 +576,7 @@ def _temme(mu, x: np.ndarray, need_next: bool,
     e = mu * d
     ex = np.exp(e)                               # (x/2)^-mu
     if abs(mu.imag) <= 1.0:
-        a = _rgamma_taylor()
+        a = _RGAMMA_WIDE.tolist()
         add = math.fsum if isinstance(mu, float) else sum   # fsum takes no complex terms
         gam2 = add(a[k] * mu ** k for k in range(0, _RGAMMA_TERMS, 2))
         gam1 = -add(a[k] * mu ** (k - 1) for k in range(1, _RGAMMA_TERMS, 2))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from koshliakov import quadrature
+from koshliakov import kernels, quadrature
 from koshliakov.errors import DomainError, PoleError
 
 # Property tests draw the same examples on every run, so a tier-1 result
@@ -34,6 +34,14 @@ def golden() -> dict:
 def rel_err(value, reference) -> float:
     value, reference = complex(value), complex(reference)
     return abs(value - reference) / max(abs(reference), 1e-300)
+
+
+def omega_partial_fractions(x: float, z, n_terms: int = 500) -> complex:
+    """Omega(x, z) by partial fractions at any x < n_terms + 1: the paper's
+    lemma sets it equal to the K-series definition (kernels._omega_definition)."""
+    z, x = complex(z), np.array([float(x)])
+    pole = kernels.riemann_zeta(z) * x ** (0.5 * z - 1.0) / (2.0 * math.pi)
+    return complex((kernels._omega_pf(x, z, n_terms) + pole)[0])
 
 
 def hurwitz_zeta_hermite(w, a) -> complex:

@@ -25,10 +25,10 @@ from koshliakov.identities import (_hurwitz_F, f_frak, verify_bessel_hurwitz_sum
                                    verify_pair_reciprocity,
                                    verify_rg_corollary, verify_rg_corollary_z0,
                                    verify_rg_formula)
-from koshliakov.kernels import (first_koshliakov_transform, kernel_m,
+from koshliakov.kernels import (_omega_definition, first_koshliakov_transform,
                                 koshliakov_kernel, lambda_fn, omega,
-                                omega_combination, omega_definition_term,
-                                pair_dixon_ferrar, pair_k_bessel, theta_eval)
+                                omega_combination, pair_dixon_ferrar,
+                                pair_k_bessel, theta_eval)
 from koshliakov.quadrature import ExpDecay, integrate_semi_infinite, tanh_sinh
 from koshliakov.specfun import (bessel_j, bessel_k, bessel_k_scaled, bessel_y,
                                 big_xi, digamma, exp_integral_e1_scaled,
@@ -36,7 +36,7 @@ from koshliakov.specfun import (bessel_j, bessel_k, bessel_k_scaled, bessel_y,
                                 hurwitz_zeta, riemann_zeta, xi)
 from koshliakov.arith import sigma
 
-from conftest import hurwitz_zeta_hermite, rel_err
+from conftest import hurwitz_zeta_hermite, omega_partial_fractions, rel_err
 
 
 def _line(tag: str, ok: bool, detail: str) -> None:
@@ -192,7 +192,7 @@ def test_criterion_02_golden_suite(golden):
         "hurwitz_F_1_half": lambda: _hurwitz_F(0.5, [1.0], 50)[0][0],
         "hurwitz_F_2_c": lambda: _hurwitz_F(-0.4 + 0.3j, [2.0], 50)[0][0],
         "hz0_inner_n1": _hz0_inner_n1,
-        "kernel_m_0_1": lambda: kernel_m(0.0, 1.0),
+        "kernel_m_0_1": lambda: koshliakov_kernel(0.0, 1.0 / 16.0),
         "kosh_kernel_0_2": lambda: koshliakov_kernel(0.0, 2.0),
         "kosh_kernel_0p5_1": lambda: koshliakov_kernel(0.5, 1.0),
         "lambda_1_0": lambda: lambda_fn(1.0, 0.0),
@@ -201,10 +201,9 @@ def test_criterion_02_golden_suite(golden):
         "li_0p1": lambda: exp_integral_li(0.1),
         "li_2": lambda: exp_integral_li(2.0),
         "mellin_k_closed": lambda: verify_mellin_k(1.2 + 0.7j, 0.3, 1.0).rhs,
-        "omega_1_0p4": lambda: omega(1.0, 0.4, mode="partial-fraction"),
-        "omega_2_m0p4": lambda: omega(2.0, -0.4, mode="definition"),
-        "omega_5_0p3p0p2i": lambda: omega(5.0, 0.3 + 0.2j, mode="definition"),
-        "omega_term10_1_0": lambda: abs(omega_definition_term(1.0, 0.0, 10)),
+        "omega_1_0p4": lambda: omega_partial_fractions(1.0, 0.4),
+        "omega_2_m0p4": lambda: omega(2.0, -0.4),
+        "omega_5_0p3p0p2i": lambda: omega(5.0, 0.3 + 0.2j),
         "rg_rhs_half_1": lambda: f_frak(0.5, 1.0, 60)[0],
         "rgz0_rhs_alpha1": lambda: verify_rg_corollary_z0(1.0, 12).rhs,
         "sigma_c_12": lambda: sigma(-(0.5 + 0.5j), 12),
@@ -241,6 +240,10 @@ def test_criterion_02_golden_suite(golden):
             ("case_0_1em6p1em6i", 0.0, 1e-6 + 1e-6j), ("case_0_100p1i", 0.0, 100 + 1j),
             ("case_2i_5", 2j, 5.0), ("case_0p1_0p2p0p2i", 0.1, 0.2 + 0.2j)):
         evaluators[f"bessel_k_{key}"] = lambda nu=nu, x=x: bessel_k(nu, x)
+    # Omega where it is small, down to about 1e-23 at x = 30.
+    for xtag, x in (("0p25", 0.25), ("10", 10.0), ("30", 30.0)):
+        for ztag, z in (("0p5", 0.5), ("m0p4", -0.4), ("0p3p0p2i", 0.3 + 0.2j)):
+            evaluators[f"omega_{xtag}_{ztag}"] = lambda x=x, z=z: omega(x, z)
     # The z = 0 limits and |z| = 1e-6, real and complex.
     for tag, z in (("0", 0.0), ("1em6", 1e-6), ("1em6c", 6e-7 + 8e-7j)):
         evaluators[f"omega_comb_1p5_{tag}"] = lambda z=z: omega_combination(1.5, z)
@@ -384,8 +387,8 @@ def test_criterion_08_omega_self_reciprocal():
         assert r.passed, f"(x,z)=({x},{z}): rel {r.rel_diff:.3e}"
         worst = max(worst, r.rel_diff)
     assert worst <= 1e-6
-    cross = rel_err(omega(1.0, 0.4, mode="partial-fraction"),
-                    omega(1.0, 0.4, mode="definition"))
+    cross = rel_err(omega_partial_fractions(1.0, 0.4),
+                    _omega_definition(1.0, 0.4 + 0j))
     _line("criterion 08 omega lemma", cross <= 1e-8,
           f"worst rel {worst:.2e}, cross-mode {cross:.2e}")
     assert cross <= 1e-8

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koshliakov.arith import build_table, divisor_count, sigma
+from koshliakov.arith import build_table, sigma
 from koshliakov.errors import DomainError, LimitError
 from koshliakov.specfun import riemann_zeta
 
@@ -34,8 +34,10 @@ def test_sigma_negative_exponent():
 
 
 def test_divisor_count_matches_sigma0():
-    for n in (1, 2, 9, 36, 97, 720):
-        assert divisor_count(n) == int(round(sigma(0.0, n).real))
+    # d(n) = sigma_0(n): 1, 2, 3, 9, 2 and 30 divisors.
+    table = build_table(0, 720)
+    for n, d in ((1, 1), (2, 2), (9, 3), (36, 9), (97, 2), (720, 30)):
+        assert table[n - 1] == sigma(0.0, n) == d
 
 
 def test_sigma_domain():

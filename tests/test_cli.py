@@ -486,6 +486,7 @@ def test_eval_more_functions(capsys):
 def test_eval_domain_exit_3(capsys):
     assert main(["eval", "zeta", "--s", "1"]) == 3
     assert main(["eval", "omega", "--x", "1", "--z", "1.5"]) == 3
+    assert main(["eval", "hurwitz", "--s=-2.948-3.193i", "--a=0.587+0.340i"]) == 3
     # K holds up to |Im nu| = 5, in eval and inside a verifier's integrand.
     assert main(["eval", "bessel-k", "--nu", "0.5+5i", "--x", "2"]) == 0
     assert main(["eval", "bessel-k", "--nu", "0.5+5.5i", "--x", "2"]) == 3
@@ -506,6 +507,14 @@ def test_eval_real_only_flag_refuses_imaginary_part(argv, message, capsys):
 
 def test_eval_unknown_function():
     assert main(["eval", "nope"]) == 64
+
+
+@pytest.mark.parametrize("flag", [["--mode", "definition"], ["--terms", "50"]])
+def test_eval_omega_takes_x_and_z_only(flag):
+    # omega picks its form from x: there is no mode or term count to set.
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "omega", "--x", "1", *flag])
+    assert exc.value.code == 64
 
 
 def test_eval_inapplicable_flag(capsys):

@@ -8,20 +8,21 @@ import pytest
 
 from koshliakov import kernels
 from koshliakov.errors import DecayError, DomainError
-from koshliakov.kernels import (first_koshliakov_transform, kernel_m,
+from koshliakov.kernels import (_omega_definition, first_koshliakov_transform,
                                 koshliakov_kernel, lambda_fn, lambda_sum,
                                 omega, omega_combination,
-                                omega_definition_term, omega_pf_tail_envelope,
                                 pair_dixon_ferrar, pair_k_bessel,
                                 pair_Z_numeric, theta_eval, transform_kernel)
 from koshliakov.quadrature import QuadratureSpec
-from koshliakov.specfun import EULER_GAMMA, bessel_k, hurwitz_zeta, riemann_zeta
+from koshliakov.specfun import (EULER_GAMMA, bessel_k, bessel_y, hurwitz_zeta,
+                                riemann_zeta)
 
-from conftest import rel_err
+from conftest import omega_partial_fractions, rel_err
 
 
 def test_kernel_m_golden(golden):
-    assert rel_err(kernel_m(0.0, 1.0), golden["kernel_m_0_1"]) < 1e-12
+    # At z = 0 the kernel is M_0(4 sqrt(x)), and 4 sqrt(1/16) is 1.
+    assert rel_err(koshliakov_kernel(0.0, 1.0 / 16.0), golden["kernel_m_0_1"]) < 1e-12
 
 
 def test_koshliakov_kernel_golden(golden):
@@ -30,10 +31,11 @@ def test_koshliakov_kernel_golden(golden):
 
 
 def test_kernel_z0_reduces_to_m():
-    # cos(0) M_0 - sin(0) J_0 = M_0(4 sqrt(x))
+    # cos(0) M_0 - sin(0) J_0 = M_0(4 sqrt(x)), M_0 = (2/pi) K_0 - Y_0
     for x in (0.25, 1.0, 3.0):
-        assert rel_err(koshliakov_kernel(0.0, x),
-                       kernel_m(0.0, 4.0 * math.sqrt(x))) < 1e-13
+        v = 4.0 * math.sqrt(x)
+        m0 = (2.0 / math.pi) * bessel_k(0.0, v).real - bessel_y(0.0, v)
+        assert rel_err(koshliakov_kernel(0.0, x), m0) < 1e-13
 
 
 def test_kernel_rejects_complex_order():
@@ -105,37 +107,51 @@ def test_pair_Z_matches_closed_form():
 
 
 def test_omega_golden(golden):
-    assert rel_err(omega(1.0, 0.4, mode="definition"), golden["omega_1_0p4"]) < 1e-12
-    assert rel_err(omega(2.0, -0.4, mode="definition"), golden["omega_2_m0p4"]) < 1e-12
+    assert rel_err(omega(1.0, 0.4), golden["omega_1_0p4"]) < 1e-12
+    assert rel_err(omega(2.0, -0.4), golden["omega_2_m0p4"]) < 1e-12
+
+
+@pytest.mark.parametrize("x, xtag", [(0.25, "0p25"), (10.0, "10"), (30.0, "30")])
+@pytest.mark.parametrize("z, ztag", [(0.5, "0p5"), (-0.4, "m0p4"), (0.3 + 0.2j, "0p3p0p2i")])
+def test_omega_where_it_is_small_golden(golden, x, xtag, z, ztag):
+    # From x = 1/4 up Omega decays like exp(-2 sqrt(2) pi sqrt(x)), to about
+    # 1e-23 at x = 30, and keeps its relative accuracy.
+    assert rel_err(omega(x, z), golden[f"omega_{xtag}_{ztag}"]) < 1e-12
+
+
+def test_omega_switches_form_at_a_quarter():
+    # Each x takes one form: partial fractions (N = 500) below 1/4, the
+    # definition from 1/4 up; a real z gives a real Omega in both.
+    x = np.array([0.01, 0.1, np.nextafter(0.25, 0.0), 0.25, 3.0])
+    for z in (0.5, 0.0, -0.6, 0.3 + 0.2j):
+        got = omega(x, z)
+        low = [omega_partial_fractions(t, z) for t in x[:3]]
+        assert list(got) == low + [_omega_definition(t, complex(z)) for t in x[3:]]
+        assert np.all(got.imag == 0.0) or complex(z).imag != 0.0
 
 
 def test_omega_complex_order_golden(golden):
-    # Omega(5, 0.3+0.2i) is ~9e-10 assembled from O(1) pieces, so the
-    # partial-fraction mode is compared absolutely (see the test below).
+    # Omega(5, 0.3+0.2i) is ~9e-10 assembled from O(1) pieces, so partial
+    # fractions are compared absolutely.
     ref = golden["omega_5_0p3p0p2i"]
-    assert rel_err(omega(5.0, 0.3 + 0.2j, mode="definition"), ref) < 1e-12
-    assert abs(omega(5.0, 0.3 + 0.2j) - ref) < 1e-12
+    assert rel_err(omega(5.0, 0.3 + 0.2j), ref) < 1e-12
+    assert abs(omega_partial_fractions(5.0, 0.3 + 0.2j) - ref) < 1e-12
 
 
 def test_omega_cross_mode():
     # The series definition and the partial-fraction form must agree.
-    d = omega(1.0, 0.4, mode="definition")
-    p = omega(1.0, 0.4, mode="partial-fraction")
+    d = _omega_definition(1.0, 0.4 + 0j)
+    p = omega_partial_fractions(1.0, 0.4)
     assert rel_err(p, d) < 1e-8
 
 
 def test_omega_pf_small_magnitude_cancellation():
-    # At (2, -0.4) Omega is ~3e-6 assembled from O(1) pieces, so the
-    # partial-fraction mode carries ~1e-12 absolute roundoff; definition
-    # mode is the accurate route there (compare absolutely).
-    d = omega(2.0, -0.4, mode="definition")
-    p = omega(2.0, -0.4, mode="partial-fraction")
+    # At (2, -0.4) Omega is ~3e-6 assembled from O(1) pieces, so partial
+    # fractions carry ~1e-12 absolute roundoff; the definition is the
+    # accurate route there (compare absolutely).
+    d = _omega_definition(2.0, -0.4 + 0j)
+    p = omega_partial_fractions(2.0, -0.4)
     assert abs(p - d) < 1e-10
-
-
-def test_omega_definition_term_golden(golden):
-    term = omega_definition_term(1.0, 0.0, 10)
-    assert rel_err(abs(term), golden["omega_term10_1_0"]) < 1e-10
 
 
 def test_omega_combination_modes_agree():
@@ -146,7 +162,7 @@ def test_omega_combination_modes_agree():
     cases += [(y, n) for y in (6.0, 10.0) for n in (15, 20)]
     for z in (0.3, -0.4, 0.5, 0.3 + 0.2j):
         for y, n in cases:
-            ref = (omega(y, z, mode="definition")
+            ref = (_omega_definition(y, complex(z))
                    - riemann_zeta(z) * y ** (z / 2.0 - 1.0) / (2.0 * math.pi))
             got = omega_combination(y, z, n)
             assert rel_err(got, ref) < 1e-9
@@ -195,10 +211,10 @@ def test_omega_plan_cache_is_exact():
     x = np.array([0.3, 2.0, 11.0])
     for z in (0.4, -0.6, 0.3 + 0.2j, 0.0):
         _clear_omega_caches()
-        fresh = omega(x, z)
-        cached = omega(x, z)
+        fresh = omega_combination(x, z)
+        cached = omega_combination(x, z)
         _clear_omega_caches()
-        again = omega(x, z)
+        again = omega_combination(x, z)
         assert np.array_equal(fresh, cached) and np.array_equal(fresh, again)
 
 
@@ -212,16 +228,17 @@ def test_omega_plan_sigma_read_only():
 def test_omega_z0_matches_definition():
     # z = 0 is a limit: partial fractions match the definition to rounding.
     for x in (0.5, 1.0, 3.0):
-        v = omega(x, 0.0, mode="partial-fraction")
-        d = omega(x, 0.0, mode="definition")
+        v = omega_partial_fractions(x, 0.0)
+        d = _omega_definition(x, 0j)
         assert abs(v - d) < 1e-14
 
 
 def test_omega_near_pole_is_continuous():
     # 0 < |z| < 1e-4 takes the same formula as every other z.
-    at0 = omega(np.array([0.5, 1.0, 3.0]), 0.0)
+    x = np.array([0.1, 0.5, 1.0, 3.0])
+    at0 = omega(x, 0.0)
     for z in (1e-9, -1e-6, 1e-6j, 5e-5):
-        assert np.all(np.abs(omega(np.array([0.5, 1.0, 3.0]), z) - at0) < 2.0 * abs(z))
+        assert np.all(np.abs(omega(x, z) - at0) < 2.0 * abs(z))
 
 
 def test_omega_domain():
@@ -230,22 +247,7 @@ def test_omega_domain():
     with pytest.raises(DomainError):
         omega(-1.0, 0.3)
     with pytest.raises(DomainError):
-        omega(600.0, 0.3, n_terms=500)
-
-
-def test_omega_pf_truncation_within_envelope():
-    # Dropping the moment tail cannot hurt by more than the provable
-    # envelope on sum_{n>N} sigma_{-z}(n)/(n^2+x^2).
-    z, x = 0.4, 1.0
-    full = omega(x, z, n_terms=500)
-    short = omega(x, z, n_terms=200)
-    envelope = omega_pf_tail_envelope(200, z) * x ** (z / 2.0 + 1.0) / math.pi
-    assert abs(full - short) <= envelope
-
-
-def test_omega_pf_envelope_domain():
-    with pytest.raises(DecayError):
-        omega_pf_tail_envelope(100, -0.6)
+        omega_combination(600.0, 0.3, 500)
 
 
 @pytest.mark.parametrize("tag, z", [("0", 0.0), ("1em6", 1e-6), ("1em6c", 6e-7 + 8e-7j)])

@@ -34,12 +34,19 @@ def test_bernoulli_literals_match_exact_recurrence():
 
 def test_rgamma_taylor_literals():
     # sum_k a_k mu^k = 1/Gamma(1 + mu): 1 and 1/2 at mu = 1, 2, zero at the
-    # poles mu = -1, -2, the recurrence's a_k where it is accurate, and
-    # Gamma(1 + mu) at |mu| = 2.1.
+    # poles mu = -1, -2, the a_k of DLMF 5.7.1's recurrence where it is
+    # accurate, and Gamma(1 + mu) at |mu| = 2.1.
     wide = specfun._RGAMMA_WIDE
     for mu, value in ((1.0, 1.0), (2.0, 0.5), (-1.0, 0.0), (-2.0, 0.0)):
         assert abs(math.fsum(wide * mu ** np.arange(wide.size)) - value) < 4e-16
-    assert np.allclose(wide[:8], specfun._rgamma_taylor()[:8], rtol=2e-14, atol=0.0)
+    # 1/Gamma(z) = sum_k c_k z^k, c_1 = 1, c_2 = gamma, (k - 1) c_k =
+    # gamma c_{k-1} - zeta(2) c_{k-2} + ... + (-1)^k zeta(k - 1) c_1; a_k = c_{k+1}.
+    zeta = riemann_zeta(np.arange(2.0, 9.0)).real
+    c = [0.0, 1.0, EULER_GAMMA]
+    for k in range(3, 10):
+        c.append((EULER_GAMMA * c[k - 1] + sum((-1.0) ** (j + 1) * zeta[j - 2] * c[k - j]
+                                               for j in range(2, k))) / (k - 1))
+    assert np.allclose(wide[:8], c[1:9], rtol=2e-14, atol=0.0)
     for mu in (2.1j, 0.5 + 2j, -0.5 - 2j, 1.3 - 1.6j):
         assert rel_err(np.polyval(wide[::-1], mu) * gamma(1.0 + mu), 1.0) < 4e-15
 
@@ -236,6 +243,13 @@ def test_hurwitz_hermite_checked_tail(monkeypatch):
 def test_hurwitz_domain():
     with pytest.raises(DomainError):
         hurwitz_zeta(2.0, -1.0)
+    # Below Re w = -1 the direct terms outgrow zeta(w, a): refused, not
+    # 2.9e-10 off; Re w = -1 itself is inside.
+    with pytest.raises(DomainError):
+        hurwitz_zeta(-2.948 - 3.193j, 0.587 + 0.340j)
+    with pytest.raises(DomainError):
+        hurwitz_zeta(-1.0001, np.array([0.5, 2.0]))
+    assert rel_err(hurwitz_zeta(-1.0, 1.0), -1.0 / 12.0) < 1e-14
     with pytest.raises(PoleError):
         hurwitz_zeta(1.0, 2.0)
 

@@ -38,6 +38,16 @@ integrals' arguments (t +- iz)/2; absolute over |pi^(-s/2) Gamma(s/2+1)
 (s-1)| at s = 1/2 + it, Xi's size with zeta taken as 1, since Xi has
 zeros there), each region through one array call, or one per 8 points
 sharing a Hurwitz w.
+
+Last, Omega(x, z) on each side of its switch at x = 1/4, at real z in
+(-1, 1) and at complex z (|Re z| < 1, |Im z| <= 1): partial fractions
+on [0.01, 1/4) against the oracle's partial fractions, the K-series
+definition on [1/4, 50] against the oracle's definition (the oracles are
+tools/gen_golden.py's omega_pf and omega_def).  Omega oscillates in x with
+zeros from x = 0.1 on, so its errors are relative to the larger of
+|Omega| and the size of the definition's first term,
+2 (|e^{i pi z/4} K_z(w)| + |e^{-i pi z/4} K_z(conj w)|), w = 4 pi e^{i pi/4}
+sqrt(x).
 """
 
 from __future__ import annotations
@@ -54,7 +64,8 @@ from mpmath import mp, mpc, mpf
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
-from koshliakov.kernels import _df_psi  # noqa: E402
+from gen_golden import omega_def, omega_pf  # noqa: E402
+from koshliakov.kernels import _df_psi, omega  # noqa: E402
 from koshliakov.specfun import (bessel_j, bessel_k_scaled,  # noqa: E402
                                 bessel_y, big_xi, exp_integral_e1_scaled,
                                 exp_integral_ei_scaled, gamma, hurwitz_zeta,
@@ -282,6 +293,32 @@ def _gamma_zeta_xi_build(rng, n: int) -> dict:
     return regions
 
 
+def _omega_regions(rng, n: int) -> dict:
+    """n points in each of four Omega regions, 8 per z (one omega call)."""
+    def scale(p, ref):
+        z = mpc(p[0])
+        w = 4 * mp.pi * mp.sqrt(mpf(p[1])) * mp.expjpi(mpf(1) / 4)
+        rot = mp.expjpi(z / 4)
+        first = 2 * (abs(rot * mp.besselk(z, w)) + abs(mp.besselk(z, mp.conj(w)) / rot))
+        return max(abs(ref), first)
+
+    regions = {}
+    for z_name, draw_z in (("real z in (-1, 1)", lambda: complex(rng.uniform(-1.0, 1.0))),
+                           ("complex z, |Re z| < 1, |Im z| <= 1",
+                            lambda: complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))):
+        for x_name, lo, hi, oracle in (
+                ("[0.01, 1/4)", 0.01, 0.25, omega_pf),
+                ("[1/4, 50]", 0.25, 50.0, lambda x, z: omega_def(x, z, nmax=400))):
+            got, pts = [], []
+            for _ in range(max(n // 8, 1)):
+                z, xs = draw_z(), np.minimum(_log_uniform(rng, lo, hi, 8), np.nextafter(hi, 0.0))
+                got.extend(omega(xs, z))
+                pts.extend((z, x) for x in xs)
+            regions[f"omega x in {x_name}, {z_name}"] = _worst(
+                got, pts, lambda p: oracle(mpf(p[1]), mpc(p[0])), scale)
+    return regions
+
+
 def build(n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     regions = {}
@@ -330,6 +367,7 @@ def build(n: int, seed: int) -> dict:
             regions[f"{name} in [{a:.3g}, {b:.3g}]"] = _worst(fn(xs), xs, oracle)
     regions.update(_jy_build(rng, n))
     regions.update(_gamma_zeta_xi_build(rng, n))
+    regions.update(_omega_regions(np.random.default_rng([seed, 5]), n))
     return regions
 
 

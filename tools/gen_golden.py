@@ -341,8 +341,13 @@ def golden_values():
     put("omega_2_m0p4", omega_def(2, mpf("-0.4")), "Omega(2, -2/5)")
     put("omega_5_0p3p0p2i", omega_def(5, mpc("0.3", "0.2")),
         "Omega(5, 3/10 + i/5)")
-    put("omega_term10_1_0", fabs(omega_term(10, 1, 0)),
-        "|n=10 term| of the K-definition of Omega at x=1, z=0")
+    # Omega where it is small: it decays like exp(-2 sqrt(2) pi sqrt(x)).
+    # At x = 1/4 the terms fall below 1e-48 before n = 700.
+    for xtag, x in (("0p25", mpf("0.25")), ("10", mpf(10)), ("30", mpf(30))):
+        for ztag, z in (("0p5", mpf("0.5")), ("m0p4", mpf("-0.4")),
+                        ("0p3p0p2i", mpc("0.3", "0.2"))):
+            put(f"omega_{xtag}_{ztag}", omega_def(x, z, nmax=700),
+                f"Omega({x}, {z})")
     put("sigma_c_12", sigma(-mpc("0.5", "0.5"), 12), "sigma_{-(1/2+i/2)}(12)")
     put("mellin_k_closed", 2 ** (mpc("1.2", "0.7") - 2)
         * gamma((mpc("1.2", "0.7") - mpf("0.3")) / 2)

@@ -20,8 +20,10 @@ three verifies that reach Bessel J and Y below the Hankel knee off the
 defaults, the removable singularities at z = 0 and near it (a verify
 each of `rg-formula`, `hurwitz-modular` and `omega-modular`, and `eval
 lambda` at z = 0), `eval li` at four points that reach the E1
-continued fraction, the E1 series and the Ei series, and `list`, whose
-`tol` column both this tool and the benchmark read: 59 commands in all.
+continued fraction, the E1 series and the Ei series, `eval omega` on
+both sides of its switch from partial fractions to the definition at
+x = 1/4, and `list`, whose `tol` column both this tool and the benchmark
+read: 64 commands in all.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
@@ -120,6 +122,10 @@ COMMANDS = (
     # li(x) = Ei(log x): at x = 0.1 the E1 continued fraction (Ei(-2.3)),
     # at 0.5 the E1 series (Ei(-0.69)), at 2 and 1e10 the Ei series.
     *(("eval", "li", f"--x={x}") for x in ("0.1", "0.5", "2", "1e10")),
+    # Omega by partial fractions at x = 0.1, by its definition from x = 1/4
+    # up, where it decays to about 1e-23 at x = 30.
+    *(("eval", "omega", f"--x={x}", "--z=0.5") for x in ("0.1", "1", "10", "30")),
+    ("eval", "omega", "--x=5", "--z=0.3+0.2i"),
     ("list",),
 )
 
