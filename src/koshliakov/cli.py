@@ -5,12 +5,13 @@ Subcommands: `verify` runs one identity check and prints a JSON report,
 SVG chart), `eval` evaluates a single special function, and `list` shows
 the registered identities.
 
-Exit codes: 0 pass, 2 verification failure (or failed sweep rows; a
-convergence failure in the work a sweep's rows share fails every row),
-3 domain/convergence error (in `sweep` too for an input error, with the
-message `verify` prints), 64 usage error (a nan or inf float or complex
-flag among them).  Complex flags accept sign-delimited literals such as
-`0.5+0.25i`.
+Exit codes: 0 pass, 2 verification failure (in `sweep`, only a row that
+raised, written as nan: a row that misses its tolerance leaves the exit
+code alone; a convergence failure in the work a sweep's rows share fails
+every row), 3 domain/convergence error (in `sweep` too for an input
+error, with the message `verify` prints), 64 usage error (a nan or inf
+float or complex flag among them).  Complex flags accept sign-delimited
+literals such as `0.5+0.25i`.
 """
 
 from __future__ import annotations

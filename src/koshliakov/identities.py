@@ -8,10 +8,12 @@ excluded from that resolution test.
 
 Every verifier that takes a scale alpha takes one alpha or a sequence of
 them.  One number gives one report and raises that alpha's error.  A
-sequence gives one report per alpha from work shared across the alphas
-(one vector integral, one lambda or f_frak call): an error in one row's
-own work takes that row's place in the list, and an error in the shared
-work is raised.
+sequence gives one report per alpha from work shared across the alphas:
+each integral is one vector integral with a column per alpha (or per K
+scale or Laplace rate), each lambda or f_frak side one call, so no
+verifier integrates per alpha.  An error in one row's own work (its
+report, the z = 0 Theta series of rg-corollary-z0) takes that row's place
+in the list, and an error in the shared work is raised.
 """
 
 from __future__ import annotations
@@ -449,93 +451,81 @@ def verify_hurwitz_modular(z=0.5, alpha=1.0, terms: int = 50,
                          alpha, tolerance, terms)
 
 
-def _theta_pair_inner(alpha: float, weights: np.ndarray, order: complex,
-                      spec: QuadratureSpec, both: bool):
-    """Integral over x > 0 of
-    x^{1+order} Kw(x) sum_{n=1}^{N} w_n (x^2 + pi^2 n^2)^{-(order+3/2)},
-    N = len(weights): the n <= N part of the divisor-K series, summed
-    under one integral so the n-independent K-weight Kw is evaluated once
-    per node.  Kw(x) is Theta(x) = K_order(2 alpha x)
-    + beta K_order(2 beta x) when both=True, else K_order(2 alpha x).
-    Returns (value, error estimate incl. the tail truncation bound)."""
-    beta = 1.0 / alpha
-    a2 = (math.pi * np.arange(1, weights.size + 1)) ** 2
-    expo = -(order + 1.5)
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        if both:
-            kw = (bessel_k(order, 2.0 * alpha * x).real
-                  + beta * bessel_k(order, 2.0 * beta * x).real)
-        else:
-            kw = bessel_k(order, 2.0 * alpha * x)
-        mix = np.power(np.add.outer(x * x, a2), expo) @ weights
-        return np.power(x, 1.0 + order) * kw * mix
-
-    r = integrate_half_line(f, 2.0 * (min(alpha, beta) if both else alpha) * 0.9, spec)
-    return r.value, r.total_error
-
-
-def _divisor_k_series(alpha: float, z: complex, N: int, spec: QuadratureSpec,
-                      both: bool):
-    """sum_n sigma_{-z}(n) n^{z+1} I_n, where I_n integrates
-    x^{1+z/2} Kw(x) (x^2 + pi^2 n^2)^{-(z+3)/2} over x > 0 with the K-weight
-    Kw of _theta_pair_inner: the series side of both Hurwitz-type
-    identities.  The n <= N part is one integral; the n > N remainder is
-    asymptotic.  Returns (value, quadrature error, series tail bound)."""
+def _divisor_k_series(cs, z: complex, N: int, spec: QuadratureSpec):
+    """sum_n sigma_{-z}(n) n^{z+1} I_n(c) at every K scale c of cs, where
+    I_n(c) integrates x^{1+z/2} K_{z/2}(2 c x) (x^2 + pi^2 n^2)^{-(z+3)/2}
+    over x > 0: the series side of both Hurwitz-type identities.  The
+    n <= N part is one vector integral with a column per c, whose n-sum is
+    formed once per node; the n > N remainder is asymptotic, per column.
+    Returns (values, quadrature errors, series tail bounds), arrays."""
+    cs = np.asarray(cs, dtype=float)
     nn = np.arange(1, N + 1, dtype=float)
     weights = arith.build_table(-z, N) * nn ** (z + 1.0)
-    series, quad_err = _theta_pair_inner(alpha, weights, 0.5 * z, spec, both)
+    a2 = (math.pi * nn) ** 2
+    expo = -0.5 * (z + 3.0)
+
+    def f(x):
+        # The n-sum row by row: a matrix product blocks by batch size, so
+        # a point's bits would depend on the rest of its array.
+        mix = (np.power(np.add.outer(x * x, a2), expo) * weights).sum(axis=1)
+        kw = bessel_k(0.5 * z, np.multiply.outer(x, 2.0 * cs))
+        return (np.power(x, 1.0 + 0.5 * z) * mix)[:, None] * kw
+
+    r = integrate_half_line(f, 2.0 * cs.min() * 0.9, spec)
 
     # n > N remainder: expand (x^2+pi^2 n^2)^{-(z+3)/2} in x/(pi n), so each
-    # term is a Mellin moment of Kw times a divisor tail; asymptotic,
-    # truncated at the smallest term, with the x > pi n interchange mass
-    # bounded by the K decay.  Kw(x) = sum of scale * K_{z/2}(2 c x).
-    scales = [(alpha, 1.0)] + ([(1.0 / alpha, 1.0 / alpha)] if both else [])
-    expo = -0.5 * (z + 3.0)
-    tail, tail_err, prev = 0.0, 0.0, math.inf
-    binom = 1.0 + 0.0j          # binom(expo, j), by product recursion
+    # term is a Mellin moment of K_{z/2}(2 c x) times a divisor tail;
+    # asymptotic, truncated at the smallest term, with the x > pi n
+    # interchange mass bounded by the K decay.
     gam = gamma(np.arange(1.0, 61.0)) * gamma(np.arange(1.0, 61.0) + 0.5 * z)
-    for j in range(0, 60):
-        mj = sum(scale * 2.0 ** (0.5 * z + 2 * j) * (2.0 * c) ** (-(2.0 + 0.5 * z + 2 * j))
-                 for c, scale in scales) * gam[j]
-        term = (binom * math.pi ** (-(z + 3.0) - 2 * j)
-                * mj * _divisor_tail_moment(z, N, j))
-        binom *= (expo - j) / (j + 1.0)
-        if abs(term) >= prev:
-            tail_err = abs(term)
-            break
-        tail += term
-        prev = abs(term)
-        if abs(term) < 1e-18:
-            tail_err = abs(term)
-            break
-    c_min = min(c for c, _ in scales)
-    tail_err += 10.0 * math.exp(-2.0 * math.pi * (N + 1) * c_min)
-    return series + tail, quad_err, tail_err
+    moments = []            # the divisor tails, shared by the columns
+    tails, tail_errs = [], []
+    for c in cs:
+        tail, tail_err, prev = 0.0, 0.0, math.inf
+        binom = 1.0 + 0.0j          # binom(expo, j), by product recursion
+        for j in range(60):
+            if j == len(moments):
+                moments.append(_divisor_tail_moment(z, N, j))
+            mj = 2.0 ** (0.5 * z + 2 * j) * (2.0 * c) ** (-(2.0 + 0.5 * z + 2 * j)) * gam[j]
+            term = binom * math.pi ** (-(z + 3.0) - 2 * j) * mj * moments[j]
+            binom *= (expo - j) / (j + 1.0)
+            if abs(term) >= prev:       # past the smallest term
+                tail_err = abs(term)
+                break
+            tail += term
+            prev = tail_err = abs(term)
+            if prev < 1e-18:
+                break
+        tails.append(tail)
+        tail_errs.append(tail_err + 10.0 * math.exp(-2.0 * math.pi * (N + 1) * c))
+    return r.value + np.array(tails), r.total_error, np.array(tail_errs)
 
 
 def verify_hurwitz_corollary_z0(alpha=1.0, terms: int = 50,
                                 tolerance: float = 1e-6) -> VerificationReport | list:
     """z=0 limit with |Gamma((-1+it)/4)|^2 weight versus
     (pi/2) sum n d(n) I_n - ((gamma - log 2 pi) Z(1) + Z'(1))/2, where
-    I_n integrates x Theta(x) (x^2 + pi^2 n^2)^{-3/2}: the divisor-K
-    series at z = 0 with the Theta weight (_divisor_k_series), per alpha,
-    against one vector Xi-pair integral over the alphas."""
-    _check_domain(_alphas(alpha), terms)
+    I_n integrates x Theta(x) (x^2 + pi^2 n^2)^{-3/2} with Theta(x) =
+    K_0(2 alpha x) + beta K_0(2 beta x): one divisor-K series call with a
+    column per scale of the alphas and their reciprocals, against one
+    vector Xi-pair integral over the alphas."""
+    alphas = _alphas(alpha)
+    _check_domain(alphas, terms)
 
     def g(t):
         gp = gamma(-0.25 + 0.25j * t)
         return (gp * gp.conjugate()) / (1.0 + t * t)
 
     N = max(terms, 4)
+    cs = sorted({*alphas, *(1.0 / a for a in alphas)})
+    by_scale = dict(zip(cs, zip(*_divisor_k_series(cs, 0.0, N, _XI_SPEC))))
 
     def row(col, a):
-        series, series_err, tail_err = _divisor_k_series(a, 0.0, N, _XI_SPEC, both=True)
+        series, quad_err, tail_err = (u + v / a for u, v in zip(by_scale[a], by_scale[1.0 / a]))
         z1, z1p = _k_pair_z1(a)
         rhs = (0.5 * math.pi) * series.real - 0.5 * ((EULER_GAMMA - math.log(2.0 * math.pi)) * z1 + z1p)
         return (math.pi ** (-1.5) / (2.0 * math.sqrt(a)), rhs,
-                {"quad_err": 0.5 * math.pi * series_err, "series_tail": 0.5 * math.pi * tail_err})
+                {"quad_err": 0.5 * math.pi * quad_err, "series_tail": 0.5 * math.pi * tail_err})
 
     return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alpha, N, tolerance, row)
 
@@ -546,24 +536,25 @@ def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5, terms: int = 50,
     (alpha^{z/2}/2^{z+2}) Gamma(z+1) sum_m lambda(m alpha, z); the printed
     bracket's (m alpha)^{-z}/2 reading diverges, the lambda reading is used.
     I_n(z) integrates x^{1+z/2} K_{z/2}(2 alpha x) (x^2 + pi^2 n^2)^{-(z+3)/2}:
-    the divisor-K series with the single K weight (_divisor_k_series).  Both
-    sides are per alpha."""
+    one divisor-K series call with a column per alpha, and one lambda_sum
+    call over the alphas."""
     z = _check_z(z, "0 < Re z < 1")
-    _check_domain(_alphas(alpha), terms)
+    alphas = _alphas(alpha)
+    _check_domain(alphas, terms)
     N = max(int(terms), 2)
     pref_l, gamma_z1 = math.pi ** (z + 0.5) * gamma(0.5 * (z + 3.0)), gamma(z + 1.0)
+    series, quad_err, tail_err = _divisor_k_series(alphas, z, N, _BESSEL_HURWITZ_SPEC)
+    lam, resid, mag = lambda_sum(np.asarray(alphas, dtype=float), z, N)
 
     def row(col, a):
-        series, quad_err, tail_err = _divisor_k_series(a, z, N, _BESSEL_HURWITZ_SPEC, both=False)
-        lam, resid, mag = lambda_sum(a, z, N)
         pref_r = a ** (0.5 * z) / 2.0 ** (z + 2.0) * gamma_z1
-        budgets = {"quad_err": abs(pref_l) * quad_err,
-                   "series_tail": abs(pref_l) * tail_err,
-                   "em_residual": abs(pref_r) * resid,
-                   "eval_err": _EVAL_ULPS * abs(pref_r) * mag}
+        budgets = {"quad_err": abs(pref_l) * quad_err[col],
+                   "series_tail": abs(pref_l) * tail_err[col],
+                   "em_residual": abs(pref_r) * resid[col],
+                   "eval_err": _EVAL_ULPS * abs(pref_r) * mag[col]}
         params = {"z": [z.real, z.imag], "alpha": a, "terms": N}
-        return _report("bessel-hurwitz-sum", params, pref_l * series, pref_r * lam, budgets,
-                       tolerance, real_inputs=(z.imag == 0.0))
+        return _report("bessel-hurwitz-sum", params, pref_l * series[col], pref_r * lam[col],
+                       budgets, tolerance, real_inputs=(z.imag == 0.0))
 
     return _rows(alpha, row)
 
@@ -619,27 +610,27 @@ def verify_mellin_k(s=2.0, nu=0.0, q: float = 1.0,
 def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5,
                           tolerance: float = 1e-9) -> VerificationReport | list:
     """Integral of e^{-2 pi alpha x} x^{z/2} J_z(4 pi sqrt(xy)) versus
-    e^{-2 pi y/alpha} y^{z/2} / (2 pi alpha^{z+1}), one integral per alpha."""
+    e^{-2 pi y/alpha} y^{z/2} / (2 pi alpha^{z+1}), from one vector Laplace
+    integral with a column per alpha (_laplace_columns)."""
     z = complex(z)
     if z.imag != 0.0:
         raise DomainError("real z only (real-order J)")
     zr = z.real
     if zr <= -1.0:
         raise DomainError("Re z > -1 required")
-    if any(a <= 0.0 for a in _alphas(alpha)) or y <= 0.0:
+    alphas = _alphas(alpha)
+    if any(a <= 0.0 for a in alphas) or y <= 0.0:
         raise DomainError("alpha > 0 and y > 0 required")
     c = 4.0 * math.pi * math.sqrt(y)
+    r = _laplace_columns(lambda x: np.power(x, 0.5 * zr) * bessel_j(zr, c * np.sqrt(x)),
+                         alphas, _LAPLACE_BESSEL_SPEC)
 
     def row(col, a):
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return np.exp(-2.0 * math.pi * a * x) * np.power(x, 0.5 * zr) * bessel_j(zr, c * np.sqrt(x))
-
-        r = integrate_half_line(f, 2.0 * math.pi * a, _LAPLACE_BESSEL_SPEC)
         rhs = math.exp(-2.0 * math.pi * y / a) * y ** (0.5 * zr) / (2.0 * math.pi * a ** (zr + 1.0))
-        budgets = {"quad_err": r.err_estimate, "truncation": r.truncation_bound}
+        budgets = {"quad_err": float(r.err_estimate[col]),
+                   "truncation": float(r.truncation_bound[col])}
         params = {"alpha": a, "y": y, "z": [zr, 0.0]}
-        return _report("laplace-bessel", params, r.value, rhs, budgets, tolerance,
+        return _report("laplace-bessel", params, r.value[col], rhs, budgets, tolerance,
                        real_inputs=True)
 
     return _rows(alpha, row)
@@ -700,20 +691,24 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5, terms: int = 50,
                    real_inputs=True)
 
 
-def _omega_laplace_columns(cols, z: complex):
-    """Integral of e^{-2 pi c x} x^{z/2} (Omega - zeta(z) x^{z/2-1}/(2 pi))
-    for every c of cols, from one vector integral: the Omega factor is
-    evaluated once per node, the exponential once per node and column.
-    The tail rate is that of the smallest c, the accuracy
-    _OMEGA_LAPLACE_SPEC.  Returns (values, errors), one per column."""
+def _laplace_columns(weight: Callable, cols, spec: QuadratureSpec):
+    """Integral over x > 0 of e^{-2 pi c x} weight(x) for every c of cols,
+    from one vector integral: weight is evaluated once per node, the
+    exponential once per node and column.  The tail rate is 0.95 of the
+    smallest c's, which leaves room for a weight that grows like a power.
+    Returns the QuadratureResult, one value and error per column."""
     cols = np.asarray(cols, dtype=float)
 
     def f(x):
-        w = omega_combination(x, z, 500) * np.power(x, 0.5 * z)
-        return w[:, None] * np.exp(-2.0 * math.pi * np.multiply.outer(x, cols))
+        return weight(x)[:, None] * np.exp(-2.0 * math.pi * np.multiply.outer(x, cols))
 
-    r = integrate_half_line(f, 2.0 * math.pi * cols.min() * 0.95, _OMEGA_LAPLACE_SPEC)
-    return r.value, r.total_error
+    return integrate_half_line(f, 2.0 * math.pi * cols.min() * 0.95, spec)
+
+
+def _omega_weight(z: complex) -> Callable:
+    """x^{z/2} (Omega - zeta(z) x^{z/2-1}/(2 pi)), the weight of both Omega
+    Laplace identities."""
+    return lambda x: omega_combination(x, z, 500) * np.power(x, 0.5 * z)
 
 
 def verify_omega_modular(alpha=1.0, z=0.5,
@@ -725,13 +720,13 @@ def verify_omega_modular(alpha=1.0, z=0.5,
     k = 0.5 * float(_pole_quotient(z, 0.0, 0.0)[1])          # omega_combination's roundoff
 
     def F(points):
-        values, errs = _omega_laplace_columns(points, z)
+        r = _laplace_columns(_omega_weight(z), points, _OMEGA_LAPLACE_SPEC)
         pref = np.array([p ** (0.5 * (z + 1.0)) for p in points])
         # Omega's roundoff integrated against e^{-w x} |x^{z/2}|.
         w = 2.0 * math.pi * np.asarray(points)
         ulps = k * (gamma(1.0 + z.real).real * w ** (-1.0 - z.real) + 1.0 / w)
-        return pref * values, {"quad_err": np.abs(pref) * errs,
-                               "eval_err": _EVAL_ULPS * np.abs(pref) * ulps}
+        return pref * r.value, {"quad_err": np.abs(pref) * r.total_error,
+                                "eval_err": _EVAL_ULPS * np.abs(pref) * ulps}
 
     return _modular_grid("omega-modular", F, z, alpha, tolerance)
 
@@ -745,13 +740,14 @@ def verify_omega_laplace(alpha=1.0, z=0.5, terms: int = 50,
     alphas = _alphas(alpha)
     z = _check_z(z, "0 < Re z < 1")
     _check_domain(alphas, terms)
-    values, errs = _omega_laplace_columns(alphas, z)
+    r = _laplace_columns(_omega_weight(z), alphas, _OMEGA_LAPLACE_SPEC)
     rhs, rhs_budgets = _hurwitz_F(z, alphas, terms, gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0))
 
     def row(col, a):
-        budgets = {"quad_err": float(errs[col]), **{k: v[col] for k, v in rhs_budgets.items()}}
+        budgets = {"quad_err": float(r.total_error[col]),
+                   **{k: v[col] for k, v in rhs_budgets.items()}}
         params = {"alpha": a, "z": [z.real, z.imag], "terms": terms}
-        return _report("omega-laplace", params, complex(values[col]), rhs[col], budgets,
+        return _report("omega-laplace", params, complex(r.value[col]), rhs[col], budgets,
                        tolerance, real_inputs=(z.imag == 0.0))
 
     return _rows(alpha, row)

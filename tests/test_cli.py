@@ -73,6 +73,18 @@ def test_verify_fail_exit_2(capsys):
     assert doc["pass"] is False
 
 
+def test_sweep_exits_2_for_nan_rows_only(capsys):
+    # verify exits 2 on a report that misses its tolerance; sweep writes
+    # such rows as they are and exits 2 only for a nan row (one that raised).
+    assert main(["verify", "rg-formula", "--tolerance", "1e-30"]) == 2
+    capsys.readouterr()
+    assert main(["sweep", "rg-formula", "--tolerance", "1e-30", "--alpha-min=0.5",
+                 "--alpha-max=2", "--steps=3"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert not any("nan" in row for row in rows)
+    assert max(float(row.split(",")[-1]) for row in rows) > 1e-30
+
+
 def test_verify_domain_exit_3(capsys):
     code = main(["verify", "rg-corollary", "--z", "1.5"])
     err = capsys.readouterr().err
@@ -252,27 +264,6 @@ def test_sweep_inapplicable_flag_usage(capsys):
     assert main(["sweep", "rg-corollary-z0", "--z", "0.5", "--steps", "2"]) == 64
 
 
-def test_sweep_partial_failure_nan_rows(tmp_path, capsys, monkeypatch):
-    # A row that raises records nan fields and forces a nonzero exit
-    # (laplace-bessel integrates each row on its own, at rate 2 pi alpha).
-    orig = identities.integrate_half_line
-
-    def flaky(f, rate, spec=None):
-        if rate > 2.0 * np.pi:
-            raise ConvergenceError("synthetic failure")
-        return orig(f, rate, spec)
-
-    monkeypatch.setattr(identities, "integrate_half_line", flaky)
-    out = tmp_path / "d.csv"
-    code = main(["sweep", "laplace-bessel", "--z", "0.5", "--alpha-min", "0.5",
-                 "--alpha-max", "2", "--steps", "3", "--out", str(out)])
-    assert code == 2
-    lines = out.read_text().strip().split("\n")
-    assert len(lines) == 4
-    assert "nan" in lines[-1] and "nan" in lines[-2]
-    assert "nan" not in lines[1]
-
-
 @pytest.mark.parametrize("name,flags", [
     ("rg-corollary", ["--z", "1.5"]),
     ("rg-corollary", ["--terms", "0"]),
@@ -384,17 +375,68 @@ def test_omega_sweep_shared_integral_failure_fails_every_row(name, tmp_path, cap
     assert capsys.readouterr().err.count("synthetic failure") == 1
 
 
-# The three sweeps whose lambda sides come from one lambda_sum call over
-# the grid (hurwitz-modular's over the alphas and their reciprocals).
+# The sweeps whose lambda sides come from one lambda_sum call over the
+# grid (hurwitz-modular's over the alphas and their reciprocals).
 _LAMBDA_SWEEPS = {
     "hurwitz-corollary": _HZ_SWEEP,
     "omega-laplace": _OMEGA_SWEEPS["omega-laplace"],
     "hurwitz-modular": ["sweep", "hurwitz-modular", "--z=-0.4+0.3i", "--alpha-min",
                         "0.5", "--alpha-max", "2", "--steps", "5"],
+    "bessel-hurwitz-sum": ["sweep", "bessel-hurwitz-sum", "--z=0.3+0.2i", "--alpha-min",
+                           "0.5", "--alpha-max", "2", "--steps", "5"],
+}
+# The sweeps whose alphas share one half-line integral (hurwitz-corollary-z0
+# over the alphas and their reciprocals) besides the Omega Laplace ones.
+_HALF_LINE_SWEEPS = {
+    "laplace-bessel": ["sweep", "laplace-bessel", "--alpha-min", "0.5", "--alpha-max", "2",
+                       "--steps", "5"],
+    "bessel-hurwitz-sum": _LAMBDA_SWEEPS["bessel-hurwitz-sum"],
+    "hurwitz-corollary-z0": ["sweep", "hurwitz-corollary-z0", "--alpha-min", "0.5",
+                             "--alpha-max", "2", "--steps", "5"],
 }
 
 
-@pytest.mark.parametrize("name", sorted(_LAMBDA_SWEEPS))
+@pytest.mark.parametrize("name", sorted(_HALF_LINE_SWEEPS))
+def test_sweep_shared_half_line_failure_fails_every_row(name, tmp_path, capsys, monkeypatch):
+    # The rows' integrals are one vector integral: its failure fails every
+    # row with nan fields and exit 2, reported once.
+    def broken(*args, **kwargs):
+        raise ConvergenceError("synthetic failure")
+
+    monkeypatch.setattr(identities, "integrate_half_line", broken)
+    out = tmp_path / "s.csv"
+    assert main(_HALF_LINE_SWEEPS[name] + ["--out", str(out)]) == 2
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 5
+    assert all(row.split(",")[1:] == ["nan"] * 6 for row in rows)
+    assert capsys.readouterr().err.count("synthetic failure") == 1
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("laplace-bessel", ["integrate_half_line"]),
+    ("bessel-hurwitz-sum", ["integrate_half_line"]),
+    ("hurwitz-corollary-z0", ["integrate_half_line", "integrate_finite"])],
+    ids=["laplace-bessel", "bessel-hurwitz-sum", "hurwitz-corollary-z0"])
+def test_sweep_quadrature_calls_do_not_grow_with_steps(name, expected, monkeypatch):
+    # No verifier integrates per alpha: 2 steps and 9 make the same calls.
+    calls = []
+    for fn in ("integrate_half_line", "integrate_finite", "tanh_sinh"):
+        def counted(*args, _fn=fn, _orig=getattr(identities, fn), **kwargs):
+            calls.append(_fn)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(identities, fn, counted)
+    for steps in (2, 9):
+        calls.clear()
+        assert main(["sweep", name, "--alpha-min=0.5", "--alpha-max=2",
+                     f"--steps={steps}"]) == 0
+        assert calls == expected, steps
+
+
+_ROW_SWEEPS = {**_LAMBDA_SWEEPS, **_HALF_LINE_SWEEPS}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_SWEEPS))
 def test_sweep_row_failure_fails_its_row_only(name, tmp_path, capsys, monkeypatch):
     # An error in one row's own work (its report) fails that row only.
     orig = identities._report
@@ -406,7 +448,7 @@ def test_sweep_row_failure_fails_its_row_only(name, tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(identities, "_report", flaky)
     out = tmp_path / "s.csv"
-    assert main(_LAMBDA_SWEEPS[name] + ["--out", str(out)]) == 2
+    assert main(_ROW_SWEEPS[name] + ["--out", str(out)]) == 2
     rows = out.read_text().strip().split("\n")[1:]
     assert ["nan" in row for row in rows] == [False, False, False, True, True]
     assert capsys.readouterr().err.count("synthetic failure") == 2

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from koshliakov import arith, identities, kernels
 from koshliakov.errors import DomainError
 from koshliakov.identities import (IDENTITIES, _hurwitz_F, _k_series_tail,
-                                   _oscillatory_tail, _report,
-                                   f_frak, _theta_pair_inner,
+                                   _divisor_k_series, _oscillatory_tail,
+                                   _report, f_frak,
                                    verify_bessel_hurwitz_sum,
                                    verify_hurwitz_corollary,
                                    verify_hurwitz_corollary_z0,
@@ -26,7 +26,7 @@ from koshliakov.identities import (IDENTITIES, _hurwitz_F, _k_series_tail,
                                    verify_rg_corollary, verify_rg_corollary_z0,
                                    verify_rg_formula)
 from koshliakov.kernels import ReciprocalPair, pair_dixon_ferrar, pair_k_bessel
-from koshliakov.quadrature import QuadratureSpec, tanh_sinh
+from koshliakov.quadrature import QuadratureSpec, integrate_half_line, tanh_sinh
 from koshliakov.specfun import bessel_j, bessel_k
 
 from conftest import rel_err
@@ -165,25 +165,39 @@ def test_bessel_hurwitz_sum():
 _SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
 
 
-def test_theta_pair_inner_one_hot_goldens(golden):
-    # With weight vector (1,) the folded integral is the n=1 inner integral.
-    hz0, _ = _theta_pair_inner(1.0, np.array([1.0]), 0.0, _SPEC, both=True)
-    bh, _ = _theta_pair_inner(1.0, np.array([1.0]), 0.25, _SPEC, both=False)
-    assert rel_err(hz0, golden["hz0_inner_n1"]) < 1e-10
-    assert rel_err(bh, golden["bh_inner_n1"]) < 1e-10
+def _n_sum_columns(monkeypatch, cs, z, N):
+    """_divisor_k_series with its n > N remainder switched off (every
+    divisor tail 0): the vector integral alone, (values, errors)."""
+    monkeypatch.setattr(identities, "_divisor_tail_moment", lambda z, N, j: 0.0)
+    values, errs, _ = _divisor_k_series(cs, z, N, _SPEC)
+    return values, errs
 
 
-@pytest.mark.parametrize("alpha,z,both", [(1.7, 0.0, True),
-                                          (0.6, 0.3 + 0.2j, False)])
-def test_theta_pair_inner_is_sum_of_one_hot_calls(alpha, z, both):
+def test_divisor_k_columns_one_hot_goldens(golden, monkeypatch):
+    # At N = 1 the n-sum is its n = 1 term, of weight 1; the Theta weight
+    # at alpha = 1 is twice the c = 1 column.
+    hz0, _ = _n_sum_columns(monkeypatch, [1.0], 0.0, 1)
+    bh, _ = _n_sum_columns(monkeypatch, [1.0], 0.5, 1)
+    assert rel_err(2.0 * hz0[0], golden["hz0_inner_n1"]) < 1e-10
+    assert rel_err(bh[0], golden["bh_inner_n1"]) < 1e-10
+
+
+@pytest.mark.parametrize("cs,z", [([1.7, 1.0 / 1.7], 0.0), ([0.6], 0.3 + 0.2j)],
+                         ids=["theta-z0", "one-scale-complex-z"])
+def test_divisor_k_columns_are_sums_of_one_hot_integrals(cs, z, monkeypatch):
+    # The n-sum folded under one vector integral is, column by column, the
+    # weighted sum of each n's own integral.
     N = 6
     nn = np.arange(1, N + 1, dtype=float)
     weights = arith.build_table(-z, N) * nn ** (z + 1.0)
-    folded, err = _theta_pair_inner(alpha, weights, 0.5 * z, _SPEC, both)
-    parts = sum(_theta_pair_inner(alpha, np.where(nn == n, weights, 0.0),
-                                  0.5 * z, _SPEC, both)[0] for n in nn)
-    assert rel_err(folded, parts) < 1e-10
-    assert err < 1e-10 * abs(folded)
+    folded, errs = _n_sum_columns(monkeypatch, cs, z, N)
+    for col, c in enumerate(cs):
+        parts = sum(w * integrate_half_line(
+            lambda x: (np.power(x, 1.0 + 0.5 * z) * bessel_k(0.5 * z, 2.0 * c * x)
+                       * np.power(x * x + (math.pi * n) ** 2, -0.5 * (z + 3.0))),
+            1.8 * c, _SPEC).value for n, w in zip(nn, weights))
+        assert rel_err(folded[col], parts) < 1e-10
+        assert errs[col] < 1e-10 * abs(folded[col])
 
 
 def test_hurwitz_z0_many_terms_at_large_alpha():
@@ -444,20 +458,26 @@ def test_budgets_below_tolerance_on_pass():
 _GRID = list(np.geomspace(0.25, 4.0, 7))
 
 
-@pytest.mark.parametrize("grid, single", [
+@pytest.mark.parametrize("grid, single, shared_rhs", [
     (lambda: verify_rg_corollary(0.3 + 0.2j, _GRID, 50),
-     lambda a: verify_rg_corollary(0.3 + 0.2j, a, 50)),
+     lambda a: verify_rg_corollary(0.3 + 0.2j, a, 50), False),
     (lambda: verify_rg_corollary_z0(_GRID, 50),
-     lambda a: verify_rg_corollary_z0(a, 50)),
+     lambda a: verify_rg_corollary_z0(a, 50), False),
     (lambda: verify_hurwitz_corollary(-0.4 + 0.3j, _GRID, 50),
-     lambda a: verify_hurwitz_corollary(-0.4 + 0.3j, a, 50)),
+     lambda a: verify_hurwitz_corollary(-0.4 + 0.3j, a, 50), False),
     (lambda: verify_hurwitz_corollary_z0(_GRID, 20),
-     lambda a: verify_hurwitz_corollary_z0(a, 20)),
+     lambda a: verify_hurwitz_corollary_z0(a, 20), True),
+    (lambda: verify_laplace_bessel(_GRID, 0.5, -0.5),
+     lambda a: verify_laplace_bessel(a, 0.5, -0.5), False),
+    (lambda: verify_bessel_hurwitz_sum(_GRID, 0.3 + 0.2j, 50),
+     lambda a: verify_bessel_hurwitz_sum(a, 0.3 + 0.2j, 50), False),
 ], ids=["rg-corollary", "rg-corollary-z0", "hurwitz-corollary",
-        "hurwitz-corollary-z0"])
-def test_grid_rows_agree_with_single_alpha(grid, single):
+        "hurwitz-corollary-z0", "laplace-bessel", "bessel-hurwitz-sum"])
+def test_grid_rows_agree_with_single_alpha(grid, single, shared_rhs):
     # One vector integral over the grid gives every row's lhs within that
-    # row's budget sum of its own one-alpha integral.
+    # row's budget sum of its own one-alpha integral.  So does the rhs of
+    # hurwitz-corollary-z0, its divisor-K series one vector integral over
+    # the alphas and their reciprocals; every other rhs keeps its bits.
     rows = grid()
     assert len(rows) == len(_GRID)
     for alpha, row in zip(_GRID, rows):
@@ -465,7 +485,10 @@ def test_grid_rows_agree_with_single_alpha(grid, single):
         assert row.params == ref.params and row.passed
         budget = sum(v for k, v in ref.budgets.items() if not k.endswith("_diff"))
         assert abs(row.lhs - ref.lhs) <= budget
-        assert row.rhs == ref.rhs
+        if shared_rhs:
+            assert abs(row.rhs - ref.rhs) <= budget
+        else:
+            assert row.rhs == ref.rhs
 
 
 def test_rg_grid_dispatches_z0():

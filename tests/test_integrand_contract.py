@@ -5,12 +5,14 @@ array.  Each test evaluates a function on a concatenated array and on its
 pieces, bit for bit."""
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koshliakov import kernels, specfun
+from koshliakov import identities, kernels, specfun
 
 
 def _pieces(lo: float, hi: float):
@@ -95,3 +97,42 @@ def test_complex_argument_and_order_k_is_pointwise(nu, rotate, seed):
         x = x * np.exp(1j * rng.uniform(-0.49 * math.pi, 0.49 * math.pi, x.size))
     cuts = rng.integers(1, x.size, rng.integers(1, 5))
     _assert_same_bits(lambda t: specfun.bessel_k(nu, t), x, cuts)
+
+
+class _Grabbed(Exception):
+    pass
+
+
+def _integrand_of(run):
+    """The integrand that run() hands integrate_half_line in identities."""
+    seen = []
+
+    def grab(f, rate, spec=None):
+        seen.append(f)
+        raise _Grabbed
+
+    with mock.patch.object(identities, "integrate_half_line", grab), pytest.raises(_Grabbed):
+        run()
+    return seen[0]
+
+
+_SCALES = [0.25, 1.0, 4.0]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([0.0, 0.5, 0.3 + 0.2j, 0.7 - 0.1j]), _pieces(1e-6, 60.0))
+def test_divisor_k_integrand_is_pointwise(z, xc):
+    # The n-sum under the integral is formed row by row: as a matrix
+    # product it gave some points other bits in another batch.
+    _assert_same_bits(_integrand_of(lambda: identities._divisor_k_series(
+        _SCALES, z, 50, identities._XI_SPEC)), *xc)
+
+
+@settings(max_examples=25)
+@given(st.sampled_from([0.5, -0.6, 0.3 + 0.2j]), _pieces(1e-6, 60.0))
+def test_laplace_columns_integrand_is_pointwise(z, xc):
+    # Both weights: Omega's (complex z too) and laplace-bessel's J_z.
+    _assert_same_bits(_integrand_of(lambda: identities._laplace_columns(
+        identities._omega_weight(z), _SCALES, identities._OMEGA_LAPLACE_SPEC)), *xc)
+    _assert_same_bits(_integrand_of(lambda: identities.verify_laplace_bessel(
+        _SCALES, 1.0, z.real)), *xc)

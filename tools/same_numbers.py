@@ -12,7 +12,8 @@ sweeps (61 alpha rows each) and the 5 `sweep-omega` sweeps (11 rows
 each).  Then come `hurwitz-modular` and `rg-formula` sweeps at complex z
 and a `hurwitz-corollary-z0` sweep over the `sweep-xi` grid, six verifies off the defaults that reach the divisor-K series at
 the ends of the alpha range and the oscillatory tails at other x and z,
-two Omega sweeps over the whole alpha range [1/4, 4], three k-bessel
+two Omega sweeps and three of `laplace-bessel` and `bessel-hurwitz-sum`
+(real and complex z) over the whole alpha range [1/4, 4], three k-bessel
 `pair-reciprocity` cases whose psi(x) is far below the transform's
 absolute accuracy, five verifies of the modular checks, the Dixon-Ferrar
 pair, the z = 0 Theta series and complex-order K off their defaults,
@@ -23,7 +24,7 @@ lambda` at z = 0), `eval li` at four points that reach the E1
 continued fraction, the E1 series and the Ei series, `eval omega` on
 both sides of its switch from partial fractions to the definition at
 x = 1/4, and `list`, whose `tol` column both this tool and the benchmark
-read: 64 commands in all.
+read: 67 commands in all.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
@@ -83,7 +84,7 @@ COMMANDS = (
     # rg-formula at complex z: f_frak is one call over the alphas and their
     # reciprocals, with K at the complex order z/2.
     ("sweep", "rg-formula", *_XI_GRID, "--z=0.3+0.2i"),
-    # The one grid identity without a benchmark sweep, and verifies off the
+    # A grid identity without a benchmark sweep, and verifies off the
     # defaults: the divisor-K series at both ends of the alpha range, the
     # oscillatory tails at other x and z.
     ("sweep", "hurwitz-corollary-z0", *_XI_GRID),
@@ -97,6 +98,11 @@ COMMANDS = (
     # by 16x, so the smallest-rate tail is compared where it is widest.
     ("sweep", "omega-modular", *_FULL_GRID, "--z=-0.6"),
     ("sweep", "omega-laplace", *_FULL_GRID, "--z=0.3+0.2i"),
+    # The grids whose rows share one half-line integral with a column per
+    # alpha: the Laplace J_z integral and the divisor-K series.
+    ("sweep", "laplace-bessel", *_FULL_GRID),
+    ("sweep", "bessel-hurwitz-sum", *_FULL_GRID),
+    ("sweep", "bessel-hurwitz-sum", *_FULL_GRID, "--z=0.3+0.2i"),
     # k-bessel pairs with psi(x) far below 1e-11.
     ("verify", "pair-reciprocity", "--pair-alpha=0.25", "--x=5", "--z=0.3"),
     ("verify", "pair-reciprocity", "--pair-alpha=0.25", "--x=2", "--z=-0.4"),
