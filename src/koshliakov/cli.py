@@ -65,9 +65,9 @@ class _Parser(argparse.ArgumentParser):
 
 # Per-parameter parse kind for the verify/sweep dispatch; the defaults are
 # the verifiers' own (IdentityEntry.defaults).
-_PARAMS: dict = {"z": "complex", "alpha": "float", "terms": "int", "s": "complex",
-                 "nu": "complex", "q": "float", "x": "float", "y": "float",
-                 "pair": "str", "pair_alpha": "float"}
+_PARAMS: dict = {"z": "complex", "alpha": "float", "s": "complex", "nu": "complex",
+                 "q": "float", "x": "float", "y": "float", "pair": "str",
+                 "pair_alpha": "float"}
 
 # The same for eval, and its defaults.
 _EVAL_PARAMS: dict = {"s": "complex", "a": "complex", "t": "complex", "nu": "complex",

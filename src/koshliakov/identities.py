@@ -14,6 +14,10 @@ scale or Laplace rate), each lambda or f_frak side one call, so no
 verifier integrates per alpha.  An error in one row's own work (its
 report, the z = 0 Theta series of rg-corollary-z0) takes that row's place
 in the list, and an error in the shared work is raised.
+
+Every truncated series sums _SERIES_TERMS terms directly and adds a
+bound or an asymptotic remainder for the rest, so no verifier takes a
+term count.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -40,14 +44,11 @@ _TINY = 1e-300
 _EPS = 2.0 ** -52
 
 
-def _check_domain(alphas=(), terms: int = 1) -> None:
-    """The rule every identity with a scale alpha (beta = 1/alpha) or a
-    series truncation shares: alpha in [1/4, 4], the quadrature's
-    oscillation limit, and at least one term."""
+def _check_domain(alphas) -> None:
+    """The rule every identity with a scale alpha (beta = 1/alpha) shares:
+    alpha in [1/4, 4], the quadrature's oscillation limit."""
     if any(not 0.25 <= alpha <= 4.0 for alpha in alphas):
         raise DomainError("alpha must lie in [1/4, 4]")
-    if terms < 1:
-        raise DomainError("terms must be >= 1")
 
 
 _Z_STRIPS = {"|Re z| < 1": lambda x: abs(x) < 1.0,
@@ -171,8 +172,8 @@ def _rows(alpha, row: Callable):
     return out
 
 
-def _xi_grid(identity_id: str, z: complex, g: Callable, alpha, terms: int,
-             tolerance: float, row: Callable):
+def _xi_grid(identity_id: str, z: complex, g: Callable, alpha, tolerance: float,
+             row: Callable):
     """The report(s) of a Xi-pair identity at alpha (_rows), from one vector
     integral over [0, T] of the Xi pair against g(t) cos(t log(alpha)/2), a
     column per alpha, to _XI_SPEC: g(t), the alpha-free part of the
@@ -197,27 +198,25 @@ def _xi_grid(identity_id: str, z: complex, g: Callable, alpha, terms: int,
                    "xi_cutoff": abs(pref) * trunc}
         for key, value in rhs_budgets.items():
             budgets[key] = budgets.get(key, 0.0) + value
-        params = {"z": [z.real, z.imag], "alpha": a, "terms": terms}
+        params = {"z": [z.real, z.imag], "alpha": a}
         return _report(identity_id, params, pref * complex(res.value[col]), rhs,
                        budgets, tolerance, real_inputs=(z.imag == 0.0))
 
     return _rows(alpha, report)
 
 
-def _modular_grid(identity_id: str, F: Callable, z: complex, alpha, tolerance: float,
-                  terms: Optional[int] = None):
+def _modular_grid(identity_id: str, F: Callable, z: complex, alpha, tolerance: float):
     """The report(s) of F(alpha) = F(1/alpha) at alpha (_rows), F(points)
     giving (values, budgets) as arrays.  F is called once, over the alphas
     and then their reciprocals, so an error there fails every row; each
-    budget is the sum of the two sides'.  The params name terms if given."""
+    budget is the sum of the two sides'."""
     alphas = _alphas(alpha)
-    _check_domain(alphas, 1 if terms is None else terms)
+    _check_domain(alphas)
     m = len(alphas)
     values, budgets = F([*alphas, *(1.0 / a for a in alphas)])
 
     def row(col, a):
-        params = ({"alpha": a, "z": [z.real, z.imag]} if terms is None
-                  else {"z": [z.real, z.imag], "alpha": a, "terms": terms})
+        params = {"alpha": a, "z": [z.real, z.imag]}
         return _report(identity_id, params, values[col], values[m + col],
                        {k: v[col] + v[m + col] for k, v in budgets.items()},
                        tolerance, real_inputs=(z.imag == 0.0))
@@ -278,6 +277,13 @@ def _oscillatory_tail(g: Callable, u0: float, half_period: float):
 # Series with certified tails
 # ---------------------------------------------------------------------------
 
+# Terms summed directly by every truncated series of the verifiers: the
+# K-Bessel combination f_frak, the z = 0 Theta series, the divisor-K and
+# lambda sums, and partial-fraction Omega in omega-self-reciprocal (the
+# Laplace identities' Omega weight takes 500).
+_SERIES_TERMS = 50
+
+
 def _k_series_tail(coeff: float, p: float, c: float, n_from: int) -> float:
     """Bound for sum_{n>=n_from} coeff n^p |K_nu(c n)| with |Re nu| <= 1/2,
     where |K_nu(x)| <= sqrt(pi/(2x)) e^{-x}: the envelope's terms shrink
@@ -301,7 +307,7 @@ def _k_series_tail(coeff: float, p: float, c: float, n_from: int) -> float:
 _EVAL_ULPS = 16.0 * _EPS
 
 
-def f_frak(z: complex, alpha, terms: int):
+def f_frak(z: complex, alpha):
     """The modular combination sqrt(alpha) (alpha^{z/2-1} pi^{-z/2} Gamma(z/2) zeta(z)
     + alpha^{-z/2-1} pi^{z/2} Gamma(-z/2) zeta(-z)
     - 4 sum sigma_{-z}(n) n^{z/2} K_{z/2}(2 n pi alpha));
@@ -314,38 +320,30 @@ def f_frak(z: complex, alpha, terms: int):
     sec(pi z/2) (4 pi alpha)^{z/2} / G (specfun._pole_quotient)."""
     z = complex(z)
     g = _lgamma_slope(z) - 0.5 * _lgamma_slope(0.5 * z)        # log G / z
-    p, rows, n_effs = 1.0 + abs(z.real) + 0.5 * z.real, [], []
-    alphas = np.atleast_1d(alpha).tolist()
-    for a in alphas:
-        n_eff = max(terms, 1)       # raised until the K tail is below 1e-13
-        while n_eff < 500 and _k_series_tail(4.0, p, 2.0 * math.pi * a, n_eff + 1) > 1e-13:
-            n_eff += 1
-        n_effs.append(n_eff)
-    # One sieve for the grid: it adds each n's divisors in the same order
-    # at any size, so every slice is the table of its own n_eff.
-    table = arith.build_table(-z, max(n_effs))
-    for a, n_eff in zip(alphas, n_effs):
+    p, rows = 1.0 + abs(z.real) + 0.5 * z.real, []
+    n = np.arange(1, _SERIES_TERMS + 1, dtype=float)
+    table = arith.build_table(-z, _SERIES_TERMS)
+    for a in np.atleast_1d(alpha).tolist():
         c = 2.0 * math.pi * a
-        n = np.arange(1, n_eff + 1, dtype=float)
-        series_terms = table[:n_eff] * np.power(n, 0.5 * z) * bessel_k(0.5 * z, c * n)
+        series_terms = table * np.power(n, 0.5 * z) * bessel_k(0.5 * z, c * n)
         h = 0.5 * math.log(4.0 * math.pi * a)
         pair, mag = _pole_quotient(z, g - h, h - g)
         rows.append((math.sqrt(a) * (complex(pair) / a - 4.0 * np.sum(series_terms)),
-                     math.sqrt(a) * _k_series_tail(4.0, p, c, n_eff + 1),
+                     math.sqrt(a) * _k_series_tail(4.0, p, c, _SERIES_TERMS + 1),
                      _EVAL_ULPS * math.sqrt(a) * (float(mag) / a
                                                   + 4.0 * float(np.sum(np.abs(series_terms))))))
     value, tail, eval_err = (np.array(v) if np.ndim(alpha) else v[0] for v in zip(*rows))
     return value, {"series_tail": tail, "eval_err": eval_err}
 
 
-def _hurwitz_F(z: complex, alphas, terms: int, pref=None):
+def _hurwitz_F(z: complex, alphas, pref=None):
     """F(alpha) = pref (sum_n lambda(n alpha, z) - zeta(z+1)/(2 alpha^{z+1})
     - zeta(z)/(alpha z)) at every alpha of a grid, pref alpha^{(z+1)/2} by
     default, from one lambda_sum call; returns (values, budgets: the
     em_residual bound and the eval_err ulp charge), arrays."""
     alphas = np.asarray(alphas, dtype=float)
     pref = alphas ** (0.5 * (z + 1.0)) if pref is None else pref
-    s, resid, mag = lambda_sum(alphas, z, terms)
+    s, resid, mag = lambda_sum(alphas, z, _SERIES_TERMS)
     # The boundary terms are (P - R)/(2 alpha z), P = zeta*(1+z) alpha^{-z}
     # and R = zeta*(1-z) sec(pi z/2) (2 pi)^z / Gamma(1+z) = -2 zeta(z).
     b, b_mag = _pole_quotient(z, -np.log(alphas), math.log(2.0 * math.pi) - _lgamma_slope(z))
@@ -364,40 +362,39 @@ def _k_pair_z1(alpha: float):
 # Verifiers
 # ---------------------------------------------------------------------------
 
-def verify_rg_corollary(z=0.5, alpha=1.0, terms: int = 50,
+def verify_rg_corollary(z=0.5, alpha=1.0,
                         tolerance: float = 1e-8) -> VerificationReport | list:
     """Xi-pair integral against cos(t log(alpha)/2)/((t^2+(z+1)^2)(t^2+(z-1)^2))
     versus the modular K-Bessel combination f_frak, from one vector integral
     and one f_frak call over the alphas; z = 0 is verify_rg_corollary_z0."""
     alphas = _alphas(alpha)
-    _check_domain(alphas, terms)
+    _check_domain(alphas)
     z = _check_z(z, "|Re z| < 1")
     if z == 0.0:
-        return verify_rg_corollary_z0(alpha, terms, tolerance)
+        return verify_rg_corollary_z0(alpha, tolerance)
     zp, zm = (z + 1.0) ** 2, (z - 1.0) ** 2
 
     def g(t):
         return 1.0 / ((t * t + zp) * (t * t + zm))
 
-    frak, budgets = f_frak(z, alphas, terms)
-    return _xi_grid("rg-corollary", z, g, alpha, terms, tolerance,
+    frak, budgets = f_frak(z, alphas)
+    return _xi_grid("rg-corollary", z, g, alpha, tolerance,
                     lambda col, a: (-(32.0 / math.pi), frak[col],
                                     {k: v[col] for k, v in budgets.items()}))
 
 
-def verify_rg_corollary_z0(alpha=1.0, terms: int = 50,
+def verify_rg_corollary_z0(alpha=1.0,
                            tolerance: float = 1e-8) -> VerificationReport | list:
     """z=0 limit: (32/pi) Xi^2-integral with the K-pair Z weight versus
     sum d(n) Theta(pi n) minus the (Z'(1) + (gamma - log 4 pi) Z(1)) constant,
     from one vector integral over the alphas (the series side per alpha)."""
-    _check_domain(_alphas(alpha), terms)
+    _check_domain(_alphas(alpha))
 
     def g(t):
         return 1.0 / np.square(1.0 + t * t)
 
-    n_eff = max(terms, 8)
-    n = np.arange(1, n_eff + 1, dtype=float)
-    dn = arith.build_table(0.0, n_eff).real
+    n = np.arange(1, _SERIES_TERMS + 1, dtype=float)
+    dn = arith.build_table(0.0, _SERIES_TERMS).real
 
     def row(col, a):
         beta = 1.0 / a
@@ -407,29 +404,28 @@ def verify_rg_corollary_z0(alpha=1.0, terms: int = 50,
         rhs = float(np.sum(dn * theta)) - (z1p + (EULER_GAMMA - math.log(4.0 * math.pi)) * z1)
         # d(n) Theta(pi n) <= 2 sqrt(n) (1 + beta) times the K envelope.
         tail = _k_series_tail(2.0 * (1.0 + beta), 0.5, 2.0 * math.pi * min(a, beta),
-                              n_eff + 1)
+                              _SERIES_TERMS + 1)
         return (32.0 / math.pi) / (2.0 * math.sqrt(a)), rhs, {"series_tail": tail}
 
-    return _xi_grid("rg-corollary-z0", 0.0 + 0.0j, g, alpha, n_eff, tolerance, row)
+    return _xi_grid("rg-corollary-z0", 0.0 + 0.0j, g, alpha, tolerance, row)
 
 
-def verify_rg_formula(z=0.5, alpha=1.0, terms: int = 50,
+def verify_rg_formula(z=0.5, alpha=1.0,
                       tolerance: float = 1e-8) -> VerificationReport | list:
     """f_frak(alpha, z) = f_frak(1/alpha, z), f_frak evaluated once over the
     alphas and their reciprocals (_modular_grid)."""
     z = _check_z(z, "|Re z| < 1")
-    return _modular_grid("rg-formula", lambda points: f_frak(z, points, terms), z,
-                         alpha, tolerance, terms)
+    return _modular_grid("rg-formula", lambda points: f_frak(z, points), z, alpha, tolerance)
 
 
-def verify_hurwitz_corollary(z=0.5, alpha=1.0, terms: int = 50,
+def verify_hurwitz_corollary(z=0.5, alpha=1.0,
                              tolerance: float = 1e-6) -> VerificationReport | list:
     """Gamma-weighted Xi-pair integral versus the tail-corrected
     Hurwitz-lambda combination alpha^{(z+1)/2}(sum lambda - boundary terms),
     from one vector integral (the weight Gamma((z-1+it)/4) Gamma((z-1-it)/4)
     /(t^2+(z+1)^2) once per node) and one _hurwitz_F call over the alphas."""
     alphas = _alphas(alpha)
-    _check_domain(alphas, terms)
+    _check_domain(alphas)
     z = _check_z(z, "0 < |Re z| < 1")
     zp, base = (z + 1.0) ** 2, 0.25 * (z - 1.0)
 
@@ -437,18 +433,18 @@ def verify_hurwitz_corollary(z=0.5, alpha=1.0, terms: int = 50,
         return gamma(base + 0.25j * t) * gamma(base - 0.25j * t) / (t * t + zp)
 
     pref = 8.0 * (4.0 * math.pi) ** (0.5 * (z - 3.0)) / gamma(z + 1.0)
-    F, budgets = _hurwitz_F(z, alphas, terms)
-    return _xi_grid("hurwitz-corollary", z, g, alpha, terms, tolerance,
+    F, budgets = _hurwitz_F(z, alphas)
+    return _xi_grid("hurwitz-corollary", z, g, alpha, tolerance,
                     lambda col, a: (pref, F[col], {k: v[col] for k, v in budgets.items()}))
 
 
-def verify_hurwitz_modular(z=0.5, alpha=1.0, terms: int = 50,
+def verify_hurwitz_modular(z=0.5, alpha=1.0,
                            tolerance: float = 1e-8) -> VerificationReport | list:
     """F(alpha) = F(1/alpha) for the Hurwitz-lambda combination, F evaluated
     once over the alphas and their reciprocals (_modular_grid)."""
     z = _check_z(z, "0 < |Re z| < 1")
-    return _modular_grid("hurwitz-modular", lambda points: _hurwitz_F(z, points, terms), z,
-                         alpha, tolerance, terms)
+    return _modular_grid("hurwitz-modular", lambda points: _hurwitz_F(z, points), z,
+                         alpha, tolerance)
 
 
 def _divisor_k_series(cs, z: complex, N: int, spec: QuadratureSpec):
@@ -501,7 +497,7 @@ def _divisor_k_series(cs, z: complex, N: int, spec: QuadratureSpec):
     return r.value + np.array(tails), r.total_error, np.array(tail_errs)
 
 
-def verify_hurwitz_corollary_z0(alpha=1.0, terms: int = 50,
+def verify_hurwitz_corollary_z0(alpha=1.0,
                                 tolerance: float = 1e-6) -> VerificationReport | list:
     """z=0 limit with |Gamma((-1+it)/4)|^2 weight versus
     (pi/2) sum n d(n) I_n - ((gamma - log 2 pi) Z(1) + Z'(1))/2, where
@@ -510,15 +506,14 @@ def verify_hurwitz_corollary_z0(alpha=1.0, terms: int = 50,
     column per scale of the alphas and their reciprocals, against one
     vector Xi-pair integral over the alphas."""
     alphas = _alphas(alpha)
-    _check_domain(alphas, terms)
+    _check_domain(alphas)
 
     def g(t):
         gp = gamma(-0.25 + 0.25j * t)
         return (gp * gp.conjugate()) / (1.0 + t * t)
 
-    N = max(terms, 4)
     cs = sorted({*alphas, *(1.0 / a for a in alphas)})
-    by_scale = dict(zip(cs, zip(*_divisor_k_series(cs, 0.0, N, _XI_SPEC))))
+    by_scale = dict(zip(cs, zip(*_divisor_k_series(cs, 0.0, _SERIES_TERMS, _XI_SPEC))))
 
     def row(col, a):
         series, quad_err, tail_err = (u + v / a for u, v in zip(by_scale[a], by_scale[1.0 / a]))
@@ -527,10 +522,10 @@ def verify_hurwitz_corollary_z0(alpha=1.0, terms: int = 50,
         return (math.pi ** (-1.5) / (2.0 * math.sqrt(a)), rhs,
                 {"quad_err": 0.5 * math.pi * quad_err, "series_tail": 0.5 * math.pi * tail_err})
 
-    return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alpha, N, tolerance, row)
+    return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alpha, tolerance, row)
 
 
-def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5, terms: int = 50,
+def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5,
                               tolerance: float = 1e-5) -> VerificationReport | list:
     """pi^{z+1/2} Gamma((z+3)/2) sum sigma_{-z}(n) n^{z+1} I_n(z) versus
     (alpha^{z/2}/2^{z+2}) Gamma(z+1) sum_m lambda(m alpha, z); the printed
@@ -540,11 +535,11 @@ def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5, terms: int = 50,
     call over the alphas."""
     z = _check_z(z, "0 < Re z < 1")
     alphas = _alphas(alpha)
-    _check_domain(alphas, terms)
-    N = max(int(terms), 2)
+    _check_domain(alphas)
     pref_l, gamma_z1 = math.pi ** (z + 0.5) * gamma(0.5 * (z + 3.0)), gamma(z + 1.0)
-    series, quad_err, tail_err = _divisor_k_series(alphas, z, N, _BESSEL_HURWITZ_SPEC)
-    lam, resid, mag = lambda_sum(np.asarray(alphas, dtype=float), z, N)
+    series, quad_err, tail_err = _divisor_k_series(alphas, z, _SERIES_TERMS,
+                                                   _BESSEL_HURWITZ_SPEC)
+    lam, resid, mag = lambda_sum(np.asarray(alphas, dtype=float), z, _SERIES_TERMS)
 
     def row(col, a):
         pref_r = a ** (0.5 * z) / 2.0 ** (z + 2.0) * gamma_z1
@@ -552,7 +547,7 @@ def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5, terms: int = 50,
                    "series_tail": abs(pref_l) * tail_err[col],
                    "em_residual": abs(pref_r) * resid[col],
                    "eval_err": _EVAL_ULPS * abs(pref_r) * mag[col]}
-        params = {"z": [z.real, z.imag], "alpha": a, "terms": N}
+        params = {"z": [z.real, z.imag], "alpha": a}
         return _report("bessel-hurwitz-sum", params, pref_l * series[col], pref_r * lam[col],
                        budgets, tolerance, real_inputs=(z.imag == 0.0))
 
@@ -636,7 +631,7 @@ def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5,
     return _rows(alpha, row)
 
 
-def verify_omega_self_reciprocal(x: float = 1.0, z=0.5, terms: int = 50,
+def verify_omega_self_reciprocal(x: float = 1.0, z=0.5,
                                  tolerance: float = 1e-6) -> VerificationReport:
     """J_z transform of Omega(y,z) - zeta(z) y^{z/2-1}/(2 pi) reproduces the
     same combination at x, divided by 2 pi.
@@ -652,13 +647,12 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5, terms: int = 50,
     zr = _check_z(z, "|Re z| < 1").real
     if x <= 0.0:
         raise DomainError("x > 0 required")
-    _check_domain(terms=terms)
     c = 4.0 * math.pi * math.sqrt(x)
     Y = 14.0
 
     def f(y):
         y = np.asarray(y, dtype=float)
-        return bessel_j(zr, c * np.sqrt(y)) * omega_combination(y, zr, terms)
+        return bessel_j(zr, c * np.sqrt(y)) * omega_combination(y, zr, _SERIES_TERMS)
 
     head1 = tanh_sinh(f, 0.0, 1.0, _OMEGA_SELF_RECIPROCAL_SPEC)
     head2 = integrate_finite(f, 1.0, Y, _OMEGA_SELF_RECIPROCAL_SPEC)
@@ -679,14 +673,14 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5, terms: int = 50,
     jz = (0.5 * c) ** zr / gamma(1.0 + zr).real
 
     lhs = head1.value + head2.value + tail
-    rhs = omega_combination(x, zr, terms) / (2.0 * math.pi)
+    rhs = omega_combination(x, zr, _SERIES_TERMS) / (2.0 * math.pi)
     budgets = {"quad_err": head1.err_estimate + head2.err_estimate,
                "oscillation_err": abs(zeta_z / math.pi) * c ** (-zr) * eerr,
                "omega_remainder": om_rem,
                "eval_err": _EVAL_ULPS * k * sum(x ** e / (2.0 * math.pi) + Y ** (1.0 + e) / (1.0 + e)
                                                 + jz * Y ** (1.0 + e + 0.5 * zr) / (1.0 + e + 0.5 * zr)
                                                 for e in (0.5 * zr, -0.5 * zr))}
-    params = {"x": x, "z": [zr, 0.0], "terms": terms}
+    params = {"x": x, "z": [zr, 0.0]}
     return _report("omega-self-reciprocal", params, lhs, rhs, budgets, tolerance,
                    real_inputs=True)
 
@@ -731,7 +725,7 @@ def verify_omega_modular(alpha=1.0, z=0.5,
     return _modular_grid("omega-modular", F, z, alpha, tolerance)
 
 
-def verify_omega_laplace(alpha=1.0, z=0.5, terms: int = 50,
+def verify_omega_laplace(alpha=1.0, z=0.5,
                          tolerance: float = 1e-6) -> VerificationReport | list:
     """The Omega Laplace integral versus Gamma(z+1)/(2 pi)^{z+1} times the
     tail-corrected lambda combination; the boundary terms appear once (the
@@ -739,14 +733,14 @@ def verify_omega_laplace(alpha=1.0, z=0.5, terms: int = 50,
     Laplace integral with a column per alpha and one _hurwitz_F call."""
     alphas = _alphas(alpha)
     z = _check_z(z, "0 < Re z < 1")
-    _check_domain(alphas, terms)
+    _check_domain(alphas)
     r = _laplace_columns(_omega_weight(z), alphas, _OMEGA_LAPLACE_SPEC)
-    rhs, rhs_budgets = _hurwitz_F(z, alphas, terms, gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0))
+    rhs, rhs_budgets = _hurwitz_F(z, alphas, gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0))
 
     def row(col, a):
         budgets = {"quad_err": float(r.total_error[col]),
                    **{k: v[col] for k, v in rhs_budgets.items()}}
-        params = {"alpha": a, "z": [z.real, z.imag], "terms": terms}
+        params = {"alpha": a, "z": [z.real, z.imag]}
         return _report("omega-laplace", params, complex(r.value[col]), rhs[col], budgets,
                        tolerance, real_inputs=(z.imag == 0.0))
 

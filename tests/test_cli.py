@@ -1,5 +1,6 @@
 """CLI end-to-end: exit codes, JSON schema, CSV byte-stability, SVG."""
 
+import importlib.util
 import inspect
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from koshliakov import identities
-from koshliakov.cli import _PARAMS, main, parse_complex_literal
+from koshliakov.cli import _PARAMS, _identity, build_parser, main, parse_complex_literal
 from koshliakov.errors import ConvergenceError
 from koshliakov.identities import IDENTITIES
 from koshliakov.reporting import CSV_HEADER
@@ -93,34 +94,10 @@ def test_verify_domain_exit_3(capsys):
 
 
 def test_verify_rg_example(capsys):
-    code = main(["verify", "rg-corollary", "--z", "0.5", "--alpha", "1",
-                 "--terms", "10"])
+    code = main(["verify", "rg-corollary", "--z", "0.5", "--alpha", "1"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["rel_diff"] <= 1e-8
-
-
-@pytest.mark.parametrize("name,flag,summed,code", [
-    pytest.param("rg-corollary-z0", "--terms=1", 8, 0, id="rg-corollary-z0-8"),
-    pytest.param("hurwitz-corollary-z0", "--terms=1", 4, 0,
-                 id="hurwitz-corollary-z0-4"),
-    pytest.param("bessel-hurwitz-sum", "--terms=2", 2, 2, id="bessel-hurwitz-sum-2")])
-def test_report_states_the_terms_it_summed(name, flag, summed, code, capsys,
-                                           monkeypatch):
-    # The two z=0 forms floor the divisor sum to guard its remainder at
-    # tiny N.  bessel-hurwitz-sum sums as many lambda terms as it states,
-    # and at N = 2 its Euler-Maclaurin residual fails the identity honestly.
-    lambda_terms = []
-    orig = identities.lambda_sum
-
-    def counted(alpha, z, n_terms):
-        lambda_terms.append(n_terms)
-        return orig(alpha, z, n_terms)
-
-    monkeypatch.setattr(identities, "lambda_sum", counted)
-    assert main(["verify", name, flag]) == code
-    assert json.loads(capsys.readouterr().out)["params"]["terms"] == summed
-    assert all(n == summed for n in lambda_terms)
 
 
 def test_oscillation_budget_is_never_zero(capsys):
@@ -164,7 +141,7 @@ def test_sweep_csv_schema_and_stability(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     args = ["sweep", "rg-formula", "--z", "0.5", "--alpha-min", "0.5",
-            "--alpha-max", "2", "--steps", "3", "--terms", "12"]
+            "--alpha-max", "2", "--steps", "3"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     text = out1.read_text()
@@ -190,7 +167,7 @@ def test_sweep_two_point_grid(capsys):
 def test_sweep_svg_valid(tmp_path):
     svg = tmp_path / "chart.svg"
     code = main(["sweep", "rg-formula", "--z", "0.5", "--alpha-min", "0.5",
-                 "--alpha-max", "2", "--steps", "3", "--terms", "12",
+                 "--alpha-max", "2", "--steps", "3",
                  "--out", str(tmp_path / "c.csv"), "--svg", str(svg)])
     assert code == 0
     root = ET.parse(str(svg)).getroot()
@@ -213,7 +190,7 @@ def test_sweep_invalid_config_usage(capsys):
 
 @pytest.mark.parametrize("tolerance", ["inf", "0", "-1", "nan"])
 @pytest.mark.parametrize("command", [
-    ["verify", "bessel-hurwitz-sum", "--terms=2"],
+    ["verify", "bessel-hurwitz-sum"],
     ["sweep", "rg-formula", "--steps=2"]])
 def test_tolerance_must_be_finite_and_positive(command, tolerance, capsys):
     # An infinite tolerance would pass anything, and a zero, negative or
@@ -266,7 +243,7 @@ def test_sweep_inapplicable_flag_usage(capsys):
 
 @pytest.mark.parametrize("name,flags", [
     ("rg-corollary", ["--z", "1.5"]),
-    ("rg-corollary", ["--terms", "0"]),
+    ("rg-corollary", ["--z=-1+0.2i"]),
     ("laplace-bessel", ["--z=-2"])])
 def test_sweep_input_error_exits_3_like_verify(name, flags, tmp_path, capsys):
     # An input error raised by the sweep's one verifier call is verify's
@@ -478,7 +455,7 @@ def test_rg_formula_sweep_is_one_f_frak_call(tmp_path, capsys, monkeypatch):
     # there fails every row.
     calls = []
 
-    def broken(z, alpha, terms):
+    def broken(z, alpha):
         calls.append(np.size(alpha))
         raise ConvergenceError("synthetic failure")
 
@@ -574,19 +551,19 @@ def test_eval_complex_argument(capsys):
 # What `list` prints for each identity: its flags and its tolerance.
 # Tools read the tol column, so a registry change must keep both.
 _LISTED = {
-    "bessel-hurwitz-sum": ("alpha, z, terms", "1e-05"),
-    "hurwitz-corollary": ("z, alpha, terms", "1e-06"),
-    "hurwitz-corollary-z0": ("alpha, terms", "1e-06"),
-    "hurwitz-modular": ("z, alpha, terms", "1e-08"),
+    "bessel-hurwitz-sum": ("alpha, z", "1e-05"),
+    "hurwitz-corollary": ("z, alpha", "1e-06"),
+    "hurwitz-corollary-z0": ("alpha", "1e-06"),
+    "hurwitz-modular": ("z, alpha", "1e-08"),
     "laplace-bessel": ("alpha, y, z", "1e-09"),
     "mellin-k": ("s, nu, q", "1e-09"),
-    "omega-laplace": ("alpha, z, terms", "1e-06"),
+    "omega-laplace": ("alpha, z", "1e-06"),
     "omega-modular": ("alpha, z", "1e-06"),
-    "omega-self-reciprocal": ("x, z, terms", "1e-06"),
+    "omega-self-reciprocal": ("x, z", "1e-06"),
     "pair-reciprocity": ("pair, pair_alpha, z, x", "1e-06"),
-    "rg-corollary": ("z, alpha, terms", "1e-08"),
-    "rg-corollary-z0": ("alpha, terms", "1e-08"),
-    "rg-formula": ("z, alpha, terms", "1e-08"),
+    "rg-corollary": ("z, alpha", "1e-08"),
+    "rg-corollary-z0": ("alpha", "1e-08"),
+    "rg-formula": ("z, alpha", "1e-08"),
 }
 
 
@@ -603,22 +580,39 @@ def test_list_command(capsys):
         assert entry.tolerance == float(tol)
 
 
-_TAKE_TERMS = sorted(name for name, (args, _) in _LISTED.items()
-                     if "terms" in args)
+# The identities whose sides include a truncated series.
+_SERIES_IDENTITIES = ["bessel-hurwitz-sum", "hurwitz-corollary", "hurwitz-corollary-z0",
+                      "hurwitz-modular", "omega-laplace", "omega-self-reciprocal",
+                      "rg-corollary", "rg-corollary-z0", "rg-formula"]
 
 
-@pytest.mark.parametrize("name", _TAKE_TERMS)
-def test_terms_below_one_is_a_domain_error(name, capsys):
-    # Every identity with a series truncation applies the same rule, in
-    # verify and in sweep.
-    assert main(["verify", name, "--terms=0"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "terms must be >= 1" in captured.err
-    if "alpha" not in IDENTITIES[name].arg_names:
-        return
-    assert main(["sweep", name, "--terms=0", "--alpha-min=0.5",
-                 "--alpha-max=2", "--steps=3"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "koshliakov: error: terms must be >= 1\n"
+@pytest.mark.parametrize("name", _SERIES_IDENTITIES)
+def test_terms_flag_is_a_usage_error(name, capsys):
+    # Every series carries its own bound for the terms it leaves out, so
+    # there is no term count to set, in verify or in sweep.
+    for argv in (["verify", name, "--terms", "5"],
+                 ["sweep", name, "--terms", "5", "--steps=2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --terms 5" in captured.err
+
+
+def test_same_numbers_commands_are_cli_commands():
+    # tools/same_numbers.py compares two trees over a fixed command list;
+    # a flag or identity the CLI no longer takes would fail both trees the
+    # same way and read "identical".
+    path = Path(__file__).resolve().parents[1] / "tools" / "same_numbers.py"
+    spec = importlib.util.spec_from_file_location("same_numbers", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parser = build_parser()
+    for command in tool.COMMANDS:
+        try:
+            args = parser.parse_args(list(command))
+        except SystemExit:
+            pytest.fail(f"{' '.join(command)}: not a CLI command")
+        if args.command in ("verify", "sweep"):
+            _identity(args)

@@ -37,17 +37,15 @@ def test_params_domain():
         verify_rg_corollary(z=0.5, alpha=0.2)
     with pytest.raises(DomainError):
         verify_rg_corollary(z=0.5, alpha=5.0)
-    with pytest.raises(DomainError):
-        verify_rg_corollary(z=0.5, alpha=1.0, terms=0)
 
 
 def test_rg_corollary_passes():
-    r = verify_rg_corollary(z=0.5, alpha=1.0, terms=10)
+    r = verify_rg_corollary(z=0.5, alpha=1.0)
     assert r.passed and r.rel_diff < 1e-12
 
 
 def test_rg_corollary_complex_z():
-    r = verify_rg_corollary(z=0.3 + 0.2j, alpha=1.25, terms=30)
+    r = verify_rg_corollary(z=0.3 + 0.2j, alpha=1.25)
     assert r.passed and r.rel_diff < 1e-9
 
 
@@ -65,32 +63,37 @@ def test_rg_corollary_near_pole():
 
 def test_rg_z0_routing():
     # z=0 is served by the z->0 corollary, not the generic strip formula.
-    r = verify_rg_corollary(z=0.0, alpha=1.0, terms=10)
+    r = verify_rg_corollary(z=0.0, alpha=1.0)
     assert r.identity_id == "rg-corollary-z0"
     assert r.passed
 
 
 def test_rg_z0_direct():
-    r = verify_rg_corollary_z0(alpha=2.0, terms=12)
+    r = verify_rg_corollary_z0(alpha=2.0)
     assert r.passed and r.rel_diff < 1e-10
 
 
 def test_rg_formula():
     for z, alpha in ((0.3 + 0.2j, 2.0), (-0.6, 1.5)):
-        r = verify_rg_formula(z, alpha, 10)
+        r = verify_rg_formula(z, alpha)
         assert r.passed and r.rel_diff < 1e-12
 
 
 @pytest.mark.parametrize("z, alpha, key", [(0.5, 1.0, "hurwitz_F_1_half"),
                                            (-0.4 + 0.3j, 2.0, "hurwitz_F_2_c")])
-@pytest.mark.parametrize("terms", [10, 50])
-def test_hurwitz_F_bounds_cover_the_oracle(golden, z, alpha, key, terms):
+@pytest.mark.parametrize("n", [10, 50])
+def test_hurwitz_F_bounds_cover_the_oracle(golden, z, alpha, key, n):
     # The lambda side's value within its Euler-Maclaurin residual plus its
     # evaluation bound of the 40-digit golden; the ulp charge is what
-    # covers the roundoff of the cancelling pieces.
-    values, budgets = _hurwitz_F(z, [alpha], terms)
+    # covers the roundoff of the cancelling pieces.  The residual bounds
+    # the Euler-Maclaurin tail from n terms on: the sum at n is within
+    # both residuals and ulp charges of the sum at 400.
+    values, budgets = _hurwitz_F(z, [alpha])
     assert 0.0 < budgets["eval_err"][0] < 1e-11
     assert abs(values[0] - golden[key]) <= budgets["em_residual"][0] + budgets["eval_err"][0]
+    (short, r_short, m_short), (long, r_long, m_long) = (kernels.lambda_sum(alpha, z, N)
+                                                         for N in (n, 400))
+    assert abs(short - long) <= r_short + r_long + identities._EVAL_ULPS * (m_short + m_long)
 
 
 def test_hurwitz_modular_grid_rows_are_the_verifies():
@@ -98,18 +101,18 @@ def test_hurwitz_modular_grid_rows_are_the_verifies():
     # the report its own verify gives, bit for bit.
     alphas = list(np.arange(0.25, 4.0 + 1e-12, 0.1875))
     for z in (0.5, -0.4 + 0.3j):
-        rows = verify_hurwitz_modular(z, alphas, 50)
-        assert rows == [verify_hurwitz_modular(z, alpha, 50) for alpha in alphas]
+        rows = verify_hurwitz_modular(z, alphas)
+        assert rows == [verify_hurwitz_modular(z, alpha) for alpha in alphas]
         assert all(r.passed for r in rows)
 
 
 def test_rg_formula_grid_rows_are_the_verifies():
     # f_frak over the alphas and their reciprocals in one call (one divisor
-    # table, sliced per alpha) gives each row its own verify's report.
+    # table) gives each row its own verify's report.
     alphas = list(np.arange(0.25, 4.0 + 1e-12, 0.1875))
     for z in (0.5, 0.3 + 0.2j):
-        rows = verify_rg_formula(z, alphas, 10)
-        assert rows == [verify_rg_formula(z, alpha, 10) for alpha in alphas]
+        rows = verify_rg_formula(z, alphas)
+        assert rows == [verify_rg_formula(z, alpha) for alpha in alphas]
         assert all(r.passed for r in rows)
 
 
@@ -117,7 +120,7 @@ def test_rg_formula_grid_rows_are_the_verifies():
 def test_f_frak_z0_limit_goldens(golden, tag, z):
     # The Gamma-zeta pair at z = 0 and |z| = 1e-6 is a difference of slopes
     # (the golden F is f_frak / 8; at z = 0 the oracle's mean of +-1e-30).
-    value, budgets = f_frak(z, 1.3, 60)
+    value, budgets = f_frak(z, 1.3)
     assert rel_err(value / 8.0, golden[f"f_frak_1p3_{tag}"]) < 1e-13
     assert abs(value - 8.0 * golden[f"f_frak_1p3_{tag}"]) <= budgets["eval_err"]
 
@@ -132,18 +135,18 @@ def test_f_frak_bounds_cover_the_oracle(golden):
                                  (0.3 + 0.2j, 0.25, "f_frak_quarter_c", 8.0),
                                  (0.9 - 0.4j, 0.3, "f_frak_0p3_0p9c", 8.0),
                                  (0.5, 1.0, "rg_rhs_half_1", 1.0)):
-        value, budgets = f_frak(z, alpha, 60)
+        value, budgets = f_frak(z, alpha)
         tail, eval_err = budgets["series_tail"], budgets["eval_err"]
         assert 0.0 < eval_err < 1e-12
         assert abs(value - scale * golden[key]) <= tail + eval_err, key
-    r = verify_rg_formula(0.5, 1.4375, 10)
+    r = verify_rg_formula(0.5, 1.4375)
     assert r.budgets["eval_err"] > 0.0 and r.abs_diff <= sum(r.budgets.values())
-    r = verify_rg_corollary(z=0.5, alpha=1.4375, terms=10)
+    r = verify_rg_corollary(z=0.5, alpha=1.4375)
     assert r.budgets["eval_err"] > 0.0
 
 
 def test_hurwitz_corollary():
-    r = verify_hurwitz_corollary(z=0.75, alpha=1.0, terms=40)
+    r = verify_hurwitz_corollary(z=0.75, alpha=1.0)
     assert r.passed and r.rel_diff < 1e-9
 
 
@@ -153,12 +156,12 @@ def test_hurwitz_modular():
 
 
 def test_hurwitz_z0():
-    r = verify_hurwitz_corollary_z0(alpha=2.0, terms=8)
+    r = verify_hurwitz_corollary_z0(alpha=2.0)
     assert r.passed and r.rel_diff < 1e-9
 
 
 def test_bessel_hurwitz_sum():
-    r = verify_bessel_hurwitz_sum(1.0, 0.5, 8)
+    r = verify_bessel_hurwitz_sum(1.0, 0.5)
     assert r.passed and r.rel_diff < 1e-8
 
 
@@ -201,18 +204,25 @@ def test_divisor_k_columns_are_sums_of_one_hot_integrals(cs, z, monkeypatch):
 
 
 def test_hurwitz_z0_many_terms_at_large_alpha():
-    # The summed per-n error estimates once exceeded the cap here although
-    # the residual was 40x below it; one folded integral resolves it.
-    r = verify_hurwitz_corollary_z0(alpha=4.0, terms=200)
+    # The summed per-n error estimates once exceeded the cap at alpha = 4
+    # although the residual was 40x below it; one folded integral resolves
+    # it, at 200 terms too.  Summed to 8 terms, each column is within its
+    # remainder's bound and both quadrature errors of the sum to 200.
+    r = verify_hurwitz_corollary_z0(alpha=4.0)
     assert r.passed and r.rel_diff < 1e-9
+    for cs, z in (([4.0, 0.25], 0.0), ([1.0], 0.5), ([0.25, 1.0, 4.0], 0.3 + 0.2j)):
+        (short, q_short, t_short), (long, q_long, t_long) = (
+            _divisor_k_series(cs, z, N, _SPEC) for N in (8, 200))
+        assert np.all(q_long < 1e-10 * np.abs(long))
+        assert np.all(np.abs(short - long) <= t_short + t_long + q_short + q_long)
 
 
 def test_divisor_k_series_at_the_alpha_ends():
     # Divisor tails taken as zeta(s) zeta(s+z) minus the partial sum left
     # rel_diff 7e-13 to 2e-12 at these points; the exact tail moments do not.
-    for r in (verify_hurwitz_corollary_z0(alpha=0.25, terms=50),
-              verify_hurwitz_corollary_z0(alpha=4.0, terms=50),
-              verify_bessel_hurwitz_sum(0.25, 0.5, 50)):
+    for r in (verify_hurwitz_corollary_z0(alpha=0.25),
+              verify_hurwitz_corollary_z0(alpha=4.0),
+              verify_bessel_hurwitz_sum(0.25, 0.5)):
         assert r.passed and r.rel_diff < 1e-13
 
 
@@ -251,16 +261,23 @@ def test_laplace_bessel():
 
 
 def test_omega_self_reciprocal():
-    r = verify_omega_self_reciprocal(1.0, 0.3, 500)
+    r = verify_omega_self_reciprocal(1.0, 0.3)
     assert r.passed and r.rel_diff < 1e-9
 
 
 def test_omega_self_reciprocal_budget_bounds_diff():
-    # At small N the rhs leans on high-order Omega moments, so an
-    # inaccurate Hurwitz tail shows up as a diff above the budgets.
-    for terms in (20, 28, 50):
-        r = verify_omega_self_reciprocal(1.0, 0.5, terms=terms)
-        assert r.abs_diff <= sum(r.budgets.values())
+    # At small N partial-fraction Omega leans on high-order moments of the
+    # divisor tail, so an inaccurate Hurwitz tail would show up as a move
+    # above the roundoff charge that the verifier's eval_err integrates.
+    r = verify_omega_self_reciprocal(1.0, 0.5)
+    assert r.abs_diff <= sum(r.budgets.values())
+    for z in (0.5, 0.0, -0.6):
+        k = 0.5 * float(identities._pole_quotient(complex(z), 0.0, 0.0)[1])
+        for n in (15, 20, 28):
+            x = np.linspace(0.01, 0.5 * n, 200)
+            charge = identities._EVAL_ULPS * k * (x ** (0.5 * z) + x ** (-0.5 * z))
+            move = np.abs(kernels.omega_combination(x, z, n) - kernels.omega_combination(x, z, 500))
+            assert np.all(move <= charge), (z, n)
 
 
 def test_omega_modular():
@@ -377,15 +394,15 @@ def test_cos_evenness_alpha_inversion():
     # The Xi-integral side is even in log alpha: LHS(alpha) = LHS(1/alpha),
     # independent of the series side.
     for make in (verify_rg_corollary, verify_hurwitz_corollary):
-        a = make(z=0.5, alpha=2.0, terms=30)
-        b = make(z=0.5, alpha=0.5, terms=30)
+        a = make(z=0.5, alpha=2.0)
+        b = make(z=0.5, alpha=0.5)
         q_budget = (a.budgets["quad_err"] + b.budgets["quad_err"]
                     + a.budgets["xi_cutoff"] + b.budgets["xi_cutoff"])
         assert abs(a.lhs - b.lhs) <= q_budget + 1e-12 * abs(a.lhs)
 
 
 def test_conjugation_real_inputs_real_sides():
-    for r in (verify_rg_corollary(z=0.5, alpha=1.25, terms=20),
+    for r in (verify_rg_corollary(z=0.5, alpha=1.25),
               verify_omega_laplace(1.5, 0.5),
               verify_hurwitz_modular(0.75, 2.0)):
         assert abs(r.lhs.imag) <= 1e-10 * max(abs(r.lhs.real), 1e-300)
@@ -393,22 +410,25 @@ def test_conjugation_real_inputs_real_sides():
 
 
 def test_monotone_refinement(monkeypatch):
-    # Doubling terms and tightening quadrature never worsens rel_diff by
-    # more than the stated budgets.  The tight accuracy replaces the
-    # verifier's own constant; hurwitz-modular integrates nothing, so its
-    # case doubles the terms only.
+    # Doubling the series terms and tightening quadrature never worsens
+    # rel_diff by more than the stated budgets.  The term count and the
+    # tight accuracy replace the module's own constants; hurwitz-modular
+    # integrates nothing, so its case doubles the terms only.
     tight = QuadratureSpec(abs_tol=5e-12, rel_tol=5e-12)
     cases = [
-        ("_XI_SPEC", lambda n: verify_rg_corollary(z=0.5, alpha=1.25, terms=n)),
-        ("_OMEGA_LAPLACE_SPEC", lambda n: verify_omega_laplace(1.5, 0.5, terms=n)),
-        (None, lambda n: verify_hurwitz_modular(0.5, 2.0, terms=n)),
+        ("_XI_SPEC", lambda: verify_rg_corollary(z=0.5, alpha=1.25)),
+        ("_OMEGA_LAPLACE_SPEC", lambda: verify_omega_laplace(1.5, 0.5)),
+        (None, lambda: verify_hurwitz_modular(0.5, 2.0)),
     ]
     for constant, run in cases:
-        coarse = run(20)
         with monkeypatch.context() as patch:
+            patch.setattr(identities, "_SERIES_TERMS", 20)
+            coarse = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "_SERIES_TERMS", 40)
             if constant is not None:
                 patch.setattr(identities, constant, tight)
-            fine = run(40)
+            fine = run()
         slack = (sum(v for k, v in coarse.budgets.items()
                      if not k.endswith("_diff"))
                  + sum(v for k, v in fine.budgets.items()
@@ -444,7 +464,7 @@ def test_registry_complete():
 
 def test_budgets_below_tolerance_on_pass():
     # A pass is never claimed on an under-resolved computation.
-    for r in (verify_rg_corollary(z=0.5, alpha=1.0, terms=10),
+    for r in (verify_rg_corollary(z=0.5, alpha=1.0),
               verify_omega_modular(2.0, 0.5),
               verify_mellin_k(2.0, 0.0, 1.0)):
         assert r.passed
@@ -459,18 +479,18 @@ _GRID = list(np.geomspace(0.25, 4.0, 7))
 
 
 @pytest.mark.parametrize("grid, single, shared_rhs", [
-    (lambda: verify_rg_corollary(0.3 + 0.2j, _GRID, 50),
-     lambda a: verify_rg_corollary(0.3 + 0.2j, a, 50), False),
-    (lambda: verify_rg_corollary_z0(_GRID, 50),
-     lambda a: verify_rg_corollary_z0(a, 50), False),
-    (lambda: verify_hurwitz_corollary(-0.4 + 0.3j, _GRID, 50),
-     lambda a: verify_hurwitz_corollary(-0.4 + 0.3j, a, 50), False),
-    (lambda: verify_hurwitz_corollary_z0(_GRID, 20),
-     lambda a: verify_hurwitz_corollary_z0(a, 20), True),
+    (lambda: verify_rg_corollary(0.3 + 0.2j, _GRID),
+     lambda a: verify_rg_corollary(0.3 + 0.2j, a), False),
+    (lambda: verify_rg_corollary_z0(_GRID),
+     lambda a: verify_rg_corollary_z0(a), False),
+    (lambda: verify_hurwitz_corollary(-0.4 + 0.3j, _GRID),
+     lambda a: verify_hurwitz_corollary(-0.4 + 0.3j, a), False),
+    (lambda: verify_hurwitz_corollary_z0(_GRID),
+     lambda a: verify_hurwitz_corollary_z0(a), True),
     (lambda: verify_laplace_bessel(_GRID, 0.5, -0.5),
      lambda a: verify_laplace_bessel(a, 0.5, -0.5), False),
-    (lambda: verify_bessel_hurwitz_sum(_GRID, 0.3 + 0.2j, 50),
-     lambda a: verify_bessel_hurwitz_sum(a, 0.3 + 0.2j, 50), False),
+    (lambda: verify_bessel_hurwitz_sum(_GRID, 0.3 + 0.2j),
+     lambda a: verify_bessel_hurwitz_sum(a, 0.3 + 0.2j), False),
 ], ids=["rg-corollary", "rg-corollary-z0", "hurwitz-corollary",
         "hurwitz-corollary-z0", "laplace-bessel", "bessel-hurwitz-sum"])
 def test_grid_rows_agree_with_single_alpha(grid, single, shared_rhs):
@@ -492,7 +512,7 @@ def test_grid_rows_agree_with_single_alpha(grid, single, shared_rhs):
 
 
 def test_rg_grid_dispatches_z0():
-    rows = verify_rg_corollary(0.0, [0.5, 2.0], 20)
+    rows = verify_rg_corollary(0.0, [0.5, 2.0])
     assert [r.identity_id for r in rows] == ["rg-corollary-z0"] * 2
 
 

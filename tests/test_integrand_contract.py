@@ -4,6 +4,7 @@ from must give each point of an array the value it gets in any other
 array.  Each test evaluates a function on a concatenated array and on its
 pieces, bit for bit."""
 
+import functools
 import math
 from unittest import mock
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koshliakov import identities, kernels, specfun
+from koshliakov.kernels import pair_dixon_ferrar, pair_k_bessel
 
 
 def _pieces(lo: float, hi: float):
@@ -103,17 +105,23 @@ class _Grabbed(Exception):
     pass
 
 
-def _integrand_of(run):
-    """The integrand that run() hands integrate_half_line in identities."""
+def _first_call(run, name: str, module=identities) -> tuple:
+    """The arguments of the first call that run() makes to module.name,
+    which is stopped there."""
     seen = []
 
-    def grab(f, rate, spec=None):
-        seen.append(f)
+    def grab(*args, **kwargs):
+        seen.append(args)
         raise _Grabbed
 
-    with mock.patch.object(identities, "integrate_half_line", grab), pytest.raises(_Grabbed):
+    with mock.patch.object(module, name, grab), pytest.raises(_Grabbed):
         run()
     return seen[0]
+
+
+def _integrand_of(run, name: str = "integrate_half_line", module=identities):
+    """The integrand that run() hands the quadrature rule module.name."""
+    return _first_call(run, name, module)[0]
 
 
 _SCALES = [0.25, 1.0, 4.0]
@@ -136,3 +144,93 @@ def test_laplace_columns_integrand_is_pointwise(z, xc):
         identities._omega_weight(z), _SCALES, identities._OMEGA_LAPLACE_SPEC)), *xc)
     _assert_same_bits(_integrand_of(lambda: identities.verify_laplace_bessel(
         _SCALES, 1.0, z.real)), *xc)
+
+
+# The four Xi-pair identities at real and complex z, the z = 0 forms at 0.
+_XI_RUNS = {
+    **{f"rg-corollary-{z}": lambda z=z: identities.verify_rg_corollary(z, _SCALES)
+       for z in (0.5, -0.6, 0.3 + 0.2j)},
+    **{f"hurwitz-corollary-{z}": lambda z=z: identities.verify_hurwitz_corollary(z, _SCALES)
+       for z in (0.5, -0.4 + 0.3j)},
+    "rg-corollary-z0": lambda: identities.verify_rg_corollary_z0(_SCALES),
+    "hurwitz-corollary-z0": lambda: identities.verify_hurwitz_corollary_z0(_SCALES),
+}
+
+
+@functools.cache
+def _xi_integrand(name: str):
+    return _integrand_of(_XI_RUNS[name], "integrate_finite")
+
+
+@pytest.mark.parametrize("name", _XI_RUNS)
+@settings(max_examples=10)
+@given(xc=_pieces(1e-6, 60.0))
+def test_xi_grid_integrand_is_pointwise(name, xc):
+    # The Xi pair times each identity's weight g(t), against a cosine
+    # column per alpha.
+    _assert_same_bits(_xi_integrand(name), *xc)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([(2.0, 0.0), (2.5, 0.3 + 0.5j), (6.0, 5.0 + 2.0j), (1.2 + 0.7j, 0.3)]),
+       _pieces(1e-300, 60.0))
+def test_mellin_k_integrand_is_pointwise(s_nu, xc):
+    # Below x = 1e-40 the integrand takes K's small-argument form.
+    s, nu = s_nu
+    _assert_same_bits(_integrand_of(lambda: identities.verify_mellin_k(s, nu, 1.0)), *xc)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([0.0, 0.3, -0.4]), st.sampled_from([0.25, 1.0, 4.0]),
+       _pieces(1e-6, 60.0))
+def test_first_transform_integrand_is_pointwise(z, x, xc):
+    # The K pair's psi and the Dixon-Ferrar pair's phi = e^{-t}, each
+    # against the transform kernel.
+    for g in (lambda t: pair_k_bessel(2.0).psi(t, z), lambda t: pair_dixon_ferrar().phi(t, 0.0)):
+        _assert_same_bits(_integrand_of(lambda: kernels.first_koshliakov_transform(
+            g, z, 4.0 * x), module=kernels), *xc)
+
+
+@settings(max_examples=20)
+@given(st.sampled_from([1.5 + 0.7j, 2.0, 0.8 - 0.3j]), _pieces(1e-6, 60.0))
+def test_mellin_numeric_integrand_is_pointwise(s, xc):
+    # x^{s-1} f(x) at complex s, f the K pair's phi.
+    phi = pair_k_bessel(2.0).phi
+    _assert_same_bits(_integrand_of(lambda: kernels._mellin_numeric(
+        lambda x: phi(x, 0.3), s, None), module=kernels), *xc)
+
+
+# The verifiers that sum an oscillatory tail: omega-self-reciprocal's
+# J_z power part and the Dixon-Ferrar forward transform (real z only).
+_TAIL_RUNS = {
+    "omega-0.5": lambda: identities.verify_omega_self_reciprocal(1.0, 0.5),
+    "omega-m0.6": lambda: identities.verify_omega_self_reciprocal(2.0, -0.6),
+    "omega-0": lambda: identities.verify_omega_self_reciprocal(0.5, 0.0),
+    "dixon-ferrar-1": lambda: identities.verify_pair_reciprocity(pair_dixon_ferrar(), 0.0, 1.0),
+    "dixon-ferrar-0.01": lambda: identities.verify_pair_reciprocity(pair_dixon_ferrar(), 0.0,
+                                                                    0.01),
+}
+
+
+@functools.cache
+def _segment_integrand(name: str):
+    args = _first_call(_TAIL_RUNS[name], "_oscillatory_tail")
+    return _integrand_of(lambda: identities._oscillatory_tail(*args), "integrate_finite")
+
+
+@pytest.mark.parametrize("name", _TAIL_RUNS)
+@settings(max_examples=15)
+@given(xc=_pieces(1e-6, 14.0))
+def test_head_integrand_is_pointwise(name, xc):
+    # The integrand of the finite range before the oscillatory tail (J_z
+    # times Omega, or psi times the transform kernel), which the tanh-sinh
+    # head on [0, 1] and the panels after it share.
+    _assert_same_bits(_integrand_of(_TAIL_RUNS[name], "tanh_sinh"), *xc)
+
+
+@pytest.mark.parametrize("name", _TAIL_RUNS)
+@settings(max_examples=10)
+@given(xc=_pieces(1e-6, 1.0))
+def test_oscillatory_tail_segment_integrand_is_pointwise(name, xc):
+    # One row per point s of [0, 1], one column per half-period segment.
+    _assert_same_bits(_segment_integrand(name), *xc)

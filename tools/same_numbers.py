@@ -89,7 +89,7 @@ COMMANDS = (
     # oscillatory tails at other x and z.
     ("sweep", "hurwitz-corollary-z0", *_XI_GRID),
     ("verify", "hurwitz-corollary-z0", "--alpha=0.25"),
-    ("verify", "hurwitz-corollary-z0", "--alpha=4", "--terms=200"),
+    ("verify", "hurwitz-corollary-z0", "--alpha=4"),
     ("verify", "bessel-hurwitz-sum", "--alpha=0.25"),
     ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=0.25"),
     ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=4"),
@@ -108,12 +108,12 @@ COMMANDS = (
     ("verify", "pair-reciprocity", "--pair-alpha=0.25", "--x=2", "--z=-0.4"),
     ("verify", "pair-reciprocity", "--pair-alpha=0.5", "--x=5", "--z=0"),
     # The modular checks at an alpha end and complex z, the Dixon-Ferrar
-    # pair at small x, the z = 0 Theta series at its smallest term count
-    # (an honest failure), and complex-order K under the Mellin integral.
+    # pair at small x, the z = 0 Theta series at the alpha end where its
+    # K terms decay slowest, and complex-order K under the Mellin integral.
     ("verify", "rg-formula", "--z=0.3+0.2i", "--alpha=0.25"),
     ("verify", "hurwitz-modular", "--z=-0.4+0.3i", "--alpha=4"),
     ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=0.01"),
-    ("verify", "rg-corollary-z0", "--alpha=0.25", "--terms=1"),
+    ("verify", "rg-corollary-z0", "--alpha=0.25"),
     ("verify", "mellin-k", "--s=6", "--nu=5+2i"),
     # Bessel J and Y below the Hankel knee at other orders and arguments:
     # a negative order, the transform kernel at z = 0.3, J_0 under Omega.
