@@ -9,9 +9,10 @@ Exit codes: 0 pass, 2 verification failure (in `sweep`, only a row that
 raised, written as nan: a row that misses its tolerance leaves the exit
 code alone; a convergence failure in the work a sweep's rows share fails
 every row), 3 domain/convergence error (in `sweep` too for an input
-error, with the message `verify` prints), 64 usage error (a nan or inf
-float or complex flag among them).  Complex flags accept sign-delimited
-literals such as `0.5+0.25i`.
+error, with the message `verify` prints: an alpha grid outside [1/4, 4]
+is one), 64 usage error (a nan or inf float or complex flag, a sweep grid
+of fewer than 2 steps or with alpha-min > alpha-max, among others).
+Complex flags accept sign-delimited literals such as `0.5+0.25i`.
 """
 
 from __future__ import annotations
@@ -140,11 +141,12 @@ def _identity(args):
 
 
 def _alpha_grid(alpha_min: float, alpha_max: float, steps: int) -> list[float]:
-    """steps equally spaced alphas from alpha_min to alpha_max."""
+    """steps equally spaced alphas from alpha_min to alpha_max; the
+    verifier, as in verify, judges whether they lie in its domain."""
     if steps < 2:
         raise _UsageError("steps must be >= 2")
-    if not (0.25 <= alpha_min <= alpha_max <= 4.0):
-        raise _UsageError("alpha range must sit inside [1/4, 4]")
+    if not alpha_min <= alpha_max:
+        raise _UsageError("alpha-min must not exceed alpha-max")
     h = (alpha_max - alpha_min) / (steps - 1)
     return [alpha_min + i * h for i in range(steps)]
 
@@ -246,8 +248,8 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="tabulate an identity over alpha")
     p_sweep.add_argument("identity")
-    p_sweep.add_argument("--alpha-min", type=float, default=0.5)
-    p_sweep.add_argument("--alpha-max", type=float, default=2.0)
+    p_sweep.add_argument("--alpha-min", type=_KIND_TYPES["float"], default=0.5)
+    p_sweep.add_argument("--alpha-max", type=_KIND_TYPES["float"], default=2.0)
     p_sweep.add_argument("--steps", type=int, default=31)
     _add_param_flags(p_sweep, _PARAMS, skip=("alpha",))
     p_sweep.add_argument("--tolerance", type=float, default=None)

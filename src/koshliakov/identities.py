@@ -51,17 +51,12 @@ def _check_domain(alphas) -> None:
         raise DomainError("alpha must lie in [1/4, 4]")
 
 
-_Z_STRIPS = {"|Re z| < 1": lambda x: abs(x) < 1.0,
-             "0 < |Re z| < 1": lambda x: 0.0 < abs(x) < 1.0,
-             "0 < Re z < 1": lambda x: 0.0 < x < 1.0}
-
-
-def _check_z(z, strip: str) -> complex:
-    """z as a complex number with Re z in the named strip (a key of
-    _Z_STRIPS, whose text is also the error message); no z is too small."""
+def _check_z(z) -> complex:
+    """z as a complex number in the strip |Re z| < 1 of the Xi-pair, Hurwitz
+    and Omega identities; z = 0 is a point of it like any other."""
     z = complex(z)
-    if not _Z_STRIPS[strip](z.real):
-        raise DomainError(f"{strip} required")
+    if not abs(z.real) < 1.0:
+        raise DomainError("|Re z| < 1 required")
     return z
 
 
@@ -366,12 +361,11 @@ def verify_rg_corollary(z=0.5, alpha=1.0,
                         tolerance: float = 1e-8) -> VerificationReport | list:
     """Xi-pair integral against cos(t log(alpha)/2)/((t^2+(z+1)^2)(t^2+(z-1)^2))
     versus the modular K-Bessel combination f_frak, from one vector integral
-    and one f_frak call over the alphas; z = 0 is verify_rg_corollary_z0."""
+    and one f_frak call over the alphas, at z = 0 too (f_frak's limit there;
+    verify_rg_corollary_z0 checks the paper's Theta form of that case)."""
     alphas = _alphas(alpha)
     _check_domain(alphas)
-    z = _check_z(z, "|Re z| < 1")
-    if z == 0.0:
-        return verify_rg_corollary_z0(alpha, tolerance)
+    z = _check_z(z)
     zp, zm = (z + 1.0) ** 2, (z - 1.0) ** 2
 
     def g(t):
@@ -414,7 +408,7 @@ def verify_rg_formula(z=0.5, alpha=1.0,
                       tolerance: float = 1e-8) -> VerificationReport | list:
     """f_frak(alpha, z) = f_frak(1/alpha, z), f_frak evaluated once over the
     alphas and their reciprocals (_modular_grid)."""
-    z = _check_z(z, "|Re z| < 1")
+    z = _check_z(z)
     return _modular_grid("rg-formula", lambda points: f_frak(z, points), z, alpha, tolerance)
 
 
@@ -426,7 +420,7 @@ def verify_hurwitz_corollary(z=0.5, alpha=1.0,
     /(t^2+(z+1)^2) once per node) and one _hurwitz_F call over the alphas."""
     alphas = _alphas(alpha)
     _check_domain(alphas)
-    z = _check_z(z, "0 < |Re z| < 1")
+    z = _check_z(z)
     zp, base = (z + 1.0) ** 2, 0.25 * (z - 1.0)
 
     def g(t):
@@ -442,7 +436,7 @@ def verify_hurwitz_modular(z=0.5, alpha=1.0,
                            tolerance: float = 1e-8) -> VerificationReport | list:
     """F(alpha) = F(1/alpha) for the Hurwitz-lambda combination, F evaluated
     once over the alphas and their reciprocals (_modular_grid)."""
-    z = _check_z(z, "0 < |Re z| < 1")
+    z = _check_z(z)
     return _modular_grid("hurwitz-modular", lambda points: _hurwitz_F(z, points), z,
                          alpha, tolerance)
 
@@ -533,7 +527,7 @@ def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5,
     I_n(z) integrates x^{1+z/2} K_{z/2}(2 alpha x) (x^2 + pi^2 n^2)^{-(z+3)/2}:
     one divisor-K series call with a column per alpha, and one lambda_sum
     call over the alphas."""
-    z = _check_z(z, "0 < Re z < 1")
+    z = _check_z(z)
     alphas = _alphas(alpha)
     _check_domain(alphas)
     pref_l, gamma_z1 = math.pi ** (z + 0.5) * gamma(0.5 * (z + 3.0)), gamma(z + 1.0)
@@ -614,8 +608,9 @@ def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5,
     if zr <= -1.0:
         raise DomainError("Re z > -1 required")
     alphas = _alphas(alpha)
-    if any(a <= 0.0 for a in alphas) or y <= 0.0:
-        raise DomainError("alpha > 0 and y > 0 required")
+    _check_domain(alphas)
+    if y <= 0.0:
+        raise DomainError("y > 0 required")
     c = 4.0 * math.pi * math.sqrt(y)
     r = _laplace_columns(lambda x: np.power(x, 0.5 * zr) * bessel_j(zr, c * np.sqrt(x)),
                          alphas, _LAPLACE_BESSEL_SPEC)
@@ -644,7 +639,7 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5,
     z = complex(z)
     if z.imag != 0.0:
         raise DomainError("real z only (real-order J)")
-    zr = _check_z(z, "|Re z| < 1").real
+    zr = _check_z(z).real
     if x <= 0.0:
         raise DomainError("x > 0 required")
     c = 4.0 * math.pi * math.sqrt(x)
@@ -710,7 +705,7 @@ def verify_omega_modular(alpha=1.0, z=0.5,
     """alpha^{(z+1)/2} times the Omega Laplace integral is invariant under
     alpha -> 1/alpha, from one vector Laplace integral whose columns are the
     alphas, then their reciprocals (_modular_grid)."""
-    z = _check_z(z, "|Re z| < 1")
+    z = _check_z(z)
     k = 0.5 * float(_pole_quotient(z, 0.0, 0.0)[1])          # omega_combination's roundoff
 
     def F(points):
@@ -732,7 +727,7 @@ def verify_omega_laplace(alpha=1.0, z=0.5,
     printed form repeats them inside the sum, which diverges).  One vector
     Laplace integral with a column per alpha and one _hurwitz_F call."""
     alphas = _alphas(alpha)
-    z = _check_z(z, "0 < Re z < 1")
+    z = _check_z(z)
     _check_domain(alphas)
     r = _laplace_columns(_omega_weight(z), alphas, _OMEGA_LAPLACE_SPEC)
     rhs, rhs_budgets = _hurwitz_F(z, alphas, gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0))

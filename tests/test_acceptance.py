@@ -26,7 +26,7 @@ from koshliakov.identities import (_hurwitz_F, f_frak, verify_bessel_hurwitz_sum
                                    verify_rg_corollary, verify_rg_corollary_z0,
                                    verify_rg_formula)
 from koshliakov.kernels import (_omega_definition, first_koshliakov_transform,
-                                koshliakov_kernel, lambda_fn, omega,
+                                koshliakov_kernel, lambda_fn, lambda_sum, omega,
                                 omega_combination, pair_dixon_ferrar,
                                 pair_k_bessel, theta_eval)
 from koshliakov.quadrature import ExpDecay, integrate_semi_infinite, tanh_sinh
@@ -252,6 +252,14 @@ def test_criterion_02_golden_suite(golden):
     for tag, w in (("1", 1.0), ("1p0001", 1.0001), ("2", 2.0), ("4", 4.0),
                    ("20", 20.0), ("49p9", 49.9)):
         evaluators[f"e1_scaled_{tag}"] = lambda w=w: exp_integral_e1_scaled(w)
+    # F of the Hurwitz identities across the strip |Re z| < 1, and the
+    # lambda sum of bessel-hurwitz-sum at z = -1/2.
+    for atag, alpha in (("0p25", 0.25), ("1", 1.0), ("4", 4.0)):
+        for ztag, z in (("0", 0.0), ("0p4i", 0.4j), ("m0p5", -0.5), ("m0p9", -0.9),
+                        ("m0p5p0p3i", -0.5 + 0.3j)):
+            evaluators[f"hurwitz_F_{atag}_{ztag}"] = (
+                lambda z=z, alpha=alpha: _hurwitz_F(z, [alpha])[0][0])
+        evaluators[f"lam_sum_{atag}_m0p5"] = lambda alpha=alpha: lambda_sum(alpha, -0.5, 50)[0]
     required = ("zeta_half", "bessel_k_0_1", "bessel_y_0_1", "xi_half",
                 "li_2", "bessel_k_0p3_cplx")
 

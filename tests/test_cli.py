@@ -177,15 +177,37 @@ def test_sweep_svg_valid(tmp_path):
     assert len(polylines) == 2
 
 
-def test_sweep_invalid_config_usage(capsys):
-    assert main(["sweep", "rg-formula", "--alpha-min", "0.1",
-                 "--alpha-max", "2", "--steps", "3"]) == 64
-    assert main(["sweep", "rg-formula", "--alpha-min", "-1",
-                 "--alpha-max", "2", "--steps", "3"]) == 64
-    assert "alpha range must sit inside [1/4, 4]" in capsys.readouterr().err
+def test_sweep_invalid_config_usage(tmp_path, capsys):
+    # An alpha grid outside [1/4, 4] reaches the verifier, which refuses it
+    # as verify does: exit 3, its message and no CSV.  The grid's shape
+    # (fewer than 2 steps, alpha-min above alpha-max) and an identity
+    # without alpha are usage errors.
+    out = tmp_path / "s.csv"
+    for alpha_min in ("0.1", "-1"):
+        assert main(["sweep", "rg-formula", "--alpha-min", alpha_min,
+                     "--alpha-max", "2", "--steps", "3", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "alpha must lie in [1/4, 4]" in captured.err
     assert main(["sweep", "rg-formula", "--alpha-min", "0.5",
                  "--alpha-max", "2", "--steps", "1"]) == 64
+    assert main(["sweep", "rg-formula", "--alpha-min", "2",
+                 "--alpha-max", "1", "--steps", "3"]) == 64
+    assert "alpha-min must not exceed alpha-max" in capsys.readouterr().err
     assert main(["sweep", "mellin-k"]) == 64  # no alpha to sweep
+
+
+@pytest.mark.parametrize("name", sorted(name for name, entry in IDENTITIES.items()
+                                        if "alpha" in entry.arg_names))
+def test_out_of_range_alpha_is_the_same_error_in_verify_and_sweep(name, capsys):
+    # Each verifier is the one place that checks its alpha, so verify and
+    # sweep refuse alpha = 5 alike.
+    assert main(["verify", name, "--alpha", "5"]) == 3
+    message = capsys.readouterr().err
+    assert main(["sweep", name, "--alpha-max", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+    assert "alpha must lie in [1/4, 4]" in message
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "0", "-1", "nan"])
@@ -209,7 +231,9 @@ def test_tolerance_must_be_finite_and_positive(command, tolerance, capsys):
     ["eval", "gamma", "--s", "nan"],
     ["eval", "bessel-k", "--x", "nan"],
     ["verify", "laplace-bessel", "--y", "inf"],
-    ["sweep", "rg-formula", "--steps=2", "--z=-inf"]])
+    ["sweep", "rg-formula", "--steps=2", "--z=-inf"],
+    ["sweep", "rg-formula", "--alpha-max=inf"],
+    ["sweep", "rg-formula", "--alpha-min=nan"]])
 def test_non_finite_flag_is_a_usage_error(command, capsys):
     # A nan or inf float or complex flag is refused at parse time, with
     # one error line, not a traceback or a nan result.

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koshliakov import arith, identities, kernels
-from koshliakov.errors import DomainError
+from koshliakov.errors import ConvergenceError, DomainError
 from koshliakov.identities import (IDENTITIES, _hurwitz_F, _k_series_tail,
                                    _divisor_k_series, _oscillatory_tail,
                                    _report, f_frak,
@@ -37,6 +37,10 @@ def test_params_domain():
         verify_rg_corollary(z=0.5, alpha=0.2)
     with pytest.raises(DomainError):
         verify_rg_corollary(z=0.5, alpha=5.0)
+    # laplace-bessel takes the same alphas, one alpha or a grid.
+    for alpha in (0.05, 10.0, [1.0, 10.0]):
+        with pytest.raises(DomainError, match=r"alpha must lie in \[1/4, 4\]"):
+            verify_laplace_bessel(alpha)
 
 
 def test_rg_corollary_passes():
@@ -62,10 +66,17 @@ def test_rg_corollary_near_pole():
 
 
 def test_rg_z0_routing():
-    # z=0 is served by the z->0 corollary, not the generic strip formula.
-    r = verify_rg_corollary(z=0.0, alpha=1.0)
-    assert r.identity_id == "rg-corollary-z0"
-    assert r.passed
+    # z = 0 is a point of rg-corollary's strip like any other: the report
+    # is rg-corollary's, its rhs f_frak's limit there.  That rhs is
+    # -2 sqrt(alpha) times the rhs of rg-corollary-z0, the paper's Theta
+    # form of the same case, within both reports' budget sums.
+    for alpha in (0.25, 1.0, 1.7, 4.0):
+        r, z0 = verify_rg_corollary(z=0.0, alpha=alpha), verify_rg_corollary_z0(alpha=alpha)
+        assert r.identity_id == "rg-corollary" and r.passed and z0.passed
+        scale = 2.0 * math.sqrt(alpha)
+        budget = sum(v for k, v in r.budgets.items() if not k.endswith("_diff")) + scale * sum(
+            v for k, v in z0.budgets.items() if not k.endswith("_diff"))
+        assert abs(r.rhs + scale * z0.rhs) <= budget
 
 
 def test_rg_z0_direct():
@@ -79,18 +90,33 @@ def test_rg_formula():
         assert r.passed and r.rel_diff < 1e-12
 
 
-@pytest.mark.parametrize("z, alpha, key", [(0.5, 1.0, "hurwitz_F_1_half"),
-                                           (-0.4 + 0.3j, 2.0, "hurwitz_F_2_c")])
+_STRIP_Z = (("0", 0.0), ("0p4i", 0.4j), ("m0p5", -0.5), ("m0p9", -0.9),
+            ("m0p5p0p3i", -0.5 + 0.3j))
+_ALPHA_ENDS = (("0p25", 0.25), ("1", 1.0), ("4", 4.0))
+
+
+@pytest.mark.parametrize("z, alpha, key", [
+    (0.5, 1.0, "hurwitz_F_1_half"), (-0.4 + 0.3j, 2.0, "hurwitz_F_2_c"),
+    *((z, alpha, f"hurwitz_F_{atag}_{ztag}") for ztag, z in _STRIP_Z
+      for atag, alpha in _ALPHA_ENDS),
+    *((-0.5, alpha, f"lam_sum_{atag}_m0p5") for atag, alpha in _ALPHA_ENDS)])
 @pytest.mark.parametrize("n", [10, 50])
 def test_hurwitz_F_bounds_cover_the_oracle(golden, z, alpha, key, n):
     # The lambda side's value within its Euler-Maclaurin residual plus its
-    # evaluation bound of the 40-digit golden; the ulp charge is what
-    # covers the roundoff of the cancelling pieces.  The residual bounds
-    # the Euler-Maclaurin tail from n terms on: the sum at n is within
-    # both residuals and ulp charges of the sum at 400.
-    values, budgets = _hurwitz_F(z, [alpha])
+    # evaluation bound of the 40-digit golden, across the strip |Re z| < 1
+    # (z = 0 included): F of the Hurwitz identities, and the lambda sum of
+    # bessel-hurwitz-sum (lam_sum_*).  The ulp charge is what covers the
+    # roundoff of the cancelling pieces.  The residual bounds the
+    # Euler-Maclaurin tail from n terms on: the sum at n is within both
+    # residuals and ulp charges of the sum at 400.
+    if key.startswith("lam_sum"):
+        value, resid, mag = kernels.lambda_sum(alpha, z, identities._SERIES_TERMS)
+        budgets = {"em_residual": [resid], "eval_err": [identities._EVAL_ULPS * mag]}
+    else:
+        values, budgets = _hurwitz_F(z, [alpha])
+        value = values[0]
     assert 0.0 < budgets["eval_err"][0] < 1e-11
-    assert abs(values[0] - golden[key]) <= budgets["em_residual"][0] + budgets["eval_err"][0]
+    assert abs(value - golden[key]) <= budgets["em_residual"][0] + budgets["eval_err"][0]
     (short, r_short, m_short), (long, r_long, m_long) = (kernels.lambda_sum(alpha, z, N)
                                                          for N in (n, 400))
     assert abs(short - long) <= r_short + r_long + identities._EVAL_ULPS * (m_short + m_long)
@@ -512,8 +538,12 @@ def test_grid_rows_agree_with_single_alpha(grid, single, shared_rhs):
 
 
 def test_rg_grid_dispatches_z0():
+    # A grid at z = 0 is rg-corollary's own, one f_frak call over it: each
+    # row's rhs is its verify's.
     rows = verify_rg_corollary(0.0, [0.5, 2.0])
-    assert [r.identity_id for r in rows] == ["rg-corollary-z0"] * 2
+    assert [r.identity_id for r in rows] == ["rg-corollary"] * 2
+    assert all(r.passed for r in rows)
+    assert [r.rhs for r in rows] == [verify_rg_corollary(0.0, a).rhs for a in (0.5, 2.0)]
 
 
 _PART = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_subnormal=False))
@@ -557,16 +587,65 @@ _Z_IDENTITIES = [("rg-corollary", True), ("rg-formula", True), ("hurwitz-corolla
 @example(size=0.0, turn=0.0)
 def test_small_z_passes_or_names_its_edge(name, complex_z, size, turn):
     # z = 0 and 1e-9 <= |z| <= 1e-3 are points of every strip like any
-    # other: each report passes, or the DomainError names the strip's edge
-    # (z = 0 or Re z <= 0 where the strip is open there).  Where the
-    # identity takes alpha, a one-row sweep gives the verify's row.
+    # other: each report passes.  Where the identity takes alpha, a one-row
+    # sweep gives the verify's row.
     z = size * (cmath.exp(2j * math.pi * turn) if complex_z else (1.0 if turn < 0.5 else -1.0))
     entry = IDENTITIES[name]
-    try:
-        report = entry.verify({"z": z}, entry.tolerance)
-    except DomainError as exc:
-        assert "Re z" in str(exc), str(exc)
-        return
+    report = entry.verify({"z": z}, entry.tolerance)
     assert report.passed, report
     if "alpha" in entry.arg_names:
         assert entry.verify({"z": z, "alpha": [1.0]}, entry.tolerance) == [report]
+
+
+# The identities on the strip |Re z| < 1; each takes complex z and alpha.
+_STRIP_IDENTITIES = ["rg-corollary", "rg-formula", "hurwitz-corollary", "hurwitz-modular",
+                     "omega-modular", "omega-laplace", "bessel-hurwitz-sum"]
+# From about Re z = -0.958 down, the tanh-sinh head on (0, 1] of the Omega
+# Laplace integral (integrand ~ x^{Re z}) misses mass below its smallest
+# node and under-reports its error, and from about -0.97 down it raises
+# (ROADMAP item 2).
+_OMEGA_HEAD_EDGE = -0.955
+
+
+def _hundredths(lo: int, hi: int):
+    """k/100 for k from lo to hi: hypothesis's floats crowd near 0 and the
+    ends of their range, which would leave most of the strip undrawn."""
+    return st.integers(lo, hi).map(lambda k: k / 100.0)
+
+
+@pytest.mark.parametrize("name", _STRIP_IDENTITIES)
+def test_strip_reports_hold_their_budgets(name):
+    # Over the whole strip (with weight on z = 0) and alpha in [1/4, 4],
+    # each report passes with abs_diff within its budget sum, and a one-row
+    # sweep gives the verify's row.  Draws past _OMEGA_HEAD_EDGE that hit
+    # the Omega head's known failure are collected, and the test then
+    # xfails (non-strict) naming them; any other failure fails it.
+    entry, edge_draws = IDENTITIES[name], []
+
+    @settings(max_examples=15)
+    @given(re=st.one_of(st.just(0.0), _hundredths(-99, 99)), im=_hundredths(-50, 50),
+           alpha=st.floats(0.25, 4.0))
+    @example(re=-0.99, im=0.0, alpha=1.0)
+    @example(re=-0.965, im=0.25, alpha=4.0)
+    @example(re=0.99, im=-0.5, alpha=0.25)
+    def draw(re, im, alpha):
+        z = complex(re, im)
+        known = name.startswith("omega-") and re <= _OMEGA_HEAD_EDGE
+        try:
+            report = entry.verify({"z": z, "alpha": alpha}, entry.tolerance)
+        except ConvergenceError as exc:
+            if known and "[0, 1]" in str(exc):
+                edge_draws.append(z)
+                return
+            raise
+        assert entry.verify({"z": z, "alpha": [alpha]}, entry.tolerance) == [report]
+        budget = sum(v for k, v in report.budgets.items() if not k.endswith("_diff"))
+        if known and report.passed and report.abs_diff > budget:
+            edge_draws.append(z)
+            return
+        assert report.passed and report.abs_diff <= budget, report
+
+    draw()
+    if edge_draws:
+        pytest.xfail(f"ROADMAP item 2, the Omega head at Re z <= {_OMEGA_HEAD_EDGE}: "
+                     f"{edge_draws}")

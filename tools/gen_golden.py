@@ -385,6 +385,26 @@ def golden_values():
         "F(alpha, z) of hurwitz-modular at alpha=1, z=1/2")
     put("hurwitz_F_2_c", hurwitz_F(2, mpc("-0.4", "0.3")),
         "F(alpha, z) of hurwitz-modular at alpha=2, z=-0.4+0.3i")
+    # F across the strip |Re z| < 1 of the Hurwitz identities: z = 0 (the
+    # mean of z = +-1e-30 at 90 digits, as for f_frak below), the line
+    # Re z = 0 and -1 < Re z < 0, at both alpha ends and at 1.  The rest
+    # run at 60 digits: at 40, lambda's cancellations at alpha = 4 and
+    # imaginary z leave F good to about 1e-21 only.
+    for ztag, z in (("0", None), ("0p4i", mpc(0, "0.4")), ("m0p5", mpf("-0.5")),
+                    ("m0p9", mpf("-0.9")), ("m0p5p0p3i", mpc("-0.5", "0.3"))):
+        for atag, alpha in (("0p25", mpf("0.25")), ("1", mpf(1)), ("4", mpf(4))):
+            if z is None:
+                with mp.workdps(90):
+                    F = (hurwitz_F(alpha, mpf("1e-30")) + hurwitz_F(alpha, mpf("-1e-30"))) / 2
+            else:
+                with mp.workdps(60):
+                    F = hurwitz_F(alpha, z)
+            put(f"hurwitz_F_{atag}_{ztag}", F, f"F(alpha, z) at alpha={atag}, z={ztag}")
+            # The lambda side of bessel-hurwitz-sum at z = -1/2.
+            if ztag == "m0p5":
+                with mp.workdps(60):
+                    put(f"lam_sum_{atag}_m0p5", lam_sum_em(alpha, z),
+                        f"sum_n lambda(n alpha, z) at alpha={atag}, z=-1/2")
     put("f_frak_2_c", frak_f(mpf(2), mpc("0.3", "0.2")),
         "F(alpha, z) at alpha=2, z=0.3+0.2i")
     put("f_frak_half_c", frak_f(mpf("0.5"), mpc("0.3", "0.2")),

@@ -24,7 +24,12 @@ lambda` at z = 0), `eval li` at four points that reach the E1
 continued fraction, the E1 series and the Ei series, `eval omega` on
 both sides of its switch from partial fractions to the definition at
 x = 1/4, and `list`, whose `tol` column both this tool and the benchmark
-read: 67 commands in all.
+read.  Last come the one z strip |Re z| < 1 and the one alpha rule:
+`rg-corollary` at z = 0 (its own report, no longer `rg-corollary-z0`'s),
+the Hurwitz identities at z = 0, on the line Re z = 0 and at Re z < 0,
+an `omega-laplace` sweep at z = -0.6, and an alpha outside [1/4, 4] in
+`verify laplace-bessel` and in a sweep's grid (exit 3, as in `verify`):
+74 commands in all.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
@@ -133,6 +138,15 @@ COMMANDS = (
     *(("eval", "omega", f"--x={x}", "--z=0.5") for x in ("0.1", "1", "10", "30")),
     ("eval", "omega", "--x=5", "--z=0.3+0.2i"),
     ("list",),
+    # One z strip |Re z| < 1 with no z = 0 redirect, and alpha checked by
+    # the verifiers alone.
+    ("verify", "rg-corollary", "--z=0"),
+    ("verify", "hurwitz-corollary", "--z=0"),
+    ("verify", "hurwitz-modular", "--z=0.4i", "--alpha=3"),
+    ("verify", "bessel-hurwitz-sum", "--z=-0.5+0.2i"),
+    ("sweep", "omega-laplace", *_OMEGA_GRID, "--z=-0.6"),
+    ("verify", "laplace-bessel", "--alpha=10"),
+    ("sweep", "rg-formula", "--alpha-min=0.1", "--alpha-max=2", "--steps=3"),
 )
 
 # Reads a JSON list of argv lists on stdin and prints, per argv, the
