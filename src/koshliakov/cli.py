@@ -172,7 +172,6 @@ def cmd_sweep(args) -> int:
         print(f"alpha={grid[0]:.6g}..{grid[-1]:.6g}: {exc}", file=sys.stderr)
         outcomes = [None] * len(grid)
     rows = []
-    failures = 0
     for alpha, out in zip(grid, outcomes):
         if isinstance(out, VerificationReport):
             rows.append(SweepRow.from_report(out))
@@ -180,14 +179,13 @@ def cmd_sweep(args) -> int:
         if out is not None:
             print(f"alpha={alpha:.6g}: {out}", file=sys.stderr)
         rows.append(SweepRow.failed(alpha))
-        failures += 1
     if args.out:
         write_csv(args.out, rows)
     else:
         print("\n".join(csv_lines(rows)))
     if args.svg:
         write_svg(args.svg, rows, args.identity)
-    return EXIT_FAIL if failures else EXIT_PASS
+    return EXIT_PASS if all(r.ok for r in rows) else EXIT_FAIL
 
 
 # eval function table: name -> (argument names, callable taking them in
@@ -226,8 +224,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_list(args) -> int:
-    for name in sorted(IDENTITIES):
-        entry = IDENTITIES[name]
+    for name, entry in sorted(IDENTITIES.items()):
         params = ", ".join(entry.arg_names)
         print(f"{name:24s} ({params})  tol {entry.tolerance:g}  "
               f"{entry.summary}")

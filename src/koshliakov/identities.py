@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,8 +59,7 @@ def _check_z(z) -> complex:
     return z
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity_id: str
     params: dict
     lhs: complex
@@ -804,24 +802,31 @@ def _current(fn: Callable) -> Callable:
     return globals()[fn.__name__]
 
 
-@dataclass(frozen=True)
 class IdentityEntry:
     """runner(**args, tolerance=...) gives one report, or with a sequence
     for alpha one per alpha (the module's rule).  Its parameters before
     tolerance are the CLI's flags, with their defaults (defaults), and its
-    tolerance default is the identity's tolerance."""
+    tolerance default is the identity's tolerance.  Read-only; entries
+    with the same runner and summary are equal."""
 
-    runner: Callable
-    summary: str
-    defaults: dict = field(init=False)
-    tolerance: float = field(init=False)
+    __slots__ = ("runner", "summary", "defaults", "tolerance")
 
-    def __post_init__(self):
-        params = inspect.signature(self.runner).parameters
+    def __init__(self, runner: Callable, summary: str):
+        params = inspect.signature(runner).parameters
         names = list(params)
-        object.__setattr__(self, "defaults", {name: params[name].default
-                                              for name in names[:names.index("tolerance")]})
-        object.__setattr__(self, "tolerance", params["tolerance"].default)
+        defaults = {name: params[name].default for name in names[:names.index("tolerance")]}
+        for name, value in zip(self.__slots__, (runner, summary, defaults,
+                                                params["tolerance"].default)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"IdentityEntry is read-only: cannot set '{name}'")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return (isinstance(other, IdentityEntry)
+                and (self.runner, self.summary) == (other.runner, other.summary))
 
     @property
     def arg_names(self) -> tuple:

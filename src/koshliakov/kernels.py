@@ -13,8 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -83,8 +82,7 @@ def first_koshliakov_transform(g, z, x: float,
     return integrate_half_line(integrand, min(max(0.9 * slope, 0.15), 12.0), spec)
 
 
-@dataclass(frozen=True)
-class ReciprocalPair:
+class ReciprocalPair(NamedTuple):
     """A (phi, psi) pair reciprocal under the factor-2 kernel convention.
 
     phi and psi map (x: positive array or scalar, z) to values; z_domain

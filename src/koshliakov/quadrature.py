@@ -18,10 +18,11 @@ must compute each point independently of the others in its array.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,19 +71,22 @@ _W15C = _W15[:, None]
 _W7C = _W7[:, None]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy request for a single integral."""
+class QuadratureSpec(collections.namedtuple("QuadratureSpec", "abs_tol rel_tol max_panels")):
+    """Accuracy request for a single integral, checked however it is built."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_panels: int = 2000
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol < 0:
+    def __new__(cls, abs_tol: float = 1e-10, rel_tol: float = 1e-10, max_panels: int = 2000):
+        if abs_tol <= 0 or rel_tol < 0:
             raise DomainError("tolerances must be positive")
-        if self.max_panels < 1:
+        if max_panels < 1:
             raise DomainError("the panel budget must allow refinement")
+        return super().__new__(cls, abs_tol, rel_tol, max_panels)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, would skip __new__.
+        return cls(*iterable)
 
     def budget(self, magnitude):
         # fmax is max() for scalars (a nan magnitude gives abs_tol) and
@@ -90,8 +94,7 @@ class QuadratureSpec:
         return np.fmax(self.abs_tol, self.rel_tol * magnitude)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Value plus the estimated quadrature error and tail truncation bound;
     value, err_estimate and (on a semi-infinite range) truncation_bound
     are (m,) arrays for an (nodes, m) integrand."""
@@ -361,7 +364,7 @@ def integrate_semi_infinite(f, a: float, decay,
 
     # Child panels share the tolerance; each gets an equal slice.
     n_seg = len(breaks) - 1
-    seg_spec = replace(spec, abs_tol=max(tol / max(n_seg, 1), 1e-300))
+    seg_spec = QuadratureSpec(max(tol / max(n_seg, 1), 1e-300), spec.rel_tol, spec.max_panels)
     total = 0.0 + 0.0j
     err = 0.0
     nodes = 0

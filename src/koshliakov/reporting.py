@@ -9,17 +9,15 @@ chart; no plotting dependency.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .identities import VerificationReport
 
 CSV_HEADER = "alpha,lhs_re,lhs_im,rhs_re,rhs_im,abs_diff,rel_diff"
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One alpha sample of a sweep; failed rows carry NaN payloads."""
 
     alpha: float
@@ -39,19 +37,16 @@ class SweepRow:
     @classmethod
     def failed(cls, alpha: float) -> "SweepRow":
         nan = math.nan
-        return cls(alpha=float(alpha), lhs=complex(nan, nan),
-                   rhs=complex(nan, nan), abs_diff=nan, rel_diff=nan,
-                   ok=False)
+        return cls(float(alpha), complex(nan, nan), complex(nan, nan), nan, nan, False)
 
 
 def report_json(report: VerificationReport) -> str:
+    import json  # here: a call that writes no report never loads json
     return json.dumps(report.to_dict())
 
 
 def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    return repr(float(v))
+    return "nan" if math.isnan(v) else repr(float(v))
 
 
 def csv_lines(rows: list[SweepRow]) -> list[str]:
@@ -99,10 +94,7 @@ class _Panel:
 
     def __init__(self, x0: float, title: str, ylabel: str,
                  points: list[tuple[float, float]], log_y: bool):
-        self.x0 = x0
-        self.title = title
-        self.ylabel = ylabel
-        self.log_y = log_y
+        self.x0, self.title, self.ylabel, self.log_y = x0, title, ylabel, log_y
         self.points = [(a, v) for a, v in points if not math.isnan(v)]
         if log_y:
             self.points = [(a, math.log10(max(v, 1e-18)))
@@ -176,12 +168,9 @@ def svg_document(rows: list[SweepRow], identity_id: str) -> str:
     their place in the CSV."""
     rows = sorted(rows, key=lambda r: r.alpha)
     diff_pts = [(r.alpha, r.abs_diff) for r in rows]
-    quot_pts = []
-    for r in rows:
-        if r.ok and abs(r.rhs) > 0 and not math.isnan(r.rhs.real):
-            quot_pts.append((r.alpha, (r.lhs / r.rhs).real))
-        else:
-            quot_pts.append((r.alpha, math.nan))
+    quot_pts = [(r.alpha, (r.lhs / r.rhs).real
+                  if r.ok and abs(r.rhs) > 0 and not math.isnan(r.rhs.real) else math.nan)
+                 for r in rows]
     left = _Panel(_MARGIN_L, f"{identity_id}: abs_diff", "abs diff (log10)",
                   diff_pts, log_y=True)
     right = _Panel(_MARGIN_L + _PANEL_W + _GAP, f"{identity_id}: lhs/rhs",

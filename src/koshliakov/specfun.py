@@ -361,11 +361,17 @@ def big_xi(t):
 _J_SERIES_MAX = 80
 
 
+@functools.lru_cache(maxsize=8)
+def _series_rgamma(nu: float) -> float:
+    """1/Gamma(nu + 1), formed once per order of the J series."""
+    return rgamma(nu + 1.0).real
+
+
 def _bessel_j_series(nu: float, x: np.ndarray) -> np.ndarray:
     """Ascending series for nu >= 0; float64 holds for x < 2.  The terms
     shrink, so those past a point's own stop leave its sum unchanged."""
     half = 0.5 * x
-    term = np.power(half, nu) * rgamma(nu + 1.0).real
+    term = np.power(half, nu) * _series_rgamma(nu)
     out = term.copy()
     mx2 = -np.square(half)
     for k in range(1, _J_SERIES_MAX + 1):

@@ -218,6 +218,19 @@ def test_bessel_j_skips_y_bit_identically():
         assert np.array_equal(bessel_j(nu, x), specfun._bessel_jy(nu, x)[0])
 
 
+def test_bessel_j_series_forms_rgamma_once_per_order(monkeypatch):
+    # The series' 1/Gamma(nu + 1) is memoised per order: a repeat call
+    # makes no Gamma call, and the factor has rgamma's bits.
+    x = np.geomspace(1e-3, 1.9, 7)
+    first = bessel_j(0.3712, x)
+    calls = []
+    monkeypatch.setattr(specfun, "gamma", lambda z: calls.append(z) or gamma(z))
+    assert np.array_equal(bessel_j(0.3712, x), first)
+    assert calls == []
+    assert specfun._series_rgamma(0.3712) == specfun.rgamma(1.3712).real
+    assert calls == [1.3712]
+
+
 def test_hurwitz_cross_method():
     # Euler-Maclaurin vs Hermite integral, two independent routes.
     for s, a in ((0.75, 3.25), (2.0, 0.5), (3.5, 1.25), (1.5 + 1.0j, 2.0)):
