@@ -13,6 +13,10 @@ error, with the message `verify` prints: an alpha grid outside [1/4, 4]
 is one), 64 usage error (a nan or inf float or complex flag, a sweep grid
 of fewer than 2 steps or with alpha-min > alpha-max, among others).
 Complex flags accept sign-delimited literals such as `0.5+0.25i`.
+
+Each parameter flag's kind and default come from the callable it feeds:
+the verifiers' signatures (IDENTITIES) for verify and sweep, _EVAL for
+eval.
 """
 
 from __future__ import annotations
@@ -64,22 +68,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# Per-parameter parse kind for the verify/sweep dispatch; the defaults are
-# the verifiers' own (IdentityEntry.defaults).
-_PARAMS: dict = {"z": "complex", "alpha": "float", "s": "complex", "nu": "complex",
-                 "q": "float", "x": "float", "y": "float", "pair": "str",
-                 "pair_alpha": "float"}
-
-# The same for eval, and its defaults.
-_EVAL_PARAMS: dict = {"s": "complex", "a": "complex", "t": "complex", "nu": "complex",
-                      "z": "complex", "x": "complex", "n": "int"}
-_EVAL_DEFAULTS: dict = {"s": 2.0 + 0.0j, "a": 1.0 + 0.0j, "t": 0.0 + 0.0j, "nu": 0.0,
-                        "z": 0.5 + 0.0j, "x": 1.0, "n": 1}
-# The eval flags parsed as complex that these functions take real.
-_EVAL_REAL: dict = {"x": ("li", "kernel", "omega", "lambda", "bessel-j", "bessel-y"),
-                    "nu": ("bessel-j", "bessel-y")}
-
-
 def _finite(parse):
     """parse, rejecting nan and inf, which no identity or function takes."""
     def parsed(text):
@@ -91,33 +79,46 @@ def _finite(parse):
     return parsed
 
 
-_KIND_TYPES = {"complex": _finite(parse_complex_literal), "float": _finite(float),
-               "int": int, "str": str}
+# The parser of each default's type, widest first: a flag parses as the
+# widest type among the defaults of the parameters it sets.
+_PARSERS = {str: str, complex: _finite(parse_complex_literal), float: _finite(float),
+            int: int}
 
 
-def _add_param_flags(parser: argparse.ArgumentParser, kinds: dict,
-                     skip: tuple = ()) -> None:
-    for name, kind in kinds.items():
-        if name not in skip:
-            parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                                type=_KIND_TYPES[kind], default=None)
+def _add_param_flags(parser: argparse.ArgumentParser, defaults, skip: tuple = ()) -> None:
+    """One flag per parameter named in the dicts of defaults."""
+    types: dict = {}
+    for table in defaults:
+        for name, default in table.items():
+            types.setdefault(name, set()).add(type(default))
+    params = tuple(name for name in types if name not in skip)
+    for name in params:
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None,
+                            type=next(_PARSERS[t] for t in _PARSERS if t in types[name]))
+    parser.set_defaults(params=params)
 
 
-def _resolve_args(defaults: dict, flags, args, what: str) -> dict:
+def _resolve_args(defaults: dict, args, what: str) -> dict:
     """The value of each parameter named in defaults, its default where the
-    flag is not given; a flag of flags given that defaults lacks is a usage
-    error."""
-    extraneous = [name for name in flags
-                  if getattr(args, name, None) is not None
-                  and name not in defaults]
+    flag is not given, for the identity or function getattr(args, what).
+    A parameter flag given that defaults lacks is a usage error, and so is
+    an imaginary part for a parameter whose default is a float."""
+    extraneous = [flag for flag in args.params
+                  if getattr(args, flag) is not None and flag not in defaults]
     if extraneous:
         raise _UsageError(
             f"parameter(s) {', '.join('--' + e for e in extraneous)} do not "
             f"apply; this {what} takes ({', '.join(defaults)})")
     values = {}
-    for name, default in defaults.items():
-        given = getattr(args, name, None)
-        values[name] = default if given is None else given
+    for param, default in defaults.items():
+        given = getattr(args, param, None)
+        if given is None:
+            given = default
+        elif isinstance(default, float) and isinstance(given, complex):
+            if given.imag != 0.0:
+                raise _UsageError(f"--{param} must be real for {getattr(args, what)}")
+            given = given.real
+        values[param] = given
     return values
 
 
@@ -133,7 +134,7 @@ def _identity(args):
     if entry is None:
         raise _UsageError(f"unknown identity '{args.identity}'; "
                           f"known: {', '.join(sorted(IDENTITIES))}")
-    named = _resolve_args(entry.defaults, _PARAMS, args, "identity")
+    named = _resolve_args(entry.defaults, args, "identity")
     tol = entry.tolerance if args.tolerance is None else args.tolerance
     if not (math.isfinite(tol) and tol > 0.0):
         raise _UsageError(f"tolerance must be finite and positive, got {tol}")
@@ -188,37 +189,35 @@ def cmd_sweep(args) -> int:
     return EXIT_PASS if all(r.ok for r in rows) else EXIT_FAIL
 
 
-# eval function table: name -> (argument names, callable taking them in
-# that order).  Built at each call, so it holds the current module
-# attributes (a wrapped function is the one called).
-def _eval_table() -> dict:
-    return {
-        "gamma": (("s",), specfun.gamma),
-        "zeta": (("s",), specfun.riemann_zeta),
-        "hurwitz": (("s", "a"), specfun.hurwitz_zeta),
-        "digamma": (("s",), specfun.digamma),
-        "xi": (("s",), specfun.xi),
-        "big-xi": (("t",), specfun.big_xi),
-        "bessel-j": (("nu", "x"), specfun.bessel_j),
-        "bessel-y": (("nu", "x"), specfun.bessel_y),
-        "bessel-k": (("nu", "x"), specfun.bessel_k),
-        "li": (("x",), specfun.exp_integral_li),
-        "kernel": (("z", "x"), kernels.koshliakov_kernel),
-        "omega": (("x", "z"), kernels.omega),
-        "lambda": (("x", "z"), kernels.lambda_fn),
-        "sigma": (("a", "n"), arith.sigma),
-    }
+# eval's functions: name -> (module, attribute, the defaults of its
+# arguments in call order).  The attribute is looked up at each call, so a
+# wrapped function is the one called.  A float default makes the argument
+# real: its flag refuses an imaginary part for that function.
+_EVAL = {
+    "gamma": (specfun, "gamma", {"s": 2 + 0j}),
+    "zeta": (specfun, "riemann_zeta", {"s": 2 + 0j}),
+    "hurwitz": (specfun, "hurwitz_zeta", {"s": 2 + 0j, "a": 1 + 0j}),
+    "digamma": (specfun, "digamma", {"s": 2 + 0j}),
+    "xi": (specfun, "xi", {"s": 2 + 0j}),
+    "big-xi": (specfun, "big_xi", {"t": 0j}),
+    "bessel-j": (specfun, "bessel_j", {"nu": 0.0, "x": 1.0}),
+    "bessel-y": (specfun, "bessel_y", {"nu": 0.0, "x": 1.0}),
+    "bessel-k": (specfun, "bessel_k", {"nu": 0j, "x": 1 + 0j}),
+    "li": (specfun, "exp_integral_li", {"x": 1.0}),
+    "kernel": (kernels, "koshliakov_kernel", {"z": 0.5 + 0j, "x": 1.0}),
+    "omega": (kernels, "omega", {"x": 1.0, "z": 0.5 + 0j}),
+    "lambda": (kernels, "lambda_fn", {"x": 1.0, "z": 0.5 + 0j}),
+    "sigma": (arith, "sigma", {"a": 1 + 0j, "n": 1}),
+}
 
 
 def cmd_eval(args) -> int:
-    table = _eval_table()
-    if args.function not in table:
+    if args.function not in _EVAL:
         raise _UsageError(f"unknown function '{args.function}'; "
-                          f"known: {', '.join(sorted(table))}")
-    arg_names, fn = table[args.function]
-    named = _resolve_args({name: _EVAL_DEFAULTS[name] for name in arg_names},
-                          _EVAL_PARAMS, args, "function")
-    value = complex(fn(*named.values()))
+                          f"known: {', '.join(sorted(_EVAL))}")
+    module, attr, defaults = _EVAL[args.function]
+    named = _resolve_args(defaults, args, "function")
+    value = complex(getattr(module, attr)(*named.values()))
     print(f"{value.real:.15g} {value.imag:.15g}")
     return EXIT_PASS
 
@@ -240,15 +239,16 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run one identity check")
     p_verify.add_argument("identity")
-    _add_param_flags(p_verify, _PARAMS)
+    identity_defaults = [entry.defaults for entry in IDENTITIES.values()]
+    _add_param_flags(p_verify, identity_defaults)
     p_verify.add_argument("--tolerance", type=float, default=None)
 
     p_sweep = sub.add_parser("sweep", help="tabulate an identity over alpha")
     p_sweep.add_argument("identity")
-    p_sweep.add_argument("--alpha-min", type=_KIND_TYPES["float"], default=0.5)
-    p_sweep.add_argument("--alpha-max", type=_KIND_TYPES["float"], default=2.0)
+    p_sweep.add_argument("--alpha-min", type=_PARSERS[float], default=0.5)
+    p_sweep.add_argument("--alpha-max", type=_PARSERS[float], default=2.0)
     p_sweep.add_argument("--steps", type=int, default=31)
-    _add_param_flags(p_sweep, _PARAMS, skip=("alpha",))
+    _add_param_flags(p_sweep, identity_defaults, skip=("alpha",))
     p_sweep.add_argument("--tolerance", type=float, default=None)
     p_sweep.add_argument("--out", default=None, help="CSV path (default: "
                                                      "stdout)")
@@ -256,7 +256,7 @@ def build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="evaluate one special function")
     p_eval.add_argument("function")
-    _add_param_flags(p_eval, _EVAL_PARAMS)
+    _add_param_flags(p_eval, [defaults for _, _, defaults in _EVAL.values()])
 
     sub.add_parser("list", help="list registered identities")
     return parser
@@ -266,23 +266,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "eval":
-            # eval accepts complex --x and --nu for bessel-k; a function
-            # that takes them real refuses an imaginary part.
-            for name, functions in _EVAL_REAL.items():
-                value = getattr(args, name, None)
-                if value is not None and args.function in functions:
-                    if value.imag != 0.0:
-                        raise _UsageError(f"--{name} must be real for {args.function}")
-                    setattr(args, name, value.real)
-            return cmd_eval(args)
-        if args.command == "list":
-            return cmd_list(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return {"verify": cmd_verify, "sweep": cmd_sweep, "eval": cmd_eval,
+                "list": cmd_list}[args.command](args)
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -355,7 +355,7 @@ def _k_pair_z1(alpha: float):
 # Verifiers
 # ---------------------------------------------------------------------------
 
-def verify_rg_corollary(z=0.5, alpha=1.0,
+def verify_rg_corollary(z=0.5+0j, alpha=1.0,
                         tolerance: float = 1e-8) -> VerificationReport | list:
     """Xi-pair integral against cos(t log(alpha)/2)/((t^2+(z+1)^2)(t^2+(z-1)^2))
     versus the modular K-Bessel combination f_frak, from one vector integral
@@ -402,7 +402,7 @@ def verify_rg_corollary_z0(alpha=1.0,
     return _xi_grid("rg-corollary-z0", 0.0 + 0.0j, g, alpha, tolerance, row)
 
 
-def verify_rg_formula(z=0.5, alpha=1.0,
+def verify_rg_formula(z=0.5+0j, alpha=1.0,
                       tolerance: float = 1e-8) -> VerificationReport | list:
     """f_frak(alpha, z) = f_frak(1/alpha, z), f_frak evaluated once over the
     alphas and their reciprocals (_modular_grid)."""
@@ -410,7 +410,7 @@ def verify_rg_formula(z=0.5, alpha=1.0,
     return _modular_grid("rg-formula", lambda points: f_frak(z, points), z, alpha, tolerance)
 
 
-def verify_hurwitz_corollary(z=0.5, alpha=1.0,
+def verify_hurwitz_corollary(z=0.5+0j, alpha=1.0,
                              tolerance: float = 1e-6) -> VerificationReport | list:
     """Gamma-weighted Xi-pair integral versus the tail-corrected
     Hurwitz-lambda combination alpha^{(z+1)/2}(sum lambda - boundary terms),
@@ -430,7 +430,7 @@ def verify_hurwitz_corollary(z=0.5, alpha=1.0,
                     lambda col, a: (pref, F[col], {k: v[col] for k, v in budgets.items()}))
 
 
-def verify_hurwitz_modular(z=0.5, alpha=1.0,
+def verify_hurwitz_modular(z=0.5+0j, alpha=1.0,
                            tolerance: float = 1e-8) -> VerificationReport | list:
     """F(alpha) = F(1/alpha) for the Hurwitz-lambda combination, F evaluated
     once over the alphas and their reciprocals (_modular_grid)."""
@@ -517,7 +517,7 @@ def verify_hurwitz_corollary_z0(alpha=1.0,
     return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alpha, tolerance, row)
 
 
-def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5,
+def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5+0j,
                               tolerance: float = 1e-5) -> VerificationReport | list:
     """pi^{z+1/2} Gamma((z+3)/2) sum sigma_{-z}(n) n^{z+1} I_n(z) versus
     (alpha^{z/2}/2^{z+2}) Gamma(z+1) sum_m lambda(m alpha, z); the printed
@@ -546,7 +546,7 @@ def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5,
     return _rows(alpha, row)
 
 
-def verify_mellin_k(s=2.0, nu=0.0, q: float = 1.0,
+def verify_mellin_k(s=2+0j, nu=0j, q: float = 1.0,
                     tolerance: float = 1e-9) -> VerificationReport:
     """Integral of x^{s-1} K_nu(q x) versus 2^{s-2} q^{-s} Gamma((s-nu)/2) Gamma((s+nu)/2)."""
     s, nu = complex(s), complex(nu)
@@ -585,7 +585,11 @@ def verify_mellin_k(s=2.0, nu=0.0, q: float = 1.0,
                         out[tiny] += c_refl * np.exp((s - 1.0 + mu) * lx)
         return out
 
-    r = integrate_half_line(f, 0.8 * q, _MELLIN_SPEC)
+    # The integrand peaks near x = (Re s - 1)/q, past the [1, 2] window
+    # where integrate_half_line fits its tail envelope once Re s > 1 + 2q:
+    # integrate in u = x/m with that peak at u <= 1.
+    m = max(1.0, (s.real - 1.0) / q)
+    r = integrate_half_line(lambda u: m * f(m * u), 0.8 * q * m, _MELLIN_SPEC)
     lhs = r.value
     rhs = 2.0 ** (s - 2.0) * q ** (-s) * gamma(0.5 * (s - nu)) * gamma(0.5 * (s + nu))
     budgets = {"quad_err": r.err_estimate, "truncation": r.truncation_bound}
@@ -594,7 +598,7 @@ def verify_mellin_k(s=2.0, nu=0.0, q: float = 1.0,
                    real_inputs=(s.imag == 0.0 and nu.imag == 0.0))
 
 
-def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5,
+def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5+0j,
                           tolerance: float = 1e-9) -> VerificationReport | list:
     """Integral of e^{-2 pi alpha x} x^{z/2} J_z(4 pi sqrt(xy)) versus
     e^{-2 pi y/alpha} y^{z/2} / (2 pi alpha^{z+1}), from one vector Laplace
@@ -624,7 +628,7 @@ def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5,
     return _rows(alpha, row)
 
 
-def verify_omega_self_reciprocal(x: float = 1.0, z=0.5,
+def verify_omega_self_reciprocal(x: float = 1.0, z=0.5+0j,
                                  tolerance: float = 1e-6) -> VerificationReport:
     """J_z transform of Omega(y,z) - zeta(z) y^{z/2-1}/(2 pi) reproduces the
     same combination at x, divided by 2 pi.
@@ -698,7 +702,7 @@ def _omega_weight(z: complex) -> Callable:
     return lambda x: omega_combination(x, z, 500) * np.power(x, 0.5 * z)
 
 
-def verify_omega_modular(alpha=1.0, z=0.5,
+def verify_omega_modular(alpha=1.0, z=0.5+0j,
                          tolerance: float = 1e-6) -> VerificationReport | list:
     """alpha^{(z+1)/2} times the Omega Laplace integral is invariant under
     alpha -> 1/alpha, from one vector Laplace integral whose columns are the
@@ -718,7 +722,7 @@ def verify_omega_modular(alpha=1.0, z=0.5,
     return _modular_grid("omega-modular", F, z, alpha, tolerance)
 
 
-def verify_omega_laplace(alpha=1.0, z=0.5,
+def verify_omega_laplace(alpha=1.0, z=0.5+0j,
                          tolerance: float = 1e-6) -> VerificationReport | list:
     """The Omega Laplace integral versus Gamma(z+1)/(2 pi)^{z+1} times the
     tail-corrected lambda combination; the boundary terms appear once (the
@@ -740,7 +744,7 @@ def verify_omega_laplace(alpha=1.0, z=0.5,
     return _rows(alpha, row)
 
 
-def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5, x: float = 1.0,
+def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5+0j, x: float = 1.0,
                             tolerance: float = 1e-6) -> VerificationReport:
     """phi(x) versus 2 * transform of psi at x (factor-2, argument-4sqrt(tx)
     convention), plus the mirrored psi-from-phi check.  The transform needs
@@ -836,7 +840,7 @@ class IdentityEntry:
         return _current(self.runner)(**args, tolerance=tolerance)
 
 
-def _run_pair(pair: str = "k-bessel", pair_alpha: float = 2.0, z=0.5, x: float = 1.0,
+def _run_pair(pair: str = "k-bessel", pair_alpha: float = 2.0, z=0.5+0j, x: float = 1.0,
               tolerance: float = 1e-6) -> VerificationReport:
     """verify_pair_reciprocity with the pair named as the CLI names it."""
     if pair == "k-bessel":
@@ -848,6 +852,8 @@ def _run_pair(pair: str = "k-bessel", pair_alpha: float = 2.0, z=0.5, x: float =
     return verify_pair_reciprocity(made, z, x, tolerance)
 
 
+# The CLI's verify and sweep flags follow the order in which the entries
+# below first name each parameter.
 IDENTITIES: dict = {
     "rg-corollary": IdentityEntry(
         verify_rg_corollary,
@@ -870,9 +876,6 @@ IDENTITIES: dict = {
     "mellin-k": IdentityEntry(
         verify_mellin_k,
         "Mellin transform of K_nu vs Gamma product closed form"),
-    "laplace-bessel": IdentityEntry(
-        verify_laplace_bessel,
-        "Laplace-type J_z integral vs exponential closed form"),
     "omega-self-reciprocal": IdentityEntry(
         verify_omega_self_reciprocal,
         "Omega combination is self-reciprocal under the J_z transform"),
@@ -882,6 +885,9 @@ IDENTITIES: dict = {
     "omega-laplace": IdentityEntry(
         verify_omega_laplace,
         "Omega Laplace integral vs the lambda combination closed form"),
+    "laplace-bessel": IdentityEntry(
+        verify_laplace_bessel,
+        "Laplace-type J_z integral vs exponential closed form"),
     "bessel-hurwitz-sum": IdentityEntry(
         verify_bessel_hurwitz_sum,
         "K-weighted divisor series vs the lambda series closed form"),

@@ -309,14 +309,14 @@ def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Quad
 
 
 class ExpDecay:
-    """Certificate |f(t)| <= coeff * exp(-rate * t) for t >= start."""
+    """Certificate |f(t)| <= coeff * exp(-rate * t) past the lower endpoint
+    of the integral it serves."""
 
-    def __init__(self, coeff: float, rate: float, start: float = 0.0):
+    def __init__(self, coeff: float, rate: float):
         if coeff <= 0 or rate <= 0:
             raise DecayError("ExpDecay requires positive coeff and rate")
         self.coeff = coeff
         self.rate = rate
-        self.start = start
 
     def tail_bound(self, T: float) -> float:
         return self.coeff * math.exp(-self.rate * T) / self.rate
@@ -324,8 +324,7 @@ class ExpDecay:
     def cutoff_for(self, tol: float) -> float:
         if tol <= 0:
             raise DecayError("tolerance must be positive")
-        T = -math.log(tol * self.rate / self.coeff) / self.rate
-        return max(T, self.start + 1.0)
+        return -math.log(tol * self.rate / self.coeff) / self.rate
 
 
 def integrate_semi_infinite(f, a: float, decay,
@@ -333,9 +332,9 @@ def integrate_semi_infinite(f, a: float, decay,
     """Integrate f over [a, inf) using a decay certificate for the tail.
 
     The cutoff is chosen so the certified tail consumes at most a tenth of
-    the tolerance budget; the rest goes to the finite-range panels, which
-    are laid out geometrically so oscillation near the origin and slow
-    variation far out are both resolved.  The segments refine in lockstep,
+    the tolerance budget, and lies at least 1 past a; the rest goes to the
+    finite-range panels, which are laid out geometrically so oscillation
+    near the origin and slow variation far out are both resolved.  The segments refine in lockstep,
     one call of f per round, each as integrate_finite would refine it.
 
     decay may also be a list of certificates, one per component of an
@@ -347,10 +346,8 @@ def integrate_semi_infinite(f, a: float, decay,
     spec = spec or QuadratureSpec()
     tol = spec.abs_tol
     decays = decay if isinstance(decay, list) else [decay]
-    T = max(d.cutoff_for(0.1 * tol) for d in decays)
+    T = max(a + 1.0, *(d.cutoff_for(0.1 * tol) for d in decays))
     trunc = [d.tail_bound(T) for d in decays]
-    if T <= a:
-        raise DomainError(f"decay cutoff {T:g} does not exceed the lower endpoint {a:g}")
 
     # Geometric breakpoints: unit-ish first segment, then doubling spans.
     breaks = [a]
@@ -410,7 +407,7 @@ def integrate_half_line(f, rate: float,
     peaks = np.max(mags[:5] * np.exp(rate * fit)[:, None], axis=0)
     if not (peaks < math.inf).all():
         raise DecayError("integrand is not finite on [1, 2]; no tail envelope")
-    decays = [ExpDecay(40.0 * max(float(p), 1e-300), rate, start=1.0) for p in peaks]
+    decays = [ExpDecay(40.0 * max(float(p), 1e-300), rate) for p in peaks]
     envelope = np.exp(-rate * check)[:, None] * [d.coeff for d in decays]
     over = ~(mags[5:] <= envelope)          # a nan sample counts as over
     if over.any():

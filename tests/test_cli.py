@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from koshliakov import identities
-from koshliakov.cli import _PARAMS, _identity, build_parser, main, parse_complex_literal
+from koshliakov.cli import _PARSERS, _identity, build_parser, main, parse_complex_literal
 from koshliakov.errors import ConvergenceError
 from koshliakov.identities import IDENTITIES
 from koshliakov.reporting import CSV_HEADER
@@ -248,13 +248,28 @@ def test_non_finite_flag_is_a_usage_error(command, capsys):
 
 
 def test_registry_runners_take_flags_then_tolerance():
-    # A runner's parameters are its CLI flags, each one the CLI parses,
-    # then tolerance: there is no other knob.
+    # A runner's parameters are its CLI flags, each of a type the CLI
+    # parses, then tolerance: there is no other knob.
+    verify_flags = build_parser().parse_args(["verify", "x"]).params
     for name, entry in IDENTITIES.items():
         params = tuple(inspect.signature(entry.runner).parameters)
         assert params == entry.arg_names + ("tolerance",), name
-        assert all(flag in _PARAMS for flag in entry.arg_names), name
+        assert all(flag in verify_flags for flag in entry.arg_names), name
+        assert all(type(d) in _PARSERS for d in entry.defaults.values()), name
         assert "spec" not in params, name
+
+
+def test_flag_kinds_come_from_the_defaults():
+    # A flag parses as the widest type among the defaults that name it:
+    # complex over float, and str.
+    args = build_parser().parse_args(["verify", "x", "--z=0.5", "--alpha=2", "--x=1",
+                                      "--s=3", "--pair=dixon-ferrar", "--pair-alpha=2"])
+    assert [type(getattr(args, name)) for name in ("z", "alpha", "x", "s", "pair",
+                                                   "pair_alpha")] == \
+        [complex, float, float, complex, str, float]
+    assert build_parser().parse_args(["eval", "li", "--x=2", "--n=3"]).x == 2 + 0j
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "x", "--alpha=1+1i"])
 
 
 def test_sweep_inapplicable_flag_usage(capsys):

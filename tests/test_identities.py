@@ -267,6 +267,10 @@ def test_oscillatory_tail_closed_form(z):
     assert 0.0 < err < 1e-10
 
 
+def _budget_sum(report) -> float:
+    return sum(v for k, v in report.budgets.items() if not k.endswith("_diff"))
+
+
 def test_mellin_k_trivial_point():
     r = verify_mellin_k(2.0, 0.0, 1.0)
     assert r.passed
@@ -276,6 +280,16 @@ def test_mellin_k_trivial_point():
 def test_mellin_k_strip():
     with pytest.raises(DomainError):
         verify_mellin_k(0.2, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("s, nu, q", [(6.0, 0.0, 1.0), (5.0, 0.0, 0.4), (4.0, 0.0, 0.5),
+                                      (4.5, 1.7, 0.5)])
+def test_mellin_k_hump_past_the_fit_window(s, nu, q):
+    # x^{s-1} K_nu(q x) peaks near x = (s - 1)/q, past the [1, 2] window
+    # where the tail envelope is fitted: each report passes, within its
+    # budget sum.
+    r = verify_mellin_k(s, nu, q)
+    assert r.passed and r.abs_diff <= _budget_sum(r), r
 
 
 def test_laplace_bessel():
@@ -649,3 +663,61 @@ def test_strip_reports_hold_their_budgets(name):
     if edge_draws:
         pytest.xfail(f"ROADMAP item 2, the Omega head at Re z <= {_OMEGA_HEAD_EDGE}: "
                      f"{edge_draws}")
+
+
+@pytest.mark.parametrize("name", ["rg-corollary-z0", "hurwitz-corollary-z0"])
+@settings(max_examples=15)
+@given(alpha=st.floats(0.25, 4.0))
+@example(alpha=0.25)
+@example(alpha=4.0)
+def test_z0_reports_hold_their_budgets(name, alpha):
+    # Over alpha in [1/4, 4] each z = 0 report passes with abs_diff within
+    # its budget sum, and a one-row sweep gives the verify's row.
+    entry = IDENTITIES[name]
+    report = entry.verify({"alpha": alpha}, entry.tolerance)
+    assert report.passed and report.abs_diff <= _budget_sum(report), report
+    assert entry.verify({"alpha": [alpha]}, entry.tolerance) == [report]
+
+
+# laplace-bessel's tanh-sinh head on (0, 1] (integrand ~ x^{Re z}) raises
+# from about Re z = -0.97 down and under-reports its error just above that
+# (ROADMAP item 2), and its budgets carry no roundoff charge.
+_LAPLACE_HEAD_EDGE = -0.955
+_ROUNDOFF = 64.0 * 2.0 ** -52
+
+
+def test_laplace_bessel_reports_hold_their_budgets():
+    # Over Re z in (-1, 1), alpha in [1/4, 4] and y in [1/100, 10], each
+    # report passes with abs_diff within its budget sum, and a one-row
+    # sweep gives the verify's row.  Draws that hit the head's known
+    # failure, or miss the budget sum by roundoff only, are collected, and
+    # the test then xfails (non-strict) naming them; any other failure
+    # fails it.
+    entry, known_draws = IDENTITIES["laplace-bessel"], []
+
+    @settings(max_examples=40)
+    @given(z=_hundredths(-99, 99), alpha=st.floats(0.25, 4.0), y=st.floats(0.01, 10.0))
+    @example(z=-0.96, alpha=0.569, y=0.257)
+    @example(z=-0.23, alpha=3.72, y=1.29)
+    @example(z=-0.99, alpha=1.0, y=1.0)
+    def draw(z, alpha, y):
+        head = z <= _LAPLACE_HEAD_EDGE
+        try:
+            report = entry.verify({"z": z, "alpha": alpha, "y": y}, entry.tolerance)
+        except ConvergenceError as exc:
+            if head and "[0, 1]" in str(exc):
+                known_draws.append((z, alpha, y))
+                return
+            raise
+        assert entry.verify({"z": z, "alpha": [alpha], "y": y}, entry.tolerance) == [report]
+        assert report.passed, report
+        if report.abs_diff > _budget_sum(report):
+            roundoff = report.abs_diff <= _ROUNDOFF * max(abs(report.lhs), abs(report.rhs))
+            assert head or roundoff, report
+            known_draws.append((z, alpha, y))
+
+    draw()
+    if known_draws:
+        pytest.xfail(f"ROADMAP item 2, the laplace-bessel head at Re z <= "
+                     f"{_LAPLACE_HEAD_EDGE} and budgets without a roundoff charge: "
+                     f"{known_draws}")

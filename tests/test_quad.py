@@ -273,7 +273,7 @@ def test_semi_infinite_columns_match_scalar_calls(bs):
     b = np.array(bs)
     decays = [ExpDecay(coeff=1.0, rate=bj) for bj in bs]
     r = integrate_semi_infinite(lambda t: np.exp(-np.multiply.outer(t, b)), 0.0, decays)
-    T = max(d.cutoff_for(0.1 * QuadratureSpec().abs_tol) for d in decays)
+    T = max(1.0, *(d.cutoff_for(0.1 * QuadratureSpec().abs_tol) for d in decays))
     assert list(r.truncation_bound) == [d.tail_bound(T) for d in decays]
     for j, bj in enumerate(bs):
         one = integrate_semi_infinite(lambda t: np.exp(-bj * t), 0.0, decays[j])
@@ -335,10 +335,9 @@ def _scalar_half_line(f, rate, spec):
     reference head and integrate_finite's (pinned) scalar tail panels."""
     fit = np.linspace(1.0, 2.0, 5)
     mags = np.abs(np.asarray(f(fit)))
-    decay = ExpDecay(40.0 * max(float(np.max(mags * np.exp(rate * fit))), 1e-300),
-                     rate, start=1.0)
+    decay = ExpDecay(40.0 * max(float(np.max(mags * np.exp(rate * fit))), 1e-300), rate)
     head = _scalar_ts(f, 0.0, 1.0, spec)
-    T = decay.cutoff_for(0.1 * spec.abs_tol)
+    T = max(2.0, decay.cutoff_for(0.1 * spec.abs_tol))
     breaks, step = [1.0], 1.0
     while breaks[-1] + step < T:
         breaks.append(breaks[-1] + step)

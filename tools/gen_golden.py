@@ -383,13 +383,16 @@ def golden_values():
 
     put("hurwitz_F_1_half", hurwitz_F(1, mpf("0.5")),
         "F(alpha, z) of hurwitz-modular at alpha=1, z=1/2")
-    put("hurwitz_F_2_c", hurwitz_F(2, mpc("-0.4", "0.3")),
-        "F(alpha, z) of hurwitz-modular at alpha=2, z=-0.4+0.3i")
+    # F at complex z runs at 60 digits: at 40, lambda's cancellations at
+    # large n alpha leave it good to about 1e-21 at alpha = 4, z = 0.4i,
+    # and to 7e-31 here.
+    with mp.workdps(60):
+        F = hurwitz_F(2, mpc("-0.4", "0.3"))
+    put("hurwitz_F_2_c", F, "F(alpha, z) of hurwitz-modular at alpha=2, z=-0.4+0.3i")
     # F across the strip |Re z| < 1 of the Hurwitz identities: z = 0 (the
     # mean of z = +-1e-30 at 90 digits, as for f_frak below), the line
     # Re z = 0 and -1 < Re z < 0, at both alpha ends and at 1.  The rest
-    # run at 60 digits: at 40, lambda's cancellations at alpha = 4 and
-    # imaginary z leave F good to about 1e-21 only.
+    # run at 60 digits, as above.
     for ztag, z in (("0", None), ("0p4i", mpc(0, "0.4")), ("m0p5", mpf("-0.5")),
                     ("m0p9", mpf("-0.9")), ("m0p5p0p3i", mpc("-0.5", "0.3"))):
         for atag, alpha in (("0p25", mpf("0.25")), ("1", mpf(1)), ("4", mpf(4))):

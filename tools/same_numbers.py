@@ -28,8 +28,8 @@ read.  Last come the one z strip |Re z| < 1 and the one alpha rule:
 `rg-corollary` at z = 0 (its own report, no longer `rg-corollary-z0`'s),
 the Hurwitz identities at z = 0, on the line Re z = 0 and at Re z < 0,
 an `omega-laplace` sweep at z = -0.6, and an alpha outside [1/4, 4] in
-`verify laplace-bessel` and in a sweep's grid (exit 3, as in `verify`):
-74 commands in all.
+`verify laplace-bessel` and in a sweep's grid (exit 3, as in `verify`),
+and `mellin-k` where its integrand peaks past x = 2: 78 commands in all.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
@@ -147,6 +147,11 @@ COMMANDS = (
     ("sweep", "omega-laplace", *_OMEGA_GRID, "--z=-0.6"),
     ("verify", "laplace-bessel", "--alpha=10"),
     ("sweep", "rg-formula", "--alpha-min=0.1", "--alpha-max=2", "--steps=3"),
+    # mellin-k where x^{s-1} K_nu(q x) peaks past x = 2.
+    ("verify", "mellin-k", "--s=6"),
+    ("verify", "mellin-k", "--s=5", "--q=0.4"),
+    ("verify", "mellin-k", "--s=4", "--q=0.5"),
+    ("verify", "mellin-k", "--s=4.5", "--nu=1.7", "--q=0.5"),
 )
 
 # Reads a JSON list of argv lists on stdin and prints, per argv, the
