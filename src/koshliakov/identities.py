@@ -28,14 +28,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import arith
+from . import arith, quadrature   # head/tail rules via the module, so wrappers see them
 from .errors import DomainError, KoshliakovError
 from .kernels import (ReciprocalPair, _divisor_tail_moment,
                       first_koshliakov_transform, lambda_sum,
                       omega_combination, pair_dixon_ferrar, pair_k_bessel,
                       transform_kernel)
-from .quadrature import (QuadratureSpec, integrate_finite, integrate_half_line,
-                         tanh_sinh)
+from .quadrature import QuadratureSpec, integrate_finite, integrate_half_line
 from .specfun import (EULER_GAMMA, _lgamma_slope, _pole_quotient, bessel_j, bessel_k,
                       big_xi, gamma, riemann_zeta)
 
@@ -71,18 +70,12 @@ class VerificationReport(NamedTuple):
     passed: bool
 
     def to_dict(self) -> dict:
-        # numpy scalars leak in through the budget arithmetic; JSON needs
-        # plain floats.
+        # A complex parameter (numpy's too) is [re, im]; JSON needs any
+        # other number as a plain float.
         def _py(v):
-            if hasattr(v, "item") and not isinstance(v, (str, bytes)):
-                v = v.item()
             if isinstance(v, complex):
                 return [float(v.real), float(v.imag)]
-            if isinstance(v, (list, tuple)):
-                return [_py(t) for t in v]
-            if isinstance(v, (bool, int, str)):
-                return v
-            return float(v)
+            return v if isinstance(v, (bool, int, str)) else float(v)
 
         return {
             "identity": self.identity_id,
@@ -97,7 +90,7 @@ class VerificationReport(NamedTuple):
 
 
 def _report(identity_id: str, params: dict, lhs: complex, rhs: complex,
-            budgets: dict, tolerance: float, real_inputs: bool) -> VerificationReport:
+            budgets: dict, tolerance: float) -> VerificationReport:
     lhs, rhs = complex(lhs), complex(rhs)
     abs_diff = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
@@ -111,7 +104,8 @@ def _report(identity_id: str, params: dict, lhs: complex, rhs: complex,
     budget_sum = sum(v for k, v in budgets.items() if not k.endswith("_diff"))
     resolved = budget_sum < budget_cap
     ok = diff_ok and resolved
-    if real_inputs:
+    # Real inputs (no parameter off the real axis) must give real sides.
+    if not any(isinstance(v, complex) and v.imag != 0.0 for v in params.values()):
         for v in (lhs, rhs):
             if abs(v.imag) > 1e-10 * max(abs(v.real), _TINY):
                 ok = False
@@ -191,9 +185,8 @@ def _xi_grid(identity_id: str, z: complex, g: Callable, alpha, tolerance: float,
                    "xi_cutoff": abs(pref) * trunc}
         for key, value in rhs_budgets.items():
             budgets[key] = budgets.get(key, 0.0) + value
-        params = {"z": [z.real, z.imag], "alpha": a}
-        return _report(identity_id, params, pref * complex(res.value[col]), rhs,
-                       budgets, tolerance, real_inputs=(z.imag == 0.0))
+        return _report(identity_id, {"z": z, "alpha": a}, pref * complex(res.value[col]), rhs,
+                       budgets, tolerance)
 
     return _rows(alpha, report)
 
@@ -209,61 +202,10 @@ def _modular_grid(identity_id: str, F: Callable, z: complex, alpha, tolerance: f
     values, budgets = F([*alphas, *(1.0 / a for a in alphas)])
 
     def row(col, a):
-        params = {"alpha": a, "z": [z.real, z.imag]}
-        return _report(identity_id, params, values[col], values[m + col],
-                       {k: v[col] + v[m + col] for k, v in budgets.items()},
-                       tolerance, real_inputs=(z.imag == 0.0))
+        return _report(identity_id, {"alpha": a, "z": z}, values[col], values[m + col],
+                       {k: v[col] + v[m + col] for k, v in budgets.items()}, tolerance)
 
     return _rows(alpha, row)
-
-
-# ---------------------------------------------------------------------------
-# Oscillatory tails: alternating half-period segments + iterated averaging
-# ---------------------------------------------------------------------------
-
-def _euler_limit(partials: np.ndarray):
-    """Limit of an alternating-tail sequence of partial sums by repeated
-    adjacent averaging; returns (limit, error estimate).  The estimate is
-    the last change of the averaging, floored at one rounding of the
-    largest partial sum per averaging level: the last two averaged values
-    can coincide in floating point, which would otherwise claim 0."""
-    arr = np.asarray(partials, dtype=complex)
-    if arr.size == 1:
-        return complex(arr[0]), abs(complex(arr[0]))
-    floor = arr.size * _EPS * float(np.max(np.abs(arr)))
-    est_prev = complex(arr[-1])
-    err = abs(est_prev)
-    while arr.size > 1:
-        arr = 0.5 * (arr[1:] + arr[:-1])
-        est = complex(arr[-1])
-        err = abs(est - est_prev)
-        est_prev = est
-    return est_prev, max(err, floor)
-
-
-# Half-period segments summed before the averaging takes the limit.
-_SEGMENTS = 96
-
-
-def _oscillatory_tail(g: Callable, u0: float, half_period: float):
-    """Integral of g over [u0, inf) for g that alternates in sign on
-    consecutive half-period windows with decaying envelope.  The segments
-    are the columns of one vector integral over [0, 1]; g takes a 1-D
-    array of points."""
-    seg_spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12, max_panels=64)
-    starts = u0 + half_period * np.arange(_SEGMENTS)
-
-    def f(s):
-        u = np.add.outer(half_period * s, starts)
-        return half_period * g(u.ravel()).reshape(u.shape)
-
-    segs = integrate_finite(f, 0.0, 1.0, seg_spec).value
-    partials = np.cumsum(segs)
-    small = np.flatnonzero(np.abs(segs) < 1e-17)
-    if small.size:
-        k = small[0]
-        return complex(partials[k]), abs(complex(segs[k])) + 1e-17
-    return _euler_limit(partials[_SEGMENTS // 3:])
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +257,10 @@ def f_frak(z: complex, alpha):
     g = _lgamma_slope(z) - 0.5 * _lgamma_slope(0.5 * z)        # log G / z
     p, rows = 1.0 + abs(z.real) + 0.5 * z.real, []
     n = np.arange(1, _SERIES_TERMS + 1, dtype=float)
-    table = arith.build_table(-z, _SERIES_TERMS)
+    weights = arith.build_table(-z, _SERIES_TERMS) * np.power(n, 0.5 * z)
     for a in np.atleast_1d(alpha).tolist():
         c = 2.0 * math.pi * a
-        series_terms = table * np.power(n, 0.5 * z) * bessel_k(0.5 * z, c * n)
+        series_terms = weights * bessel_k(0.5 * z, c * n)
         h = 0.5 * math.log(4.0 * math.pi * a)
         pair, mag = _pole_quotient(z, g - h, h - g)
         rows.append((math.sqrt(a) * (complex(pair) / a - 4.0 * np.sum(series_terms)),
@@ -539,9 +481,8 @@ def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5+0j,
                    "series_tail": abs(pref_l) * tail_err[col],
                    "em_residual": abs(pref_r) * resid[col],
                    "eval_err": _EVAL_ULPS * abs(pref_r) * mag[col]}
-        params = {"z": [z.real, z.imag], "alpha": a}
-        return _report("bessel-hurwitz-sum", params, pref_l * series[col], pref_r * lam[col],
-                       budgets, tolerance, real_inputs=(z.imag == 0.0))
+        return _report("bessel-hurwitz-sum", {"z": z, "alpha": a}, pref_l * series[col],
+                       pref_r * lam[col], budgets, tolerance)
 
     return _rows(alpha, row)
 
@@ -592,10 +533,12 @@ def verify_mellin_k(s=2+0j, nu=0j, q: float = 1.0,
     r = integrate_half_line(lambda u: m * f(m * u), 0.8 * q * m, _MELLIN_SPEC)
     lhs = r.value
     rhs = 2.0 ** (s - 2.0) * q ** (-s) * gamma(0.5 * (s - nu)) * gamma(0.5 * (s + nu))
-    budgets = {"quad_err": r.err_estimate, "truncation": r.truncation_bound}
-    params = {"s": [s.real, s.imag], "nu": [nu.real, nu.imag], "q": q}
-    return _report("mellin-k", params, lhs, rhs, budgets, tolerance,
-                   real_inputs=(s.imag == 0.0 and nu.imag == 0.0))
+    # The sides' rounding: each multiplies at most four factors, each within
+    # _EVAL_ULPS (the rhs 2^{s-2}, q^{-s} and two Gamma values; the integrand
+    # m, x^{s-1} and K_nu, then the node sum): 64 ulps of |lhs| + |rhs|.
+    budgets = {"quad_err": r.err_estimate, "truncation": r.truncation_bound,
+               "eval_err": 4.0 * _EVAL_ULPS * (abs(lhs) + abs(rhs))}
+    return _report("mellin-k", {"s": s, "nu": nu, "q": q}, lhs, rhs, budgets, tolerance)
 
 
 def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5+0j,
@@ -619,11 +562,14 @@ def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5+0j,
 
     def row(col, a):
         rhs = math.exp(-2.0 * math.pi * y / a) * y ** (0.5 * zr) / (2.0 * math.pi * a ** (zr + 1.0))
+        # The sides' rounding: each multiplies three factors, each within
+        # _EVAL_ULPS (the rhs e^{-2 pi y/alpha}, y^{z/2} and 2 pi alpha^{z+1};
+        # the integrand e^{-2 pi alpha x}, x^{z/2} and J_z): 48 ulps of |lhs| + |rhs|.
         budgets = {"quad_err": float(r.err_estimate[col]),
-                   "truncation": float(r.truncation_bound[col])}
-        params = {"alpha": a, "y": y, "z": [zr, 0.0]}
-        return _report("laplace-bessel", params, r.value[col], rhs, budgets, tolerance,
-                       real_inputs=True)
+                   "truncation": float(r.truncation_bound[col]),
+                   "eval_err": 3.0 * _EVAL_ULPS * (abs(r.value[col]) + abs(rhs))}
+        return _report("laplace-bessel", {"alpha": a, "y": y, "z": complex(zr)}, r.value[col],
+                       rhs, budgets, tolerance)
 
     return _rows(alpha, row)
 
@@ -651,17 +597,16 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5+0j,
         y = np.asarray(y, dtype=float)
         return bessel_j(zr, c * np.sqrt(y)) * omega_combination(y, zr, _SERIES_TERMS)
 
-    head1 = tanh_sinh(f, 0.0, 1.0, _OMEGA_SELF_RECIPROCAL_SPEC)
-    head2 = integrate_finite(f, 1.0, Y, _OMEGA_SELF_RECIPROCAL_SPEC)
+    head = quadrature.integrate_singular_head(f, Y, _OMEGA_SELF_RECIPROCAL_SPEC)
 
     def g(u):
         return bessel_j(zr, u) * np.power(u, zr - 1.0)
 
     # The power part's envelope u^{z-3/2} decays too slowly to truncate,
     # but J_z alternates with half-period pi.
-    ev, eerr = _oscillatory_tail(g, c * math.sqrt(Y), math.pi)
+    osc = quadrature.integrate_alternating_tail(g, c * math.sqrt(Y), math.pi)
     zeta_z = riemann_zeta(zr)
-    tail = -(zeta_z / (2.0 * math.pi)) * 2.0 * c ** (-zr) * ev
+    tail = -(zeta_z / (2.0 * math.pi)) * 2.0 * c ** (-zr) * osc.value
     # Discarded exponentially small Omega remainder past Y.
     om_rem = 40.0 * math.exp(-2.0 * math.sqrt(2.0) * math.pi * math.sqrt(Y))
     # Omega's roundoff bound (omega_combination) at x and over [0, Y] against
@@ -669,17 +614,16 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5+0j,
     k = 0.5 * float(_pole_quotient(z, 0.0, 0.0)[1])
     jz = (0.5 * c) ** zr / gamma(1.0 + zr).real
 
-    lhs = head1.value + head2.value + tail
+    lhs = head.value + tail
     rhs = omega_combination(x, zr, _SERIES_TERMS) / (2.0 * math.pi)
-    budgets = {"quad_err": head1.err_estimate + head2.err_estimate,
-               "oscillation_err": abs(zeta_z / math.pi) * c ** (-zr) * eerr,
+    budgets = {"quad_err": head.err_estimate,
+               "oscillation_err": abs(zeta_z / math.pi) * c ** (-zr) * osc.err_estimate,
                "omega_remainder": om_rem,
                "eval_err": _EVAL_ULPS * k * sum(x ** e / (2.0 * math.pi) + Y ** (1.0 + e) / (1.0 + e)
                                                 + jz * Y ** (1.0 + e + 0.5 * zr) / (1.0 + e + 0.5 * zr)
                                                 for e in (0.5 * zr, -0.5 * zr))}
-    params = {"x": x, "z": [zr, 0.0]}
-    return _report("omega-self-reciprocal", params, lhs, rhs, budgets, tolerance,
-                   real_inputs=True)
+    return _report("omega-self-reciprocal", {"x": x, "z": complex(zr)}, lhs, rhs, budgets,
+                   tolerance)
 
 
 def _laplace_columns(weight: Callable, cols, spec: QuadratureSpec):
@@ -696,10 +640,16 @@ def _laplace_columns(weight: Callable, cols, spec: QuadratureSpec):
     return integrate_half_line(f, 2.0 * math.pi * cols.min() * 0.95, spec)
 
 
-def _omega_weight(z: complex) -> Callable:
-    """x^{z/2} (Omega - zeta(z) x^{z/2-1}/(2 pi)), the weight of both Omega
-    Laplace identities."""
-    return lambda x: omega_combination(x, z, 500) * np.power(x, 0.5 * z)
+def _omega_laplace(z: complex, points):
+    """The Laplace side of both Omega identities, the integral over x > 0 of
+    e^{-w x} x^{z/2} (Omega - zeta(z) x^{z/2-1}/(2 pi)) at each w = 2 pi p
+    of points (_laplace_columns): (values, quadrature errors, ulps), where
+    _EVAL_ULPS ulps bounds Omega's roundoff integrated against the weight."""
+    r = _laplace_columns(lambda x: omega_combination(x, z, 500) * np.power(x, 0.5 * z),
+                         points, _OMEGA_LAPLACE_SPEC)
+    k = 0.5 * float(_pole_quotient(z, 0.0, 0.0)[1])
+    w = 2.0 * math.pi * np.asarray(points)
+    return r.value, r.total_error, k * (gamma(1.0 + z.real).real * w ** (-1.0 - z.real) + 1.0 / w)
 
 
 def verify_omega_modular(alpha=1.0, z=0.5+0j,
@@ -708,16 +658,12 @@ def verify_omega_modular(alpha=1.0, z=0.5+0j,
     alpha -> 1/alpha, from one vector Laplace integral whose columns are the
     alphas, then their reciprocals (_modular_grid)."""
     z = _check_z(z)
-    k = 0.5 * float(_pole_quotient(z, 0.0, 0.0)[1])          # omega_combination's roundoff
 
     def F(points):
-        r = _laplace_columns(_omega_weight(z), points, _OMEGA_LAPLACE_SPEC)
+        value, quad_err, ulps = _omega_laplace(z, points)
         pref = np.array([p ** (0.5 * (z + 1.0)) for p in points])
-        # Omega's roundoff integrated against e^{-w x} |x^{z/2}|.
-        w = 2.0 * math.pi * np.asarray(points)
-        ulps = k * (gamma(1.0 + z.real).real * w ** (-1.0 - z.real) + 1.0 / w)
-        return pref * r.value, {"quad_err": np.abs(pref) * r.total_error,
-                                "eval_err": _EVAL_ULPS * np.abs(pref) * ulps}
+        return pref * value, {"quad_err": np.abs(pref) * quad_err,
+                              "eval_err": _EVAL_ULPS * np.abs(pref) * ulps}
 
     return _modular_grid("omega-modular", F, z, alpha, tolerance)
 
@@ -731,15 +677,14 @@ def verify_omega_laplace(alpha=1.0, z=0.5+0j,
     alphas = _alphas(alpha)
     z = _check_z(z)
     _check_domain(alphas)
-    r = _laplace_columns(_omega_weight(z), alphas, _OMEGA_LAPLACE_SPEC)
+    lhs, quad_err, ulps = _omega_laplace(z, alphas)
     rhs, rhs_budgets = _hurwitz_F(z, alphas, gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0))
 
     def row(col, a):
-        budgets = {"quad_err": float(r.total_error[col]),
-                   **{k: v[col] for k, v in rhs_budgets.items()}}
-        params = {"alpha": a, "z": [z.real, z.imag]}
-        return _report("omega-laplace", params, complex(r.value[col]), rhs[col], budgets,
-                       tolerance, real_inputs=(z.imag == 0.0))
+        budgets = {"quad_err": float(quad_err[col]), **{k: v[col] for k, v in rhs_budgets.items()}}
+        budgets["eval_err"] += _EVAL_ULPS * ulps[col]           # the lhs's Omega
+        return _report("omega-laplace", {"alpha": a, "z": z}, complex(lhs[col]), rhs[col],
+                       budgets, tolerance)
 
     return _rows(alpha, row)
 
@@ -767,11 +712,11 @@ def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5+0j, x: float = 1.0,
             return 2.0 * u * pair.psi(u * u, zr) * transform_kernel(zr, 4.0 * u * math.sqrt(x))
 
         T0 = 25.0
-        head = tanh_sinh(f, 0.0, 1.0, _PAIR_SPEC)
-        mid = integrate_finite(f, 1.0, T0, _PAIR_SPEC)
-        osc, oerr = _oscillatory_tail(g, math.sqrt(T0), math.pi / (4.0 * math.sqrt(x)))
-        fwd = head.value + mid.value + osc
-        fwd_err = head.err_estimate + mid.err_estimate + oerr
+        head = quadrature.integrate_singular_head(f, T0, _PAIR_SPEC)
+        osc = quadrature.integrate_alternating_tail(g, math.sqrt(T0),
+                                                    math.pi / (4.0 * math.sqrt(x)))
+        fwd = head.value + osc.value
+        fwd_err = head.err_estimate + osc.err_estimate
     else:
         # psi, like phi below, decays exponentially: the first transform.
         r = first_koshliakov_transform(lambda t: pair.psi(t, zr), zr, 4.0 * x, _PAIR_SPEC)
@@ -787,9 +732,8 @@ def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5+0j, x: float = 1.0,
         mir_diff /= abs(psi_x)
     budgets = {"quad_err": 2.0 * (fwd_err + mir.total_error),
                "mirrored_rel_diff": mir_diff}
-    params = {"pair": pair.label, "z": [zr, 0.0], "x": x}
-    return _report("pair-reciprocity", params, lhs, rhs, budgets, tolerance,
-                   real_inputs=True)
+    return _report("pair-reciprocity", {"pair": pair.label, "z": complex(zr), "x": x}, lhs, rhs,
+                   budgets, tolerance)
 
 
 # ---------------------------------------------------------------------------

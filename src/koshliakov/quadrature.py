@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Kronrod and tanh-sinh quadrature with certified tails.
+"""Adaptive Gauss-Kronrod and tanh-sinh quadrature with certified tails,
+and every head and tail rule of the package.
 
 Every integrand passed to this module must accept a numpy array of
 abscissas and return an array of values (real or complex).  Results carry
@@ -197,11 +198,11 @@ def integrate_finite(f, a: float, b: float,
                      spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Integrate f over [a, b] adaptively with Gauss-Kronrod panels.
 
-    For an integrable endpoint singularity use `tanh_sinh`, which never
-    evaluates f at an endpoint.  Raises ConvergenceError when the panel
-    budget runs out, or a panel cannot be split further, before the
-    requested tolerance is met, and when a panel's value or error is not
-    finite.  f is called for the first panel, then once per split.
+    For an integrable singularity at 0 use `integrate_singular_head`,
+    whose tanh-sinh rule never evaluates f at an endpoint.  Raises
+    ConvergenceError when the panel budget runs out, or a panel cannot be
+    split further, before the requested tolerance is met, and when a
+    panel's value or error is not finite.  f is called for the first panel, then once per split.
 
     f may return shape (nodes, m): value and err_estimate are then (m,)
     arrays, and refinement goes on while any component is above
@@ -308,6 +309,18 @@ def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Quad
         f"last refinement changed the value by {np.max(err):.3e}")
 
 
+def integrate_singular_head(f, T: float, spec: QuadratureSpec | None = None) -> QuadratureResult:
+    """Integrate f over (0, T], T >= 1, for f that may carry an integrable
+    singularity at 0: tanh-sinh on (0, 1], then Gauss-Kronrod on [1, T]
+    (none at T = 1).  Values and errors add, head first."""
+    head = tanh_sinh(f, 0.0, 1.0, spec)
+    if T == 1.0:
+        return head
+    rest = integrate_finite(f, 1.0, T, spec)
+    return QuadratureResult(head.value + rest.value, head.err_estimate + rest.err_estimate,
+                            head.nodes_used + rest.nodes_used)
+
+
 class ExpDecay:
     """Certificate |f(t)| <= coeff * exp(-rate * t) past the lower endpoint
     of the integral it serves."""
@@ -385,8 +398,8 @@ def integrate_half_line(f, rate: float,
                         spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Integrate f over (0, inf) for f that decays like exp(-rate t).
 
-    (0, 1] runs through the tanh-sinh rule, so f may carry an integrable
-    singularity at 0; [1, inf) runs under the certificate
+    (0, 1] runs through integrate_singular_head, so f may carry an
+    integrable singularity at 0; [1, inf) runs under the certificate
     |f(t)| <= coeff exp(-rate t), fitted and checked in one call of f.
     coeff is 40 times the largest |f(t)| e^{rate t} over five points of
     [1, 2], so one zero of an oscillating f cannot collapse it; |f| at
@@ -416,9 +429,49 @@ def integrate_half_line(f, rate: float,
         raise DecayError(f"tail envelope fitted on [1, 2] is exceeded{where} at "
                          f"t={check[i]:.3g}: |f| = {mags[5 + i, j]:.3e} > "
                          f"{envelope[i, j]:.3e}")
-    head = tanh_sinh(f, 0.0, 1.0, spec)
+    head = integrate_singular_head(f, 1.0, spec)
     tail = integrate_semi_infinite(f, 1.0, decays, spec)
     return QuadratureResult(head.value + tail.value,
                             head.err_estimate + tail.err_estimate,
                             head.nodes_used + tail.nodes_used,
                             truncation_bound=tail.truncation_bound)
+
+
+# Half-period segments of an alternating tail, summed before the
+# averaging takes the limit.
+_SEGMENTS = 96
+
+
+def integrate_alternating_tail(g, u0: float, half_period: float) -> QuadratureResult:
+    """Integrate g over [u0, inf) for g that alternates in sign on
+    consecutive half-period windows with a decaying envelope.
+
+    The _SEGMENTS windows are the columns of one vector integral over
+    [0, 1] (g takes a 1-D array of points; nodes_used counts its nodes).
+    A window below 1e-17 ends the sum, with its size plus 1e-17 as the
+    error; else repeated adjacent averaging of the partial sums from the
+    _SEGMENTS // 3-th on takes the limit.  Its error is the last change,
+    floored at one rounding of the largest partial sum per level: the
+    last two averages can coincide, which would otherwise claim 0.
+    """
+    seg_spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12, max_panels=64)
+    starts = u0 + half_period * np.arange(_SEGMENTS)
+
+    def f(s):
+        u = np.add.outer(half_period * s, starts)
+        return half_period * g(u.ravel()).reshape(u.shape)
+
+    segs = integrate_finite(f, 0.0, 1.0, seg_spec)
+    partials = np.cumsum(segs.value)
+    small = np.flatnonzero(np.abs(segs.value) < 1e-17)
+    if small.size:
+        k = small[0]
+        return QuadratureResult(complex(partials[k]), abs(complex(segs.value[k])) + 1e-17,
+                                segs.nodes_used)
+    arr = partials[_SEGMENTS // 3:]
+    floor = float(arr.size * _EPS * np.max(np.abs(arr)))
+    est = complex(arr[-1])
+    while arr.size > 1:
+        arr = 0.5 * (arr[1:] + arr[:-1])
+        prev, est = est, complex(arr[-1])
+    return QuadratureResult(est, max(abs(est - prev), floor), segs.nodes_used)

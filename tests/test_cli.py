@@ -436,7 +436,7 @@ def test_sweep_shared_half_line_failure_fails_every_row(name, tmp_path, capsys, 
 def test_sweep_quadrature_calls_do_not_grow_with_steps(name, expected, monkeypatch):
     # No verifier integrates per alpha: 2 steps and 9 make the same calls.
     calls = []
-    for fn in ("integrate_half_line", "integrate_finite", "tanh_sinh"):
+    for fn in ("integrate_half_line", "integrate_finite"):
         def counted(*args, _fn=fn, _orig=getattr(identities, fn), **kwargs):
             calls.append(_fn)
             return _orig(*args, **kwargs)

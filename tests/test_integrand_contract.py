@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koshliakov import identities, kernels, specfun
+from koshliakov import identities, kernels, quadrature, specfun
 from koshliakov.kernels import pair_dixon_ferrar, pair_k_bessel
 
 
@@ -140,8 +140,7 @@ def test_divisor_k_integrand_is_pointwise(z, xc):
 @given(st.sampled_from([0.5, -0.6, 0.3 + 0.2j]), _pieces(1e-6, 60.0))
 def test_laplace_columns_integrand_is_pointwise(z, xc):
     # Both weights: Omega's (complex z too) and laplace-bessel's J_z.
-    _assert_same_bits(_integrand_of(lambda: identities._laplace_columns(
-        identities._omega_weight(z), _SCALES, identities._OMEGA_LAPLACE_SPEC)), *xc)
+    _assert_same_bits(_integrand_of(lambda: identities._omega_laplace(z, _SCALES)), *xc)
     _assert_same_bits(_integrand_of(lambda: identities.verify_laplace_bessel(
         _SCALES, 1.0, z.real)), *xc)
 
@@ -214,8 +213,9 @@ _TAIL_RUNS = {
 
 @functools.cache
 def _segment_integrand(name: str):
-    args = _first_call(_TAIL_RUNS[name], "_oscillatory_tail")
-    return _integrand_of(lambda: identities._oscillatory_tail(*args), "integrate_finite")
+    args = _first_call(_TAIL_RUNS[name], "integrate_alternating_tail", quadrature)
+    return _integrand_of(lambda: quadrature.integrate_alternating_tail(*args),
+                         "integrate_finite", quadrature)
 
 
 @pytest.mark.parametrize("name", _TAIL_RUNS)
@@ -225,7 +225,7 @@ def test_head_integrand_is_pointwise(name, xc):
     # The integrand of the finite range before the oscillatory tail (J_z
     # times Omega, or psi times the transform kernel), which the tanh-sinh
     # head on [0, 1] and the panels after it share.
-    _assert_same_bits(_integrand_of(_TAIL_RUNS[name], "tanh_sinh"), *xc)
+    _assert_same_bits(_integrand_of(_TAIL_RUNS[name], "tanh_sinh", quadrature), *xc)
 
 
 @pytest.mark.parametrize("name", _TAIL_RUNS)

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from koshliakov import quadrature
 from koshliakov.errors import ConvergenceError, DecayError, DomainError
 from koshliakov.quadrature import (ExpDecay, QuadratureResult,
-                                   QuadratureSpec, integrate_finite,
-                                   integrate_half_line,
-                                   integrate_semi_infinite, tanh_sinh)
-from koshliakov.specfun import bessel_k
+                                   QuadratureSpec, integrate_alternating_tail,
+                                   integrate_finite, integrate_half_line,
+                                   integrate_semi_infinite,
+                                   integrate_singular_head, tanh_sinh)
+from koshliakov.specfun import bessel_j, bessel_k
 
 from conftest import rel_err
 
@@ -54,6 +55,40 @@ def test_tanh_sinh_strong_power_singularity():
 def test_tanh_sinh_log_endpoint():
     r = tanh_sinh(lambda x: np.log(x), 0.0, 1.0)
     assert rel_err(r.value, -1.0) < 1e-13
+
+
+def test_singular_head_is_tanh_sinh_then_panels(monkeypatch):
+    # (0, 1] by tanh-sinh, [1, T] by Gauss-Kronrod, added head first; at
+    # T = 1 the head alone, with no panel call.
+    def f(x):
+        return 1.0 / np.sqrt(x)
+
+    head = tanh_sinh(f, 0.0, 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "integrate_finite", None)
+        assert integrate_singular_head(f, 1.0) == head
+    rest = integrate_finite(f, 1.0, 4.0)
+    assert integrate_singular_head(f, 4.0) == (head.value + rest.value,
+                                               head.err_estimate + rest.err_estimate,
+                                               head.nodes_used + rest.nodes_used, 0.0)
+    assert rel_err(integrate_singular_head(f, 4.0).value, 4.0) < 1e-12
+
+
+@pytest.mark.parametrize("z", [0.5, 0.75])
+def test_alternating_tail_closed_form(z):
+    # The integral of J_z(u) u^{z-1} over (0, inf) is 2^{z-1} Gamma(z); its
+    # envelope u^{z-3/2} is the slow alternating tail of the Omega verifier.
+    def g(u):
+        return bessel_j(z, u) * np.power(u, z - 1.0)
+
+    U = 20.0
+    head = tanh_sinh(g, 0.0, U, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
+    tail = integrate_alternating_tail(g, U, math.pi)
+    exact = 2.0 ** (z - 1.0) * math.gamma(z)
+    assert rel_err(head.value + tail.value, exact) < 1e-10
+    assert 0.0 < tail.err_estimate < 1e-10
+    # nodes_used counts the segment panels: 15 nodes each.
+    assert tail.nodes_used > 0 and tail.nodes_used % 15 == 0
 
 
 def test_tanh_sinh_divergent_raises():

@@ -29,7 +29,9 @@ read.  Last come the one z strip |Re z| < 1 and the one alpha rule:
 the Hurwitz identities at z = 0, on the line Re z = 0 and at Re z < 0,
 an `omega-laplace` sweep at z = -0.6, and an alpha outside [1/4, 4] in
 `verify laplace-bessel` and in a sweep's grid (exit 3, as in `verify`),
-and `mellin-k` where its integrand peaks past x = 2: 78 commands in all.
+`mellin-k` where its integrand peaks past x = 2, and a `mellin-k` and a
+`laplace-bessel` report whose abs_diff only the sides' rounding charge
+covers: 80 commands in all.
 
 One line per command: `identical` when the exit code and stdout match
 byte for byte.  Otherwise the line gives both exit codes and the largest
@@ -152,6 +154,9 @@ COMMANDS = (
     ("verify", "mellin-k", "--s=5", "--q=0.4"),
     ("verify", "mellin-k", "--s=4", "--q=0.5"),
     ("verify", "mellin-k", "--s=4.5", "--nu=1.7", "--q=0.5"),
+    # Sides that round past a tight quadrature error: eval_err covers them.
+    ("verify", "mellin-k", "--s=2.83", "--nu=-2.71", "--q=0.1272"),
+    ("verify", "laplace-bessel", "--z=-0.23", "--alpha=3.72", "--y=1.29"),
 )
 
 # Reads a JSON list of argv lists on stdin and prints, per argv, the
