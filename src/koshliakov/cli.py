@@ -11,8 +11,10 @@ code alone; a convergence failure in the work a sweep's rows share fails
 every row), 3 domain/convergence error (in `sweep` too for an input
 error, with the message `verify` prints: an alpha grid outside [1/4, 4]
 is one), 64 usage error (a nan or inf float or complex flag, a sweep grid
-of fewer than 2 steps or with alpha-min > alpha-max, among others).
-Complex flags accept sign-delimited literals such as `0.5+0.25i`.
+of fewer than 2 steps or with alpha-min > alpha-max, a sweep --out or
+--svg path that cannot be written, among others).  A sweep grid ends
+exactly at alpha-max.  Complex flags accept sign-delimited literals such
+as `0.5+0.25i`.
 
 Each parameter flag's kind and default come from the callable it feeds:
 the verifiers' signatures (IDENTITIES) for verify and sweep, _EVAL for
@@ -142,14 +144,14 @@ def _identity(args):
 
 
 def _alpha_grid(alpha_min: float, alpha_max: float, steps: int) -> list[float]:
-    """steps equally spaced alphas from alpha_min to alpha_max; the
-    verifier, as in verify, judges whether they lie in its domain."""
+    """steps equally spaced alphas from alpha_min to alpha_max, each capped
+    there against rounding; the verifier, as in verify, judges their domain."""
     if steps < 2:
         raise _UsageError("steps must be >= 2")
     if not alpha_min <= alpha_max:
         raise _UsageError("alpha-min must not exceed alpha-max")
     h = (alpha_max - alpha_min) / (steps - 1)
-    return [alpha_min + i * h for i in range(steps)]
+    return [min(alpha_min + i * h, alpha_max) for i in range(steps)]
 
 
 def cmd_verify(args) -> int:
@@ -180,34 +182,36 @@ def cmd_sweep(args) -> int:
         if out is not None:
             print(f"alpha={alpha:.6g}: {out}", file=sys.stderr)
         rows.append(SweepRow.failed(alpha))
-    if args.out:
-        write_csv(args.out, rows)
-    else:
+    # The files first, so a path that cannot be written leaves stdout empty.
+    for path, write, rest in ((args.out, write_csv, ()), (args.svg, write_svg, (args.identity,))):
+        if path:
+            try:
+                write(path, rows, *rest)
+            except OSError as exc:
+                raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+    if not args.out:
         print("\n".join(csv_lines(rows)))
-    if args.svg:
-        write_svg(args.svg, rows, args.identity)
     return EXIT_PASS if all(r.ok for r in rows) else EXIT_FAIL
 
 
-# eval's functions: name -> (module, attribute, the defaults of its
-# arguments in call order).  The attribute is looked up at each call, so a
-# wrapped function is the one called.  A float default makes the argument
-# real: its flag refuses an imaginary part for that function.
+# eval's functions: name -> (function, the defaults of its arguments in
+# call order).  A float default makes the argument real: its flag refuses
+# an imaginary part for that function.
 _EVAL = {
-    "gamma": (specfun, "gamma", {"s": 2 + 0j}),
-    "zeta": (specfun, "riemann_zeta", {"s": 2 + 0j}),
-    "hurwitz": (specfun, "hurwitz_zeta", {"s": 2 + 0j, "a": 1 + 0j}),
-    "digamma": (specfun, "digamma", {"s": 2 + 0j}),
-    "xi": (specfun, "xi", {"s": 2 + 0j}),
-    "big-xi": (specfun, "big_xi", {"t": 0j}),
-    "bessel-j": (specfun, "bessel_j", {"nu": 0.0, "x": 1.0}),
-    "bessel-y": (specfun, "bessel_y", {"nu": 0.0, "x": 1.0}),
-    "bessel-k": (specfun, "bessel_k", {"nu": 0j, "x": 1 + 0j}),
-    "li": (specfun, "exp_integral_li", {"x": 1.0}),
-    "kernel": (kernels, "koshliakov_kernel", {"z": 0.5 + 0j, "x": 1.0}),
-    "omega": (kernels, "omega", {"x": 1.0, "z": 0.5 + 0j}),
-    "lambda": (kernels, "lambda_fn", {"x": 1.0, "z": 0.5 + 0j}),
-    "sigma": (arith, "sigma", {"a": 1 + 0j, "n": 1}),
+    "gamma": (specfun.gamma, {"s": 2 + 0j}),
+    "zeta": (specfun.riemann_zeta, {"s": 2 + 0j}),
+    "hurwitz": (specfun.hurwitz_zeta, {"s": 2 + 0j, "a": 1 + 0j}),
+    "digamma": (specfun.digamma, {"s": 2 + 0j}),
+    "xi": (specfun.xi, {"s": 2 + 0j}),
+    "big-xi": (specfun.big_xi, {"t": 0j}),
+    "bessel-j": (specfun.bessel_j, {"nu": 0.0, "x": 1.0}),
+    "bessel-y": (specfun.bessel_y, {"nu": 0.0, "x": 1.0}),
+    "bessel-k": (specfun.bessel_k, {"nu": 0j, "x": 1 + 0j}),
+    "li": (specfun.exp_integral_li, {"x": 1.0}),
+    "kernel": (kernels.koshliakov_kernel, {"z": 0.5 + 0j, "x": 1.0}),
+    "omega": (kernels.omega, {"x": 1.0, "z": 0.5 + 0j}),
+    "lambda": (kernels.lambda_fn, {"x": 1.0, "z": 0.5 + 0j}),
+    "sigma": (arith.sigma, {"a": 1 + 0j, "n": 1}),
 }
 
 
@@ -215,9 +219,9 @@ def cmd_eval(args) -> int:
     if args.function not in _EVAL:
         raise _UsageError(f"unknown function '{args.function}'; "
                           f"known: {', '.join(sorted(_EVAL))}")
-    module, attr, defaults = _EVAL[args.function]
+    fn, defaults = _EVAL[args.function]
     named = _resolve_args(defaults, args, "function")
-    value = complex(getattr(module, attr)(*named.values()))
+    value = complex(fn(*named.values()))
     print(f"{value.real:.15g} {value.imag:.15g}")
     return EXIT_PASS
 
@@ -256,7 +260,7 @@ def build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="evaluate one special function")
     p_eval.add_argument("function")
-    _add_param_flags(p_eval, [defaults for _, _, defaults in _EVAL.values()])
+    _add_param_flags(p_eval, [defaults for _, defaults in _EVAL.values()])
 
     sub.add_parser("list", help="list registered identities")
     return parser

@@ -42,13 +42,6 @@ _TINY = 1e-300
 _EPS = 2.0 ** -52
 
 
-def _check_domain(alphas) -> None:
-    """The rule every identity with a scale alpha (beta = 1/alpha) shares:
-    alpha in [1/4, 4], the quadrature's oscillation limit."""
-    if any(not 0.25 <= alpha <= 4.0 for alpha in alphas):
-        raise DomainError("alpha must lie in [1/4, 4]")
-
-
 def _check_z(z) -> complex:
     """z as a complex number in the strip |Re z| < 1 of the Xi-pair, Hurwitz
     and Omega identities; z = 0 is a point of it like any other."""
@@ -139,8 +132,13 @@ _PAIR_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10)
 
 
 def _alphas(alpha) -> list:
-    """The alphas of a verifier's alpha argument: one number or a sequence."""
-    return [alpha] if np.ndim(alpha) == 0 else list(alpha)
+    """The alphas of a verifier's alpha argument, one number or a sequence,
+    under the rule every identity with a scale alpha (beta = 1/alpha)
+    shares: alpha in [1/4, 4], the quadrature's oscillation limit."""
+    alphas = [alpha] if np.ndim(alpha) == 0 else list(alpha)
+    if any(not 0.25 <= a <= 4.0 for a in alphas):
+        raise DomainError("alpha must lie in [1/4, 4]")
+    return alphas
 
 
 def _rows(alpha, row: Callable):
@@ -197,7 +195,6 @@ def _modular_grid(identity_id: str, F: Callable, z: complex, alpha, tolerance: f
     and then their reciprocals, so an error there fails every row; each
     budget is the sum of the two sides'."""
     alphas = _alphas(alpha)
-    _check_domain(alphas)
     m = len(alphas)
     values, budgets = F([*alphas, *(1.0 / a for a in alphas)])
 
@@ -304,7 +301,6 @@ def verify_rg_corollary(z=0.5+0j, alpha=1.0,
     and one f_frak call over the alphas, at z = 0 too (f_frak's limit there;
     verify_rg_corollary_z0 checks the paper's Theta form of that case)."""
     alphas = _alphas(alpha)
-    _check_domain(alphas)
     z = _check_z(z)
     zp, zm = (z + 1.0) ** 2, (z - 1.0) ** 2
 
@@ -322,7 +318,6 @@ def verify_rg_corollary_z0(alpha=1.0,
     """z=0 limit: (32/pi) Xi^2-integral with the K-pair Z weight versus
     sum d(n) Theta(pi n) minus the (Z'(1) + (gamma - log 4 pi) Z(1)) constant,
     from one vector integral over the alphas (the series side per alpha)."""
-    _check_domain(_alphas(alpha))
 
     def g(t):
         return 1.0 / np.square(1.0 + t * t)
@@ -359,7 +354,6 @@ def verify_hurwitz_corollary(z=0.5+0j, alpha=1.0,
     from one vector integral (the weight Gamma((z-1+it)/4) Gamma((z-1-it)/4)
     /(t^2+(z+1)^2) once per node) and one _hurwitz_F call over the alphas."""
     alphas = _alphas(alpha)
-    _check_domain(alphas)
     z = _check_z(z)
     zp, base = (z + 1.0) ** 2, 0.25 * (z - 1.0)
 
@@ -440,7 +434,6 @@ def verify_hurwitz_corollary_z0(alpha=1.0,
     column per scale of the alphas and their reciprocals, against one
     vector Xi-pair integral over the alphas."""
     alphas = _alphas(alpha)
-    _check_domain(alphas)
 
     def g(t):
         gp = gamma(-0.25 + 0.25j * t)
@@ -469,7 +462,6 @@ def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5+0j,
     call over the alphas."""
     z = _check_z(z)
     alphas = _alphas(alpha)
-    _check_domain(alphas)
     pref_l, gamma_z1 = math.pi ** (z + 0.5) * gamma(0.5 * (z + 3.0)), gamma(z + 1.0)
     series, quad_err, tail_err = _divisor_k_series(alphas, z, _SERIES_TERMS,
                                                    _BESSEL_HURWITZ_SPEC)
@@ -496,12 +488,14 @@ def verify_mellin_k(s=2+0j, nu=0j, q: float = 1.0,
     if s.real <= abs(nu.real):
         raise DomainError("Re s > |Re nu| required")
     # Deep tanh-sinh nodes reach x ~ 1e-275 where x^{s-1} underflows while
-    # K_nu(qx) overflows; below x = 1e-40 the small-argument form is
-    # assembled in log space instead (two-term error there is O(x^2)
-    # relative): c_lead x^{s-1-mu} + c_refl x^{s-1+mu}, or at mu = 0
-    # -x^{s-1} (log(q/2) + log x + gamma).  At integer order the reflected
-    # term (a Gamma(-mu) pole) is part of the O(x^2) remainder.
+    # K_nu(qx) overflows; below x = 1e-40, and below qx = 2 (1e-250)^{1/Re mu},
+    # where K ~ Gamma(mu)/2 (2/(qx))^mu passes 1e250 at a large order, the
+    # small-argument form is assembled in log space instead (two-term error
+    # there is O((qx)^2) relative): c_lead x^{s-1-mu} + c_refl x^{s-1+mu}, or
+    # at mu = 0 -x^{s-1} (log(q/2) + log x + gamma).  At integer order the
+    # reflected term (a Gamma(-mu) pole) is part of the O((qx)^2) remainder.
     mu = nu if nu.real >= 0.0 else -nu
+    small = max(1e-40, 2.0 / q * 1e-250 ** (1.0 / max(mu.real, 1.0)))
     if abs(mu) >= 1e-12:
         c_lead = 0.5 * gamma(mu) * (2.0 / q) ** mu
         integer = mu.imag == 0.0 and abs(mu.real - round(mu.real)) < 1e-9
@@ -510,7 +504,7 @@ def verify_mellin_k(s=2+0j, nu=0j, q: float = 1.0,
     def f(x):
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape, dtype=complex)
-        tiny = x < 1e-40
+        tiny = x < small
         if np.any(~tiny):
             xs = x[~tiny]
             out[~tiny] = np.power(xs, s - 1.0) * bessel_k(nu, q * xs)
@@ -553,7 +547,6 @@ def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5+0j,
     if zr <= -1.0:
         raise DomainError("Re z > -1 required")
     alphas = _alphas(alpha)
-    _check_domain(alphas)
     if y <= 0.0:
         raise DomainError("y > 0 required")
     c = 4.0 * math.pi * math.sqrt(y)
@@ -674,9 +667,8 @@ def verify_omega_laplace(alpha=1.0, z=0.5+0j,
     tail-corrected lambda combination; the boundary terms appear once (the
     printed form repeats them inside the sum, which diverges).  One vector
     Laplace integral with a column per alpha and one _hurwitz_F call."""
-    alphas = _alphas(alpha)
     z = _check_z(z)
-    _check_domain(alphas)
+    alphas = _alphas(alpha)
     lhs, quad_err, ulps = _omega_laplace(z, alphas)
     rhs, rhs_budgets = _hurwitz_F(z, alphas, gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0))
 

@@ -299,24 +299,21 @@ def _pole_quotient(z: complex, cp, cr):
 
 def riemann_zeta(s):
     """zeta(s) on the whole plane, for a scalar or an array; PoleError
-    within 1e-12 of s=1.  One Euler-Maclaurin call serves every point:
-    at s itself for Re s >= 1/2, at 1 - s for the reflection."""
+    within 1e-12 of s=1.  Euler-Maclaurin at s itself for Re s >= 1/2;
+    left of it the reflection takes (w-1) zeta(w) at w = 1 - s from
+    zeta_star."""
     arr, scalar = _as_array(s, complex)
     if (np.abs(arr - 1.0) < 1e-12).any():
         raise PoleError("zeta pole at s=1")
     left = arr.real < 0.5
-    w = np.where(left, 1.0 - arr, arr)
-    near = left & (np.abs(w - 1.0) <= 0.01)      # (w-1) zeta(w) by its series below
-    out = _hurwitz_em(np.where(near, 2.0, w), 1.0)
+    out = np.empty_like(arr)
+    out[~left] = _hurwitz_em(arr[~left], 1.0)
     if left.any():
-        sl, wl = arr[left], w[left]
-        zstar = (wl - 1.0) * out[left]
-        dn = wl[near[left]] - 1.0
-        zstar[near[left]] = 1.0 + dn * _zeta_star_slope(dn)
+        sl, wl = arr[left], 1.0 - arr[left]
         # Reflection written through (s-1)zeta(s) and sin(pi s/2)/s, so the
         # trivial zeros come out exact and s=0 is unexceptional.
         out[left] = (-np.exp((sl - 1.0) * math.log(2.0)) * np.exp(sl * math.log(math.pi))
-                     * _sinc(0.5 * math.pi * sl) * gamma(wl) * zstar)
+                     * _sinc(0.5 * math.pi * sl) * gamma(wl) * zeta_star(wl))
     return complex(out[0]) if scalar else out
 
 
@@ -650,7 +647,7 @@ def _k_trapezoid_scaled(mu, x: np.ndarray, need_next: bool) -> np.ndarray:
     rule = 32.0 * k + np.fmax(np.ceil(move / 0.3), 0.0)
     orders = np.array([mu, mu + 1.0] if need_next else [mu])
     out = np.empty(orders.shape + x.shape, dtype=np.result_type(mu, x))
-    for key in rule[:1] if (rule == rule[0]).all() else np.unique(rule):
+    for key in set(rule.tolist()):               # np.unique would import numpy.ma: 15 ms cold
         sel = rule == key
         kk, mm = divmod(int(key), 32)
         s = 0.3 / kk * np.arange((20 + mm) * kk + 1)
@@ -684,26 +681,6 @@ def _k_climb(mu, n: int, x: np.ndarray) -> np.ndarray:
     return k1
 
 
-def _k_closed_scaled(nu, x: np.ndarray) -> np.ndarray:
-    """exp(x) K_nu(x) for an array of x with Re x > 0, real (float
-    arithmetic at a real order) or complex.
-
-    K_{-nu} = K_nu, so Re nu >= 0.  K climbs from mu = nu - round(Re nu)
-    by the recurrence, stable where K grows with the order.  Where
-    Im nu arg x < -pi/2 (complex x, |Im nu| > 1) K_mu is mostly the other
-    solution, which falls with the order, and the climb would lose up to
-    e^{2 |Im nu arg x|}: there K is taken at nu itself."""
-    nu = -nu if nu.real < 0.0 else nu
-    climb = ~(nu.imag * np.angle(x) < -0.5 * math.pi)
-    if climb.all():
-        return _k_climb(nu - round(nu.real), round(nu.real), x)
-    out = np.empty(x.shape, dtype=complex)
-    for sel, n in ((climb, round(nu.real)), (~climb, 0)):
-        if np.any(sel):
-            out[sel] = _k_climb(nu - n, n, x[sel])
-    return out
-
-
 def bessel_k(nu, x):
     """K_nu(x) for |Re nu| <= 30, |Im nu| <= 5 and Re x > 0 (bessel_k_scaled)."""
     scaled = bessel_k_scaled(nu, x)
@@ -716,32 +693,36 @@ def bessel_k_scaled(nu, x):
     """exp(x) K_nu(x) for |Re nu| <= 30, |Im nu| <= 5 and Re x > 0
     (DomainError outside); avoids underflow for large Re x.
 
-    One algorithm for every order and argument, _k_closed_scaled: Temme's
-    series at small |x|, the trapezoid rule above, the recurrence in the
-    order.  Each point gets the value it gets alone, and an argument with
-    zero imaginary part (any dtype) keeps real arithmetic.  Relative error
-    below 3e-14 for |Re nu| <= 2 (tools/accuracy_map.json); where |arg x|
-    nears pi/2 with |x| ~ |Re nu| >= 15 and |Im nu| >= 3, 1e-12 to 1e-11.
+    One algorithm for every order and argument, _k_climb: Temme's series
+    at small |x|, the trapezoid rule above, the recurrence in the order.
+    K_{-nu} = K_nu, so Re nu >= 0, and K climbs from mu = nu - round(Re nu),
+    stable where K grows with the order.  Each point takes one of three
+    paths: a real argument (any dtype with zero imaginary part) in real
+    arithmetic; a complex argument that climbs; and a complex argument with
+    Im nu arg x < -pi/2 (|Im nu| > 1), where K_mu is mostly the other
+    solution, which falls with the order, and the climb would lose up to
+    e^{2 |Im nu arg x|}: there K is taken at nu itself.  Each point gets the
+    value it gets alone.  Relative error below 3e-14 for |Re nu| <= 2
+    (tools/accuracy_map.json); where |arg x| nears pi/2 with
+    |x| ~ |Re nu| >= 15 and |Im nu| >= 3, 1e-12 to 1e-11.
     """
     nu = complex(nu)
     if abs(nu.real) > 30.0:
         raise DomainError("bessel_k supports |Re nu| <= 30")
     if abs(nu.imag) > _K_IM_MAX:
         raise DomainError(f"bessel_k supports |Im nu| <= {_K_IM_MAX:g}")
-    arr = np.asarray(x, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr, scalar = _as_array(x, complex)
     if np.any(arr.real <= 0.0):
         raise DomainError("bessel_k requires Re x > 0")
-    order = nu if nu.imag else nu.real
+    nu = nu if nu.imag else nu.real              # a real order keeps float arithmetic
+    nu = -nu if nu.real < 0.0 else nu
+    n = round(nu.real)
     real = arr.imag == 0.0
-    if real.all():
-        out = _k_closed_scaled(order, arr.real).astype(complex)
-        return complex(out[0]) if scalar else out
+    falls = nu.imag * np.angle(arr) < -0.5 * math.pi     # never at a real x
     out = np.empty(arr.shape, dtype=complex)
-    for sel, x in ((real, arr.real), (~real, arr)):
+    for sel, x, k in ((real, arr.real, n), (~real & ~falls, arr, n), (falls, arr, 0)):
         if np.any(sel):
-            out[sel] = _k_closed_scaled(order, x[sel])
+            out[sel] = _k_climb(nu - k, k, x[sel])
     return complex(out[0]) if scalar else out
 
 

@@ -197,6 +197,27 @@ def test_sweep_invalid_config_usage(tmp_path, capsys):
     assert main(["sweep", "mellin-k"]) == 64  # no alpha to sweep
 
 
+def test_sweep_grid_ends_at_alpha_max(capsys):
+    # 0.3 + 19 (3.7/19) rounds to 4.000000000000001: each point is capped
+    # at alpha-max, so a grid inside [1/4, 4] is accepted and ends there.
+    assert main(["sweep", "rg-formula", "--alpha-min=0.3", "--alpha-max=4",
+                 "--steps=20"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 21 and float(lines[-1].split(",")[0]) == 4.0
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_sweep_unwritable_path_is_a_usage_error(flag, tmp_path, capsys):
+    # A path that cannot be written exits 64 with one error line that
+    # names it, no traceback, and no CSV on stdout.
+    path = tmp_path / "missing" / "sweep.out"
+    assert main(["sweep", "rg-formula", "--alpha-min=0.5", "--alpha-max=2",
+                 "--steps=2", flag, str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"koshliakov: error: cannot write {path}: ")
+
+
 @pytest.mark.parametrize("name", sorted(name for name, entry in IDENTITIES.items()
                                         if "alpha" in entry.arg_names))
 def test_out_of_range_alpha_is_the_same_error_in_verify_and_sweep(name, capsys):

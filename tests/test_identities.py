@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koshliakov import arith, identities, kernels, quadrature
-from koshliakov.errors import ConvergenceError, DomainError
+from koshliakov.errors import ConvergenceError, DomainError, KoshliakovError
 from koshliakov.identities import (IDENTITIES, _hurwitz_F, _k_series_tail,
                                    _divisor_k_series, _report, f_frak,
                                    verify_bessel_hurwitz_sum,
@@ -272,6 +272,17 @@ def test_mellin_k_hump_past_the_fit_window(s, nu, q):
     # x^{s-1} K_nu(q x) peaks near x = (s - 1)/q, past the [1, 2] window
     # where the tail envelope is fitted: each report passes, within its
     # budget sum.
+    r = verify_mellin_k(s, nu, q)
+    assert r.passed and r.abs_diff <= _budget_sum(r), r
+
+
+@pytest.mark.parametrize("s, nu, q", [(9.0, 8.0, 1.0), (14.02, 13.77, 27.0),
+                                      (15.36+1.1j, -11.97-2.79j, 9.0), (20.12, -16.45, 2.0)])
+def test_mellin_k_large_order_near_zero(s, nu, q):
+    # From |Re nu| ~ 6, K_nu(q x) passes the double range at nodes above
+    # x = 1e-40: there the small-argument form takes over, so no overflow
+    # reaches the integral (a RuntimeWarning fails this test) and no node
+    # is lost to it, and each report passes within its budget sum.
     r = verify_mellin_k(s, nu, q)
     assert r.passed and r.abs_diff <= _budget_sum(r), r
 
@@ -754,3 +765,57 @@ def test_laplace_bessel_reports_hold_their_budgets():
     if known_draws:
         pytest.xfail(f"ROADMAP item 2, the laplace-bessel head at Re z <= "
                      f"{_LAPLACE_HEAD_EDGE}: {known_draws}")
+
+
+# mellin-k's integrand x^{s-1} K_nu(q x) goes like x^{Re s - |Re nu| - 1} at
+# 0: below Re s - |Re nu| = 1 the tanh-sinh head on (0, 1] integrates a
+# singularity, and as Re s - |Re nu| nears 0 it raises, overflows or
+# under-reports its error (ROADMAP item 2).
+_MELLIN_HEAD_GAP = 1.0
+
+
+def test_mellin_k_reports_hold_their_budgets():
+    # Over bessel_k's orders (|Re nu| <= 30, |Im nu| <= 5), Re s - |Re nu|
+    # in (0, 10], |Im s| <= 10 and q in [1/100, 100], each report passes
+    # with abs_diff within its budget sum, or the verifier raises a typed
+    # error; real inputs give real sides.  Draws below _MELLIN_HEAD_GAP
+    # that hit the head's known failure are collected, and the test then
+    # xfails (non-strict) naming them; any other failure fails it.
+    known_draws = []
+
+    @settings(max_examples=100)
+    @given(re_nu=_hundredths(-3000, 3000), im_nu=_hundredths(-500, 500),
+           gap=_hundredths(1, 1000), im_s=_hundredths(-1000, 1000),
+           log_q=_hundredths(-200, 200), real=st.booleans())
+    @example(re_nu=0.3, im_nu=0.5, gap=2.2, im_s=0.0, log_q=0.0, real=False)
+    @example(re_nu=5.0, im_nu=2.0, gap=1.0, im_s=0.0, log_q=0.0, real=False)
+    @example(re_nu=-2.71, im_nu=0.0, gap=0.12, im_s=0.0, log_q=-0.9, real=True)
+    @example(re_nu=13.77, im_nu=0.0, gap=0.25, im_s=0.0, log_q=1.43, real=True)
+    def draw(re_nu, im_nu, gap, im_s, log_q, real):
+        s = complex(abs(re_nu) + gap, 0.0 if real else im_s)
+        nu = complex(re_nu, 0.0 if real else im_nu)
+        q = 10.0 ** log_q
+        head = gap < _MELLIN_HEAD_GAP
+        try:
+            report = verify_mellin_k(s, nu, q)
+        except KoshliakovError as exc:
+            if head and isinstance(exc, ConvergenceError) and "[0, 1]" in str(exc):
+                known_draws.append((s, nu, q))
+            return
+        except RuntimeWarning:
+            # Near the edge the head's integrand passes the double range.
+            if not head:
+                raise
+            known_draws.append((s, nu, q))
+            return
+        if real:
+            assert report.lhs.imag == 0.0 and report.rhs.imag == 0.0, report
+        if head and not (report.passed and report.abs_diff <= _budget_sum(report)):
+            known_draws.append((s, nu, q))
+            return
+        assert report.passed and report.abs_diff <= _budget_sum(report), report
+
+    draw()
+    if known_draws:
+        pytest.xfail(f"ROADMAP item 2, the mellin-k head below Re s - |Re nu| = "
+                     f"{_MELLIN_HEAD_GAP}: {known_draws}")

@@ -33,8 +33,19 @@ an `omega-laplace` sweep at z = -0.6, and an alpha outside [1/4, 4] in
 `laplace-bessel` report whose abs_diff only the sides' rounding charge
 covers: 80 commands in all.
 
-One line per command: `identical` when the exit code and stdout match
-byte for byte.  Otherwise the line gives both exit codes and the largest
+Then come five bit probes, one per special function that every identity
+runs through: `bessel_k_scaled`, `bessel_k`, `riemann_zeta`, `zeta_star`
+and `xi`.  A child per tree hashes (sha256) each function's values over a
+fixed probe set, array and scalar calls alike, and a refusal's message in
+place of a value.  K takes real and complex orders (|Im nu| up to 5, both
+signs of Re nu) at real, complex and mixed argument arrays and at scalars,
+with |arg x| up to 1.5, so Im nu arg x < -pi/2 is reached; zeta, zeta* and
+xi take points left and right of Re s = 1/2 and within 0.01 of s = 0 and
+s = 1.  These are the gate for a change that must keep the bits of a
+special function.
+
+One line per command and per bit probe: `identical` when the exit code
+and stdout (the probe's hash) match byte for byte.  Otherwise the line gives both exit codes and the largest
 move of lhs or rhs in units of the budget sum (the sum of a report's
 non-`_diff` budgets, the resolution it claims), the larger of the OLD
 and the NEW report's: a change that adds a bound the old report lacked
@@ -44,8 +55,9 @@ one process per tree, to supply them;
 the line also counts rows whose status changed, a row failing when it
 is `nan` or its diff misses the identity's tolerance (as `verify` judges
 it).  An `eval` that differs gives both exit codes and the relative move
-of its value.  Any other command that differs is reported as `differs`.
-The exit status is 0 when every command is identical, else 1.
+of its value.  Any other command or probe that differs is reported as
+`differs`.  The exit status is 0 when every command and every probe is
+identical, else 1.
 """
 
 from __future__ import annotations
@@ -171,6 +183,44 @@ for argv in json.loads(sys.stdin.read()):
     print(buf.getvalue().strip() or "null")
 """
 
+# Prints one line per probed function: its name and the sha256 of its
+# values over the probe set (see the module docstring).
+_BITS_CHILD = """
+import hashlib
+import numpy as np
+from koshliakov import specfun
+np.seterr(all="ignore")
+
+def digest(fn, calls):
+    h = hashlib.sha256()
+    for args in calls:
+        try:
+            h.update(np.asarray(fn(*args), dtype=complex).tobytes())
+        except Exception as exc:
+            h.update(repr(exc).encode())
+    return h.hexdigest()
+
+real_orders = [-30.0, -12.4, -2.7, -1.0, -0.5, -0.3, 0.0, 1e-9, 0.3, 0.5, 1.0, 1.5,
+               2.7, 4.2, 12.4, 29.9, 30.0, 30.5]
+complex_orders = [complex(re, im) for re in (-7.3, -0.4, 0.0, 0.25, 1.6, 14.8, 25.5)
+                  for im in (-5.0, -2.6, -0.7, 0.9, 1.3, 4.2)]
+xr = np.geomspace(1e-3, 60.0, 37)
+xc = xr * np.exp(1j * np.linspace(-1.5, 1.5, 37))
+xm = np.where(np.arange(37) % 2 == 0, xr, xc)
+k_args = (xr, xc, xm, xr.astype(complex), 0.3, 2.0, 25.0, 2.0 + 0j, 0.4 + 0.9j, 3.0 - 2.9j)
+k_calls = [(nu, x) for nu in real_orders + complex_orders for x in k_args]
+for fn in (specfun.bessel_k_scaled, specfun.bessel_k):
+    print(fn.__name__, digest(fn, k_calls))
+
+s = [complex(re, im) for re in (-12.5, -3.2, -0.7, 0.2, 0.49, 0.5, 0.51, 0.8, 1.6, 3.5, 9.0)
+     for im in (0.0, 0.3, -5.7, 14.1, 40.0)]
+s += [0.0, 0.004, -0.007j, 0.003 + 0.005j, -0.0099, 1.004, 0.995, 1.0 + 0.006j,
+      0.997 - 0.004j, 1.0 - 0.0099j]
+z_calls = [(np.array(s),), *((p,) for p in s)]
+for fn in (specfun.riemann_zeta, specfun.zeta_star, specfun.xi):
+    print(fn.__name__, digest(fn, z_calls))
+"""
+
 
 def _run(src: str, args: list, stdin: str | None = None):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -291,7 +341,17 @@ def main(argv=None) -> int:
                 verdict = "differs"
         print(f"{' '.join(cmd)}: {verdict}", flush=True)
     print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands identical")
-    return 1 if differ else 0
+    old_bits, new_bits = (_run(src, ["-c", _BITS_CHILD])[1].splitlines()
+                          for src in (args.old_src, args.new_src))
+    bits_differ = 0
+    for old_line, new_line in zip(old_bits, new_bits):
+        bits_differ += old_line != new_line
+        verdict = "identical" if old_line == new_line else "differs"
+        print(f"bits {old_line.split()[0]}: {verdict}", flush=True)
+    if len(old_bits) != 5 or len(new_bits) != 5:
+        print("bits: a probe child failed")
+        bits_differ += 1
+    return 1 if differ or bits_differ else 0
 
 
 if __name__ == "__main__":
