@@ -13,8 +13,8 @@ error, with the message `verify` prints: an alpha grid outside [1/4, 4]
 is one), 64 usage error (a nan or inf float or complex flag, a sweep grid
 of fewer than 2 steps or with alpha-min > alpha-max, a sweep --out or
 --svg path that cannot be written, among others).  A sweep grid ends
-exactly at alpha-max.  Complex flags accept sign-delimited literals such
-as `0.5+0.25i`.
+exactly at alpha-max.  Complex flags take Python's complex literal with
+i (or I) for j, such as `0.5+0.25i`, `-i` or `1e-3i`; spaces are dropped.
 
 Each parameter flag's kind and default come from the callable it feeds:
 the verifiers' signatures (IDENTITIES) for verify and sweep, _EVAL for
@@ -40,26 +40,12 @@ EXIT_USAGE = 64
 
 
 def parse_complex_literal(text: str) -> complex:
-    """`0.5`, `-0.3`, `0.5+0.25i`, `1e-3i`, `i`: i-suffixed, sign-delimited."""
+    """`0.5`, `-0.3`, `0.5+0.25i`, `1e-3i`, `i`: Python's complex literal
+    with i (or I) for j, spaces ignored."""
     s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
     if not s.endswith(("i", "I")):
         return complex(float(s), 0.0)
-    body = s[:-1]
-    re_part, im_part = "", body
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "eE":
-            re_part, im_part = body[:k], body[k:]
-            break
-    if im_part in ("", "+"):
-        im = 1.0
-    elif im_part == "-":
-        im = -1.0
-    else:
-        im = float(im_part)
-    re = float(re_part) if re_part else 0.0
-    return complex(re, im)
+    return complex(s[:-1] + "j")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -22,6 +22,7 @@ term count.
 
 from __future__ import annotations
 
+import collections
 import inspect
 import math
 from typing import Callable, NamedTuple
@@ -30,25 +31,16 @@ import numpy as np
 
 from . import arith, quadrature   # head/tail rules via the module, so wrappers see them
 from .errors import DomainError, KoshliakovError
-from .kernels import (ReciprocalPair, _divisor_tail_moment,
+from .kernels import (ReciprocalPair, _check_z, _divisor_tail_moment,
                       first_koshliakov_transform, lambda_sum,
                       omega_combination, pair_dixon_ferrar, pair_k_bessel,
                       transform_kernel)
 from .quadrature import QuadratureSpec, integrate_finite, integrate_half_line
-from .specfun import (EULER_GAMMA, _lgamma_slope, _pole_quotient, bessel_j, bessel_k,
-                      big_xi, gamma, riemann_zeta)
+from .specfun import (EULER_GAMMA, _lgamma_slope, _pole_quotient, _real_order, bessel_j,
+                      bessel_k, big_xi, gamma, riemann_zeta)
 
 _TINY = 1e-300
 _EPS = 2.0 ** -52
-
-
-def _check_z(z) -> complex:
-    """z as a complex number in the strip |Re z| < 1 of the Xi-pair, Hurwitz
-    and Omega identities; z = 0 is a point of it like any other."""
-    z = complex(z)
-    if not abs(z.real) < 1.0:
-        raise DomainError("|Re z| < 1 required")
-    return z
 
 
 class VerificationReport(NamedTuple):
@@ -540,10 +532,7 @@ def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5+0j,
     """Integral of e^{-2 pi alpha x} x^{z/2} J_z(4 pi sqrt(xy)) versus
     e^{-2 pi y/alpha} y^{z/2} / (2 pi alpha^{z+1}), from one vector Laplace
     integral with a column per alpha (_laplace_columns)."""
-    z = complex(z)
-    if z.imag != 0.0:
-        raise DomainError("real z only (real-order J)")
-    zr = z.real
+    zr = _real_order(z)
     if zr <= -1.0:
         raise DomainError("Re z > -1 required")
     alphas = _alphas(alpha)
@@ -577,10 +566,8 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5+0j,
     small and the power part's J-transform tail is summed over half-period
     segments with iterated averaging.
     """
-    z = complex(z)
-    if z.imag != 0.0:
-        raise DomainError("real z only (real-order J)")
-    zr = _check_z(z).real
+    z = _check_z(_real_order(z))
+    zr = z.real
     if x <= 0.0:
         raise DomainError("x > 0 required")
     c = 4.0 * math.pi * math.sqrt(x)
@@ -684,16 +671,11 @@ def verify_omega_laplace(alpha=1.0, z=0.5+0j,
 def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5+0j, x: float = 1.0,
                             tolerance: float = 1e-6) -> VerificationReport:
     """phi(x) versus 2 * transform of psi at x (factor-2, argument-4sqrt(tx)
-    convention), plus the mirrored psi-from-phi check.  The transform needs
-    |Re z| < 1/2, an open bound even where the pair's own domain is closed."""
-    z = complex(pair.check_z(z))
-    if z.imag != 0.0:
-        raise DomainError("real z only (real-order kernel)")
-    zr = z.real
-    if abs(zr) >= 0.5:
-        raise DomainError("the transform needs |Re z| < 1/2")
-    if x <= 0.0:
-        raise DomainError("x > 0 required")
+    convention), plus the mirrored psi-from-phi check, which runs first:
+    the transform checks z (real, |Re z| < 1/2, an open bound even where
+    the pair's own domain is closed) and x > 0 for both directions."""
+    zr = pair.check_z(z).real
+    mir = first_koshliakov_transform(lambda t: pair.phi(t, zr), z, 4.0 * x, _PAIR_SPEC)
     if pair.label == "dixon-ferrar":
         # psi ~ -1/(4 pi t^2) decays like a power: go to T0, then sum
         # half-period segments of the oscillatory remainder in u = sqrt(t).
@@ -715,7 +697,6 @@ def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5+0j, x: float = 1.0,
         fwd, fwd_err = r.value, r.total_error
     lhs = complex(np.asarray(pair.phi(np.array([x]), zr))[0])
     rhs = 2.0 * fwd
-    mir = first_koshliakov_transform(lambda t: pair.phi(t, zr), zr, 4.0 * x, _PAIR_SPEC)
     psi_x = complex(np.asarray(pair.psi(np.array([x]), zr))[0])
     # Judged like the report's own diff: absolute where |psi(x)| < 1e-3,
     # since the transform is only accurate to an absolute 1e-11 there.
@@ -742,31 +723,20 @@ def _current(fn: Callable) -> Callable:
     return globals()[fn.__name__]
 
 
-class IdentityEntry:
+class IdentityEntry(collections.namedtuple("IdentityEntry", "runner summary defaults tolerance")):
     """runner(**args, tolerance=...) gives one report, or with a sequence
     for alpha one per alpha (the module's rule).  Its parameters before
     tolerance are the CLI's flags, with their defaults (defaults), and its
-    tolerance default is the identity's tolerance.  Read-only; entries
-    with the same runner and summary are equal."""
+    tolerance default is the identity's tolerance.  A namedtuple: read-only,
+    and equal to an entry with the same fields."""
 
-    __slots__ = ("runner", "summary", "defaults", "tolerance")
+    __slots__ = ()
 
-    def __init__(self, runner: Callable, summary: str):
+    def __new__(cls, runner: Callable, summary: str):
         params = inspect.signature(runner).parameters
         names = list(params)
         defaults = {name: params[name].default for name in names[:names.index("tolerance")]}
-        for name, value in zip(self.__slots__, (runner, summary, defaults,
-                                                params["tolerance"].default)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"IdentityEntry is read-only: cannot set '{name}'")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return (isinstance(other, IdentityEntry)
-                and (self.runner, self.summary) == (other.runner, other.summary))
+        return super().__new__(cls, runner, summary, defaults, params["tolerance"].default)
 
     @property
     def arg_names(self) -> tuple:

@@ -21,7 +21,7 @@ from . import arith
 from .errors import ConvergenceError, DecayError, DomainError
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_half_line
 from .specfun import (_EM_COEF, _bessel_jy, _e1_minus_ei_scaled, _exp_slope, _hurwitz_em,
-                      _pole_quotient, bessel_k, gamma, riemann_zeta)
+                      _pole_quotient, _real_order, bessel_k, gamma, riemann_zeta)
 
 # The kernels hand their Hurwitz points to specfun._hurwitz_em, the array
 # core of hurwitz_zeta, one array per call.  perfbench/trace_child.py keys
@@ -29,11 +29,14 @@ from .specfun import (_EM_COEF, _bessel_jy, _e1_minus_ei_scaled, _exp_slope, _hu
 # calling kernel's span.
 
 
-def _require_real_order(z) -> float:
+def _check_z(z) -> complex:
+    """z as a complex number in the strip |Re z| < 1 of Omega and of the
+    Xi-pair, Hurwitz and Omega identities; z = 0 is a point of it like any
+    other."""
     z = complex(z)
-    if z.imag != 0.0:
-        raise DomainError("kernel orders must be real (Y is real-order only)")
-    return z.real
+    if not abs(z.real) < 1.0:
+        raise DomainError("|Re z| < 1 required")
+    return z
 
 
 def _kernel(nu: float, v):
@@ -48,13 +51,13 @@ def _kernel(nu: float, v):
 
 def koshliakov_kernel(z, x):
     """cos(pi z/2) M_z(4 sqrt(x)) - sin(pi z/2) J_z(4 sqrt(x))."""
-    return _kernel(_require_real_order(z), 4.0 * np.sqrt(np.asarray(x, dtype=float)))
+    return _kernel(_real_order(z), 4.0 * np.sqrt(np.asarray(x, dtype=float)))
 
 
 def transform_kernel(z, v):
     """cos(pi z) M_{2z}(v) - sin(pi z) J_{2z}(v): the first-transform kernel
     evaluated at a precomputed argument v."""
-    return _kernel(2.0 * _require_real_order(z), v)
+    return _kernel(2.0 * _real_order(z), v)
 
 
 def first_koshliakov_transform(g, z, x: float,
@@ -66,9 +69,9 @@ def first_koshliakov_transform(g, z, x: float,
     endpoint head absorbs; the tail rate is 0.9 times the log-slope of |g|
     from t=2 to t=6, and the half-line rule checks its envelope.
     """
-    zr = _require_real_order(z)
+    zr = _real_order(z)
     if abs(zr) >= 0.5:
-        raise DomainError("first Koshliakov transform needs |z| < 1/2")
+        raise DomainError("first Koshliakov transform needs |Re z| < 1/2")
     if x <= 0.0:
         raise DomainError("transform argument x must be positive")
     spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
@@ -314,9 +317,7 @@ def omega(x, z):
     is accurate there (_OMEGA_SWITCH): partial fractions below x = 1/4,
     through one formula at every z, 0 included (_omega_pf); the defining
     K-series from 1/4 up."""
-    z = complex(z)
-    if abs(z.real) >= 1.0:
-        raise DomainError("omega requires |Re z| < 1")
+    z = _check_z(z)
     arr, scalar = _positive_x(x, "omega")
     out = np.empty(arr.shape, dtype=complex)
     low = arr < _OMEGA_SWITCH
@@ -333,9 +334,7 @@ def omega_combination(x, z, n_terms: int = 500):
     analytically, vectorized over x.  Its pole pieces round to within a
     few ulps of k (x^{Re z/2} + x^{-Re z/2}), k half the roundoff scale of
     _omega_pf's pole quotient at x = 1."""
-    z = complex(z)
-    if abs(z.real) >= 1.0:
-        raise DomainError("omega_combination requires |Re z| < 1")
+    z = _check_z(z)
     arr, scalar = _positive_x(x, "omega_combination")
     out = _omega_pf(arr, z, n_terms)
     return complex(out[0]) if scalar else out

@@ -269,7 +269,9 @@ def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Quad
     levels 0-3 and then once per level, with both sides' nodes.  For an
     (nodes, m) integrand the levels go on, up to _TS_LEVELS, until every
     component meets spec.budget(|value_j|).  a == b gives 0; DomainError
-    when no double lies strictly between a and b (also when a > b).
+    when no double lies strictly between a and b (also when a > b);
+    ConvergenceError when f gives a value that is not finite, as a
+    Gauss-Kronrod panel does, or the last level misses the budget.
     """
     spec = spec or QuadratureSpec()
     if a == b:
@@ -284,8 +286,10 @@ def tanh_sinh(f, a: float, b: float, spec: QuadratureSpec | None = None) -> Quad
     batch = list(itertools.islice(levels, 4))
     while batch:
         y = np.asarray(f(np.concatenate([x for _, _, sides in batch for x, _ in sides])))
+        if not np.isfinite(y).all():
+            raise ConvergenceError(f"non-finite integrand value on [{a:g}, {b:g}]")
         ndim = y.ndim
-        y = np.where(np.isfinite(y), y, 0.0).reshape(y.shape[0], -1)
+        y = y.reshape(y.shape[0], -1)
         nodes += y.shape[0]
         start = 0
         for level, h, sides in batch:
@@ -448,8 +452,7 @@ def integrate_alternating_tail(g, u0: float, half_period: float) -> QuadratureRe
 
     The _SEGMENTS windows are the columns of one vector integral over
     [0, 1] (g takes a 1-D array of points; nodes_used counts its nodes).
-    A window below 1e-17 ends the sum, with its size plus 1e-17 as the
-    error; else repeated adjacent averaging of the partial sums from the
+    Repeated adjacent averaging of the partial sums from the
     _SEGMENTS // 3-th on takes the limit.  Its error is the last change,
     floored at one rounding of the largest partial sum per level: the
     last two averages can coincide, which would otherwise claim 0.
@@ -462,13 +465,7 @@ def integrate_alternating_tail(g, u0: float, half_period: float) -> QuadratureRe
         return half_period * g(u.ravel()).reshape(u.shape)
 
     segs = integrate_finite(f, 0.0, 1.0, seg_spec)
-    partials = np.cumsum(segs.value)
-    small = np.flatnonzero(np.abs(segs.value) < 1e-17)
-    if small.size:
-        k = small[0]
-        return QuadratureResult(complex(partials[k]), abs(complex(segs.value[k])) + 1e-17,
-                                segs.nodes_used)
-    arr = partials[_SEGMENTS // 3:]
+    arr = np.cumsum(segs.value)[_SEGMENTS // 3:]
     floor = float(arr.size * _EPS * np.max(np.abs(arr)))
     est = complex(arr[-1])
     while arr.size > 1:

@@ -490,9 +490,18 @@ def _bessel_jy(nu: float, x: np.ndarray, need_y: bool = True):
     return j, y
 
 
+def _real_order(nu) -> float:
+    """nu as a float: J and Y, and the kernels built from them, are
+    computed at real order only."""
+    nu = complex(nu)
+    if nu.imag != 0.0:
+        raise DomainError(f"J and Y take a real order only, got {nu}")
+    return nu.real
+
+
 def bessel_j(nu: float, x):
     """J_nu(x) for real order and x >= 0; broadcasts over x."""
-    nu = float(nu)
+    nu = _real_order(nu)
     if abs(nu) > 60.0:
         raise DomainError("bessel_j supports |nu| <= 60")
     arr, scalar = _as_array(x)
@@ -509,7 +518,7 @@ def bessel_j(nu: float, x):
 
 def bessel_y(nu: float, x):
     """Y_nu(x) for real order and x > 0; broadcasts over x."""
-    nu = float(nu)
+    nu = _real_order(nu)
     if abs(nu) > 60.0:
         raise DomainError("bessel_y supports |nu| <= 60")
     arr, scalar = _as_array(x)

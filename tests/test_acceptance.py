@@ -200,6 +200,7 @@ def test_criterion_02_golden_suite(golden):
         "laplace_bessel_rhs_1_1_0": lambda: verify_laplace_bessel(1.0, 1.0, 0.0).rhs,
         "li_0p1": lambda: exp_integral_li(0.1),
         "li_2": lambda: exp_integral_li(2.0),
+        "li_1e30": lambda: exp_integral_li(1e30),
         "mellin_k_closed": lambda: verify_mellin_k(1.2 + 0.7j, 0.3, 1.0).rhs,
         "omega_1_0p4": lambda: omega_partial_fractions(1.0, 0.4),
         "omega_2_m0p4": lambda: omega(2.0, -0.4),

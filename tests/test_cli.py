@@ -41,17 +41,20 @@ REPORT_SCHEMA = {
 
 
 def test_parse_complex_literal():
-    assert parse_complex_literal("0.5") == 0.5
-    assert parse_complex_literal("-0.3") == -0.3
-    assert parse_complex_literal("0.5+0.25i") == 0.5 + 0.25j
-    assert parse_complex_literal("0.5-0.25i") == 0.5 - 0.25j
-    assert parse_complex_literal("0.25i") == 0.25j
-    assert parse_complex_literal("-i") == -1j
-    assert parse_complex_literal("i") == 1j
-    assert parse_complex_literal("1e-3i") == 1e-3j
-    assert parse_complex_literal("0.5-1e-2i") == 0.5 - 0.01j
+    for text, value in (
+            ("0.5", 0.5), ("-0.3", -0.3), ("0.5+0.25i", 0.5 + 0.25j), ("0.5-0.25i", 0.5 - 0.25j),
+            ("0.25i", 0.25j), ("-i", -1j), ("i", 1j), ("1e-3i", 1e-3j), ("0.5-1e-2i", 0.5 - 0.01j),
+            ("+i", 1j), ("0.5+i", 0.5 + 1j), ("1e+5i", 1e5j), ("1_0i", 10j),
+            ("-.5-.5i", -0.5 - 0.5j), ("2I", 2j), (" 0.5 + 0.25i ", 0.5 + 0.25j)):
+        assert parse_complex_literal(text) == value, text
+
+
+@pytest.mark.parametrize("text", ["abc", "--1i", "1+-2i", "1+2ji", "(1+2i)", "1e+i",
+                                  "0.5+0.25j", "", "0.5\t+0.25i", "0.5\n+0.25i"])
+def test_parse_complex_literal_refuses(text):
+    # Spaces are dropped; a tab or newline inside the literal is refused.
     with pytest.raises(ValueError):
-        parse_complex_literal("abc")
+        parse_complex_literal(text)
 
 
 def test_verify_pass_json(capsys):
@@ -123,6 +126,34 @@ def test_verify_pair_reciprocity_defaults_exit_3(capsys):
     assert code == 3
     assert captured.out == ""
     assert "|Re z| < 1/2" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["verify", "laplace-bessel", "--z=0.3+0.2i"],
+                                  ["verify", "omega-self-reciprocal", "--z=0.3+0.2i"],
+                                  ["verify", "pair-reciprocity", "--z=0.1+0.1i"],
+                                  ["eval", "kernel", "--z=0.5+0.1i"]])
+def test_j_kernel_identities_refuse_complex_z(argv, capsys):
+    # J and Y are real-order only, and one rule says so.
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "J and Y take a real order only" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "mellin-k", "--q=-1"], "q > 0 required"),
+    (["verify", "laplace-bessel", "--y=-1"], "y > 0 required"),
+    (["verify", "omega-self-reciprocal", "--x=-1"], "x > 0 required"),
+    (["verify", "pair-reciprocity", "--z=0.3", "--x=-1"], "x must be positive"),
+    (["verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=-1"],
+     "x must be positive"),
+    (["verify", "pair-reciprocity", "--pair=nope"], "unknown pair 'nope'"),
+    (["eval", "omega", "--z=1.5"], "|Re z| < 1 required")])
+def test_verify_and_eval_domain_messages(argv, message, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_usage_bad_flag_value():

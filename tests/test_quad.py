@@ -96,6 +96,48 @@ def test_tanh_sinh_divergent_raises():
         tanh_sinh(lambda x: 1.0 / x, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("edge", [1e-3, 1e-200])
+def test_tanh_sinh_refuses_non_finite_values(edge):
+    # An inf near 0 carries mass that a zeroed node would drop; below
+    # 1e-200 the rest would converge to 1 as if nothing were lost.
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        tanh_sinh(lambda x: np.where(x < edge, np.inf, 1.0), 0.0, 1.0)
+
+
+# Budgets that only the roundoff floor (50 eps of a panel's mass) can miss.
+_UNREACHABLE = QuadratureSpec(abs_tol=1e-300, rel_tol=0.0)
+
+
+def test_finite_refuses_when_the_panel_budget_runs_out():
+    with pytest.raises(ConvergenceError, match="after 4 panels"):
+        integrate_finite(np.ones_like, 0.0, 1.0, _UNREACHABLE._replace(max_panels=4))
+
+
+def test_finite_refuses_a_panel_that_cannot_be_split():
+    # No double lies strictly between 1 and its successor.
+    with pytest.raises(ConvergenceError, match="cannot be split"):
+        integrate_finite(np.ones_like, 1.0, math.nextafter(1.0, 2.0), _UNREACHABLE)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+def test_finite_refuses_infinite_endpoints(a, b):
+    with pytest.raises(DomainError, match="finite endpoints"):
+        integrate_finite(np.ones_like, a, b)
+
+
+def test_semi_infinite_refuses_an_error_ten_times_its_budget():
+    # (1 - x) e^{-x} integrates to 0 over [0, inf): each segment meets its
+    # relative budget, but their floors add up far past 1e-10 of the total.
+    with pytest.raises(ConvergenceError, match="10x the requested budget"):
+        integrate_semi_infinite(lambda x: (1.0 - x) * np.exp(-x), 0.0, ExpDecay(1.0, 0.5),
+                                QuadratureSpec(abs_tol=1e-20, rel_tol=1e-10))
+
+
+def test_half_line_refuses_a_non_finite_fit_window():
+    with pytest.raises(DecayError, match="not finite on \\[1, 2\\]"):
+        integrate_half_line(lambda t: np.where(t > 1.5, np.inf, np.exp(-t)), 1.0)
+
+
 @pytest.mark.parametrize("a, b", [(1.0, 0.0), (1.0, 1.0 + 2.0 ** -52)])
 def test_tanh_sinh_without_an_interior_node_raises(a, b):
     # A reversed interval, and one with no double strictly inside: no node

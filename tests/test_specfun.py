@@ -100,6 +100,14 @@ def test_digamma_golden(golden):
     assert rel_err(digamma(1.0), -EULER_GAMMA) < 1e-12
 
 
+@pytest.mark.parametrize("z", [0.3, 0.49, -0.7, -2.5 + 0.5j, 0.2 - 3.0j, 0.45 + 1e-3j])
+def test_digamma_reflection_matches_the_recurrence(z):
+    # Below Re z = 1/2 digamma reflects; z + 1 is past it, so the recurrence
+    # psi(z + 1) = psi(z) + 1/z ties the two branches together.
+    lhs, rhs = digamma(z + 1.0), digamma(z) + 1.0 / z
+    assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(1.0 / z))
+
+
 def test_zeta_golden(golden):
     assert rel_err(riemann_zeta(3.0), golden["zeta_3"]) < 1e-12
     assert rel_err(riemann_zeta(0.5), golden["zeta_half"]) < 1e-12
@@ -577,6 +585,11 @@ def test_bessel_domain():
         bessel_y(0.0, 0.0)
     with pytest.raises(DomainError):
         bessel_k(0.0, -2.0)
+    # J and Y are real-order only: a typed error, not numpy's TypeError.
+    for fn in (bessel_j, bessel_y):
+        with pytest.raises(DomainError, match="real order only"):
+            fn(1 + 1j, 2.0)
+        assert fn(0.5 + 0j, 2.0) == fn(0.5, 2.0)
 
 
 def test_bessel_past_the_double_range():
@@ -591,6 +604,8 @@ def test_bessel_past_the_double_range():
 def test_exp_integrals_golden(golden):
     assert rel_err(exp_integral_ei(1.0), golden["ei_1"]) < 1e-12
     assert rel_err(exp_integral_li(2.0), golden["li_2"]) < 1e-12
+    # log(1e30) = 69.1 is past y = 50, where Ei is exp(y) times its scaled form.
+    assert rel_err(exp_integral_li(1e30), golden["li_1e30"]) < 1e-12
     # li at the Soldner point vanishes; absolute comparison.
     soldner = 1.4513692348833810502839684858920274494
     assert abs(exp_integral_li(soldner)) < 1e-12

@@ -320,6 +320,8 @@ def golden_values():
     put("ei_1", ei(1), "Ei(1)")
     put("ei_m2p5", ei(mpf("-2.5")), "Ei(-2.5)")
     put("li_0p1", li(mpf("0.1")), "li(1/10)")
+    # Ei(log 1e30) = Ei(69.1): past y = 50, where Ei takes its asymptotic series.
+    put("li_1e30", li(mpf("1e30")), "li(1e30)")
     put("df_psi_1", df_psi(1), "Dixon-Ferrar psi(1)")
     put("df_psi_6", df_psi(6), "Dixon-Ferrar psi(6)")
     # psi across its series / asymptotic switch at 4x = 50 and far out,

@@ -31,7 +31,10 @@ an `omega-laplace` sweep at z = -0.6, and an alpha outside [1/4, 4] in
 `verify laplace-bessel` and in a sweep's grid (exit 3, as in `verify`),
 `mellin-k` where its integrand peaks past x = 2, and a `mellin-k` and a
 `laplace-bessel` report whose abs_diff only the sides' rounding charge
-covers: 80 commands in all.
+covers.  Then the input rules, each said once: complex z refused by the
+three J-kernel identities (J and Y take a real order only), an x the
+pair transform refuses, Omega outside its strip |Re z| < 1, and a
+complex literal with a leading dot: 86 commands in all.
 
 Then come five bit probes, one per special function that every identity
 runs through: `bessel_k_scaled`, `bessel_k`, `riemann_zeta`, `zeta_star`
@@ -169,6 +172,14 @@ COMMANDS = (
     # Sides that round past a tight quadrature error: eval_err covers them.
     ("verify", "mellin-k", "--s=2.83", "--nu=-2.71", "--q=0.1272"),
     ("verify", "laplace-bessel", "--z=-0.23", "--alpha=3.72", "--y=1.29"),
+    # Each input rule said once: the real-order rule of J and Y, the pair
+    # transform's checks, Omega's strip, the complex literal.
+    ("verify", "laplace-bessel", "--z=0.3+0.2i"),
+    ("verify", "omega-self-reciprocal", "--z=0.3+0.2i"),
+    ("verify", "pair-reciprocity", "--z=0.1+0.1i"),
+    ("verify", "pair-reciprocity", "--x=-1"),
+    ("eval", "omega", "--z=1.5"),
+    ("eval", "gamma", "--s=-.5-.5i"),
 )
 
 # Reads a JSON list of argv lists on stdin and prints, per argv, the
