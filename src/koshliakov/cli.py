@@ -5,15 +5,15 @@ Subcommands: `verify` runs one identity check and prints a JSON report,
 SVG chart), `eval` evaluates a single special function, and `list` shows
 the registered identities.
 
-Exit codes: 0 pass, 2 verification failure (in `sweep`, only a row that
-raised, written as nan: a row that misses its tolerance leaves the exit
-code alone; a convergence failure in the work a sweep's rows share fails
-every row), 3 domain/convergence error (in `sweep` too for an input
-error, with the message `verify` prints: an alpha grid outside [1/4, 4]
-is one), 64 usage error (a nan or inf float or complex flag, a sweep grid
-of fewer than 2 steps or with alpha-min > alpha-max, a sweep --out or
---svg path that cannot be written, among others).  A sweep grid ends
-exactly at alpha-max.  Complex flags take Python's complex literal with
+Exit codes: 0 pass, 2 verification failure (in `sweep`, only a
+convergence failure in the work its rows share, which writes every row
+as nan: a row that misses its tolerance leaves the exit code alone), 3
+domain/convergence error (in `sweep` too for an input error, with the
+message `verify` prints: an alpha grid outside [1/4, 4] is one), 64
+usage error (a nan or inf float or complex flag, a sweep grid of fewer
+than 2 steps or with alpha-min > alpha-max, a sweep --out or --svg path
+that cannot be written, among others).  A sweep grid ends exactly at
+alpha-max.  Complex flags take Python's complex literal with
 i (or I) for j, such as `0.5+0.25i`, `-i` or `1e-3i`; spaces are dropped.
 
 Each parameter flag's kind and default come from the callable it feeds:
@@ -30,7 +30,7 @@ import sys
 
 from . import arith, kernels, specfun
 from .errors import ConvergenceError, DecayError, KoshliakovError
-from .identities import IDENTITIES, VerificationReport
+from .identities import IDENTITIES
 from .reporting import SweepRow, csv_lines, report_json, write_csv, write_svg
 
 EXIT_PASS = 0
@@ -154,20 +154,12 @@ def cmd_sweep(args) -> int:
                           "parameter to sweep")
     grid = _alpha_grid(args.alpha_min, args.alpha_max, args.steps)
     try:
-        outcomes = entry.verify({**named, "alpha": grid}, tol)
+        rows = [SweepRow.from_report(r) for r in entry.verify({**named, "alpha": grid}, tol)]
     except (ConvergenceError, DecayError) as exc:
         # Work shared by every row failed, so no row has a value.  Any
         # other error is an input error, and exits 3 as in verify.
         print(f"alpha={grid[0]:.6g}..{grid[-1]:.6g}: {exc}", file=sys.stderr)
-        outcomes = [None] * len(grid)
-    rows = []
-    for alpha, out in zip(grid, outcomes):
-        if isinstance(out, VerificationReport):
-            rows.append(SweepRow.from_report(out))
-            continue
-        if out is not None:
-            print(f"alpha={alpha:.6g}: {out}", file=sys.stderr)
-        rows.append(SweepRow.failed(alpha))
+        rows = [SweepRow.failed(alpha) for alpha in grid]
     # The files first, so a path that cannot be written leaves stdout empty.
     for path, write, rest in ((args.out, write_csv, ()), (args.svg, write_svg, (args.identity,))):
         if path:

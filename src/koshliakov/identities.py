@@ -7,13 +7,12 @@ Budget keys ending in "_diff" are cross-checks, not error bounds, and are
 excluded from that resolution test.
 
 Every verifier that takes a scale alpha takes one alpha or a sequence of
-them.  One number gives one report and raises that alpha's error.  A
-sequence gives one report per alpha from work shared across the alphas:
-each integral is one vector integral with a column per alpha (or per K
-scale or Laplace rate), each lambda or f_frak side one call, so no
-verifier integrates per alpha.  An error in one row's own work (its
-report, the z = 0 Theta series of rg-corollary-z0) takes that row's place
-in the list, and an error in the shared work is raised.
+them: one number gives one report, a sequence one report per alpha, and
+either raises its error.  The work is shared across the alphas: each
+integral is one vector integral with a column per alpha (or per K scale
+or Laplace rate), each lambda or f_frak side one call, so no verifier
+integrates per alpha.  The verifier hands _reports a column per side and
+budget, an entry per alpha.
 
 Every truncated series sums _SERIES_TERMS terms directly and adds a
 bound or an asymptotic remainder for the rest, so no verifier takes a
@@ -30,8 +29,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import arith, quadrature   # head/tail rules via the module, so wrappers see them
-from .errors import DomainError, KoshliakovError
-from .kernels import (ReciprocalPair, _check_z, _divisor_tail_moment,
+from .errors import DomainError
+from .kernels import (ReciprocalPair, _check_z, _divisor_tail_moment, _omega_roundoff,
                       first_koshliakov_transform, lambda_sum,
                       omega_combination, pair_dixon_ferrar, pair_k_bessel,
                       transform_kernel)
@@ -88,7 +87,10 @@ def _report(identity_id: str, params: dict, lhs: complex, rhs: complex,
         budget_cap = tolerance * max(scale, _TINY)
     budget_sum = sum(v for k, v in budgets.items() if not k.endswith("_diff"))
     resolved = budget_sum < budget_cap
-    ok = diff_ok and resolved
+    # Budgets that bound both sides bound lhs - rhs up to its rounding: half
+    # an ulp per part and one for the modulus, 2 eps of |lhs - rhs| <= 2 scale.
+    bounded = abs_diff <= budget_sum + 4.0 * _EPS * scale
+    ok = diff_ok and resolved and bounded
     # Real inputs (no parameter off the real axis) must give real sides.
     if not any(isinstance(v, complex) and v.imag != 0.0 for v in params.values()):
         for v in (lhs, rhs):
@@ -133,34 +135,34 @@ def _alphas(alpha) -> list:
     return alphas
 
 
-def _rows(alpha, row: Callable):
-    """row(col, a) at every alpha a of a verifier's alpha argument.  One
-    number gives its row's report and raises its error; a sequence gives
-    a list in which a KoshliakovError raised by one row takes that row's
-    place, so it fails that row only."""
-    if np.ndim(alpha) == 0:
-        return row(0, alpha)
-    out = []
-    for col, a in enumerate(alpha):
-        try:
-            out.append(row(col, a))
-        except KoshliakovError as exc:
-            out.append(exc)
-    return out
+def _reports(identity_id: str, params: dict, alpha, lhs, rhs, budgets: dict,
+             tolerance: float):
+    """The report at each alpha of a verifier's alpha argument from columns
+    with an entry per alpha (lhs, rhs, each budget); params names the
+    identity's parameters in its order, alpha among them.  One alpha gives
+    one report, a sequence a list."""
+    alphas = _alphas(alpha)
+    reports = [_report(identity_id, {**params, "alpha": a}, lhs[col], rhs[col],
+                       {k: v[col] for k, v in budgets.items()}, tolerance)
+               for col, a in enumerate(alphas)]
+    return reports if np.ndim(alpha) else reports[0]
 
 
 def _xi_grid(identity_id: str, z: complex, g: Callable, alpha, tolerance: float,
-             row: Callable):
-    """The report(s) of a Xi-pair identity at alpha (_rows), from one vector
-    integral over [0, T] of the Xi pair against g(t) cos(t log(alpha)/2), a
-    column per alpha, to _XI_SPEC: g(t), the alpha-free part of the
-    weight, and the Xi pair are evaluated once per node.  The Xi pair
-    decays at least like exp(-pi t/4) and |g(T)| must bound |g| on
-    [T, inf): with the cosine replaced by 1 that bounds every column's
-    discarded piece (xi_cutoff).  row(col, alpha) gives the lhs prefactor,
-    the rhs and its own budgets (one named quad_err adds to the integral's)."""
+             pref, rhs, budgets: dict):
+    """The report(s) of a Xi-pair identity at alpha (_reports), from one
+    vector integral over [0, T] of the Xi pair against g(t)
+    cos(t log(alpha)/2), a column per alpha, to _XI_SPEC: g(t), the
+    alpha-free part of the weight, and the Xi pair are evaluated once per
+    node.  The Xi pair decays at least like exp(-pi t/4) and |g(T)| must
+    bound |g| on [T, inf): with the cosine replaced by 1 that bounds every
+    column's discarded piece (xi_cutoff).  The lhs is pref times the
+    integral; pref, rhs and the rhs's budgets (a quad_err adds to the
+    integral's) are columns, pref a number where it is one for every alpha."""
+    alphas = _alphas(alpha)
+    pref = pref if np.ndim(pref) else [pref] * len(alphas)
     T = 60.0
-    la = np.array([math.log(a) for a in _alphas(alpha)])
+    la = np.array([math.log(a) for a in alphas])
 
     def f(t):
         return (_xi_pair(t, z) * g(t))[:, None] * np.cos(0.5 * np.multiply.outer(t, la))
@@ -168,33 +170,23 @@ def _xi_grid(identity_id: str, z: complex, g: Callable, alpha, tolerance: float,
     res = integrate_finite(f, 0.0, T, _XI_SPEC)
     end = np.array([T])
     trunc = abs(complex(_xi_pair(end, z)[0])) * abs(complex(g(end)[0])) * (4.0 / math.pi) * 5.0
-
-    def report(col, a):
-        pref, rhs, rhs_budgets = row(col, a)
-        budgets = {"quad_err": abs(pref) * float(res.err_estimate[col]),
-                   "xi_cutoff": abs(pref) * trunc}
-        for key, value in rhs_budgets.items():
-            budgets[key] = budgets.get(key, 0.0) + value
-        return _report(identity_id, {"z": z, "alpha": a}, pref * complex(res.value[col]), rhs,
-                       budgets, tolerance)
-
-    return _rows(alpha, report)
+    own = {"quad_err": [abs(p) * e for p, e in zip(pref, res.err_estimate.tolist())],
+           "xi_cutoff": [abs(p) * trunc for p in pref]}
+    for key, col in budgets.items():
+        own[key] = np.add(own.get(key, 0.0), col)
+    lhs = [complex(p) * v for p, v in zip(pref, res.value.tolist())]
+    return _reports(identity_id, {"z": z, "alpha": alpha}, alpha, lhs, rhs, own, tolerance)
 
 
 def _modular_grid(identity_id: str, F: Callable, z: complex, alpha, tolerance: float):
-    """The report(s) of F(alpha) = F(1/alpha) at alpha (_rows), F(points)
+    """The report(s) of F(alpha) = F(1/alpha) at alpha (_reports), F(points)
     giving (values, budgets) as arrays.  F is called once, over the alphas
-    and then their reciprocals, so an error there fails every row; each
-    budget is the sum of the two sides'."""
+    and then their reciprocals; each budget is the sum of the two sides'."""
     alphas = _alphas(alpha)
     m = len(alphas)
     values, budgets = F([*alphas, *(1.0 / a for a in alphas)])
-
-    def row(col, a):
-        return _report(identity_id, {"alpha": a, "z": z}, values[col], values[m + col],
-                       {k: v[col] + v[m + col] for k, v in budgets.items()}, tolerance)
-
-    return _rows(alpha, row)
+    return _reports(identity_id, {"alpha": alpha, "z": z}, alpha, values[:m], values[m:],
+                    {k: v[:m] + v[m:] for k, v in budgets.items()}, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +292,7 @@ def verify_rg_corollary(z=0.5+0j, alpha=1.0,
         return 1.0 / ((t * t + zp) * (t * t + zm))
 
     frak, budgets = f_frak(z, alphas)
-    return _xi_grid("rg-corollary", z, g, alpha, tolerance,
-                    lambda col, a: (-(32.0 / math.pi), frak[col],
-                                    {k: v[col] for k, v in budgets.items()}))
+    return _xi_grid("rg-corollary", z, g, alpha, tolerance, -(32.0 / math.pi), frak, budgets)
 
 
 def verify_rg_corollary_z0(alpha=1.0,
@@ -316,19 +306,18 @@ def verify_rg_corollary_z0(alpha=1.0,
 
     n = np.arange(1, _SERIES_TERMS + 1, dtype=float)
     dn = arith.build_table(0.0, _SERIES_TERMS).real
-
-    def row(col, a):
+    alphas, rhs, tail = _alphas(alpha), [], []
+    for a in alphas:
         beta = 1.0 / a
         theta = (bessel_k(0.0, 2.0 * a * math.pi * n).real
                  + beta * bessel_k(0.0, 2.0 * beta * math.pi * n).real)
         z1, z1p = _k_pair_z1(a)
-        rhs = float(np.sum(dn * theta)) - (z1p + (EULER_GAMMA - math.log(4.0 * math.pi)) * z1)
+        rhs.append(float(np.sum(dn * theta)) - (z1p + (EULER_GAMMA - math.log(4.0 * math.pi)) * z1))
         # d(n) Theta(pi n) <= 2 sqrt(n) (1 + beta) times the K envelope.
-        tail = _k_series_tail(2.0 * (1.0 + beta), 0.5, 2.0 * math.pi * min(a, beta),
-                              _SERIES_TERMS + 1)
-        return (32.0 / math.pi) / (2.0 * math.sqrt(a)), rhs, {"series_tail": tail}
-
-    return _xi_grid("rg-corollary-z0", 0.0 + 0.0j, g, alpha, tolerance, row)
+        tail.append(_k_series_tail(2.0 * (1.0 + beta), 0.5, 2.0 * math.pi * min(a, beta),
+                                   _SERIES_TERMS + 1))
+    return _xi_grid("rg-corollary-z0", 0.0 + 0.0j, g, alpha, tolerance,
+                    (32.0 / math.pi) / (2.0 * np.sqrt(alphas)), rhs, {"series_tail": tail})
 
 
 def verify_rg_formula(z=0.5+0j, alpha=1.0,
@@ -354,8 +343,7 @@ def verify_hurwitz_corollary(z=0.5+0j, alpha=1.0,
 
     pref = 8.0 * (4.0 * math.pi) ** (0.5 * (z - 3.0)) / gamma(z + 1.0)
     F, budgets = _hurwitz_F(z, alphas)
-    return _xi_grid("hurwitz-corollary", z, g, alpha, tolerance,
-                    lambda col, a: (pref, F[col], {k: v[col] for k, v in budgets.items()}))
+    return _xi_grid("hurwitz-corollary", z, g, alpha, tolerance, pref, F, budgets)
 
 
 def verify_hurwitz_modular(z=0.5+0j, alpha=1.0,
@@ -432,16 +420,14 @@ def verify_hurwitz_corollary_z0(alpha=1.0,
         return (gp * gp.conjugate()) / (1.0 + t * t)
 
     cs = sorted({*alphas, *(1.0 / a for a in alphas)})
-    by_scale = dict(zip(cs, zip(*_divisor_k_series(cs, 0.0, _SERIES_TERMS, _XI_SPEC))))
-
-    def row(col, a):
-        series, quad_err, tail_err = (u + v / a for u, v in zip(by_scale[a], by_scale[1.0 / a]))
-        z1, z1p = _k_pair_z1(a)
-        rhs = (0.5 * math.pi) * series.real - 0.5 * ((EULER_GAMMA - math.log(2.0 * math.pi)) * z1 + z1p)
-        return (math.pi ** (-1.5) / (2.0 * math.sqrt(a)), rhs,
-                {"quad_err": 0.5 * math.pi * quad_err, "series_tail": 0.5 * math.pi * tail_err})
-
-    return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alpha, tolerance, row)
+    own, mirror = [cs.index(a) for a in alphas], [cs.index(1.0 / a) for a in alphas]
+    series, quad_err, tail_err = (v[own] + v[mirror] / np.array(alphas)
+                                  for v in _divisor_k_series(cs, 0.0, _SERIES_TERMS, _XI_SPEC))
+    z1, z1p = np.array([_k_pair_z1(a) for a in alphas]).T
+    rhs = (0.5 * math.pi) * series.real - 0.5 * ((EULER_GAMMA - math.log(2.0 * math.pi)) * z1 + z1p)
+    return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alpha, tolerance,
+                    math.pi ** (-1.5) / (2.0 * np.sqrt(alphas)), rhs,
+                    {"quad_err": 0.5 * math.pi * quad_err, "series_tail": 0.5 * math.pi * tail_err})
 
 
 def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5+0j,
@@ -458,17 +444,13 @@ def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5+0j,
     series, quad_err, tail_err = _divisor_k_series(alphas, z, _SERIES_TERMS,
                                                    _BESSEL_HURWITZ_SPEC)
     lam, resid, mag = lambda_sum(np.asarray(alphas, dtype=float), z, _SERIES_TERMS)
-
-    def row(col, a):
-        pref_r = a ** (0.5 * z) / 2.0 ** (z + 2.0) * gamma_z1
-        budgets = {"quad_err": abs(pref_l) * quad_err[col],
-                   "series_tail": abs(pref_l) * tail_err[col],
-                   "em_residual": abs(pref_r) * resid[col],
-                   "eval_err": _EVAL_ULPS * abs(pref_r) * mag[col]}
-        return _report("bessel-hurwitz-sum", {"z": z, "alpha": a}, pref_l * series[col],
-                       pref_r * lam[col], budgets, tolerance)
-
-    return _rows(alpha, row)
+    pref_r = [a ** (0.5 * z) / 2.0 ** (z + 2.0) * gamma_z1 for a in alphas]
+    scale_r = np.array([abs(p) for p in pref_r])
+    budgets = {"quad_err": abs(pref_l) * quad_err, "series_tail": abs(pref_l) * tail_err,
+               "em_residual": scale_r * resid, "eval_err": _EVAL_ULPS * scale_r * mag}
+    return _reports("bessel-hurwitz-sum", {"z": z, "alpha": alpha}, alpha,
+                    [complex(pref_l) * v for v in series.tolist()],
+                    [complex(p) * v for p, v in zip(pref_r, lam.tolist())], budgets, tolerance)
 
 
 def verify_mellin_k(s=2+0j, nu=0j, q: float = 1.0,
@@ -541,19 +523,16 @@ def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5+0j,
     c = 4.0 * math.pi * math.sqrt(y)
     r = _laplace_columns(lambda x: np.power(x, 0.5 * zr) * bessel_j(zr, c * np.sqrt(x)),
                          alphas, _LAPLACE_BESSEL_SPEC)
-
-    def row(col, a):
-        rhs = math.exp(-2.0 * math.pi * y / a) * y ** (0.5 * zr) / (2.0 * math.pi * a ** (zr + 1.0))
-        # The sides' rounding: each multiplies three factors, each within
-        # _EVAL_ULPS (the rhs e^{-2 pi y/alpha}, y^{z/2} and 2 pi alpha^{z+1};
-        # the integrand e^{-2 pi alpha x}, x^{z/2} and J_z): 48 ulps of |lhs| + |rhs|.
-        budgets = {"quad_err": float(r.err_estimate[col]),
-                   "truncation": float(r.truncation_bound[col]),
-                   "eval_err": 3.0 * _EVAL_ULPS * (abs(r.value[col]) + abs(rhs))}
-        return _report("laplace-bessel", {"alpha": a, "y": y, "z": complex(zr)}, r.value[col],
-                       rhs, budgets, tolerance)
-
-    return _rows(alpha, row)
+    rhs = [math.exp(-2.0 * math.pi * y / a) * y ** (0.5 * zr) / (2.0 * math.pi * a ** (zr + 1.0))
+           for a in alphas]
+    # The sides' rounding: each multiplies three factors, each within
+    # _EVAL_ULPS (the rhs e^{-2 pi y/alpha}, y^{z/2} and 2 pi alpha^{z+1};
+    # the integrand e^{-2 pi alpha x}, x^{z/2} and J_z): 48 ulps of |lhs| + |rhs|.
+    budgets = {"quad_err": r.err_estimate, "truncation": r.truncation_bound,
+               "eval_err": [3.0 * _EVAL_ULPS * (abs(v) + abs(h))
+                            for v, h in zip(r.value.tolist(), rhs)]}
+    return _reports("laplace-bessel", {"alpha": alpha, "y": y, "z": complex(zr)}, alpha,
+                    r.value, rhs, budgets, tolerance)
 
 
 def verify_omega_self_reciprocal(x: float = 1.0, z=0.5+0j,
@@ -591,7 +570,7 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5+0j,
     om_rem = 40.0 * math.exp(-2.0 * math.sqrt(2.0) * math.pi * math.sqrt(Y))
     # Omega's roundoff bound (omega_combination) at x and over [0, Y] against
     # |J_z(u)| <= 1 + (u/2)^z / Gamma(1+z) (mpmath at z < 0; |J_z| <= 1 at z >= 0).
-    k = 0.5 * float(_pole_quotient(z, 0.0, 0.0)[1])
+    k = _omega_roundoff(z)
     jz = (0.5 * c) ** zr / gamma(1.0 + zr).real
 
     lhs = head.value + tail
@@ -627,7 +606,7 @@ def _omega_laplace(z: complex, points):
     _EVAL_ULPS ulps bounds Omega's roundoff integrated against the weight."""
     r = _laplace_columns(lambda x: omega_combination(x, z, 500) * np.power(x, 0.5 * z),
                          points, _OMEGA_LAPLACE_SPEC)
-    k = 0.5 * float(_pole_quotient(z, 0.0, 0.0)[1])
+    k = _omega_roundoff(z)
     w = 2.0 * math.pi * np.asarray(points)
     return r.value, r.total_error, k * (gamma(1.0 + z.real).real * w ** (-1.0 - z.real) + 1.0 / w)
 
@@ -658,14 +637,10 @@ def verify_omega_laplace(alpha=1.0, z=0.5+0j,
     alphas = _alphas(alpha)
     lhs, quad_err, ulps = _omega_laplace(z, alphas)
     rhs, rhs_budgets = _hurwitz_F(z, alphas, gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0))
-
-    def row(col, a):
-        budgets = {"quad_err": float(quad_err[col]), **{k: v[col] for k, v in rhs_budgets.items()}}
-        budgets["eval_err"] += _EVAL_ULPS * ulps[col]           # the lhs's Omega
-        return _report("omega-laplace", {"alpha": a, "z": z}, complex(lhs[col]), rhs[col],
-                       budgets, tolerance)
-
-    return _rows(alpha, row)
+    budgets = {"quad_err": quad_err, **rhs_budgets}
+    budgets["eval_err"] += _EVAL_ULPS * ulps           # the lhs's Omega
+    return _reports("omega-laplace", {"alpha": alpha, "z": z}, alpha, lhs, rhs, budgets,
+                    tolerance)
 
 
 def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5+0j, x: float = 1.0,
@@ -725,7 +700,7 @@ def _current(fn: Callable) -> Callable:
 
 class IdentityEntry(collections.namedtuple("IdentityEntry", "runner summary defaults tolerance")):
     """runner(**args, tolerance=...) gives one report, or with a sequence
-    for alpha one per alpha (the module's rule).  Its parameters before
+    for alpha one per alpha.  Its parameters before
     tolerance are the CLI's flags, with their defaults (defaults), and its
     tolerance default is the identity's tolerance.  A namedtuple: read-only,
     and equal to an entry with the same fields."""

@@ -332,12 +332,17 @@ def omega_combination(x, z, n_terms: int = 500):
     """Omega(x,z) - zeta(z) x^{z/2-1} / (2 pi): the self-reciprocal
     combination; partial-fraction based with the pole term dropped
     analytically, vectorized over x.  Its pole pieces round to within a
-    few ulps of k (x^{Re z/2} + x^{-Re z/2}), k half the roundoff scale of
-    _omega_pf's pole quotient at x = 1."""
+    few ulps of k (x^{Re z/2} + x^{-Re z/2}), k = _omega_roundoff(z)."""
     z = _check_z(z)
     arr, scalar = _positive_x(x, "omega_combination")
     out = _omega_pf(arr, z, n_terms)
     return complex(out[0]) if scalar else out
+
+
+def _omega_roundoff(z: complex) -> float:
+    """k of omega_combination's roundoff rule: half the roundoff scale of
+    _omega_pf's pole quotient at x = 1."""
+    return 0.5 * float(_pole_quotient(z, 0.0, 0.0)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -453,17 +453,19 @@ def _bessel_jy(nu: float, x: np.ndarray, need_y: bool = True):
 
     With n = round(|nu|) and mu = |nu| - n: below x = 2, J is the
     ascending series and Y_mu, Y_{mu+1} are Temme's series (the loop K
-    uses); from 2 up to the knee max(14, 3|nu|), Steed's method gives J
-    and Y_mu, Y_{mu+1}; Y climbs to the order by the upward recurrence,
-    stable because Y grows with it.  Negative orders reflect there:
-    J_{-a} = cos(a pi) J_a - sin(a pi) Y_a, Y_{-a} = sin(a pi) J_a + cos(a pi) Y_a.
-    At and above the knee both come from the Hankel expansion at nu.
+    uses); from 2 up to the knee max(14, 3|nu|, nu^2/4), Steed's method
+    gives J and Y_mu, Y_{mu+1}; Y climbs to the order by the upward
+    recurrence, stable because Y grows with it.  Negative orders reflect
+    there: J_{-a} = cos(a pi) J_a - sin(a pi) Y_a, Y_{-a} = sin(a pi) J_a +
+    cos(a pi) Y_a.  At and above the knee both come from the Hankel
+    expansion at nu, whose second term is below its first only where
+    16x > 4 nu^2 - 9: below about x = nu^2/4 it would stop after one term.
     """
     a = abs(nu)
     n = round(a)
     mu = a - n
     lo = x < 2.0
-    hi = x >= max(14.0, 3.0 * a)
+    hi = x >= max(14.0, 3.0 * a, 0.25 * a * a)
     mid = (x >= 2.0) & ~hi
     j = np.full_like(x, np.nan)                  # nan stays in no region and stays nan
     y = np.full((2 if n >= 1 else 1,) + x.shape, np.nan)   # Y_mu, Y_{mu+1} if n >= 1

@@ -120,6 +120,8 @@ def test_criterion_02_golden_suite(golden):
         "bessel_j_m1p4_13p2": lambda: bessel_j(-1.4, 13.2),
         "bessel_j_m3_2p5": lambda: bessel_j(-3.0, 2.5),
         "bessel_j_m4_10": lambda: bessel_j(-4.0, 10.0),
+        "bessel_j_20p5_70": lambda: bessel_j(20.5, 70.0),
+        "bessel_j_60_500": lambda: bessel_j(60.0, 500.0),
         "bessel_k_0_1": lambda: bessel_k(0.0, 1.0),
         "bessel_k_0_377": lambda: bessel_k_scaled(0.0, 377.0),
         "bessel_k_0p25_2": lambda: bessel_k(0.25, 2.0),
@@ -164,6 +166,8 @@ def test_criterion_02_golden_suite(golden):
         "bessel_y_m1_5": lambda: bessel_y(-1.0, 5.0),
         "bessel_y_m1p999_5p5": lambda: bessel_y(-1.999, 5.5),
         "bessel_y_m2_1p5": lambda: bessel_y(-2.0, 1.5),
+        "bessel_y_m30_100": lambda: bessel_y(-30.0, 100.0),
+        "bessel_y_m45p2_300": lambda: bessel_y(-45.2, 300.0),
         "bh_inner_n1": _bh_inner_n1,
         "big_xi_2_p5i": lambda: big_xi(2 + 0.5j),
         "big_xi_2p5": lambda: big_xi(2.5),

@@ -623,7 +623,10 @@ def test_report_never_passes_unresolved(rhs, nudge, budgets, tolerance, params):
     real_inputs = all(not isinstance(v, complex) or v.imag == 0.0 for v in params.values())
     scale = max(abs(lhs), abs(rhs))
     cap = tolerance if abs(rhs) < 1e-3 else tolerance * scale
-    if sum(v for k, v in budgets.items() if not k.endswith("_diff")) >= cap:
+    budget = sum(v for k, v in budgets.items() if not k.endswith("_diff"))
+    if budget >= cap:
+        assert not r.passed
+    if r.abs_diff > budget + 4.0 * 2.0 ** -52 * scale:
         assert not r.passed
     if any(k.endswith("_diff") and v > tolerance for k, v in budgets.items()):
         assert not r.passed
@@ -632,6 +635,18 @@ def test_report_never_passes_unresolved(rhs, nudge, budgets, tolerance, params):
         assert not r.passed
     if r.passed:
         assert r.abs_diff <= cap * (1.0 + 1e-12)
+
+
+def test_pass_needs_abs_diff_within_the_budgets():
+    # Budgets that bound both sides bound lhs - rhs up to its own rounding,
+    # 4 ulps of the larger side: a diff of 2 ulps passes with no budget, one
+    # of 8 ulps fails without a budget that covers it.
+    eps = 2.0 ** -52
+    assert _report("t", {}, 1.0, 1.0 + 2.0 * eps, {"quad_err": 0.0}, 1e-6).passed
+    assert not _report("t", {}, 1.0, 1.0 + 8.0 * eps, {"quad_err": 0.0}, 1e-6).passed
+    assert _report("t", {}, 1.0, 1.0 + 8.0 * eps, {"quad_err": 4.0 * eps}, 1e-6).passed
+    # A cross-check is no bound.
+    assert not _report("t", {}, 1.0, 1.0 + 1e-9, {"quad_err": 0.0, "x_diff": 1e-8}, 1e-6).passed
 
 
 # The identities that take z, with whether their strips admit a complex z.
@@ -701,7 +716,7 @@ def test_strip_reports_hold_their_budgets(name):
             raise
         assert entry.verify({"z": z, "alpha": [alpha]}, entry.tolerance) == [report]
         budget = sum(v for k, v in report.budgets.items() if not k.endswith("_diff"))
-        if known and report.passed and report.abs_diff > budget:
+        if known and report.abs_diff > budget:
             edge_draws.append(z)
             return
         assert report.passed and report.abs_diff <= budget, report
@@ -755,11 +770,10 @@ def test_laplace_bessel_reports_hold_their_budgets():
                 return
             raise
         assert entry.verify({"z": z, "alpha": [alpha], "y": y}, entry.tolerance) == [report]
-        assert report.passed, report
         if head and report.abs_diff > _budget_sum(report):
             known_draws.append((z, alpha, y))
             return
-        assert report.abs_diff <= _budget_sum(report), report
+        assert report.passed and report.abs_diff <= _budget_sum(report), report
 
     draw()
     if known_draws:

@@ -324,6 +324,15 @@ def test_bessel_y_golden(golden):
         assert rel_err(bessel_y(nu, x), golden[name]) < 1e-12, name
 
 
+def test_bessel_jy_large_order_golden(golden):
+    # Orders past 12 between 3|nu| and nu^2/4, below the Hankel knee, on
+    # both sides of the order's sign.
+    assert rel_err(bessel_j(20.5, 70.0), golden["bessel_j_20p5_70"]) < 1e-13
+    assert rel_err(bessel_y(-30.0, 100.0), golden["bessel_y_m30_100"]) < 1e-13
+    assert rel_err(bessel_j(60.0, 500.0), golden["bessel_j_60_500"]) < 1e-13
+    assert rel_err(bessel_y(-45.2, 300.0), golden["bessel_y_m45p2_300"]) < 1e-13
+
+
 def test_bessel_k_golden(golden):
     assert rel_err(bessel_k(0.0, 1.0), golden["bessel_k_0_1"]) < 1e-12
     assert rel_err(bessel_k(0.25, 2.0), golden["bessel_k_0p25_2"]) < 1e-12

@@ -21,8 +21,9 @@ order with |Im nu| <= 5 split at |x| = 2); e^w E1(w); e^{-y} Ei(y); the
 Dixon-Ferrar psi; J_nu(x) and Y_nu(x) by order band (|nu| in [0, 0.5],
 within 2e-3 of an integer, [0.5, 2] and [2, 10], each sign) and by x
 range (the series and Temme's series below 2, Steed's method in [2, 8)
-and [8, knee), the Hankel expansion from the knee max(14, 3|nu|) to
-1e3).  J and Y errors are
+and [8, knee), the Hankel expansion from the knee max(14, 3|nu|, nu^2/4)
+to 1e3), and at |nu| in [10, 60], each sign, from x = 2|nu| to the knee
+and from the knee to 1e3.  J and Y errors are
 relative, except near a zero (where the oracle changes sign within
 min(1/2, x/4) of x): there they are absolute over sqrt(2/(pi x)), the
 functions' envelope.
@@ -189,10 +190,12 @@ def _jy_regions(rng, draw, sign, x_range, n) -> list:
     return worst
 
 
-def _jy_build(rng, n: int) -> dict:
-    def knee(nu):
-        return max(14.0, 3.0 * abs(nu))
+def _knee(nu):
+    # specfun._bessel_jy's switch to the Hankel expansion.
+    return max(14.0, 3.0 * abs(nu), 0.25 * nu * nu)
 
+
+def _jy_build(rng, n: int) -> dict:
     def near_integer(r):
         # One order in four is the integer itself.
         return round(r.uniform(0.0, 10.0)) + (
@@ -204,8 +207,21 @@ def _jy_build(rng, n: int) -> dict:
              ("[2, 10]", lambda r: float(r.uniform(2.0, 10.0))))
     x_ranges = (("[1e-8, 2)", lambda nu: (1e-8, 2.0 - 1e-12)),
                 ("[2, 8)", lambda nu: (2.0, 8.0 - 1e-12)),
-                ("[8, knee)", lambda nu: (8.0, knee(nu) * (1.0 - 1e-12))),
-                ("[knee, 1e3]", lambda nu: (knee(nu), 1e3)))
+                ("[8, knee)", lambda nu: (8.0, _knee(nu) * (1.0 - 1e-12))),
+                ("[knee, 1e3]", lambda nu: (_knee(nu), 1e3)))
+    return _jy_band_regions(rng, bands, x_ranges, n)
+
+
+def _jy_large_order_build(rng, n: int) -> dict:
+    """|nu| in [10, 60] from x = 2|nu|, past the turning point x = |nu|,
+    to 1e3: Steed's method below the knee, Hankel's expansion above it."""
+    bands = (("[10, 60]", lambda r: float(r.uniform(10.0, 60.0))),)
+    x_ranges = (("[2|nu|, knee)", lambda nu: (2.0 * abs(nu), _knee(nu) * (1.0 - 1e-12))),
+                ("[knee, 1e3]", lambda nu: (_knee(nu), 1e3)))
+    return _jy_band_regions(rng, bands, x_ranges, n)
+
+
+def _jy_band_regions(rng, bands, x_ranges, n: int) -> dict:
     regions = {}
     for band, draw in bands:
         for sign in (1.0, -1.0):
@@ -366,6 +382,7 @@ def build(n: int, seed: int) -> dict:
             xs = _log_uniform(rng, a, b, n)
             regions[f"{name} in [{a:.3g}, {b:.3g}]"] = _worst(fn(xs), xs, oracle)
     regions.update(_jy_build(rng, n))
+    regions.update(_jy_large_order_build(np.random.default_rng([seed, 6]), n))
     regions.update(_gamma_zeta_xi_build(rng, n))
     regions.update(_omega_regions(np.random.default_rng([seed, 5]), n))
     return regions

@@ -255,6 +255,12 @@ def golden_values():
     put("bessel_y_3p0018_4", bessely(mpf("3.0018"), 4), "Y_3.0018(4)")
     put("bessel_j_m1p4_13p2", besselj(mpf("-1.4"), mpf("13.2")), "J_-1.4(13.2)")
     put("bessel_y_m0p6_12p5", bessely(mpf("-0.6"), mpf("12.5")), "Y_-0.6(12.5)")
+    # Large orders between 3|nu| and nu^2/4, where Hankel's expansion
+    # cannot start: Steed's region up to the knee.
+    put("bessel_j_20p5_70", besselj(mpf("20.5"), 70), "J_20.5(70)")
+    put("bessel_y_m30_100", bessely(-30, 100), "Y_-30(100)")
+    put("bessel_j_60_500", besselj(60, 500), "J_60(500)")
+    put("bessel_y_m45p2_300", bessely(mpf("-45.2"), 300), "Y_-45.2(300)")
     put("bessel_k_0_1", besselk(0, 1), "K_0(1)")
     put("bessel_k_0p25_2", besselk(mpf("0.25"), 2), "K_0.25(2)")
     put("bessel_k_0p3_cplx", besselk(mpf("0.3"), 2 * exp(i * pi / 4)),

@@ -34,7 +34,8 @@ an `omega-laplace` sweep at z = -0.6, and an alpha outside [1/4, 4] in
 covers.  Then the input rules, each said once: complex z refused by the
 three J-kernel identities (J and Y take a real order only), an x the
 pair transform refuses, Omega outside its strip |Re z| < 1, and a
-complex literal with a leading dot: 86 commands in all.
+complex literal with a leading dot.  Last, J and Y at orders 20.5 and
+-30 between 3|nu| and nu^2/4: 88 commands in all.
 
 Then come five bit probes, one per special function that every identity
 runs through: `bessel_k_scaled`, `bessel_k`, `riemann_zeta`, `zeta_star`
@@ -180,6 +181,9 @@ COMMANDS = (
     ("verify", "pair-reciprocity", "--x=-1"),
     ("eval", "omega", "--z=1.5"),
     ("eval", "gamma", "--s=-.5-.5i"),
+    # J and Y at large orders between 3|nu| and nu^2/4, below the Hankel knee.
+    ("eval", "bessel-j", "--nu=20.5", "--x=70"),
+    ("eval", "bessel-y", "--nu=-30", "--x=100"),
 )
 
 # Reads a JSON list of argv lists on stdin and prints, per argv, the
