@@ -135,31 +135,29 @@ def _alphas(alpha) -> list:
     return alphas
 
 
-def _reports(identity_id: str, params: dict, alpha, lhs, rhs, budgets: dict,
+def _reports(identity_id: str, params: dict, alphas: list, lhs, rhs, budgets: dict,
              tolerance: float):
-    """The report at each alpha of a verifier's alpha argument from columns
+    """The report at each of alphas (_alphas of params["alpha"]) from columns
     with an entry per alpha (lhs, rhs, each budget); params names the
     identity's parameters in its order, alpha among them.  One alpha gives
     one report, a sequence a list."""
-    alphas = _alphas(alpha)
     reports = [_report(identity_id, {**params, "alpha": a}, lhs[col], rhs[col],
                        {k: v[col] for k, v in budgets.items()}, tolerance)
                for col, a in enumerate(alphas)]
-    return reports if np.ndim(alpha) else reports[0]
+    return reports if np.ndim(params["alpha"]) else reports[0]
 
 
-def _xi_grid(identity_id: str, z: complex, g: Callable, alpha, tolerance: float,
-             pref, rhs, budgets: dict):
-    """The report(s) of a Xi-pair identity at alpha (_reports), from one
-    vector integral over [0, T] of the Xi pair against g(t)
-    cos(t log(alpha)/2), a column per alpha, to _XI_SPEC: g(t), the
+def _xi_grid(identity_id: str, z: complex, g: Callable, alpha, alphas: list,
+             tolerance: float, pref, rhs, budgets: dict):
+    """The report(s) of a Xi-pair identity at alpha (_reports), alphas its
+    list (_alphas), from one vector integral over [0, T] of the Xi pair
+    against g(t) cos(t log(alpha)/2), a column per alpha, to _XI_SPEC: g(t), the
     alpha-free part of the weight, and the Xi pair are evaluated once per
     node.  The Xi pair decays at least like exp(-pi t/4) and |g(T)| must
     bound |g| on [T, inf): with the cosine replaced by 1 that bounds every
     column's discarded piece (xi_cutoff).  The lhs is pref times the
     integral; pref, rhs and the rhs's budgets (a quad_err adds to the
     integral's) are columns, pref a number where it is one for every alpha."""
-    alphas = _alphas(alpha)
     pref = pref if np.ndim(pref) else [pref] * len(alphas)
     T = 60.0
     la = np.array([math.log(a) for a in alphas])
@@ -175,7 +173,7 @@ def _xi_grid(identity_id: str, z: complex, g: Callable, alpha, tolerance: float,
     for key, col in budgets.items():
         own[key] = np.add(own.get(key, 0.0), col)
     lhs = [complex(p) * v for p, v in zip(pref, res.value.tolist())]
-    return _reports(identity_id, {"z": z, "alpha": alpha}, alpha, lhs, rhs, own, tolerance)
+    return _reports(identity_id, {"z": z, "alpha": alpha}, alphas, lhs, rhs, own, tolerance)
 
 
 def _modular_grid(identity_id: str, F: Callable, z: complex, alpha, tolerance: float):
@@ -185,7 +183,7 @@ def _modular_grid(identity_id: str, F: Callable, z: complex, alpha, tolerance: f
     alphas = _alphas(alpha)
     m = len(alphas)
     values, budgets = F([*alphas, *(1.0 / a for a in alphas)])
-    return _reports(identity_id, {"alpha": alpha, "z": z}, alpha, values[:m], values[m:],
+    return _reports(identity_id, {"alpha": alpha, "z": z}, alphas, values[:m], values[m:],
                     {k: v[:m] + v[m:] for k, v in budgets.items()}, tolerance)
 
 
@@ -292,7 +290,8 @@ def verify_rg_corollary(z=0.5+0j, alpha=1.0,
         return 1.0 / ((t * t + zp) * (t * t + zm))
 
     frak, budgets = f_frak(z, alphas)
-    return _xi_grid("rg-corollary", z, g, alpha, tolerance, -(32.0 / math.pi), frak, budgets)
+    return _xi_grid("rg-corollary", z, g, alpha, alphas, tolerance, -(32.0 / math.pi), frak,
+                    budgets)
 
 
 def verify_rg_corollary_z0(alpha=1.0,
@@ -316,7 +315,7 @@ def verify_rg_corollary_z0(alpha=1.0,
         # d(n) Theta(pi n) <= 2 sqrt(n) (1 + beta) times the K envelope.
         tail.append(_k_series_tail(2.0 * (1.0 + beta), 0.5, 2.0 * math.pi * min(a, beta),
                                    _SERIES_TERMS + 1))
-    return _xi_grid("rg-corollary-z0", 0.0 + 0.0j, g, alpha, tolerance,
+    return _xi_grid("rg-corollary-z0", 0.0 + 0.0j, g, alpha, alphas, tolerance,
                     (32.0 / math.pi) / (2.0 * np.sqrt(alphas)), rhs, {"series_tail": tail})
 
 
@@ -343,7 +342,7 @@ def verify_hurwitz_corollary(z=0.5+0j, alpha=1.0,
 
     pref = 8.0 * (4.0 * math.pi) ** (0.5 * (z - 3.0)) / gamma(z + 1.0)
     F, budgets = _hurwitz_F(z, alphas)
-    return _xi_grid("hurwitz-corollary", z, g, alpha, tolerance, pref, F, budgets)
+    return _xi_grid("hurwitz-corollary", z, g, alpha, alphas, tolerance, pref, F, budgets)
 
 
 def verify_hurwitz_modular(z=0.5+0j, alpha=1.0,
@@ -425,7 +424,7 @@ def verify_hurwitz_corollary_z0(alpha=1.0,
                                   for v in _divisor_k_series(cs, 0.0, _SERIES_TERMS, _XI_SPEC))
     z1, z1p = np.array([_k_pair_z1(a) for a in alphas]).T
     rhs = (0.5 * math.pi) * series.real - 0.5 * ((EULER_GAMMA - math.log(2.0 * math.pi)) * z1 + z1p)
-    return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alpha, tolerance,
+    return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alpha, alphas, tolerance,
                     math.pi ** (-1.5) / (2.0 * np.sqrt(alphas)), rhs,
                     {"quad_err": 0.5 * math.pi * quad_err, "series_tail": 0.5 * math.pi * tail_err})
 
@@ -448,7 +447,7 @@ def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5+0j,
     scale_r = np.array([abs(p) for p in pref_r])
     budgets = {"quad_err": abs(pref_l) * quad_err, "series_tail": abs(pref_l) * tail_err,
                "em_residual": scale_r * resid, "eval_err": _EVAL_ULPS * scale_r * mag}
-    return _reports("bessel-hurwitz-sum", {"z": z, "alpha": alpha}, alpha,
+    return _reports("bessel-hurwitz-sum", {"z": z, "alpha": alpha}, alphas,
                     [complex(pref_l) * v for v in series.tolist()],
                     [complex(p) * v for p, v in zip(pref_r, lam.tolist())], budgets, tolerance)
 
@@ -531,7 +530,7 @@ def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5+0j,
     budgets = {"quad_err": r.err_estimate, "truncation": r.truncation_bound,
                "eval_err": [3.0 * _EVAL_ULPS * (abs(v) + abs(h))
                             for v, h in zip(r.value.tolist(), rhs)]}
-    return _reports("laplace-bessel", {"alpha": alpha, "y": y, "z": complex(zr)}, alpha,
+    return _reports("laplace-bessel", {"alpha": alpha, "y": y, "z": complex(zr)}, alphas,
                     r.value, rhs, budgets, tolerance)
 
 
@@ -639,7 +638,7 @@ def verify_omega_laplace(alpha=1.0, z=0.5+0j,
     rhs, rhs_budgets = _hurwitz_F(z, alphas, gamma(z + 1.0) / (2.0 * math.pi) ** (z + 1.0))
     budgets = {"quad_err": quad_err, **rhs_budgets}
     budgets["eval_err"] += _EVAL_ULPS * ulps           # the lhs's Omega
-    return _reports("omega-laplace", {"alpha": alpha, "z": z}, alpha, lhs, rhs, budgets,
+    return _reports("omega-laplace", {"alpha": alpha, "z": z}, alphas, lhs, rhs, budgets,
                     tolerance)
 
 

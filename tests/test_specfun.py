@@ -306,6 +306,9 @@ def test_bessel_j_golden(golden):
     # Below the Hankel knee at 8 < x < 14: a near-zero and a negative order.
     assert rel_err(bessel_j(0.001, 13.9), golden["bessel_j_0p001_13p9"]) < 1e-12
     assert rel_err(bessel_j(-1.4, 13.2), golden["bessel_j_m1p4_13p2"]) < 1e-12
+    # Orders past 12 between 3|nu| and nu^2/4, below the Hankel knee.
+    assert rel_err(bessel_j(20.5, 70.0), golden["bessel_j_20p5_70"]) < 1e-13
+    assert rel_err(bessel_j(60.0, 500.0), golden["bessel_j_60_500"]) < 1e-13
 
 
 def test_bessel_y_golden(golden):
@@ -322,14 +325,8 @@ def test_bessel_y_golden(golden):
                         (3.0018, 4.0, "bessel_y_3p0018_4"),
                         (-0.6, 12.5, "bessel_y_m0p6_12p5")):
         assert rel_err(bessel_y(nu, x), golden[name]) < 1e-12, name
-
-
-def test_bessel_jy_large_order_golden(golden):
-    # Orders past 12 between 3|nu| and nu^2/4, below the Hankel knee, on
-    # both sides of the order's sign.
-    assert rel_err(bessel_j(20.5, 70.0), golden["bessel_j_20p5_70"]) < 1e-13
+    # Negative orders past 12 between 3|nu| and nu^2/4, below the Hankel knee.
     assert rel_err(bessel_y(-30.0, 100.0), golden["bessel_y_m30_100"]) < 1e-13
-    assert rel_err(bessel_j(60.0, 500.0), golden["bessel_j_60_500"]) < 1e-13
     assert rel_err(bessel_y(-45.2, 300.0), golden["bessel_y_m45p2_300"]) < 1e-13
 
 
