@@ -31,7 +31,7 @@ import sys
 from . import arith, kernels, specfun
 from .errors import ConvergenceError, DecayError, KoshliakovError
 from .identities import IDENTITIES
-from .reporting import SweepRow, csv_lines, report_json, write_csv, write_svg
+from .reporting import csv_lines, report_json, write_csv, write_svg
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -154,22 +154,22 @@ def cmd_sweep(args) -> int:
                           "parameter to sweep")
     grid = _alpha_grid(args.alpha_min, args.alpha_max, args.steps)
     try:
-        rows = [SweepRow.from_report(r) for r in entry.verify({**named, "alpha": grid}, tol)]
+        reports, code = entry.verify({**named, "alpha": grid}, tol), EXIT_PASS
     except (ConvergenceError, DecayError) as exc:
         # Work shared by every row failed, so no row has a value.  Any
         # other error is an input error, and exits 3 as in verify.
         print(f"alpha={grid[0]:.6g}..{grid[-1]:.6g}: {exc}", file=sys.stderr)
-        rows = [SweepRow.failed(alpha) for alpha in grid]
+        reports, code = [None] * len(grid), EXIT_FAIL
     # The files first, so a path that cannot be written leaves stdout empty.
     for path, write, rest in ((args.out, write_csv, ()), (args.svg, write_svg, (args.identity,))):
         if path:
             try:
-                write(path, rows, *rest)
+                write(path, grid, reports, *rest)
             except OSError as exc:
                 raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
     if not args.out:
-        print("\n".join(csv_lines(rows)))
-    return EXIT_PASS if all(r.ok for r in rows) else EXIT_FAIL
+        print("\n".join(csv_lines(grid, reports)))
+    return code
 
 
 # eval's functions: name -> (function, the defaults of its arguments in

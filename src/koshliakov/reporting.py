@@ -10,34 +10,10 @@ chart; no plotting dependency.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .identities import VerificationReport
 
 CSV_HEADER = "alpha,lhs_re,lhs_im,rhs_re,rhs_im,abs_diff,rel_diff"
-
-
-class SweepRow(NamedTuple):
-    """One alpha sample of a sweep; failed rows carry NaN payloads."""
-
-    alpha: float
-    lhs: complex
-    rhs: complex
-    abs_diff: float
-    rel_diff: float
-    ok: bool
-
-    @classmethod
-    def from_report(cls, report: VerificationReport) -> "SweepRow":
-        return cls(alpha=float(report.params.get("alpha", math.nan)),
-                   lhs=complex(report.lhs), rhs=complex(report.rhs),
-                   abs_diff=float(report.abs_diff),
-                   rel_diff=float(report.rel_diff), ok=True)
-
-    @classmethod
-    def failed(cls, alpha: float) -> "SweepRow":
-        nan = math.nan
-        return cls(float(alpha), complex(nan, nan), complex(nan, nan), nan, nan, False)
 
 
 def report_json(report: VerificationReport) -> str:
@@ -49,20 +25,30 @@ def _fmt(v: float) -> str:
     return "nan" if math.isnan(v) else repr(float(v))
 
 
-def csv_lines(rows: list[SweepRow]) -> list[str]:
+def _rows(alphas: list, reports: list) -> list[tuple]:
+    """(alpha, lhs, rhs, abs_diff, rel_diff) per row in alpha order, nan
+    where the report is None.  The key sorts on alpha alone, since complex
+    sides have no order: a degenerate grid ties, and keeps grid order."""
+    nan, cnan = math.nan, complex(math.nan, math.nan)
+    rows = [(float(a), cnan, cnan, nan, nan) if r is None else
+            (float(a), complex(r.lhs), complex(r.rhs), float(r.abs_diff), float(r.rel_diff))
+            for a, r in zip(alphas, reports)]
+    return sorted(rows, key=lambda row: row[0])
+
+
+def csv_lines(alphas: list, reports: list) -> list[str]:
     lines = [CSV_HEADER]
-    for r in sorted(rows, key=lambda r: r.alpha):
+    for alpha, lhs, rhs, abs_diff, rel_diff in _rows(alphas, reports):
         lines.append(",".join([
-            _fmt(r.alpha), _fmt(r.lhs.real), _fmt(r.lhs.imag),
-            _fmt(r.rhs.real), _fmt(r.rhs.imag), _fmt(r.abs_diff),
-            _fmt(r.rel_diff),
+            _fmt(alpha), _fmt(lhs.real), _fmt(lhs.imag), _fmt(rhs.real), _fmt(rhs.imag),
+            _fmt(abs_diff), _fmt(rel_diff),
         ]))
     return lines
 
 
-def write_csv(path: str, rows: list[SweepRow]) -> None:
+def write_csv(path: str, alphas: list, reports: list) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(csv_lines(rows)) + "\n")
+        fh.write("\n".join(csv_lines(alphas, reports)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +148,14 @@ class _Panel:
         return out
 
 
-def svg_document(rows: list[SweepRow], identity_id: str) -> str:
+def svg_document(alphas: list, reports: list, identity_id: str) -> str:
     """Two-panel chart: abs_diff (log scale) and the quotient lhs/rhs vs
     alpha.  Rows with NaN payloads are dropped from the polylines but keep
     their place in the CSV."""
-    rows = sorted(rows, key=lambda r: r.alpha)
-    diff_pts = [(r.alpha, r.abs_diff) for r in rows]
-    quot_pts = [(r.alpha, (r.lhs / r.rhs).real
-                  if r.ok and abs(r.rhs) > 0 and not math.isnan(r.rhs.real) else math.nan)
-                 for r in rows]
+    rows = _rows(alphas, reports)
+    diff_pts = [(alpha, abs_diff) for alpha, _, _, abs_diff, _ in rows]
+    quot_pts = [(alpha, (lhs / rhs).real if abs(rhs) > 0 and not math.isnan(rhs.real)
+                 else math.nan) for alpha, lhs, rhs, _, _ in rows]
     left = _Panel(_MARGIN_L, f"{identity_id}: abs_diff", "abs diff (log10)",
                   diff_pts, log_y=True)
     right = _Panel(_MARGIN_L + _PANEL_W + _GAP, f"{identity_id}: lhs/rhs",
@@ -185,6 +170,6 @@ def svg_document(rows: list[SweepRow], identity_id: str) -> str:
     )
 
 
-def write_svg(path: str, rows: list[SweepRow], identity_id: str) -> None:
+def write_svg(path: str, alphas: list, reports: list, identity_id: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(svg_document(rows, identity_id))
+        fh.write(svg_document(alphas, reports, identity_id))

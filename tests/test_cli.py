@@ -119,8 +119,8 @@ def test_usage_inapplicable_flag(capsys):
 
 
 def test_verify_pair_reciprocity_defaults_exit_3(capsys):
-    # The default z = 0.5 is on the K-pair's closed edge, outside the
-    # transform's open |Re z| < 1/2.
+    # The default z = 0.5 is outside the transform's open |Re z| < 1/2,
+    # the one rule for where a pair is reciprocal.
     code = main(["verify", "pair-reciprocity"])
     captured = capsys.readouterr()
     assert code == 3
@@ -148,7 +148,13 @@ def test_j_kernel_identities_refuse_complex_z(argv, capsys):
     (["verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=-1"],
      "x must be positive"),
     (["verify", "pair-reciprocity", "--pair=nope"], "unknown pair 'nope'"),
-    (["eval", "omega", "--z=1.5"], "|Re z| < 1 required")])
+    (["eval", "omega", "--z=1.5"], "|Re z| < 1 required"),
+    # Where a pair is reciprocal is the transform's rule; a pair's own
+    # functions may narrow it, as the Dixon-Ferrar pair's do to z = 0.
+    (["verify", "pair-reciprocity", "--z=0.7"], "first Koshliakov transform needs |Re z| < 1/2"),
+    (["verify", "pair-reciprocity", "--z=0.7+0.1i"], "J and Y take a real order only"),
+    (["verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0.25"],
+     "the Dixon-Ferrar pair is defined at z=0 only")])
 def test_verify_and_eval_domain_messages(argv, message, capsys):
     assert main(argv) == 3
     captured = capsys.readouterr()
@@ -235,6 +241,16 @@ def test_sweep_grid_ends_at_alpha_max(capsys):
                  "--steps=20"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 21 and float(lines[-1].split(",")[0]) == 4.0
+
+
+def test_sweep_degenerate_grid_prints_every_row(capsys):
+    # alpha-min = alpha-max gives tied alphas; rows sort on alpha alone,
+    # since complex sides have no order.
+    assert main(["sweep", "rg-formula", "--alpha-min=1", "--alpha-max=1", "--steps=3"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == CSV_HEADER and len(lines) == 4
+    assert [line.split(",")[0] for line in lines[1:]] == ["1.0"] * 3
+    assert len(set(lines[1:])) == 1
 
 
 @pytest.mark.parametrize("flag", ["--out", "--svg"])

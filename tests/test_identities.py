@@ -375,7 +375,7 @@ def test_pair_reciprocity_k():
 
 
 def test_pair_reciprocity_transform_edge():
-    # The K-pair admits Re z = +-1/2, the transform does not.
+    # The transform's open |Re z| < 1/2 is where a pair is reciprocal.
     for z in (0.5, -0.5):
         with pytest.raises(DomainError, match="1/2"):
             verify_pair_reciprocity(pair_k_bessel(2.0), z, 1.0)
@@ -390,8 +390,7 @@ def test_pair_reciprocity_scaled_psi_fails(pair_alpha, x, z):
     good = pair_k_bessel(pair_alpha)
     r = verify_pair_reciprocity(good, z, x)
     assert r.passed and r.budgets["mirrored_rel_diff"] < 1e-10
-    bad = ReciprocalPair(good.phi, lambda t, zz: 1.01 * good.psi(t, zz),
-                         good.z_domain, good.label)
+    bad = ReciprocalPair(good.phi, lambda t, zz: 1.01 * good.psi(t, zz), good.label)
     assert not verify_pair_reciprocity(bad, z, x).passed
 
 

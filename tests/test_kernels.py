@@ -56,8 +56,10 @@ def test_k_bessel_self_reciprocal_under_transform():
 
 
 def test_transform_order_domain():
-    with pytest.raises(DomainError):
-        first_koshliakov_transform(lambda t: np.exp(-t), 0.7, 1.0)
+    # |Re z| < 1/2 is open, and refuses nan as the pairs' rule.
+    for z in (0.7, 0.5, math.nan):
+        with pytest.raises(DomainError, match="1/2"):
+            first_koshliakov_transform(lambda t: np.exp(-t), z, 1.0)
 
 
 def test_theta_golden(golden):
@@ -94,9 +96,12 @@ def test_mellin_numeric_refuses_power_decay():
 
 
 def test_dixon_ferrar_z_domain():
+    # The pair narrows the transform's |Re z| < 1/2 to z = 0 in phi and psi.
     pair = pair_dixon_ferrar()
-    with pytest.raises(DomainError):
-        pair.check_z(0.25)
+    for fn in (pair.phi, pair.psi):
+        for z in (0.25, 1e-13, 1e-13j):
+            with pytest.raises(DomainError, match="z=0 only"):
+                fn(1.0, z)
 
 
 def test_pair_Z_matches_closed_form():

@@ -20,7 +20,6 @@ from koshliakov.identities import (IDENTITIES, IdentityEntry, VerificationReport
                                    verify_mellin_k)
 from koshliakov.kernels import ReciprocalPair, pair_k_bessel
 from koshliakov.quadrature import QuadratureResult, QuadratureSpec
-from koshliakov.reporting import SweepRow
 
 LAYERS = ("specfun", "arith", "quadrature", "kernels", "reporting", "identities")
 
@@ -33,7 +32,6 @@ def _report():
 # Each maker builds a fresh record with the same fields on every call.
 MAKERS = {
     "VerificationReport": _report,
-    "SweepRow": lambda: SweepRow.from_report(_report()),
     "QuadratureSpec": lambda: QuadratureSpec(abs_tol=1e-12),
     "QuadratureResult": lambda: QuadratureResult(1.5 + 0j, 1e-14, 15),
     "ReciprocalPair": lambda: pair_k_bessel(2.0),
@@ -42,10 +40,9 @@ MAKERS = {
 FIELDS = {
     "VerificationReport": ("identity_id", "params", "lhs", "rhs", "abs_diff",
                            "rel_diff", "budgets", "tolerance", "passed"),
-    "SweepRow": ("alpha", "lhs", "rhs", "abs_diff", "rel_diff", "ok"),
     "QuadratureSpec": ("abs_tol", "rel_tol", "max_panels"),
     "QuadratureResult": ("value", "err_estimate", "nodes_used", "truncation_bound"),
-    "ReciprocalPair": ("phi", "psi", "z_domain", "label", "Z_closed"),
+    "ReciprocalPair": ("phi", "psi", "label", "Z_closed"),
     "IdentityEntry": ("runner", "summary", "defaults", "tolerance"),
 }
 

@@ -24,7 +24,7 @@ lambda` at z = 0), `eval li` at four points that reach the E1
 continued fraction, the E1 series and the Ei series, `eval omega` on
 both sides of its switch from partial fractions to the definition at
 x = 1/4, and `list`, whose `tol` column both this tool and the benchmark
-read.  Last come the one z strip |Re z| < 1 and the one alpha rule:
+read.  Then come the one z strip |Re z| < 1 and the one alpha rule:
 `rg-corollary` at z = 0 (its own report, no longer `rg-corollary-z0`'s),
 the Hurwitz identities at z = 0, on the line Re z = 0 and at Re z < 0,
 an `omega-laplace` sweep at z = -0.6, and an alpha outside [1/4, 4] in
@@ -34,8 +34,12 @@ an `omega-laplace` sweep at z = -0.6, and an alpha outside [1/4, 4] in
 covers.  Then the input rules, each said once: complex z refused by the
 three J-kernel identities (J and Y take a real order only), an x the
 pair transform refuses, Omega outside its strip |Re z| < 1, and a
-complex literal with a leading dot.  Last, J and Y at orders 20.5 and
--30 between 3|nu| and nu^2/4: 88 commands in all.
+complex literal with a leading dot.  Then J and Y at orders 20.5 and
+-30 between 3|nu| and nu^2/4, a sweep over a degenerate grid (alpha-min =
+alpha-max), and the pair inputs that the one z rule refuses: |Re z| >= 1/2,
+complex z, and z other than 0 for the Dixon-Ferrar pair.  Last, one sweep
+writes --out and --svg into a temp dir per tree, and its CSV and SVG bytes
+are compared with its exit code and stdout: 94 commands in all.
 
 Then come five bit probes, one per special function that every identity
 runs through: `bessel_k_scaled`, `bessel_k`, `riemann_zeta`, `zeta_star`
@@ -59,8 +63,9 @@ one process per tree, to supply them;
 the line also counts rows whose status changed, a row failing when it
 is `nan` or its diff misses the identity's tolerance (as `verify` judges
 it).  An `eval` that differs gives both exit codes and the relative move
-of its value.  Any other command or probe that differs is reported as
-`differs`.  The exit status is 0 when every command and every probe is
+of its value.  The sweep that writes files names the parts that differ
+(exit code, stdout, CSV, SVG).  Any other command or probe that differs is
+reported as `differs`.  The exit status is 0 when every command and every probe is
 identical, else 1.
 """
 
@@ -72,6 +77,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 _XI_GRID = ("--alpha-min=0.2500", "--alpha-max=4.0000", "--steps=61")
 _OMEGA_GRID = ("--alpha-min=0.5000", "--alpha-max=2.0000", "--steps=11")
@@ -184,7 +190,19 @@ COMMANDS = (
     # J and Y at large orders between 3|nu| and nu^2/4, below the Hankel knee.
     ("eval", "bessel-j", "--nu=20.5", "--x=70"),
     ("eval", "bessel-y", "--nu=-30", "--x=100"),
+    # A degenerate grid: tied alphas keep grid order.
+    ("sweep", "rg-formula", "--alpha-min=1", "--alpha-max=1", "--steps=3"),
+    # One z rule per pair: the transform's, narrowed to z = 0 by the
+    # Dixon-Ferrar pair's own functions.
+    ("verify", "pair-reciprocity", "--z=0.7"),
+    ("verify", "pair-reciprocity", "--z=0.7+0.1i"),
+    ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0.25"),
+    ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=1e-13"),
 )
+
+# A sweep that writes --out and --svg, into a temp dir per tree; its exit
+# code, stdout, CSV and SVG are compared byte for byte.
+FILE_SWEEP = ("sweep", "rg-formula", "--alpha-min=0.5", "--alpha-max=2", "--steps=5")
 
 # Reads a JSON list of argv lists on stdin and prints, per argv, the
 # report `verify` printed, or null when it printed none.
@@ -246,6 +264,22 @@ def _run(src: str, args: list, stdin: str | None = None):
 
 def _cli(src: str, argv) -> tuple:
     return _run(src, ["-m", "koshliakov.cli", *argv])
+
+
+def _files(src: str, argv) -> dict:
+    """Exit code, stdout and the CSV and SVG bytes (None if not written)
+    of a sweep run with --out and --svg in a temp dir."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"CSV": os.path.join(tmp, "sweep.csv"), "SVG": os.path.join(tmp, "sweep.svg")}
+        rc, out = _cli(src, [*argv, f"--out={paths['CSV']}", f"--svg={paths['SVG']}"])
+        got = {"exit code": rc, "stdout": out}
+        for name, path in paths.items():
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    got[name] = fh.read()
+            else:
+                got[name] = None
+        return got
 
 
 def _tolerances(src: str) -> dict:
@@ -355,7 +389,12 @@ def main(argv=None) -> int:
             else:
                 verdict = "differs"
         print(f"{' '.join(cmd)}: {verdict}", flush=True)
-    print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands identical")
+    old, new = (_files(src, FILE_SWEEP) for src in (args.old_src, args.new_src))
+    parts = [part for part in old if old[part] != new[part]]
+    differ += bool(parts)
+    print(f"{' '.join(FILE_SWEEP)} --out --svg: "
+          f"{'differs in ' + ', '.join(parts) if parts else 'identical'}", flush=True)
+    print(f"{len(COMMANDS) + 1 - differ} of {len(COMMANDS) + 1} commands identical")
     old_bits, new_bits = (_run(src, ["-c", _BITS_CHILD])[1].splitlines()
                           for src in (args.old_src, args.new_src))
     bits_differ = 0
