@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, LimitError
@@ -12,10 +14,12 @@ _TABLE_LIMIT = 10_000_000
 
 
 def sigma(a, n: int) -> complex:
-    """sigma_a(n) = sum of d**a over the divisors d of n, by trial division."""
+    """sigma_a(n) = sum of d**a over the divisors d of n, by trial division to sqrt(n)."""
     n = int(n)
     if n < 1:
         raise DomainError("sigma requires n >= 1")
+    if math.isqrt(n) > _TABLE_LIMIT:
+        raise LimitError(f"trial division to sqrt({n}) exceeds the {_TABLE_LIMIT} bound")
     a = complex(a)
     total = 0.0 + 0.0j
     d = 1

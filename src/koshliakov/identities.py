@@ -15,7 +15,7 @@ integrates per alpha.  The verifier hands _reports a column per side and
 budget, an entry per alpha.
 
 Every truncated series sums _SERIES_TERMS terms directly and adds a
-bound or an asymptotic remainder for the rest, so no verifier takes a
+bound or a convergent remainder for the rest, so no verifier takes a
 term count.
 """
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import arith, quadrature   # head/tail rules via the module, so wrappers see them
 from .errors import DomainError
-from .kernels import (ReciprocalPair, _check_z, _divisor_tail_moment, _omega_roundoff,
+from .kernels import (ReciprocalPair, _check_z, _divisor_sum, _omega_plan, _omega_roundoff,
                       first_koshliakov_transform, lambda_sum,
                       omega_combination, pair_dixon_ferrar, pair_k_bessel,
                       transform_kernel)
@@ -354,54 +354,25 @@ def verify_hurwitz_modular(z=0.5+0j, alpha=1.0,
                          alpha, tolerance)
 
 
-def _divisor_k_series(cs, z: complex, N: int, spec: QuadratureSpec):
+def _divisor_k_series(cs, z: complex, spec: QuadratureSpec):
     """sum_n sigma_{-z}(n) n^{z+1} I_n(c) at every K scale c of cs, where
     I_n(c) integrates x^{1+z/2} K_{z/2}(2 c x) (x^2 + pi^2 n^2)^{-(z+3)/2}
-    over x > 0: the series side of both Hurwitz-type identities.  The
-    n <= N part is one vector integral with a column per c, whose n-sum is
-    formed once per node; the n > N remainder is asymptotic, per column.
-    Returns (values, quadrature errors, series tail bounds), arrays."""
+    over x > 0: the series side of both Hurwitz-type identities.  It is
+    one vector integral with a column per c, whose n-sum runs to infinity
+    once per node: pi^{2 expo} times kernels._divisor_sum at y2 = (x/pi)^2
+    and expo = -(z+3)/2, _SERIES_TERMS terms direct and the rest from the
+    tail moments.  Returns (values, quadrature errors), arrays."""
     cs = np.asarray(cs, dtype=float)
-    nn = np.arange(1, N + 1, dtype=float)
-    weights = arith.build_table(-z, N) * nn ** (z + 1.0)
-    a2 = (math.pi * nn) ** 2
-    expo = -0.5 * (z + 3.0)
+    N, expo = _SERIES_TERMS, -0.5 * (z + 3.0)
+    weights = _omega_plan(z, N) * np.arange(1, N + 1, dtype=float) ** (z + 1.0)
 
     def f(x):
-        # The n-sum row by row: a matrix product blocks by batch size, so
-        # a point's bits would depend on the rest of its array.
-        mix = (np.power(np.add.outer(x * x, a2), expo) * weights).sum(axis=1)
+        mix = math.pi ** (2.0 * expo) * _divisor_sum((x / math.pi) ** 2, z, N, weights, expo)
         kw = bessel_k(0.5 * z, np.multiply.outer(x, 2.0 * cs))
         return (np.power(x, 1.0 + 0.5 * z) * mix)[:, None] * kw
 
     r = integrate_half_line(f, 2.0 * cs.min() * 0.9, spec)
-
-    # n > N remainder: expand (x^2+pi^2 n^2)^{-(z+3)/2} in x/(pi n), so each
-    # term is a Mellin moment of K_{z/2}(2 c x) times a divisor tail;
-    # asymptotic, truncated at the smallest term, with the x > pi n
-    # interchange mass bounded by the K decay.
-    gam = gamma(np.arange(1.0, 61.0)) * gamma(np.arange(1.0, 61.0) + 0.5 * z)
-    moments = []            # the divisor tails, shared by the columns
-    tails, tail_errs = [], []
-    for c in cs:
-        tail, tail_err, prev = 0.0, 0.0, math.inf
-        binom = 1.0 + 0.0j          # binom(expo, j), by product recursion
-        for j in range(60):
-            if j == len(moments):
-                moments.append(_divisor_tail_moment(z, N, j))
-            mj = 2.0 ** (0.5 * z + 2 * j) * (2.0 * c) ** (-(2.0 + 0.5 * z + 2 * j)) * gam[j]
-            term = binom * math.pi ** (-(z + 3.0) - 2 * j) * mj * moments[j]
-            binom *= (expo - j) / (j + 1.0)
-            if abs(term) >= prev:       # past the smallest term
-                tail_err = abs(term)
-                break
-            tail += term
-            prev = tail_err = abs(term)
-            if prev < 1e-18:
-                break
-        tails.append(tail)
-        tail_errs.append(tail_err + 10.0 * math.exp(-2.0 * math.pi * (N + 1) * c))
-    return r.value + np.array(tails), r.total_error, np.array(tail_errs)
+    return r.value, r.total_error
 
 
 def verify_hurwitz_corollary_z0(alpha=1.0,
@@ -420,13 +391,13 @@ def verify_hurwitz_corollary_z0(alpha=1.0,
 
     cs = sorted({*alphas, *(1.0 / a for a in alphas)})
     own, mirror = [cs.index(a) for a in alphas], [cs.index(1.0 / a) for a in alphas]
-    series, quad_err, tail_err = (v[own] + v[mirror] / np.array(alphas)
-                                  for v in _divisor_k_series(cs, 0.0, _SERIES_TERMS, _XI_SPEC))
+    series, quad_err = (v[own] + v[mirror] / np.array(alphas)
+                        for v in _divisor_k_series(cs, 0.0, _XI_SPEC))
     z1, z1p = np.array([_k_pair_z1(a) for a in alphas]).T
     rhs = (0.5 * math.pi) * series.real - 0.5 * ((EULER_GAMMA - math.log(2.0 * math.pi)) * z1 + z1p)
     return _xi_grid("hurwitz-corollary-z0", 0.0 + 0.0j, g, alpha, alphas, tolerance,
                     math.pi ** (-1.5) / (2.0 * np.sqrt(alphas)), rhs,
-                    {"quad_err": 0.5 * math.pi * quad_err, "series_tail": 0.5 * math.pi * tail_err})
+                    {"quad_err": 0.5 * math.pi * quad_err})
 
 
 def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5+0j,
@@ -440,13 +411,12 @@ def verify_bessel_hurwitz_sum(alpha=1.0, z=0.5+0j,
     z = _check_z(z)
     alphas = _alphas(alpha)
     pref_l, gamma_z1 = math.pi ** (z + 0.5) * gamma(0.5 * (z + 3.0)), gamma(z + 1.0)
-    series, quad_err, tail_err = _divisor_k_series(alphas, z, _SERIES_TERMS,
-                                                   _BESSEL_HURWITZ_SPEC)
+    series, quad_err = _divisor_k_series(alphas, z, _BESSEL_HURWITZ_SPEC)
     lam, resid, mag = lambda_sum(np.asarray(alphas, dtype=float), z, _SERIES_TERMS)
     pref_r = [a ** (0.5 * z) / 2.0 ** (z + 2.0) * gamma_z1 for a in alphas]
     scale_r = np.array([abs(p) for p in pref_r])
-    budgets = {"quad_err": abs(pref_l) * quad_err, "series_tail": abs(pref_l) * tail_err,
-               "em_residual": scale_r * resid, "eval_err": _EVAL_ULPS * scale_r * mag}
+    budgets = {"quad_err": abs(pref_l) * quad_err, "em_residual": scale_r * resid,
+               "eval_err": _EVAL_ULPS * scale_r * mag}
     return _reports("bessel-hurwitz-sum", {"z": z, "alpha": alpha}, alphas,
                     [complex(pref_l) * v for v in series.tolist()],
                     [complex(p) * v for p, v in zip(pref_r, lam.tolist())], budgets, tolerance)

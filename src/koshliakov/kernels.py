@@ -224,11 +224,10 @@ def _omega_definition(x: float, z: complex) -> complex:
     return complex(np.sum(2.0 * sig * np.power(n, 0.5 * z) * pair))
 
 
-# A sweep holds z fixed, and each plan has at most 61 moments.
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=4)          # a sweep holds z fixed
 def _omega_plan(z: complex, N: int) -> np.ndarray:
-    """sigma_{-z}(1..N), read-only: the x-independent part of
-    partial-fraction Omega at (z, N) besides the moments."""
+    """sigma_{-z}(1..N), read-only: the first N weights of _divisor_sum's
+    two callers, partial-fraction Omega and the divisor-K series."""
     sig = arith.build_table(-z, N)
     sig.flags.writeable = False
     return sig
@@ -236,14 +235,13 @@ def _omega_plan(z: complex, N: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _divisor_tail_moment(z: complex, N: int, j: int) -> complex:
-    """d_j = sum_{n>N} sigma_{-z}(n) n^{-2j-2}, assembled from Hurwitz-zeta
-    tails through sigma's Dirichlet convolution,
+    """d_j = sum_{n>N} sigma_{-z}(n) n^{-2j-2}, the coefficients of the one
+    caller's (_divisor_sum's) n > N series, from Hurwitz-zeta tails by
+    sigma's Dirichlet convolution,
         d_j = sum_{d<=N} d^{-s-z} zeta(s, floor(N/d)+1)
               + zeta(s) zeta(s+z, N+1),    s = 2j+2.
     Differencing zeta(s) zeta(s+z) against a partial sum instead leaves
-    only roundoff for j >= 2, which x^{2j} then amplifies without bound.
-    Partial-fraction Omega and the n > N remainder of the divisor-K
-    series in identities both take their divisor tails from here.
+    only roundoff for j >= 2, which y2^j then amplifies without bound.
     """
     n = np.arange(1, N + 1, dtype=float)
     uniq, inverse = np.unique(N // np.arange(1, N + 1), return_inverse=True)
@@ -253,43 +251,41 @@ def _divisor_tail_moment(z: complex, N: int, j: int) -> complex:
     return np.sum(n ** (-s - z) * hz[inverse]) + hz[-2] * hz[-1]
 
 
-def _omega_pf(x: np.ndarray, z: complex, n_terms: int) -> np.ndarray:
-    """Partial-fraction omega_combination, vectorized over x; requires
-    max(x) < N+1.
-
-    The n > N remainder is restored analytically through the moments
-    d_j of _divisor_tail_moment, whose alternating series in x^{2j}
-    converges geometrically in (x/(N+1))^2; a bare truncation at the default N
-    would strand the cross-mode agreement near 1e-7.  Everything that
-    does not depend on x comes from the (z, N) plan and moment caches.
-    The pole pieces -Gamma(z) zeta(z) (2 pi sqrt x)^{-z} - zeta(1+z) x^{z/2}/2
-    are (R - P)/(2z) with P = zeta*(1+z) x^{z/2} and R = zeta*(1-z)
-    sec(pi z/2) x^{-z/2} (specfun._pole_quotient): z = 0 is no exception.
+def _divisor_sum(y2: np.ndarray, z: complex, N: int, weights: np.ndarray, expo) -> np.ndarray:
+    """sum_{n>=1} w_n (n^2 + y2)^expo at each y2 >= 0, for the weights
+    w_n = sigma_{-z}(n) n^{-2-2 expo}, whose first N are given: n <= N
+    directly, row by row (a point's bits do not depend on its array) in
+    blocks of 32 points; n > N as sum_j binom(expo, j) y2^j d_j in the
+    tail moments d_j, until each term is below 1e-19 of the direct sum.
+    That series converges geometrically in y2/(N+1)^2 and stalls
+    (ConvergenceError) from (N+1)^2 on; at expo = -1 binom is exactly +-1.
     """
-    N = n_terms
-    if float(np.max(x)) >= N + 1.0:
-        raise DomainError("partial fractions need x < n_terms + 1")
-    sigma = _omega_plan(z, N)
     n2 = np.arange(1, N + 1, dtype=float) ** 2
-    # The (points x N) direct sum in blocks of 32 points bounds the memory.
-    s_direct = np.concatenate([np.sum(sigma / (n2 + xb[:, None] ** 2), axis=1)
-                               for xb in np.split(x, range(32, x.size, 32))])
+    direct = np.concatenate([np.sum(weights / (n2 + yb[:, None]) ** -expo, axis=1)
+                             for yb in np.split(y2, range(32, y2.size, 32))])
+    tail = np.zeros_like(y2, dtype=complex)
+    binom = 1.0                     # binom(expo, j), by product recursion
+    for j in range(61):
+        piece = binom * y2 ** j * _divisor_tail_moment(z, N, j)
+        tail += piece
+        if np.all(np.abs(piece) <= 1e-19 * np.maximum(np.abs(direct), 1e-30)):
+            return direct + tail
+        binom *= (expo - j) / (j + 1.0)
+    raise ConvergenceError(f"divisor-sum moment series stalled: y2 near (N+1)^2 = {(N + 1) ** 2}")
 
-    # Moment tail.
-    s_tail = np.zeros_like(x, dtype=complex)
-    x2 = x ** 2
-    converged = False
-    for j in range(0, 61):
-        piece = (-1.0) ** j * x2 ** j * _divisor_tail_moment(z, N, j)
-        s_tail += piece
-        if np.all(np.abs(piece) <= 1e-19 * np.maximum(np.abs(s_direct), 1e-30)):
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            "partial-fraction moment tail stalled; raise n_terms above 2x")
-    s_all = s_direct + s_tail
 
+def _omega_pf(x: np.ndarray, z: complex, n_terms: int) -> np.ndarray:
+    """Partial-fraction omega_combination, vectorized over x < n_terms + 1:
+    sum sigma_{-z}(n)/(n^2 + x^2) is _divisor_sum's at expo = -1, its n > N
+    tail restored by the moment series (a bare truncation at the default N
+    would strand the cross-mode agreement near 1e-7).  The pole pieces
+    -Gamma(z) zeta(z) (2 pi sqrt x)^{-z} - zeta(1+z) x^{z/2}/2 are
+    (R - P)/(2z) with P = zeta*(1+z) x^{z/2} and R = zeta*(1-z) sec(pi z/2)
+    x^{-z/2} (specfun._pole_quotient): z = 0 is no exception.
+    """
+    if float(np.max(x)) >= n_terms + 1.0:
+        raise DomainError("partial fractions need x < n_terms + 1")
+    s_all = _divisor_sum(x ** 2, z, n_terms, _omega_plan(z, n_terms), -1.0)
     lx = 0.5 * np.log(x)
     return -0.5 * _pole_quotient(z, lx, -lx)[0] + np.power(x, 0.5 * z + 1.0) * s_all / math.pi
 

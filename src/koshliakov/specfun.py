@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from . import arith
+from .errors import DomainError, LimitError, PoleError
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -198,9 +199,10 @@ def _hurwitz_em(w, a, lam: bool = False) -> np.ndarray:
     pair lambda(a, w - 1) = zeta(w, a) - a^{1-w}/(w-1) - a^{-w}/2, finite at
     w = 1, and the sum of its pieces' magnitudes (the pieces cancel).
 
-    Every point takes its own shift N and its own stop in the tail.  The
-    points go through in blocks of _EM_BLOCK, so the (points x shift) and
-    (points x tail term) temporaries stay a few hundred kB at any size.
+    Every point takes its own shift N and its own stop in the tail; a shift
+    past arith._TABLE_LIMIT terms is a LimitError, before its row is made.
+    The points go through in blocks of _EM_BLOCK, so the (points x shift)
+    and (points x tail term) temporaries stay a few hundred kB at any size.
     """
     w, a = np.broadcast_arrays(np.asarray(w, dtype=complex), np.asarray(a, dtype=complex))
     if (a.real <= 0.0).any():
@@ -221,7 +223,10 @@ def _hurwitz_block(w: np.ndarray, a: np.ndarray, lam: bool):
     target = np.maximum(np.maximum(1.3 * (np.abs(w.imag) + np.abs(a.imag)), 15.0),
                         0.4 * np.abs(w) + 8.0)
     # lambda needs no shift past the target: its head is then 0.
-    N = np.maximum(np.ceil(target - a.real), 0.0 if lam else 1.0).astype(int)
+    N = np.maximum(np.ceil(target - a.real), 0.0 if lam else 1.0)
+    if not (N <= arith._TABLE_LIMIT).all():
+        raise LimitError(f"Euler-Maclaurin shift of {N.max():.3g} terms exceeds the bound")
+    N = N.astype(int)
     rows = np.arange(w.size)
     # (n + a)^-w for n <= N: the running sum read at n = N - 1 is the direct
     # sum, the power at n = N is A^-w at the shift A = N + a.

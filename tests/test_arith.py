@@ -47,6 +47,14 @@ def test_sigma_domain():
         sigma(0.0, -5)
 
 
+def test_sigma_trial_division_bound():
+    # Trial division runs to sqrt(n): past build_table's bound it took
+    # 9.5 s at n = 10^16 and would take minutes at 10^20, so it is refused.
+    for n in ((10 ** 7 + 1) ** 2, 10 ** 16, 10 ** 20):
+        with pytest.raises(LimitError):
+            sigma(0.0, n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=400),
        st.integers(min_value=1, max_value=400))

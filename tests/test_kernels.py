@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from koshliakov import kernels
-from koshliakov.errors import DecayError, DomainError
+from koshliakov.errors import ConvergenceError, DecayError, DomainError
 from koshliakov.kernels import (_omega_definition, first_koshliakov_transform,
                                 koshliakov_kernel, lambda_fn, lambda_sum,
                                 omega, omega_combination,
@@ -198,6 +198,38 @@ def test_divisor_tail_moment_matches_direct_sum(z, j):
     direct = complex(np.sum(sig * n ** (-2.0 * j - 2.0)))
     assert rel_err(kernels._divisor_tail_moment(z, N, j), direct) < 1e-12
 
+
+
+def _divisor_weights(z: complex, N: int, expo) -> np.ndarray:
+    """The first N weights sigma_{-z}(n) n^{-2-2 expo} that _divisor_sum's
+    tail moments continue."""
+    n = np.arange(1, N + 1, dtype=float)
+    return kernels.arith.build_table(-z, N) * n ** (-2.0 - 2.0 * expo)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5, 0.3 + 0.2j, -0.9 + 0.5j])
+def test_divisor_sum_split_does_not_matter(z):
+    # Where the direct sum stops is no part of the value: 40 terms and the
+    # moment series agree with 400 terms and theirs, for partial-fraction
+    # Omega (expo = -1) and the divisor-K integrand (expo = -(z+3)/2), out
+    # to y2/(N+1)^2 = 1/4 at N = 40.
+    z = complex(z)
+    y2 = np.linspace(0.0, (41.0 / 2.0) ** 2, 101)
+    for expo in (-1.0, -0.5 * (z + 3.0)):
+        short, long = (kernels._divisor_sum(y2, z, N, _divisor_weights(z, N, expo), expo)
+                       for N in (40, 400))
+        assert np.max(np.abs(short - long) / np.abs(long)) < 2e-15, expo
+
+
+@pytest.mark.parametrize("expo", [-1.0, -1.65 - 0.1j])
+def test_divisor_sum_refuses_its_radius(expo):
+    # The moment series converges only for y2 < (N+1)^2; at and past that
+    # radius it stalls and raises.
+    N = 10
+    w = _divisor_weights(0.3 + 0.2j, N, expo)
+    for y2 in (float((N + 1) ** 2), 400.0):
+        with pytest.raises(ConvergenceError):
+            kernels._divisor_sum(np.array([1.0, y2]), 0.3 + 0.2j, N, w, expo)
 
 def test_omega_plan_reused_across_x(monkeypatch):
     # A second call at the same (z, N) and a new x rebuilds nothing.

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from koshliakov import specfun
-from koshliakov.errors import DomainError, PoleError
+from koshliakov.errors import DomainError, LimitError, PoleError
 from koshliakov.specfun import (_B2K, EULER_GAMMA, bessel_j, bessel_k,
                                 bessel_k_scaled, bessel_y, big_xi, digamma,
                                 exp_integral_ei, exp_integral_li, gamma,
@@ -125,6 +125,17 @@ def test_zeta_known_points():
 def test_zeta_pole():
     with pytest.raises(PoleError):
         riemann_zeta(1.0)
+
+
+def test_zeta_shift_bound():
+    # The Euler-Maclaurin shift grows like 0.4|s|; past 10^7 terms its row
+    # would not fit in memory (2.9 TiB at s = 1e12), so the shift is
+    # refused before any row is allocated.  At s = 2.6e7 it is 1.04e7.
+    for s in (1e12, 0.5 + 1e12j, 2.6e7):
+        with pytest.raises(LimitError):
+            riemann_zeta(s)
+    with pytest.raises(LimitError):
+        hurwitz_zeta(1e12, np.array([0.5, 2.0]))
 
 
 def test_zeta_functional_equation():

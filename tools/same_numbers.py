@@ -37,9 +37,12 @@ pair transform refuses, Omega outside its strip |Re z| < 1, and a
 complex literal with a leading dot.  Then J and Y at orders 20.5 and
 -30 between 3|nu| and nu^2/4, a sweep over a degenerate grid (alpha-min =
 alpha-max), and the pair inputs that the one z rule refuses: |Re z| >= 1/2,
-complex z, and z other than 0 for the Dixon-Ferrar pair.  Last, one sweep
-writes --out and --svg into a temp dir per tree, and its CSV and SVG bytes
-are compared with its exit code and stdout: 94 commands in all.
+complex z, and z other than 0 for the Dixon-Ferrar pair, and the
+divisor-K series at the strip and alpha edges (`bessel-hurwitz-sum` at
+z = -0.95 and 0.5+3i with alpha = 1/4 and at z = -0.99 with alpha = 4,
+`hurwitz-corollary-z0` at alpha = 0.6).  Last, one sweep writes --out
+and --svg into a temp dir per tree, and its CSV and SVG bytes are
+compared with its exit code and stdout: 98 commands in all.
 
 Then come five bit probes, one per special function that every identity
 runs through: `bessel_k_scaled`, `bessel_k`, `riemann_zeta`, `zeta_star`
@@ -198,6 +201,12 @@ COMMANDS = (
     ("verify", "pair-reciprocity", "--z=0.7+0.1i"),
     ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0.25"),
     ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=1e-13"),
+    # The divisor-K series at the strip and alpha edges: its n-sum runs
+    # to infinity once per node through the tail moments.
+    ("verify", "bessel-hurwitz-sum", "--z=-0.95", "--alpha=0.25"),
+    ("verify", "bessel-hurwitz-sum", "--z=0.5+3i", "--alpha=0.25"),
+    ("verify", "bessel-hurwitz-sum", "--z=-0.99", "--alpha=4"),
+    ("verify", "hurwitz-corollary-z0", "--alpha=0.6"),
 )
 
 # A sweep that writes --out and --svg, into a temp dir per tree; its exit
