@@ -30,13 +30,13 @@ import numpy as np
 
 from . import arith, quadrature   # head/tail rules via the module, so wrappers see them
 from .errors import DomainError
-from .kernels import (ReciprocalPair, _check_z, _divisor_sum, _omega_plan, _omega_roundoff,
-                      first_koshliakov_transform, lambda_sum,
+from .kernels import (ReciprocalPair, _check_z, _divisor_sum, _k_envelope, _omega_bound,
+                      _omega_plan, _omega_roundoff, first_koshliakov_transform, lambda_sum,
                       omega_combination, pair_dixon_ferrar, pair_k_bessel,
                       transform_kernel)
-from .quadrature import QuadratureSpec, integrate_finite, integrate_half_line
-from .specfun import (EULER_GAMMA, _lgamma_slope, _pole_quotient, _real_order, bessel_j,
-                      bessel_k, big_xi, gamma, riemann_zeta)
+from .quadrature import QuadratureSpec, integrate_finite, integrate_half_line, tail_certificate
+from .specfun import (EULER_GAMMA, _bessel_jy, _lgamma_slope, _pole_quotient, _real_order,
+                      bessel_j, bessel_k, big_xi, gamma, riemann_zeta)
 
 _TINY = 1e-300
 _EPS = 2.0 ** -52
@@ -216,8 +216,8 @@ def _k_series_tail(coeff: float, p: float, c: float, n_from: int) -> float:
 # sides (each Hurwitz value, power and pole pair), applied to the sum of
 # the pieces' magnitudes, so cancellation among them is charged to the
 # bound.  Against 30-digit mpmath the largest error was 0.38 of it over 84
-# (z, alpha) points of f_frak and RATIO_LAMBDA of it over LAMBDA_POINTS
-# points of _hurwitz_F.
+# (z, alpha) points of f_frak and 0.050 of it over the 17 golden points of
+# _hurwitz_F.
 _EVAL_ULPS = 16.0 * _EPS
 
 
@@ -361,7 +361,10 @@ def _divisor_k_series(cs, z: complex, spec: QuadratureSpec):
     one vector integral with a column per c, whose n-sum runs to infinity
     once per node: pi^{2 expo} times kernels._divisor_sum at y2 = (x/pi)^2
     and expo = -(z+3)/2, _SERIES_TERMS terms direct and the rest from the
-    tail moments.  Returns (values, quadrature errors), arrays."""
+    tail moments.  Returns (values, quadrature errors), arrays.  With
+    |x^2 + pi^2 n^2|^expo <= (pi n)^{-(Re z+3)} the n-sum is at most
+    pi^{-(Re z+3)} zeta(2) zeta(2+Re z), times x^{1+Re z/2} and K's
+    _k_envelope: each column's tail certificate."""
     cs = np.asarray(cs, dtype=float)
     N, expo = _SERIES_TERMS, -0.5 * (z + 3.0)
     weights = _omega_plan(z, N) * np.arange(1, N + 1, dtype=float) ** (z + 1.0)
@@ -371,7 +374,10 @@ def _divisor_k_series(cs, z: complex, spec: QuadratureSpec):
         kw = bessel_k(0.5 * z, np.multiply.outer(x, 2.0 * cs))
         return (np.power(x, 1.0 + 0.5 * z) * mix)[:, None] * kw
 
-    r = integrate_half_line(f, 2.0 * cs.min() * 0.9, spec)
+    n_sum = math.pi ** -(z.real + 3.0) * math.pi ** 2 / 6.0 * riemann_zeta(2.0 + z.real).real
+    decays = [tail_certificate(n_sum * A, p + 1.0 + 0.5 * z.real, b)
+              for A, p, b in (_k_envelope(0.5 * z, 2.0 * c) for c in cs)]
+    r = integrate_half_line(f, decays, spec)
     return r.value, r.total_error
 
 
@@ -463,11 +469,13 @@ def verify_mellin_k(s=2+0j, nu=0j, q: float = 1.0,
                         out[tiny] += c_refl * np.exp((s - 1.0 + mu) * lx)
         return out
 
-    # The integrand peaks near x = (Re s - 1)/q, past the [1, 2] window
-    # where integrate_half_line fits its tail envelope once Re s > 1 + 2q:
-    # integrate in u = x/m with that peak at u <= 1.
+    # The integrand peaks near x = (Re s - 1)/q: integrate in u = x/m with
+    # that peak at u <= 1, in the head.  For u >= 1, |m (mu)^{s-1} K_nu(qmu)|
+    # <= m^{Re s} u^{Re s - 1} |K_nu(qmu)|, and _k_envelope bounds K.
     m = max(1.0, (s.real - 1.0) / q)
-    r = integrate_half_line(lambda u: m * f(m * u), 0.8 * q * m, _MELLIN_SPEC)
+    A, p, b = _k_envelope(nu, q * m)
+    r = integrate_half_line(lambda u: m * f(m * u),
+                            tail_certificate(m ** s.real * A, p + s.real - 1.0, b), _MELLIN_SPEC)
     lhs = r.value
     rhs = 2.0 ** (s - 2.0) * q ** (-s) * gamma(0.5 * (s - nu)) * gamma(0.5 * (s + nu))
     # The sides' rounding: each multiplies at most four factors, each within
@@ -490,8 +498,11 @@ def verify_laplace_bessel(alpha=1.0, y: float = 1.0, z=0.5+0j,
     if y <= 0.0:
         raise DomainError("y > 0 required")
     c = 4.0 * math.pi * math.sqrt(y)
+    # For x >= 1, |J_z(c sqrt x)| <= sqrt(J^2 + Y^2)(c): Nicholson's J^2 + Y^2
+    # falls with the argument (DLMF 10.9.30, Watson 13.74).
+    j, yc = _bessel_jy(zr, np.array([c]))
     r = _laplace_columns(lambda x: np.power(x, 0.5 * zr) * bessel_j(zr, c * np.sqrt(x)),
-                         alphas, _LAPLACE_BESSEL_SPEC)
+                         (math.hypot(j[0], yc[0]), 0.5 * zr), alphas, _LAPLACE_BESSEL_SPEC)
     rhs = [math.exp(-2.0 * math.pi * y / a) * y ** (0.5 * zr) / (2.0 * math.pi * a ** (zr + 1.0))
            for a in alphas]
     # The sides' rounding: each multiplies three factors, each within
@@ -554,27 +565,30 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5+0j,
                    tolerance)
 
 
-def _laplace_columns(weight: Callable, cols, spec: QuadratureSpec):
+def _laplace_columns(weight: Callable, bound: tuple, cols, spec: QuadratureSpec):
     """Integral over x > 0 of e^{-2 pi c x} weight(x) for every c of cols,
     from one vector integral: weight is evaluated once per node, the
-    exponential once per node and column.  The tail rate is 0.95 of the
-    smallest c's, which leaves room for a weight that grows like a power.
+    exponential once per node and column.  bound = (A, p) has |weight(x)|
+    <= A x^p for x >= 1, which gives each column its tail certificate.
     Returns the QuadratureResult, one value and error per column."""
     cols = np.asarray(cols, dtype=float)
 
     def f(x):
         return weight(x)[:, None] * np.exp(-2.0 * math.pi * np.multiply.outer(x, cols))
 
-    return integrate_half_line(f, 2.0 * math.pi * cols.min() * 0.95, spec)
+    return integrate_half_line(f, [tail_certificate(*bound, 2.0 * math.pi * c) for c in cols],
+                               spec)
 
 
 def _omega_laplace(z: complex, points):
     """The Laplace side of both Omega identities, the integral over x > 0 of
     e^{-w x} x^{z/2} (Omega - zeta(z) x^{z/2-1}/(2 pi)) at each w = 2 pi p
     of points (_laplace_columns): (values, quadrature errors, ulps), where
-    _EVAL_ULPS ulps bounds Omega's roundoff integrated against the weight."""
+    _EVAL_ULPS ulps bounds Omega's roundoff integrated against the weight,
+    at most (_omega_bound + |zeta(z)|/(2 pi)) x^{Re z/2} for x >= 1."""
+    bound = _omega_bound(z) + abs(riemann_zeta(z)) / (2.0 * math.pi), 0.5 * z.real
     r = _laplace_columns(lambda x: omega_combination(x, z, 500) * np.power(x, 0.5 * z),
-                         points, _OMEGA_LAPLACE_SPEC)
+                         bound, points, _OMEGA_LAPLACE_SPEC)
     k = _omega_roundoff(z)
     w = 2.0 * math.pi * np.asarray(points)
     return r.value, r.total_error, k * (gamma(1.0 + z.real).real * w ** (-1.0 - z.real) + 1.0 / w)
@@ -619,10 +633,12 @@ def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5+0j, x: float = 1.0,
     the transform checks z (real, |Re z| < 1/2) and x > 0 for both
     directions, and the pair's phi any narrower rule of its own."""
     zr = complex(z).real
-    mir = first_koshliakov_transform(lambda t: pair.phi(t, zr), z, 4.0 * x, _PAIR_SPEC)
-    if pair.label == "dixon-ferrar":
-        # psi ~ -1/(4 pi t^2) decays like a power: go to T0, then sum
-        # half-period segments of the oscillatory remainder in u = sqrt(t).
+    mir = first_koshliakov_transform(lambda t: pair.phi(t, zr), z, 4.0 * x,
+                                     pair.phi_envelope(zr), _PAIR_SPEC)
+    if pair.psi_envelope is None:
+        # psi decays like a power (the Dixon-Ferrar psi like -1/(4 pi t^2)):
+        # go to T0, then sum half-period segments of the oscillatory
+        # remainder in u = sqrt(t).
         def f(t):
             return pair.psi(t, zr) * transform_kernel(zr, 4.0 * np.sqrt(t * x))
 
@@ -637,7 +653,8 @@ def verify_pair_reciprocity(pair: ReciprocalPair, z=0.5+0j, x: float = 1.0,
         fwd_err = head.err_estimate + osc.err_estimate
     else:
         # psi, like phi below, decays exponentially: the first transform.
-        r = first_koshliakov_transform(lambda t: pair.psi(t, zr), zr, 4.0 * x, _PAIR_SPEC)
+        r = first_koshliakov_transform(lambda t: pair.psi(t, zr), zr, 4.0 * x,
+                                       pair.psi_envelope(zr), _PAIR_SPEC)
         fwd, fwd_err = r.value, r.total_error
     lhs = complex(np.asarray(pair.phi(np.array([x]), zr))[0])
     rhs = 2.0 * fwd

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import arith
 from .errors import ConvergenceError, DecayError, DomainError
-from .quadrature import QuadratureResult, QuadratureSpec, integrate_half_line
+from .quadrature import QuadratureResult, QuadratureSpec, integrate_half_line, tail_certificate
 from .specfun import (_EM_COEF, _bessel_jy, _e1_minus_ei_scaled, _exp_slope, _hurwitz_em,
-                      _pole_quotient, _real_order, bessel_k, gamma, riemann_zeta)
+                      _pole_quotient, _real_order, bessel_k, bessel_k_scaled, gamma, riemann_zeta)
 
 # The kernels hand their Hurwitz points to specfun._hurwitz_em, the array
 # core of hurwitz_zeta, one array per call.  perfbench/trace_child.py keys
@@ -49,6 +49,15 @@ def _kernel(nu: float, v):
     return float(out[0]) if np.ndim(v) == 0 else out
 
 
+def _k_envelope(nu, c: float) -> tuple:
+    """(A, -1/2, c) with |K_nu(c t)| <= A t^{-1/2} e^{-ct} for t >= 1, c > 0:
+    |K_nu| <= K_r with r = |Re nu| (DLMF 10.32.9), and sqrt(x) e^x K_r(x)
+    falls with x for r >= 1/2 and rises to sqrt(pi/2) for r < 1/2
+    (DLMF 10.32.8), so A is the larger of e^c K_r(c) and sqrt(pi/(2c))."""
+    r = abs(complex(nu).real)
+    return max(bessel_k_scaled(r, c).real, math.sqrt(0.5 * math.pi / c)), -0.5, c
+
+
 def koshliakov_kernel(z, x):
     """cos(pi z/2) M_z(4 sqrt(x)) - sin(pi z/2) J_z(4 sqrt(x))."""
     return _kernel(_real_order(z), 4.0 * np.sqrt(np.asarray(x, dtype=float)))
@@ -60,14 +69,16 @@ def transform_kernel(z, v):
     return _kernel(2.0 * _real_order(z), v)
 
 
-def first_koshliakov_transform(g, z, x: float,
+def first_koshliakov_transform(g, z, x: float, envelope: tuple,
                                spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Integral of g(t) against the transform kernel at argument 2 sqrt(xt).
 
-    g must accept an array of t > 0 and decay exponentially.  The kernel
-    grows like |log t| toward 0, which the half-line rule's singular-
-    endpoint head absorbs; the tail rate is 0.9 times the log-slope of |g|
-    from t=2 to t=6, and the half-line rule checks its envelope.
+    g must accept an array of t > 0, with |g(t)| <= A t^p e^{-bt} for
+    t >= 1, envelope = (A, p, b).  The kernel grows like |log t| toward 0,
+    which the half-line rule's singular-endpoint head absorbs.  For t >= 1
+    it is at most (2/pi) |cos pi z| K_{2z}(v0) + (|cos pi z| + |sin pi z|)
+    sqrt(J^2 + Y^2)(v0), v0 = 2 sqrt(x): K (real order) and Nicholson's
+    J^2 + Y^2 (DLMF 10.9.30, Watson 13.74) fall with the argument.
     """
     zr = _real_order(z)
     if not abs(zr) < 0.5:
@@ -80,9 +91,12 @@ def first_koshliakov_transform(g, z, x: float,
         t = np.asarray(t, dtype=float)
         return np.asarray(g(t)) * transform_kernel(zr, 2.0 * np.sqrt(x * t))
 
-    a, b = np.abs(np.asarray(g(np.array([2.0, 6.0])))).tolist()
-    slope = math.log(max(a, 1e-300) / max(b, 1e-300)) / 4.0
-    return integrate_half_line(integrand, min(max(0.9 * slope, 0.15), 12.0), spec)
+    v0 = 2.0 * math.sqrt(x)
+    (j,), (y,) = _bessel_jy(2.0 * zr, np.array([v0]))
+    cos, sin = abs(math.cos(math.pi * zr)), abs(math.sin(math.pi * zr))
+    kernel = (2.0 / math.pi) * cos * bessel_k(2.0 * zr, v0).real + (cos + sin) * math.hypot(j, y)
+    A, p, b = envelope
+    return integrate_half_line(integrand, tail_certificate(A * kernel, p, b), spec)
 
 
 class ReciprocalPair(NamedTuple):
@@ -91,13 +105,17 @@ class ReciprocalPair(NamedTuple):
     phi and psi map (x: positive array or scalar, z) to values.  The pair
     is reciprocal where the first transform is defined (real z, |Re z| <
     1/2); phi and psi may refuse more, as the Dixon-Ferrar pair's refuse
-    every z but 0.  Z_closed, when present, gives the closed form of the
-    shared normalized Mellin transform.
+    every z but 0.  phi_envelope(z) gives (A, p, b) with |phi(t, z)| <=
+    A t^p e^{-bt} for t >= 1; psi_envelope likewise, or None where psi has
+    no exponential envelope.  Z_closed, when present, gives the closed
+    form of the shared normalized Mellin transform.
     """
 
     phi: Callable
     psi: Callable
     label: str
+    phi_envelope: Callable
+    psi_envelope: Optional[Callable]
     Z_closed: Optional[Callable] = None
 
 
@@ -119,8 +137,13 @@ def pair_k_bessel(alpha: float) -> ReciprocalPair:
         s = complex(s)
         return (cmath.exp(-s * log_a) + cmath.exp((s - 1.0) * log_a)) / 4.0
 
+    def psi_envelope(z):
+        A, p, b = _k_envelope(z, 2.0 * beta)
+        return beta * A, p, b
+
     return ReciprocalPair(phi=phi, psi=psi, label=f"k-bessel(alpha={alpha:g})",
-                          Z_closed=z_closed)
+                          phi_envelope=lambda z: _k_envelope(z, 2.0 * alpha),
+                          psi_envelope=psi_envelope, Z_closed=z_closed)
 
 
 def _df_psi(x):
@@ -136,7 +159,8 @@ def _df_psi(x):
 
 
 def pair_dixon_ferrar() -> ReciprocalPair:
-    """The z=0 pair (e^{-x}, -(2/pi)(e^{4x} li(e^{-4x}) + e^{-4x} li(e^{4x})))."""
+    """The z=0 pair (e^{-x}, -(2/pi)(e^{4x} li(e^{-4x}) + e^{-4x} li(e^{4x})));
+    psi decays like a power, so it has no exponential envelope."""
 
     def check(z):
         if complex(z) != 0.0:
@@ -150,7 +174,8 @@ def pair_dixon_ferrar() -> ReciprocalPair:
         check(z)
         return _df_psi(x)
 
-    return ReciprocalPair(phi=phi, psi=psi, label="dixon-ferrar")
+    return ReciprocalPair(phi=phi, psi=psi, label="dixon-ferrar",
+                          phi_envelope=lambda z: (1.0, 0.0, 1.0), psi_envelope=None)
 
 
 def theta_eval(pair: ReciprocalPair, x, z):
@@ -158,35 +183,23 @@ def theta_eval(pair: ReciprocalPair, x, z):
     return pair.phi(x, z) + pair.psi(x, z)
 
 
-def _mellin_numeric(f, s: complex, spec: QuadratureSpec) -> complex:
-    """Integral of x^{s-1} f(x) over (0, inf) for exponentially decaying f;
-    the tail rate is fitted from samples at x=4 and x=8, and the half-line
-    rule checks it."""
-
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
-        return np.power(x, s - 1.0) * np.asarray(f(x))
-
-    a, b = np.abs(np.asarray(integrand(np.array([4.0, 8.0])))).tolist()
-    if not b <= 0.125 * a:
-        raise DecayError(
-            f"Mellin integrand is not exponentially decaying: |x^(s-1) f| is "
-            f"{a:.3g} at x=4 and {b:.3g} at x=8")
-    rate = min(max(math.log(a / b) / 4.0, 0.15), 12.0) if b > 0.0 else 12.0
-    return integrate_half_line(integrand, rate, spec).value
-
-
 def pair_Z_numeric(pair: ReciprocalPair, s, z) -> complex:
-    """(Mellin(phi) + Mellin(psi))(s) / (Gamma((s-z)/2) Gamma((s+z)/2))."""
+    """Mellin(Theta)(s) / (Gamma((s-z)/2) Gamma((s+z)/2)), Theta = phi + psi:
+    for t >= 1, |x^{s-1} Theta| <= (A1 + A2) t^{max(p1, p2) + Re s - 1}
+    e^{-min(b1, b2) t} by the pair's envelopes; DecayError for a psi
+    without an exponential envelope."""
     z = complex(z)
     s = complex(s)
     if s.real <= abs(z.real) + 1e-9:
         raise DomainError(
             f"Mellin strip needs Re s > |Re z|; got Re s = {s.real}, Re z = {z.real}")
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
-    total = (_mellin_numeric(lambda x: pair.phi(x, z), s, spec)
-             + _mellin_numeric(lambda x: pair.psi(x, z), s, spec))
-    return total / (gamma(0.5 * (s - z)) * gamma(0.5 * (s + z)))
+    if pair.psi_envelope is None:
+        raise DecayError(f"the {pair.label} pair's psi has no exponential envelope")
+    (A1, p1, b1), (A2, p2, b2) = pair.phi_envelope(z), pair.psi_envelope(z)
+    r = integrate_half_line(lambda x: np.power(x, s - 1.0) * theta_eval(pair, x, z),
+                            tail_certificate(A1 + A2, max(p1, p2) + s.real - 1.0, min(b1, b2)),
+                            QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
+    return r.value / (gamma(0.5 * (s - z)) * gamma(0.5 * (s + z)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +235,20 @@ def _omega_definition(x: float, z: complex) -> complex:
         kp, km = np.split(bessel_k(z, np.concatenate([w, np.conj(w)])), 2)
         pair = rot * kp + km / rot
     return complex(np.sum(2.0 * sig * np.power(n, 0.5 * z) * pair))
+
+
+def _omega_bound(z: complex) -> float:
+    """M with |Omega(x, z)| <= M for x >= 1, from the defining K-series:
+    |sigma_{-z}(n)| <= n^{1+|Re z|}, the two phases are at most
+    2 cosh(pi Im z/4), and |K_z(w)| <= K_{|Re z|}(Re w) (DLMF 10.32.9), Re w
+    = k sqrt(nx), k = 2 sqrt(2) pi, under _k_envelope; so term n falls with
+    x, and at x = 1 is 4 cosh(pi Im z/4) A n^a e^{-k sqrt n}, a = 3/4 +
+    |Re z| + Re z/2.  Past n = 1 these sum to at most their integral from
+    1, 2 int_1^inf u^{2a+1} e^{-ku} du <= 2 e^{-k}/(k - 2a - 1)."""
+    k = 2.0 * math.sqrt(2.0) * math.pi
+    a = 0.75 + abs(z.real) + 0.5 * z.real
+    series = math.exp(-k) * (1.0 + 2.0 / (k - 2.0 * a - 1.0))
+    return 4.0 * math.cosh(0.25 * math.pi * z.imag) * _k_envelope(z, k)[0] * series
 
 
 @functools.lru_cache(maxsize=4)          # a sweep holds z fixed

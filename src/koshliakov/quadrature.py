@@ -330,8 +330,8 @@ class ExpDecay:
     of the integral it serves."""
 
     def __init__(self, coeff: float, rate: float):
-        if coeff <= 0 or rate <= 0:
-            raise DecayError("ExpDecay requires positive coeff and rate")
+        if not (0.0 < coeff < math.inf and 0.0 < rate < math.inf):
+            raise DecayError("ExpDecay requires positive, finite coeff and rate")
         self.coeff = coeff
         self.rate = rate
 
@@ -342,6 +342,19 @@ class ExpDecay:
         if tol <= 0:
             raise DecayError("tolerance must be positive")
         return -math.log(tol * self.rate / self.coeff) / self.rate
+
+
+# tail_certificate's rate as a fraction of its bound's: the rest pays for t^p.
+_RATE_FRACTION = 0.9
+
+
+def tail_certificate(coeff: float, power: float, rate: float) -> ExpDecay:
+    """ExpDecay for an f with |f(t)| <= coeff t^power e^{-rate t} on t >= 1:
+    at _RATE_FRACTION of rate, its coefficient is coeff times the largest
+    t^power e^{-(1 - _RATE_FRACTION) rate t} over t >= 1."""
+    slack = (1.0 - _RATE_FRACTION) * rate
+    t = max(1.0, power / slack)
+    return ExpDecay(coeff * math.exp(power * math.log(t) - slack * t), _RATE_FRACTION * rate)
 
 
 def integrate_semi_infinite(f, a: float, decay,
@@ -398,43 +411,16 @@ def integrate_semi_infinite(f, a: float, decay,
     return result
 
 
-def integrate_half_line(f, rate: float,
-                        spec: QuadratureSpec | None = None) -> QuadratureResult:
-    """Integrate f over (0, inf) for f that decays like exp(-rate t).
-
-    (0, 1] runs through integrate_singular_head, so f may carry an
-    integrable singularity at 0; [1, inf) runs under the certificate
-    |f(t)| <= coeff exp(-rate t), fitted and checked in one call of f.
-    coeff is 40 times the largest |f(t)| e^{rate t} over five points of
-    [1, 2], so one zero of an oscillating f cannot collapse it; |f| at
-    eight points of (2, 2 + 32/rate] must sit under the envelope, else
-    DecayError.
-
-    For an (nodes, m) integrand, rate must hold for every component (pass
-    the smallest): coeff is fitted per component, and a component above
-    its own envelope at any check point raises DecayError.
-    """
+def integrate_half_line(f, decay, spec: QuadratureSpec | None = None) -> QuadratureResult:
+    """Integrate f over (0, inf): (0, 1] through integrate_singular_head,
+    so f may carry an integrable singularity at 0, and [1, inf) through
+    integrate_semi_infinite under decay, the caller's certificate for
+    t >= 1 (one ExpDecay, or a list with one per component of an
+    (nodes, m) integrand; tail_certificate makes one from a bound).
+    Nothing checks the certificate: its caller derives it."""
     spec = spec or QuadratureSpec()
-    if not rate > 0.0:
-        raise DecayError("integrate_half_line needs a positive decay rate")
-    fit = np.linspace(1.0, 2.0, 5)
-    check = np.linspace(2.0, 2.0 + 32.0 / rate, 9)[1:]
-    y = np.asarray(f(np.concatenate([fit, check])))
-    mags = np.abs(y).reshape(13, -1)
-    peaks = np.max(mags[:5] * np.exp(rate * fit)[:, None], axis=0)
-    if not (peaks < math.inf).all():
-        raise DecayError("integrand is not finite on [1, 2]; no tail envelope")
-    decays = [ExpDecay(40.0 * max(float(p), 1e-300), rate) for p in peaks]
-    envelope = np.exp(-rate * check)[:, None] * [d.coeff for d in decays]
-    over = ~(mags[5:] <= envelope)          # a nan sample counts as over
-    if over.any():
-        i, j = np.argwhere(over)[0]
-        where = f" in component {j}" if y.ndim > 1 else ""
-        raise DecayError(f"tail envelope fitted on [1, 2] is exceeded{where} at "
-                         f"t={check[i]:.3g}: |f| = {mags[5 + i, j]:.3e} > "
-                         f"{envelope[i, j]:.3e}")
     head = integrate_singular_head(f, 1.0, spec)
-    tail = integrate_semi_infinite(f, 1.0, decays, spec)
+    tail = integrate_semi_infinite(f, 1.0, decay, spec)
     return QuadratureResult(head.value + tail.value,
                             head.err_estimate + tail.err_estimate,
                             head.nodes_used + tail.nodes_used,

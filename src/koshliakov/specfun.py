@@ -241,12 +241,15 @@ def _hurwitz_block(w: np.ndarray, a: np.ndarray, lam: bool):
     else:
         head, mag = head + (0.5 * As + A * As / (w - 1.0)), np.zeros(w.size)
     # Tail term k = B_2k/(2k)! (w)_{2k-1} A^{-w-2k+1}; the sum stops at the
-    # first term below 1e-20 of the partial sum, a relative rule because
-    # zeta(w, a) is far below 1 for large w or a.
-    poch = np.cumprod(np.add.outer(w, _EM_RISE), axis=1)[:, ::2]
-    terms = _EM_COEF * poch * ((As / A)[:, None] * np.power((1.0 / (A * A))[:, None], _EM_STEP))
-    partial = head[:, None] + np.cumsum(terms, axis=1)
-    done = np.abs(terms) < 1e-20 * np.abs(partial)
+    # first term at most 1e-20 of the partial sum (0 where both underflow),
+    # a relative rule because zeta(w, a) is far below 1 for large w or a;
+    # terms past the stop may overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        poch = np.cumprod(np.add.outer(w, _EM_RISE), axis=1)[:, ::2]
+        terms = _EM_COEF * poch * ((As / A)[:, None]
+                                   * np.power((1.0 / (A * A))[:, None], _EM_STEP))
+        partial = head[:, None] + np.cumsum(terms, axis=1)
+    done = np.abs(terms) <= 1e-20 * np.abs(partial)
     return partial[rows, np.where(done.any(axis=1), done.argmax(axis=1), _EM_TERMS - 1)], mag
 
 
@@ -315,10 +318,11 @@ def riemann_zeta(s):
     out[~left] = _hurwitz_em(arr[~left], 1.0)
     if left.any():
         sl, wl = arr[left], 1.0 - arr[left]
+        zs = zeta_star(wl)       # its shift bound raises before Gamma(wl) can overflow
         # Reflection written through (s-1)zeta(s) and sin(pi s/2)/s, so the
         # trivial zeros come out exact and s=0 is unexceptional.
         out[left] = (-np.exp((sl - 1.0) * math.log(2.0)) * np.exp(sl * math.log(math.pi))
-                     * _sinc(0.5 * math.pi * sl) * gamma(wl) * zeta_star(wl))
+                     * _sinc(0.5 * math.pi * sl) * gamma(wl) * zs)
     return complex(out[0]) if scalar else out
 
 

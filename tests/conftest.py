@@ -62,10 +62,13 @@ def hurwitz_zeta_hermite(w, a) -> complex:
         den = np.power(a * a + t * t, 0.5 * w) * np.expm1(2.0 * math.pi * t)
         return num / den
 
-    # The 1/(e^{2 pi t}-1) factor dominates the tail; integrate_half_line
-    # fits and checks its envelope at 0.9 of that rate.
+    # For t >= 1: |sin(w phase)| <= cosh(|Im w| pi/2) as 0 < phase < pi/2,
+    # a^2 + t^2 <= (a^2 + 1) t^2, and 1/(e^{2 pi t} - 1) <= e^{-2 pi t} /
+    # (1 - e^{-2 pi}): the tail certificate of the 1/(e^{2 pi t}-1) factor.
+    bound = (math.cosh(0.5 * math.pi * abs(w.imag)) * (a * a + 1.0) ** (-0.5 * w.real)
+             / -math.expm1(-2.0 * math.pi))
     res = quadrature.integrate_half_line(
-        integrand, 0.9 * 2.0 * math.pi,
+        integrand, quadrature.tail_certificate(bound, max(0.0, -w.real), 2.0 * math.pi),
         quadrature.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
     main = 0.5 * a ** (-w) + a ** (1.0 - w) / (w - 1.0)
     return main + 2.0 * res.value

@@ -25,7 +25,7 @@ from koshliakov.identities import (_hurwitz_F, f_frak, verify_bessel_hurwitz_sum
                                    verify_pair_reciprocity,
                                    verify_rg_corollary, verify_rg_corollary_z0,
                                    verify_rg_formula)
-from koshliakov.kernels import (_omega_definition, first_koshliakov_transform,
+from koshliakov.kernels import (_k_envelope, _omega_definition, first_koshliakov_transform,
                                 koshliakov_kernel, lambda_fn, lambda_sum, omega,
                                 omega_combination, pair_dixon_ferrar,
                                 pair_k_bessel, theta_eval)
@@ -297,7 +297,7 @@ def test_criterion_03_kernel_self_reciprocality():
         for x in (0.5, 1.0, 2.0, 4.0):
             got = first_koshliakov_transform(
                 lambda t, _z=z: np.real(bessel_k(_z, np.asarray(t, dtype=float))),
-                z, x)
+                z, x, _k_envelope(z, 1.0))
             worst = max(worst, rel_err(got.value, bessel_k(z, x)))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-6 and elapsed < 60.0

@@ -635,6 +635,18 @@ def test_eval_real_only_flag_refuses_imaginary_part(argv, message, capsys):
     assert main(["eval", "bessel-k", "--nu", "0.5+1i", "--x", "2+1i"]) == 0
 
 
+def test_eval_zeta_refuses_a_huge_shift_before_gamma_warns():
+    # At s = -1e12 the reflection's zeta*(1 - s) refuses its shift before
+    # Gamma(1 - s) is formed: stderr holds the error line and nothing else.
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "koshliakov.cli", "eval", "zeta", "--s=-1e12"],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == ("koshliakov: error: Euler-Maclaurin shift of 4e+11 terms "
+                           "exceeds the bound\n")
+
+
 def test_eval_unknown_function():
     assert main(["eval", "nope"]) == 64
 

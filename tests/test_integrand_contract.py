@@ -185,18 +185,18 @@ def test_mellin_k_integrand_is_pointwise(s_nu, xc):
 def test_first_transform_integrand_is_pointwise(z, x, xc):
     # The K pair's psi and the Dixon-Ferrar pair's phi = e^{-t}, each
     # against the transform kernel.
-    for g in (lambda t: pair_k_bessel(2.0).psi(t, z), lambda t: pair_dixon_ferrar().phi(t, 0.0)):
+    for g, bound in ((lambda t: pair_k_bessel(2.0).psi(t, z), (1.0, 0.0, 1.0)),
+                     (lambda t: pair_dixon_ferrar().phi(t, 0.0), (1.0, 0.0, 1.0))):
         _assert_same_bits(_integrand_of(lambda: kernels.first_koshliakov_transform(
-            g, z, 4.0 * x), module=kernels), *xc)
+            g, z, 4.0 * x, bound), module=kernels), *xc)
 
 
 @settings(max_examples=20)
 @given(st.sampled_from([1.5 + 0.7j, 2.0, 0.8 - 0.3j]), _pieces(1e-6, 60.0))
-def test_mellin_numeric_integrand_is_pointwise(s, xc):
-    # x^{s-1} f(x) at complex s, f the K pair's phi.
-    phi = pair_k_bessel(2.0).phi
-    _assert_same_bits(_integrand_of(lambda: kernels._mellin_numeric(
-        lambda x: phi(x, 0.3), s, None), module=kernels), *xc)
+def test_pair_Z_integrand_is_pointwise(s, xc):
+    # x^{s-1} Theta(x) at complex s, for the K pair.
+    _assert_same_bits(_integrand_of(lambda: kernels.pair_Z_numeric(
+        pair_k_bessel(2.0), s, 0.3), module=kernels), *xc)
 
 
 # The verifiers that sum an oscillatory tail: omega-self-reciprocal's

@@ -13,7 +13,6 @@ from koshliakov.kernels import (_omega_definition, first_koshliakov_transform,
                                 omega, omega_combination,
                                 pair_dixon_ferrar, pair_k_bessel,
                                 pair_Z_numeric, theta_eval, transform_kernel)
-from koshliakov.quadrature import QuadratureSpec
 from koshliakov.specfun import (EULER_GAMMA, bessel_k, bessel_y, hurwitz_zeta,
                                 riemann_zeta)
 
@@ -51,7 +50,7 @@ def test_k_bessel_self_reciprocal_under_transform():
         for x in (0.5, 2.0):
             got = first_koshliakov_transform(
                 lambda t: np.real(bessel_k(z, np.asarray(t, dtype=float))),
-                z, x)
+                z, x, kernels._k_envelope(z, 1.0))
             assert rel_err(got.value, bessel_k(z, x)) < 1e-8
 
 
@@ -59,7 +58,7 @@ def test_transform_order_domain():
     # |Re z| < 1/2 is open, and refuses nan as the pairs' rule.
     for z in (0.7, 0.5, math.nan):
         with pytest.raises(DomainError, match="1/2"):
-            first_koshliakov_transform(lambda t: np.exp(-t), z, 1.0)
+            first_koshliakov_transform(lambda t: np.exp(-t), z, 1.0, (1.0, 0.0, 1.0))
 
 
 def test_theta_golden(golden):
@@ -89,10 +88,10 @@ def test_dixon_ferrar_psi_vector_goldens(golden):
         assert kernels._df_psi(t) == value
 
 
-def test_mellin_numeric_refuses_power_decay():
-    with pytest.raises(DecayError):
-        kernels._mellin_numeric(lambda x: 1.0 / (1.0 + x) ** 3, 1.5,
-                                QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
+def test_pair_Z_refuses_a_psi_without_envelope():
+    # The Dixon-Ferrar psi decays like a power: no exponential tail.
+    with pytest.raises(DecayError, match="no exponential envelope"):
+        pair_Z_numeric(pair_dixon_ferrar(), 1.5, 0.0)
 
 
 def test_dixon_ferrar_z_domain():

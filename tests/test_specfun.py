@@ -138,6 +138,17 @@ def test_zeta_shift_bound():
         hurwitz_zeta(1e12, np.array([0.5, 2.0]))
 
 
+def test_hurwitz_discards_overflowing_tail_terms_silently():
+    # At |w| = 3e6 the Pochhammer factor of the last Euler-Maclaurin terms
+    # overflows, past the stop, which picks a finite term; no warning
+    # (pytest turns RuntimeWarnings into errors).  At a = 4e6 the shift is
+    # one term, so the probe stays small; eval zeta --s=2.4e7 runs the same
+    # lines with a 9.6e6-term shift.  Where the sum and every term
+    # underflow, the stop is the first term: 0, not nan.
+    assert np.isfinite(hurwitz_zeta(0.5 + 3e6j, 4e6))
+    assert hurwitz_zeta(3e6, 1e7) == 0.0
+
+
 def test_zeta_functional_equation():
     # zeta(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s) zeta(1-s)
     for s in (-0.5, 0.25, 0.5 + 6.0j, -2.5 + 1.0j, 0.9):
@@ -257,14 +268,15 @@ def test_hurwitz_cross_method():
 
 
 def test_hurwitz_hermite_checked_tail(monkeypatch):
-    # Hermite's integral runs through the checked half-line integrator and
-    # agrees with Euler-Maclaurin to near rounding.
+    # Hermite's integral runs through the half-line integrator, under a
+    # certificate at 0.9 of the 2 pi rate, and agrees with Euler-Maclaurin
+    # to near rounding.
     from koshliakov import quadrature
 
     calls = []
     orig = quadrature.integrate_half_line
     monkeypatch.setattr(quadrature, "integrate_half_line",
-                        lambda *a, **k: calls.append(a[1]) or orig(*a, **k))
+                        lambda *a, **k: calls.append(a[1].rate) or orig(*a, **k))
     points = ((0.75, 3.25), (2.0, 0.5), (3.5, 1.25), (1.5 + 1.0j, 2.0),
               (0.3, 0.1), (5.0 + 3.0j, 0.7))
     for s, a in points:

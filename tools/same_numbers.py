@@ -40,9 +40,13 @@ alpha-max), and the pair inputs that the one z rule refuses: |Re z| >= 1/2,
 complex z, and z other than 0 for the Dixon-Ferrar pair, and the
 divisor-K series at the strip and alpha edges (`bessel-hurwitz-sum` at
 z = -0.95 and 0.5+3i with alpha = 1/4 and at z = -0.99 with alpha = 4,
-`hurwitz-corollary-z0` at alpha = 0.6).  Last, one sweep writes --out
-and --svg into a temp dir per tree, and its CSV and SVG bytes are
-compared with its exit code and stdout: 98 commands in all.
+`hurwitz-corollary-z0` at alpha = 0.6).  Then the derived tail
+certificates: `mellin-k` at two large orders whose integrand peaks past
+the head, a k-bessel `pair-reciprocity` at x = 0.05, where the kernel
+bound's argument is small, and `omega-laplace` at the first zeta zero,
+where the Omega majorant carries the weight's bound.  Last, one sweep
+writes --out and --svg into a temp dir per tree, and its CSV and SVG
+bytes are compared with its exit code and stdout: 102 commands in all.
 
 Then come five bit probes, one per special function that every identity
 runs through: `bessel_k_scaled`, `bessel_k`, `riemann_zeta`, `zeta_star`
@@ -207,6 +211,13 @@ COMMANDS = (
     ("verify", "bessel-hurwitz-sum", "--z=0.5+3i", "--alpha=0.25"),
     ("verify", "bessel-hurwitz-sum", "--z=-0.99", "--alpha=4"),
     ("verify", "hurwitz-corollary-z0", "--alpha=0.6"),
+    # Tail certificates derived from each integrand: K at large order past
+    # the head, the transform kernel's bound at a small argument, and the
+    # Omega majorant where |zeta(z)| is near 0.
+    ("verify", "mellin-k", "--s=25", "--nu=20", "--q=3"),
+    ("verify", "mellin-k", "--s=31", "--nu=30", "--q=20"),
+    ("verify", "pair-reciprocity", "--x=0.05", "--z=0.3"),
+    ("verify", "omega-laplace", "--z=0.5+14.1347i"),
 )
 
 # A sweep that writes --out and --svg, into a temp dir per tree; its exit
