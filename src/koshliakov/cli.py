@@ -24,9 +24,12 @@ eval.
 from __future__ import annotations
 
 import argparse
+import atexit
 import cmath
 import math
+import os
 import sys
+from typing import NoReturn
 
 from . import arith, kernels, specfun
 from .errors import ConvergenceError, DecayError, KoshliakovError
@@ -258,5 +261,34 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
 
 
+def run() -> NoReturn:
+    """The process entry of `python -m koshliakov.cli` and the `koshliakov`
+    command: main() on sys.argv, then exit with its code.
+
+    Tearing the interpreter down (numpy's modules most of all) is about a
+    tenth of a cold call, and no output needs it: the report is printed
+    and every file is closed by `with`.  So the process runs the atexit
+    handlers, flushes stdout and stderr and ends with os._exit.  It exits
+    normally instead when main raises (argparse's usage errors and --help
+    too), when a flush fails (a closed pipe keeps the interpreter's
+    message and status), or when something waits for the exit: a profiler
+    or tracer (cProfile prints its stats after it) or `python -i`.
+    """
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)     # Python 3.12+: cProfile, coverage
+    if not (sys.getprofile() or sys.gettrace() or sys.flags.inspect
+            or monitoring and any(map(monitoring.get_tool, range(6)))):
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:       # None when the fd was closed at start
+                    stream.flush()
+        except OSError:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

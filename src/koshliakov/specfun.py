@@ -23,6 +23,7 @@ from . import arith
 from .errors import DomainError, LimitError, PoleError
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
+_LOG_MAX = math.log(np.finfo(float).max)
 
 # Stieltjes constants gamma_0..gamma_5 for the expansion of (s-1)zeta(s)
 # about s=1; six terms keep the error below 1e-26 for |s-1| <= 0.01.
@@ -309,7 +310,8 @@ def riemann_zeta(s):
     """zeta(s) on the whole plane, for a scalar or an array; PoleError
     within 1e-12 of s=1.  Euler-Maclaurin at s itself for Re s >= 1/2;
     left of it the reflection takes (w-1) zeta(w) at w = 1 - s from
-    zeta_star."""
+    zeta_star.  Far left (|zeta(-300.5)| is 1.7e375) the value can pass
+    the double range: a LimitError, never inf or nan."""
     arr, scalar = _as_array(s, complex)
     if (np.abs(arr - 1.0) < 1e-12).any():
         raise PoleError("zeta pole at s=1")
@@ -318,11 +320,27 @@ def riemann_zeta(s):
     out[~left] = _hurwitz_em(arr[~left], 1.0)
     if left.any():
         sl, wl = arr[left], 1.0 - arr[left]
-        zs = zeta_star(wl)       # its shift bound raises before Gamma(wl) can overflow
-        # Reflection written through (s-1)zeta(s) and sin(pi s/2)/s, so the
-        # trivial zeros come out exact and s=0 is unexceptional.
-        out[left] = (-np.exp((sl - 1.0) * math.log(2.0)) * np.exp(sl * math.log(math.pi))
-                     * _sinc(0.5 * math.pi * sl) * gamma(wl) * zs)
+        zs = zeta_star(wl)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = gamma(wl)        # overflows from about Re wl = 142 on
+        over = ~np.isfinite(g)
+        g[over] = 0.0            # those points are formed below
+        sinc = _sinc(0.5 * math.pi * sl)
+        # Reflection written through (s-1)zeta(s) and sin(pi s/2)/s, so
+        # s=0 is unexceptional.
+        zl = (-np.exp((sl - 1.0) * math.log(2.0)) * np.exp(sl * math.log(math.pi))
+              * sinc * g * zs)
+        if over.any():
+            # The same product with Gamma(wl) and the small 2^(s-1) pi^s
+            # joined in one logarithm; m carries the phase of the rest.
+            so, m = sl[over], -sinc[over] * zs[over]
+            log_mag = ((so - 1.0) * math.log(2.0) + so * math.log(math.pi)
+                       + np.array([log_gamma(w) for w in wl[over]]) + np.log(np.abs(m)))
+            past = log_mag.real > _LOG_MAX
+            if past.any():
+                raise LimitError(f"zeta(s) at s={complex(so[past][0])} exceeds the double range")
+            zl[over] = m / np.abs(m) * np.exp(log_mag)
+        out[left] = zl
     return complex(out[0]) if scalar else out
 
 

@@ -40,6 +40,21 @@ REPORT_SCHEMA = {
 }
 
 
+# The CLI's process entry (cli.run) ends the process with os._exit after
+# main, so nothing it prints may wait for the interpreter's teardown.
+# PYTHONUNBUFFERED is dropped, so a child's stdout pipe is block-buffered
+# and an unflushed byte would be lost.
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _cold(args, **kw):
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    kw.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, stderr=subprocess.PIPE, text=True,
+                          timeout=300, **kw)
+
+
 def test_parse_complex_literal():
     for text, value in (
             ("0.5", 0.5), ("-0.3", -0.3), ("0.5+0.25i", 0.5 + 0.25j), ("0.5-0.25i", 0.5 - 0.25j),
@@ -647,6 +662,17 @@ def test_eval_zeta_refuses_a_huge_shift_before_gamma_warns():
                            "exceeds the bound\n")
 
 
+def test_eval_zeta_far_left_prints_no_warning():
+    # Gamma(1 - s) overflows there, not zeta(s): the reflection goes
+    # through log_gamma, and a value past the double range is an error.
+    for s, code, out, err in (
+            ("-171.5", 0, "4.7393023305511e+172 0\n", ""),
+            ("-300.5", 3, "", "koshliakov: error: zeta(s) at s=(-300.5+0j) exceeds the "
+                              "double range\n")):
+        done = _cold(["-m", "koshliakov.cli", "eval", "zeta", f"--s={s}"])
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 def test_eval_unknown_function():
     assert main(["eval", "nope"]) == 64
 
@@ -739,3 +765,92 @@ def test_same_numbers_commands_are_cli_commands():
             pytest.fail(f"{' '.join(command)}: not a CLI command")
         if args.command in ("verify", "sweep"):
             _identity(args)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "mellin-k", "--s=2", "--nu=0", "--q=1"], 0),
+    (["verify", "mellin-k", "--s=2", "--nu=0", "--q=1", "--tolerance=1e-30"], 2),
+    (["verify", "rg-corollary", "--z=1.5"], 3),
+    (["verify", "nope"], 64)], ids=["pass", "fail", "domain", "usage"])
+def test_cold_verify_prints_what_main_prints(argv, code, capsys):
+    done = _cold(["-m", "koshliakov.cli", *argv])
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+    if code in (0, 2):
+        jsonschema.validate(json.loads(done.stdout), REPORT_SCHEMA)
+
+
+def test_cold_sweep_to_a_pipe_prints_every_line(tmp_path):
+    # About 157 kB, past a pipe's 64 KiB buffer: the reader drains the pipe
+    # while the child writes, and the last block leaves at the flush.
+    grid = ["sweep", "rg-formula", "--alpha-min=0.25", "--alpha-max=4", "--steps=1500"]
+    done = _cold(["-m", "koshliakov.cli", *grid])
+    out = tmp_path / "sweep.csv"
+    assert main([*grid, f"--out={out}"]) == 0
+    assert done.returncode == 0 and len(done.stdout) > 150_000
+    assert done.stdout == out.read_text()
+
+
+# Runs the CLI as `python -m` does, after {setup}, and says whether the
+# interpreter came back from it.
+_AFTER_RUN = """
+import runpy, sys
+{setup}
+sys.argv = ["koshliakov", "list"]
+try:
+    runpy.run_module("koshliakov.cli", run_name="__main__")
+finally:
+    print("came back")
+"""
+
+
+def test_cold_call_runs_atexit_handlers_and_ends_in_run():
+    done = _cold(["-c", _AFTER_RUN.format(setup="import atexit\n"
+                                                 "atexit.register(print, 'atexit ran')")])
+    assert done.returncode == 0, done.stderr
+    # The handler's line comes last and "came back" never: the process
+    # ended inside run.
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(IDENTITIES) + 1 and lines[-1] == "atexit ran"
+
+
+@pytest.mark.parametrize("setup", ["sys.settrace(lambda *a: None)",
+                                   "sys.setprofile(lambda *a: None)"],
+                         ids=["tracer", "profiler"])
+def test_cold_call_under_a_tracer_exits_normally(setup):
+    done = _cold(["-c", _AFTER_RUN.format(setup=setup)])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "came back"
+
+
+def test_cold_call_under_cprofile_prints_the_stats():
+    done = _cold(["-m", "cProfile", "-m", "koshliakov.cli", "list"])
+    assert done.returncode == 0, done.stderr
+    assert "function calls" in done.stdout and "Ordered by" in done.stdout
+
+
+def test_cold_call_under_python_i_reaches_the_prompt():
+    done = _cold(["-i", "-m", "koshliakov.cli", "list"], input="print('inspected')\n")
+    assert "inspected" in done.stdout
+
+
+def test_cold_call_to_a_closed_pipe_exits_as_main_does():
+    # The flush fails, so the interpreter's own exit reports it, as it
+    # does for sys.exit(main()): status 120 and its message.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        runs = [_cold(args, stdout=write) for args in (
+            ["-m", "koshliakov.cli", "list"],
+            ["-c", "import sys; from koshliakov.cli import main; sys.exit(main(['list']))"])]
+    finally:
+        os.close(write)
+    assert runs[0].returncode == runs[1].returncode == 120
+    assert runs[0].stderr == runs[1].stderr and "BrokenPipeError" in runs[0].stderr
+
+
+def test_cold_call_with_stdout_closed_exits_0():
+    # With fd 1 closed at start, sys.stdout is None and there is nothing to flush.
+    done = _cold(["-m", "koshliakov.cli", "list"], stdout=None, preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (0, "")

@@ -138,6 +138,19 @@ def test_zeta_shift_bound():
         hurwitz_zeta(1e12, np.array([0.5, 2.0]))
 
 
+def test_zeta_far_left_of_gamma_overflow():
+    # Gamma(1 - s) overflows from about s = -141.5 on, while the reflection's
+    # 2^s pi^(s-1) is tiny: the product is finite (30-digit mpmath values;
+    # no RuntimeWarning, which pytest turns into errors) until the value
+    # itself passes the double range, which is a LimitError.
+    for s, value in ((-171.5, 4.73930233055054501e172), (-180.5, -5.15679273488370003e185)):
+        assert rel_err(riemann_zeta(s), value) < 1e-12
+    both = riemann_zeta(np.array([-171.5, -180.5]))
+    assert rel_err(both[1], -5.15679273488370003e185) < 1e-12 and both.imag.tolist() == [0.0, 0.0]
+    with pytest.raises(LimitError, match="double range"):
+        riemann_zeta(-300.5)     # -1.68e375
+
+
 def test_hurwitz_discards_overflowing_tail_terms_silently():
     # At |w| = 3e6 the Pochhammer factor of the last Euler-Maclaurin terms
     # overflows, past the stop, which picks a finite term; no warning

@@ -44,9 +44,14 @@ z = -0.95 and 0.5+3i with alpha = 1/4 and at z = -0.99 with alpha = 4,
 certificates: `mellin-k` at two large orders whose integrand peaks past
 the head, a k-bessel `pair-reciprocity` at x = 0.05, where the kernel
 bound's argument is small, and `omega-laplace` at the first zeta zero,
-where the Omega majorant carries the weight's bound.  Last, one sweep
-writes --out and --svg into a temp dir per tree, and its CSV and SVG
-bytes are compared with its exit code and stdout: 102 commands in all.
+where the Omega majorant carries the weight's bound.  Then a 1500-step
+`rg-formula` sweep to stdout (about 157 kB, so a lost flush shows) and
+`eval zeta` at s = -171.5 and -180.5, where Gamma(1 - s) overflows but
+zeta(s) does not.  Last, one sweep writes --out and --svg into a temp
+dir per tree, and its CSV and SVG bytes are compared with its exit code
+and stdout: 104 commands and that sweep, 105 in all.  The children run
+without PYTHONUNBUFFERED, so their stdout is block-buffered, as a pipe's
+is by default.
 
 Then come five bit probes, one per special function that every identity
 runs through: `bessel_k_scaled`, `bessel_k`, `riemann_zeta`, `zeta_star`
@@ -218,6 +223,11 @@ COMMANDS = (
     ("verify", "mellin-k", "--s=31", "--nu=30", "--q=20"),
     ("verify", "pair-reciprocity", "--x=0.05", "--z=0.3"),
     ("verify", "omega-laplace", "--z=0.5+14.1347i"),
+    # A cold call flushes before it ends: about 157 kB of CSV on stdout.
+    ("sweep", "rg-formula", "--alpha-min=0.25", "--alpha-max=4", "--steps=1500"),
+    # zeta where Gamma(1 - s) overflows but zeta(s) does not.
+    ("eval", "zeta", "--s=-171.5"),
+    ("eval", "zeta", "--s=-180.5"),
 )
 
 # A sweep that writes --out and --svg, into a temp dir per tree; its exit
@@ -277,6 +287,7 @@ for fn in (specfun.riemann_zeta, specfun.zeta_star, specfun.xi):
 
 def _run(src: str, args: list, stdin: str | None = None):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run([sys.executable, *args], input=stdin, env=env,
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout
