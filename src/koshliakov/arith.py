@@ -23,13 +23,16 @@ def sigma(a, n: int) -> complex:
     a = complex(a)
     total = 0.0 + 0.0j
     d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += complex(d) ** a
-            q = n // d
-            if q != d:
-                total += complex(q) ** a
-        d += 1
+    try:
+        while d * d <= n:
+            if n % d == 0:
+                total += complex(d) ** a
+                q = n // d
+                if q != d:
+                    total += complex(q) ** a
+            d += 1
+    except OverflowError:
+        raise LimitError(f"sigma_a({n}) at a={a} exceeds the double range") from None
     if a.imag == 0.0:
         total = complex(total.real, 0.0)
     return total
@@ -46,8 +49,11 @@ def build_table(a, n_max: int) -> np.ndarray:
         raise LimitError(f"table size {n_max} exceeds the {_TABLE_LIMIT} bound")
     a = complex(a)
     vals = np.zeros(n_max, dtype=complex)
-    for d in range(1, n_max + 1):
-        vals[d - 1::d] += complex(d) ** a
+    try:
+        for d in range(1, n_max + 1):
+            vals[d - 1::d] += complex(d) ** a
+    except OverflowError:
+        raise LimitError(f"sigma_a(1..{n_max}) at a={a} exceeds the double range") from None
     if a.imag == 0.0:
         vals = vals.real + 0.0j
     return vals

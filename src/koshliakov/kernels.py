@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import arith
+from . import arith, quadrature   # head/tail rules via the module, so wrappers see them
 from .errors import ConvergenceError, DecayError, DomainError
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_half_line, tail_certificate
 from .specfun import (_EM_COEF, _bessel_jy, _e1_minus_ei_scaled, _exp_slope, _hurwitz_em,
@@ -69,7 +69,7 @@ def transform_kernel(z, v):
     return _kernel(2.0 * _real_order(z), v)
 
 
-def first_koshliakov_transform(g, z, x: float, envelope: tuple,
+def first_koshliakov_transform(g, z, x: float, envelope: tuple | None,
                                spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Integral of g(t) against the transform kernel at argument 2 sqrt(xt).
 
@@ -78,7 +78,10 @@ def first_koshliakov_transform(g, z, x: float, envelope: tuple,
     which the half-line rule's singular-endpoint head absorbs.  For t >= 1
     it is at most (2/pi) |cos pi z| K_{2z}(v0) + (|cos pi z| + |sin pi z|)
     sqrt(J^2 + Y^2)(v0), v0 = 2 sqrt(x): K (real order) and Nicholson's
-    J^2 + Y^2 (DLMF 10.9.30, Watson 13.74) fall with the argument.
+    J^2 + Y^2 (DLMF 10.9.30, Watson 13.74) fall with the argument.  With
+    envelope None, for a g that decays like a power, the singular head runs
+    to t = 25 and the oscillating rest goes by half-periods pi/(2 sqrt x) of
+    the kernel in u = sqrt(t).
     """
     zr = _real_order(z)
     if not abs(zr) < 0.5:
@@ -91,6 +94,13 @@ def first_koshliakov_transform(g, z, x: float, envelope: tuple,
         t = np.asarray(t, dtype=float)
         return np.asarray(g(t)) * transform_kernel(zr, 2.0 * np.sqrt(x * t))
 
+    if envelope is None:
+        head = quadrature.integrate_singular_head(integrand, 25.0, spec)
+        tail = quadrature.integrate_alternating_tail(
+            lambda u: 2.0 * u * np.asarray(g(u * u)) * transform_kernel(zr, 2.0 * u * math.sqrt(x)),
+            5.0, math.pi / (2.0 * math.sqrt(x)))
+        return QuadratureResult(head.value + tail.value, head.err_estimate + tail.err_estimate,
+                                head.nodes_used + tail.nodes_used)
     v0 = 2.0 * math.sqrt(x)
     (j,), (y,) = _bessel_jy(2.0 * zr, np.array([v0]))
     cos, sin = abs(math.cos(math.pi * zr)), abs(math.sin(math.pi * zr))
@@ -228,11 +238,13 @@ def _omega_definition(x: float, z: complex) -> complex:
     n = np.arange(1, n_eff + 1, dtype=float)
     sig = arith.build_table(-z, n_eff)
     w = 4.0 * math.pi * np.sqrt(n * x) * _OMEGA_ROT
+    # K first: it refuses |Im z| > 5 before the phase can overflow.
+    k = bessel_k(z, w if z.imag == 0.0 else np.concatenate([w, np.conj(w)]))
     rot = cmath.exp(0.25j * math.pi * z)
     if z.imag == 0.0:
-        pair = 2.0 * (rot * bessel_k(z, w)).real
+        pair = 2.0 * (rot * k).real
     else:
-        kp, km = np.split(bessel_k(z, np.concatenate([w, np.conj(w)])), 2)
+        kp, km = np.split(k, 2)
         pair = rot * kp + km / rot
     return complex(np.sum(2.0 * sig * np.power(n, 0.5 * z) * pair))
 

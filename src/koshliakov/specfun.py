@@ -24,6 +24,7 @@ from .errors import DomainError, LimitError, PoleError
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 _LOG_MAX = math.log(np.finfo(float).max)
+_TINY = np.finfo(float).tiny
 
 # Stieltjes constants gamma_0..gamma_5 for the expansion of (s-1)zeta(s)
 # about s=1; six terms keep the error below 1e-26 for |s-1| <= 0.01.
@@ -185,6 +186,7 @@ _EM_COEF = _B2K[:_EM_TERMS] / np.array([math.factorial(2 * k) for k in range(1, 
 _EM_RISE = np.arange(2.0 * _EM_TERMS - 1.0)     # w + 0, ..., w + 2K - 2
 _EM_STEP = np.arange(float(_EM_TERMS))
 _EM_BLOCK = 256
+_EM_CHUNK = 1 << 14              # points x columns of one chunk of the shift axis
 
 
 def _sinc(w: np.ndarray) -> np.ndarray:
@@ -202,8 +204,9 @@ def _hurwitz_em(w, a, lam: bool = False) -> np.ndarray:
 
     Every point takes its own shift N and its own stop in the tail; a shift
     past arith._TABLE_LIMIT terms is a LimitError, before its row is made.
-    The points go through in blocks of _EM_BLOCK, so the (points x shift)
-    and (points x tail term) temporaries stay a few hundred kB at any size.
+    The points go through in blocks of _EM_BLOCK and each block's shift
+    row in chunks of _EM_CHUNK points x terms, so the (points x shift) and
+    (points x tail term) temporaries stay a few hundred kB at any size.
     """
     w, a = np.broadcast_arrays(np.asarray(w, dtype=complex), np.asarray(a, dtype=complex))
     if (a.real <= 0.0).any():
@@ -229,15 +232,27 @@ def _hurwitz_block(w: np.ndarray, a: np.ndarray, lam: bool):
         raise LimitError(f"Euler-Maclaurin shift of {N.max():.3g} terms exceeds the bound")
     N = N.astype(int)
     rows = np.arange(w.size)
-    # (n + a)^-w for n <= N: the running sum read at n = N - 1 is the direct
-    # sum, the power at n = N is A^-w at the shift A = N + a.
-    powers = _cpow(np.add.outer(a, np.arange(N.max() + 1.0)), -w[:, None])
-    A, As, a0 = N + a, powers[rows, N], powers[:, 0]
-    head = np.cumsum(powers, axis=1)[rows, N - 1] * (N > 0)
+    # (n + a)^-w for n <= N, a chunk of columns n at a time: the running sum
+    # (with lam also that of the magnitudes), carried into each chunk as its
+    # first column so np.cumsum adds in one order, read at n = N is the
+    # direct sum, and the power at n = N is A^-w at the shift A = N + a.
+    width = max(1, _EM_CHUNK // w.size)
+    run = np.zeros((1 + lam, w.size), dtype=complex)
+    sums, As = np.empty_like(run), np.empty(w.size, dtype=complex)
+    for c0 in range(0, N.max() + 1, width):
+        n = np.arange(c0, min(c0 + width, N.max() + 1), dtype=float)
+        powers = _cpow(np.add.outer(a, n), -w[:, None])
+        here = np.flatnonzero((N >= c0) & (N < c0 + width))
+        j = N[here] - c0
+        As[here] = powers[here, j]
+        for k, cols in enumerate([powers, np.abs(powers)] if lam else [powers]):
+            acc = np.cumsum(np.concatenate([run[k][:, None], cols], axis=1), axis=1)
+            run[k], sums[k][here] = acc[:, -1], acc[here, j]
+    A, head = N + a, sums[0]
     if lam:   # (A^{1-w} - a^{1-w})/(w-1) as a^{1-w} times a slope in w - 1
+        a0 = _cpow(a, -w)
         pole = a * a0 * _exp_slope(-np.log(A / a), w - 1.0)
-        mag = (np.cumsum(np.abs(powers), axis=1)[rows, N - 1] * (N > 0) + np.abs(pole)
-               + 0.5 * (np.abs(As) + np.abs(a0)))
+        mag = sums[1].real + np.abs(pole) + 0.5 * (np.abs(As) + np.abs(a0))
         head = head + 0.5 * (As - a0) + pole
     else:
         head, mag = head + (0.5 * As + A * As / (w - 1.0)), np.zeros(w.size)
@@ -306,12 +321,21 @@ def _pole_quotient(z: complex, cp, cr):
             (np.abs(p * ep) + np.abs(r * er)) / max(abs(z), 0.01))
 
 
+def _sin_scaled(w: np.ndarray) -> np.ndarray:
+    """sin(w) e^{-|Im w|} elementwise, from exponentials that cannot
+    overflow: sin(a + ib) = sin a cosh b + i cos a sinh b."""
+    b = np.abs(w.imag)
+    return 0.5 * (np.sin(w.real) * (1.0 + np.exp(-2.0 * b))
+                  - 1j * np.sign(w.imag) * np.cos(w.real) * np.expm1(-2.0 * b))
+
+
 def riemann_zeta(s):
     """zeta(s) on the whole plane, for a scalar or an array; PoleError
     within 1e-12 of s=1.  Euler-Maclaurin at s itself for Re s >= 1/2;
     left of it the reflection takes (w-1) zeta(w) at w = 1 - s from
-    zeta_star.  Far left (|zeta(-300.5)| is 1.7e375) the value can pass
-    the double range: a LimitError, never inf or nan."""
+    zeta_star, and is exactly 0 at the trivial zeros.  Far left
+    (|zeta(-300.5)| is 1.7e375) the value can pass the double range: a
+    LimitError, never inf or nan."""
     arr, scalar = _as_array(s, complex)
     if (np.abs(arr - 1.0) < 1e-12).any():
         raise PoleError("zeta pole at s=1")
@@ -321,21 +345,34 @@ def riemann_zeta(s):
     if left.any():
         sl, wl = arr[left], 1.0 - arr[left]
         zs = zeta_star(wl)
+        # sin(pi h), h = s/2, is (-1)^n sin(pi r) with r = h - n and n the
+        # integer nearest Re h: the subtraction is exact, so the sine is 0
+        # at the trivial zeros and keeps its digits near them.
+        h = 0.5 * sl
+        n = np.rint(h.real)
+        r, sign = h - n, 1.0 - 2.0 * (n % 2.0)
+        zero = (r == 0.0) & (n != 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = gamma(wl)        # overflows from about Re wl = 142 on
-        over = ~np.isfinite(g)
-        g[over] = 0.0            # those points are formed below
-        sinc = _sinc(0.5 * math.pi * sl)
-        # Reflection written through (s-1)zeta(s) and sin(pi s/2)/s, so
-        # s=0 is unexceptional.
-        zl = (-np.exp((sl - 1.0) * math.log(2.0)) * np.exp(sl * math.log(math.pi))
-              * sinc * g * zs)
+            g = gamma(wl)
+            # Reflection written through (s-1)zeta(s) and sin(pi s/2)/s, so
+            # s=0 is unexceptional.
+            sinc = np.where(n == 0.0, _sinc(math.pi * h),
+                            sign * np.sin(math.pi * r) / (math.pi * np.where(n == 0.0, 1.0, h)))
+            zl = (-np.exp((sl - 1.0) * math.log(2.0)) * np.exp(sl * math.log(math.pi))
+                  * sinc * g * zs)
+        # Gamma(wl) overflows from about Re wl = 142 on; from about |Im s| =
+        # 452 on it underflows while the sine overflows.  Those points are
+        # formed below.
+        over = ~((np.isfinite(zl) & (np.abs(g) >= _TINY)) | zero)
+        zl[zero] = 0.0
         if over.any():
-            # The same product with Gamma(wl) and the small 2^(s-1) pi^s
-            # joined in one logarithm; m carries the phase of the rest.
-            so, m = sl[over], -sinc[over] * zs[over]
-            log_mag = ((so - 1.0) * math.log(2.0) + so * math.log(math.pi)
-                       + np.array([log_gamma(w) for w in wl[over]]) + np.log(np.abs(m)))
+            # The same product with Gamma(wl), the sine's e^{|Im pi r|} and
+            # the small 2^(s-1) pi^s joined in one logarithm; m carries the
+            # phase of the rest.
+            so, w = sl[over], math.pi * r[over]
+            m = -sign[over] * _sin_scaled(w) / (math.pi * h[over]) * zs[over]
+            log_mag = ((so - 1.0) * math.log(2.0) + so * math.log(math.pi) + np.abs(w.imag)
+                       + np.array([log_gamma(v) for v in wl[over]]) + np.log(np.abs(m)))
             past = log_mag.real > _LOG_MAX
             if past.any():
                 raise LimitError(f"zeta(s) at s={complex(so[past][0])} exceeds the double range")

@@ -219,6 +219,9 @@ def test_criterion_02_golden_suite(golden):
         "zeta_half": lambda: riemann_zeta(0.5),
         "zeta_half_plus_3i": lambda: riemann_zeta(0.5 + 3.0j),
         "zeta_minus_half": lambda: riemann_zeta(-0.5),
+        "zeta_0p3_500i": lambda: riemann_zeta(0.3 + 500.0j),
+        "zeta_m0p5_500i": lambda: riemann_zeta(-0.5 + 500.0j),
+        "zeta_0p3_1000i": lambda: riemann_zeta(0.3 + 1000.0j),
     }
     # K at complex arguments (scaled by e^x where the key says omega or arg)
     # and at |Im nu| > 1.

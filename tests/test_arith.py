@@ -55,6 +55,14 @@ def test_sigma_trial_division_bound():
             sigma(0.0, n)
 
 
+def test_divisor_powers_past_the_double_range_are_a_limit():
+    # 6^800 has no double: a LimitError, not Python's OverflowError.
+    with pytest.raises(LimitError, match=r"sigma_a\(6\) at a=\(800\+0j\) exceeds the double range"):
+        sigma(800.0, 6)
+    with pytest.raises(LimitError, match=r"sigma_a\(1\.\.10\) at a=\(800\+0j\) exceeds"):
+        build_table(800.0, 10)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=400),
        st.integers(min_value=1, max_value=400))

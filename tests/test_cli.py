@@ -19,6 +19,8 @@ from koshliakov.errors import ConvergenceError
 from koshliakov.identities import IDENTITIES
 from koshliakov.reporting import CSV_HEADER
 
+from conftest import rel_err
+
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["identity", "params", "lhs", "rhs", "abs_diff", "rel_diff",
@@ -671,6 +673,30 @@ def test_eval_zeta_far_left_prints_no_warning():
                               "double range\n")):
         done = _cold(["-m", "koshliakov.cli", "eval", "zeta", f"--s={s}"])
         assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+def test_eval_zeta_at_trivial_zeros_and_large_height(golden, capsys):
+    # 0 at the trivial zeros; left of Re s = 1/2 past |Im s| = 452 a finite
+    # value (a RuntimeWarning would raise under pytest's filter).
+    for s in ("-2", "-100", "-200"):
+        assert main(["eval", "zeta", f"--s={s}"]) == 0
+        assert capsys.readouterr() == ("0 0\n", "")
+    for s, key in (("0.3+500i", "zeta_0p3_500i"), ("-0.5+500i", "zeta_m0p5_500i")):
+        assert main(["eval", "zeta", f"--s={s}"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and rel_err(complex(*map(float, out.split())), golden[key]) < 1e-12
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sigma", "--a=800", "--n=6"], "sigma_a(6) at a=(800+0j) exceeds the double range"),
+    (["sigma", "--a=2.8e299", "--n=1649296625"],
+     "sigma_a(1649296625) at a=(2.8e+299+0j) exceeds the double range"),
+    (["omega", "--x=1.2686935041313472", "--z=1.95e-130-9892227723.8i"],
+     "bessel_k supports |Im nu| <= 5")])
+def test_eval_overflow_is_a_typed_error(argv, message, capsys):
+    # An overflowing power or phase is refused with exit 3, not a traceback.
+    assert main(["eval", *argv]) == 3
+    assert capsys.readouterr().err == f"koshliakov: error: {message}\n"
 
 
 def test_eval_unknown_function():

@@ -411,7 +411,6 @@ def test_dixon_ferrar_integrand_call_count(monkeypatch):
         return orig(z, v)
 
     monkeypatch.setattr(kernels, "transform_kernel", counted)
-    monkeypatch.setattr(identities, "transform_kernel", counted)
     assert verify_pair_reciprocity(pair_dixon_ferrar(), 0, 1).passed
     assert (len(sizes), sum(sizes)) == (13, 2064)
 

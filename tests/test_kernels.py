@@ -54,6 +54,16 @@ def test_k_bessel_self_reciprocal_under_transform():
             assert rel_err(got.value, bessel_k(z, x)) < 1e-8
 
 
+@pytest.mark.parametrize("x", [0.3, 1.0, 7.0])
+def test_transform_takes_a_power_decaying_psi(x):
+    # The Dixon-Ferrar psi decays like -1/(4 pi t^2): with no envelope the
+    # transform at 4x gives back phi(x) = e^{-x}, within its own error.
+    pair = pair_dixon_ferrar()
+    got = first_koshliakov_transform(lambda t: pair.psi(t, 0.0), 0.0, 4.0 * x, None)
+    assert abs(2.0 * got.value - math.exp(-x)) <= 2.0 * got.total_error
+    assert got.total_error < 1e-10
+
+
 def test_transform_order_domain():
     # |Re z| < 1/2 is open, and refuses nan as the pairs' rule.
     for z in (0.7, 0.5, math.nan):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +150,48 @@ def test_zeta_far_left_of_gamma_overflow():
     assert rel_err(both[1], -5.15679273488370003e185) < 1e-12 and both.imag.tolist() == [0.0, 0.0]
     with pytest.raises(LimitError, match="double range"):
         riemann_zeta(-300.5)     # -1.68e375
+
+
+def test_zeta_is_zero_at_the_trivial_zeros():
+    # sin(pi s/2) is formed from s/2 minus its nearest integer, which is
+    # exact: 0 on both sides of Gamma's overflow at s = -141.5.
+    zeros = [-2.0, -20.0, -100.0, -140.0, -200.0]
+    for s in zeros:
+        assert riemann_zeta(s) == 0.0
+    assert riemann_zeta(np.array(zeros + [-171.5]))[:5].tolist() == [0.0] * 5
+
+
+@pytest.mark.parametrize("key, s", [("zeta_0p3_500i", 0.3 + 500j), ("zeta_m0p5_500i", -0.5 + 500j),
+                                    ("zeta_0p3_1000i", 0.3 + 1000j)])
+def test_zeta_left_of_the_line_at_large_height_golden(golden, key, s):
+    # Past |Im s| = 452 sin(pi s/2) overflows while Gamma(1 - s) underflows;
+    # their product goes through logarithms (no RuntimeWarning, which
+    # pytest turns into errors).  The phase of Gamma's and pi^s's
+    # logarithms, about 3000 at this height, limits the accuracy.
+    assert rel_err(riemann_zeta(s), golden[key]) < 1e-12
+
+
+def test_hurwitz_shift_row_in_bounded_memory():
+    # zeta(2.4e6) sums a 960008-term shift row; formed in chunks, its
+    # temporaries stay a few MiB instead of growing with s (73 MiB before).
+    tracemalloc.start()
+    try:
+        riemann_zeta(2.4e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_hurwitz_chunks_keep_the_bits(monkeypatch):
+    # The running sums are carried into each chunk, so a tiny chunk adds
+    # in the same order as one chunk over the whole shift axis.
+    a = np.linspace(0.05, 30.0, 7) + 0.3j
+    calls = [(2.5 + 3j, a, False), (0.3 - 40j, a, False), (1.0, a, True), (0.4 + 0.2j, a, True),
+             (3.0 + 700j, 1.0, False)]
+    whole = [np.asarray(specfun._hurwitz_em(*c)).tobytes() for c in calls]
+    monkeypatch.setattr(specfun, "_EM_CHUNK", 5)
+    assert [np.asarray(specfun._hurwitz_em(*c)).tobytes() for c in calls] == whole
 
 
 def test_hurwitz_discards_overflowing_tail_terms_silently():

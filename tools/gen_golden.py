@@ -216,6 +216,11 @@ def golden_values():
     put("zeta_half_plus_3i", zeta(mpf("0.5") + 3 * i), "zeta(1/2+3i)")
     put("zeta_minus_half", zeta(mpf("-0.5")), "zeta(-1/2)")
     put("zeta_3", zeta(3), "zeta(3)")
+    # Left of Re s = 1/2 past |Im s| = 452, where sin(pi s/2) overflows
+    # while Gamma(1 - s) underflows.
+    put("zeta_0p3_500i", zeta(mpf("0.3") + 500 * i), "zeta(0.3+500i)")
+    put("zeta_m0p5_500i", zeta(mpf("-0.5") + 500 * i), "zeta(-0.5+500i)")
+    put("zeta_0p3_1000i", zeta(mpf("0.3") + 1000 * i), "zeta(0.3+1000i)")
     put("hurwitz_1p5_2p5", zeta(mpf("1.5"), mpf("2.5")), "zeta(3/2, 5/2)")
     put("hurwitz_0p75_3p25", zeta(mpf("0.75"), mpf("3.25")),
         "zeta(3/4, 13/4)")

@@ -47,9 +47,13 @@ bound's argument is small, and `omega-laplace` at the first zeta zero,
 where the Omega majorant carries the weight's bound.  Then a 1500-step
 `rg-formula` sweep to stdout (about 157 kB, so a lost flush shows) and
 `eval zeta` at s = -171.5 and -180.5, where Gamma(1 - s) overflows but
-zeta(s) does not.  Last, one sweep writes --out and --svg into a temp
-dir per tree, and its CSV and SVG bytes are compared with its exit code
-and stdout: 104 commands and that sweep, 105 in all.  The children run
+zeta(s) does not.  Then `eval zeta` at the trivial zeros -2 and -100 and
+at 0.3+500i, where sin(pi s/2) overflows and Gamma(1 - s) underflows,
+`eval sigma` at two divisor powers and `eval omega` at a phase past the
+double range, and the Dixon-Ferrar pair at x = 7.  Last, one sweep
+writes --out and --svg into a temp dir per tree, and its CSV and SVG
+bytes are compared with its exit code and stdout: 111 commands and that
+sweep, 112 in all.  The children run
 without PYTHONUNBUFFERED, so their stdout is block-buffered, as a pipe's
 is by default.
 
@@ -228,6 +232,18 @@ COMMANDS = (
     # zeta where Gamma(1 - s) overflows but zeta(s) does not.
     ("eval", "zeta", "--s=-171.5"),
     ("eval", "zeta", "--s=-180.5"),
+    # zeta at two trivial zeros, and left of Re s = 1/2 where sin(pi s/2)
+    # overflows while Gamma(1 - s) underflows.
+    ("eval", "zeta", "--s=-2"),
+    ("eval", "zeta", "--s=-100"),
+    ("eval", "zeta", "--s=0.3+500i"),
+    # A divisor power and Omega's phase past the double range.
+    ("eval", "sigma", "--a=800", "--n=6"),
+    ("eval", "sigma", "--a=2.8e299", "--n=1649296625"),
+    ("eval", "omega", "--x=1.2686935041313472", "--z=1.95e-130-9892227723.8i"),
+    # The Dixon-Ferrar pair at a large x: both directions through the first
+    # transform, psi's by its power-tail rule.
+    ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=7"),
 )
 
 # A sweep that writes --out and --svg, into a temp dir per tree; its exit
