@@ -23,9 +23,8 @@ from .kernels import (ReciprocalPair, first_koshliakov_transform,
                       koshliakov_kernel, lambda_fn, lambda_sum, omega,
                       omega_combination, pair_dixon_ferrar, pair_k_bessel,
                       theta_eval, transform_kernel)
-from .quadrature import (ExpDecay, QuadratureResult, QuadratureSpec,
-                         integrate_finite, integrate_half_line,
-                         integrate_semi_infinite, tanh_sinh)
+from .quadrature import (QuadratureResult, QuadratureSpec, integrate_finite,
+                         integrate_half_line, integrate_semi_infinite, tanh_sinh)
 from .specfun import (EULER_GAMMA, bessel_j, bessel_k, bessel_y, big_xi,
                       digamma, exp_integral_ei, exp_integral_li, gamma,
                       hurwitz_zeta, log_gamma, riemann_zeta, xi)
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EULER_GAMMA", "IDENTITIES", "IdentityEntry", "ConvergenceError",
-    "DecayError", "DomainError", "ExpDecay",
+    "DecayError", "DomainError",
     "KoshliakovError", "LimitError", "PoleError",
     "QuadratureResult", "QuadratureSpec", "ReciprocalPair",
     "VerificationReport", "bessel_j", "bessel_k",

@@ -21,7 +21,8 @@ class DomainError(KoshliakovError):
 
 
 class LimitError(KoshliakovError):
-    """Requested size exceeds a configured resource bound."""
+    """Requested size exceeds a configured resource bound, or a value
+    passes the double range."""
 
 
 class ConvergenceError(KoshliakovError):

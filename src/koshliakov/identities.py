@@ -33,7 +33,7 @@ from .errors import DomainError
 from .kernels import (ReciprocalPair, _check_z, _divisor_sum, _k_envelope, _omega_bound,
                       _omega_plan, _omega_roundoff, first_koshliakov_transform, lambda_sum,
                       omega_combination, pair_dixon_ferrar, pair_k_bessel)
-from .quadrature import QuadratureSpec, integrate_finite, integrate_half_line, tail_certificate
+from .quadrature import QuadratureSpec, integrate_finite, integrate_half_line
 from .specfun import (EULER_GAMMA, _bessel_jy, _lgamma_slope, _pole_quotient, _real_order,
                       bessel_j, bessel_k, big_xi, gamma, riemann_zeta)
 
@@ -363,7 +363,7 @@ def _divisor_k_series(cs, z: complex, spec: QuadratureSpec):
     tail moments.  Returns (values, quadrature errors), arrays.  With
     |x^2 + pi^2 n^2|^expo <= (pi n)^{-(Re z+3)} the n-sum is at most
     pi^{-(Re z+3)} zeta(2) zeta(2+Re z), times x^{1+Re z/2} and K's
-    _k_envelope: each column's tail certificate."""
+    _k_envelope: each column's tail bound."""
     cs = np.asarray(cs, dtype=float)
     N, expo = _SERIES_TERMS, -0.5 * (z + 3.0)
     weights = _omega_plan(z, N) * np.arange(1, N + 1, dtype=float) ** (z + 1.0)
@@ -374,9 +374,8 @@ def _divisor_k_series(cs, z: complex, spec: QuadratureSpec):
         return (np.power(x, 1.0 + 0.5 * z) * mix)[:, None] * kw
 
     n_sum = math.pi ** -(z.real + 3.0) * math.pi ** 2 / 6.0 * riemann_zeta(2.0 + z.real).real
-    decays = [tail_certificate(n_sum * A, p + 1.0 + 0.5 * z.real, b)
-              for A, p, b in (_k_envelope(0.5 * z, 2.0 * c) for c in cs)]
-    r = integrate_half_line(f, decays, spec)
+    r = integrate_half_line(f, [(n_sum * A, p + 1.0 + 0.5 * z.real, b)
+                                for A, p, b in (_k_envelope(0.5 * z, 2.0 * c) for c in cs)], spec)
     return r.value, r.total_error
 
 
@@ -473,8 +472,8 @@ def verify_mellin_k(s=2+0j, nu=0j, q: float = 1.0,
     # <= m^{Re s} u^{Re s - 1} |K_nu(qmu)|, and _k_envelope bounds K.
     m = max(1.0, (s.real - 1.0) / q)
     A, p, b = _k_envelope(nu, q * m)
-    r = integrate_half_line(lambda u: m * f(m * u),
-                            tail_certificate(m ** s.real * A, p + s.real - 1.0, b), _MELLIN_SPEC)
+    r = integrate_half_line(lambda u: m * f(m * u), (m ** s.real * A, p + s.real - 1.0, b),
+                            _MELLIN_SPEC)
     lhs = r.value
     rhs = 2.0 ** (s - 2.0) * q ** (-s) * gamma(0.5 * (s - nu)) * gamma(0.5 * (s + nu))
     # The sides' rounding: each multiplies at most four factors, each within
@@ -545,8 +544,16 @@ def verify_omega_self_reciprocal(x: float = 1.0, z=0.5+0j,
     osc = quadrature.integrate_alternating_tail(g, c * math.sqrt(Y), math.pi)
     zeta_z = riemann_zeta(zr)
     tail = -(zeta_z / (2.0 * math.pi)) * 2.0 * c ** (-zr) * osc.value
-    # Discarded exponentially small Omega remainder past Y.
-    om_rem = 40.0 * math.exp(-2.0 * math.sqrt(2.0) * math.pi * math.sqrt(Y))
+    # The discarded Omega piece past Y: |J_z(u)| <= 1 for z >= 0, and for
+    # z < 0 at most 1 + (u/2)^z / Gamma(1+z) (as below), which falls with u;
+    # |Omega(y, z)| <= M (Y/y)^{1/4} e^{-w (sqrt(y/Y) - 1)} (_omega_bound),
+    # w = 2 sqrt(2) pi sqrt Y, integrates over y >= Y to M Y e^w 2 w^{-3/2}
+    # times the upper incomplete Gamma(3/2, w) = sqrt(w) e^{-w} + erfc(sqrt w)
+    # sqrt(pi)/2.
+    j_tail = 1.0 if zr >= 0.0 else 1.0 + (0.5 * c * math.sqrt(Y)) ** zr / gamma(1.0 + zr).real
+    w = 2.0 * math.sqrt(2.0) * math.pi * math.sqrt(Y)
+    om_rem = (j_tail * _omega_bound(z, Y) * Y * 2.0 * w ** -1.5
+              * (math.sqrt(w) + 0.5 * math.sqrt(math.pi) * math.exp(w) * math.erfc(math.sqrt(w))))
     # Omega's roundoff bound (omega_combination) at x and over [0, Y] against
     # |J_z(u)| <= 1 + (u/2)^z / Gamma(1+z) (mpmath at z < 0; |J_z| <= 1 at z >= 0).
     k = _omega_roundoff(z)
@@ -568,15 +575,14 @@ def _laplace_columns(weight: Callable, bound: tuple, cols, spec: QuadratureSpec)
     """Integral over x > 0 of e^{-2 pi c x} weight(x) for every c of cols,
     from one vector integral: weight is evaluated once per node, the
     exponential once per node and column.  bound = (A, p) has |weight(x)|
-    <= A x^p for x >= 1, which gives each column its tail certificate.
+    <= A x^p for x >= 1, which gives each column its tail bound.
     Returns the QuadratureResult, one value and error per column."""
     cols = np.asarray(cols, dtype=float)
 
     def f(x):
         return weight(x)[:, None] * np.exp(-2.0 * math.pi * np.multiply.outer(x, cols))
 
-    return integrate_half_line(f, [tail_certificate(*bound, 2.0 * math.pi * c) for c in cols],
-                               spec)
+    return integrate_half_line(f, [(*bound, 2.0 * math.pi * c) for c in cols], spec)
 
 
 def _omega_laplace(z: complex, points):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import arith, quadrature   # head/tail rules via the module, so wrappers see them
 from .errors import ConvergenceError, DecayError, DomainError
-from .quadrature import QuadratureResult, QuadratureSpec, integrate_half_line, tail_certificate
+from .quadrature import QuadratureResult, QuadratureSpec, integrate_half_line
 from .specfun import (_EM_COEF, _bessel_jy, _e1_minus_ei_scaled, _exp_slope, _hurwitz_em,
                       _pole_quotient, _real_order, bessel_k, bessel_k_scaled, gamma, riemann_zeta)
 
@@ -106,7 +106,7 @@ def first_koshliakov_transform(g, z, x: float, envelope: tuple | None,
     cos, sin = abs(math.cos(math.pi * zr)), abs(math.sin(math.pi * zr))
     kernel = (2.0 / math.pi) * cos * bessel_k(2.0 * zr, v0).real + (cos + sin) * math.hypot(j, y)
     A, p, b = envelope
-    return integrate_half_line(integrand, tail_certificate(A * kernel, p, b), spec)
+    return integrate_half_line(integrand, (A * kernel, p, b), spec)
 
 
 class ReciprocalPair(NamedTuple):
@@ -207,7 +207,7 @@ def pair_Z_numeric(pair: ReciprocalPair, s, z) -> complex:
         raise DecayError(f"the {pair.label} pair's psi has no exponential envelope")
     (A1, p1, b1), (A2, p2, b2) = pair.phi_envelope(z), pair.psi_envelope(z)
     r = integrate_half_line(lambda x: np.power(x, s - 1.0) * theta_eval(pair, x, z),
-                            tail_certificate(A1 + A2, max(p1, p2) + s.real - 1.0, min(b1, b2)),
+                            (A1 + A2, max(p1, p2) + s.real - 1.0, min(b1, b2)),
                             QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
     return r.value / (gamma(0.5 * (s - z)) * gamma(0.5 * (s + z)))
 
@@ -249,17 +249,20 @@ def _omega_definition(x: float, z: complex) -> complex:
     return complex(np.sum(2.0 * sig * np.power(n, 0.5 * z) * pair))
 
 
-def _omega_bound(z: complex) -> float:
-    """M with |Omega(x, z)| <= M for x >= 1, from the defining K-series:
+def _omega_bound(z: complex, Y: float = 1.0) -> float:
+    """M with |Omega(x, z)| <= M (Y/x)^{1/4} e^{-k (sqrt x - sqrt Y)} <= M
+    for x >= Y >= 1, k = 2 sqrt(2) pi, from the defining K-series:
     |sigma_{-z}(n)| <= n^{1+|Re z|}, the two phases are at most
     2 cosh(pi Im z/4), and |K_z(w)| <= K_{|Re z|}(Re w) (DLMF 10.32.9), Re w
-    = k sqrt(nx), k = 2 sqrt(2) pi, under _k_envelope; so term n falls with
-    x, and at x = 1 is 4 cosh(pi Im z/4) A n^a e^{-k sqrt n}, a = 3/4 +
-    |Re z| + Re z/2.  Past n = 1 these sum to at most their integral from
-    1, 2 int_1^inf u^{2a+1} e^{-ku} du <= 2 e^{-k}/(k - 2a - 1)."""
+    = k sqrt(nx), under _k_envelope; so term n is at most
+    4 cosh(pi Im z/4) A n^a x^{-1/4} e^{-k sqrt(nx)}, a = 3/4 + |Re z| +
+    Re z/2, and n^a e^{-k sqrt(nx)} <= e^{-k sqrt x} n^a e^{-k sqrt Y (sqrt n
+    - 1)}.  Past n = 1 these sum to at most their integral from 1,
+    2 int_1^inf u^{2a+1} e^{-k sqrt Y (u - 1)} du <= 2/(k sqrt Y - 2a - 1)."""
     k = 2.0 * math.sqrt(2.0) * math.pi
+    kY = k * math.sqrt(Y)
     a = 0.75 + abs(z.real) + 0.5 * z.real
-    series = math.exp(-k) * (1.0 + 2.0 / (k - 2.0 * a - 1.0))
+    series = Y ** -0.25 * math.exp(-kY) * (1.0 + 2.0 / (kY - 2.0 * a - 1.0))
     return 4.0 * math.cosh(0.25 * math.pi * z.imag) * _k_envelope(z, k)[0] * series
 
 

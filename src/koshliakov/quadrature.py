@@ -325,80 +325,62 @@ def integrate_singular_head(f, T: float, spec: QuadratureSpec | None = None) -> 
                             head.nodes_used + rest.nodes_used)
 
 
-class ExpDecay:
-    """Certificate |f(t)| <= coeff * exp(-rate * t) past the lower endpoint
-    of the integral it serves."""
-
-    def __init__(self, coeff: float, rate: float):
-        if not (0.0 < coeff < math.inf and 0.0 < rate < math.inf):
-            raise DecayError("ExpDecay requires positive, finite coeff and rate")
-        self.coeff = coeff
-        self.rate = rate
-
-    def tail_bound(self, T: float) -> float:
-        return self.coeff * math.exp(-self.rate * T) / self.rate
-
-    def cutoff_for(self, tol: float) -> float:
-        if tol <= 0:
-            raise DecayError("tolerance must be positive")
-        return -math.log(tol * self.rate / self.coeff) / self.rate
-
-
-# tail_certificate's rate as a fraction of its bound's: the rest pays for t^p.
+# The envelope's rate as a fraction of its bound's: the rest pays for t^p.
 _RATE_FRACTION = 0.9
 
 
-def tail_certificate(coeff: float, power: float, rate: float) -> ExpDecay:
-    """ExpDecay for an f with |f(t)| <= coeff t^power e^{-rate t} on t >= 1:
-    at _RATE_FRACTION of rate, its coefficient is coeff times the largest
-    t^power e^{-(1 - _RATE_FRACTION) rate t} over t >= 1."""
-    slack = (1.0 - _RATE_FRACTION) * rate
-    t = max(1.0, power / slack)
-    return ExpDecay(coeff * math.exp(power * math.log(t) - slack * t), _RATE_FRACTION * rate)
+def _envelope(bound, a: float):
+    """(C, r) with |f(t)| <= C e^{-rt} on t >= a from bound = (A, p, b), a
+    bound |f(t)| <= A t^p e^{-bt} there: r = _RATE_FRACTION b, and C is A
+    times the largest t^p e^{-(1 - _RATE_FRACTION) bt} over t >= a.
+    DecayError unless C and r are positive and finite."""
+    A, p, b = bound
+    slack = (1.0 - _RATE_FRACTION) * b
+    t = max(a, p / slack) if slack > 0.0 else a
+    C, r = A * math.exp(p * math.log(t) - slack * t), _RATE_FRACTION * b
+    if not (0.0 < C < math.inf and 0.0 < r < math.inf):
+        raise DecayError(f"tail bound {tuple(bound)} gives no positive, finite envelope")
+    return C, r
 
 
-def integrate_semi_infinite(f, a: float, decay,
+def integrate_semi_infinite(f, a: float, bound,
                             spec: QuadratureSpec | None = None) -> QuadratureResult:
-    """Integrate f over [a, inf) using a decay certificate for the tail.
+    """Integrate f over [a, inf), a > 0, under the caller's tail bound
+    (A, p, b): |f(t)| <= A t^p e^{-bt} on t >= a, through its envelope
+    C e^{-rt} (_envelope).
 
-    The cutoff is chosen so the certified tail consumes at most a tenth of
+    The cutoff is chosen so the envelope's tail consumes at most a tenth of
     the tolerance budget, and lies at least 1 past a; the rest goes to the
-    finite-range panels, which are laid out geometrically so oscillation
-    near the origin and slow variation far out are both resolved.  The segments refine in lockstep,
-    one call of f per round, each as integrate_finite would refine it.
+    finite-range panels, laid out geometrically so oscillation near a and
+    slow variation far out are both resolved.  The segments refine in
+    lockstep, one call of f per round, each as integrate_finite would.
 
-    decay may also be a list of certificates, one per component of an
+    bound may also be a list of triples, one per component of an
     (nodes, m) integrand (or one for a (nodes,) integrand): the cutoff is
-    the largest of theirs, each component gets its own certificate's
-    bound at that cutoff, and each must pass the final check against its
-    own budget.
+    the largest of theirs, each component gets its own envelope's tail at
+    that cutoff, and each must pass the final check against its own budget.
     """
     spec = spec or QuadratureSpec()
+    if not a > 0.0:
+        raise DomainError(f"a tail bound holds on t >= a > 0; got a = {a!r}")
     tol = spec.abs_tol
-    decays = decay if isinstance(decay, list) else [decay]
-    T = max(a + 1.0, *(d.cutoff_for(0.1 * tol) for d in decays))
-    trunc = [d.tail_bound(T) for d in decays]
+    envelopes = [_envelope(b, a) for b in (bound if isinstance(bound, list) else [bound])]
+    T = max(a + 1.0, *(-math.log(0.1 * tol * r / C) / r for C, r in envelopes))
+    trunc = [C * math.exp(-r * T) / r for C, r in envelopes]
 
     # Geometric breakpoints: unit-ish first segment, then doubling spans.
-    breaks = [a]
-    step = 1.0
-    pos = a
-    while pos + step < T:
-        pos += step
-        breaks.append(pos)
+    breaks, step = [a], 1.0
+    while breaks[-1] + step < T:
+        breaks.append(breaks[-1] + step)
         step *= 2.0
     breaks.append(T)
 
     # Child panels share the tolerance; each gets an equal slice.
     n_seg = len(breaks) - 1
     seg_spec = QuadratureSpec(max(tol / max(n_seg, 1), 1e-300), spec.rel_tol, spec.max_panels)
-    total = 0.0 + 0.0j
-    err = 0.0
-    nodes = 0
-    for r in _gauss_kronrod(f, breaks, seg_spec):
-        total += r.value
-        err += r.err_estimate
-        nodes += r.nodes_used
+    total, err, nodes = 0.0 + 0.0j, 0.0, 0
+    for seg in _gauss_kronrod(f, breaks, seg_spec):
+        total, err, nodes = total + seg.value, err + seg.err_estimate, nodes + seg.nodes_used
     if np.ndim(total) == 0:
         result = QuadratureResult(complex(total), err, nodes, truncation_bound=trunc[0])
     else:
@@ -411,16 +393,16 @@ def integrate_semi_infinite(f, a: float, decay,
     return result
 
 
-def integrate_half_line(f, decay, spec: QuadratureSpec | None = None) -> QuadratureResult:
+def integrate_half_line(f, bound, spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Integrate f over (0, inf): (0, 1] through integrate_singular_head,
     so f may carry an integrable singularity at 0, and [1, inf) through
-    integrate_semi_infinite under decay, the caller's certificate for
-    t >= 1 (one ExpDecay, or a list with one per component of an
-    (nodes, m) integrand; tail_certificate makes one from a bound).
-    Nothing checks the certificate: its caller derives it."""
+    integrate_semi_infinite under bound, the caller's (A, p, b) with
+    |f(t)| <= A t^p e^{-bt} on t >= 1 (or a list with one per component of
+    an (nodes, m) integrand).  Nothing checks the bound: its caller
+    derives it."""
     spec = spec or QuadratureSpec()
     head = integrate_singular_head(f, 1.0, spec)
-    tail = integrate_semi_infinite(f, 1.0, decay, spec)
+    tail = integrate_semi_infinite(f, 1.0, bound, spec)
     return QuadratureResult(head.value + tail.value,
                             head.err_estimate + tail.err_estimate,
                             head.nodes_used + tail.nodes_used,

@@ -106,33 +106,57 @@ def _cpow(x, b):
 
 
 def _lanczos_core(z: np.ndarray) -> np.ndarray:
-    # Requires Re z >= 0.5.
+    """Gamma(z) for Re z >= 0.5, inf past the double range.  From about
+    Re z = 142 the power t^(z - 1/2) alone overflows: there its two halves
+    go on either side of e^{-t}, which keeps Gamma finite to about 171.6."""
     a = _LANCZOS_C[0] + np.sum(_LANCZOS_C[1:] / np.add.outer(z - 1.0, _LANCZOS_K), axis=-1)
     t = z + _LANCZOS_G - 0.5
-    return _SQRT_TWO_PI * _cpow(t, z - 0.5) * np.exp(-t) * a
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _SQRT_TWO_PI * _cpow(t, z - 0.5) * np.exp(-t) * a
+        big = ~np.isfinite(out)
+        if big.any():
+            half = _cpow(t[big], 0.5 * (z[big] - 0.5))
+            out[big] = _SQRT_TWO_PI * half * np.exp(-t[big]) * a[big] * half
+    out[~np.isfinite(out)] = np.inf
+    return out
+
+
+def _gamma(arr: np.ndarray) -> np.ndarray:
+    """Gamma at an array of points off the poles: inf where |Gamma| passes
+    the double range, 0 where it underflows (Gamma(1 - z) past it)."""
+    refl = arr.real < 0.5
+    out = _lanczos_core(np.where(refl, 1.0 - arr, arr))
+    over = np.isinf(out)
+    # Reflection keeps the Lanczos sum on its accurate half-plane.
+    inner = refl & ~over
+    out[inner] = math.pi / (np.sin(math.pi * arr[inner]) * out[inner])
+    out[refl & over] = 0.0
+    out.imag[(arr.imag == 0.0) & (arr.real > 0.0)] = 0.0
+    return out
 
 
 def gamma(z):
     """Gamma function for complex z, a scalar or an array; PoleError at the
-    nonpositive integers."""
+    nonpositive integers, LimitError past the double range (from about
+    z = 171.6) and 0 where |Gamma| underflows."""
     arr, scalar = _as_array(z, complex)
     pole = _at_pole(arr)
     if pole.any():
         raise PoleError(f"gamma pole at z={complex(arr[pole][0])}")
-    refl = arr.real < 0.5
-    out = _lanczos_core(np.where(refl, 1.0 - arr, arr))
-    # Reflection keeps the Lanczos sum on its accurate half-plane.
-    out[refl] = math.pi / (np.sin(math.pi * arr[refl]) * out[refl])
-    out.imag[(arr.imag == 0.0) & (arr.real > 0.0)] = 0.0
+    out = _gamma(arr)
+    past = np.isinf(out)
+    if past.any():
+        raise LimitError(f"gamma(z) at z={complex(arr[past][0])} exceeds the double range")
     return complex(out[0]) if scalar else out
 
 
 def rgamma(z) -> complex:
-    """1/Gamma(z); entire, returns exactly 0 at the nonpositive integers."""
+    """1/Gamma(z); entire, returns exactly 0 at the nonpositive integers and
+    where 1/Gamma underflows."""
     z = complex(z)
     if _at_pole(z):
         return 0.0 + 0.0j
-    return 1.0 / gamma(z)
+    return 1.0 / complex(_gamma(np.array([z]))[0])
 
 
 def log_gamma(z) -> complex:
@@ -353,14 +377,14 @@ def riemann_zeta(s):
         r, sign = h - n, 1.0 - 2.0 * (n % 2.0)
         zero = (r == 0.0) & (n != 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = gamma(wl)
+            g = _gamma(wl)
             # Reflection written through (s-1)zeta(s) and sin(pi s/2)/s, so
             # s=0 is unexceptional.
             sinc = np.where(n == 0.0, _sinc(math.pi * h),
                             sign * np.sin(math.pi * r) / (math.pi * np.where(n == 0.0, 1.0, h)))
             zl = (-np.exp((sl - 1.0) * math.log(2.0)) * np.exp(sl * math.log(math.pi))
                   * sinc * g * zs)
-        # Gamma(wl) overflows from about Re wl = 142 on; from about |Im s| =
+        # Gamma(wl) overflows from about Re wl = 171.6 on; from about |Im s| =
         # 452 on it underflows while the sine overflows.  Those points are
         # formed below.
         over = ~((np.isfinite(zl) & (np.abs(g) >= _TINY)) | zero)
@@ -397,12 +421,25 @@ def hurwitz_zeta(w, a):
 
 def xi(s):
     """Riemann xi, the entire completion of zeta, for a scalar or an array;
-    xi(s) = xi(1-s)."""
+    xi(s) = xi(1-s).  LimitError past the double range (from about
+    Re s = 436 on the real line)."""
     arr, scalar = _as_array(s, complex)
     arr = np.where(arr.real < 0.5, 1.0 - arr, arr)
     # (1/2)s(s-1)pi^{-s/2}Gamma(s/2)zeta(s) with the pole of zeta absorbed
     # into (s-1)zeta(s) and the s/2 factor into Gamma(s/2+1).
-    out = np.exp(-0.5 * arr * math.log(math.pi)) * gamma(0.5 * arr + 1.0) * zeta_star(arr)
+    g, zs = _gamma(0.5 * arr + 1.0), zeta_star(arr)
+    over = np.isinf(g)
+    out = np.exp(-0.5 * arr * math.log(math.pi)) * np.where(over, 0.0, g) * zs
+    if over.any():
+        # Gamma(s/2 + 1) overflows from about Re s = 341, before xi does:
+        # the same product in one logarithm.
+        so = arr[over]
+        log_xi = (-0.5 * so * math.log(math.pi) + np.log(zs[over])
+                  + np.array([log_gamma(v) for v in 0.5 * so + 1.0]))
+        if (log_xi.real > _LOG_MAX).any():
+            raise LimitError(f"xi(s) at s={complex(so[log_xi.real > _LOG_MAX][0])} "
+                             "exceeds the double range")
+        out[over] = np.exp(log_xi)
     return complex(out[0]) if scalar else out
 
 

@@ -64,11 +64,11 @@ def hurwitz_zeta_hermite(w, a) -> complex:
 
     # For t >= 1: |sin(w phase)| <= cosh(|Im w| pi/2) as 0 < phase < pi/2,
     # a^2 + t^2 <= (a^2 + 1) t^2, and 1/(e^{2 pi t} - 1) <= e^{-2 pi t} /
-    # (1 - e^{-2 pi}): the tail certificate of the 1/(e^{2 pi t}-1) factor.
+    # (1 - e^{-2 pi}): the tail bound of the 1/(e^{2 pi t}-1) factor.
     bound = (math.cosh(0.5 * math.pi * abs(w.imag)) * (a * a + 1.0) ** (-0.5 * w.real)
              / -math.expm1(-2.0 * math.pi))
     res = quadrature.integrate_half_line(
-        integrand, quadrature.tail_certificate(bound, max(0.0, -w.real), 2.0 * math.pi),
+        integrand, (bound, max(0.0, -w.real), 2.0 * math.pi),
         quadrature.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
     main = 0.5 * a ** (-w) + a ** (1.0 - w) / (w - 1.0)
     return main + 2.0 * res.value

@@ -29,7 +29,7 @@ from koshliakov.kernels import (_k_envelope, _omega_definition, first_koshliakov
                                 koshliakov_kernel, lambda_fn, lambda_sum, omega,
                                 omega_combination, pair_dixon_ferrar,
                                 pair_k_bessel, theta_eval)
-from koshliakov.quadrature import ExpDecay, integrate_semi_infinite, tanh_sinh
+from koshliakov.quadrature import integrate_semi_infinite, tanh_sinh
 from koshliakov.specfun import (bessel_j, bessel_k, bessel_k_scaled, bessel_y,
                                 big_xi, digamma, exp_integral_e1_scaled,
                                 exp_integral_ei, exp_integral_li, gamma,
@@ -89,8 +89,9 @@ def _bh_inner_n1() -> complex:
         return (x ** 1.25 * np.real(bessel_k(0.25, 2.0 * x))
                 * (x * x + math.pi ** 2) ** -1.75)
 
+    # |K_{1/4}(2x)| <= A x^{-1/2} e^{-2x} and (x^2 + pi^2)^{-7/4} <= pi^{-7/2}.
     head = tanh_sinh(f, 0.0, 1.0)
-    tail = integrate_semi_infinite(f, 1.0, decay=ExpDecay(coeff=50.0, rate=1.8))
+    tail = integrate_semi_infinite(f, 1.0, (_k_envelope(0.25, 2.0)[0] * math.pi ** -3.5, 0.75, 2.0))
     return complex(head.value) + complex(tail.value)
 
 
@@ -100,8 +101,10 @@ def _hz0_inner_n1() -> complex:
         return (2.0 * x * np.real(bessel_k(0.0, 2.0 * x))
                 * (x * x + math.pi ** 2) ** -1.5)
 
+    # |K_0(2x)| <= A x^{-1/2} e^{-2x} and (x^2 + pi^2)^{-3/2} <= pi^{-3}.
     head = tanh_sinh(f, 0.0, 1.0)
-    tail = integrate_semi_infinite(f, 1.0, decay=ExpDecay(coeff=50.0, rate=1.8))
+    tail = integrate_semi_infinite(f, 1.0, (2.0 * _k_envelope(0.0, 2.0)[0] * math.pi ** -3.0,
+                                            0.5, 2.0))
     return complex(head.value) + complex(tail.value)
 
 
@@ -171,6 +174,7 @@ def test_criterion_02_golden_suite(golden):
         "bh_inner_n1": _bh_inner_n1,
         "big_xi_2_p5i": lambda: big_xi(2 + 0.5j),
         "big_xi_2p5": lambda: big_xi(2.5),
+        "big_xi_m300i": lambda: big_xi(-300j),
         "df_psi_1": lambda: pair_dixon_ferrar().psi(1.0, 0.0),
         "df_psi_6": lambda: pair_dixon_ferrar().psi(6.0, 0.0),
         "df_psi_0p01": lambda: pair_dixon_ferrar().psi(0.01, 0.0),
@@ -190,6 +194,8 @@ def test_criterion_02_golden_suite(golden):
         "f_frak_0p3_0p9c": lambda: f_frak(0.9 - 0.4j, 0.3)[0] / 8.0,
         "gamma_1_plus_i": lambda: gamma(1 + 1j),
         "gamma_quarter": lambda: gamma(0.25),
+        "gamma_150": lambda: gamma(150.0),
+        "gamma_m150p5": lambda: gamma(-150.5),
         "hurwitz_0p75_3p25": lambda: hurwitz_zeta(0.75, 3.25),
         "hurwitz_1p5_2p5": lambda: hurwitz_zeta(1.5, 2.5),
         "hurwitz_2p2i_1p5": lambda: hurwitz_zeta(2 + 2j, 1.5),
@@ -215,6 +221,8 @@ def test_criterion_02_golden_suite(golden):
         "theta_k_alpha2_pi": lambda: theta_eval(pair_k_bessel(2.0), math.pi, 0.0),
         "xi_at_2": lambda: xi(2.0),
         "xi_half": lambda: xi(0.5),
+        "xi_300": lambda: xi(300.0),
+        "xi_400": lambda: xi(400.0),
         "zeta_3": lambda: riemann_zeta(3.0),
         "zeta_half": lambda: riemann_zeta(0.5),
         "zeta_half_plus_3i": lambda: riemann_zeta(0.5 + 3.0j),

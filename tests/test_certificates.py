@@ -1,8 +1,10 @@
-"""Tail certificates: every bound |f(t)| <= A t^p e^{-bt} on t >= 1 that a
-caller hands quadrature.tail_certificate holds for its integrand.  Each
+"""Tail bounds: every bound |f(t)| <= A t^p e^{-bt} on t >= 1 that a
+caller hands quadrature.integrate_half_line holds for its integrand.  Each
 test draws its caller's documented domain, takes the integrand and the
 (A, p, b) of every column as the caller hands them over, and checks the
-bound at points of [1, T], T the tail cutoff."""
+bound at points of [1, T], T the tail cutoff.  Last, the Omega majorant
+behind omega-self-reciprocal's omega_remainder, against Omega past the
+head and against the budget."""
 
 import math
 from unittest import mock
@@ -12,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from koshliakov import identities, kernels
+from koshliakov import identities, kernels, quadrature
 from koshliakov.kernels import pair_dixon_ferrar, pair_k_bessel
+from koshliakov.specfun import bessel_j
 
 
 class _Grabbed(Exception):
@@ -21,26 +24,21 @@ class _Grabbed(Exception):
 
 
 def _certified(run, module):
-    """The integrand that run() hands module.integrate_half_line, which is
-    stopped there, the (A, p, b) of each tail_certificate call made before
-    it (one per column), and the tail cutoff T of its certificates."""
-    bounds, grabbed = [], []
-    real = module.tail_certificate
+    """The integrand and the (A, p, b) of each column that run() hands
+    module.integrate_half_line, which is stopped there, and the tail cutoff
+    T of their envelopes (quadrature._envelope)."""
+    grabbed = []
 
-    def record(A, p, b):
-        bounds.append((A, p, b))
-        return real(A, p, b)
-
-    def grab(f, decay, spec):
-        grabbed.append((f, decay if isinstance(decay, list) else [decay], spec))
+    def grab(f, bound, spec):
+        grabbed.append((f, bound if isinstance(bound, list) else [bound], spec))
         raise _Grabbed
 
-    with mock.patch.object(module, "tail_certificate", record), \
-            mock.patch.object(module, "integrate_half_line", grab), pytest.raises(_Grabbed):
+    with mock.patch.object(module, "integrate_half_line", grab), pytest.raises(_Grabbed):
         run()
-    f, decays, spec = grabbed[0]
-    assert len(decays) == len(bounds)
-    return f, bounds, max(2.0, *(d.cutoff_for(0.1 * spec.abs_tol) for d in decays))
+    f, bounds, spec = grabbed[0]
+    cutoffs = [-math.log(0.1 * spec.abs_tol * r / C) / r
+               for C, r in (quadrature._envelope(bound, 1.0) for bound in bounds)]
+    return f, bounds, max(2.0, *cutoffs)
 
 
 def _assert_bounded(run, module=identities):
@@ -124,3 +122,41 @@ def test_pair_transforms_stay_under_their_envelopes(pair_alpha, z, x):
                             (df_pair.phi, df_pair.phi_envelope, 0.0)):
         _assert_bounded(lambda: kernels.first_koshliakov_transform(
             lambda t: g(t, zz), zz, 4.0 * x, envelope(zz), identities._PAIR_SPEC), kernels)
+
+
+_OMEGA_Y = 14.0
+
+
+def _omega_majorant(y, z):
+    """_omega_bound's majorant of |Omega(y, z)| on y >= _OMEGA_Y."""
+    w = 2.0 * math.sqrt(2.0) * math.pi * math.sqrt(_OMEGA_Y)
+    return (kernels._omega_bound(complex(z), _OMEGA_Y) * (_OMEGA_Y / y) ** 0.25
+            * np.exp(-w * (np.sqrt(y / _OMEGA_Y) - 1.0)))
+
+
+@settings(max_examples=30)
+@given(z=_hundredths(-99, 99))
+@example(z=-0.99)
+@example(z=0.0)
+@example(z=0.99)
+def test_omega_majorant_covers_omega_past_the_head(z):
+    # The Omega piece that omega-self-reciprocal drops past y = 14, against
+    # Omega's definition form, with 1e-12 relative room for rounding.
+    y = np.linspace(_OMEGA_Y, 60.0, 93)
+    assert np.all(np.abs(kernels.omega(y, z)) <= _omega_majorant(y, z) * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("x, z", [(1.0, 0.5), (0.3, -0.9), (2.0, -0.6), (0.5, 0.0)])
+def test_omega_remainder_is_the_majorants_integral(x, z):
+    # omega_remainder = sup |J_z| on the tail times the integral of the
+    # majorant over [14, inf), here by quadrature (the majorant is below
+    # 1e-70 past y = 400).
+    c = 4.0 * math.pi * math.sqrt(x)
+    u0 = c * math.sqrt(_OMEGA_Y)
+    j_tail = 1.0 if z >= 0.0 else 1.0 + (0.5 * u0) ** z / math.gamma(1.0 + z)
+    u = np.linspace(u0, u0 + 200.0, 2001)
+    assert np.all(np.abs(bessel_j(z, u)) <= j_tail)
+    spec = quadrature.QuadratureSpec(abs_tol=1e-30, rel_tol=1e-12)
+    tail = quadrature.integrate_finite(lambda y: _omega_majorant(y, z), _OMEGA_Y, 400.0, spec)
+    budget = identities.verify_omega_self_reciprocal(x, z).budgets["omega_remainder"]
+    assert abs(budget - j_tail * tail.value.real) <= 1e-10 * budget

@@ -675,6 +675,18 @@ def test_eval_zeta_far_left_prints_no_warning():
         assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gamma", "--s=171.7"], "gamma(z) at z=(171.7+0j)"),
+    (["gamma", "--s=200"], "gamma(z) at z=(200+0j)"),
+    (["gamma", "--s=64733443777.99468"], "gamma(z) at z=(64733443777.99468+0j)"),
+    (["xi", "--s=440"], "xi(s) at s=(440+0j)")])
+def test_eval_gamma_and_xi_past_the_double_range_exit_3(argv, message):
+    # A typed error, not nan and no RuntimeWarning on stderr.
+    done = _cold(["-m", "koshliakov.cli", "eval", *argv])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", f"koshliakov: error: {message} exceeds the double range\n")
+
+
 def test_eval_zeta_at_trivial_zeros_and_large_height(golden, capsys):
     # 0 at the trivial zeros; left of Re s = 1/2 past |Im s| = 452 a finite
     # value (a RuntimeWarning would raise under pytest's filter).

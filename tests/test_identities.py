@@ -25,7 +25,7 @@ from koshliakov.identities import (IDENTITIES, _hurwitz_F, _k_series_tail,
                                    verify_rg_corollary, verify_rg_corollary_z0,
                                    verify_rg_formula)
 from koshliakov.kernels import pair_dixon_ferrar, pair_k_bessel
-from koshliakov.quadrature import QuadratureSpec, integrate_half_line, tail_certificate
+from koshliakov.quadrature import QuadratureSpec, integrate_half_line
 from koshliakov.specfun import _pole_quotient, bessel_k, gamma
 
 from conftest import rel_err
@@ -226,8 +226,8 @@ def test_divisor_k_columns_are_sums_of_one_hot_integrals(cs, z, monkeypatch):
         parts = sum(w * integrate_half_line(
             lambda x: (np.power(x, 1.0 + 0.5 * z) * bessel_k(0.5 * z, 2.0 * c * x)
                        * np.power(x * x + (math.pi * n) ** 2, -0.5 * (z + 3.0))),
-            tail_certificate((math.pi * n) ** -(z.real + 3.0) * A, 0.5 * (1.0 + z.real),
-                             2.0 * c), QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)).value
+            ((math.pi * n) ** -(z.real + 3.0) * A, 0.5 * (1.0 + z.real), 2.0 * c),
+            QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)).value
             for n, w in zip(nn, weights))
         assert rel_err(folded[col], parts) < 1e-10
         assert errs[col] < 1e-10 * abs(folded[col])

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from koshliakov import quadrature
 from koshliakov.errors import ConvergenceError, DecayError, DomainError
-from koshliakov.quadrature import (ExpDecay, QuadratureResult,
-                                   QuadratureSpec, integrate_alternating_tail,
-                                   integrate_finite, integrate_half_line,
-                                   integrate_semi_infinite,
-                                   integrate_singular_head, tail_certificate, tanh_sinh)
+from koshliakov.quadrature import (QuadratureResult, QuadratureSpec,
+                                   integrate_alternating_tail, integrate_finite,
+                                   integrate_half_line, integrate_semi_infinite,
+                                   integrate_singular_head, tanh_sinh)
 from koshliakov.specfun import bessel_j, bessel_k
 
 from conftest import rel_err
@@ -126,10 +125,10 @@ def test_finite_refuses_infinite_endpoints(a, b):
 
 
 def test_semi_infinite_refuses_an_error_ten_times_its_budget():
-    # (1 - x) e^{-x} integrates to 0 over [0, inf): each segment meets its
+    # (2 - x) e^{-x} integrates to 0 over [1, inf): each segment meets its
     # relative budget, but their floors add up far past 1e-10 of the total.
     with pytest.raises(ConvergenceError, match="10x the requested budget"):
-        integrate_semi_infinite(lambda x: (1.0 - x) * np.exp(-x), 0.0, ExpDecay(1.0, 0.5),
+        integrate_semi_infinite(lambda x: (2.0 - x) * np.exp(-x), 1.0, (1.0, 1.0, 1.0),
                                 QuadratureSpec(abs_tol=1e-20, rel_tol=1e-10))
 
 
@@ -142,27 +141,33 @@ def test_tanh_sinh_without_an_interior_node_raises(a, b):
 
 
 def test_semi_infinite_exponential():
-    r = integrate_semi_infinite(lambda x: np.exp(-x), 0.0,
-                                decay=ExpDecay(coeff=1.0, rate=1.0))
-    # The tail is cut where the certificate meets the budget, so the
+    r = integrate_semi_infinite(lambda x: np.exp(-x), 1.0, (1.0, 0.0, 1.0))
+    # The tail is cut where the envelope meets the budget, so the
     # defect must sit inside the reported total_error, not at 1e-16.
-    assert abs(r.value - 1.0) <= r.total_error + 1e-14
-    assert rel_err(r.value, 1.0) < 1e-9
+    assert abs(r.value - math.exp(-1.0)) <= r.total_error + 1e-14
+    assert rel_err(r.value, math.exp(-1.0)) < 1e-9
     assert 0.0 < r.truncation_bound < 1e-10
 
 
 def test_semi_infinite_gaussian_moment():
-    r = integrate_semi_infinite(lambda x: x * np.exp(-x * x), 0.0,
-                                decay=ExpDecay(coeff=5.0, rate=1.5))
-    assert rel_err(r.value, 0.5) < 1e-12
+    # x e^{-x^2} <= x e^{-x} on x >= 1.
+    r = integrate_semi_infinite(lambda x: x * np.exp(-x * x), 1.0, (1.0, 1.0, 1.0))
+    assert rel_err(r.value, 0.5 * math.exp(-1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+def test_semi_infinite_refuses_a_bound_from_a_nonpositive_start(a):
+    # t^p e^{-bt} has no largest value on t >= a <= 0 when p < 0.
+    with pytest.raises(DomainError, match="t >= a > 0"):
+        integrate_semi_infinite(lambda x: np.exp(-x), a, (1.0, 0.0, 1.0))
 
 
 def test_semi_infinite_bessel_k_moment():
     # int_0^inf x K_0(x) dx = 1, singular log endpoint plus exp tail.
-    # |x K_0(x)| <= sqrt(pi/2) x^{1/2} e^{-x}, a certificate that cuts the
+    # |x K_0(x)| <= sqrt(pi/2) x^{1/2} e^{-x}, a bound that cuts the
     # tail where the requested budget allows: 1e-12 is asked for.
     r = integrate_half_line(lambda x: x * np.real(bessel_k(0.0, x)),
-                            tail_certificate(math.sqrt(0.5 * math.pi), 0.5, 1.0),
+                            (math.sqrt(0.5 * math.pi), 0.5, 1.0),
                             QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
     assert abs(r.value - 1.0) <= r.total_error
     assert rel_err(r.value, 1.0) < 1e-12
@@ -180,40 +185,39 @@ def _gamma_integrand(s, b):
 @given(_S, _B)
 def test_half_line_gamma_integral(s, b):
     # int_0^inf t^{s-1} e^{-bt} dt = Gamma(s) b^{-s}: a singular head for
-    # s < 1, a tail under the certificate of the integrand itself.
-    r = integrate_half_line(_gamma_integrand(s, b), tail_certificate(1.0, s - 1.0, b),
-                            QuadratureSpec())
+    # s < 1, a tail under the bound of the integrand itself.
+    r = integrate_half_line(_gamma_integrand(s, b), (1.0, s - 1.0, b), QuadratureSpec())
     assert abs(r.value - math.gamma(s) * b ** -s) <= r.total_error
 
 
 def test_half_line_oscillating_zero_at_fit_ends():
     # sin(pi t) vanishes at t=1 and t=2, where no envelope may be read off.
-    r = integrate_half_line(lambda t: np.sin(math.pi * t) * np.exp(-t),
-                            tail_certificate(1.0, 0.0, 1.0))
+    r = integrate_half_line(lambda t: np.sin(math.pi * t) * np.exp(-t), (1.0, 0.0, 1.0))
     truth = math.pi / (1.0 + math.pi ** 2)
     assert abs(r.value - truth) <= r.total_error
     assert rel_err(r.value, truth) < 1e-10
 
 
 @settings(max_examples=40)
-@given(coeff=st.floats(1e-30, 1e30), power=st.floats(-3.0, 40.0), rate=st.floats(0.05, 100.0))
-def test_tail_certificate_covers_its_bound(coeff, power, rate):
-    # coeff t^power e^{-rate t} sits under the certificate on t >= 1, with
-    # equality at the largest point of t^power e^{-(1 - fraction) rate t}.
-    decay = tail_certificate(coeff, power, rate)
-    assert decay.rate == quadrature._RATE_FRACTION * rate
-    t = np.geomspace(1.0, 1.0 + 200.0 / rate, 500)
+@given(coeff=st.floats(1e-30, 1e30), power=st.floats(-3.0, 40.0), rate=st.floats(0.05, 100.0),
+       a=st.floats(0.01, 50.0))
+def test_envelope_covers_its_bound(coeff, power, rate, a):
+    # coeff t^power e^{-rate t} sits under the envelope C e^{-rt} on t >= a,
+    # with equality at the largest point of t^power e^{-(1 - fraction) rate t}.
+    C, r = quadrature._envelope((coeff, power, rate), a)
+    assert r == quadrature._RATE_FRACTION * rate
+    t = np.geomspace(a, a + 200.0 / rate, 500)
     bound = coeff * np.exp(power * np.log(t) - rate * t)
-    assert np.all(bound <= decay.coeff * np.exp(-decay.rate * t) * (1.0 + 1e-12))
+    assert np.all(bound <= C * np.exp(-r * t) * (1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("coeff, rate", [(math.inf, 1.0), (math.nan, 1.0), (1.0, 0.0),
                                          (0.0, 1.0), (1.0, math.inf)])
-def test_exp_decay_refuses_an_unusable_certificate(coeff, rate):
+def test_half_line_refuses_an_unusable_bound(coeff, rate):
     # An envelope that overflowed or came out nan would put the cutoff at
     # inf or nan.
     with pytest.raises(DecayError, match="positive, finite"):
-        ExpDecay(coeff, rate)
+        integrate_half_line(lambda t: np.exp(-t), (coeff, 0.0, rate))
 
 
 def test_half_line_calls_f_only_through_its_rules(monkeypatch):
@@ -230,7 +234,7 @@ def test_half_line_calls_f_only_through_its_rules(monkeypatch):
         calls.append(np.array(t))
         return np.exp(-np.asarray(t))
 
-    integrate_half_line(f, tail_certificate(1.0, 0.0, 1.0))
+    integrate_half_line(f, (1.0, 0.0, 1.0))
     assert calls == []
 
 
@@ -351,31 +355,31 @@ def test_tanh_sinh_columns_match_scalar_calls(bs):
 @settings(max_examples=25)
 @given(_COLS)
 def test_semi_infinite_columns_match_scalar_calls(bs):
-    # e^{-b t} over [0, inf) with one certificate per column: the cutoff is
-    # the largest certificate's, and every column keeps its own bound.
+    # e^{-b t} over [1, inf) with one bound per column: the cutoff is the
+    # largest envelope's, and every column keeps its own tail.
     b = np.array(bs)
-    decays = [ExpDecay(coeff=1.0, rate=bj) for bj in bs]
-    r = integrate_semi_infinite(lambda t: np.exp(-np.multiply.outer(t, b)), 0.0, decays)
-    T = max(1.0, *(d.cutoff_for(0.1 * QuadratureSpec().abs_tol) for d in decays))
-    assert list(r.truncation_bound) == [d.tail_bound(T) for d in decays]
+    bounds = [(1.0, 0.0, bj) for bj in bs]
+    r = integrate_semi_infinite(lambda t: np.exp(-np.multiply.outer(t, b)), 1.0, bounds)
+    T = max(2.0, *(_cutoff(bound, QuadratureSpec()) for bound in bounds))
+    assert list(r.truncation_bound) == [_tail(bound, T) for bound in bounds]
     for j, bj in enumerate(bs):
-        one = integrate_semi_infinite(lambda t: np.exp(-bj * t), 0.0, decays[j])
+        one = integrate_semi_infinite(lambda t: np.exp(-bj * t), 1.0, bounds[j])
         assert _agree(r, j, one)
-        assert abs(r.value[j] - 1.0 / bj) <= r.total_error[j] + 1e-14
+        assert abs(r.value[j] - math.exp(-bj) / bj) <= r.total_error[j] + 1e-14
 
 
 @settings(max_examples=25)
 @given(_S, _COLS)
 def test_half_line_columns_match_scalar_calls(s, bs):
-    # t^{s-1} e^{-b t} with a certificate per column.
+    # t^{s-1} e^{-b t} with a bound per column.
     b = np.array(bs)
-    decays = [tail_certificate(1.0, s - 1.0, bj) for bj in bs]
+    bounds = [(1.0, s - 1.0, bj) for bj in bs]
     r = integrate_half_line(
-        lambda t: np.power(t, s - 1.0)[:, None] * np.exp(-np.multiply.outer(t, b)), decays)
+        lambda t: np.power(t, s - 1.0)[:, None] * np.exp(-np.multiply.outer(t, b)), bounds)
     assert r.value.shape == r.truncation_bound.shape == b.shape
     assert isinstance(r.nodes_used, int)
     for j, bj in enumerate(bs):
-        one = integrate_half_line(_gamma_integrand(s, bj), decays[j])
+        one = integrate_half_line(_gamma_integrand(s, bj), bounds[j])
         assert _agree(r, j, one)
         assert abs(r.value[j] - math.gamma(s) * bj ** -s) <= r.total_error[j]
 
@@ -404,11 +408,23 @@ def _scalar_ts(f, a, b, spec):
     raise AssertionError("reference loop did not converge")
 
 
-def _scalar_half_line(f, decay, spec):
+def _cutoff(bound, spec):
+    """Where the envelope of bound on t >= 1 has a tail of 0.1 abs_tol."""
+    C, r = quadrature._envelope(bound, 1.0)
+    return -math.log(0.1 * spec.abs_tol * r / C) / r
+
+
+def _tail(bound, T):
+    """The envelope's tail past T, for bound on t >= 1."""
+    C, r = quadrature._envelope(bound, 1.0)
+    return C * math.exp(-r * T) / r
+
+
+def _scalar_half_line(f, bound, spec):
     """integrate_half_line before it took vector integrands, with the
     reference head and integrate_finite's (pinned) scalar tail panels."""
     head = _scalar_ts(f, 0.0, 1.0, spec)
-    T = max(2.0, decay.cutoff_for(0.1 * spec.abs_tol))
+    T = max(2.0, _cutoff(bound, spec))
     breaks, step = [1.0], 1.0
     while breaks[-1] + step < T:
         breaks.append(breaks[-1] + step)
@@ -419,20 +435,20 @@ def _scalar_half_line(f, decay, spec):
     for lo, hi in zip(breaks, breaks[1:]):
         r = integrate_finite(f, lo, hi, seg)
         total, err, nodes = total + r.value, err + r.err_estimate, nodes + r.nodes_used
-    return head[0] + total, head[1] + err, nodes, decay.tail_bound(T)
+    return head[0] + total, head[1] + err, nodes, _tail(bound, T)
 
 
 def test_one_component_half_line_keeps_the_scalar_arithmetic():
     # f returning (nodes,) or (nodes, 1) gives, through tanh_sinh and
     # integrate_half_line, the numbers of the scalar loops bit for bit.
     cases = [
-        (lambda x: 1.0 / np.sqrt(x) * np.exp(-x), tail_certificate(1.0, -0.5, 1.0)),
-        (lambda x: np.log(x) * np.exp(-2.0 * x), tail_certificate(1.0, 1.0, 2.0)),
-        (lambda x: np.exp((1j - 1.0) * x) * np.power(x, -0.3), tail_certificate(1.0, -0.3, 1.0)),
-        (lambda x: np.sin(math.pi * x) * np.exp(-x), tail_certificate(1.0, 0.0, 1.0)),
+        (lambda x: 1.0 / np.sqrt(x) * np.exp(-x), (1.0, -0.5, 1.0)),
+        (lambda x: np.log(x) * np.exp(-2.0 * x), (1.0, 1.0, 2.0)),
+        (lambda x: np.exp((1j - 1.0) * x) * np.power(x, -0.3), (1.0, -0.3, 1.0)),
+        (lambda x: np.sin(math.pi * x) * np.exp(-x), (1.0, 0.0, 1.0)),
     ]
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
-    for f, decay in cases:
+    for f, bound in cases:
         head = _scalar_ts(f, 0.0, 1.0, spec)
         one = tanh_sinh(f, 0.0, 1.0, spec)
         col = tanh_sinh(lambda x: f(x)[:, None], 0.0, 1.0, spec)
@@ -440,9 +456,9 @@ def test_one_component_half_line_keeps_the_scalar_arithmetic():
         assert (one.value, one.err_estimate, one.nodes_used) == head
         assert (complex(col.value[0]), float(col.err_estimate[0]), col.nodes_used) == head
 
-        ref = _scalar_half_line(f, decay, spec)
-        one = integrate_half_line(f, decay, spec)
-        col = integrate_half_line(lambda x: f(x)[:, None], decay, spec)
+        ref = _scalar_half_line(f, bound, spec)
+        one = integrate_half_line(f, bound, spec)
+        col = integrate_half_line(lambda x: f(x)[:, None], bound, spec)
         assert type(one.value) is complex
         assert (one.value, one.err_estimate, one.nodes_used,
                 one.truncation_bound) == ref
@@ -495,7 +511,7 @@ def test_integrate_semi_infinite_calls_f_once_per_round():
     # Every segment's first panel in one call; then each round splits one
     # panel of every segment still above its budget, so rounds only shrink.
     g, calls = _recording(lambda t: np.cos(3.0 * t) * np.exp(-0.5 * t))
-    r = integrate_semi_infinite(g, 0.0, ExpDecay(coeff=1.0, rate=0.5))
+    r = integrate_semi_infinite(g, 1.0, (1.0, 0.0, 0.5))
     sizes = [x.size for x in calls]
     assert sizes[0] % 15 == 0 and sizes[0] > 15
     assert all(s % 30 == 0 for s in sizes[1:])

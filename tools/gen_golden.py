@@ -212,6 +212,13 @@ def golden_values():
 
     put("gamma_1_plus_i", gamma(1 + i), "Gamma(1+i)")
     put("gamma_quarter", gamma(mpf("0.25")), "Gamma(1/4)")
+    # Gamma and xi where the double Lanczos power t^(z - 1/2) alone
+    # overflows, and xi where Gamma(s/2 + 1) does, while the values do not.
+    put("gamma_150", gamma(150), "Gamma(150)")
+    put("gamma_m150p5", gamma(mpf("-150.5")), "Gamma(-150.5)")
+    put("xi_300", xi(mpf(300)), "xi(300)")
+    put("xi_400", xi(mpf(400)), "xi(400)")
+    put("big_xi_m300i", big_xi(mpc(0, -300)), "Xi(-300i) = xi(300.5)")
     put("zeta_half", zeta(mpf("0.5")), "zeta(1/2)")
     put("zeta_half_plus_3i", zeta(mpf("0.5") + 3 * i), "zeta(1/2+3i)")
     put("zeta_minus_half", zeta(mpf("-0.5")), "zeta(-1/2)")

@@ -50,10 +50,15 @@ where the Omega majorant carries the weight's bound.  Then a 1500-step
 zeta(s) does not.  Then `eval zeta` at the trivial zeros -2 and -100 and
 at 0.3+500i, where sin(pi s/2) overflows and Gamma(1 - s) underflows,
 `eval sigma` at two divisor powers and `eval omega` at a phase past the
-double range, and the Dixon-Ferrar pair at x = 7.  Last, one sweep
-writes --out and --svg into a temp dir per tree, and its CSV and SVG
-bytes are compared with its exit code and stdout: 111 commands and that
-sweep, 112 in all.  The children run
+double range, and the Dixon-Ferrar pair at x = 7.  Then `eval gamma` at
+150 and -150.5, where the Lanczos power t^(z - 1/2) overflows but Gamma
+does not, at 171.7 (past the double range) and -200.5 (Gamma underflows
+to 0); `eval xi` at 300, 400 (Gamma(s/2 + 1) overflows, xi does not) and
+440 (past the double range); `eval big-xi --t=-300i`, which is xi(300.5);
+and `omega-self-reciprocal` at z = -0.9, where the Omega remainder's J
+bound is above 1.  Last, one sweep writes --out and --svg into a temp dir
+per tree, and its CSV and SVG bytes are compared with its exit code and
+stdout: 120 commands and that sweep, 121 in all.  The children run
 without PYTHONUNBUFFERED, so their stdout is block-buffered, as a pipe's
 is by default.
 
@@ -244,6 +249,14 @@ COMMANDS = (
     # The Dixon-Ferrar pair at a large x: both directions through the first
     # transform, psi's by its power-tail rule.
     ("verify", "pair-reciprocity", "--pair=dixon-ferrar", "--z=0", "--x=7"),
+    # Gamma where the Lanczos power overflows but Gamma does not, past the
+    # double range, and where it underflows; xi and Xi where Gamma(s/2 + 1)
+    # overflows (from 400 on) or its power does, and past the double range.
+    *(("eval", "gamma", f"--s={s}") for s in ("150", "-150.5", "171.7", "-200.5")),
+    *(("eval", "xi", f"--s={s}") for s in ("300", "400", "440")),
+    ("eval", "big-xi", "--t=-300i"),
+    # The Omega remainder's J bound at z < 0.
+    ("verify", "omega-self-reciprocal", "--z=-0.9", "--x=0.3"),
 )
 
 # A sweep that writes --out and --svg, into a temp dir per tree; its exit
