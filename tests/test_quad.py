@@ -213,7 +213,7 @@ def test_envelope_covers_its_bound(coeff, power, rate, a):
 
 @pytest.mark.parametrize("coeff, rate", [(math.inf, 1.0), (math.nan, 1.0), (1.0, 0.0),
                                          (0.0, 1.0), (1.0, math.inf)])
-def test_half_line_refuses_an_unusable_bound(coeff, rate):
+def test_exp_decay_refuses_an_unusable_certificate(coeff, rate):
     # An envelope that overflowed or came out nan would put the cutoff at
     # inf or nan.
     with pytest.raises(DecayError, match="positive, finite"):
